@@ -7,7 +7,7 @@ STATICCHECK ?= staticcheck
 # "Static analysis".)
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build test test-short race determinism profile bench-json vet lint staticcheck-install fmt-check check
+.PHONY: all build test test-short race determinism profile bench bench-check vet lint staticcheck-install fmt-check check
 
 all: check
 
@@ -38,18 +38,23 @@ determinism:
 
 # CPU profile of the np=1024 HydEE smoke workload — the first step of the
 # "profile a 1024-rank run end-to-end" roadmap item. Leaves cpu.prof and
-# the test binary hydee-mpi.test; inspect with
-#   go tool pprof hydee-mpi.test cpu.prof
+# the test binary hydee-smoke.test; inspect with
+#   go tool pprof hydee-smoke.test cpu.prof
 profile:
 	$(GO) test -run 'TestHydEESmoke1024' -count=1 -cpuprofile cpu.prof -o hydee-smoke.test .
 	@echo "profile written to cpu.prof; open with: go tool pprof hydee-smoke.test cpu.prof"
 
-# Append one wall-clock performance point for the np=1024 smoke workload
-# to BENCH_hydee.json (one JSON line per invocation — a throughput series
-# over commits). Virtual-time fields in the line are deterministic; only
-# wall_ms / events_per_sec measure the machine.
-bench-json:
-	$(GO) run ./cmd/hydee-bench -out BENCH_hydee.json
+# The repository benchmark (BENCHMARK.json; see benchmark/README.md): five
+# named workloads, end-to-end and per-layer metrics, results under
+# benchmark/out/.
+bench:
+	bash benchmark/run.sh
+
+# The benchmark driver is a nested module that `./...` above does not
+# reach; build, vet and short-test it (including its golden vt_digest
+# gate) so an API change in the root module cannot silently break it.
+bench-check:
+	cd benchmark && $(GO) build . && $(GO) vet . && $(GO) test -short .
 
 vet:
 	$(GO) vet ./...
@@ -79,4 +84,4 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-check: build vet fmt-check test
+check: build vet fmt-check test bench-check

@@ -6,6 +6,7 @@ package hydee_test
 // so `go test -bench` output doubles as an experiment record.
 
 import (
+	"context"
 	"testing"
 
 	"hydee"
@@ -18,6 +19,20 @@ import (
 	"hydee/internal/transport"
 	"hydee/internal/vtime"
 )
+
+// engineRun builds an engine from opts and runs prog on it once.
+func engineRun(b *testing.B, prog hydee.Program, opts ...hydee.Option) *hydee.Result {
+	b.Helper()
+	eng, err := hydee.New(opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := eng.Run(context.Background(), prog)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
 
 // BenchmarkTable1_Clustering regenerates Table I: trace the six kernels at
 // 256 ranks and run the clustering tool.
@@ -141,13 +156,9 @@ func BenchmarkAblation_GC(b *testing.B) {
 		if disable {
 			prot = core.NewWithOptions(core.Options{Name: "hydee-nogc", DisableGC: true})
 		}
-		res, err := hydee.Run(hydee.Config{
-			NP: 16, Topo: hydee.NewTopology(assign), Protocol: prot,
-			Model: hydee.Myrinet10G(), CheckpointEvery: 2,
-		}, hydee.StencilProgram(20, 64*1024))
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := engineRun(b, hydee.StencilProgram(20, 64*1024),
+			hydee.WithTopology(hydee.NewTopology(assign)), hydee.WithProtocol(prot),
+			hydee.WithModel(hydee.Myrinet10G()), hydee.WithCheckpointEvery(2))
 		return res.Totals.LogPeakBytes
 	}
 	for i := 0; i < b.N; i++ {
@@ -163,12 +174,8 @@ func BenchmarkAblation_GC(b *testing.B) {
 // against native, on a small-message-heavy workload.
 func BenchmarkAblation_Piggyback(b *testing.B) {
 	run := func(prot rollback.Protocol) float64 {
-		res, err := hydee.Run(hydee.Config{
-			NP: 16, Protocol: prot, Model: hydee.Myrinet10G(),
-		}, hydee.StencilProgram(10, 256))
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := engineRun(b, hydee.StencilProgram(10, 256),
+			hydee.WithRanks(16), hydee.WithProtocol(prot), hydee.WithModel(hydee.Myrinet10G()))
 		return float64(res.Makespan)
 	}
 	for i := 0; i < b.N; i++ {
@@ -198,13 +205,8 @@ func BenchmarkAblation_SSDLogging(b *testing.B) {
 		if drainBPS > 0 {
 			opts = core.Options{Name: "hydee-ssd", LogDrainBPS: drainBPS, LogMemBudget: 8 << 20}
 		}
-		res, err := hydee.Run(hydee.Config{
-			NP: 16, Topo: hydee.NewTopology(assign),
-			Protocol: core.NewWithOptions(opts), Model: hydee.Myrinet10G(),
-		}, prog)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := engineRun(b, prog, hydee.WithTopology(hydee.NewTopology(assign)),
+			hydee.WithProtocol(core.NewWithOptions(opts)), hydee.WithModel(hydee.Myrinet10G()))
 		return float64(res.Makespan)
 	}
 	for i := 0; i < b.N; i++ {
@@ -293,10 +295,8 @@ func BenchmarkMicro_PingPong(b *testing.B) {
 		return nil
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := hydee.Run(hydee.Config{NP: 2, Protocol: hydee.HydEE(),
-			Topo: hydee.NewTopology([]int{0, 1}), Model: hydee.Myrinet10G()}, prog); err != nil {
-			b.Fatal(err)
-		}
+		engineRun(b, prog, hydee.WithProtocol(hydee.HydEE()),
+			hydee.WithTopology(hydee.NewTopology([]int{0, 1})), hydee.WithModel(hydee.Myrinet10G()))
 	}
 }
 

@@ -76,15 +76,9 @@ func main() {
 	}
 	// Probe the registry now so an unknown or misconfigured store fails
 	// before any sweep work, not inside the first run.
-	if err := store.Probe(); err != nil {
+	geometry, err := store.Probe()
+	if err != nil {
 		log.Fatal(err)
-	}
-	newStore := func(topo *hydee.Topology) hydee.Store {
-		st, err := store.New(topo)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return st
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
@@ -106,7 +100,7 @@ func main() {
 	fmt.Printf("%s on %d ranks: %d clusters, %.2f%% logged, %.2f%% expected rollback (store %s)\n\n",
 		*app, *np, cl.K, 100*cl.CutFrac, 100*cl.ExpRollback, store.Spec)
 
-	rows, err := harness.ContainmentCtx(ctx, k, *np, *iters, *ckpt, cl.Assign, failWhen, model, newStore)
+	rows, err := harness.ContainmentCtx(ctx, k, *np, *iters, *ckpt, cl.Assign, failWhen, model, store.New)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -115,8 +109,7 @@ func main() {
 
 	// The E5 burst comparison is about plain sharding; redundancy specs
 	// (ec, replica) have their own shard-loss sweep (harness E6).
-	if _, opts, _ := hydee.ParseStoreSpec(store.Spec); opts.Shards > 1 && opts.Parity == 0 && opts.Replicas == 0 && store.BPS > 0 {
-		shards := opts.Shards
+	if shards := geometry.Shards; shards > 1 && geometry.Parity == 0 && geometry.Replicas == 0 && store.BPS > 0 {
 		burst, err := harness.CheckpointBurstSharded(ctx, k, *np, *iters, *ckpt, cl.Assign, store.BPS, shards, model)
 		if err != nil {
 			log.Fatal(err)

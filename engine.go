@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"hydee/internal/checkpoint"
 	"hydee/internal/mpi"
 )
 
@@ -30,9 +29,10 @@ import (
 type Engine struct {
 	cfg                         mpi.Config
 	storeWriteBPS, storeReadBPS float64
-	// storeMake/storeOpts build a fresh per-run store when WithStoreName
-	// was given (and no WithStore pinned one).
-	storeMake StoreFactory
+	// storeMake/storeOpts build a fresh per-run store (unless WithStore
+	// pinned one): the WithStoreName backend, the free in-memory store by
+	// default.
+	storeMake storeBackend
 	storeOpts StoreOptions
 	// failAt accumulates WithFailureAt events; New appends them to the
 	// configured failure schedule.
@@ -47,7 +47,7 @@ type Option func(*Engine) error
 // configuration. The rank count comes from WithRanks or, if absent, from
 // the topology.
 func New(opts ...Option) (*Engine, error) {
-	e := &Engine{}
+	e := &Engine{storeMake: memBackend}
 	for _, opt := range opts {
 		if opt == nil {
 			continue
@@ -88,20 +88,14 @@ func (e *Engine) Run(ctx context.Context, program Program) (*Result, error) {
 	return mpi.RunContext(ctx, cfg, program)
 }
 
-// makeStore builds the per-run store: the WithStoreName factory when one
-// was given, the default in-memory store otherwise.
-func (e *Engine) makeStore() (checkpoint.Store, error) {
-	if e.storeMake == nil {
-		return checkpoint.NewMemStore(e.storeWriteBPS, e.storeReadBPS), nil
-	}
+// makeStore builds the per-run store; zero option bandwidths fall back
+// to WithStorageBandwidth.
+func (e *Engine) makeStore() (Store, error) {
 	opts := e.storeOpts
 	if opts.WriteBPS == 0 && opts.ReadBPS == 0 {
 		opts.WriteBPS, opts.ReadBPS = e.storeWriteBPS, e.storeReadBPS
 	}
-	if n := opts.totalShards(); opts.Placement == nil && n > 1 && e.cfg.Topo != nil {
-		opts.Placement = ClusterPlacement(e.cfg.Topo, n)
-	}
-	return e.storeMake(opts)
+	return e.storeMake.newStore(opts, e.cfg.Topo)
 }
 
 // Config returns a copy of the runtime configuration the engine resolved
@@ -268,7 +262,6 @@ func WithStore(st Store) Option {
 			return fmt.Errorf("hydee: WithStore(nil)")
 		}
 		e.cfg.Store = st
-		e.storeMake = nil
 		return nil
 	}
 }
@@ -281,11 +274,11 @@ func WithStore(st Store) Option {
 // placement when the engine has a topology.
 func WithStoreName(name string, opts StoreOptions) Option {
 	return func(e *Engine) error {
-		mk, err := storeRegistry.lookup(name)
+		b, err := storeRegistry.lookup(name)
 		if err != nil {
 			return err
 		}
-		e.storeMake, e.storeOpts = mk, opts
+		e.storeMake, e.storeOpts = b, opts
 		e.cfg.Store = nil
 		return nil
 	}
@@ -324,16 +317,6 @@ func WithWatchdog(d time.Duration) Option {
 			return fmt.Errorf("hydee: WithWatchdog(%v): duration must be >= 0", d)
 		}
 		e.cfg.Watchdog = d
-		return nil
-	}
-}
-
-// WithConfig seeds the engine from a legacy Config value; later options
-// override individual fields. It exists so struct-based callers can migrate
-// piecemeal.
-func WithConfig(cfg Config) Option {
-	return func(e *Engine) error {
-		e.cfg = cfg
 		return nil
 	}
 }

@@ -259,20 +259,6 @@ func TestRegistries(t *testing.T) {
 	}
 }
 
-func TestRunShimStillWorks(t *testing.T) {
-	// The legacy struct-based entry point must keep compiling and running.
-	res, err := hydee.Run(hydee.Config{NP: 2}, func(c *hydee.Comm) error {
-		if c.Rank() == 0 {
-			return c.Send(1, 1, []byte{42})
-		}
-		_, _, err := c.Recv(0, 1)
-		return err
-	})
-	if err != nil || res == nil {
-		t.Fatalf("shim run: %v", err)
-	}
-}
-
 func TestCheckSendDeterminism(t *testing.T) {
 	run := func(prog hydee.Program, np int) *hydee.EventRecorder {
 		rec := hydee.NewEventRecorder(np)

@@ -7,44 +7,8 @@ import (
 	"hydee"
 )
 
-// ExampleRun runs a two-cluster ring under HydEE, kills a rank, and shows
-// that recovery is contained to one cluster and bit-exact.
-func ExampleRun() {
-	topo := hydee.NewTopology([]int{0, 0, 1, 1})
-	cfg := hydee.Config{
-		NP:              4,
-		Topo:            topo,
-		Protocol:        hydee.HydEE(),
-		Model:           hydee.Myrinet10G(),
-		CheckpointEvery: 3,
-	}
-	clean, err := hydee.Run(cfg, hydee.RingProgram(9, 4096))
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	cfg.Failures = hydee.NewFailureSchedule(hydee.FailureEvent{
-		Ranks: []int{3},
-		When:  hydee.FailureTrigger{AfterCheckpoints: 1},
-	})
-	failed, err := hydee.Run(cfg, hydee.RingProgram(9, 4096))
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	same := true
-	for r := range clean.Results {
-		if clean.Results[r] != failed.Results[r] {
-			same = false
-		}
-	}
-	fmt.Printf("rolled back %d of 4 ranks; results identical: %v\n",
-		failed.Rounds[0].RolledBack, same)
-	// Output:
-	// rolled back 2 of 4 ranks; results identical: true
-}
-
-// ExampleNew is the Engine-based equivalent of ExampleRun: build one
+// ExampleNew runs a two-cluster ring under HydEE, kills a rank, and shows
+// that recovery is contained to one cluster and bit-exact: build one
 // engine per configuration with functional options, run under a context.
 func ExampleNew() {
 	ctx := context.Background()

@@ -25,8 +25,7 @@
 // An Engine is reusable across runs, honors context cancellation and
 // deadlines, returns typed errors (*RunError wrapping ErrCanceled,
 // ErrDeadlock, ErrNotSendDeterministic), and streams lifecycle events to
-// an Observer. The struct-based hydee.Run(cfg, program) entry point remains
-// as a thin shim over the same runtime.
+// an Observer.
 //
 // See examples/ for runnable programs and DESIGN.md for the system map.
 package hydee
@@ -50,7 +49,7 @@ import (
 
 // Core runtime types.
 type (
-	// Config describes one run of a message-passing program.
+	// Config is the resolved runtime configuration Engine.Config returns.
 	Config = mpi.Config
 	// Program is the per-rank application code.
 	Program = mpi.Program
@@ -113,16 +112,6 @@ const (
 
 // Model is a network cost model.
 type Model = netmodel.Model
-
-// Run executes a program under the configuration. It is a thin shim over
-// an Engine, kept for struct-based callers; new code should prefer
-// hydee.New(...).Run(ctx, program).
-func Run(cfg Config, program Program) (*Result, error) { return mpi.Run(cfg, program) }
-
-// RunContext is Run honoring ctx cancellation and deadlines.
-func RunContext(ctx context.Context, cfg Config, program Program) (*Result, error) {
-	return mpi.RunContext(ctx, cfg, program)
-}
 
 // Event tracing (application-level Post/Delivery events, §II-C).
 type (
@@ -244,7 +233,11 @@ var (
 
 // Experiment harness re-exports (see internal/harness for details).
 type (
-	// ExperimentSpec describes one harness run.
+	// ExperimentSpec describes one harness run: Kernel, Params, Proto and
+	// (for ProtoHydEE) Assign pick the program and protocol; Model,
+	// CheckpointEvery/Stagger and Failures are optional; NewStore is the
+	// one checkpoint-store hook — func(*Topology) (Store, error), e.g.
+	// StoreSpec.New — and nil means a fresh free in-memory store.
 	ExperimentSpec = harness.Spec
 	// ExperimentSummary is its aggregated outcome.
 	ExperimentSummary = harness.Summary

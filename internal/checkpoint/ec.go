@@ -2,43 +2,25 @@ package checkpoint
 
 import (
 	"fmt"
-	"sync"
 
 	"hydee/internal/erasure"
 	"hydee/internal/vtime"
 )
 
-// fragmentEnvelope is the modeled per-fragment metadata overhead (header,
-// checksum, placement record) charged on top of the payload share.
-const fragmentEnvelope = 64
-
-// ECStore stores each snapshot erasure-coded across k+m shards: the
-// snapshot is serialized to a deterministic blob, split into k data plus
-// m parity fragments (see internal/erasure), and fragment i of rank r
-// lands on shard (place(r)+i) mod (k+m). Any k surviving fragments
-// reconstruct the snapshot on Load, so the store tolerates the loss or
-// corruption of up to m shards per placement group at a storage cost of
-// (k+m)/k — between ShardedStore (no redundancy) and ReplicatedStore
-// (r× cost).
+// ECStore stores each snapshot erasure-coded across k+m shards, the
+// k+m-fragment layout over the shard-set core: the snapshot is
+// serialized to a deterministic blob, split into k data plus m parity
+// fragments (see internal/erasure), and fragment i of rank r lands on
+// shard (place(r)+i) mod (k+m). Any k surviving fragments reconstruct
+// the snapshot on Load, so the store tolerates the loss or corruption of
+// up to m shards per placement group at a storage cost of (k+m)/k —
+// between ShardedStore (no redundancy) and ReplicatedStore (r× cost).
 //
-// Each shard models its own bandwidth-contention window exactly like
-// ShardedStore's: one logical Save issues its k+m fragment writes in
-// parallel at the save's admission time and completes when the slowest
-// shard does. Determinism follows the sharded store's argument — saves
-// are admitted in virtual-time order (Network.AwaitTurn), placement and
-// encoding are pure functions — extended by the codec's determinism:
-// fragments are byte-stable, so per-shard queues and reconstructed
-// snapshots reproduce exactly.
+// The codec is deterministic — fragments are byte-stable — so per-shard
+// queues and reconstructed snapshots reproduce exactly.
 type ECStore struct {
-	code   *erasure.Code
-	place  func(rank int) int
-	shards []Store
-
-	mu      sync.Mutex
-	logical StoreStats // Saves/Loads count snapshots, not fragments
-	// degraded counts Loads that succeeded despite at least one missing
-	// or corrupt fragment — the survived-shard-loss signal E6 reports.
-	degraded int64
+	shardSet
+	code *erasure.Code
 }
 
 // NewECStore builds a k-of-(k+m) erasure-coded store over k+m fresh
@@ -46,115 +28,47 @@ type ECStore struct {
 // writeBPS/readBPS bytes per second (zero disables the cost model).
 // place maps a rank to the base shard of its fragment group and may
 // return any int (reduced modulo k+m); nil places ranks round-robin.
-// Per-cluster placement is obtained via ClusterPlacement, exactly as
-// with ShardedStore.
 func NewECStore(k, m int, writeBPS, readBPS float64, place func(rank int) int) (*ECStore, error) {
 	code, err := erasure.New(k, m)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	shards := make([]Store, code.N())
-	for i := range shards {
-		shards[i] = NewMemStore(writeBPS, readBPS)
-	}
-	return &ECStore{code: code, place: place, shards: shards}, nil
-}
-
-// NewECOver erasure-codes over caller-supplied shard backends; exactly
-// k+m shards are required.
-func NewECOver(k, m int, place func(rank int) int, shards ...Store) (*ECStore, error) {
-	code, err := erasure.New(k, m)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	if len(shards) != code.N() {
-		return nil, fmt.Errorf("checkpoint: ec store wants %d shards for %d+%d, got %d", code.N(), k, m, len(shards))
-	}
-	return &ECStore{code: code, place: place, shards: shards}, nil
-}
-
-// baseShard resolves the rank's fragment-0 shard.
-func (st *ECStore) baseShard(rank int) int {
-	i := rank
-	if st.place != nil {
-		i = st.place(rank)
-	}
-	i %= len(st.shards)
-	if i < 0 {
-		i += len(st.shards)
-	}
-	return i
-}
-
-// NumShards reports the shard count k+m.
-func (st *ECStore) NumShards() int { return len(st.shards) }
-
-// swapShard replaces shard i through wrap — the fault-injection hook
-// (NewFaultyStore). Must be called before the store carries traffic.
-func (st *ECStore) swapShard(i int, wrap func(Store) Store) {
-	st.shards[i] = wrap(st.shards[i])
+	return &ECStore{
+		shardSet: shardSet{place: place, targets: memTargets(code.N(), writeBPS, readBPS)},
+		code:     code,
+	}, nil
 }
 
 // Save implements Store: the snapshot is encoded, split, and written as
-// k+m fragments to consecutive shards in parallel; the save completes
-// when the slowest fragment write does. The modeled cost per fragment is
-// the snapshot's CostBytes()/k share plus a fixed envelope, so the
-// aggregate traffic reflects the (k+m)/k redundancy overhead.
+// k+m fragments to consecutive shards from the rank's base shard. The
+// modeled cost per fragment is the snapshot's CostBytes()/k share plus a
+// fixed envelope, so the aggregate traffic reflects the (k+m)/k
+// redundancy overhead.
 func (st *ECStore) Save(s *Snapshot, at vtime.Time) (vtime.Time, error) {
 	blob, err := EncodeSnapshot(s)
 	if err != nil {
 		return at, err
 	}
-	frags := st.code.Split(blob)
-	k, n := st.code.K(), st.code.N()
-	fragCost := (s.CostBytes()+int64(k)-1)/int64(k) + fragmentEnvelope
-	base := st.baseShard(s.Rank)
-	end := at
-	for i, payload := range frags {
-		fs := &Snapshot{
-			Rank:    s.Rank,
-			Seq:     s.Seq,
-			TakenVT: s.TakenVT,
-			AppState: (&fragment{
-				K: k, M: st.code.M(), Index: i,
-				BlobLen: len(blob), Payload: payload,
-			}).marshal(),
-			ModelBytes: fragCost,
-		}
-		e, err := st.shards[(base+i)%n].Save(fs, at)
-		if err != nil {
-			return at, err
-		}
-		if e > end {
-			end = e
-		}
-	}
-	st.mu.Lock()
-	st.logical.Saves++
-	st.mu.Unlock()
-	return end, nil
+	k := int64(st.code.K())
+	cost := (s.CostBytes()+k-1)/k + fragmentEnvelope
+	return st.writeGroup(s, at, st.home(s.Rank), int(k), len(blob), cost, st.code.Split(blob))
 }
 
-// LatestSeq implements Store, delegating to the rank's fragment-0 shard
-// (every fragment write of a save carries the same sequence).
-func (st *ECStore) LatestSeq(rank int) int {
-	return st.shards[st.baseShard(rank)].LatestSeq(rank)
-}
-
-// Load implements Store: fragments are probed in index order until k
-// verify (present, checksum-clean, consistent geometry), then the blob
-// is reconstructed and decoded. Fewer than k healthy fragments is a
-// lost checkpoint (ok=false). The returned completion time covers every
-// fragment read attempted, healthy or not.
+// Load implements Store: fragments are probed in index order, all reads
+// issued at `at` in parallel, until k verify (present, checksum-clean,
+// consistent geometry); then the blob is reconstructed and decoded.
+// Fewer than k healthy fragments is a lost checkpoint (ok=false). The
+// returned completion time covers every fragment read attempted, healthy
+// or not, and a load that probed past k counts as degraded.
 func (st *ECStore) Load(rank, seq int, at vtime.Time) (*Snapshot, vtime.Time, bool) {
 	k, n := st.code.K(), st.code.N()
-	base := st.baseShard(rank)
+	base := st.home(rank)
 	pieces := make([][]byte, n)
 	blobLen := -1
 	valid, probed := 0, 0
 	end := at
 	for i := 0; i < n && valid < k; i++ {
-		fs, e, ok := st.shards[(base+i)%n].Load(rank, seq, at)
+		fs, e, ok := st.targets[(base+i)%n].Load(rank, seq, at)
 		probed++
 		if e > end {
 			end = e
@@ -185,47 +99,13 @@ func (st *ECStore) Load(rank, seq int, at vtime.Time) (*Snapshot, vtime.Time, bo
 	if err != nil {
 		return nil, at, false
 	}
-	st.mu.Lock()
-	st.logical.Loads++
+	var degraded int64
 	if probed > k {
-		st.degraded++
+		degraded = 1
 	}
-	st.mu.Unlock()
+	st.countLoad(degraded)
 	return snap, end, true
 }
 
-// DegradedLoads reports how many Loads succeeded through the redundant
-// path — reconstructions that had to route around at least one missing
-// or corrupt fragment.
-func (st *ECStore) DegradedLoads() int64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.degraded
-}
-
-// Stats implements Store. Saves and Loads count logical snapshot
-// operations; SavedBytes sums the physical fragment traffic across
-// shards, so the (k+m)/k redundancy overhead is visible in the volume
-// E6 compares. MaxQueue is the worst backlog any single shard saw.
-func (st *ECStore) Stats() StoreStats {
-	st.mu.Lock()
-	agg := st.logical
-	st.mu.Unlock()
-	for _, sh := range st.shards {
-		s := sh.Stats()
-		agg.SavedBytes += s.SavedBytes
-		if s.MaxQueue > agg.MaxQueue {
-			agg.MaxQueue = s.MaxQueue
-		}
-	}
-	return agg
-}
-
-// ShardStats reports per-shard physical activity, indexed by shard.
-func (st *ECStore) ShardStats() []StoreStats {
-	out := make([]StoreStats, len(st.shards))
-	for i, sh := range st.shards {
-		out[i] = sh.Stats()
-	}
-	return out
-}
+// Stats implements Store with logical Saves/Loads (see logicalStats).
+func (st *ECStore) Stats() StoreStats { return st.logicalStats() }

@@ -254,9 +254,6 @@ func TestReplicatedValidation(t *testing.T) {
 	if _, err := NewReplicatedStore(1, 0, 0, nil); err == nil {
 		t.Error("r=1 accepted")
 	}
-	if _, err := NewReplicatedOver(nil, NewMemStore(0, 0)); err == nil {
-		t.Error("single backend accepted")
-	}
 }
 
 // TestFaultyStoreValidation: out-of-range shards, non-positive fault
@@ -372,5 +369,193 @@ func TestFaultyStoreCorruptUndetectedOnPlainBackend(t *testing.T) {
 	}
 	if fs.FaultStats()[0].CorruptReads != 1 {
 		t.Errorf("CorruptReads = %d, want 1", fs.FaultStats()[0].CorruptReads)
+	}
+}
+
+// TestLayoutContract pins, under a non-zero bandwidth model, every
+// number the three shard-set layouts produce in each row of the
+// DESIGN.md failure-semantics table: completion times, availability,
+// degraded-load counts, and the logical and per-target statistics.
+// Write bandwidth 1 byte/ns and read bandwidth 2 bytes/ns keep every
+// expected time an integer. Ranks 0 and 3 each save a 4000-byte
+// snapshot at VT 10 (the second queues behind the first on every target
+// they share), faults activate at VT 5000, and rank 0 loads at VT 10000.
+func TestLayoutContract(t *testing.T) {
+	type target struct {
+		saves, bytes, loads int64
+		queue               vtime.Duration
+	}
+	same := func(n int, tg target) []target {
+		out := make([]target, n)
+		for i := range out {
+			out[i] = tg
+		}
+		return out
+	}
+	// loadsOn returns base with the Loads of the listed targets set to 1.
+	loadsOn := func(base []target, hit ...int) []target {
+		out := append([]target(nil), base...)
+		for _, i := range hit {
+			out[i].loads = 1
+		}
+		return out
+	}
+	kill := func(shards ...int) []ShardFault {
+		var fs []ShardFault
+		for _, sh := range shards {
+			fs = append(fs, ShardFault{Shard: sh, AtVT: 5000, Kind: FaultKill})
+		}
+		return fs
+	}
+	corrupt0 := []ShardFault{{Shard: 0, AtVT: 5000, Kind: FaultCorrupt}}
+
+	type scenario struct {
+		name     string
+		faults   []ShardFault
+		ok       bool
+		intact   bool // a successful load returned the saved image undamaged
+		loadEnd  vtime.Time
+		degraded int64
+		loads    int64 // logical Stats().Loads
+		targets  []target
+	}
+	sharded := append([]target{{2, 8000, 0, 4000}}, same(2, target{})...)
+	ec := same(6, target{2, 2128, 0, 1064})
+	replica := same(3, target{2, 8128, 0, 4064})
+	layouts := []struct {
+		name             string
+		mk               func() (Store, error)
+		saveEnd          [2]vtime.Time
+		savedBytes       int64
+		maxQueue         vtime.Duration
+		healthy, killed  scenario
+		corrupt, exhaust scenario
+	}{
+		{
+			name:    "sharded:3",
+			mk:      func() (Store, error) { return NewShardedStore(3, 1e9, 2e9, nil), nil },
+			saveEnd: [2]vtime.Time{4010, 8010}, savedBytes: 8000, maxQueue: 4000,
+			healthy: scenario{ok: true, intact: true, loadEnd: 12000, loads: 1, targets: loadsOn(sharded, 0)},
+			killed:  scenario{faults: kill(0), loadEnd: 10000, targets: sharded},
+			// No checksums: the damaged image comes back as if healthy.
+			corrupt: scenario{faults: corrupt0, ok: true, loadEnd: 12000, loads: 1, targets: loadsOn(sharded, 0)},
+			exhaust: scenario{faults: kill(0), loadEnd: 10000, targets: sharded},
+		},
+		{
+			name:    "ec:4+2",
+			mk:      func() (Store, error) { return NewECStore(4, 2, 1e9, 2e9, nil) },
+			saveEnd: [2]vtime.Time{1074, 2138}, savedBytes: 12768, maxQueue: 1064,
+			healthy: scenario{ok: true, intact: true, loadEnd: 10532, loads: 1, targets: loadsOn(ec, 0, 1, 2, 3)},
+			killed:  scenario{faults: kill(0), ok: true, intact: true, loadEnd: 10532, degraded: 1, loads: 1, targets: loadsOn(ec, 1, 2, 3, 4)},
+			// Probes are parallel: the corrupt fragment's read overlaps
+			// the healthy ones, so the load costs one read duration.
+			corrupt: scenario{faults: corrupt0, ok: true, intact: true, loadEnd: 10532, degraded: 1, loads: 1, targets: loadsOn(ec, 0, 1, 2, 3, 4)},
+			exhaust: scenario{faults: kill(0, 1, 2), loadEnd: 10000, targets: loadsOn(ec, 3, 4, 5)},
+		},
+		{
+			name:    "replica:3",
+			mk:      func() (Store, error) { return NewReplicatedStore(3, 1e9, 2e9, nil) },
+			saveEnd: [2]vtime.Time{4074, 8138}, savedBytes: 24384, maxQueue: 4064,
+			healthy: scenario{ok: true, intact: true, loadEnd: 12032, loads: 1, targets: loadsOn(replica, 0)},
+			// A dead replica refuses instantly; the fallback pays one read.
+			killed: scenario{faults: kill(0), ok: true, intact: true, loadEnd: 12032, degraded: 1, loads: 1, targets: loadsOn(replica, 1)},
+			// Probes are sequential: the corrupt home replica's full read
+			// is paid before the fallback's, two read durations in all.
+			corrupt: scenario{faults: corrupt0, ok: true, intact: true, loadEnd: 14064, degraded: 1, loads: 1, targets: loadsOn(replica, 0, 1)},
+			exhaust: scenario{faults: kill(0, 1, 2), loadEnd: 10000, targets: replica},
+		},
+	}
+	for _, l := range layouts {
+		l.healthy.name, l.killed.name, l.corrupt.name, l.exhaust.name = "healthy", "killed", "corrupt", "exhausted"
+		for _, sc := range []scenario{l.healthy, l.killed, l.corrupt, l.exhaust} {
+			t.Run(l.name+"/"+sc.name, func(t *testing.T) {
+				inner, err := l.mk()
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := NewFaultyStore(inner, sc.faults...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				saved := codecSnap(0, 1)
+				saved.ModelBytes = 4000
+				for i, rank := range []int{0, 3} {
+					s := codecSnap(rank, 1)
+					s.ModelBytes = 4000
+					end, err := st.Save(s, 10)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if end != l.saveEnd[i] {
+						t.Errorf("rank %d save completes at %d, want %d", rank, end, l.saveEnd[i])
+					}
+				}
+				got, end, ok := st.Load(0, 1, 10000)
+				if ok != sc.ok || end != sc.loadEnd {
+					t.Errorf("load: ok=%v end=%d, want ok=%v end=%d", ok, end, sc.ok, sc.loadEnd)
+				}
+				if ok && reflect.DeepEqual(got, saved) != sc.intact {
+					t.Errorf("loaded image intact=%v, want %v", !sc.intact, sc.intact)
+				}
+				var degraded int64
+				if dc, ok := inner.(interface{ DegradedLoads() int64 }); ok {
+					degraded = dc.DegradedLoads()
+				}
+				if degraded != sc.degraded {
+					t.Errorf("DegradedLoads = %d, want %d", degraded, sc.degraded)
+				}
+				want := StoreStats{Saves: 2, SavedBytes: l.savedBytes, Loads: sc.loads, MaxQueue: l.maxQueue}
+				if stats := st.Stats(); stats != want {
+					t.Errorf("Stats = %+v, want %+v", stats, want)
+				}
+				per := inner.(interface{ ShardStats() []StoreStats }).ShardStats()
+				if len(per) != len(sc.targets) {
+					t.Fatalf("ShardStats has %d targets, want %d", len(per), len(sc.targets))
+				}
+				for i, tg := range sc.targets {
+					if want := (StoreStats{Saves: tg.saves, SavedBytes: tg.bytes, Loads: tg.loads, MaxQueue: tg.queue}); per[i] != want {
+						t.Errorf("target %d stats = %+v, want %+v", i, per[i], want)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestLayoutPlacementReduction: a placement value outside [0, n) —
+// negative or >= n — routes exactly like its residue modulo n, on all
+// three layouts and across Save, LatestSeq and Load.
+func TestLayoutPlacementReduction(t *testing.T) {
+	raw := []int{-7, -3, -1, 0, 2, 3, 5, 11}
+	for name, mk := range map[string]func(place func(int) int) (Store, error){
+		"sharded:3": func(p func(int) int) (Store, error) { return NewShardedStore(3, 0, 0, p), nil },
+		"ec:2+1":    func(p func(int) int) (Store, error) { return NewECStore(2, 1, 0, 0, p) },
+		"replica:3": func(p func(int) int) (Store, error) { return NewReplicatedStore(3, 0, 0, p) },
+	} {
+		const n = 3
+		run := func(place func(int) int) []StoreStats {
+			t.Helper()
+			st, err := mk(place)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for rank := range raw {
+				if _, err := st.Save(codecSnap(rank, 2), 0); err != nil {
+					t.Fatal(err)
+				}
+				if st.LatestSeq(rank) != 2 {
+					t.Errorf("%s rank %d: LatestSeq not routed back to the save's target", name, rank)
+				}
+				if _, _, ok := st.Load(rank, 2, 0); !ok {
+					t.Errorf("%s rank %d: Load not routed back to the save's target", name, rank)
+				}
+			}
+			return st.(interface{ ShardStats() []StoreStats }).ShardStats()
+		}
+		got := run(func(rank int) int { return raw[rank] })
+		want := run(func(rank int) int { return ((raw[rank] % n) + n) % n })
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: raw placement routed differently from its residues:\n  raw     %+v\n  reduced %+v", name, got, want)
+		}
 	}
 }

@@ -2,35 +2,23 @@ package checkpoint
 
 import (
 	"fmt"
-	"sync"
 
 	"hydee/internal/vtime"
 )
 
 // ReplicatedStore keeps r full copies of every snapshot on r independent
-// replica backends — the FTHP-MPI-style full-replication end of the
-// redundancy spectrum: r× storage cost, survival of up to r-1 replica
-// losses, and no reconstruction work on the read path.
+// replica backends, the r-copies layout over the shard-set core — the
+// FTHP-MPI-style full-replication end of the redundancy spectrum: r×
+// storage cost, survival of up to r-1 replica losses, and no
+// reconstruction work on the read path.
 //
-// Writes fan out to all r replicas in parallel at the save's admission
-// time and complete when the slowest replica does. Reads are
-// first-healthy-replica: the rank's home replica (place(rank) mod r) is
-// probed first and failed probes charge their read time before the next
-// replica is tried, so a degraded read is visibly slower, not free.
-// Replica blobs are self-verifying (checksummed containers, see
+// Reads are first-healthy-replica: the rank's home replica (place(rank)
+// mod r) is probed first and failed probes charge their read time before
+// the next replica is tried, so a degraded read is visibly slower, not
+// free. Replica blobs are self-verifying (checksummed containers, see
 // fragment), so a corrupted replica is detected and skipped rather than
 // restored from.
-type ReplicatedStore struct {
-	r        int
-	place    func(rank int) int
-	replicas []Store
-
-	mu      sync.Mutex
-	logical StoreStats // Saves/Loads count snapshots, not replica writes
-	// failovers counts replica probes that had to be skipped on
-	// successful Loads — the survived-shard-loss signal E6 reports.
-	failovers int64
-}
+type ReplicatedStore struct{ shardSet }
 
 // NewReplicatedStore builds an r-way replicated store over r fresh
 // in-memory replicas, each with its own write/read bandwidth of
@@ -42,103 +30,41 @@ func NewReplicatedStore(r int, writeBPS, readBPS float64, place func(rank int) i
 	if r < 2 {
 		return nil, fmt.Errorf("checkpoint: replicated store needs r >= 2 replicas (got %d)", r)
 	}
-	replicas := make([]Store, r)
-	for i := range replicas {
-		replicas[i] = NewMemStore(writeBPS, readBPS)
-	}
-	return &ReplicatedStore{r: r, place: place, replicas: replicas}, nil
-}
-
-// NewReplicatedOver replicates over caller-supplied backends (at
-// least 2).
-func NewReplicatedOver(place func(rank int) int, replicas ...Store) (*ReplicatedStore, error) {
-	if len(replicas) < 2 {
-		return nil, fmt.Errorf("checkpoint: replicated store needs >= 2 replicas, got %d", len(replicas))
-	}
-	return &ReplicatedStore{r: len(replicas), place: place, replicas: replicas}, nil
-}
-
-// homeReplica resolves the replica a rank's reads try first.
-func (st *ReplicatedStore) homeReplica(rank int) int {
-	i := rank
-	if st.place != nil {
-		i = st.place(rank)
-	}
-	i %= st.r
-	if i < 0 {
-		i += st.r
-	}
-	return i
-}
-
-// NumShards reports the replica count (the fault-injection plane
-// addresses replicas as shards).
-func (st *ReplicatedStore) NumShards() int { return st.r }
-
-// swapShard replaces replica i through wrap — the fault-injection hook
-// (NewFaultyStore). Must be called before the store carries traffic.
-func (st *ReplicatedStore) swapShard(i int, wrap func(Store) Store) {
-	st.replicas[i] = wrap(st.replicas[i])
+	return &ReplicatedStore{shardSet{place: place, targets: memTargets(r, writeBPS, readBPS)}}, nil
 }
 
 // Save implements Store: the snapshot is serialized once and the full
-// blob written to every replica in parallel; the save completes when
-// the slowest replica does. Each replica write is charged the full
-// snapshot cost, so aggregate traffic reflects the r× overhead.
+// blob written to every replica (a 1-of-r fragment group from replica
+// 0). Each replica write is charged the full snapshot cost, so aggregate
+// traffic reflects the r× overhead.
 func (st *ReplicatedStore) Save(s *Snapshot, at vtime.Time) (vtime.Time, error) {
 	blob, err := EncodeSnapshot(s)
 	if err != nil {
 		return at, err
 	}
-	end := at
-	for i, rep := range st.replicas {
-		fs := &Snapshot{
-			Rank:    s.Rank,
-			Seq:     s.Seq,
-			TakenVT: s.TakenVT,
-			AppState: (&fragment{
-				K: 1, M: st.r - 1, Index: i,
-				BlobLen: len(blob), Payload: blob,
-			}).marshal(),
-			ModelBytes: s.CostBytes() + fragmentEnvelope,
-		}
-		e, err := rep.Save(fs, at)
-		if err != nil {
-			return at, err
-		}
-		if e > end {
-			end = e
-		}
+	copies := make([][]byte, len(st.targets))
+	for i := range copies {
+		copies[i] = blob
 	}
-	st.mu.Lock()
-	st.logical.Saves++
-	st.mu.Unlock()
-	return end, nil
+	return st.writeGroup(s, at, 0, 1, len(blob), s.CostBytes()+fragmentEnvelope, copies)
 }
 
-// LatestSeq implements Store, delegating to the rank's home replica
-// (every replica receives every save).
-func (st *ReplicatedStore) LatestSeq(rank int) int {
-	return st.replicas[st.homeReplica(rank)].LatestSeq(rank)
-}
-
-// Load implements Store: replicas are probed from the rank's home
-// replica onward; the first one whose blob verifies wins. A failed
-// probe's read time is charged before the next replica is tried. All r
-// replicas unhealthy is a lost checkpoint (ok=false).
+// Load implements Store: replicas are probed one after another from the
+// rank's home replica onward; the first one whose blob verifies wins. A
+// failed probe's read time is charged before the next replica is tried,
+// and every skipped replica counts as degraded. All r replicas unhealthy
+// is a lost checkpoint (ok=false).
 func (st *ReplicatedStore) Load(rank, seq int, at vtime.Time) (*Snapshot, vtime.Time, bool) {
-	base := st.homeReplica(rank)
+	r := len(st.targets)
+	base := st.home(rank)
 	cur := at
-	for i := 0; i < st.r; i++ {
-		idx := (base + i) % st.r
-		fs, e, ok := st.replicas[idx].Load(rank, seq, cur)
+	for i := 0; i < r; i++ {
+		idx := (base + i) % r
+		fs, e, ok := st.targets[idx].Load(rank, seq, cur)
 		if ok {
 			if f, fok := parseFragment(fs.AppState); fok && f.Index == idx {
 				if snap, err := DecodeSnapshot(f.Payload); err == nil {
-					st.mu.Lock()
-					st.logical.Loads++
-					st.failovers += int64(i)
-					st.mu.Unlock()
+					st.countLoad(int64(i))
 					return snap, e, true
 				}
 			}
@@ -150,37 +76,5 @@ func (st *ReplicatedStore) Load(rank, seq int, at vtime.Time) (*Snapshot, vtime.
 	return nil, at, false
 }
 
-// DegradedLoads reports how many replica probes successful Loads had to
-// skip — nonzero means reads survived replica loss or corruption.
-func (st *ReplicatedStore) DegradedLoads() int64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.failovers
-}
-
-// Stats implements Store. Saves and Loads count logical snapshot
-// operations; SavedBytes sums the physical replica traffic, so the r×
-// redundancy overhead is visible in the volume E6 compares. MaxQueue is
-// the worst backlog any single replica saw.
-func (st *ReplicatedStore) Stats() StoreStats {
-	st.mu.Lock()
-	agg := st.logical
-	st.mu.Unlock()
-	for _, rep := range st.replicas {
-		s := rep.Stats()
-		agg.SavedBytes += s.SavedBytes
-		if s.MaxQueue > agg.MaxQueue {
-			agg.MaxQueue = s.MaxQueue
-		}
-	}
-	return agg
-}
-
-// ShardStats reports per-replica physical activity, indexed by replica.
-func (st *ReplicatedStore) ShardStats() []StoreStats {
-	out := make([]StoreStats, len(st.replicas))
-	for i, rep := range st.replicas {
-		out[i] = rep.Stats()
-	}
-	return out
-}
+// Stats implements Store with logical Saves/Loads (see logicalStats).
+func (st *ReplicatedStore) Stats() StoreStats { return st.logicalStats() }

@@ -10,22 +10,16 @@ import (
 	"hydee/internal/vtime"
 )
 
-// ShardedStore distributes snapshots over several independent backends.
-// Each shard models its own bandwidth-contention window, so checkpoints
+// ShardedStore distributes snapshots over several independent backends,
+// the identity layout over the shard-set core: a snapshot is one write to
+// its rank's shard and one read from it, with no redundancy. Checkpoints
 // placed on different shards never queue behind each other — the
 // host-side parallel checkpoint-storage layout (one storage target per
 // cluster) that relieves the I/O bursts of experiment E5.
 //
 // Placement is static: a rank's shard is fixed for the whole run, so a
-// rank's save and restore always hit the same backend. Determinism
-// follows from the shards': every save is admitted in virtual-time order
-// (the runtime brackets writes with Network.AwaitTurn), and routing by
-// rank is a pure function, so the per-shard queues build up identically
-// on every run.
-type ShardedStore struct {
-	place  func(rank int) int
-	shards []Store
-}
+// rank's save and restore always hit the same backend.
+type ShardedStore struct{ shardSet }
 
 // NewShardedStore builds a store of n independent in-memory shards, each
 // with its own write/read bandwidth of writeBPS/readBPS bytes per second
@@ -37,11 +31,7 @@ func NewShardedStore(n int, writeBPS, readBPS float64, place func(rank int) int)
 	if n < 1 {
 		n = 1
 	}
-	shards := make([]Store, n)
-	for i := range shards {
-		shards[i] = NewMemStore(writeBPS, readBPS)
-	}
-	return NewShardedOver(place, shards...)
+	return NewShardedOver(place, memTargets(n, writeBPS, readBPS)...)
 }
 
 // NewShardedOver shards over caller-supplied backends (mixing memory- and
@@ -56,7 +46,7 @@ func NewShardedOver(place func(rank int) int, shards ...Store) *ShardedStore {
 	if len(shards) == 0 {
 		panic("checkpoint: NewShardedOver needs at least one shard")
 	}
-	return &ShardedStore{place: place, shards: shards}
+	return &ShardedStore{shardSet{place: place, targets: shards}}
 }
 
 // shardDirFmt is the directory-layout convention of a file-backed sharded
@@ -122,65 +112,15 @@ func shardDirs(dir string) ([]string, error) {
 	return names, nil
 }
 
-// shardOf resolves the rank's shard index.
-func (st *ShardedStore) shardOf(rank int) int {
-	i := rank
-	if st.place != nil {
-		i = st.place(rank)
-	}
-	i %= len(st.shards)
-	if i < 0 {
-		i += len(st.shards)
-	}
-	return i
-}
-
-// NumShards reports the shard count.
-func (st *ShardedStore) NumShards() int { return len(st.shards) }
-
-// swapShard replaces shard i through wrap — the fault-injection hook
-// (NewFaultyStore). Must be called before the store carries traffic.
-func (st *ShardedStore) swapShard(i int, wrap func(Store) Store) {
-	st.shards[i] = wrap(st.shards[i])
-}
-
 // Save implements Store: the snapshot goes to its rank's shard and only
 // contends with that shard's writers.
 func (st *ShardedStore) Save(s *Snapshot, at vtime.Time) (vtime.Time, error) {
-	return st.shards[st.shardOf(s.Rank)].Save(s, at)
+	return st.targets[st.home(s.Rank)].Save(s, at)
 }
 
-// LatestSeq implements Store.
-func (st *ShardedStore) LatestSeq(rank int) int {
-	return st.shards[st.shardOf(rank)].LatestSeq(rank)
-}
-
-// Load implements Store.
+// Load implements Store: one read from the rank's shard. A lost shard is
+// a lost checkpoint, and a corrupt one is served undetected (plain
+// shards carry no checksums).
 func (st *ShardedStore) Load(rank, seq int, at vtime.Time) (*Snapshot, vtime.Time, bool) {
-	return st.shards[st.shardOf(rank)].Load(rank, seq, at)
-}
-
-// Stats implements Store: counters sum across shards; MaxQueue is the
-// worst backlog any single shard saw (the quantity E5 compares).
-func (st *ShardedStore) Stats() StoreStats {
-	var agg StoreStats
-	for _, sh := range st.shards {
-		s := sh.Stats()
-		agg.Saves += s.Saves
-		agg.SavedBytes += s.SavedBytes
-		agg.Loads += s.Loads
-		if s.MaxQueue > agg.MaxQueue {
-			agg.MaxQueue = s.MaxQueue
-		}
-	}
-	return agg
-}
-
-// ShardStats reports per-shard activity, indexed by shard.
-func (st *ShardedStore) ShardStats() []StoreStats {
-	out := make([]StoreStats, len(st.shards))
-	for i, sh := range st.shards {
-		out[i] = sh.Stats()
-	}
-	return out
+	return st.targets[st.home(rank)].Load(rank, seq, at)
 }

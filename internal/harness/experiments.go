@@ -273,7 +273,7 @@ func Containment(k apps.Kernel, np, iters, ckptEvery int, assign []int, failAfte
 // model (nil = Myrinet10G) and an explicit checkpoint-store constructor
 // (nil = a fresh free in-memory store per run; the constructor sees each
 // run's topology so sharded stores can place clusters).
-func ContainmentCtx(ctx context.Context, k apps.Kernel, np, iters, ckptEvery int, assign []int, failWhen failure.Trigger, model netmodel.Model, newStore func(*rollback.Topology) checkpoint.Store) ([]E4Row, error) {
+func ContainmentCtx(ctx context.Context, k apps.Kernel, np, iters, ckptEvery int, assign []int, failWhen failure.Trigger, model netmodel.Model, newStore func(*rollback.Topology) (checkpoint.Store, error)) ([]E4Row, error) {
 	var rows []E4Row
 	sched := func() *failure.Schedule {
 		return failure.NewSchedule(failure.Event{
@@ -348,7 +348,7 @@ func CheckpointBurst(k apps.Kernel, np, iters, ckptEvery int, assign []int, stor
 			Kernel: k, Params: apps.Params{NP: np, Iters: iters},
 			Proto: cs.proto, Assign: assign,
 			CheckpointEvery: ckptEvery, Stagger: cs.stagger,
-			StoreWriteBPS: storeBPS, StoreReadBPS: storeBPS,
+			NewStore: memStore(storeBPS),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("e5: %s: %w", cs.name, err)
@@ -377,13 +377,13 @@ func CheckpointBurstSharded(ctx context.Context, k apps.Kernel, np, iters, ckptE
 		return nil, fmt.Errorf("e5-sharded: need at least 2 shards, got %d", shards)
 	}
 	cases := []struct {
-		name    string
-		stagger bool
-		shards  int
+		name     string
+		stagger  bool
+		newStore func(*rollback.Topology) (checkpoint.Store, error)
 	}{
-		{"hydee-shared", false, 0},
-		{"hydee-staggered", true, 0},
-		{fmt.Sprintf("hydee-sharded:%d", shards), false, shards},
+		{"hydee-shared", false, memStore(storeBPS)},
+		{"hydee-staggered", true, memStore(storeBPS)},
+		{fmt.Sprintf("hydee-sharded:%d", shards), false, shardedStore(shards, storeBPS)},
 	}
 	var rows []E5Row
 	for _, cs := range cases {
@@ -391,8 +391,7 @@ func CheckpointBurstSharded(ctx context.Context, k apps.Kernel, np, iters, ckptE
 			Kernel: k, Params: apps.Params{NP: np, Iters: iters},
 			Proto: ProtoHydEE, Assign: assign, Model: model,
 			CheckpointEvery: ckptEvery, Stagger: cs.stagger,
-			StoreWriteBPS: storeBPS, StoreReadBPS: storeBPS,
-			StoreShards: cs.shards,
+			NewStore: cs.newStore,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("e5-sharded: %s: %w", cs.name, err)

@@ -79,22 +79,12 @@ type Spec struct {
 	Stagger         bool
 	// Failures is the fail-stop schedule.
 	Failures *failure.Schedule
-	// StoreWriteBPS / StoreReadBPS model stable storage bandwidth
-	// (0 = free storage; per shard when StoreShards > 1).
-	StoreWriteBPS, StoreReadBPS float64
-	// StoreShards > 1 shards the checkpoint store with per-cluster
-	// placement: each cluster's checkpoints land on shard
-	// cluster % StoreShards with independent bandwidth contention.
-	StoreShards int
-	// NewStore, when non-nil, overrides the store construction entirely
-	// (it sees the resolved topology so placements can follow clusters).
-	// Every run must get a fresh store, or sequential runs bleed state.
-	NewStore func(topo *rollback.Topology) checkpoint.Store
-	// NewStoreE is NewStore for constructors that can fail: a store
-	// resolved by name from a flag or a wire spec fails the run with a
-	// typed error instead of forcing the caller to panic inside NewStore.
-	// NewStore wins when both are set.
-	NewStoreE func(topo *rollback.Topology) (checkpoint.Store, error)
+	// NewStore builds the run's checkpoint store — the one way to pick a
+	// store; nil means a fresh free (untimed) in-memory store. It sees
+	// the resolved topology so placements can follow clusters
+	// (rollback.ClusterPlacement), and an error fails the run. Every run
+	// must get a fresh store, or sequential runs bleed state.
+	NewStore func(topo *rollback.Topology) (checkpoint.Store, error)
 	// Recorder optionally records application-level events.
 	Recorder *trace.Recorder
 	// Watchdog overrides the deadlock guard.
@@ -141,21 +131,20 @@ func (s *Spec) topoAndProtocol() (*rollback.Topology, rollback.Protocol, error) 
 	}
 }
 
-// makeStore builds the run's checkpoint store from the spec: an explicit
-// constructor, a cluster-placed sharded store, or the default shared
-// in-memory store.
-func (s *Spec) makeStore(topo *rollback.Topology) (checkpoint.Store, error) {
-	if s.NewStore != nil {
-		return s.NewStore(topo), nil
+// memStore is a Spec.NewStore constructor: one shared in-memory store of
+// bps bytes/second write and read bandwidth.
+func memStore(bps float64) func(*rollback.Topology) (checkpoint.Store, error) {
+	return func(*rollback.Topology) (checkpoint.Store, error) {
+		return checkpoint.NewMemStore(bps, bps), nil
 	}
-	if s.NewStoreE != nil {
-		return s.NewStoreE(topo)
+}
+
+// shardedStore is a Spec.NewStore constructor: n cluster-placed
+// in-memory shards of bps bytes/second each.
+func shardedStore(n int, bps float64) func(*rollback.Topology) (checkpoint.Store, error) {
+	return func(topo *rollback.Topology) (checkpoint.Store, error) {
+		return checkpoint.NewShardedStore(n, bps, bps, rollback.ClusterPlacement(topo, n)), nil
 	}
-	if n := s.StoreShards; n > 1 {
-		return checkpoint.NewShardedStore(n, s.StoreWriteBPS, s.StoreReadBPS,
-			func(rank int) int { return topo.ClusterOf[rank] % n }), nil
-	}
-	return checkpoint.NewMemStore(s.StoreWriteBPS, s.StoreReadBPS), nil
 }
 
 // Run executes the spec.
@@ -177,7 +166,10 @@ func RunCtx(ctx context.Context, s Spec) (*Summary, error) {
 	if err != nil {
 		return nil, err
 	}
-	store, err := s.makeStore(topo)
+	if s.NewStore == nil {
+		s.NewStore = memStore(0)
+	}
+	store, err := s.NewStore(topo)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s/%s: %w", s.Kernel.Name, s.Proto, err)
 	}

@@ -91,7 +91,7 @@ func TestShardedStoreRunReproducible(t *testing.T) {
 		return Spec{
 			Kernel: k, Params: apps.Params{NP: 16, Iters: 8},
 			Proto: ProtoHydEE, Assign: assign, CheckpointEvery: 3,
-			StoreWriteBPS: 4e9, StoreReadBPS: 4e9, StoreShards: 4,
+			NewStore: shardedStore(4, 4e9),
 			Failures: failure.NewSchedule(failure.Event{
 				Ranks: []int{8},
 				When:  failure.Trigger{AfterSends: 44},

@@ -56,52 +56,36 @@ type E6Row struct {
 	DegradedLoads int64
 }
 
-// degradedCounter is implemented by the redundant stores (ECStore,
-// ReplicatedStore); plain layouts report zero degraded loads.
-type degradedCounter interface{ DegradedLoads() int64 }
-
-// shardCounter is implemented by every composite store.
-type shardCounter interface{ NumShards() int }
+// shardSetStore is implemented by every composite store (sharded, ec,
+// replica); the shared store is one target and never loads degraded.
+type shardSetStore interface {
+	NumShards() int
+	DegradedLoads() int64
+}
 
 // e6Config is one storage layout of the sweep.
 type e6Config struct {
 	name string
 	// lose is how many shards the faulted run kills.
 	lose int
-	// mk builds a fresh healthy store for one run, placing clusters
-	// like the run harness does (cluster id modulo shard count).
-	mk func(topo *rollback.Topology, bps float64) checkpoint.Store
+	// mk builds a fresh healthy store for one run (a Spec.NewStore).
+	mk func(*rollback.Topology) (checkpoint.Store, error)
 }
 
 // e6Configs are the four layouts E6 compares, at equal per-target
-// bandwidth: one shared store, six plain shards, a 4+2 erasure code
-// (six targets, any two expendable) and three full replicas. The
-// redundant layouts lose two targets; the shared store has only one to
-// lose.
-func e6Configs() []e6Config {
-	place := func(topo *rollback.Topology, n int) func(rank int) int {
-		return func(rank int) int { return topo.ClusterOf[rank] % n }
-	}
+// bandwidth and all cluster-placed: one shared store, six plain shards,
+// a 4+2 erasure code (six targets, any two expendable) and three full
+// replicas. The redundant layouts lose two targets; the shared store has
+// only one to lose.
+func e6Configs(bps float64) []e6Config {
 	return []e6Config{
-		{name: "shared", lose: 1, mk: func(_ *rollback.Topology, bps float64) checkpoint.Store {
-			return checkpoint.NewMemStore(bps, bps)
+		{"shared", 1, memStore(bps)},
+		{"sharded:6", 2, shardedStore(6, bps)},
+		{"ec:4+2", 2, func(topo *rollback.Topology) (checkpoint.Store, error) {
+			return checkpoint.NewECStore(4, 2, bps, bps, rollback.ClusterPlacement(topo, 6))
 		}},
-		{name: "sharded:6", lose: 2, mk: func(topo *rollback.Topology, bps float64) checkpoint.Store {
-			return checkpoint.NewShardedStore(6, bps, bps, place(topo, 6))
-		}},
-		{name: "ec:4+2", lose: 2, mk: func(topo *rollback.Topology, bps float64) checkpoint.Store {
-			st, err := checkpoint.NewECStore(4, 2, bps, bps, place(topo, 6))
-			if err != nil {
-				panic(err) // static geometry; cannot fail
-			}
-			return st
-		}},
-		{name: "replica:3", lose: 2, mk: func(topo *rollback.Topology, bps float64) checkpoint.Store {
-			st, err := checkpoint.NewReplicatedStore(3, bps, bps, place(topo, 3))
-			if err != nil {
-				panic(err) // static geometry; cannot fail
-			}
-			return st
+		{"replica:3", 2, func(topo *rollback.Topology) (checkpoint.Store, error) {
+			return checkpoint.NewReplicatedStore(3, bps, bps, rollback.ClusterPlacement(topo, 3))
 		}},
 	}
 }
@@ -121,24 +105,22 @@ func StoreFaultSweep(ctx context.Context, k apps.Kernel, np, iters, ckptEvery in
 		})
 	}
 	var rows []E6Row
-	for _, cfg := range e6Configs() {
+	for _, cfg := range e6Configs(storeBPS) {
 		base := Spec{
 			Kernel: k, Params: apps.Params{NP: np, Iters: iters},
 			Proto: ProtoHydEE, Assign: assign, Model: netmodel.Myrinet10G(),
 			CheckpointEvery: ckptEvery,
 		}
-		mkSpec := func(store checkpoint.Store, failures *failure.Schedule) Spec {
+		mkSpec := func(newStore func(*rollback.Topology) (checkpoint.Store, error), failures *failure.Schedule) Spec {
 			s := base
-			s.NewStore = func(*rollback.Topology) checkpoint.Store { return store }
+			s.NewStore = newStore
 			s.Failures = failures
 			return s
 		}
-		topo := rollback.NewTopology(assign)
 
 		// 1. Failure-free baseline: clean makespan, digests, and the
 		// layout's physical storage bill.
-		cleanStore := cfg.mk(topo, storeBPS)
-		clean, err := RunCtx(ctx, mkSpec(cleanStore, nil))
+		clean, err := RunCtx(ctx, mkSpec(cfg.mk, nil))
 		if err != nil {
 			return nil, fmt.Errorf("e6: %s clean: %w", cfg.name, err)
 		}
@@ -146,7 +128,7 @@ func StoreFaultSweep(ctx context.Context, k apps.Kernel, np, iters, ckptEvery in
 		// 2. Probe: the same rank failure on healthy storage pins down
 		// the recovery round's start in virtual time (deterministic, so
 		// it transfers to the faulted run below).
-		probe, err := RunCtx(ctx, mkSpec(cfg.mk(topo, storeBPS), fail()))
+		probe, err := RunCtx(ctx, mkSpec(cfg.mk, fail()))
 		if err != nil {
 			return nil, fmt.Errorf("e6: %s probe: %w", cfg.name, err)
 		}
@@ -163,19 +145,25 @@ func StoreFaultSweep(ctx context.Context, k apps.Kernel, np, iters, ckptEvery in
 
 		// 3. The same run with the victim cluster's storage targets
 		// killed mid-recovery.
-		store := cfg.mk(topo, storeBPS)
+		topo := rollback.NewTopology(assign)
+		store, err := cfg.mk(topo)
+		if err != nil {
+			return nil, fmt.Errorf("e6: %s: %w", cfg.name, err)
+		}
 		n := 1
-		if sc, ok := store.(shardCounter); ok {
-			n = sc.NumShards()
+		set, composite := store.(shardSetStore)
+		if composite {
+			n = set.NumShards()
 		}
 		lost := cfg.lose
 		if lost > n {
 			lost = n
 		}
+		home := rollback.ClusterPlacement(topo, n)(victim)
 		faults := make([]checkpoint.ShardFault, lost)
 		for i := range faults {
 			faults[i] = checkpoint.ShardFault{
-				Shard: (topo.ClusterOf[victim]%n + i) % n,
+				Shard: (home + i) % n,
 				AtVT:  faultVT,
 				Kind:  checkpoint.FaultKill,
 			}
@@ -191,7 +179,7 @@ func StoreFaultSweep(ctx context.Context, k apps.Kernel, np, iters, ckptEvery in
 			CleanVT:   clean.Makespan,
 			PhysBytes: clean.Store.SavedBytes,
 		}
-		faulted, err := RunCtx(ctx, mkSpec(faulty, fail()))
+		faulted, err := RunCtx(ctx, mkSpec(func(*rollback.Topology) (checkpoint.Store, error) { return faulty, nil }, fail()))
 		switch {
 		case err == nil:
 			if err := SameDigests(clean, faulted); err != nil {
@@ -200,8 +188,8 @@ func StoreFaultSweep(ctx context.Context, k apps.Kernel, np, iters, ckptEvery in
 			row.Survived = true
 			row.FaultVT = faulted.Makespan
 			row.OverheadPct = (float64(faulted.Makespan)/float64(clean.Makespan) - 1) * 100
-			if dc, ok := store.(degradedCounter); ok {
-				row.DegradedLoads = dc.DegradedLoads()
+			if composite {
+				row.DegradedLoads = set.DegradedLoads()
 			}
 		case errors.Is(err, mpi.ErrCheckpointLost):
 			// The layout could not cover the loss; the run aborted

@@ -74,6 +74,17 @@ func (t *Topology) K() int { return len(t.Members) }
 // SameCluster reports whether two ranks share a cluster.
 func (t *Topology) SameCluster(a, b int) bool { return t.ClusterOf[a] == t.ClusterOf[b] }
 
+// ClusterPlacement is the one checkpoint-placement rule: each rank goes
+// to the storage target of its cluster (cluster id modulo targets), so
+// the clusters that checkpoint together — and would otherwise burst on
+// one shared link — land on distinct targets.
+func ClusterPlacement(t *Topology, targets int) func(rank int) int {
+	if targets < 1 {
+		targets = 1
+	}
+	return func(rank int) int { return t.ClusterOf[rank] % targets }
+}
+
 // ClustersOf maps a set of ranks to the sorted set of their clusters.
 func (t *Topology) ClustersOf(ranks []int) []int {
 	seen := make(map[int]bool)

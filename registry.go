@@ -114,7 +114,7 @@ func (r *registry[F]) have() string {
 var (
 	protocolRegistry = newRegistry[func() Protocol]("protocol")
 	modelRegistry    = newRegistry[func() Model]("network model")
-	storeRegistry    = newRegistry[StoreFactory]("checkpoint store")
+	storeRegistry    = newRegistry[storeBackend]("checkpoint store")
 	exporterRegistry = newRegistry[ExporterFactory]("event exporter")
 )
 
@@ -130,13 +130,13 @@ func init() {
 	modelRegistry.mustRegister("gige", "tcpgige", func() Model { return TCPGigE() })
 	modelRegistry.mustRegister("ideal", "", func() Model { return IdealNetwork() })
 
-	storeRegistry.mustRegister("mem", "", memStoreFactory)
-	storeRegistry.mustRegister("memory", "mem", memStoreFactory)
-	storeRegistry.mustRegister("file", "", fileStoreFactory)
-	storeRegistry.mustRegister("sharded", "", shardedStoreFactory)
-	storeRegistry.mustRegister("ec", "", ecStoreFactory)
-	storeRegistry.mustRegister("replica", "", replicaStoreFactory)
-	storeRegistry.mustRegister("replicated", "replica", replicaStoreFactory)
+	storeRegistry.mustRegister("mem", "", memBackend)
+	storeRegistry.mustRegister("memory", "mem", memBackend)
+	storeRegistry.mustRegister("file", "", fileBackend)
+	storeRegistry.mustRegister("sharded", "", shardedBackend)
+	storeRegistry.mustRegister("ec", "", ecBackend)
+	storeRegistry.mustRegister("replica", "", replicaBackend)
+	storeRegistry.mustRegister("replicated", "replica", replicaBackend)
 
 	exporterRegistry.mustRegister("jsonl", "", NewJSONLExporter)
 	exporterRegistry.mustRegister("metrics", "", NewMetricsExporter)
@@ -172,7 +172,7 @@ func RegisterStore(name string, mk StoreFactory) error {
 	if mk == nil {
 		return fmt.Errorf("hydee: RegisterStore(%q): nil factory", name)
 	}
-	return storeRegistry.register(name, "", mk)
+	return storeRegistry.register(name, "", storeBackend{build: mk})
 }
 
 // RegisterExporter adds a third-party streaming event exporter to the
@@ -221,11 +221,11 @@ func ModelNames() []string { return modelRegistry.names() }
 // "sharded", "ec" (erasure-coded), "replica" (r-way replicated), or
 // anything added through RegisterStore.
 func StoreByName(name string, opts StoreOptions) (Store, error) {
-	mk, err := storeRegistry.lookup(name)
+	b, err := storeRegistry.lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	return mk(opts)
+	return b.newStore(opts, nil)
 }
 
 // StoreNames lists the registered store names, sorted.

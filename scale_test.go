@@ -1,9 +1,10 @@
 package hydee_test
 
-// First step of the ROADMAP "scale the sweep executor" item: a 1024-rank
-// HydEE smoke workload (the supervisor loop's single-event-channel
-// design is the suspected bottleneck at this scale; the matching
-// micro-benchmark lives in internal/mpi). Skipped under -short.
+// The ROADMAP scale point: a 1024-rank HydEE smoke workload. `make
+// profile` of it puts the time in the delivery plane —
+// transport.refreshLocked, O(np) per mutation — not in the supervisor's
+// event channel; the benchmark's stencil1024-onefail workload is the
+// same shape. Skipped under -short.
 
 import (
 	"context"

@@ -174,11 +174,25 @@ func (s *Server) EventDir() string { return s.cfg.EventDir }
 // Submit validates and enqueues a job, returning its view (StateQueued).
 // Every run spec is resolved through the registries now — a bad name or
 // failure grammar rejects the whole job before it takes a queue slot.
+// Validation builds nothing; a store_dir is created only when its run
+// starts, and always under the server's event directory — the wire does
+// not get to pick server paths.
 func (s *Server) Submit(req JobRequest) (JobView, error) {
 	if len(req.Runs) == 0 {
 		return JobView{}, errors.New("server: job needs at least one run")
 	}
-	specs, err := hydee.Experiments(req.Runs)
+	runs := append([]hydee.SweepSpec(nil), req.Runs...)
+	for i := range runs {
+		dir := runs[i].Dir
+		if dir == "" {
+			continue
+		}
+		if !filepath.IsLocal(dir) {
+			return JobView{}, fmt.Errorf(`server: run %d: store_dir %q must be a relative path without ".." (it is confined under the server's event directory)`, i, dir)
+		}
+		runs[i].Dir = filepath.Join(s.cfg.EventDir, dir)
+	}
+	specs, err := hydee.Experiments(runs)
 	if err != nil {
 		return JobView{}, err
 	}

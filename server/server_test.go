@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -312,27 +313,35 @@ func TestEventStreamSSE(t *testing.T) {
 // queue rejects rather than buffers, a bad spec is rejected at submit
 // with the resolution error, unknown job ids 404.
 func TestQueueBackpressureAndErrors(t *testing.T) {
-	srv := newTestServer(t, server.Config{Queue: 1, Concurrency: 1})
+	// Every submission below names a store_dir; at the end nothing but
+	// the event directory may exist under root (the working directory,
+	// so a relative store_dir resolved by the process would land here).
+	root := t.TempDir()
+	t.Chdir(root)
+	srv := newTestServer(t, server.Config{Queue: 1, Concurrency: 1, EventDir: filepath.Join(root, "events")})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	long := make([]hydee.SweepSpec, 32)
 	for i := range long {
-		long[i] = hydee.SweepSpec{App: "cg", NP: 16, Iters: 50, Proto: "native"}
+		long[i] = hydee.SweepSpec{App: "cg", NP: 16, Iters: 50, Proto: "native",
+			StoreSpec: hydee.StoreSpec{Spec: "sharded:2", Dir: "ckpts"}}
 	}
 	a := submitHTTP(t, ts, server.JobRequest{Runs: long, Parallelism: 1})
-	// Wait until the worker picked job a up, freeing the queue slot.
+	// Wait until the worker picked job a up, freeing the queue slot, and
+	// its first run built its store — confined under the event directory.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		v, err := srv.Job(a.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v.State == server.StateRunning {
+		_, statErr := os.Stat(filepath.Join(root, "events", "ckpts", "shard-001"))
+		if v.State == server.StateRunning && statErr == nil {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("job %d never started", a.ID)
+			t.Fatalf("job %d never started with its store_dir under the event directory (state %s, %v)", a.ID, v.State, statErr)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -365,6 +374,31 @@ func TestQueueBackpressureAndErrors(t *testing.T) {
 		t.Errorf("bad spec: status %d, error %q", resp.StatusCode, apiErr.Error)
 	}
 
+	// A store_dir is confined under the event directory: absolute paths
+	// and ".." are rejected, and so is a job whose second run is invalid
+	// — none of them having created the first run's directory.
+	fileRun := func(dir string) hydee.SweepSpec {
+		return hydee.SweepSpec{App: "cg", NP: 8, Proto: "native", StoreSpec: hydee.StoreSpec{Spec: "file", Dir: dir}}
+	}
+	for name, runs := range map[string][]hydee.SweepSpec{
+		"absolute":        {fileRun(filepath.Join(root, "abs"))},
+		"dotdot":          {fileRun("../escape")},
+		"second-run-bad":  {fileRun("ok"), {App: "cg", NP: 8, Proto: "bogus"}},
+		"second-dir-bad":  {fileRun("ok"), fileRun("a/../../escape")},
+		"misconfigured":   {{App: "cg", NP: 8, Proto: "native", StoreSpec: hydee.StoreSpec{Spec: "ec:2+1", Dir: "ok"}}},
+		"no-dir-for-file": {fileRun("")},
+	} {
+		body, _ := json.Marshal(server.JobRequest{Runs: runs})
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s store_dir: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/9999", nil)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
@@ -391,6 +425,16 @@ func TestQueueBackpressureAndErrors(t *testing.T) {
 		if v := waitDone(t, srv, id); v.State != server.StateCanceled {
 			t.Errorf("job %d: state %s, want canceled", id, v.State)
 		}
+	}
+
+	// The rejected submissions (503 and 400) and the accepted-then-
+	// cancelled ones left nothing outside the event directory.
+	entries, err := os.ReadDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "events" {
+		t.Errorf("submissions wrote outside the event directory: %v", entries)
 	}
 }
 

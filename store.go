@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"hydee/internal/checkpoint"
+	"hydee/internal/rollback"
 )
 
 // Stable-storage extension surface. Store is the contract checkpoint
@@ -78,7 +79,38 @@ func (o StoreOptions) totalShards() int {
 // independent store.
 type StoreFactory func(StoreOptions) (Store, error)
 
-// rejectRedundancy guards factories that neither erasure-code nor
+// storeBackend is one store-registry entry. The built-ins keep their
+// option check apart from construction, so a spec can be validated
+// without building anything (a directory-backed store creates its
+// directory when built); a third-party factory is opaque and has none —
+// its option errors surface when a run first builds the store.
+type storeBackend struct {
+	check func(StoreOptions) error
+	build StoreFactory
+}
+
+// validate checks opts against the backend without constructing it.
+func (b storeBackend) validate(opts StoreOptions) error {
+	if b.check == nil {
+		return nil
+	}
+	return b.check(opts)
+}
+
+// newStore is the one resolution path from options to a run's store:
+// check the options, default the placement of a multi-target store to
+// per-cluster when the run has a topology, build.
+func (b storeBackend) newStore(opts StoreOptions, topo *Topology) (Store, error) {
+	if err := b.validate(opts); err != nil {
+		return nil, err
+	}
+	if n := opts.totalShards(); opts.Placement == nil && n > 1 && topo != nil {
+		opts.Placement = ClusterPlacement(topo, n)
+	}
+	return b.build(opts)
+}
+
+// rejectRedundancy guards backends that neither erasure-code nor
 // replicate against silently dropping a redundancy request.
 func rejectRedundancy(name string, o StoreOptions) error {
 	if o.Parity > 0 {
@@ -90,67 +122,78 @@ func rejectRedundancy(name string, o StoreOptions) error {
 	return nil
 }
 
-func memStoreFactory(o StoreOptions) (Store, error) {
+// rejectSharding guards the unsharded backends likewise.
+func rejectSharding(name string, o StoreOptions) error {
 	if o.Shards > 1 {
-		return nil, fmt.Errorf(`hydee: store "mem" does not shard (got Shards=%d); use "sharded"`, o.Shards)
+		return fmt.Errorf(`hydee: store %q does not shard (got Shards=%d); use "sharded"`, name, o.Shards)
 	}
-	if err := rejectRedundancy("mem", o); err != nil {
-		return nil, err
-	}
-	return checkpoint.NewMemStore(o.WriteBPS, o.ReadBPS), nil
+	return rejectRedundancy(name, o)
 }
 
-func fileStoreFactory(o StoreOptions) (Store, error) {
-	if o.Shards > 1 {
-		return nil, fmt.Errorf(`hydee: store "file" does not shard (got Shards=%d); use "sharded"`, o.Shards)
+var (
+	memBackend = storeBackend{
+		check: func(o StoreOptions) error { return rejectSharding("mem", o) },
+		build: func(o StoreOptions) (Store, error) { return checkpoint.NewMemStore(o.WriteBPS, o.ReadBPS), nil },
 	}
-	if err := rejectRedundancy("file", o); err != nil {
-		return nil, err
+	fileBackend = storeBackend{
+		check: func(o StoreOptions) error {
+			if err := rejectSharding("file", o); err != nil {
+				return err
+			}
+			if o.Dir == "" {
+				return fmt.Errorf(`hydee: store "file" needs StoreOptions.Dir`)
+			}
+			return nil
+		},
+		build: func(o StoreOptions) (Store, error) { return checkpoint.NewFileStore(o.Dir, o.WriteBPS, o.ReadBPS) },
 	}
-	if o.Dir == "" {
-		return nil, fmt.Errorf(`hydee: store "file" needs StoreOptions.Dir`)
+	shardedBackend = storeBackend{
+		check: func(o StoreOptions) error { return rejectRedundancy("sharded", o) },
+		build: func(o StoreOptions) (Store, error) {
+			if o.Dir != "" {
+				return checkpoint.NewShardedFileStore(o.Dir, o.Shards, o.WriteBPS, o.ReadBPS, o.Placement)
+			}
+			return checkpoint.NewShardedStore(o.Shards, o.WriteBPS, o.ReadBPS, o.Placement), nil
+		},
 	}
-	return checkpoint.NewFileStore(o.Dir, o.WriteBPS, o.ReadBPS)
-}
-
-func shardedStoreFactory(o StoreOptions) (Store, error) {
-	if err := rejectRedundancy("sharded", o); err != nil {
-		return nil, err
+	ecBackend = storeBackend{
+		check: func(o StoreOptions) error {
+			if o.Replicas > 0 {
+				return fmt.Errorf(`hydee: store "ec" does not replicate (got Replicas=%d); use "replica"`, o.Replicas)
+			}
+			if o.Dir != "" {
+				return fmt.Errorf(`hydee: store "ec" is memory-backed (got Dir=%q)`, o.Dir)
+			}
+			if o.Shards < 1 || o.Parity < 1 {
+				return fmt.Errorf(`hydee: store "ec" needs Shards (data) >= 1 and Parity >= 1, got %d+%d (spec form ec:<k>+<m>)`, o.Shards, o.Parity)
+			}
+			return nil
+		},
+		build: func(o StoreOptions) (Store, error) {
+			return checkpoint.NewECStore(o.Shards, o.Parity, o.WriteBPS, o.ReadBPS, o.Placement)
+		},
 	}
-	if o.Dir != "" {
-		return checkpoint.NewShardedFileStore(o.Dir, o.Shards, o.WriteBPS, o.ReadBPS, o.Placement)
+	replicaBackend = storeBackend{
+		check: func(o StoreOptions) error {
+			if o.Parity > 0 {
+				return fmt.Errorf(`hydee: store "replica" does not erasure-code (got Parity=%d); use "ec"`, o.Parity)
+			}
+			if o.Shards > 1 {
+				return fmt.Errorf(`hydee: store "replica" does not shard (got Shards=%d); replicas come from Replicas/replica:<r>`, o.Shards)
+			}
+			if o.Dir != "" {
+				return fmt.Errorf(`hydee: store "replica" is memory-backed (got Dir=%q)`, o.Dir)
+			}
+			if o.Replicas < 2 {
+				return fmt.Errorf(`hydee: store "replica" needs Replicas >= 2, got %d (spec form replica:<r>)`, o.Replicas)
+			}
+			return nil
+		},
+		build: func(o StoreOptions) (Store, error) {
+			return checkpoint.NewReplicatedStore(o.Replicas, o.WriteBPS, o.ReadBPS, o.Placement)
+		},
 	}
-	return checkpoint.NewShardedStore(o.Shards, o.WriteBPS, o.ReadBPS, o.Placement), nil
-}
-
-func ecStoreFactory(o StoreOptions) (Store, error) {
-	if o.Replicas > 0 {
-		return nil, fmt.Errorf(`hydee: store "ec" does not replicate (got Replicas=%d); use "replica"`, o.Replicas)
-	}
-	if o.Dir != "" {
-		return nil, fmt.Errorf(`hydee: store "ec" is memory-backed (got Dir=%q)`, o.Dir)
-	}
-	if o.Shards < 1 || o.Parity < 1 {
-		return nil, fmt.Errorf(`hydee: store "ec" needs Shards (data) >= 1 and Parity >= 1, got %d+%d (spec form ec:<k>+<m>)`, o.Shards, o.Parity)
-	}
-	return checkpoint.NewECStore(o.Shards, o.Parity, o.WriteBPS, o.ReadBPS, o.Placement)
-}
-
-func replicaStoreFactory(o StoreOptions) (Store, error) {
-	if o.Parity > 0 {
-		return nil, fmt.Errorf(`hydee: store "replica" does not erasure-code (got Parity=%d); use "ec"`, o.Parity)
-	}
-	if o.Shards > 1 {
-		return nil, fmt.Errorf(`hydee: store "replica" does not shard (got Shards=%d); replicas come from Replicas/replica:<r>`, o.Shards)
-	}
-	if o.Dir != "" {
-		return nil, fmt.Errorf(`hydee: store "replica" is memory-backed (got Dir=%q)`, o.Dir)
-	}
-	if o.Replicas < 2 {
-		return nil, fmt.Errorf(`hydee: store "replica" needs Replicas >= 2, got %d (spec form replica:<r>)`, o.Replicas)
-	}
-	return checkpoint.NewReplicatedStore(o.Replicas, o.WriteBPS, o.ReadBPS, o.Placement)
-}
+)
 
 // NewMemStore builds an in-memory store with a shared write/read
 // bandwidth model (zero disables timing) — the default backend.
@@ -250,10 +293,7 @@ func NewFaultyStore(inner Store, faults ...ShardFault) (*FaultyStore, error) {
 // id modulo shards): the clusters that checkpoint together — and would
 // otherwise burst on one shared link — land on distinct storage targets.
 func ClusterPlacement(t *Topology, shards int) func(rank int) int {
-	if shards < 1 {
-		shards = 1
-	}
-	return func(rank int) int { return t.ClusterOf[rank] % shards }
+	return rollback.ClusterPlacement(t, shards)
 }
 
 // StoreSpecForms documents the -store spec grammar ParseStoreSpec

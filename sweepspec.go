@@ -43,47 +43,45 @@ func (s *StoreSpec) Bind(fs *flag.FlagSet) {
 		"snapshot directory for -store file (runs reuse it; same-sequence files are overwritten)")
 }
 
-// options resolves the spec into a registry name and StoreOptions.
-func (s StoreSpec) options() (string, StoreOptions, error) {
+// resolve parses the spec into StoreOptions and looks its backend up.
+func (s StoreSpec) resolve() (storeBackend, StoreOptions, error) {
 	spec := s.Spec
 	if strings.TrimSpace(spec) == "" {
 		spec = "mem"
 	}
 	name, opts, err := ParseStoreSpec(spec)
 	if err != nil {
-		return "", StoreOptions{}, err
+		return storeBackend{}, StoreOptions{}, err
 	}
 	opts.WriteBPS, opts.ReadBPS = s.BPS, s.BPS
 	opts.Dir = s.Dir
-	return name, opts, nil
+	b, err := storeRegistry.lookup(name)
+	return b, opts, err
 }
 
-// Probe validates the spec eagerly — the name resolves and the factory
-// accepts the options — so a typo fails at startup or submission time,
-// not inside the first run of a sweep.
-func (s StoreSpec) Probe() error {
-	name, opts, err := s.options()
+// Probe validates the spec eagerly — the geometry parses, the name
+// resolves and the backend accepts the options — so a typo fails at
+// startup or submission time, not inside the first run of a sweep. It
+// returns the options the spec resolves to and builds nothing: checking
+// a spec never touches the filesystem.
+func (s StoreSpec) Probe() (StoreOptions, error) {
+	b, opts, err := s.resolve()
 	if err != nil {
-		return err
+		return StoreOptions{}, err
 	}
-	_, err = StoreByName(name, opts)
-	return err
+	return opts, b.validate(opts)
 }
 
 // New builds a fresh store for one run. A composite spec (sharded, ec,
-// replica) with no explicit placement places each cluster of topo on its
-// own shard — for ec, the base shard of the cluster's fragment group;
-// for replica, the cluster's home replica. topo may be nil for
-// unclustered runs.
+// replica) places each cluster of topo on its own shard — for ec, the
+// base shard of the cluster's fragment group; for replica, the cluster's
+// home replica. topo may be nil for unclustered runs.
 func (s StoreSpec) New(topo *Topology) (Store, error) {
-	name, opts, err := s.options()
+	b, opts, err := s.resolve()
 	if err != nil {
 		return nil, err
 	}
-	if n := opts.totalShards(); n > 1 && topo != nil {
-		opts.Placement = ClusterPlacement(topo, n)
-	}
-	return StoreByName(name, opts)
+	return b.newStore(opts, topo)
 }
 
 // EventStreamSpec is the flag/wire form of the -events/-exporter pair:
@@ -236,11 +234,10 @@ func (s SweepSpec) Experiment() (ExperimentSpec, error) {
 	if s.StoreSpec == (StoreSpec{}) {
 		return spec, nil
 	}
-	if err := s.StoreSpec.Probe(); err != nil {
+	if _, err := s.StoreSpec.Probe(); err != nil {
 		return spec, err
 	}
-	store := s.StoreSpec
-	spec.NewStoreE = func(topo *Topology) (Store, error) { return store.New(topo) }
+	spec.NewStore = s.StoreSpec.New
 	return spec, nil
 }
 

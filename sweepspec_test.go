@@ -9,6 +9,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"os"
 	"strings"
 	"testing"
 
@@ -33,9 +34,9 @@ func TestSweepSpecResolves(t *testing.T) {
 	if len(spec.Assign) != 16 || spec.Assign[0] != 0 || spec.Assign[15] != 3 {
 		t.Errorf("clusters shorthand: assign %v", spec.Assign)
 	}
-	if spec.Failures == nil || spec.Model == nil || spec.NewStoreE == nil {
+	if spec.Failures == nil || spec.Model == nil || spec.NewStore == nil {
 		t.Errorf("missing resolution: failures=%v model=%v store=%v",
-			spec.Failures != nil, spec.Model != nil, spec.NewStoreE != nil)
+			spec.Failures != nil, spec.Model != nil, spec.NewStore != nil)
 	}
 	// The resolved spec actually runs, store and all.
 	sum, err := hydee.RunExperiments(context.Background(), []hydee.ExperimentSpec{spec}, 1)
@@ -99,8 +100,12 @@ func TestSpecFlagBinding(t *testing.T) {
 	if store.Spec != "sharded:4" || store.BPS != 2e9 || store.Dir == "" {
 		t.Errorf("store spec: %+v", store)
 	}
-	if err := store.Probe(); err != nil {
-		t.Errorf("probe: %v", err)
+	if opts, err := store.Probe(); err != nil || opts.Shards != 4 {
+		t.Errorf("probe: %+v, %v", opts, err)
+	}
+	// Validating a spec builds nothing: no shard directories appeared.
+	if entries, err := os.ReadDir(store.Dir); err != nil || len(entries) != 0 {
+		t.Errorf("probe touched the store directory: %v, %v", entries, err)
 	}
 	if stream.Path != "out.jsonl" || stream.Exporter != "metrics" {
 		t.Errorf("stream spec: %+v", stream)
