@@ -36,12 +36,12 @@ race:
 determinism:
 	$(GO) test -race -count=2 -run 'Reproducible|ByteStable|SchedulingIndependent|AwaitTurn' ./internal/harness/ ./internal/transport/ ./internal/mpi/
 
-# CPU profile of the np=1024 HydEE smoke workload — the first step of the
-# "profile a 1024-rank run end-to-end" roadmap item. Leaves cpu.prof and
-# the test binary hydee-smoke.test; inspect with
+# CPU profile of the np=1024 HydEE smoke workload, ten runs of it so the
+# half-second run yields enough samples to rank. Leaves cpu.prof and the
+# test binary hydee-smoke.test; inspect with
 #   go tool pprof hydee-smoke.test cpu.prof
 profile:
-	$(GO) test -run 'TestHydEESmoke1024' -count=1 -cpuprofile cpu.prof -o hydee-smoke.test .
+	$(GO) test -run 'TestHydEESmoke1024' -count=10 -cpuprofile cpu.prof -o hydee-smoke.test .
 	@echo "profile written to cpu.prof; open with: go tool pprof hydee-smoke.test cpu.prof"
 
 # The repository benchmark (BENCHMARK.json; see benchmark/README.md): five

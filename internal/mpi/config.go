@@ -16,6 +16,7 @@ import (
 	"hydee/internal/netmodel"
 	"hydee/internal/rollback"
 	"hydee/internal/trace"
+	"hydee/internal/transport"
 	"hydee/internal/vtime"
 )
 
@@ -140,4 +141,9 @@ type Result struct {
 	PairBytes []int64
 	// PairMsgs is the matching message-count matrix.
 	PairMsgs []int64
+	// Plane holds the delivery plane's work counters: host-side numbers
+	// that depend on goroutine scheduling, unlike every field above. They
+	// are for profiling a run and stay out of JSON and of every
+	// byte-reproducible summary.
+	Plane transport.Counters `json:"-"`
 }

@@ -156,6 +156,7 @@ func RunContext(ctx context.Context, cfg Config, program Program) (*Result, erro
 		Results:    append([]any(nil), rt.results...),
 		Rounds:     append([]rollback.RecoveryStats(nil), rt.rounds...),
 		StoreStats: rt.store.Stats(),
+		Plane:      rt.net.Counters(),
 	}
 	stats := rt.net.Stats()
 	res.PairBytes = make([]int64, len(stats))

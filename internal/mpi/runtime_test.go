@@ -1,6 +1,7 @@
 package mpi_test
 
 import (
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -76,6 +77,9 @@ func TestWatchdogDetectsDeadlock(t *testing.T) {
 	})
 	if !errors.Is(err, mpi.ErrDeadlock) {
 		t.Fatalf("watchdog did not fire: %v", err)
+	}
+	if !strings.Contains(err.Error(), "counters: {Mutations:") {
+		t.Errorf("deadlock report lacks the plane counters: %v", err)
 	}
 	var re *mpi.RunError
 	if !errors.As(err, &re) || re.Phase != mpi.PhaseSupervise {
@@ -242,6 +246,13 @@ func TestPairByteMatrix(t *testing.T) {
 	}
 	if res.PairBytes[0*3+2] != 5000 || res.PairMsgs[0*3+2] != 1 {
 		t.Fatalf("pair matrix wrong: %v", res.PairBytes)
+	}
+	// The plane's host-side counters ride along, outside the serialised form.
+	if p := res.Plane; p.Delivered < 1 || p.Mutations < 2*p.Delivered {
+		t.Fatalf("plane counters not filled in: %+v", p)
+	}
+	if js, err := json.Marshal(res); err != nil || strings.Contains(string(js), "Plane") {
+		t.Fatalf("scheduling-dependent plane counters reached the JSON form (err %v): %s", err, js)
 	}
 }
 

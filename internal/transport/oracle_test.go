@@ -1,0 +1,489 @@
+package transport
+
+// The delivery plane's reference model and the tests that hold the
+// incremental index (plane.go) to it.
+//
+// oracleRefresh is the O(np) three-pass refresh every mutation used to run:
+// it recomputes every bound, the three smallest, and the set of parked
+// waiters whose condition holds, from nothing but the endpoints' own state.
+// planeSim drives a Network through randomised mutation sequences without
+// goroutines — a "parked" waiter is an endpoint the driver parked through
+// the same step/park/unpark calls Recv and AwaitTurn make, and "running" it
+// is the driver's choice of when — and compares plane and oracle after every
+// single mutation: identical bounds, identical low3, and a signalled set
+// that grew by exactly the oracle's wake set (a missed wake is a deadlock,
+// an extra one is wasted work).
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"hydee/internal/netmodel"
+	"hydee/internal/vtime"
+)
+
+// oracleRefresh computes, in three full passes, each endpoint's action bound
+// (by epList position), the three lexicographically smallest finite
+// (bound, id) pairs, and the ids of the parked waiters whose condition holds
+// under them.
+func oracleRefresh(n *Network) (bounds []vtime.Time, low3 [3]boundRef, wake []int) {
+	// Pass 1: caps, the smallest one and the first endpoint holding it.
+	bounds = make([]vtime.Time, len(n.epList))
+	m1 := infTime
+	var a1 *Endpoint
+	for p, e := range n.epList {
+		cap := infTime
+		switch e.state {
+		case stRunning, stDead:
+			cap = e.frontier
+		case stBlocked:
+			if len(e.q) > 0 {
+				cap = e.frontier
+				if h := e.q[0].ArriveVT; h > cap {
+					cap = h
+				}
+			}
+		}
+		bounds[p] = cap // provisional; blocked non-minimal sources improve below
+		if cap < m1 {
+			m1, a1 = cap, e
+		}
+	}
+	// Pass 2: blocked sources other than the cap-argmin are bounded by the
+	// earliest arrival the rest of the plane can still emit, and the idle
+	// latent recovery source by the minimum cap.
+	low3 = [3]boundRef{{infTime, -1}, {infTime, -1}, {infTime, -1}}
+	for p, e := range n.epList {
+		if e.state == stBlocked && e != a1 && m1 < infTime {
+			b := m1.Add(n.minLat)
+			if len(e.q) > 0 && e.q[0].ArriveVT < b {
+				b = e.q[0].ArriveVT
+			}
+			if e.frontier > b {
+				b = e.frontier
+			}
+			bounds[p] = b
+		} else if e.state == stIdle && e == n.latent {
+			bounds[p] = m1
+		}
+		if bounds[p] < infTime {
+			r := boundRef{bounds[p], e.id}
+			switch {
+			case r.less(low3[0]):
+				low3[0], low3[1], low3[2] = r, low3[0], low3[1]
+			case r.less(low3[1]):
+				low3[1], low3[2] = r, low3[1]
+			case r.less(low3[2]):
+				low3[2] = r
+			}
+		}
+	}
+	// Pass 3: every parked waiter whose condition holds under those bounds.
+	saved := n.low3
+	n.low3 = low3
+	for _, e := range n.epList {
+		if n.readyLocked(e) {
+			wake = append(wake, e.id)
+		}
+	}
+	n.low3 = saved
+	return bounds, low3, wake
+}
+
+// simActor is the driver's view of one endpoint's goroutine.
+type simActor struct {
+	parked    waitKind   // what the driver parked it on (wNone: free to act)
+	now       vtime.Time // the Recv clock or AwaitTurn time it parked with
+	signalled bool       // signalled as of the previous check
+}
+
+type planeSim struct {
+	t      *testing.T
+	n      *Network
+	data   []byte
+	actors map[int]*simActor
+	ids    []int // every id the driver uses, endpoints or not
+	drift  vtime.Time
+	step   int
+}
+
+// pick consumes one input byte as a choice among k; a used-up input keeps
+// choosing 0 until the run loop notices.
+func (s *planeSim) pick(k int) int {
+	if len(s.data) == 0 {
+		return 0
+	}
+	b := s.data[0]
+	s.data = s.data[1:]
+	return int(b) % k
+}
+
+// time returns a virtual time near the driver's slowly advancing present;
+// the narrow window makes ties — equal caps, equal bounds, arrivals equal to
+// thresholds — common.
+func (s *planeSim) time() vtime.Time {
+	if s.pick(4) == 0 {
+		s.drift += vtime.Time(s.pick(6))
+	}
+	return s.drift + vtime.Time(s.pick(12))
+}
+
+func (s *planeSim) actor(id int) *simActor {
+	a := s.actors[id]
+	if a == nil {
+		a = &simActor{}
+		s.actors[id] = a
+	}
+	return a
+}
+
+// checkLocked compares the plane with the oracle; it runs after every single
+// mutation.
+func (s *planeSim) checkLocked(what string) {
+	s.t.Helper()
+	n := s.n
+	bounds, low3, wake := oracleRefresh(n)
+	for p, e := range n.epList {
+		if e.pos != p || (p > 0 && n.epList[p-1].id >= e.id) {
+			s.t.Fatalf("step %d %s: epList not in id order at position %d", s.step, what, p)
+		}
+		if got := n.boundLocked(e); got != bounds[p] {
+			s.t.Fatalf("step %d %s: ep %d bound %d, oracle %d\n%s", s.step, what, e.id, got, bounds[p], s.dump())
+		}
+	}
+	if n.low3 != low3 {
+		s.t.Fatalf("step %d %s: low3 %v, oracle %v\n%s", s.step, what, n.low3, low3, s.dump())
+	}
+	for i, r := range low3 {
+		if ep := n.low3ep[i]; (ep == nil) != (r.b == infTime) || (ep != nil && ep.id != r.id) {
+			s.t.Fatalf("step %d %s: low3ep[%d] does not name low3[%d]=%v", s.step, what, i, i, r)
+		}
+	}
+	ready := make(map[int]bool, len(wake))
+	for _, id := range wake {
+		ready[id] = true
+	}
+	for _, e := range n.epList {
+		a := s.actor(e.id)
+		if e.waiting != a.parked {
+			s.t.Fatalf("step %d %s: ep %d waiting=%d, driver parked it on %d", s.step, what, e.id, e.waiting, a.parked)
+		}
+		if e.waiting == wNone {
+			continue
+		}
+		want := a.signalled || ready[e.id]
+		switch {
+		case want && !e.signalled:
+			s.t.Fatalf("step %d %s: MISSED WAKE: ep %d's condition holds and it was not signalled\n%s", s.step, what, e.id, s.dump())
+		case !want && e.signalled:
+			s.t.Fatalf("step %d %s: extra wake: ep %d signalled while its condition fails\n%s", s.step, what, e.id, s.dump())
+		}
+		a.signalled = e.signalled
+	}
+	s.checkIndexLocked(what)
+}
+
+// checkIndexLocked verifies the index's own invariants: every leaf holds the key
+// its endpoint's state implies, every inner node the minimum of its
+// children, and the per-source waiter lists hold exactly the unsignalled
+// receivers whose head their source sent.
+func (s *planeSim) checkIndexLocked(what string) {
+	s.t.Helper()
+	n := s.n
+	for _, tr := range [][]vtime.Time{n.capT, n.bfT} {
+		for i := 1; i < n.leaves; i++ {
+			if tr[i] != min(tr[2*i], tr[2*i+1]) {
+				s.t.Fatalf("step %d %s: tree node %d is not the minimum of its children", s.step, what, i)
+			}
+		}
+		for p := len(n.epList); p < n.leaves; p++ {
+			if tr[n.leaves+p] != infTime {
+				s.t.Fatalf("step %d %s: unused leaf %d is finite", s.step, what, p)
+			}
+		}
+	}
+	for i := 1; i < n.leaves; i++ {
+		l, r := n.waitT[2*i], n.waitT[2*i+1]
+		if r.less(l) {
+			l = r
+		}
+		if n.waitT[i] != l {
+			s.t.Fatalf("step %d %s: wait tree node %d is not the minimum of its children", s.step, what, i)
+		}
+	}
+	onList := map[*Endpoint]*Endpoint{}
+	for _, src := range n.epList {
+		var prev *Endpoint
+		for w := src.srcWaiters; w != nil; prev, w = w, w.srcNext {
+			if w.srcPrev != prev || w.headSrc != src || onList[w] != nil {
+				s.t.Fatalf("step %d %s: waiter list of ep %d is malformed at ep %d", s.step, what, src.id, w.id)
+			}
+			onList[w] = src
+		}
+	}
+	for _, e := range n.epList {
+		key := noWait
+		var src *Endpoint
+		if !e.signalled && e.waiting == wTurn {
+			key = waitKey{e.turnVT.Add(n.minLat), e.id}
+		}
+		if !e.signalled && e.waiting == wRecv {
+			if e.doomVT < infTime {
+				key = waitKey{e.doomVT.Add(n.minLat), math.MaxInt}
+			}
+			if len(e.q) > 0 {
+				if k := (waitKey{e.q[0].ArriveVT, e.q[0].Src}); k.less(key) {
+					key = k
+				}
+				src = n.eps[e.q[0].Src]
+			}
+		}
+		if got := n.waitT[n.leaves+e.pos]; got != key {
+			s.t.Fatalf("step %d %s: ep %d wait key %v, want %v", s.step, what, e.id, got, key)
+		}
+		if onList[e] != src || e.headSrc != src {
+			s.t.Fatalf("step %d %s: ep %d is on the wrong source's waiter list", s.step, what, e.id)
+		}
+	}
+}
+
+func (s *planeSim) dump() string {
+	// DebugState locks; the driver holds the lock while checking.
+	s.n.dmu.Unlock()
+	defer s.n.dmu.Lock()
+	return s.n.DebugState()
+}
+
+// public runs one public single-mutation call and checks the plane after it.
+func (s *planeSim) public(what string, f func()) {
+	s.t.Helper()
+	f()
+	s.n.dmu.Lock()
+	defer s.n.dmu.Unlock()
+	s.checkLocked(what)
+}
+
+// recv drives e through the steps of Endpoint.Recv up to its first wait.
+func (s *planeSim) recv(e *Endpoint, now vtime.Time) {
+	n := s.n
+	n.dmu.Lock()
+	defer n.dmu.Unlock()
+	if e.dead {
+		return
+	}
+	e.blockLocked(now)
+	s.checkLocked("recv commit")
+	s.simRecvLocked(e, now, false)
+}
+
+func (s *planeSim) simRecvLocked(e *Endpoint, now vtime.Time, again bool) {
+	n := s.n
+	_, done, _ := e.recvStepLocked(now)
+	s.checkLocked("recv step")
+	a := s.actor(e.id)
+	a.parked, a.signalled = wNone, false
+	if !done {
+		n.parkLocked(e, wRecv, again)
+		a.parked, a.now = wRecv, now
+		s.checkLocked("recv park")
+	}
+}
+
+// turn drives e through the steps of Network.AwaitTurn up to its first wait.
+func (s *planeSim) turn(id int, vt vtime.Time) {
+	n := s.n
+	n.dmu.Lock()
+	defer n.dmu.Unlock()
+	e := n.endpointLocked(id)
+	e.turnVT = vt
+	s.simTurnLocked(e, vt, false)
+}
+
+func (s *planeSim) simTurnLocked(e *Endpoint, vt vtime.Time, again bool) {
+	n := s.n
+	done, _ := n.turnStepLocked(e, vt)
+	s.checkLocked("turn step")
+	a := s.actor(e.id)
+	a.parked, a.signalled = wNone, false
+	if !done {
+		n.parkLocked(e, wTurn, again)
+		a.parked, a.now = wTurn, vt
+		s.checkLocked("turn park")
+	}
+}
+
+// resume runs a signalled waiter the way its goroutine would after
+// cond.Wait returns.
+func (s *planeSim) resume(e *Endpoint) {
+	n := s.n
+	n.dmu.Lock()
+	defer n.dmu.Unlock()
+	a := s.actor(e.id)
+	kind := a.parked
+	n.unparkLocked(e)
+	a.parked, a.signalled = wNone, false
+	s.checkLocked("unpark")
+	if kind == wRecv {
+		s.simRecvLocked(e, a.now, true)
+	} else {
+		s.simTurnLocked(e, a.now, true)
+	}
+}
+
+// tryRecv is Endpoint.TryRecv with a check between its two mutations.
+func (s *planeSim) tryRecv(e *Endpoint, now vtime.Time) {
+	n := s.n
+	n.dmu.Lock()
+	defer n.dmu.Unlock()
+	if e.dead {
+		return
+	}
+	if e.frontier < now {
+		e.frontier = now
+		n.planeChangedLocked(e, nil)
+		s.checkLocked("tryrecv frontier")
+	}
+	_, _, _ = e.recvStepLocked(now)
+	s.checkLocked("tryrecv step")
+}
+
+func (s *planeSim) run() {
+	n := s.n
+	n.dmu.Lock()
+	s.checkLocked("initial")
+	n.dmu.Unlock()
+	nextService := n.np
+	for len(s.data) > 0 {
+		s.step++
+		id := s.ids[s.pick(len(s.ids))]
+		e := n.eps[id] // nil for an id that is no endpoint (yet)
+		free := e != nil && s.actor(id).parked == wNone
+		// The supervisor mostly leaves parked ranks alone; acting on them
+		// every time would keep the plane from ever filling with blocked
+		// sources.
+		loose := free || s.pick(4) == 0
+		switch op := s.pick(24); {
+		case op < 6: // send, from any id (endpoint or not) to any endpoint
+			dst := s.ids[s.pick(len(s.ids))]
+			kind := []Kind{App, Ctl, Marker}[s.pick(3)]
+			wire := []int{0, 16, 100}[s.pick(3)]
+			vt := s.time()
+			s.public("send", func() {
+				err := n.Send(&Msg{Src: id, Dst: dst, Kind: kind, WireLen: wire, SendVT: vt})
+				if (err != nil) != (n.eps[dst] == nil) {
+					s.t.Fatalf("send to %d: err %v", dst, err)
+				}
+			})
+		case op < 8 && e != nil && loose:
+			vt := s.time()
+			s.public("publish", func() { n.Publish(id, vt) })
+		case op < 11 && free:
+			s.recv(e, s.time())
+		case op < 12 && free:
+			s.tryRecv(e, s.time())
+		case op < 13 && free:
+			// The public call, which mutates once when the clock is not ahead
+			// of the frontier.
+			s.public("TryRecv", func() { _, _, _ = e.TryRecv(0) })
+		case op < 14 && e != nil && loose:
+			s.public("quiesce", func() { n.Quiesce(id) })
+		case op < 16 && free:
+			s.turn(id, s.time())
+		case op < 17 && e != nil:
+			d := s.time()
+			s.public("doom", func() { n.Doom(id, d) })
+		case op < 18 && e != nil && !e.dead && s.pick(3) == 0:
+			if id >= 0 && id < n.np {
+				s.public("kill", func() { n.Kill(id) })
+			} else {
+				s.public("kill service", func() { n.KillService(id) })
+			}
+		case op < 19 && e != nil && (e.dead || loose):
+			vt := s.time()
+			if id >= 0 && id < n.np {
+				s.public("restart", func() { n.RestartAt(id, vt) })
+			} else {
+				s.public("restart service", func() { n.RestartServiceAt(id, vt) })
+			}
+		case op < 20 && e != nil && loose:
+			vt := s.time()
+			s.public("attach", func() { n.AttachAt(id, vt) })
+		case op < 21:
+			if id >= n.np {
+				s.public("declare recovery", func() { n.DeclareRecovery(id) })
+			}
+		case op < 22:
+			// Late service endpoint: a bare id that traffic may already name,
+			// or a new one, sometimes sorting below the existing ids.
+			if e == nil {
+				s.public("create endpoint", func() { n.Endpoint(id) })
+				break
+			}
+			nextService += 1 + s.pick(2)
+			nid := nextService
+			if s.pick(4) == 0 {
+				nid = -nextService
+			}
+			s.ids = append(s.ids, nid)
+			if s.pick(2) == 0 { // else it stays a bare id for now
+				s.public("create endpoint", func() { n.Endpoint(nid) })
+			}
+		default:
+			// Run a woken waiter: the first signalled one at or after a random
+			// position.
+			from := s.pick(len(n.epList))
+			for i := range n.epList {
+				w := n.epList[(from+i)%len(n.epList)]
+				if w.waiting != wNone && w.signalled {
+					s.resume(w)
+					break
+				}
+			}
+		}
+	}
+}
+
+// runPlaneSim interprets data as a mutation sequence on a small plane.
+func runPlaneSim(t *testing.T, data []byte) {
+	s := &planeSim{t: t, data: data, actors: map[int]*simActor{}}
+	np := 1 + s.pick(16)
+	lat := vtime.Duration(s.pick(8))
+	model := &netmodel.LogGP{
+		ModelName:     "sim",
+		Steps:         []netmodel.LatencyStep{{MaxBytes: 8, Lat: lat}, {MaxBytes: 64, Lat: lat + 2}},
+		RendezvousLat: lat + 5,
+		BytesPerSec:   1e18,
+	}
+	s.n = NewNetwork(np, model)
+	for i := 0; i < np; i++ {
+		s.ids = append(s.ids, i)
+	}
+	s.ids = append(s.ids, -1, np) // the supervisor's source id and the recovery id
+	s.run()
+}
+
+// TestPlaneOracle holds the incremental plane to the O(np) oracle over
+// fixed-seed random mutation sequences.
+func TestPlaneOracle(t *testing.T) {
+	seeds, steps := 200, 1600
+	if testing.Short() {
+		seeds = 40
+	}
+	for seed := 0; seed < seeds; seed++ {
+		data := make([]byte, steps)
+		rand.New(rand.NewSource(int64(seed))).Read(data)
+		runPlaneSim(t, data)
+	}
+}
+
+// FuzzPlaneOracle lets the fuzzer search for a mutation sequence on which
+// plane and oracle disagree.
+func FuzzPlaneOracle(f *testing.F) {
+	for seed := 0; seed < 4; seed++ {
+		data := make([]byte, 400)
+		rand.New(rand.NewSource(int64(100 + seed))).Read(data)
+		f.Add(data)
+	}
+	f.Fuzz(runPlaneSim)
+}

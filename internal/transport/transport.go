@@ -35,11 +35,25 @@
 // Because any source can send to any destination, the transitive bound has
 // a closed form: with m1 the smallest "self cap" over all sources (a
 // running source's frontier; a blocked source's max(frontier, queue head)),
-// a blocked source's bound is max(frontier, min(queueHead, m1+minLat)), and
-// the cap-minimal source's bound is exactly its cap. One O(sources) refresh
-// after each plane mutation recomputes every bound and wakes exactly the
-// waiters whose condition now holds — no broadcast herds, and no hand-made
-// wake-up edges to get wrong.
+// every blocked source's bound is min(cap, max(frontier, m1+minLat)) — for
+// the cap-minimal source that is exactly its cap.
+//
+// # Incremental bounds and change-driven wakeups
+//
+// Nothing stores a bound. Each endpoint's cap and blocked frontier sit in
+// flat-array tournament trees indexed by endpoint position (= id order), a
+// mutation re-keys only the endpoints it touched, and m1 plus the three
+// lexicographically smallest (bound, id) pairs — low3, all any gate reads —
+// come from O(log sources) descents, skipped entirely when no touched
+// endpoint is in or sorts into low3. Wakeups are driven by change: a parked
+// waiter's condition reads only its own state and low3, so a mutation
+// gate-checks the endpoints it touched and, only if low3 moved, the waiters
+// that can pass under the new triple — those it names, those whose queue
+// head comes from low3[0]'s source (a per-source list) and those a third
+// tree finds with a wait key below low3[0]'s threshold. A signalled waiter
+// leaves the index until it runs and parks again, so each park is evaluated
+// once per relevant change, not once per mutation — no broadcast herds, and
+// no hand-made wake-up edges to get wrong.
 //
 // Progress requires strictly positive lookahead, so the network enforces a
 // minimum virtual latency of 1ns per hop (zero-cost models otherwise admit
@@ -68,6 +82,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"sync"
 
 	"hydee/internal/netmodel"
@@ -191,7 +207,7 @@ const (
 	stDead
 )
 
-// waitKind says what an endpoint's goroutine is parked on, so the refresh
+// waitKind says what an endpoint's goroutine is parked on, so a mutation
 // can signal exactly the waiters whose condition now holds.
 type waitKind uint8
 
@@ -237,15 +253,22 @@ type Endpoint struct {
 
 	state    srcState
 	frontier vtime.Time
-	// bound is the action bound computed by the last refresh: no send or
-	// checkpoint write by this source can be issued before it.
-	bound vtime.Time
 
 	// cond parks this endpoint's goroutine (shared delivery-plane lock);
-	// waiting/turnVT describe what it waits for.
-	cond    *sync.Cond
-	waiting waitKind
-	turnVT  vtime.Time
+	// waiting/turnVT describe what it waits for. signalled marks a parked
+	// goroutine that has been woken and has not run yet; it is out of the
+	// wake index until it parks again.
+	cond      *sync.Cond
+	waiting   waitKind
+	signalled bool
+	turnVT    vtime.Time
+
+	// pos is the endpoint's position in the network's epList and trees.
+	pos int
+	// srcWaiters heads the list of parked receivers whose queue head this
+	// endpoint sent; headSrc, srcPrev and srcNext are this endpoint's own
+	// membership of such a list (see indexWaiterLocked).
+	srcWaiters, headSrc, srcPrev, srcNext *Endpoint
 
 	// chArrive / chSeq track, per source, the last clamped arrival time and
 	// the channel sequence counter (FIFO-consistency of the key order).
@@ -287,6 +310,19 @@ func (e *Endpoint) Recv(now vtime.Time) (*Msg, error) {
 	// reflect that — evaluating while still marked running would let the
 	// receiver's own stale frontier hold the plane's bounds below its
 	// head's stamp and fail a check its own blocking satisfies.
+	e.blockLocked(now)
+	for again := false; ; again = true {
+		if m, done, err := e.recvStepLocked(now); done {
+			return m, err
+		}
+		n.parkLocked(e, wRecv, again)
+		e.cond.Wait()
+		n.unparkLocked(e)
+	}
+}
+
+// blockLocked commits e to the blocked state at clock now.
+func (e *Endpoint) blockLocked(now vtime.Time) {
 	changed := e.state != stBlocked
 	e.state = stBlocked
 	if e.frontier < now {
@@ -294,29 +330,31 @@ func (e *Endpoint) Recv(now vtime.Time) (*Msg, error) {
 		changed = true
 	}
 	if changed {
-		n.refreshLocked()
+		e.n.planeChangedLocked(e, nil)
 	}
-	for {
-		if e.dead {
-			return nil, ErrKilled
-		}
-		if len(e.q) > 0 && n.gatePassLocked(e, e.q[0]) {
-			if n.pastFenceLocked(e, e.q[0]) {
-				// The gate proves the next delivery would happen past the
-				// death fence; the process is dead by then.
-				return nil, e.reapLocked()
-			}
-			m := heap.Pop(&e.q).(*Msg)
-			e.deliveredLocked(m, now)
-			return m, nil
-		}
-		if n.doomReapLocked(e) {
-			return nil, e.reapLocked()
-		}
-		e.waiting = wRecv
-		e.cond.Wait()
-		e.waiting = wNone
+}
+
+// recvStepLocked makes one attempt at a receive: done reports whether the
+// attempt settled it — a delivery, or ErrKilled — or the caller has to wait.
+func (e *Endpoint) recvStepLocked(now vtime.Time) (m *Msg, done bool, err error) {
+	n := e.n
+	if e.dead {
+		return nil, true, ErrKilled
 	}
+	if len(e.q) > 0 && n.gatePassLocked(e, e.q[0]) {
+		if n.pastFenceLocked(e, e.q[0]) {
+			// The gate proves the next delivery would happen past the
+			// death fence; the process is dead by then.
+			return nil, true, e.reapLocked()
+		}
+		m = heap.Pop(&e.q).(*Msg)
+		e.deliveredLocked(m, now)
+		return m, true, nil
+	}
+	if n.doomReapLocked(e) {
+		return nil, true, e.reapLocked()
+	}
+	return nil, false, nil
 }
 
 // pastFenceLocked reports whether delivering m to the doomed endpoint e
@@ -338,7 +376,7 @@ func (n *Network) pastFenceLocked(e *Endpoint, m *Msg) bool {
 func (e *Endpoint) reapLocked() error {
 	if !e.dead && e.state != stIdle {
 		e.state = stIdle
-		e.n.refreshLocked()
+		e.n.planeChangedLocked(e, nil)
 	}
 	return ErrKilled
 }
@@ -357,7 +395,8 @@ func (e *Endpoint) deliveredLocked(m *Msg, now vtime.Time) {
 	if f > e.frontier {
 		e.frontier = f
 	}
-	e.n.refreshLocked()
+	e.n.ctr.Delivered++
+	e.n.planeChangedLocked(e, nil)
 }
 
 // TryRecv returns the earliest deliverable message without blocking. ok
@@ -371,20 +410,10 @@ func (e *Endpoint) TryRecv(now vtime.Time) (m *Msg, ok bool, err error) {
 	}
 	if e.frontier < now {
 		e.frontier = now
-		n.refreshLocked()
+		n.planeChangedLocked(e, nil)
 	}
-	if len(e.q) == 0 || !n.gatePassLocked(e, e.q[0]) {
-		if n.doomReapLocked(e) {
-			return nil, false, e.reapLocked()
-		}
-		return nil, false, nil
-	}
-	if n.pastFenceLocked(e, e.q[0]) {
-		return nil, false, e.reapLocked()
-	}
-	m = heap.Pop(&e.q).(*Msg)
-	e.deliveredLocked(m, now)
-	return m, true, nil
+	m, _, err = e.recvStepLocked(now)
+	return m, m != nil, err
 }
 
 // Pending reports the number of queued messages (diagnostics only).
@@ -420,9 +449,10 @@ func (r boundRef) less(s boundRef) bool {
 }
 
 // Network connects the endpoints and applies the cost model. It owns the
-// deterministic delivery plane: one lock guards every mailbox and the
-// per-source bounds; refreshLocked recomputes the bounds after every
-// mutation and signals exactly the waiters whose condition now holds.
+// deterministic delivery plane: one lock guards every mailbox and the index
+// the per-source bounds derive from; planeChangedLocked ends every mutation,
+// re-keying the endpoints it touched and signalling exactly the waiters
+// whose condition now holds (plane.go).
 type Network struct {
 	model netmodel.Model
 	// minLat is the smallest latency any message can observe (>= 1ns),
@@ -431,23 +461,34 @@ type Network struct {
 
 	dmu sync.Mutex
 	eps map[int]*Endpoint
-	// epList caches the endpoints for the refresh scan (append-only).
+	// epList holds the endpoints sorted by id; an endpoint's position in it
+	// is its leaf in the trees below.
 	epList []*Endpoint
+	// capT, bfT and waitT are tournament trees over epList positions (see
+	// plane.go), leaves wide: each endpoint's cap, its frontier while
+	// blocked, and its key in the wake index.
+	leaves    int
+	capT, bfT []vtime.Time
+	waitT     []waitKey
+	aside     []subtree // treeLowest3Locked's scratch
 	// low3 holds the three lexicographically smallest finite (bound, id)
-	// pairs from the last refresh: any gate's relevant minimum — which
-	// excludes at most the receiver and the head's source — is among them.
-	low3 [3]boundRef
-	// latentID designates the recovery endpoint as a latent source: while
+	// pairs: any gate's relevant minimum — which excludes at most the
+	// receiver and the head's source — is among them. low3ep names their
+	// endpoints.
+	low3   [3]boundRef
+	low3ep [3]*Endpoint
+	// latent designates the recovery endpoint as a latent source: while
 	// it is idle, its bound is the plane's minimum cap rather than
 	// infinity. A failure detected at a victim's clock c spawns recovery
 	// stamps at >= c + minLat, and c is always >= the victim's cap at
 	// every earlier pop — so the latent bound makes the plane anticipate a
 	// potential recovery round and never admit a stamp a future round
-	// could undercut. -1 when unset (raw transport use).
-	latentID int
-	inc      []int32 // incarnation per application rank
-	np       int
-	stats    []PairStat // np*np matrix, App traffic between application ranks
+	// could undercut. nil when unset (raw transport use).
+	latent *Endpoint
+	ctr    Counters
+	inc    []int32 // incarnation per application rank
+	np     int
+	stats  []PairStat // np*np matrix, App traffic between application ranks
 }
 
 // NewNetwork creates a network with application endpoints 0..np-1, all
@@ -458,13 +499,12 @@ func NewNetwork(np int, model netmodel.Model) *Network {
 		lat = 1
 	}
 	n := &Network{
-		model:    model,
-		minLat:   lat,
-		eps:      make(map[int]*Endpoint, np+2),
-		latentID: -1,
-		inc:      make([]int32, np),
-		np:       np,
-		stats:    make([]PairStat, np*np),
+		model:  model,
+		minLat: lat,
+		eps:    make(map[int]*Endpoint, np+2),
+		inc:    make([]int32, np),
+		np:     np,
+		stats:  make([]PairStat, np*np),
 	}
 	for i := 0; i < np; i++ {
 		e := newEndpoint(n, i, stRunning)
@@ -472,7 +512,10 @@ func NewNetwork(np int, model netmodel.Model) *Network {
 		n.epList = append(n.epList, e)
 	}
 	//hydee:allow lockdiscipline(constructor: the network is not shared yet, no lock needed)
-	n.refreshLocked()
+	n.rebuildIndexLocked()
+	//hydee:allow lockdiscipline(constructor: the network is not shared yet, no lock needed)
+	n.low3Locked(&n.low3, &n.low3ep)
+	n.ctr = Counters{} // building the index is not plane work
 	return n
 }
 
@@ -501,10 +544,13 @@ func (n *Network) Endpoint(id int) *Endpoint {
 func (n *Network) endpointLocked(id int) *Endpoint {
 	e, ok := n.eps[id]
 	if !ok {
+		// An idle endpoint's bound is infinite, so creating one moves no
+		// bound; it only shifts positions, which the rebuild renumbers.
 		e = newEndpoint(n, id, stIdle)
-		e.bound = infTime
 		n.eps[id] = e
-		n.epList = append(n.epList, e)
+		at := sort.Search(len(n.epList), func(i int) bool { return n.epList[i].id > id })
+		n.epList = slices.Insert(n.epList, at, e)
+		n.rebuildIndexLocked()
 	}
 	return e
 }
@@ -516,9 +562,9 @@ func (n *Network) endpointLocked(id int) *Endpoint {
 // traffic flows.
 func (n *Network) DeclareRecovery(id int) {
 	n.dmu.Lock()
-	n.latentID = id
-	n.endpointLocked(id)
-	n.refreshLocked()
+	was := n.latent
+	n.latent = n.endpointLocked(id)
+	n.planeChangedLocked(n.latent, was)
 	n.dmu.Unlock()
 }
 
@@ -564,7 +610,8 @@ func (n *Network) Send(m *Msg) error {
 	}
 	// The sender cannot send again before this message's send time; a
 	// source that demonstrably sends is live, so an idle one is promoted.
-	if src, ok := n.eps[m.Src]; ok && src.state != stDead {
+	src := n.eps[m.Src]
+	if src != nil && src.state != stDead {
 		if m.SendVT > src.frontier {
 			src.frontier = m.SendVT
 		}
@@ -597,11 +644,11 @@ func (n *Network) Send(m *Msg) error {
 	m.chSeq = dst.chSeq[m.Src]
 	if dst.dead {
 		dst.droppedWhileDead++
-		n.refreshLocked() // the sender's frontier still advanced
+		n.planeChangedLocked(src, nil) // the sender's frontier still advanced
 		return nil
 	}
 	heap.Push(&dst.q, m)
-	n.refreshLocked()
+	n.planeChangedLocked(src, dst)
 	return nil
 }
 
@@ -618,7 +665,7 @@ func (n *Network) Publish(id int, vt vtime.Time) {
 		if vt > e.frontier {
 			e.frontier = vt
 		}
-		n.refreshLocked()
+		n.planeChangedLocked(e, nil)
 	}
 	n.dmu.Unlock()
 }
@@ -632,7 +679,7 @@ func (n *Network) Quiesce(id int) {
 	e := n.endpointLocked(id)
 	if e.state != stDead && e.state != stIdle {
 		e.state = stIdle
-		n.refreshLocked()
+		n.planeChangedLocked(e, nil)
 	}
 	n.dmu.Unlock()
 }
@@ -650,111 +697,38 @@ func (n *Network) AwaitTurn(id int, vt vtime.Time) error {
 	defer n.dmu.Unlock()
 	e := n.endpointLocked(id)
 	e.turnVT = vt
-	for {
-		if e.dead {
-			return ErrKilled
+	for again := false; ; again = true {
+		if done, err := n.turnStepLocked(e, vt); done {
+			return err
 		}
-		if vt > e.doomVT {
-			return e.reapLocked()
-		}
-		if e.state != stRunning || e.frontier < vt {
-			e.state = stRunning
-			if vt > e.frontier {
-				e.frontier = vt
-			}
-			n.refreshLocked()
-		}
-		if n.turnPassLocked(e, vt) {
-			return nil
-		}
-		e.waiting = wTurn
+		n.parkLocked(e, wTurn, again)
 		e.cond.Wait()
-		e.waiting = wNone
+		n.unparkLocked(e)
 	}
 }
 
-// refreshLocked recomputes every source's action bound and signals the
-// waiters whose condition now holds. It must be called at the end of every
-// delivery-plane mutation; the bounds are therefore always current when a
-// gate is evaluated.
-//
-// Closed form of the transitive bound (any source can send to any
-// destination): let cap(e) be max(frontier, queue head) for a blocked
-// source (inf with an empty queue), the frontier for a running or dead one
-// and inf for an idle one, and let m1 be the smallest cap. The cap-minimal
-// source's bound is exactly its cap (its head precedes anything others can
-// still produce), and every other blocked source's bound is
-// max(frontier, min(queueHead, m1+minLat)): it can only act after
-// delivering something, which arrives no earlier than min of its own head
-// and the earliest stamp the rest of the plane can still emit.
-func (n *Network) refreshLocked() {
-	// Pass 1: caps and their two smallest values.
-	m1, m2 := infTime, infTime
-	var a1 *Endpoint
-	for _, e := range n.epList {
-		cap := infTime
-		switch e.state {
-		case stRunning, stDead:
-			cap = e.frontier
-		case stBlocked:
-			if len(e.q) > 0 {
-				cap = e.frontier
-				if h := e.q[0].ArriveVT; h > cap {
-					cap = h
-				}
-			}
-		}
-		e.bound = cap // provisional; blocked non-minimal sources improve below
-		if cap < m1 {
-			m2, m1, a1 = m1, cap, e
-		} else if cap < m2 {
-			m2 = cap
-		}
+// turnStepLocked makes one attempt at taking the (vt, e.id) turn: done
+// reports whether it was granted or refused with ErrKilled, or the caller
+// has to wait.
+func (n *Network) turnStepLocked(e *Endpoint, vt vtime.Time) (done bool, err error) {
+	if e.dead {
+		return true, ErrKilled
 	}
-	// Pass 2: blocked sources other than the unique cap-argmin are bounded
-	// by the earliest arrival the rest of the plane can still emit, and the
-	// idle latent recovery source by the earliest virtual time a failure
-	// could still be detected at (the minimum cap).
-	low := [3]boundRef{{infTime, -1}, {infTime, -1}, {infTime, -1}}
-	for _, e := range n.epList {
-		if e.state == stBlocked && e != a1 && m1 < infTime {
-			b := m1.Add(n.minLat)
-			if len(e.q) > 0 && e.q[0].ArriveVT < b {
-				b = e.q[0].ArriveVT
-			}
-			if e.frontier > b {
-				b = e.frontier
-			}
-			e.bound = b
-		} else if e.state == stIdle && e.id == n.latentID {
-			e.bound = m1
-		}
-		if e.bound < infTime {
-			r := boundRef{e.bound, e.id}
-			switch {
-			case r.less(low[0]):
-				low[0], low[1], low[2] = r, low[0], low[1]
-			case r.less(low[1]):
-				low[1], low[2] = r, low[1]
-			case r.less(low[2]):
-				low[2] = r
-			}
-		}
+	if vt > e.doomVT {
+		return true, e.reapLocked()
 	}
-	n.low3 = low
-	// Pass 3: wake exactly the waiters whose condition now holds.
-	for _, e := range n.epList {
-		switch e.waiting {
-		case wRecv:
-			if e.dead || (len(e.q) > 0 && n.gatePassLocked(e, e.q[0])) || n.doomReapLocked(e) {
-				e.cond.Signal()
-			}
-		case wTurn:
-			if e.dead || e.turnVT > e.doomVT || n.turnPassLocked(e, e.turnVT) {
-				e.cond.Signal()
-			}
+	if e.state != stRunning || e.frontier < vt {
+		e.state = stRunning
+		if vt > e.frontier {
+			e.frontier = vt
 		}
+		n.planeChangedLocked(e, nil)
 	}
+	if n.turnPassLocked(e, vt) {
+		n.ctr.TurnGrants++
+		return true, nil
+	}
+	return false, nil
 }
 
 // doomReapLocked reports whether a doomed endpoint blocked in Recv can be
@@ -823,8 +797,9 @@ func (n *Network) turnPassLocked(e *Endpoint, vt vtime.Time) bool {
 }
 
 // DebugState renders the delivery plane (states, frontiers, bounds, queue
-// heads) for deadlock diagnostics; the runtime includes it in watchdog
-// errors.
+// heads, and for each blocked endpoint whose head is held back the low3
+// entry pinning it) and the plane's work counters, for deadlock diagnostics;
+// the runtime includes it in watchdog errors.
 func (n *Network) DebugState() string {
 	n.dmu.Lock()
 	defer n.dmu.Unlock()
@@ -834,16 +809,33 @@ func (n *Network) DebugState() string {
 		head := "-"
 		if len(e.q) > 0 {
 			m := e.q[0]
-			head = fmt.Sprintf("%s src=%d avt=%d deliverable=%v", m.Kind, m.Src, m.ArriveVT, n.gatePassLocked(e, m))
+			deliverable := n.gatePassLocked(e, m)
+			head = fmt.Sprintf("%s src=%d avt=%d deliverable=%v", m.Kind, m.Src, m.ArriveVT, deliverable)
+			if !deliverable && e.state == stBlocked {
+				r := n.pinLocked(e, m)
+				head += fmt.Sprintf(" pinned-by={ep %d bound=%d}", r.id, r.b)
+			}
 		}
 		doom := ""
 		if e.doomVT < infTime {
 			doom = fmt.Sprintf(" doom=%d", e.doomVT)
 		}
 		b = fmt.Appendf(b, "  ep %d: %s frontier=%d bound=%d%s qlen=%d head={%s}\n",
-			e.id, names[e.state], e.frontier, e.bound, doom, len(e.q), head)
+			e.id, names[e.state], e.frontier, n.boundLocked(e), doom, len(e.q), head)
 	}
+	b = fmt.Appendf(b, "  counters: %+v\n", n.ctr)
 	return string(b)
+}
+
+// pinLocked returns the low3 entry gatePassLocked(dst, m) fails against —
+// the source that can still produce a message sorting before m.
+func (n *Network) pinLocked(dst *Endpoint, m *Msg) boundRef {
+	for _, r := range n.low3 {
+		if r.id != dst.id && r.id != m.Src {
+			return r
+		}
+	}
+	return boundRef{infTime, -1}
 }
 
 // Stats returns a copy of the pair-traffic matrix (np*np, row = src).
@@ -878,7 +870,7 @@ func (n *Network) Doom(id int, d vtime.Time) {
 	e := n.endpointLocked(id)
 	if !e.dead && d < e.doomVT {
 		e.doomVT = d
-		n.refreshLocked()
+		n.planeChangedLocked(e, nil)
 	}
 	n.dmu.Unlock()
 }
@@ -920,7 +912,7 @@ func (n *Network) killLocked(e *Endpoint) {
 	e.state = stDead
 	e.doomVT = infTime
 	e.q = nil
-	n.refreshLocked()
+	n.planeChangedLocked(e, nil)
 }
 
 // Restart revives the endpoint of rank with an empty mailbox.
@@ -945,7 +937,7 @@ func (n *Network) RestartAt(rank int, vt vtime.Time) {
 	e.doomVT = infTime
 	e.frontier = vt
 	e.q = nil
-	n.refreshLocked()
+	n.planeChangedLocked(e, nil)
 	n.dmu.Unlock()
 }
 
@@ -960,7 +952,7 @@ func (n *Network) AttachAt(id int, vt vtime.Time) {
 	if e.state != stDead {
 		e.state = stRunning
 		e.frontier = vt
-		n.refreshLocked()
+		n.planeChangedLocked(e, nil)
 	}
 	n.dmu.Unlock()
 }
@@ -979,7 +971,7 @@ func (n *Network) RestartServiceAt(id int, vt vtime.Time) {
 	e.doomVT = infTime
 	e.frontier = vt
 	e.q = nil
-	n.refreshLocked()
+	n.planeChangedLocked(e, nil)
 	n.dmu.Unlock()
 }
 
@@ -1002,8 +994,8 @@ func (n *Network) MaxFrontier() vtime.Time {
 
 // Quiescent reports whether the plane is truly stuck: exactly expected
 // goroutines are parked (in Recv or AwaitTurn) and none of their wake
-// conditions — the ones refreshLocked signals on — hold. A true result is a
-// stable property: no parked goroutine can run again until the caller
+// conditions (readyLocked, what a mutation signals on) hold. A true result
+// is a stable property: no parked goroutine can run again until the caller
 // mutates the plane, and the stuck state it describes is a pure function of
 // virtual time (every run of the same schedule reaches the identical one).
 // The supervisor uses it to detect a starved recovery round — one whose
@@ -1014,15 +1006,9 @@ func (n *Network) Quiescent(expected int) bool {
 	defer n.dmu.Unlock()
 	parked := 0
 	for _, e := range n.epList {
-		switch e.waiting {
-		case wRecv:
+		if e.waiting != wNone {
 			parked++
-			if e.dead || (len(e.q) > 0 && n.gatePassLocked(e, e.q[0])) || n.doomReapLocked(e) {
-				return false
-			}
-		case wTurn:
-			parked++
-			if e.dead || e.turnVT > e.doomVT || n.turnPassLocked(e, e.turnVT) {
+			if n.readyLocked(e) {
 				return false
 			}
 		}

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -125,6 +126,12 @@ func TestRecvGatesOnLaggingSenderFrontier(t *testing.T) {
 	case <-got:
 		t.Fatal("message delivered while src 2 could still produce an earlier stamp")
 	case <-time.After(20 * time.Millisecond):
+	}
+	for !n.Quiescent(1) { // until rank 1 is parked
+		time.Sleep(time.Millisecond)
+	}
+	if dump := n.DebugState(); !strings.Contains(dump, "deliverable=false pinned-by={ep 2 bound=0}") {
+		t.Fatalf("DebugState does not name the source pinning rank 1:\n%s", dump)
 	}
 	n.Publish(2, 60_000) // now any message from 2 must arrive after 53µs+ε
 	select {

@@ -1,10 +1,11 @@
 package hydee_test
 
-// The ROADMAP scale point: a 1024-rank HydEE smoke workload. `make
-// profile` of it puts the time in the delivery plane —
-// transport.refreshLocked, O(np) per mutation — not in the supervisor's
-// event channel; the benchmark's stencil1024-onefail workload is the
-// same shape. Skipped under -short.
+// The ROADMAP scale point: a 1024-rank HydEE smoke workload; the
+// benchmark's stencil1024-onefail workload is the same shape. `make profile`
+// profiles it: with the delivery plane's per-mutation work logarithmic in np
+// (internal/transport/plane.go) the time is in goroutine wake-ups and
+// scheduling, and the plane counters the test logs say how many of those
+// wake-ups found nothing to do (ROADMAP "Open items").
 
 import (
 	"context"
@@ -17,9 +18,6 @@ import (
 // checkpoint, a failure and a recovery round, and checks the protocol's
 // containment claim holds at scale: exactly one cluster rolls back.
 func TestHydEESmoke1024(t *testing.T) {
-	if testing.Short() {
-		t.Skip("np=1024 smoke workload skipped in -short mode")
-	}
 	if raceEnabled {
 		t.Skip("np=1024 smoke workload skipped under the race detector (~25x slower, no added coverage)")
 	}
@@ -43,6 +41,7 @@ func TestHydEESmoke1024(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("plane counters: %+v", res.Plane)
 	if len(res.Rounds) != 1 {
 		t.Fatalf("rounds = %+v, want exactly 1", res.Rounds)
 	}
