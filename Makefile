@@ -7,7 +7,7 @@ STATICCHECK ?= staticcheck
 # "Static analysis".)
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build test test-short race determinism profile bench bench-check vet lint staticcheck-install fmt-check check
+.PHONY: all build test test-short race determinism profile bench bench-check bench-layers vet lint staticcheck-install fmt-check check clean
 
 all: check
 
@@ -56,6 +56,14 @@ bench:
 bench-check:
 	cd benchmark && $(GO) build . && $(GO) vet . && $(GO) test -short .
 
+# The in-tree benchmarks of the layers the repository benchmark attributes
+# checkpoint time to: the erasure kernel (Split, Reconstruct) and the
+# checkpoint data path (fragment seal, steady-state ec and replica saves,
+# a degraded ec load), with MB/s and B/op. CI runs the same set with
+# -benchtime 1x so they cannot rot.
+bench-layers:
+	$(GO) test -run '^$$' -bench . -benchtime 200ms ./internal/erasure ./internal/checkpoint
+
 vet:
 	$(GO) vet ./...
 
@@ -85,3 +93,8 @@ fmt-check:
 	fi
 
 check: build vet fmt-check test bench-check
+
+# Remove what `make profile`, `make bench` and `make bench-check` leave in
+# the working tree (all git-ignored).
+clean:
+	rm -rf cpu.prof hydee-smoke.test .bench_build benchmark/benchmark

@@ -90,11 +90,22 @@ func (s *Snapshot) Clone() *Snapshot {
 
 // EncodeState gob-encodes an application state value.
 func EncodeState(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+	var w appendWriter
+	if err := gob.NewEncoder(&w).Encode(v); err != nil {
 		return nil, fmt.Errorf("checkpoint: encode state: %w", err)
 	}
-	return buf.Bytes(), nil
+	return w, nil
+}
+
+// appendWriter collects writes by append. gob hands over a whole value
+// as one Write, so a large image costs one allocation of its size that —
+// unlike a bytes.Buffer's growth or a pre-sized make — the runtime need
+// not zero before the copy lands in it.
+type appendWriter []byte
+
+func (w *appendWriter) Write(p []byte) (int, error) {
+	*w = append(*w, p...)
+	return len(p), nil
 }
 
 // DecodeState gob-decodes into the application state pointer.
@@ -113,6 +124,18 @@ func DecodeState(b []byte, v any) error {
 // the runtime restores the whole scope from the *minimum* completed
 // sequence; stores therefore retain a small history per rank, not just the
 // latest snapshot.
+//
+// Ownership: the snapshot passed to Save, and every byte slice and
+// message it points to, stays the caller's. A store copies what it keeps —
+// exactly once — before Save returns, and never retains, recycles or
+// pools the caller's buffers, so the caller may mutate or reuse them
+// immediately (and may save one buffer again under a later sequence).
+// Load returns a private copy the caller may mutate. Buffers the
+// checkpoint package builds itself — the fragments of the redundant
+// layouts — are the exception in the other direction: the package owns
+// them, hands them to its in-memory targets without a further copy, and
+// takes back the buffers of generations those targets prune (see
+// fragmentTarget).
 type Store interface {
 	// Save persists the snapshot and returns the virtual time at which the
 	// write completes, given it was issued at the process clock `at`.
@@ -148,8 +171,8 @@ const historyKeep = 3
 // The zero value is unusable; use NewMemStore.
 type MemStore struct {
 	mu sync.Mutex
-	// snaps[rank][seq] holds the retained generations.
-	snaps map[int]map[int]*Snapshot
+	// gens[rank] holds the retained generations in ascending Seq order.
+	gens map[int][]*Snapshot
 	// latest[rank] is the newest completed sequence.
 	latest map[int]int
 	// bytesPerSec is the aggregate write bandwidth shared by all writers;
@@ -164,25 +187,48 @@ type MemStore struct {
 // bandwidths in bytes/second (zero disables the cost model).
 func NewMemStore(writeBPS, readBPS float64) *MemStore {
 	return &MemStore{
-		snaps:       make(map[int]map[int]*Snapshot),
+		gens:        make(map[int][]*Snapshot),
 		latest:      make(map[int]int),
 		bytesPerSec: writeBPS,
 		readBPS:     readBPS,
 	}
 }
 
-// Save implements Store. Concurrent saves serialize on the shared link: a
-// save issued at time t starts at max(t, busyUntil), reproducing I/O bursts.
+// Save implements Store: the store keeps a deep copy. Concurrent saves
+// serialize on the shared link: a save issued at time t starts at
+// max(t, busyUntil), reproducing I/O bursts.
 func (st *MemStore) Save(s *Snapshot, at vtime.Time) (vtime.Time, error) {
+	end, _ := st.keep(s.Clone(), at)
+	return end, nil
+}
+
+// saveOwned implements fragmentTarget: fs is kept as it is, and the
+// AppState buffer of a generation it displaces goes back to the caller.
+func (st *MemStore) saveOwned(fs *Snapshot, at vtime.Time) (vtime.Time, []byte, error) {
+	end, spare := st.keep(fs, at)
+	return end, spare, nil
+}
+
+// keep stores cp, which the store owns from here on, and prunes. spare
+// is the AppState buffer of a generation that left the store — the one
+// cp overwrote or the last one pruned — and nobody else's: every stored
+// snapshot is a copy or a hand-off, and Load copies under the lock.
+func (st *MemStore) keep(cp *Snapshot, at vtime.Time) (end vtime.Time, spare []byte) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	cp := s.Clone()
-	gen := st.snaps[cp.Rank]
-	if gen == nil {
-		gen = make(map[int]*Snapshot)
-		st.snaps[cp.Rank] = gen
+	gen := st.gens[cp.Rank]
+	i := 0
+	for i < len(gen) && gen[i].Seq < cp.Seq {
+		i++
 	}
-	gen[cp.Seq] = cp
+	if i < len(gen) && gen[i].Seq == cp.Seq {
+		spare = gen[i].AppState
+		gen[i] = cp
+	} else {
+		gen = append(gen, nil)
+		copy(gen[i+1:], gen[i:])
+		gen[i] = cp
+	}
 	// latest tracks the newest sequence of the current save streak. A
 	// rank's saves are strictly increasing within one run, so a save at or
 	// below the recorded latest means the store is being reused by a new
@@ -192,15 +238,19 @@ func (st *MemStore) Save(s *Snapshot, at vtime.Time) (vtime.Time, error) {
 	// higher-sequence leftovers linger unpruned, which is harmless: the
 	// runtime only restores sequences the current run completed.
 	st.latest[cp.Rank] = cp.Seq
-	for seq := range gen {
-		if seq <= st.latest[cp.Rank]-historyKeep {
-			delete(gen, seq)
-		}
+	// Generations are sorted, so the prunable ones lead the slice.
+	drop := 0
+	for drop < len(gen) && gen[drop].Seq <= cp.Seq-historyKeep {
+		spare = gen[drop].AppState
+		drop++
 	}
+	n := copy(gen, gen[drop:])
+	clear(gen[n:])
+	st.gens[cp.Rank] = gen[:n]
 	st.stats.Saves++
 	st.stats.SavedBytes += cp.CostBytes()
 	if st.bytesPerSec <= 0 {
-		return at, nil
+		return at, spare
 	}
 	start := at
 	if st.busyUntil > start {
@@ -210,9 +260,9 @@ func (st *MemStore) Save(s *Snapshot, at vtime.Time) (vtime.Time, error) {
 		start = st.busyUntil
 	}
 	dur := vtime.Duration(float64(cp.CostBytes()) / st.bytesPerSec * 1e9)
-	end := start.Add(dur)
+	end = start.Add(dur)
 	st.busyUntil = end
-	return end, nil
+	return end, spare
 }
 
 // LatestSeq implements Store.
@@ -226,8 +276,14 @@ func (st *MemStore) LatestSeq(rank int) int {
 func (st *MemStore) Load(rank, seq int, at vtime.Time) (*Snapshot, vtime.Time, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	s, ok := st.snaps[rank][seq]
-	if !ok {
+	var s *Snapshot
+	for _, g := range st.gens[rank] {
+		if g.Seq == seq {
+			s = g
+			break
+		}
+	}
+	if s == nil {
 		return nil, at, false
 	}
 	st.stats.Loads++

@@ -10,17 +10,18 @@ package checkpoint
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 
 	"hydee/internal/transport"
 	"hydee/internal/vtime"
 )
 
 // snapMagic/fragMagic version the two on-shard formats; bump on layout
-// changes so stale persisted fragments are rejected, not misdecoded.
+// changes so stale persisted fragments are rejected, not misdecoded
+// (HYFR1 was the varint-header, FNV-64a-sealed container).
 const (
 	snapMagic = "HYSN1"
-	fragMagic = "HYFR1"
+	fragMagic = "HYFR2"
 )
 
 // EncodeSnapshot serializes a snapshot into a deterministic byte blob:
@@ -29,7 +30,35 @@ const (
 // (CtlBody != nil) never survives into a mailbox capture, and encoding
 // one is an error rather than a silent drop.
 func EncodeSnapshot(s *Snapshot) ([]byte, error) {
-	b := make([]byte, 0, 64+len(s.AppState)+len(s.ProtState))
+	segs, total, err := snapshotSegments(s)
+	if err != nil {
+		return nil, err
+	}
+	b := make([]byte, 0, total)
+	for _, seg := range segs {
+		b = append(b, seg...)
+	}
+	return b, nil
+}
+
+// snapshotSegments lays the encoding of s out as the byte segments
+// whose concatenation is the blob, and reports their total length. The
+// field encodings are fresh bytes; AppState, ProtState and the message
+// payloads are referenced, not copied, so a consumer that places the
+// blob somewhere (EncodeSnapshot into one buffer, the redundant stores
+// straight into their fragments) moves those bytes exactly once.
+func snapshotSegments(s *Snapshot) (segs [][]byte, total int, err error) {
+	segs = make([][]byte, 0, 5+2*len(s.Mailbox))
+	// b accumulates field encodings; b[mark:] is the run not yet emitted.
+	// Regrowing b leaves emitted runs intact in the old array.
+	b := make([]byte, 0, 96+64*len(s.Mailbox))
+	mark := 0
+	byteString := func(p []byte) {
+		b = binary.AppendUvarint(b, uint64(len(p)))
+		segs = append(segs, b[mark:], p)
+		total += len(b) - mark + len(p)
+		mark = len(b)
+	}
 	b = append(b, snapMagic...)
 	b = binary.AppendVarint(b, int64(s.Rank))
 	b = binary.AppendVarint(b, int64(s.Seq))
@@ -37,12 +66,12 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 	b = binary.AppendVarint(b, int64(s.CkptCallIdx))
 	b = binary.AppendVarint(b, s.CollSeq)
 	b = binary.AppendVarint(b, s.ModelBytes)
-	b = appendBytes(b, s.AppState)
-	b = appendBytes(b, s.ProtState)
+	byteString(s.AppState)
+	byteString(s.ProtState)
 	b = binary.AppendUvarint(b, uint64(len(s.Mailbox)))
 	for i, m := range s.Mailbox {
 		if m.CtlBody != nil {
-			return nil, fmt.Errorf("checkpoint: encode snapshot rank %d seq %d: mailbox message %d carries a control body", s.Rank, s.Seq, i)
+			return nil, 0, fmt.Errorf("checkpoint: encode snapshot rank %d seq %d: mailbox message %d carries a control body", s.Rank, s.Seq, i)
 		}
 		b = binary.AppendVarint(b, int64(m.Src))
 		b = binary.AppendVarint(b, int64(m.Dst))
@@ -56,11 +85,32 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 		b = binary.AppendVarint(b, int64(m.Round))
 		b = binary.AppendVarint(b, int64(m.WireLen))
 		b = binary.AppendVarint(b, int64(m.PiggyLen))
-		b = appendBytes(b, m.Data)
+		byteString(m.Data)
 		b = binary.AppendVarint(b, int64(m.SendVT))
 		b = binary.AppendVarint(b, int64(m.ArriveVT))
 	}
-	return b, nil
+	segs = append(segs, b[mark:])
+	total += len(b) - mark
+	return segs, total, nil
+}
+
+// stripe copies the segments, in order, across the consecutive regions —
+// the layout of a blob over its data fragments — and zero-fills what the
+// blob leaves of the last ones. The regions must hold the segments.
+func stripe(regions [][]byte, segs [][]byte) {
+	j, off := 0, 0
+	for _, seg := range segs {
+		for len(seg) > 0 {
+			n := copy(regions[j][off:], seg)
+			seg = seg[n:]
+			if off += n; off == len(regions[j]) {
+				j, off = j+1, 0
+			}
+		}
+	}
+	for ; j < len(regions); j, off = j+1, 0 {
+		clear(regions[j][off:])
+	}
 }
 
 // DecodeSnapshot reverses EncodeSnapshot. The returned snapshot shares
@@ -113,9 +163,15 @@ func DecodeSnapshot(b []byte) (*Snapshot, error) {
 
 // fragment is the unit the redundant stores place on one shard: either
 // one erasure-coded piece of a snapshot blob (ECStore, K data of K+M
-// total) or one full replica of it (ReplicatedStore, K=1). BlobLen is
-// the pre-padding blob length reconstruction must trim back to, and the
-// trailing FNV-64a checksum makes corruption detectable: a fragment
+// total) or one full replica of it (ReplicatedStore, K=1). On a shard it
+// is one buffer the store builds in place:
+//
+//	"HYFR2" | K u32 | M u32 | Index u32 | BlobLen u64 | payload | CRC-32C u32
+//
+// all little-endian, the header fragHeaderLen bytes, the payload
+// ceil(BlobLen/K) bytes, the seal the Castagnoli CRC of everything
+// before it. BlobLen is the pre-padding blob length reconstruction must
+// trim back to, and the seal makes corruption detectable: a fragment
 // that fails verification counts as erased, which the code tolerates up
 // to its redundancy.
 type fragment struct {
@@ -123,56 +179,64 @@ type fragment struct {
 	// BlobLen is the length of the whole encoded snapshot the fragment
 	// belongs to.
 	BlobLen int
+	// Payload aliases the parsed buffer.
 	Payload []byte
 }
 
-// marshal renders the fragment with its checksum trailer.
-func (f *fragment) marshal() []byte {
-	b := make([]byte, 0, 32+len(f.Payload))
-	b = append(b, fragMagic...)
-	b = binary.AppendUvarint(b, uint64(f.K))
-	b = binary.AppendUvarint(b, uint64(f.M))
-	b = binary.AppendUvarint(b, uint64(f.Index))
-	b = binary.AppendUvarint(b, uint64(f.BlobLen))
-	b = appendBytes(b, f.Payload)
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum(b)
+const (
+	fragHeaderLen = len(fragMagic) + 3*4 + 8
+	fragSealLen   = 4
+)
+
+// castagnoli selects CRC-32C, which amd64 and arm64 compute in hardware.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// fragmentLen is the size of a fragment carrying payloadLen bytes.
+func fragmentLen(payloadLen int) int { return fragHeaderLen + payloadLen + fragSealLen }
+
+// putFragmentHeader writes the header of fragment index of a k+m group
+// over a blobLen-byte blob into b[:fragHeaderLen].
+func putFragmentHeader(b []byte, k, m, index, blobLen int) {
+	n := copy(b, fragMagic)
+	binary.LittleEndian.PutUint32(b[n:], uint32(k))
+	binary.LittleEndian.PutUint32(b[n+4:], uint32(m))
+	binary.LittleEndian.PutUint32(b[n+8:], uint32(index))
+	binary.LittleEndian.PutUint64(b[n+12:], uint64(blobLen))
 }
 
-// parseFragment decodes and verifies a marshaled fragment. ok is false
-// for anything malformed or checksum-damaged — the caller treats such a
-// shard as lost.
+// sealFragment checksums header and payload of the fragment filling b
+// into its trailer.
+func sealFragment(b []byte) {
+	body := b[:len(b)-fragSealLen]
+	binary.LittleEndian.PutUint32(b[len(body):], crc32.Checksum(body, castagnoli))
+}
+
+// parseFragment decodes and verifies a fragment. ok is false for
+// anything malformed, truncated or checksum-damaged — the caller treats
+// such a shard as lost.
 func parseFragment(b []byte) (fragment, bool) {
-	if len(b) < 8 {
+	if len(b) < fragmentLen(0) || string(b[:len(fragMagic)]) != fragMagic {
 		return fragment{}, false
 	}
-	body, sum := b[:len(b)-8], b[len(b)-8:]
-	h := fnv.New64a()
-	h.Write(body)
-	if string(h.Sum(nil)) != string(sum) {
+	body := b[:len(b)-fragSealLen]
+	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(b[len(body):]) {
 		return fragment{}, false
 	}
-	d := &decoder{b: body}
-	if !d.literal(fragMagic) {
+	h := b[len(fragMagic):]
+	f := fragment{
+		K:       int(binary.LittleEndian.Uint32(h)),
+		M:       int(binary.LittleEndian.Uint32(h[4:])),
+		Index:   int(binary.LittleEndian.Uint32(h[8:])),
+		Payload: body[fragHeaderLen:],
+	}
+	// The payload of a K-way split is exactly ceil(BlobLen/K) bytes; the
+	// first bound keeps the rounding from overflowing on a wild BlobLen.
+	blobLen, k, size := binary.LittleEndian.Uint64(h[12:]), uint64(f.K), uint64(len(f.Payload))
+	if k < 1 || blobLen > k*size || (blobLen+k-1)/k != size {
 		return fragment{}, false
 	}
-	var f fragment
-	f.K = int(d.uvarint())
-	f.M = int(d.uvarint())
-	f.Index = int(d.uvarint())
-	f.BlobLen = int(d.uvarint())
-	f.Payload = d.bytes()
-	if d.err != nil || len(d.b) != 0 || f.K < 1 || f.M < 0 || f.Index < 0 || f.BlobLen < 0 {
-		return fragment{}, false
-	}
+	f.BlobLen = int(blobLen)
 	return f, true
-}
-
-// appendBytes writes a length-prefixed byte string.
-func appendBytes(b, s []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
 }
 
 // decoder is a cursor over an encoded blob; the first error sticks and

@@ -2,6 +2,9 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/fnv"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -105,10 +108,21 @@ func TestSnapshotCodecRejectsDamage(t *testing.T) {
 	}
 }
 
+// marshal renders f the way the redundant stores build a fragment in
+// place: header, payload, seal.
+func (f *fragment) marshal() []byte {
+	b := make([]byte, fragmentLen(len(f.Payload)))
+	putFragmentHeader(b, f.K, f.M, f.Index, f.BlobLen)
+	copy(b[fragHeaderLen:], f.Payload)
+	sealFragment(b)
+	return b
+}
+
 // TestFragmentChecksum: a marshaled fragment parses back exactly, and
-// any single flipped byte is detected.
+// every truncation and every single flipped byte is detected.
 func TestFragmentChecksum(t *testing.T) {
-	f := &fragment{K: 4, M: 2, Index: 3, BlobLen: 999, Payload: []byte("fragment payload bytes")}
+	payload := []byte("fragment payload bytes")
+	f := &fragment{K: 4, M: 2, Index: 3, BlobLen: 4*len(payload) - 1, Payload: payload}
 	b := f.marshal()
 	got, ok := parseFragment(b)
 	if !ok {
@@ -118,13 +132,95 @@ func TestFragmentChecksum(t *testing.T) {
 		t.Fatalf("fragment fields changed: %+v vs %+v", got, f)
 	}
 	for i := range b {
-		dam := append([]byte(nil), b...)
-		dam[i] ^= 0x40
-		if _, ok := parseFragment(dam); ok {
-			t.Fatalf("flipped byte %d went undetected", i)
+		for _, bit := range []byte{0x01, 0x40, 0x80} {
+			dam := append([]byte(nil), b...)
+			dam[i] ^= bit
+			if _, ok := parseFragment(dam); ok {
+				t.Fatalf("byte %d flipped by %#x went undetected", i, bit)
+			}
 		}
 	}
-	if _, ok := parseFragment([]byte("short")); ok {
-		t.Error("short input accepted")
+	for n := 0; n < len(b); n++ {
+		if _, ok := parseFragment(b[:n]); ok {
+			t.Fatalf("truncation to %d of %d bytes accepted", n, len(b))
+		}
+	}
+	if _, ok := parseFragment(append(append([]byte(nil), b...), 0)); ok {
+		t.Error("trailing byte accepted")
+	}
+	// Replica geometry (K=1: the payload is the whole blob) and the empty
+	// blob parse too.
+	for _, f := range []*fragment{
+		{K: 1, M: 2, Index: 2, BlobLen: len(payload), Payload: payload},
+		{K: 3, M: 1, Index: 0, BlobLen: 0, Payload: []byte{}},
+	} {
+		if got, ok := parseFragment(f.marshal()); !ok || got.BlobLen != f.BlobLen || !bytes.Equal(got.Payload, f.Payload) {
+			t.Errorf("fragment %+v did not round-trip (ok=%v, got %+v)", f, ok, got)
+		}
+	}
+	// A sealed fragment whose payload length contradicts BlobLen/K is
+	// malformed even though its checksum holds.
+	if _, ok := parseFragment((&fragment{K: 4, M: 2, Index: 0, BlobLen: 999, Payload: payload}).marshal()); ok {
+		t.Error("payload length inconsistent with BlobLen/K accepted")
+	}
+	if _, ok := parseFragment((&fragment{K: 0, M: 2, Index: 0, BlobLen: 0, Payload: nil}).marshal()); ok {
+		t.Error("K = 0 accepted")
+	}
+}
+
+// TestStaleFragmentFormatIsAbsent: a fragment in the previous container
+// format — HYFR1 magic, varint header, FNV-64a trailer, built here by
+// hand — parses as absent, so a store reopened over old fragments sees
+// lost shards, never misdecoded ones.
+func TestStaleFragmentFormatIsAbsent(t *testing.T) {
+	payload := []byte("fragment payload bytes")
+	b := []byte("HYFR1")
+	b = binary.AppendUvarint(b, 4)   // K
+	b = binary.AppendUvarint(b, 2)   // M
+	b = binary.AppendUvarint(b, 3)   // Index
+	b = binary.AppendUvarint(b, 999) // BlobLen
+	b = binary.AppendUvarint(b, uint64(len(payload)))
+	b = append(b, payload...)
+	h := fnv.New64a()
+	h.Write(b)
+	b = h.Sum(b)
+	if _, ok := parseFragment(b); ok {
+		t.Fatal("HYFR1/FNV-64a fragment accepted by the HYFR2 parser")
+	}
+	// Even re-sealed with a valid CRC-32C the old magic is refused.
+	b = append(b[:len(b)-8], 0, 0, 0, 0)
+	sealFragment(b)
+	if _, ok := parseFragment(b); ok {
+		t.Fatal("HYFR1 magic accepted under a valid CRC-32C seal")
+	}
+}
+
+// TestStripeLaysOutTheEncoding: striping a snapshot's segments over k
+// regions of ceil(len/k) bytes yields exactly the EncodeSnapshot blob,
+// zero-padded — whatever stale bytes the regions held.
+func TestStripeLaysOutTheEncoding(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 50; trial++ {
+		s := randomSnap(rng, trial%5, 1+trial)
+		blob, err := EncodeSnapshot(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs, total, err := snapshotSegments(s)
+		if err != nil || total != len(blob) {
+			t.Fatalf("segments total %d (err %v), blob is %d bytes", total, err, len(blob))
+		}
+		for k := 1; k <= 5; k++ {
+			size := (total + k - 1) / k
+			regions := make([][]byte, k)
+			for j := range regions {
+				regions[j] = bytes.Repeat([]byte{0xEE}, size)
+			}
+			stripe(regions, segs)
+			want := append(append([]byte(nil), blob...), make([]byte, k*size-total)...)
+			if got := bytes.Join(regions, nil); !bytes.Equal(got, want) {
+				t.Fatalf("trial %d k=%d: striped regions differ from the padded blob", trial, k)
+			}
+		}
 	}
 }

@@ -39,19 +39,26 @@ func NewECStore(k, m int, writeBPS, readBPS float64, place func(rank int) int) (
 	}, nil
 }
 
-// Save implements Store: the snapshot is encoded, split, and written as
-// k+m fragments to consecutive shards from the rank's base shard. The
-// modeled cost per fragment is the snapshot's CostBytes()/k share plus a
-// fixed envelope, so the aggregate traffic reflects the (k+m)/k
-// redundancy overhead.
+// Save implements Store: the snapshot's encoding is written once,
+// striped straight into the payloads of the k data fragments, and the m
+// parity payloads are computed in place from them; fragment i lands on
+// shard (base+i) mod (k+m) from the rank's base shard. The modeled cost
+// per fragment is the snapshot's CostBytes()/k share plus a fixed
+// envelope, so the aggregate traffic reflects the (k+m)/k redundancy
+// overhead.
 func (st *ECStore) Save(s *Snapshot, at vtime.Time) (vtime.Time, error) {
-	blob, err := EncodeSnapshot(s)
+	segs, blobLen, err := snapshotSegments(s)
 	if err != nil {
 		return at, err
 	}
-	k := int64(st.code.K())
-	cost := (s.CostBytes()+k-1)/k + fragmentEnvelope
-	return st.writeGroup(s, at, st.home(s.Rank), int(k), len(blob), cost, st.code.Split(blob))
+	k := st.code.K()
+	bufs, payloads := st.newGroup(k, st.code.N(), st.code.ShardSize(blobLen), blobLen)
+	stripe(payloads[:k], segs)
+	if err := st.code.Encode(payloads[:k], payloads[k:]); err != nil {
+		return at, fmt.Errorf("checkpoint: %w", err)
+	}
+	cost := (s.CostBytes()+int64(k)-1)/int64(k) + fragmentEnvelope
+	return st.writeGroup(s, at, st.home(s.Rank), cost, bufs)
 }
 
 // Load implements Store: fragments are probed in index order, all reads

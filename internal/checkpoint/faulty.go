@@ -205,31 +205,54 @@ func (sh *faultyShard) mode(at vtime.Time) (killed, corrupt bool, slow float64) 
 	return killed, corrupt, slow
 }
 
-// Save implements Store: killed shards drop the write (counted, no
-// error — a lost storage target fails silently, it does not abort the
-// writer), degraded shards charge Factor× the modeled cost.
-func (sh *faultyShard) Save(s *Snapshot, at vtime.Time) (vtime.Time, error) {
+// admit applies the write-side faults to a save issued at `at`: a killed
+// shard drops the write (counted, no error — a lost storage target
+// fails silently, it does not abort the writer), a degraded shard
+// charges Factor× the modeled cost through a shallow copy of s.
+func (sh *faultyShard) admit(s *Snapshot, at vtime.Time) (admitted *Snapshot, dropped bool) {
 	killed, _, slow := sh.mode(at)
 	if killed {
 		sh.mu.Lock()
 		sh.stats.LostWrites++
 		sh.mu.Unlock()
-		return at, nil
+		return s, true
 	}
 	if slow != 1 {
 		cp := *s
 		cp.ModelBytes = int64(float64(s.CostBytes()) * slow)
-		return sh.inner.Save(&cp, at)
+		s = &cp
+	}
+	return s, false
+}
+
+// Save implements Store with the write-side faults of admit.
+func (sh *faultyShard) Save(s *Snapshot, at vtime.Time) (vtime.Time, error) {
+	s, dropped := sh.admit(s, at)
+	if dropped {
+		return at, nil
 	}
 	return sh.inner.Save(s, at)
+}
+
+// saveOwned implements fragmentTarget with the same faults; a dropped
+// fragment's buffer is free again at once.
+func (sh *faultyShard) saveOwned(fs *Snapshot, at vtime.Time) (vtime.Time, []byte, error) {
+	fs, dropped := sh.admit(fs, at)
+	if dropped {
+		return at, fs.AppState, nil
+	}
+	return handOff(sh.inner, fs, at)
 }
 
 // LatestSeq implements Store (see FaultyStore.LatestSeq).
 func (sh *faultyShard) LatestSeq(rank int) int { return sh.inner.LatestSeq(rank) }
 
 // Load implements Store: killed shards refuse the read, corrupt shards
-// damage the returned clone (detectable only by self-verifying
-// backends), degraded shards stretch the read duration.
+// damage the returned snapshot (detectable only by self-verifying
+// backends), degraded shards stretch the read duration. The damage lands
+// on the private copy the inner Load returned (the Store contract): the
+// copy precedes the flip, so what the shard holds stays clean for a read
+// issued before AtVT.
 func (sh *faultyShard) Load(rank, seq int, at vtime.Time) (*Snapshot, vtime.Time, bool) {
 	killed, corrupt, slow := sh.mode(at)
 	if killed {

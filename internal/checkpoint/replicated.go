@@ -33,20 +33,22 @@ func NewReplicatedStore(r int, writeBPS, readBPS float64, place func(rank int) i
 	return &ReplicatedStore{shardSet{place: place, targets: memTargets(r, writeBPS, readBPS)}}, nil
 }
 
-// Save implements Store: the snapshot is serialized once and the full
-// blob written to every replica (a 1-of-r fragment group from replica
-// 0). Each replica write is charged the full snapshot cost, so aggregate
-// traffic reflects the r× overhead.
+// Save implements Store: the snapshot's encoding is written once, into
+// the fragment of replica 0, and copied from there into one fragment per
+// further replica (a 1-of-r fragment group from replica 0). Each replica
+// write is charged the full snapshot cost, so aggregate traffic reflects
+// the r× overhead.
 func (st *ReplicatedStore) Save(s *Snapshot, at vtime.Time) (vtime.Time, error) {
-	blob, err := EncodeSnapshot(s)
+	segs, blobLen, err := snapshotSegments(s)
 	if err != nil {
 		return at, err
 	}
-	copies := make([][]byte, len(st.targets))
-	for i := range copies {
-		copies[i] = blob
+	bufs, payloads := st.newGroup(1, len(st.targets), blobLen, blobLen)
+	stripe(payloads[:1], segs)
+	for _, p := range payloads[1:] {
+		copy(p, payloads[0])
 	}
-	return st.writeGroup(s, at, 0, 1, len(blob), s.CostBytes()+fragmentEnvelope, copies)
+	return st.writeGroup(s, at, 0, s.CostBytes()+fragmentEnvelope, bufs)
 }
 
 // Load implements Store: replicas are probed one after another from the

@@ -31,6 +31,9 @@ type shardSet struct {
 	// saves/loads count the redundant layouts' logical snapshot
 	// operations (each is several target operations).
 	saves, loads int64
+	// spare holds fragment buffers the targets gave back (see
+	// fragmentTarget), for the next save to build its fragments in.
+	spare [][]byte
 	// degraded counts what successful loads had to route around — the
 	// survived-shard-loss signal E6 reports.
 	degraded int64
@@ -130,26 +133,77 @@ func (ss *shardSet) countLoad(degraded int64) {
 	ss.mu.Unlock()
 }
 
-// writeGroup writes one snapshot's fragment group: piece i, wrapped in
-// a self-verifying fragment of a k-of-len(pieces) code, goes to target
-// (base+i) mod n charged cost modeled bytes. All writes are issued at
-// `at` in parallel, so the save completes when the slowest target does.
-func (ss *shardSet) writeGroup(s *Snapshot, at vtime.Time, base, k, blobLen int, cost int64, pieces [][]byte) (vtime.Time, error) {
-	end := at
-	for i, payload := range pieces {
-		fs := &Snapshot{
-			Rank:    s.Rank,
-			Seq:     s.Seq,
-			TakenVT: s.TakenVT,
-			AppState: (&fragment{
-				K: k, M: len(pieces) - k, Index: i,
-				BlobLen: blobLen, Payload: payload,
-			}).marshal(),
-			ModelBytes: cost,
+// fragmentTarget is the one hand-off between the redundant layouts and
+// their targets. A fragment snapshot is built by this package, so its
+// buffers are the package's to give away: the target keeps fs as it is —
+// no deep copy — and hands back, as spare, an AppState buffer it no
+// longer references (a generation fs overwrote or pruned, or fs's own if
+// the write was dropped), nil if it has none. MemStore and the fault
+// plane's shard wrapper implement it; handOff falls back to Save for any
+// other target.
+type fragmentTarget interface {
+	saveOwned(fs *Snapshot, at vtime.Time) (end vtime.Time, spare []byte, err error)
+}
+
+// handOff gives fs to target t (see fragmentTarget). A target without
+// the hand-off copies in its Save, which frees fs's buffer at once.
+func handOff(t Store, fs *Snapshot, at vtime.Time) (end vtime.Time, spare []byte, err error) {
+	if ft, ok := t.(fragmentTarget); ok {
+		return ft.saveOwned(fs, at)
+	}
+	if end, err = t.Save(fs, at); err != nil {
+		return end, nil, err
+	}
+	return end, fs.AppState, nil
+}
+
+// newGroup returns the buffers of an n-fragment group of a k-of-n code
+// over a blobLen-byte blob, headers written, and the payloadLen-byte
+// payload region of each for the layout to fill. Buffers come from the
+// spare list when one is large enough; a fresh one carries a sixteenth of
+// headroom so a rank whose snapshots grow slowly keeps fitting its
+// recycled buffers.
+func (ss *shardSet) newGroup(k, n, payloadLen, blobLen int) (bufs, payloads [][]byte) {
+	size := fragmentLen(payloadLen)
+	bufs, payloads = make([][]byte, n), make([][]byte, n)
+	ss.mu.Lock()
+	for i := range bufs {
+		if last := len(ss.spare) - 1; last >= 0 {
+			if b := ss.spare[last]; cap(b) >= size {
+				bufs[i] = b[:size]
+			}
+			ss.spare[last] = nil
+			ss.spare = ss.spare[:last]
 		}
-		e, err := ss.targets[(base+i)%len(ss.targets)].Save(fs, at)
+	}
+	ss.mu.Unlock()
+	for i, b := range bufs {
+		if b == nil {
+			b = make([]byte, size, size+size/16)
+			bufs[i] = b
+		}
+		putFragmentHeader(b, k, n-k, i, blobLen)
+		payloads[i] = b[fragHeaderLen : fragHeaderLen+payloadLen]
+	}
+	return bufs, payloads
+}
+
+// writeGroup seals the fragments of one snapshot and writes them:
+// fragment i goes to target (base+i) mod n, charged cost modeled bytes,
+// through the hand-off. All writes are issued at `at` in parallel, so
+// the save completes when the slowest target does.
+func (ss *shardSet) writeGroup(s *Snapshot, at vtime.Time, base int, cost int64, bufs [][]byte) (vtime.Time, error) {
+	end := at
+	spares := make([][]byte, 0, len(bufs))
+	for i, b := range bufs {
+		sealFragment(b)
+		fs := &Snapshot{Rank: s.Rank, Seq: s.Seq, TakenVT: s.TakenVT, AppState: b, ModelBytes: cost}
+		e, spare, err := handOff(ss.targets[(base+i)%len(ss.targets)], fs, at)
 		if err != nil {
 			return at, err
+		}
+		if spare != nil {
+			spares = append(spares, spare)
 		}
 		if e > end {
 			end = e
@@ -157,6 +211,7 @@ func (ss *shardSet) writeGroup(s *Snapshot, at vtime.Time, base, k, blobLen int,
 	}
 	ss.mu.Lock()
 	ss.saves++
+	ss.spare = append(ss.spare, spares...)
 	ss.mu.Unlock()
 	return end, nil
 }

@@ -6,8 +6,18 @@
 // The parity matrix is a Cauchy matrix, so the stacked generator
 // [I_k; C] has the maximum-distance-separable property: every k×k
 // submatrix is invertible, hence any k surviving shards suffice. The
-// field arithmetic uses the usual AES-adjacent reduction polynomial
-// x^8+x^4+x^3+x+1 (0x11d) with exp/log tables built at init.
+// field arithmetic uses the reduction polynomial x^8+x^4+x^3+x^2+1
+// (0x11d, under which 2 generates the multiplicative group; AES's
+// x^8+x^4+x^3+x+1 is 0x11b) through a 64 KiB product table built at
+// init.
+//
+// Shard payloads go through one kernel: a coefficient matrix is
+// compiled into per-column lookup tables whose entries pack a byte's
+// products for two output rows, so with up to two parity shards (or
+// two lost data shards) every input byte is read once and costs one
+// lookup. Encode runs it over the parity rows, Reconstruct over the
+// rows of the inverted decode matrix that belong to missing data
+// shards.
 //
 // Everything here is a pure function of its inputs — no clocks, no
 // randomness, no global state beyond the constant tables — so encoded
@@ -17,56 +27,113 @@ package erasure
 
 import "fmt"
 
-// gfExp/gfLog are the exponential and logarithm tables of the
-// multiplicative group generated by 2 modulo 0x11d. gfExp is doubled so
-// gfMul can index gfLog[a]+gfLog[b] without reducing modulo 255.
+// gfPoly is the field's reduction polynomial x^8+x^4+x^3+x^2+1.
+const gfPoly = 0x11d
+
+// gfMulTable[a][b] is the product a·b and gfInvTable[a] the inverse of
+// a (0 for a = 0): the only field arithmetic non-test code uses. Row a
+// is built by doubling — a·2b = 2·(a·b), reduced by gfPoly — so the
+// tables owe nothing to the log/exp multiply the tests check them
+// against.
 var (
-	gfExp [510]byte
-	gfLog [256]byte
+	gfMulTable [256][256]byte
+	gfInvTable [256]byte
 )
 
 func init() {
-	x := 1
-	for i := 0; i < 255; i++ {
-		gfExp[i] = byte(x)
-		gfExp[i+255] = byte(x)
-		gfLog[x] = byte(i)
-		x <<= 1
-		if x >= 256 {
-			x ^= 0x11d
+	for a := 1; a < 256; a++ {
+		row := &gfMulTable[a]
+		row[1] = byte(a)
+		for b := 2; b < 256; b++ {
+			d := int(row[b/2]) << 1
+			if d >= 256 {
+				d ^= gfPoly
+			}
+			if b&1 == 1 {
+				d ^= a
+			}
+			row[b] = byte(d)
+			if d == 1 {
+				gfInvTable[a] = byte(b)
+			}
+		}
+	}
+	gfInvTable[1] = 1
+}
+
+// kernel is a coefficient matrix compiled for bulk multiplication. Rows
+// are taken two at a time and columns four at a time: entry [c][x] of
+// quad[r/2*quads+j/4], c = j%4, packs the products of x with column j of
+// rows r and r+1 (low and high byte), so one lookup per input byte
+// serves both rows. A quad is 2 KiB and is all a pass over the payload
+// touches besides the payload itself. Columns past the last and the row
+// past the last of an odd matrix are zero coefficients.
+type kernel struct {
+	rows, cols, quads int
+	quad              [][4][256]uint16
+}
+
+// newKernel compiles coef, a rows×cols matrix given row by row.
+func newKernel(coef [][]byte, cols int) *kernel {
+	kn := &kernel{rows: len(coef), cols: cols, quads: (cols + 3) / 4}
+	kn.quad = make([][4][256]uint16, (kn.rows+1)/2*kn.quads)
+	for r, row := range coef {
+		shift := 8 * uint(r%2)
+		for j, c := range row {
+			t := &kn.quad[r/2*kn.quads+j/4][j%4]
+			mul := &gfMulTable[c]
+			for x := range t {
+				t[x] |= uint16(mul[x]) << shift
+			}
+		}
+	}
+	return kn
+}
+
+// apply overwrites out[r] with Σ_j coef[r][j]·in[j] for every row. in
+// holds cols slices and out rows slices, all of one length.
+func (kn *kernel) apply(in, out [][]byte) {
+	last := kn.cols - 1
+	for r := 0; r < kn.rows; r += 2 {
+		d0 := out[r]
+		d1 := d0 // no row r+1: the high bytes are zero and setPair writes d0 last
+		if r+1 < kn.rows {
+			d1 = out[r+1]
+		}
+		for q := 0; q < kn.quads; q++ {
+			t := &kn.quad[r/2*kn.quads+q]
+			// A padding column reads the last input against a zero table.
+			s0, s1, s2, s3 := in[4*q], in[min(4*q+1, last)], in[min(4*q+2, last)], in[min(4*q+3, last)]
+			if q == 0 {
+				setPair(t, s0, s1, s2, s3, d0, d1)
+			} else {
+				xorPair(t, s0, s1, s2, s3, d0, d1)
+			}
 		}
 	}
 }
 
-// gfMul multiplies in GF(256).
-func gfMul(a, b byte) byte {
-	if a == 0 || b == 0 {
-		return 0
+// setPair assigns the low bytes of one quad's products to d0 and the
+// high bytes to d1.
+func setPair(t *[4][256]uint16, s0, s1, s2, s3, d0, d1 []byte) {
+	n := len(d0)
+	s0, s1, s2, s3, d1 = s0[:n], s1[:n], s2[:n], s3[:n], d1[:n]
+	for i := 0; i < n; i++ {
+		v := t[0][s0[i]] ^ t[1][s1[i]] ^ t[2][s2[i]] ^ t[3][s3[i]]
+		d1[i] = byte(v >> 8)
+		d0[i] = byte(v)
 	}
-	return gfExp[int(gfLog[a])+int(gfLog[b])]
 }
 
-// gfInv inverts a nonzero field element.
-func gfInv(a byte) byte {
-	return gfExp[255-int(gfLog[a])]
-}
-
-// gfMulSlice accumulates dst ^= c * src for a whole shard.
-func gfMulSlice(dst, src []byte, c byte) {
-	if c == 0 {
-		return
-	}
-	if c == 1 {
-		for i := range src {
-			dst[i] ^= src[i]
-		}
-		return
-	}
-	lc := int(gfLog[c])
-	for i, s := range src {
-		if s != 0 {
-			dst[i] ^= gfExp[lc+int(gfLog[s])]
-		}
+// xorPair accumulates where setPair assigns (clearing the outputs and
+// always accumulating costs the 4+2 kernel a third of its speed).
+func xorPair(t *[4][256]uint16, s0, s1, s2, s3, d0, d1 []byte) {
+	n := len(d0)
+	s0, s1, s2, s3, d1 = s0[:n], s1[:n], s2[:n], s3[:n], d1[:n]
+	for i := 0; i < n; i++ {
+		v := t[0][s0[i]] ^ t[1][s1[i]] ^ t[2][s2[i]] ^ t[3][s3[i]]
+		d1[i] ^= byte(v >> 8)
+		d0[i] ^= byte(v)
 	}
 }
 
@@ -79,6 +146,8 @@ type Code struct {
 	// row k+i of the generator matrix. It is the Cauchy matrix
 	// 1/(x_i ⊕ y_j) with x_i = k+i and y_j = j.
 	parity [][]byte
+	// encode is parity compiled for Encode.
+	encode *kernel
 }
 
 // New builds a (k, m) code. k and m must each be at least 1 and the
@@ -95,10 +164,11 @@ func New(k, m int) (*Code, error) {
 	for i := range c.parity {
 		row := make([]byte, k)
 		for j := range row {
-			row[j] = gfInv(byte(k+i) ^ byte(j))
+			row[j] = gfInvTable[byte(k+i)^byte(j)]
 		}
 		c.parity[i] = row
 	}
+	c.encode = newKernel(c.parity, k)
 	return c, nil
 }
 
@@ -117,28 +187,40 @@ func (c *Code) ShardSize(dataLen int) int {
 	return (dataLen + c.k - 1) / c.k
 }
 
+// Encode computes the m parity shards of the k data shards into the
+// caller's buffers: parity[i] is overwritten with parity shard i. All
+// k+m slices must share one length; data is only read.
+func (c *Code) Encode(data, parity [][]byte) error {
+	if len(data) != c.k || len(parity) != c.m {
+		return fmt.Errorf("erasure: encode got %d data and %d parity shards, want %d+%d", len(data), len(parity), c.k, c.m)
+	}
+	size := len(data[0])
+	for _, set := range [2][][]byte{data, parity} {
+		for _, sh := range set {
+			if len(sh) != size {
+				return fmt.Errorf("erasure: shard sizes differ (%d vs %d)", len(sh), size)
+			}
+		}
+	}
+	c.encode.apply(data, parity)
+	return nil
+}
+
 // Split encodes data into k+m shards of ShardSize(len(data)) bytes
 // each. Shards 0..k-1 are the data itself (the last one zero-padded);
-// shards k..k+m-1 are parity. The input is not aliased: every shard is
-// freshly allocated. Reconstruct returns the padded k*ShardSize image,
-// so callers must record len(data) to trim it.
+// shards k..k+m-1 are parity. The input is not aliased: the shards are
+// cut from one fresh allocation, each capped at its own length.
+// Reconstruct returns the padded k*ShardSize image, so callers must
+// record len(data) to trim it.
 func (c *Code) Split(data []byte) [][]byte {
 	size := c.ShardSize(len(data))
+	buf := make([]byte, c.N()*size)
+	copy(buf, data)
 	shards := make([][]byte, c.N())
-	for j := 0; j < c.k; j++ {
-		sh := make([]byte, size)
-		if lo := j * size; lo < len(data) {
-			copy(sh, data[lo:])
-		}
-		shards[j] = sh
+	for i := range shards {
+		shards[i] = buf[i*size : (i+1)*size : (i+1)*size]
 	}
-	for i := 0; i < c.m; i++ {
-		p := make([]byte, size)
-		for j := 0; j < c.k; j++ {
-			gfMulSlice(p, shards[j], c.parity[i][j])
-		}
-		shards[c.k+i] = p
-	}
+	c.encode.apply(shards[:c.k], shards[c.k:])
 	return shards
 }
 
@@ -167,49 +249,66 @@ func (c *Code) Reconstruct(shards [][]byte) ([]byte, error) {
 		return nil, fmt.Errorf("erasure: only %d of %d shards survive, need %d", avail, c.N(), c.k)
 	}
 
-	// Fast path: all data shards present.
-	allData := true
+	// Surviving data shards are the image already; only the missing ones
+	// need arithmetic.
+	out := make([]byte, c.k*size)
+	var missing []int
 	for j := 0; j < c.k; j++ {
 		if shards[j] == nil {
-			allData = false
-			break
+			missing = append(missing, j)
+		} else {
+			copy(out[j*size:], shards[j])
 		}
 	}
-	if allData {
-		out := make([]byte, 0, c.k*size)
-		for j := 0; j < c.k; j++ {
-			out = append(out, shards[j]...)
-		}
+	if len(missing) == 0 {
 		return out, nil
 	}
 
-	// Pick the first k surviving shards (data rows preferred by index
-	// order) and build the k×k submatrix of the generator they span.
-	rows := make([]int, 0, c.k)
-	for i := 0; i < c.N() && len(rows) < c.k; i++ {
-		if shards[i] != nil {
-			rows = append(rows, i)
+	// The first k surviving shards (data rows preferred by index order)
+	// span a k×k submatrix of the generator; row j of its inverse
+	// expresses data shard j in terms of those survivors.
+	mat := make([][]byte, 0, c.k)
+	in := make([][]byte, 0, c.k)
+	for i := 0; i < c.N() && len(in) < c.k; i++ {
+		if shards[i] == nil {
+			continue
 		}
-	}
-	mat := make([][]byte, c.k)
-	rhs := make([][]byte, c.k)
-	for r, idx := range rows {
 		row := make([]byte, c.k)
-		if idx < c.k {
-			row[idx] = 1
+		if i < c.k {
+			row[i] = 1
 		} else {
-			copy(row, c.parity[idx-c.k])
+			copy(row, c.parity[i-c.k])
 		}
-		mat[r] = row
-		rhs[r] = append([]byte(nil), shards[idx]...)
+		mat = append(mat, row)
+		in = append(in, shards[i])
 	}
+	inv, err := invert(mat)
+	if err != nil {
+		return nil, err
+	}
+	coef := make([][]byte, len(missing))
+	lost := make([][]byte, len(missing))
+	for r, j := range missing {
+		coef[r] = inv[j]
+		lost[r] = out[j*size : (j+1)*size]
+	}
+	newKernel(coef, c.k).apply(in, lost)
+	return out, nil
+}
 
-	// Gauss–Jordan elimination over GF(256), applied to the shard data
-	// in lockstep: afterwards rhs[j] is data shard j.
-	for col := 0; col < c.k; col++ {
+// invert returns the inverse of the square matrix a by Gauss–Jordan
+// elimination over GF(256); a is destroyed.
+func invert(a [][]byte) ([][]byte, error) {
+	n := len(a)
+	inv := make([][]byte, n)
+	for i := range inv {
+		inv[i] = make([]byte, n)
+		inv[i][i] = 1
+	}
+	for col := 0; col < n; col++ {
 		pivot := -1
-		for r := col; r < c.k; r++ {
-			if mat[r][col] != 0 {
+		for r := col; r < n; r++ {
+			if a[r][col] != 0 {
 				pivot = r
 				break
 			}
@@ -219,30 +318,23 @@ func (c *Code) Reconstruct(shards [][]byte) ([]byte, error) {
 			// future matrix change fails loudly instead of corrupting.
 			return nil, fmt.Errorf("erasure: singular decode matrix at column %d", col)
 		}
-		mat[col], mat[pivot] = mat[pivot], mat[col]
-		rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-		if inv := gfInv(mat[col][col]); inv != 1 {
-			for j := range mat[col] {
-				mat[col][j] = gfMul(mat[col][j], inv)
-			}
-			for i, v := range rhs[col] {
-				rhs[col][i] = gfMul(v, inv)
-			}
+		a[col], a[pivot] = a[pivot], a[col]
+		inv[col], inv[pivot] = inv[pivot], inv[col]
+		scale := &gfMulTable[gfInvTable[a[col][col]]]
+		for j := 0; j < n; j++ {
+			a[col][j] = scale[a[col][j]]
+			inv[col][j] = scale[inv[col][j]]
 		}
-		for r := 0; r < c.k; r++ {
-			if r == col || mat[r][col] == 0 {
+		for r := 0; r < n; r++ {
+			if r == col || a[r][col] == 0 {
 				continue
 			}
-			f := mat[r][col]
-			for j := range mat[r] {
-				mat[r][j] ^= gfMul(f, mat[col][j])
+			f := &gfMulTable[a[r][col]]
+			for j := 0; j < n; j++ {
+				a[r][j] ^= f[a[col][j]]
+				inv[r][j] ^= f[inv[col][j]]
 			}
-			gfMulSlice(rhs[r], rhs[col], f)
 		}
 	}
-	out := make([]byte, 0, c.k*size)
-	for j := 0; j < c.k; j++ {
-		out = append(out, rhs[j]...)
-	}
-	return out, nil
+	return inv, nil
 }

@@ -145,24 +145,26 @@ func TestSplitDoesNotAliasInput(t *testing.T) {
 	}
 }
 
-func BenchmarkSplit4x2_64K(b *testing.B) {
+func BenchmarkSplit4x2_512K(b *testing.B) {
 	c, _ := New(4, 2)
-	data := make([]byte, 64<<10)
+	data := make([]byte, 512<<10)
 	rand.New(rand.NewSource(2)).Read(data)
 	b.SetBytes(int64(len(data)))
-	for i := 0; i < b.N; i++ {
+	b.ReportAllocs()
+	for b.Loop() {
 		c.Split(data)
 	}
 }
 
-func BenchmarkReconstruct4x2_64K(b *testing.B) {
+func BenchmarkReconstruct4x2_512K_TwoDataLost(b *testing.B) {
 	c, _ := New(4, 2)
-	data := make([]byte, 64<<10)
+	data := make([]byte, 512<<10)
 	rand.New(rand.NewSource(3)).Read(data)
 	shards := c.Split(data)
 	shards[0], shards[2] = nil, nil
 	b.SetBytes(int64(len(data)))
-	for i := 0; i < b.N; i++ {
+	b.ReportAllocs()
+	for b.Loop() {
 		if _, err := c.Reconstruct(shards); err != nil {
 			b.Fatal(err)
 		}

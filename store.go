@@ -19,6 +19,14 @@ import (
 type (
 	// Store is stable storage for checkpoints: Save/Load with modeled
 	// completion times, LatestSeq per rank, aggregate Stats.
+	//
+	// Ownership: the snapshot passed to Save, with every byte slice and
+	// message it points to, stays the caller's. A store copies what it
+	// keeps — once — before Save returns and never retains, recycles or
+	// pools the caller's buffers, so the caller may reuse them at once;
+	// Load returns a private copy the caller may mutate. (The built-in
+	// redundant stores recycle only buffers they built themselves; see
+	// DESIGN.md "Checkpoint redundancy", Data path.)
 	Store = checkpoint.Store
 	// Snapshot is one process checkpoint (process image, protocol
 	// state, buffered in-transit messages), with accessors EncodedSize,
