@@ -7,7 +7,7 @@ STATICCHECK ?= staticcheck
 # "Static analysis".)
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build test test-short race determinism profile bench bench-check bench-layers vet lint staticcheck-install fmt-check check clean
+.PHONY: all build test test-short race determinism known-bugs profile bench bench-check bench-layers vet lint staticcheck-install fmt-check loc check clean
 
 all: check
 
@@ -26,15 +26,34 @@ race:
 # Determinism gate: run the experiment-facing determinism regressions twice
 # under the race detector — every makespan, recovery stat and sweep output
 # must be byte-identical run-to-run (see DESIGN.md "Concurrency and
-# determinism"). Includes the virtual-time kill-fence configurations: a
-# failure landing mid-checkpoint-wave under a storage bandwidth model,
-# exact-tie kill stamps, two victims in one round, a failure during an
-# in-progress recovery round, the blocked-scope-peer drain (the naive
+# determinism"). Includes the virtual-time kill-fence configurations: one
+# failure event landing mid-checkpoint-wave under a storage bandwidth
+# model, exact-tie kill stamps, two victims in one round, a failure during
+# an in-progress recovery round, the blocked-scope-peer drain (the naive
 # pre-kill drain deadlock regression), and the E6 store-fault sweep
 # (shard kills ordered in virtual time during recovery; shared/sharded/
-# ec/replica survival outcomes must be byte-identical run-to-run).
+# ec/replica survival outcomes must be byte-identical run-to-run). The
+# byte-reproducibility promise covers ONE failure event; schedules of
+# several events have two open bugs (DESIGN.md "Remaining caveat"), which
+# `make known-bugs` keeps reproducible.
 determinism:
 	$(GO) test -race -count=2 -run 'Reproducible|ByteStable|SchedulingIndependent|AwaitTurn' ./internal/harness/ ./internal/transport/ ./internal/mpi/
+
+# The multi-failure bugs ROADMAP item 2 has to fix (internal/mpi/
+# knownbugs_test.go, build tag knownbugs). The result is INVERTED: exit 0
+# while at least one still reproduces (naming it), non-zero once none does
+# — the signal to delete the tag and fold the tests into `determinism`.
+# Not part of `check`.
+known-bugs:
+	@out="$$($(GO) test -tags knownbugs -run KnownBug -count=1 ./internal/mpi 2>&1)"; \
+	if printf '%s\n' "$$out" | grep -q '^--- FAIL: TestKnownBug'; then \
+		echo "known bugs still reproducing:"; \
+		printf '%s\n' "$$out" | grep -A1 '^--- FAIL: TestKnownBug' | cut -c1-400; \
+	else \
+		printf '%s\n' "$$out"; \
+		echo "no known bug reproduces: delete the knownbugs tag and fold the tests into make determinism"; \
+		exit 1; \
+	fi
 
 # CPU profile of the np=1024 HydEE smoke workload, ten runs of it so the
 # half-second run yields enough samples to rank. Leaves cpu.prof and the
@@ -91,6 +110,18 @@ fmt-check:
 	if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
+
+# The four size numbers every PR reports, counted the way ROADMAP fixed:
+# non-test / test Go lines outside benchmark/, Go lines in benchmark/, and
+# //hydee:allow annotations in product code (not internal/lint, not tests).
+loc:
+	@echo "non-test Go lines:  $$(find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' | xargs cat | wc -l)"
+	@echo "test Go lines:      $$(find . -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l)"
+	@echo "benchmark/ lines:   $$(find ./benchmark -name '*.go' | xargs cat | wc -l)"
+	@echo "//hydee:allow:      $$(grep -rn '//hydee:allow' --include='*.go' . | grep -v -e '_test.go' -e 'internal/lint/' -e '^./benchmark/' | wc -l)"
+	@for d in internal/mpi internal/transport; do \
+		echo "$$d non-test: $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l)"; \
+	done
 
 check: build vet fmt-check test bench-check
 

@@ -32,7 +32,7 @@ func main() {
 	app := flag.String("app", "cg", "kernel (bt,cg,ft,lu,mg,sp)")
 	ckpt := flag.Int("ckpt", 3, "checkpoint every k iterations")
 	failAfter := flag.Int("fail-after", 1, "inject the failure after this many checkpoints")
-	failAt := flag.String("fail-at", "", `inject the failure at a trigger spec instead of -fail-after: "vt:<duration>" (a virtual time — the kill is an ordered virtual-time event, so even a mid-checkpoint-wave landing is byte-reproducible), "sends:<n>" or "ckpts:<n>"`)
+	failAt := flag.String("fail-at", "", `inject the failure at a trigger spec instead of -fail-after: "vt:<duration>" (a virtual time — the kill is an ordered virtual-time event, so this one failure is byte-reproducible even landing mid-checkpoint-wave), "sends:<n>" or "ckpts:<n>"`)
 	net := flag.String("net", "myrinet10g", "network model: "+strings.Join(hydee.ModelNames(), ", "))
 	var store hydee.StoreSpec
 	store.Bind(flag.CommandLine)

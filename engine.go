@@ -208,11 +208,11 @@ func WithFailureEvents(events ...FailureEvent) Option {
 // ranks die together when the first one's virtual clock reaches at. The
 // kill is an ordered event in virtual time — in-flight deliveries and
 // checkpoint writes at or below the detection fence complete, later ones
-// are cancelled — so the run's outcome is byte-reproducible wherever the
-// failure lands, including mid-checkpoint-wave under a storage bandwidth
-// model. Repeated WithFailureAt options accumulate into one schedule (in
-// option order); combining with WithFailures appends to that schedule
-// regardless of option order.
+// are cancelled — so a run with one failure event is byte-reproducible
+// wherever it lands, including mid-checkpoint-wave under a storage
+// bandwidth model (several events: DESIGN.md "Remaining caveat"). Repeated
+// WithFailureAt options accumulate into one schedule (in option order);
+// combining with WithFailures appends to it regardless of option order.
 func WithFailureAt(at Time, ranks ...int) Option {
 	return func(e *Engine) error {
 		if at <= 0 {
@@ -292,18 +292,6 @@ func WithStorageBandwidth(writeBPS, readBPS float64) Option {
 			return fmt.Errorf("hydee: WithStorageBandwidth(%g, %g): bandwidth must be >= 0", writeBPS, readBPS)
 		}
 		e.storeWriteBPS, e.storeReadBPS = writeBPS, readBPS
-		return nil
-	}
-}
-
-// WithMaxRounds caps recovery rounds as a runaway backstop; 0 derives the
-// cap from the failure schedule.
-func WithMaxRounds(n int) Option {
-	return func(e *Engine) error {
-		if n < 0 {
-			return fmt.Errorf("hydee: WithMaxRounds(%d): cap must be >= 0", n)
-		}
-		e.cfg.MaxRounds = n
 		return nil
 	}
 }

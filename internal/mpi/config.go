@@ -55,9 +55,6 @@ type Config struct {
 	// NewLogObserver for a debug stream comparable to the former
 	// Config.Log writer.
 	Observer Observer
-	// MaxRounds caps recovery rounds as a runaway backstop; 0 derives it
-	// from the failure schedule.
-	MaxRounds int
 	// Watchdog aborts the run if the supervisor sees no event for this
 	// real duration (deadlock guard); 0 defaults to 60s.
 	Watchdog time.Duration
@@ -80,9 +77,6 @@ func (cfg *Config) normalize() error {
 	}
 	if cfg.CheckpointEvery < 0 {
 		return fmt.Errorf("mpi: CheckpointEvery must be >= 0, got %d", cfg.CheckpointEvery)
-	}
-	if cfg.MaxRounds < 0 {
-		return fmt.Errorf("mpi: MaxRounds must be >= 0, got %d", cfg.MaxRounds)
 	}
 	if cfg.Watchdog < 0 {
 		return fmt.Errorf("mpi: Watchdog must be >= 0, got %v", cfg.Watchdog)
@@ -109,13 +103,6 @@ func (cfg *Config) normalize() error {
 	}
 	if cfg.Store == nil {
 		cfg.Store = checkpoint.NewMemStore(0, 0)
-	}
-	if cfg.MaxRounds == 0 {
-		if cfg.Failures != nil {
-			cfg.MaxRounds = len(cfg.Failures.Events) + 2
-		} else {
-			cfg.MaxRounds = 2
-		}
 	}
 	return nil
 }

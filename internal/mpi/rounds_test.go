@@ -1,0 +1,511 @@
+package mpi
+
+// Table tests of the failure-round machine: no goroutines, no network, no
+// store. Every fixture is reached by stepping a fresh machine, so the
+// tables also pin the transitions that lead into each phase.
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+
+	"hydee/internal/core"
+	"hydee/internal/failure"
+	"hydee/internal/rollback"
+	"hydee/internal/transport"
+	"hydee/internal/vtime"
+)
+
+// Six ranks in three clusters of two, one-nanosecond minimum latency, a
+// three-event schedule (runaway cap 5).
+func newTestMachine(prot rollback.Protocol, events int) *machine {
+	var sched *failure.Schedule
+	if events > 0 {
+		sched = failure.NewSchedule(make([]failure.Event, events)...)
+	}
+	return newMachine(6, prot, rollback.NewTopology([]int{0, 0, 1, 1, 2, 2}), vtime.Nanosecond, sched)
+}
+
+func fmtAction(a action) string {
+	switch a.kind {
+	case actDoom:
+		return fmt.Sprintf("doom %d@%d", a.id, int64(a.vt))
+	case actAttach:
+		return fmt.Sprintf("attach@%d", int64(a.vt))
+	case actRevive:
+		return fmt.Sprintf("revive@%d", int64(a.vt))
+	case actQuiesce:
+		return fmt.Sprintf("quiesce %d", a.id)
+	case actKillService:
+		return "kill-service"
+	case actLaunch:
+		return fmt.Sprintf("launch round %d scope %v clusters %v detect %d fences %v start %d redoom %v",
+			a.info.Round, a.info.RolledBack, a.info.FailedClusters, int64(a.info.DetectVT), a.fences, int64(a.vt), fmtActions(a.redoom))
+	case actEmit:
+		s := fmt.Sprintf("emit %v round %d rank %d ranks %v vt %d", a.ev.Kind, a.ev.Round, a.ev.Rank, a.ev.Ranks, int64(a.ev.VT))
+		if a.ev.Stats != nil {
+			s += fmt.Sprintf(" stats %+v", *a.ev.Stats)
+		}
+		return s
+	case actRecord:
+		return fmt.Sprintf("record round %d", a.stats.Round)
+	case actFail:
+		return "fail " + a.err.Error()
+	}
+	return fmt.Sprintf("action(%d)", a.kind)
+}
+
+func fmtActions(acts []action) []string {
+	out := []string{}
+	for _, a := range acts {
+		out = append(out, fmtAction(a))
+	}
+	return out
+}
+
+// expect steps m and asserts the next phase and the exact action list.
+func expect(t *testing.T, m *machine, in input, next phase, want ...string) {
+	t.Helper()
+	if want == nil {
+		want = []string{}
+	}
+	got := fmtActions(m.step(in))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%v in: actions\n  got  %q\n  want %q", in.kind, got, want)
+	}
+	if m.phase != next {
+		t.Fatalf("%v in: phase %v, want %v", in.kind, m.phase, next)
+	}
+}
+
+func finishedIn(rank int, vt vtime.Time) input {
+	return input{procEvent: procEvent{kind: evFinished, rank: rank, vt: vt}}
+}
+func diedIn(rank int) input { return input{procEvent: procEvent{kind: evDied, rank: rank}} }
+func failIn(vt vtime.Time, ranks ...int) input {
+	return input{procEvent: procEvent{kind: evFail, rank: ranks[0], vt: vt, ranks: ranks}}
+}
+func doneIn(round int, end, maxFrontier vtime.Time, err error) input {
+	return input{procEvent: procEvent{kind: evRecoveryDone, err: err,
+		stats: rollback.RecoveryStats{Round: round, RolledBack: 2, StartVT: 100, EndVT: end}}, maxFrontier: maxFrontier}
+}
+func probeIn(quiescent bool, maxFrontier vtime.Time) input {
+	return input{procEvent: procEvent{kind: evProbe}, quiescent: quiescent, maxFrontier: maxFrontier}
+}
+
+// fixture steps a fresh machine into ph: round 0 rolls back cluster 1
+// (ranks 2, 3) fenced at 100; with pending, a failure of rank 4 detected at
+// 150 is queued behind it. Superseded implies a queued failure and idle
+// implies none; the two cells that say otherwise edit the queue directly.
+func fixture(t *testing.T, ph phase, pending bool) *machine {
+	t.Helper()
+	m := newTestMachine(core.New(), 3)
+	if ph == phIdle {
+		if pending {
+			m.pending = insertPending(m.pending, failIn(150, 4).procEvent)
+		}
+		return m
+	}
+	expect(t, m, failIn(100, 2), phDraining,
+		"emit failure round -1 rank -1 ranks [2] vt 100",
+		"emit recovery-start round 0 rank -1 ranks [2 3] vt 100",
+		"attach@101", "doom 2@100", "doom 3@100")
+	if pending || ph == phSuperseded {
+		expect(t, m, failIn(150, 4), phDraining,
+			"emit failure round -1 rank -1 ranks [4] vt 150", "doom 4@150", "doom 5@150")
+	}
+	if ph == phDraining {
+		return m
+	}
+	expect(t, m, diedIn(2), phDraining, "quiesce 2")
+	expect(t, m, diedIn(3), phRecovering, "quiesce 3",
+		"launch round 0 scope [2 3] clusters [1] detect 100 fences map[1:100ns] start 101 redoom []")
+	if ph == phSuperseded {
+		expect(t, m, probeIn(true, 500), phSuperseded, "kill-service")
+		if !pending {
+			m.pending = nil
+		}
+	}
+	return m
+}
+
+var errBoom = errors.New("boom")
+
+// The eleven input classes of the phase × input table.
+var inputClasses = []struct {
+	name    string
+	pending bool // the fixture has a queued failure
+	in      input
+}{
+	{"finished", false, finishedIn(0, 7)},
+	{"died-in-drain-set", false, diedIn(2)},
+	{"died-outside", false, diedIn(0)},
+	{"fail", false, failIn(160, 0)},
+	{"fatal", false, input{procEvent: procEvent{kind: evFatal, rank: 1, vt: 9, err: errBoom}}},
+	{"recovery-done ok", false, doneIn(0, 140, 500, nil)},
+	{"recovery-done ErrKilled", false, doneIn(0, 140, 500, fmt.Errorf("recv: %w", transport.ErrKilled))},
+	{"recovery-done error", false, doneIn(0, 140, 500, errBoom)},
+	{"probe busy", true, probeIn(false, 0)},
+	{"probe quiescent, pending", true, probeIn(true, 500)},
+	{"probe quiescent, nothing pending", false, probeIn(true, 500)},
+}
+
+type cell struct {
+	phase phase
+	input string
+}
+
+// impossibleCells lists the cells no execution reaches: no coordinator runs
+// before a launch, and the drain set is empty outside the draining phase.
+var impossibleCells = map[cell]bool{
+	{phIdle, "died-in-drain-set"}:           true,
+	{phRecovering, "died-in-drain-set"}:     true,
+	{phSuperseded, "died-in-drain-set"}:     true,
+	{phIdle, "recovery-done ok"}:            true,
+	{phIdle, "recovery-done ErrKilled"}:     true,
+	{phIdle, "recovery-done error"}:         true,
+	{phDraining, "recovery-done ok"}:        true,
+	{phDraining, "recovery-done ErrKilled"}: true,
+	{phDraining, "recovery-done error"}:     true,
+}
+
+// cellRows is the phase × input table: the next phase and the exact action
+// list of every possible cell. DESIGN.md "Runtime lifecycle" carries the
+// same table under the same row names.
+var cellRows = map[cell]struct {
+	next phase
+	want []string
+}{
+	// idle
+	{phIdle, "finished"}:     {phIdle, []string{"emit rank-finished round -1 rank 0 ranks [] vt 7"}},
+	{phIdle, "died-outside"}: {phIdle, []string{"quiesce 0"}},
+	{phIdle, "fail"}: {phDraining, []string{
+		"emit failure round -1 rank -1 ranks [0] vt 160",
+		"emit recovery-start round 0 rank -1 ranks [0 1] vt 160",
+		"attach@161", "doom 0@160", "doom 1@160"}},
+	{phIdle, "fatal"}:      {phIdle, []string{"fail mpi: program rank 1: boom"}},
+	{phIdle, "probe busy"}: {phIdle, nil},
+	// The queue is empty whenever the phase is idle; the driver does not
+	// even ask the plane.
+	{phIdle, "probe quiescent, pending"}:         {phIdle, nil},
+	{phIdle, "probe quiescent, nothing pending"}: {phIdle, nil},
+
+	// draining: round 0, scope [2 3] fenced at 100, start 101
+	{phDraining, "finished"}:          {phDraining, []string{"emit rank-finished round 0 rank 0 ranks [] vt 7"}},
+	{phDraining, "died-in-drain-set"}: {phDraining, []string{"quiesce 2"}}, // the last death launches: see the scenarios
+	{phDraining, "died-outside"}:      {phDraining, []string{"quiesce 0"}},
+	{phDraining, "fail"}: {phDraining, []string{
+		"emit failure round -1 rank -1 ranks [0] vt 160", "doom 0@160", "doom 1@160"}},
+	{phDraining, "fatal"}:      {phDraining, []string{"fail mpi: program rank 1 round 0: boom"}},
+	{phDraining, "probe busy"}: {phDraining, nil},
+	// Extend in place: same number, the queue absorbed, start past MaxFrontier.
+	{phDraining, "probe quiescent, pending"}: {phDraining, []string{
+		"emit recovery-start round 0 rank -1 ranks [2 3 4 5] vt 100",
+		"attach@501", "doom 4@150", "doom 5@150"}},
+	{phDraining, "probe quiescent, nothing pending"}: {phDraining, nil},
+
+	// recovering: round 0 launched, coordinator running
+	{phRecovering, "finished"}:     {phRecovering, []string{"emit rank-finished round 0 rank 0 ranks [] vt 7"}},
+	{phRecovering, "died-outside"}: {phRecovering, []string{"quiesce 0"}},
+	{phRecovering, "fail"}: {phRecovering, []string{
+		"emit failure round -1 rank -1 ranks [0] vt 160", "doom 0@160", "doom 1@160"}},
+	{phRecovering, "fatal"}: {phRecovering, []string{"fail mpi: program rank 1 round 0: boom"}},
+	{phRecovering, "recovery-done ok"}: {phIdle, []string{
+		"emit recovery-end round 0 rank -1 ranks [] vt 140 stats {Round:0 RolledBack:2 Orphans:0 StartVT:100ns EndVT:140ns CtlMsgs:0}",
+		"record round 0", "quiesce 6"}},
+	{phRecovering, "recovery-done ErrKilled"}:  {phRecovering, []string{"fail mpi: recovery round 0: recv: transport: process killed"}},
+	{phRecovering, "recovery-done error"}:      {phRecovering, []string{"fail mpi: recovery round 0: boom"}},
+	{phRecovering, "probe busy"}:               {phRecovering, nil},
+	{phRecovering, "probe quiescent, pending"}: {phSuperseded, []string{"kill-service"}},
+	// Wait for the watchdog. This is where the known same-cluster-twice
+	// deadlock (ranks 30·46·45, `make known-bugs`) sits: the plane is stuck
+	// and nothing is queued that could supersede the round.
+	{phRecovering, "probe quiescent, nothing pending"}: {phRecovering, nil},
+
+	// superseded: round 0's coordinator killed, (150 [4]) queued
+	{phSuperseded, "finished"}:     {phSuperseded, []string{"emit rank-finished round 0 rank 0 ranks [] vt 7"}},
+	{phSuperseded, "died-outside"}: {phSuperseded, []string{"quiesce 0"}},
+	{phSuperseded, "fail"}: {phSuperseded, []string{
+		"emit failure round -1 rank -1 ranks [0] vt 160", "doom 0@160", "doom 1@160"}},
+	{phSuperseded, "fatal"}: {phSuperseded, []string{"fail mpi: program rank 1 round 0: boom"}},
+	// A coordinator that completed just as it was killed is merged all the same.
+	{phSuperseded, "recovery-done ok"}:        {phDraining, mergedActions},
+	{phSuperseded, "recovery-done ErrKilled"}: {phDraining, mergedActions},
+	{phSuperseded, "recovery-done error"}:     {phSuperseded, []string{"fail mpi: recovery round 0: boom"}},
+	{phSuperseded, "probe busy"}:              {phSuperseded, nil},
+	// Already superseded: the killed coordinator's event is on its way.
+	{phSuperseded, "probe quiescent, pending"}:         {phSuperseded, nil},
+	{phSuperseded, "probe quiescent, nothing pending"}: {phSuperseded, nil},
+}
+
+// Merged round: fresh number, union scope, per-cluster fences, revive one
+// hop past MaxFrontier.
+var mergedActions = []string{
+	"emit recovery-start round 1 rank -1 ranks [2 3 4 5] vt 100",
+	"revive@501", "doom 2@100", "doom 3@100", "doom 4@150", "doom 5@150"}
+
+func TestMachinePhaseInputTable(t *testing.T) {
+	phases := []phase{phIdle, phDraining, phRecovering, phSuperseded}
+	if got, want := len(cellRows)+len(impossibleCells), len(phases)*len(inputClasses); got != want {
+		t.Fatalf("table has %d cells, want every one of %d", got, want)
+	}
+	gotImpossible := map[cell]bool{}
+	for _, ph := range phases {
+		for _, ic := range inputClasses {
+			c := cell{ph, ic.name}
+			t.Run(fmt.Sprintf("%v/%s", ph, ic.name), func(t *testing.T) {
+				m := fixture(t, ph, ic.pending || ph == phSuperseded && ic.name != "probe quiescent, nothing pending")
+				if ic.name == "died-in-drain-set" && ph != phDraining {
+					m.drain[2] = true // the cell is unreachable by stepping
+				}
+				acts := m.step(ic.in)
+				var se *stepError
+				if n := len(acts); n == 1 && acts[0].kind == actFail && errors.As(acts[0].err, &se) {
+					gotImpossible[c] = true
+					if se.phase != ph || se.input != ic.in.kind {
+						t.Errorf("stepError %v, want phase %v input %v", se, ph, ic.in.kind)
+					}
+					return
+				}
+				row, ok := cellRows[c]
+				if !ok {
+					t.Fatalf("cell has no row and did not fail as impossible: %q", fmtActions(acts))
+				}
+				want := row.want
+				if want == nil {
+					want = []string{}
+				}
+				if got := fmtActions(acts); !reflect.DeepEqual(got, want) {
+					t.Errorf("actions\n  got  %q\n  want %q", got, want)
+				}
+				if m.phase != row.next {
+					t.Errorf("next phase %v, want %v", m.phase, row.next)
+				}
+			})
+		}
+	}
+	if !reflect.DeepEqual(gotImpossible, impossibleCells) {
+		t.Errorf("impossible cells\n  got  %v\n  want %v", gotImpossible, impossibleCells)
+	}
+}
+
+// allFinish finishes every rank and asserts the machine is then done.
+func allFinish(t *testing.T, m *machine) {
+	t.Helper()
+	for r := 0; r < m.np; r++ {
+		m.step(finishedIn(r, 900))
+	}
+	if !m.done() {
+		t.Fatalf("machine not done: %v", m)
+	}
+}
+
+func TestMachinePlainRound(t *testing.T) {
+	m := newTestMachine(core.New(), 3)
+	expect(t, m, finishedIn(3, 90), phIdle, "emit rank-finished round -1 rank 3 ranks [] vt 90")
+	expect(t, m, failIn(100, 2), phDraining,
+		"emit failure round -1 rank -1 ranks [2] vt 100",
+		"emit recovery-start round 0 rank -1 ranks [2 3] vt 100",
+		"attach@101", "doom 2@100", "doom 3@100")
+	if m.finCount != 0 {
+		t.Fatalf("rolled-back rank 3 still counted finished (%d)", m.finCount)
+	}
+	expect(t, m, diedIn(2), phDraining, "quiesce 2")
+	expect(t, m, finishedIn(0, 120), phDraining, "emit rank-finished round 0 rank 0 ranks [] vt 120")
+	expect(t, m, diedIn(3), phRecovering, "quiesce 3",
+		"launch round 0 scope [2 3] clusters [1] detect 100 fences map[1:100ns] start 101 redoom []")
+	if m.parked() != 7 {
+		t.Fatalf("parked %d, want 6 processes + 1 coordinator", m.parked())
+	}
+	expect(t, m, doneIn(0, 140, 500, nil), phIdle,
+		"emit recovery-end round 0 rank -1 ranks [] vt 140 stats {Round:0 RolledBack:2 Orphans:0 StartVT:100ns EndVT:140ns CtlMsgs:0}",
+		"record round 0", "quiesce 6")
+	allFinish(t, m)
+}
+
+func TestMachineTwoVictimsOneEvent(t *testing.T) {
+	m := newTestMachine(core.New(), 3)
+	expect(t, m, failIn(100, 2, 4), phDraining,
+		"emit failure round -1 rank -1 ranks [2 4] vt 100",
+		"emit recovery-start round 0 rank -1 ranks [2 3 4 5] vt 100",
+		"attach@101", "doom 2@100", "doom 3@100", "doom 4@100", "doom 5@100")
+	for _, r := range []int{4, 2, 5} {
+		expect(t, m, diedIn(r), phDraining, fmt.Sprintf("quiesce %d", r))
+	}
+	expect(t, m, diedIn(3), phRecovering, "quiesce 3",
+		"launch round 0 scope [2 3 4 5] clusters [1 2] detect 100 fences map[1:100ns 2:100ns] start 101 redoom []")
+}
+
+// A failure queued behind a recovering round chains directly behind it:
+// the next round starts one hop after the previous round's end. Rank 4
+// unwound while queued (deadEarly) and never enters the drain set.
+func TestMachineChainedRoundAndDeadEarly(t *testing.T) {
+	m := fixture(t, phRecovering, false)
+	expect(t, m, failIn(120, 4), phRecovering,
+		"emit failure round -1 rank -1 ranks [4] vt 120", "doom 4@120", "doom 5@120")
+	expect(t, m, diedIn(4), phRecovering, "quiesce 4")
+	expect(t, m, doneIn(0, 140, 500, nil), phDraining,
+		"emit recovery-end round 0 rank -1 ranks [] vt 140 stats {Round:0 RolledBack:2 Orphans:0 StartVT:100ns EndVT:140ns CtlMsgs:0}",
+		"record round 0",
+		"emit recovery-start round 1 rank -1 ranks [4 5] vt 120",
+		"attach@141", "doom 4@120", "doom 5@120")
+	if len(m.drain) != 1 || !m.drain[5] || len(m.deadEarly) != 0 {
+		t.Fatalf("drain %v deadEarly %v, want only rank 5 draining", m.drain, m.deadEarly)
+	}
+	expect(t, m, diedIn(5), phRecovering, "quiesce 5",
+		"launch round 1 scope [4 5] clusters [2] detect 120 fences map[2:120ns] start 141 redoom []")
+}
+
+// A whole scope that unwound while queued launches in the step that opens it.
+func TestMachineChainedRoundLaunchesAtOnce(t *testing.T) {
+	m := fixture(t, phRecovering, true)
+	m.step(diedIn(4))
+	m.step(diedIn(5))
+	expect(t, m, doneIn(0, 200, 500, nil), phRecovering,
+		"emit recovery-end round 0 rank -1 ranks [] vt 200 stats {Round:0 RolledBack:2 Orphans:0 StartVT:100ns EndVT:200ns CtlMsgs:0}",
+		"record round 0",
+		"emit recovery-start round 1 rank -1 ranks [4 5] vt 150",
+		"attach@201", "doom 4@150", "doom 5@150",
+		"launch round 1 scope [4 5] clusters [2] detect 150 fences map[2:150ns] start 201 redoom []")
+}
+
+// Detections in reverse virtual-time order starve the drain: the round is
+// extended in place — same number, one fence per cluster, the start raised
+// past MaxFrontier — and only the ranks still alive join the drain set.
+func TestMachineDrainPhaseExtend(t *testing.T) {
+	m := fixture(t, phDraining, false)
+	expect(t, m, diedIn(2), phDraining, "quiesce 2")
+	expect(t, m, failIn(50, 4), phDraining,
+		"emit failure round -1 rank -1 ranks [4] vt 50", "doom 4@50", "doom 5@50")
+	expect(t, m, diedIn(4), phDraining, "quiesce 4")
+	expect(t, m, probeIn(false, 0), phDraining)
+	expect(t, m, probeIn(true, 500), phDraining,
+		"emit recovery-start round 0 rank -1 ranks [2 3 4 5] vt 50",
+		"attach@501", "doom 4@50", "doom 5@50")
+	expect(t, m, diedIn(5), phDraining, "quiesce 5")
+	expect(t, m, diedIn(3), phRecovering, "quiesce 3",
+		"launch round 0 scope [2 3 4 5] clusters [1 2] detect 50 fences map[1:100ns 2:50ns] start 501 redoom []")
+	if m.opened != 2 {
+		t.Fatalf("opened %d, want the extension counted against the cap", m.opened)
+	}
+}
+
+// The same cluster fails again mid-recovery: the starved round is
+// superseded, and the merged round — fresh number, union scope, revive one
+// hop past MaxFrontier — re-dooms restarted ranks a later queued failure
+// still covers.
+func TestMachineSupersededMergedAndRedoom(t *testing.T) {
+	m := fixture(t, phRecovering, false)
+	expect(t, m, failIn(130, 3), phRecovering,
+		"emit failure round -1 rank -1 ranks [3] vt 130", "doom 2@130", "doom 3@130")
+	expect(t, m, diedIn(3), phRecovering, "quiesce 3")
+	expect(t, m, probeIn(true, 500), phSuperseded, "kill-service")
+	expect(t, m, doneIn(0, 0, 500, transport.ErrKilled), phDraining,
+		"emit recovery-start round 1 rank -1 ranks [2 3] vt 100",
+		"revive@501", "doom 2@100", "doom 3@100")
+	expect(t, m, failIn(600, 0, 2), phDraining,
+		"emit failure round -1 rank -1 ranks [0 2] vt 600",
+		"doom 0@600", "doom 1@600", "doom 2@600", "doom 3@600")
+	expect(t, m, diedIn(2), phRecovering, "quiesce 2",
+		"launch round 1 scope [2 3] clusters [1] detect 100 fences map[1:100ns] start 501 redoom [doom 2@600 doom 3@600]")
+}
+
+// The runaway cap is the schedule's event count plus two: the round opened
+// after that many fails the run (satellite of the removed MaxRounds knob).
+func TestMachineRoundCapFromSchedule(t *testing.T) {
+	for _, events := range []int{0, 1, 3} {
+		m := newTestMachine(core.New(), events)
+		if m.maxRounds != events+2 {
+			t.Fatalf("%d events: cap %d, want %d", events, m.maxRounds, events+2)
+		}
+		for i := 0; i < events+3; i++ {
+			vt := vtime.Time(100 * (i + 1))
+			acts := m.step(failIn(vt, 2))
+			last := acts[len(acts)-1]
+			if i < events+2 {
+				if last.kind == actFail {
+					t.Fatalf("%d events: round %d failed: %v", events, i+1, last.err)
+				}
+				m.step(diedIn(2))
+				m.step(diedIn(3))
+				m.step(doneIn(i, vt+40, 0, nil))
+				continue
+			}
+			want := fmt.Sprintf("mpi: supervise round %d: more than %d recovery rounds", i, events+2)
+			if last.kind != actFail || last.err.Error() != want {
+				t.Fatalf("%d events: round %d: got %q, want %q", events, i+1, fmtActions(acts), want)
+			}
+		}
+	}
+}
+
+func TestMachineIntolerantProtocolFails(t *testing.T) {
+	m := newTestMachine(rollback.Native(), 1)
+	expect(t, m, failIn(100, 2), phIdle,
+		"emit failure round -1 rank -1 ranks [2] vt 100",
+		`fail mpi: supervise: protocol "native" cannot tolerate the injected failure of ranks [2]`)
+}
+
+// The deadlock report's account of what a round waits for.
+func TestMachineString(t *testing.T) {
+	m := fixture(t, phDraining, true)
+	m.step(diedIn(2))
+	m.step(finishedIn(0, 7))
+	want := "phase draining, 1/6 finished, 5 processes + 0 coordinators live, 1 of at most 5 rounds opened, pending [(150ns [4])]; " +
+		"round 0 scope [2 3] waiting on deaths map[3:true], fences map[1:100ns], start 101ns"
+	if got := m.String(); got != want {
+		t.Errorf("String\n  got  %s\n  want %s", got, want)
+	}
+	if got, want := newTestMachine(core.New(), 0).String(),
+		"phase idle, 0/6 finished, 6 processes + 0 coordinators live, 0 of at most 2 rounds opened, pending []"; got != want {
+		t.Errorf("idle String\n  got  %s\n  want %s", got, want)
+	}
+}
+
+// Steady-state inputs (finishes, deaths, probes) reuse the action buffer.
+func TestMachineStepDoesNotAllocate(t *testing.T) {
+	m := fixture(t, phRecovering, false)
+	m.step(diedIn(0))
+	ins := []input{finishedIn(1, 7), probeIn(true, 500), diedIn(0)}
+	if n := testing.AllocsPerRun(100, func() {
+		for _, in := range ins {
+			m.step(in)
+		}
+		m.procs++
+	}); n != 0 {
+		t.Errorf("%v allocations per steady-state step batch, want 0", n)
+	}
+}
+
+// insertPending keeps the queue ordered by (detection VT, first victim)
+// whatever order the failures arrive in.
+func TestInsertPendingOrder(t *testing.T) {
+	var evs []procEvent
+	for vt := 0; vt < 6; vt++ {
+		for rank := 0; rank < 4; rank++ {
+			evs = append(evs, failIn(vtime.Time(10*vt), rank, 9-rank).procEvent)
+		}
+	}
+	key := func(q []procEvent) string {
+		var b strings.Builder
+		for _, ev := range q {
+			fmt.Fprintf(&b, "(%d %d)", int64(ev.vt), ev.ranks[0])
+		}
+		return b.String()
+	}
+	want := key(evs)
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		rng.Shuffle(len(evs), func(i, j int) { evs[i], evs[j] = evs[j], evs[i] })
+		var q []procEvent
+		for _, ev := range evs {
+			q = insertPending(q, ev)
+		}
+		if got := key(q); got != want {
+			t.Fatalf("trial %d: queue %s, want %s", trial, got, want)
+		}
+	}
+}

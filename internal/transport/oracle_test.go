@@ -404,7 +404,7 @@ func (s *planeSim) run() {
 			if id >= 0 && id < n.np {
 				s.public("restart", func() { n.RestartAt(id, vt) })
 			} else {
-				s.public("restart service", func() { n.RestartServiceAt(id, vt) })
+				s.public("restart service", func() { n.RestartAt(id, vt) })
 			}
 		case op < 20 && e != nil && loose:
 			vt := s.time()

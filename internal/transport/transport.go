@@ -915,12 +915,12 @@ func (n *Network) killLocked(e *Endpoint) {
 	n.planeChangedLocked(e, nil)
 }
 
-// Restart revives the endpoint of rank with an empty mailbox.
-func (n *Network) Restart(rank int) { n.RestartAt(rank, 0) }
-
-// RestartAt revives the endpoint of rank with an empty mailbox, running
-// with its send frontier at exactly vt — the virtual time the restarted
-// process resumes from. The frontier is allowed to move BACKWARDS here: a
+// RestartAt revives the endpoint of rank — an application rank, or a killed
+// service endpoint such as the recovery process a superseding merged round
+// reuses — with an empty mailbox, running with its send frontier at exactly
+// vt, the virtual time the restarted process resumes from. Unlike AttachAt
+// it revives a dead endpoint; it touches no incarnation bookkeeping (only
+// Kill does). The frontier is allowed to move BACKWARDS here: a
 // rolled-back scope member whose pre-kill clock ran ahead of the detection
 // time resumes from its checkpoint below its stale frontier, and keeping
 // the stale value would advertise a bound its re-executed sends undercut.
@@ -954,24 +954,6 @@ func (n *Network) AttachAt(id int, vt vtime.Time) {
 		e.frontier = vt
 		n.planeChangedLocked(e, nil)
 	}
-	n.dmu.Unlock()
-}
-
-// RestartServiceAt revives a killed service endpoint (the recovery process)
-// with an empty mailbox, running at frontier vt. The supervisor uses it when
-// a starved recovery round is superseded: the old coordinator was killed
-// mid-round (KillService), and the superseding merged round's coordinator
-// reuses the endpoint. Unlike AttachAt it revives a dead endpoint; unlike
-// RestartAt it touches no incarnation bookkeeping.
-func (n *Network) RestartServiceAt(id int, vt vtime.Time) {
-	n.dmu.Lock()
-	e := n.endpointLocked(id)
-	e.dead = false
-	e.state = stRunning
-	e.doomVT = infTime
-	e.frontier = vt
-	e.q = nil
-	n.planeChangedLocked(e, nil)
 	n.dmu.Unlock()
 }
 

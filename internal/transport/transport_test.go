@@ -218,7 +218,7 @@ func TestKillWipesMailboxAndUnblocks(t *testing.T) {
 		t.Fatalf("dropped %d, want 1", d)
 	}
 	// Restart revives with an empty mailbox.
-	n.Restart(1)
+	n.RestartAt(1, 0)
 	if p := n.Endpoint(1).Pending(); p != 0 {
 		t.Fatalf("pending after restart: %d", p)
 	}
@@ -245,7 +245,7 @@ func TestIncarnationStamping(t *testing.T) {
 	n := NewNetwork(2, netmodel.Ideal())
 	send(t, n, 0, 1, 1, 0)
 	n.Kill(0)
-	n.Restart(0)
+	n.RestartAt(0, 0)
 	send(t, n, 0, 1, 2, 0)
 	m1, _ := n.Endpoint(1).Recv(0)
 	m2, _ := n.Endpoint(1).Recv(0)
