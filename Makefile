@@ -7,7 +7,7 @@ STATICCHECK ?= staticcheck
 # "Static analysis".)
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build test test-short race determinism known-bugs profile bench bench-check bench-layers vet lint staticcheck-install fmt-check loc check clean
+.PHONY: all build test test-short race determinism known-bugs profile bench bench-check bench-layers smoke16k vet lint staticcheck-install fmt-check loc check clean
 
 all: check
 
@@ -76,12 +76,23 @@ bench-check:
 	cd benchmark && $(GO) build . && $(GO) vet . && $(GO) test -short .
 
 # The in-tree benchmarks of the layers the repository benchmark attributes
-# checkpoint time to: the erasure kernel (Split, Reconstruct) and the
-# checkpoint data path (fragment seal, steady-state ec and replica saves,
-# a degraded ec load), with MB/s and B/op. CI runs the same set with
-# -benchtime 1x so they cannot rot.
+# time to: the erasure kernel (Split, Reconstruct), the checkpoint data
+# path (fragment seal, steady-state ec and replica saves, a degraded ec
+# load) with MB/s and B/op, the delivery plane (one mutation at np 16 to
+# 4096) and the clustering tool (torus and complete graphs at 256, a
+# torus at 4096). CI runs the same set with -benchtime 1x so they cannot
+# rot.
+BENCH_LAYERS = ./internal/erasure ./internal/checkpoint ./internal/transport ./internal/graph
+
 bench-layers:
-	$(GO) test -run '^$$' -bench . -benchtime 200ms ./internal/erasure ./internal/checkpoint
+	$(GO) test -run '^$$' -bench . -benchtime 200ms $(BENCH_LAYERS)
+
+# The TestHydEESmoke1024 shape (HydEE, 32-rank clusters, one checkpoint,
+# one failure, one recovery round) at np = 16384, the scale ROADMAP item 6
+# targets (scale16k_test.go, build tag smoke16k). Not part of `check`; the
+# test logs its wall time and the process's peak RSS.
+smoke16k:
+	$(GO) test -tags smoke16k -run 'TestHydEESmoke16384' -count=1 -v -timeout 30m .
 
 vet:
 	$(GO) vet ./...

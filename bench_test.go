@@ -250,26 +250,6 @@ func BenchmarkMicro_EnginePreSend(b *testing.B) {
 	}
 }
 
-// BenchmarkMicro_Partitioner measures the clustering tool on a 256-rank
-// torus graph.
-func BenchmarkMicro_Partitioner(b *testing.B) {
-	g := graph.New(256)
-	for r := 0; r < 16; r++ {
-		for c := 0; c < 16; c++ {
-			g.AddTraffic(r*16+c, r*16+(c+1)%16, 4)
-			g.AddTraffic(r*16+c, ((r+1)%16)*16+c, 1)
-		}
-	}
-	opt := graph.DefaultOptions()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := graph.Cluster(g, opt)
-		if res.K < 2 {
-			b.Fatal("degenerate clustering")
-		}
-	}
-}
-
 // BenchmarkMicro_PingPong measures the full simulated stack end to end.
 func BenchmarkMicro_PingPong(b *testing.B) {
 	prog := func(c *hydee.Comm) error {

@@ -44,6 +44,7 @@ import (
 	"hydee/internal/rollback"
 	"hydee/internal/rollback/coord"
 	"hydee/internal/trace"
+	"hydee/internal/transport"
 	"hydee/internal/vtime"
 )
 
@@ -189,10 +190,16 @@ type ClusterOptions = graph.Options
 // ClusterResult is the outcome of a clustering sweep.
 type ClusterResult = graph.Result
 
+// Traffic is one ordered rank pair's application traffic (message count,
+// payload and piggyback bytes); Result.Traffic lists the pairs that
+// talked, sorted by (Src, Dst).
+type Traffic = transport.Traffic
+
 // NewCommGraph creates an empty communication graph over np ranks.
 func NewCommGraph(np int) *CommGraph { return graph.New(np) }
 
-// CommGraphFromPairBytes builds a graph from Result.PairBytes.
+// CommGraphFromPairBytes builds a graph from an np*np row-major byte
+// matrix (row = sender) such as ExperimentSummary.PairBytes.
 func CommGraphFromPairBytes(np int, pairBytes []int64) *CommGraph {
 	return graph.FromPairBytes(np, pairBytes)
 }

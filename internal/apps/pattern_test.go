@@ -28,7 +28,11 @@ func traceMatrix(t *testing.T, name string, np, iters int) []int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.PairBytes
+	m := make([]int64, np*np)
+	for _, e := range res.Traffic {
+		m[e.Src*np+e.Dst] = e.Bytes
+	}
+	return m
 }
 
 // rowColBytes sums traffic within grid rows vs across rows for a 2D-grid

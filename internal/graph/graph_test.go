@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -178,11 +179,55 @@ func TestFromPairBytesSymmetrizes(t *testing.T) {
 	bytes[0*3+1] = 100 // 0->1
 	bytes[1*3+0] = 50  // 1->0
 	g := FromPairBytes(3, bytes)
-	if g.W[0][1] != 150 || g.W[1][0] != 150 {
-		t.Fatalf("symmetrization wrong: %v", g.W[0][1])
+	if g.Weight(0, 1) != 150 || g.Weight(1, 0) != 150 || g.Weight(0, 2) != 0 {
+		t.Fatalf("symmetrization wrong: %v", g.Weight(0, 1))
 	}
-	if g.Total != 150 {
-		t.Fatalf("total %v", g.Total)
+	if g.Total != 150 || g.Degree(0) != 150 || g.Degree(2) != 0 {
+		t.Fatalf("total %v, degrees %v %v", g.Total, g.Degree(0), g.Degree(2))
+	}
+}
+
+func TestFromEdgesMergesBothDirections(t *testing.T) {
+	g := fromEdges(4, []edge{
+		{Src: 2, Dst: 0, Bytes: 7},
+		{Src: 0, Dst: 2, Bytes: 3},
+		{Src: 1, Dst: 1, Bytes: 9}, // self-traffic
+		{Src: 3, Dst: 4, Bytes: 9}, // outside the graph
+		{Src: 1, Dst: 3, Bytes: 5},
+	})
+	if g.Weight(0, 2) != 10 || g.Weight(2, 0) != 10 || g.Weight(1, 3) != 5 || g.Weight(1, 1) != 0 {
+		t.Fatalf("weights: %v %v %v", g.Weight(0, 2), g.Weight(1, 3), g.Weight(1, 1))
+	}
+	if g.Total != 15 || g.Degree(3) != 5 {
+		t.Fatalf("total %v, degree(3) %v", g.Total, g.Degree(3))
+	}
+}
+
+// An empty CandidateK takes the default cluster counts and nothing else:
+// the caller's Lambda, bound, refinements, restarts and seed still apply.
+func TestClusterEmptyCandidateKKeepsOtherOptions(t *testing.T) {
+	n := 32
+	all := New(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			all.AddTraffic(i, j, 1)
+		}
+	}
+	// Rollback dominates at Lambda 100: the largest default count wins,
+	// where the default Lambda settles on k = 2.
+	if res := Cluster(all, Options{Lambda: 100, Refinements: 8, Restarts: 1, Seed: 1}); res.K != 32 {
+		t.Fatalf("explicit Lambda ignored: k=%d, want 32", res.K)
+	}
+	g := torus2D(8, 8, 50, 10)
+	explicit := Options{CandidateK: DefaultOptions().CandidateK, MaxClusterFrac: 0.3, Lambda: 0.5, Refinements: 1, Restarts: 1, Seed: 7}
+	want := Cluster(g, explicit)
+	if def := Cluster(g, DefaultOptions()); slices.Equal(def.Assign, want.Assign) {
+		t.Fatal("seed 7 with one restart and one refinement matches the defaults; pick options that tell them apart")
+	}
+	implicit := explicit
+	implicit.CandidateK = nil
+	if got := Cluster(g, implicit); !slices.Equal(got.Assign, want.Assign) || got.Score != want.Score {
+		t.Fatalf("explicit Seed/Restarts/Refinements ignored: got %+v, want %+v", got, want)
 	}
 }
 

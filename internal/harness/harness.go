@@ -19,6 +19,7 @@ import (
 	"hydee/internal/rollback"
 	"hydee/internal/rollback/coord"
 	"hydee/internal/trace"
+	"hydee/internal/transport"
 	"hydee/internal/vtime"
 )
 
@@ -105,6 +106,9 @@ type Summary struct {
 	Rounds    []rollback.RecoveryStats
 	Store     checkpoint.StoreStats
 	Digests   []any
+	// PairBytes is the np*np row-major matrix (row = sender) of modeled
+	// application payload bytes per ordered rank pair, spread from the
+	// run's traffic edges (mpi.Result.Traffic).
 	PairBytes []int64
 }
 
@@ -197,13 +201,23 @@ func RunCtx(ctx context.Context, s Spec) (*Summary, error) {
 		Rounds:    res.Rounds,
 		Store:     res.StoreStats,
 		Digests:   res.Results,
-		PairBytes: res.PairBytes,
+		PairBytes: pairBytes(s.Params.NP, res.Traffic),
 	}
 	if res.Totals.AppBytes > 0 {
 		sum.LoggedFrac = float64(res.Totals.LoggedBytes) / float64(res.Totals.AppBytes)
 		sum.PiggyFrac = float64(res.Totals.PiggyBytes) / float64(res.Totals.AppBytes)
 	}
 	return sum, nil
+}
+
+// pairBytes spreads a run's traffic edges over the np*np row-major byte
+// matrix Summary.PairBytes keeps.
+func pairBytes(np int, traffic []transport.Traffic) []int64 {
+	m := make([]int64, np*np)
+	for _, t := range traffic {
+		m[t.Src*np+t.Dst] = t.Bytes
+	}
+	return m
 }
 
 // SameDigests verifies two runs produced identical per-rank results — the

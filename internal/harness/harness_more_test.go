@@ -63,7 +63,7 @@ func TestTraceGraphSymmetryAndVolume(t *testing.T) {
 	}
 	for i := 0; i < g.N; i++ {
 		for j := 0; j < g.N; j++ {
-			if g.W[i][j] != g.W[j][i] {
+			if g.Weight(i, j) != g.Weight(j, i) {
 				t.Fatal("graph not symmetric")
 			}
 		}

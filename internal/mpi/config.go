@@ -122,12 +122,11 @@ type Result struct {
 	Rounds []rollback.RecoveryStats
 	// StoreStats reports stable-storage activity.
 	StoreStats checkpoint.StoreStats
-	// PairBytes is the np*np row-major matrix of modeled application
-	// payload bytes sent per ordered rank pair; the clustering tool
-	// builds its communication graph from it.
-	PairBytes []int64
-	// PairMsgs is the matching message-count matrix.
-	PairMsgs []int64
+	// Traffic lists, sorted by (Src, Dst), every ordered pair of ranks
+	// that exchanged application messages, with the message count and the
+	// modeled payload and piggyback bytes: O(edges), not np². The
+	// clustering tool builds its communication graph from it.
+	Traffic []transport.Traffic
 	// Plane holds the delivery plane's work counters: host-side numbers
 	// that depend on goroutine scheduling, unlike every field above. They
 	// are for profiling a run and stay out of JSON and of every

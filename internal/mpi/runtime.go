@@ -146,14 +146,8 @@ func RunContext(ctx context.Context, cfg Config, program Program) (*Result, erro
 		Results:    append([]any(nil), rt.results...),
 		Rounds:     append([]rollback.RecoveryStats(nil), rt.rounds...),
 		StoreStats: rt.store.Stats(),
+		Traffic:    rt.net.Stats(),
 		Plane:      rt.net.Counters(),
-	}
-	stats := rt.net.Stats()
-	res.PairBytes = make([]int64, len(stats))
-	res.PairMsgs = make([]int64, len(stats))
-	for i, s := range stats {
-		res.PairBytes[i] = s.Bytes
-		res.PairMsgs[i] = s.Msgs
 	}
 	for r := 0; r < cfg.NP; r++ {
 		if rt.finalVT[r] > res.Makespan {

@@ -244,8 +244,9 @@ func TestPairByteMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PairBytes[0*3+2] != 5000 || res.PairMsgs[0*3+2] != 1 {
-		t.Fatalf("pair matrix wrong: %v", res.PairBytes)
+	if len(res.Traffic) != 1 || res.Traffic[0].Src != 0 || res.Traffic[0].Dst != 2 ||
+		res.Traffic[0].Bytes != 5000 || res.Traffic[0].Msgs != 1 {
+		t.Fatalf("traffic edges wrong: %+v", res.Traffic)
 	}
 	// The plane's host-side counters ride along, outside the serialised form.
 	if p := res.Plane; p.Delivered < 1 || p.Mutations < 2*p.Delivered {

@@ -12,7 +12,8 @@ package transport
 // is the driver's choice of when — and compares plane and oracle after every
 // single mutation: identical bounds, identical low3, and a signalled set
 // that grew by exactly the oracle's wake set (a missed wake is a deadlock,
-// an extra one is wasted work).
+// an extra one is wasted work). The same check holds the traffic edge list
+// to a dense np×np PairStat matrix the simulation keeps from its own sends.
 
 import (
 	"math"
@@ -106,6 +107,10 @@ type planeSim struct {
 	ids    []int // every id the driver uses, endpoints or not
 	drift  vtime.Time
 	step   int
+	// traffic is the dense np×np accounting the accepted sends imply: App
+	// messages between application ranks, whatever the destination's
+	// state.
+	traffic []PairStat
 }
 
 // pick consumes one input byte as a choice among k; a used-up input keeps
@@ -182,6 +187,32 @@ func (s *planeSim) checkLocked(what string) {
 		a.signalled = e.signalled
 	}
 	s.checkIndexLocked(what)
+	s.checkTrafficLocked(what)
+}
+
+// checkTrafficLocked compares the edge list with the dense matrix: sorted
+// by (src, dst), one entry for exactly the non-empty pairs, equal counts.
+func (s *planeSim) checkTrafficLocked(what string) {
+	s.t.Helper()
+	np := s.n.np
+	edges := s.n.statsLocked()
+	nonEmpty := 0
+	for _, st := range s.traffic {
+		if st.Msgs > 0 {
+			nonEmpty++
+		}
+	}
+	if len(edges) != nonEmpty {
+		s.t.Fatalf("step %d %s: %d traffic edges, the send log has %d used pairs", s.step, what, len(edges), nonEmpty)
+	}
+	for i, e := range edges {
+		if i > 0 && (edges[i-1].Src > e.Src || (edges[i-1].Src == e.Src && edges[i-1].Dst >= e.Dst)) {
+			s.t.Fatalf("step %d %s: traffic edges out of (src, dst) order at %d: %+v", s.step, what, i, edges)
+		}
+		if e.Src < 0 || e.Src >= np || e.Dst < 0 || e.Dst >= np || e.PairStat != s.traffic[e.Src*np+e.Dst] {
+			s.t.Fatalf("step %d %s: traffic edge %+v, the send log has %+v", s.step, what, e, s.traffic[e.Src*np+e.Dst])
+		}
+	}
 }
 
 // checkIndexLocked verifies the index's own invariants: every leaf holds the key
@@ -236,7 +267,7 @@ func (s *planeSim) checkIndexLocked(what string) {
 				if k := (waitKey{e.q[0].ArriveVT, e.q[0].Src}); k.less(key) {
 					key = k
 				}
-				src = n.eps[e.q[0].Src]
+				src, _ = n.lookupLocked(e.q[0].Src)
 			}
 		}
 		if got := n.waitT[n.leaves+e.pos]; got != key {
@@ -357,7 +388,7 @@ func (s *planeSim) run() {
 	for len(s.data) > 0 {
 		s.step++
 		id := s.ids[s.pick(len(s.ids))]
-		e := n.eps[id] // nil for an id that is no endpoint (yet)
+		e, _ := n.lookupLocked(id) // nil for an id that is no endpoint (yet)
 		free := e != nil && s.actor(id).parked == wNone
 		// The supervisor mostly leaves parked ranks alone; acting on them
 		// every time would keep the plane from ever filling with blocked
@@ -368,11 +399,18 @@ func (s *planeSim) run() {
 			dst := s.ids[s.pick(len(s.ids))]
 			kind := []Kind{App, Ctl, Marker}[s.pick(3)]
 			wire := []int{0, 16, 100}[s.pick(3)]
+			piggy := []int{0, 8}[s.pick(2)]
 			vt := s.time()
 			s.public("send", func() {
-				err := n.Send(&Msg{Src: id, Dst: dst, Kind: kind, WireLen: wire, SendVT: vt})
-				if (err != nil) != (n.eps[dst] == nil) {
+				err := n.Send(&Msg{Src: id, Dst: dst, Kind: kind, WireLen: wire, PiggyLen: piggy, SendVT: vt})
+				if to, _ := n.lookupLocked(dst); (err != nil) != (to == nil) {
 					s.t.Fatalf("send to %d: err %v", dst, err)
+				}
+				if err == nil && kind == App && id >= 0 && id < n.np && dst >= 0 && dst < n.np {
+					st := &s.traffic[id*n.np+dst]
+					st.Msgs++
+					st.Bytes += int64(wire)
+					st.PiggyBytes += int64(piggy)
 				}
 			})
 		case op < 8 && e != nil && loose:
@@ -456,6 +494,7 @@ func runPlaneSim(t *testing.T, data []byte) {
 		BytesPerSec:   1e18,
 	}
 	s.n = NewNetwork(np, model)
+	s.traffic = make([]PairStat, np*np)
 	for i := 0; i < np; i++ {
 		s.ids = append(s.ids, i)
 	}

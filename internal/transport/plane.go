@@ -350,7 +350,7 @@ func (n *Network) indexWaiterLocked(e *Endpoint) {
 				if k := (waitKey{m.ArriveVT, m.Src}); k.less(key) {
 					key = k
 				}
-				src = n.eps[m.Src]
+				src, _ = n.lookupLocked(m.Src)
 			}
 		}
 	}

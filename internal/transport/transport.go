@@ -78,12 +78,12 @@
 package transport
 
 import (
+	"cmp"
 	"container/heap"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"hydee/internal/netmodel"
@@ -270,23 +270,41 @@ type Endpoint struct {
 	// membership of such a list (see indexWaiterLocked).
 	srcWaiters, headSrc, srcPrev, srcNext *Endpoint
 
-	// chArrive / chSeq track, per source, the last clamped arrival time and
-	// the channel sequence counter (FIFO-consistency of the key order).
-	chArrive map[int]vtime.Time
-	chSeq    map[int]uint64
+	// chans holds one record per source that has sent here, sorted by
+	// source id.
+	chans []channel
+}
+
+// channel is the state of the FIFO channel from src into an endpoint: the
+// last clamped arrival time and the sequence counter (FIFO-consistency of
+// the key order), and the App accounting when both ends are application
+// ranks.
+type channel struct {
+	src    int
+	arrive vtime.Time
+	seq    uint64
+	stat   PairStat
 }
 
 func newEndpoint(n *Network, id int, state srcState) *Endpoint {
 	e := &Endpoint{
-		id:       id,
-		n:        n,
-		state:    state,
-		doomVT:   infTime,
-		chArrive: make(map[int]vtime.Time),
-		chSeq:    make(map[int]uint64),
+		id:     id,
+		n:      n,
+		state:  state,
+		doomVT: infTime,
 	}
 	e.cond = sync.NewCond(&n.dmu)
 	return e
+}
+
+// channelLocked returns e's record of the channel from src, adding it on
+// the first send.
+func (e *Endpoint) channelLocked(src int) *channel {
+	at, ok := slices.BinarySearchFunc(e.chans, src, func(c channel, src int) int { return cmp.Compare(c.src, src) })
+	if !ok {
+		e.chans = slices.Insert(e.chans, at, channel{src: src})
+	}
+	return &e.chans[at]
 }
 
 // ID reports the endpoint's identifier.
@@ -438,6 +456,13 @@ type PairStat struct {
 	PiggyBytes int64 // modeled inline protocol bytes
 }
 
+// Traffic is the App traffic accounting of the channel from application
+// rank Src to application rank Dst.
+type Traffic struct {
+	Src, Dst int
+	PairStat
+}
+
 // boundRef is one (action bound, source id) pair, ordered lexicographically.
 type boundRef struct {
 	b  vtime.Time
@@ -460,9 +485,10 @@ type Network struct {
 	minLat vtime.Duration
 
 	dmu sync.Mutex
-	eps map[int]*Endpoint
-	// epList holds the endpoints sorted by id; an endpoint's position in it
-	// is its leaf in the trees below.
+	// eps holds the application ranks' endpoints, by rank. epList holds
+	// every endpoint, service ones included, sorted by id; an endpoint's
+	// position in it is its leaf in the trees below.
+	eps    []*Endpoint
 	epList []*Endpoint
 	// capT, bfT and waitT are tournament trees over epList positions (see
 	// plane.go), leaves wide: each endpoint's cap, its frontier while
@@ -488,7 +514,6 @@ type Network struct {
 	ctr    Counters
 	inc    []int32 // incarnation per application rank
 	np     int
-	stats  []PairStat // np*np matrix, App traffic between application ranks
 }
 
 // NewNetwork creates a network with application endpoints 0..np-1, all
@@ -501,16 +526,14 @@ func NewNetwork(np int, model netmodel.Model) *Network {
 	n := &Network{
 		model:  model,
 		minLat: lat,
-		eps:    make(map[int]*Endpoint, np+2),
+		eps:    make([]*Endpoint, np),
 		inc:    make([]int32, np),
 		np:     np,
-		stats:  make([]PairStat, np*np),
 	}
-	for i := 0; i < np; i++ {
-		e := newEndpoint(n, i, stRunning)
-		n.eps[i] = e
-		n.epList = append(n.epList, e)
+	for i := range n.eps {
+		n.eps[i] = newEndpoint(n, i, stRunning)
 	}
+	n.epList = slices.Clone(n.eps)
 	//hydee:allow lockdiscipline(constructor: the network is not shared yet, no lock needed)
 	n.rebuildIndexLocked()
 	//hydee:allow lockdiscipline(constructor: the network is not shared yet, no lock needed)
@@ -542,17 +565,30 @@ func (n *Network) Endpoint(id int) *Endpoint {
 }
 
 func (n *Network) endpointLocked(id int) *Endpoint {
-	e, ok := n.eps[id]
-	if !ok {
+	e, at := n.lookupLocked(id)
+	if e == nil {
 		// An idle endpoint's bound is infinite, so creating one moves no
 		// bound; it only shifts positions, which the rebuild renumbers.
 		e = newEndpoint(n, id, stIdle)
-		n.eps[id] = e
-		at := sort.Search(len(n.epList), func(i int) bool { return n.epList[i].id > id })
 		n.epList = slices.Insert(n.epList, at, e)
 		n.rebuildIndexLocked()
 	}
 	return e
+}
+
+// lookupLocked returns the endpoint with the given id, or nil and the
+// epList position a new one would take. Application ranks are indexed
+// directly; the few service endpoints are found by binary search of
+// epList.
+func (n *Network) lookupLocked(id int) (*Endpoint, int) {
+	if id >= 0 && id < n.np {
+		return n.eps[id], -1
+	}
+	at, ok := slices.BinarySearchFunc(n.epList, id, func(e *Endpoint, id int) int { return cmp.Compare(e.id, id) })
+	if !ok {
+		return nil, at
+	}
+	return n.epList[at], at
 }
 
 // DeclareRecovery registers id as the latent recovery source: even while no
@@ -601,16 +637,18 @@ func (n *Network) Send(m *Msg) error {
 
 	n.dmu.Lock()
 	defer n.dmu.Unlock()
-	dst, ok := n.eps[m.Dst]
-	if !ok {
+	dst, _ := n.lookupLocked(m.Dst)
+	if dst == nil {
 		return fmt.Errorf("transport: send to unknown endpoint %d", m.Dst)
 	}
-	if m.Src >= 0 && m.Src < n.np {
+	rankSrc := m.Src >= 0 && m.Src < n.np
+	if rankSrc {
 		m.Inc = n.inc[m.Src]
 	}
 	// The sender cannot send again before this message's send time; a
 	// source that demonstrably sends is live, so an idle one is promoted.
-	src := n.eps[m.Src]
+	// A source with no endpoint (yet) is accepted: it constrains nothing.
+	src, _ := n.lookupLocked(m.Src)
 	if src != nil && src.state != stDead {
 		if m.SendVT > src.frontier {
 			src.frontier = m.SendVT
@@ -621,11 +659,11 @@ func (n *Network) Send(m *Msg) error {
 	}
 
 	m.ArriveVT = m.SendVT.Add(lat)
-	if m.Kind == App && m.Src >= 0 && m.Src < n.np && m.Dst >= 0 && m.Dst < n.np {
-		s := &n.stats[m.Src*n.np+m.Dst]
-		s.Msgs++
-		s.Bytes += int64(m.WireLen)
-		s.PiggyBytes += int64(m.PiggyLen)
+	ch := dst.channelLocked(m.Src)
+	if m.Kind == App && rankSrc && m.Dst >= 0 && m.Dst < n.np {
+		ch.stat.Msgs++
+		ch.stat.Bytes += int64(m.WireLen)
+		ch.stat.PiggyBytes += int64(m.PiggyLen)
 	}
 	// FIFO channels admit no overtaking: clamp the arrival to the channel
 	// predecessor's, making arrival times monotone per (src,dst) and the
@@ -636,12 +674,12 @@ func (n *Network) Send(m *Msg) error {
 	// (buffered, then wiped) or just after (dropped) would leave different
 	// clamps behind and the restarted incarnation's arrival stamps would
 	// depend on that real-time race.
-	if last := dst.chArrive[m.Src]; m.ArriveVT < last {
-		m.ArriveVT = last
+	if m.ArriveVT < ch.arrive {
+		m.ArriveVT = ch.arrive
 	}
-	dst.chArrive[m.Src] = m.ArriveVT
-	dst.chSeq[m.Src]++
-	m.chSeq = dst.chSeq[m.Src]
+	ch.arrive = m.ArriveVT
+	ch.seq++
+	m.chSeq = ch.seq
 	if dst.dead {
 		dst.droppedWhileDead++
 		n.planeChangedLocked(src, nil) // the sender's frontier still advanced
@@ -838,20 +876,40 @@ func (n *Network) pinLocked(dst *Endpoint, m *Msg) boundRef {
 	return boundRef{infTime, -1}
 }
 
-// Stats returns a copy of the pair-traffic matrix (np*np, row = src).
-func (n *Network) Stats() []PairStat {
+// Stats lists the App traffic of every ordered pair of application ranks
+// that exchanged at least one App message, sorted by (Src, Dst): one entry
+// per channel used, O(edges) rather than np².
+func (n *Network) Stats() []Traffic {
 	n.dmu.Lock()
 	defer n.dmu.Unlock()
-	out := make([]PairStat, len(n.stats))
-	copy(out, n.stats)
-	return out
+	return n.statsLocked()
 }
 
-// PairStatAt returns accounting for the ordered pair (src, dst).
-func (n *Network) PairStatAt(src, dst int) PairStat {
-	n.dmu.Lock()
-	defer n.dmu.Unlock()
-	return n.stats[src*n.np+dst]
+// statsLocked is a counting sort by (src, dst): each source's run starts
+// after the smaller sources' entries, and the destinations are visited in
+// rank order.
+func (n *Network) statsLocked() []Traffic {
+	next := make([]int, n.np+1)
+	for _, e := range n.eps {
+		for _, c := range e.chans {
+			if c.stat.Msgs > 0 {
+				next[c.src+1]++
+			}
+		}
+	}
+	for i := 1; i <= n.np; i++ {
+		next[i] += next[i-1]
+	}
+	out := make([]Traffic, next[n.np])
+	for _, e := range n.eps {
+		for _, c := range e.chans {
+			if c.stat.Msgs > 0 {
+				out[next[c.src]] = Traffic{Src: c.src, Dst: e.id, PairStat: c.stat}
+				next[c.src]++
+			}
+		}
+	}
+	return out
 }
 
 // Doom declares that id dies at virtual time d without stopping it
@@ -901,7 +959,7 @@ func (n *Network) Kill(rank int) int32 {
 // without touching incarnation bookkeeping.
 func (n *Network) KillService(id int) {
 	n.dmu.Lock()
-	if e, ok := n.eps[id]; ok {
+	if e, _ := n.lookupLocked(id); e != nil {
 		n.killLocked(e)
 	}
 	n.dmu.Unlock()
@@ -931,7 +989,7 @@ func (n *Network) killLocked(e *Endpoint) {
 // FIFO order survivors already observed.
 func (n *Network) RestartAt(rank int, vt vtime.Time) {
 	n.dmu.Lock()
-	e := n.eps[rank]
+	e, _ := n.lookupLocked(rank)
 	e.dead = false
 	e.state = stRunning
 	e.doomVT = infTime

@@ -21,7 +21,13 @@ func TestHydEESmoke1024(t *testing.T) {
 	if raceEnabled {
 		t.Skip("np=1024 smoke workload skipped under the race detector (~25x slower, no added coverage)")
 	}
-	const np, clusterSize = 1024, 32
+	smokeRun(t, 1024)
+}
+
+// smokeRun is the smoke workload at np ranks in clusters of 32.
+func smokeRun(t *testing.T, np int) {
+	t.Helper()
+	const clusterSize = 32
 	assign := make([]int, np)
 	for r := range assign {
 		assign[r] = r / clusterSize
