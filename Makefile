@@ -77,12 +77,14 @@ bench-check:
 
 # The in-tree benchmarks of the layers the repository benchmark attributes
 # time to: the erasure kernel (Split, Reconstruct), the checkpoint data
-# path (fragment seal, steady-state ec and replica saves, a degraded ec
-# load) with MB/s and B/op, the delivery plane (one mutation at np 16 to
-# 4096) and the clustering tool (torus and complete graphs at 256, a
-# torus at 4096). CI runs the same set with -benchtime 1x so they cannot
-# rot.
-BENCH_LAYERS = ./internal/erasure ./internal/checkpoint ./internal/transport ./internal/graph
+# path (fragment seal, steady-state ec and replica saves, the stage and
+# the commit of an ec save, a degraded ec load) with MB/s and B/op, the
+# delivery plane (one mutation at np 16 to 4096), the clustering tool
+# (torus and complete graphs at 256, a torus at 4096) and the runtime (an
+# np = 64 checkpoint wave into ec:4+2, staged and under the turn; the
+# supervisor event channel). CI runs the same set with -benchtime 1x so
+# they cannot rot.
+BENCH_LAYERS = ./internal/erasure ./internal/checkpoint ./internal/transport ./internal/graph ./internal/mpi
 
 bench-layers:
 	$(GO) test -run '^$$' -bench . -benchtime 200ms $(BENCH_LAYERS)

@@ -1,9 +1,10 @@
 package checkpoint
 
 // Layer benchmarks of the checkpoint data path (`make bench-layers`): the
-// fragment seal, a steady-state redundant save, and a degraded load, each
-// over the 512 KiB image of the repository benchmark's ckpt-ec-churn64
-// workload.
+// fragment seal, a steady-state redundant save, the two halves of an ec
+// save (the stage before the runtime's turn, the commit under it), and a
+// degraded load, each over the 512 KiB image of the repository
+// benchmark's ckpt-ec-churn64 workload.
 
 import (
 	"math/rand"
@@ -66,6 +67,64 @@ func BenchmarkReplicaSave512K(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchSaves(b, st)
+}
+
+// BenchmarkECStage512K is the part of an ec save the runtime runs before
+// its virtual-time turn: striping, parity and seals. Each staged group is
+// discarded, so the next builds in its buffers.
+func BenchmarkECStage512K(b *testing.B) {
+	st, err := NewECStore(4, 2, 0, 0, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := benchSnap()
+	s.Seq = 1
+	b.SetBytes(int64(len(s.AppState) + len(s.ProtState)))
+	b.ReportAllocs()
+	for b.Loop() {
+		p, err := Stage(st, s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p.Discard()
+	}
+}
+
+// BenchmarkECCommit512K is what stays under the turn of a steady-state ec
+// save: the hand-off of six sealed fragments, pruning and the spare list.
+// Staging each op (BenchmarkECStage512K) would cost a hundred commits, so
+// one group is staged and committed again under each op's (rank, seq):
+// the targets keep its buffers by reference, which makes every commit a
+// real one. The buffers the prunes hand back are all that group's, so the
+// spare list is emptied each op instead of being built in.
+func BenchmarkECCommit512K(b *testing.B) {
+	st, err := NewECStore(4, 2, 0, 0, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := benchSnap()
+	s.Seq = 1
+	p, err := Stage(st, s)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := *p.p.(*groupSave)
+	i := 0
+	commit := func() {
+		g.rank, g.seq = i%8, 1+i/8
+		i++
+		if _, err := g.commit(vtime.Time(i)); err != nil {
+			b.Fatal(err)
+		}
+		st.spare = st.spare[:0]
+	}
+	for i < 8*(historyKeep+1) {
+		commit() // fill the histories, as benchSaves does
+	}
+	b.ReportAllocs() // no SetBytes: a commit moves references, not bytes
+	for b.Loop() {
+		commit()
+	}
 }
 
 // BenchmarkECLoadDegraded512K loads around a killed data shard: five

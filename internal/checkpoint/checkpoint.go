@@ -136,6 +136,13 @@ func DecodeState(b []byte, v any) error {
 // them, hands them to its in-memory targets without a further copy, and
 // takes back the buffers of generations those targets prune (see
 // fragmentTarget).
+//
+// Two phases (stage.go): the built-in in-memory stores copy what they
+// keep before admission. Their Save is Stage (the copy, encoding, parity
+// and seals, none of which depends on the issue time) followed by Commit
+// (everything that does), and the runtime runs Stage before it waits for
+// its turn. A third-party store needs nothing of this: Stage falls back
+// to calling its Save under the turn.
 type Store interface {
 	// Save persists the snapshot and returns the virtual time at which the
 	// write completes, given it was issued at the process clock `at`.
@@ -197,10 +204,11 @@ func NewMemStore(writeBPS, readBPS float64) *MemStore {
 // Save implements Store: the store keeps a deep copy. Concurrent saves
 // serialize on the shared link: a save issued at time t starts at
 // max(t, busyUntil), reproducing I/O bursts.
-func (st *MemStore) Save(s *Snapshot, at vtime.Time) (vtime.Time, error) {
-	end, _ := st.keep(s.Clone(), at)
-	return end, nil
-}
+func (st *MemStore) Save(s *Snapshot, at vtime.Time) (vtime.Time, error) { return save(st, s, at) }
+
+// stage implements stager: the deep copy is taken before the turn, and
+// only keeping it is left to commit.
+func (st *MemStore) stage(s *Snapshot) (staged, error) { return keptCopy{st, s.Clone()}, nil }
 
 // saveOwned implements fragmentTarget: fs is kept as it is, and the
 // AppState buffer of a generation it displaces goes back to the caller.

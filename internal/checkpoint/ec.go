@@ -46,19 +46,23 @@ func NewECStore(k, m int, writeBPS, readBPS float64, place func(rank int) int) (
 // per fragment is the snapshot's CostBytes()/k share plus a fixed
 // envelope, so the aggregate traffic reflects the (k+m)/k redundancy
 // overhead.
-func (st *ECStore) Save(s *Snapshot, at vtime.Time) (vtime.Time, error) {
+func (st *ECStore) Save(s *Snapshot, at vtime.Time) (vtime.Time, error) { return save(st, s, at) }
+
+// stage implements stager: encoding, striping, parity and seals happen
+// here, before the turn; commit only writes the sealed fragments.
+func (st *ECStore) stage(s *Snapshot) (staged, error) {
 	segs, blobLen, err := snapshotSegments(s)
 	if err != nil {
-		return at, err
+		return nil, err
 	}
 	k := st.code.K()
 	bufs, payloads := st.newGroup(k, st.code.N(), st.code.ShardSize(blobLen), blobLen)
 	stripe(payloads[:k], segs)
 	if err := st.code.Encode(payloads[:k], payloads[k:]); err != nil {
-		return at, fmt.Errorf("checkpoint: %w", err)
+		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	cost := (s.CostBytes()+int64(k)-1)/int64(k) + fragmentEnvelope
-	return st.writeGroup(s, at, st.home(s.Rank), cost, bufs)
+	return st.sealGroup(s, st.home(s.Rank), cost, bufs), nil
 }
 
 // Load implements Store: fragments are probed in index order, all reads

@@ -148,9 +148,11 @@ func NewFaultyStore(inner Store, faults ...ShardFault) (*FaultyStore, error) {
 }
 
 // Save implements Store.
-func (st *FaultyStore) Save(s *Snapshot, at vtime.Time) (vtime.Time, error) {
-	return st.inner.Save(s, at)
-}
+func (st *FaultyStore) Save(s *Snapshot, at vtime.Time) (vtime.Time, error) { return save(st, s, at) }
+
+// stage implements stager with the inner store's stage: the faults are
+// write admission, so they act in the shards' commits.
+func (st *FaultyStore) stage(s *Snapshot) (staged, error) { return stageOn(st.inner, s) }
 
 // LatestSeq implements Store. Sequence tracking is structural metadata,
 // not shard payload, so it reflects saves the fault plane dropped; the
@@ -226,12 +228,18 @@ func (sh *faultyShard) admit(s *Snapshot, at vtime.Time) (admitted *Snapshot, dr
 }
 
 // Save implements Store with the write-side faults of admit.
-func (sh *faultyShard) Save(s *Snapshot, at vtime.Time) (vtime.Time, error) {
-	s, dropped := sh.admit(s, at)
-	if dropped {
-		return at, nil
+func (sh *faultyShard) Save(s *Snapshot, at vtime.Time) (vtime.Time, error) { return save(sh, s, at) }
+
+// stage implements stager. Over an in-memory inner the copy it keeps is
+// taken here, before the turn, and commit hands it over through
+// saveOwned, faults first. An inner without the hand-off (a FileStore)
+// copies in its own Save, so s itself goes to commit: one copy, as
+// before staging.
+func (sh *faultyShard) stage(s *Snapshot) (staged, error) {
+	if _, ok := sh.inner.(fragmentTarget); ok {
+		s = s.Clone()
 	}
-	return sh.inner.Save(s, at)
+	return keptCopy{sh, s}, nil
 }
 
 // saveOwned implements fragmentTarget with the same faults; a dropped

@@ -4,8 +4,9 @@ package checkpoint
 // what a caller passes to Save and never retains, recycles or pools it;
 // Load returns a private copy; and the buffers the redundant layouts
 // build, hand to their targets and take back for reuse never surface in
-// — or under — anything a caller holds. Run under -race: the property
-// test drives every backend from several goroutines at once.
+// — or under — anything a caller holds, including buffers a discarded
+// stage gave back. Run under -race: the property test drives every
+// backend from several goroutines at once.
 
 import (
 	"bytes"
@@ -219,6 +220,110 @@ func TestStoreIsolationAllBackends(t *testing.T) {
 				t.Fatalf("%s: pass %d: store shares memory with the caller's or a loaded snapshot", be.name, pass)
 			}
 			scribble(got)
+		}
+	}
+}
+
+// TestStageCopiesBeforeItReturns: the runtime hands a snapshot to Stage
+// and is done with it; scribbling over it as soon as Stage returns, long
+// before Commit, never reaches the store, bare or behind the fault plane.
+func TestStageCopiesBeforeItReturns(t *testing.T) {
+	for _, be := range ownershipBackends {
+		for _, wrap := range []bool{false, true} {
+			st, err := be.mk()
+			if err == nil && wrap {
+				st, err = NewFaultyStore(st)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := codecSnap(1, 1)
+			want := canonical(t, s)
+			p, err := Stage(st, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scribble(s)
+			if _, err := p.Commit(10); err != nil {
+				t.Fatal(err)
+			}
+			got, _, ok := st.Load(1, 1, 20)
+			if !ok || !bytes.Equal(canonical(t, got), want) {
+				t.Fatalf("%s (faulty=%v): the scribble after Stage reached the store (ok=%v)", be.name, wrap, ok)
+			}
+		}
+	}
+}
+
+// TestDiscardChangesNothing: a staged save dropped with Discard — the
+// runtime's refused save past a kill fence — leaves every observable and
+// every stored byte as they were. A redundant layout's fragment buffers go
+// back to its spare list, and the next stage builds in exactly those, so
+// even buffers left full of garbage must not show: the next save stores
+// what a store that never discarded stores.
+func TestDiscardChangesNothing(t *testing.T) {
+	for _, be := range ownershipBackends {
+		st, err := be.mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, _ := be.mk()
+		for seq := 1; seq <= historyKeep+1; seq++ {
+			for r := 0; r < 4; r++ {
+				for _, x := range []Store{st, twin} {
+					if _, err := x.Save(codecSnap(r, seq), vtime.Time(10*seq+r)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		before := storeState(t, st, 4)
+		next := codecSnap(2, historyKeep+2)
+		p, err := Stage(st, next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, grouped := p.p.(*groupSave)
+		var spares int
+		if grouped {
+			spares = len(g.ss.spare)
+			for _, b := range g.bufs {
+				for i := range b {
+					b[i] = 0xEE
+				}
+			}
+		}
+		p.Discard()
+		if after := storeState(t, st, 4); after != before {
+			t.Fatalf("%s: Discard changed the store:\nbefore:\n%s\nafter:\n%s", be.name, before, after)
+		}
+		if !grouped {
+			continue
+		}
+		if n := len(g.ss.spare) - spares; n != len(g.bufs) {
+			t.Fatalf("%s: Discard returned %d buffers to the spare list, want the group's %d", be.name, n, len(g.bufs))
+		}
+		q, err := Stage(st, next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		discarded := map[*byte]bool{}
+		for _, b := range g.bufs {
+			discarded[&b[0]] = true
+		}
+		for i, b := range q.p.(*groupSave).bufs {
+			if !discarded[&b[0]] {
+				t.Fatalf("%s: fragment %d of the next stage is not built in a discarded buffer", be.name, i)
+			}
+		}
+		if _, err := q.Commit(100); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := twin.Save(next, 100); err != nil {
+			t.Fatal(err)
+		}
+		if a, b := storeState(t, twin, 4), storeState(t, st, 4); a != b {
+			t.Fatalf("%s: a save built in discarded buffers stores other bytes:\nnever discarded:\n%s\nrecycled:\n%s", be.name, a, b)
 		}
 	}
 }

@@ -39,16 +39,22 @@ func NewReplicatedStore(r int, writeBPS, readBPS float64, place func(rank int) i
 // write is charged the full snapshot cost, so aggregate traffic reflects
 // the r× overhead.
 func (st *ReplicatedStore) Save(s *Snapshot, at vtime.Time) (vtime.Time, error) {
+	return save(st, s, at)
+}
+
+// stage implements stager: the replicas are built and sealed here, before
+// the turn; commit only writes them.
+func (st *ReplicatedStore) stage(s *Snapshot) (staged, error) {
 	segs, blobLen, err := snapshotSegments(s)
 	if err != nil {
-		return at, err
+		return nil, err
 	}
 	bufs, payloads := st.newGroup(1, len(st.targets), blobLen, blobLen)
 	stripe(payloads[:1], segs)
 	for _, p := range payloads[1:] {
 		copy(p, payloads[0])
 	}
-	return st.writeGroup(s, at, 0, s.CostBytes()+fragmentEnvelope, bufs)
+	return st.sealGroup(s, 0, s.CostBytes()+fragmentEnvelope, bufs), nil
 }
 
 // Load implements Store: replicas are probed one after another from the

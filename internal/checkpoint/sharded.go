@@ -114,8 +114,11 @@ func shardDirs(dir string) ([]string, error) {
 
 // Save implements Store: the snapshot goes to its rank's shard and only
 // contends with that shard's writers.
-func (st *ShardedStore) Save(s *Snapshot, at vtime.Time) (vtime.Time, error) {
-	return st.targets[st.home(s.Rank)].Save(s, at)
+func (st *ShardedStore) Save(s *Snapshot, at vtime.Time) (vtime.Time, error) { return save(st, s, at) }
+
+// stage implements stager with the home shard's own stage.
+func (st *ShardedStore) stage(s *Snapshot) (staged, error) {
+	return stageOn(st.targets[st.home(s.Rank)], s)
 }
 
 // Load implements Store: one read from the rank's shard. A lost shard is

@@ -18,9 +18,11 @@ const fragmentEnvelope = 64
 // policy (the DESIGN.md failure-semantics table).
 //
 // Determinism: every save is admitted in virtual-time order (the runtime
-// brackets writes with Network.AwaitTurn) and placement and encoding are
+// brackets commits with Network.AwaitTurn) and placement and encoding are
 // pure functions, so the per-target queues build up identically on every
-// run.
+// run. Stages run in any order; they touch nothing but the spare list,
+// and which recycled buffer a stage gets never shows: it is overwritten
+// whole.
 type shardSet struct {
 	// place maps a rank to its home target and may return any int (it is
 	// reduced modulo the target count); nil places ranks round-robin.
@@ -188,17 +190,37 @@ func (ss *shardSet) newGroup(k, n, payloadLen, blobLen int) (bufs, payloads [][]
 	return bufs, payloads
 }
 
-// writeGroup seals the fragments of one snapshot and writes them:
-// fragment i goes to target (base+i) mod n, charged cost modeled bytes,
-// through the hand-off. All writes are issued at `at` in parallel, so
-// the save completes when the slowest target does.
-func (ss *shardSet) writeGroup(s *Snapshot, at vtime.Time, base int, cost int64, bufs [][]byte) (vtime.Time, error) {
-	end := at
-	spares := make([][]byte, 0, len(bufs))
-	for i, b := range bufs {
+// sealGroup seals the filled fragments of one snapshot into a staged
+// save: fragment i is bound for target (base+i) mod n, charged cost
+// modeled bytes. Only the fields a fragment snapshot carries are kept, so
+// s is unreachable from the result.
+func (ss *shardSet) sealGroup(s *Snapshot, base int, cost int64, bufs [][]byte) *groupSave {
+	for _, b := range bufs {
 		sealFragment(b)
-		fs := &Snapshot{Rank: s.Rank, Seq: s.Seq, TakenVT: s.TakenVT, AppState: b, ModelBytes: cost}
-		e, spare, err := handOff(ss.targets[(base+i)%len(ss.targets)], fs, at)
+	}
+	return &groupSave{ss: ss, rank: s.Rank, seq: s.Seq, taken: s.TakenVT, base: base, cost: cost, bufs: bufs}
+}
+
+// groupSave is a redundant layout's staged save: sealed fragments that
+// only have to be written.
+type groupSave struct {
+	ss        *shardSet
+	rank, seq int
+	taken     vtime.Time
+	base      int
+	cost      int64
+	bufs      [][]byte
+}
+
+// commit writes the fragments through the hand-off. All writes are issued
+// at `at` in parallel, so the save completes when the slowest target does.
+func (g *groupSave) commit(at vtime.Time) (vtime.Time, error) {
+	ss := g.ss
+	end := at
+	spares := make([][]byte, 0, len(g.bufs))
+	for i, b := range g.bufs {
+		fs := &Snapshot{Rank: g.rank, Seq: g.seq, TakenVT: g.taken, AppState: b, ModelBytes: g.cost}
+		e, spare, err := handOff(ss.targets[(g.base+i)%len(ss.targets)], fs, at)
 		if err != nil {
 			return at, err
 		}
@@ -214,4 +236,13 @@ func (ss *shardSet) writeGroup(s *Snapshot, at vtime.Time, base int, cost int64,
 	ss.spare = append(ss.spare, spares...)
 	ss.mu.Unlock()
 	return end, nil
+}
+
+// discard returns the group's buffers to the spare list. Whatever a later
+// save builds in them overwrites every byte: header, payload (striped,
+// zero-filled past the blob, or computed as parity) and seal.
+func (g *groupSave) discard() {
+	g.ss.mu.Lock()
+	g.ss.spare = append(g.ss.spare, g.bufs...)
+	g.ss.mu.Unlock()
 }

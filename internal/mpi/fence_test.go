@@ -10,6 +10,7 @@ package mpi_test
 import (
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -455,4 +456,72 @@ func runStoreBacked(t *testing.T, cfg mpi.Config, mkStore func() checkpoint.Stor
 		}
 	}
 	return a
+}
+
+// countingProtocol counts the snapshots its engines capture. The runtime
+// stages every capture and then commits it — one logical save in the
+// store's Stats — or, refused at the turn, discards it; so captures minus
+// saves is the number of staged saves discarded past a kill fence.
+type countingProtocol struct {
+	rollback.Protocol
+	captures *atomic.Int64
+}
+
+func (p countingProtocol) NewEngine(rank int, px rollback.Proc) rollback.Engine {
+	return countingEngine{p.Protocol.NewEngine(rank, px), p.captures}
+}
+
+type countingEngine struct {
+	rollback.Engine
+	captures *atomic.Int64
+}
+
+func (e countingEngine) OnCheckpoint(s *checkpoint.Snapshot) {
+	e.captures.Add(1)
+	e.Engine.OnCheckpoint(s)
+}
+
+// TestStagedSaveRefusedPastFenceReproducible is the mid-wave kill fence
+// over an ec:4+2 store, whose saves are staged before the turn: rank 13
+// fails right after a checkpoint write, and the cluster peers whose next
+// writes are issued past its detection time are refused at the turn and
+// discard their staged fragment groups. Such runs must be byte-stable and
+// equal — Result, Stats, ShardStats, every load — to a run whose saves
+// all happen under the turn, where a refused save never reached the
+// store; and the staged runs must really refuse saves.
+func TestStagedSaveRefusedPastFenceReproducible(t *testing.T) {
+	const np, iters = 16, 6
+	imgs := waveImages(np, 4<<10)
+	run := func(hide bool) (*mpi.Result, string, int64) {
+		st := newECUnderFaults(t)
+		cfg := waveConfig(np)
+		var captures atomic.Int64
+		cfg.Protocol = countingProtocol{cfg.Protocol, &captures}
+		cfg.Store = st.faulty
+		if hide {
+			cfg.Store = underTurn{st.faulty}
+		}
+		cfg.Failures = failure.NewSchedule(failure.Event{Ranks: []int{13}, When: failure.Trigger{AfterCheckpoints: 2}})
+		res, err := mpi.Run(cfg, ringWave(iters, imgs))
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		return virtualOnly(res), st.observables(np, iters), captures.Load() - res.StoreStats.Saves
+	}
+	ref, refStore, refused := run(false)
+	if refused == 0 {
+		t.Fatalf("no save was refused at the fence (rounds %+v)", ref.Rounds)
+	}
+	for pass, hide := range []bool{false, true} {
+		res, store, n := run(hide)
+		if !reflect.DeepEqual(res, ref) {
+			t.Errorf("pass %d (under the turn: %v): result differs:\n  %+v\n  %+v", pass, hide, res, ref)
+		}
+		if store != refStore {
+			t.Errorf("pass %d (under the turn: %v): store differs:\n%s\nvs\n%s", pass, hide, store, refStore)
+		}
+		if n != refused {
+			t.Errorf("pass %d (under the turn: %v): %d saves refused, first run %d", pass, hide, n, refused)
+		}
+	}
 }

@@ -338,10 +338,12 @@ func (p *Proc) checkpointCall() error {
 	}
 	seq := p.epoch + 1
 	p.epoch = seq
+	peers := 0
 	for _, r := range scope {
 		if r == p.rank {
 			continue
 		}
+		peers++
 		p.clock.Advance(p.rt.model.SendOverhead(markerWire))
 		mm := &transport.Msg{
 			Src: p.rank, Dst: r, Kind: transport.Marker,
@@ -351,7 +353,7 @@ func (p *Proc) checkpointCall() error {
 			return err
 		}
 	}
-	if err := p.waitCtl(func() bool { return p.haveMarkers(seq, scope) }); err != nil {
+	if err := p.waitCtl(func() bool { return p.haveMarkers(seq, scope, peers) }); err != nil {
 		return err
 	}
 	delete(p.markers, seq)
@@ -360,17 +362,28 @@ func (p *Proc) checkpointCall() error {
 	if err != nil {
 		return err
 	}
+	cost := snap.CostBytes()
+	// Everything of the save that does not depend on its issue time — the
+	// store's copy, encoding, parity, seals — is built now, off the turn
+	// and in parallel with the other ranks; the snapshot is unreachable
+	// from here on (a store that cannot stage keeps it until Commit).
+	staged, err := checkpoint.Stage(p.rt.store, snap)
+	if err != nil {
+		return err
+	}
 	// Stable-storage admission is ordered in virtual time: the write is
 	// issued only once no other live process can still act earlier, so the
 	// store's shared-bandwidth queue builds up in a deterministic order. A
 	// doomed process is granted the turn only for writes issued at or
-	// below its death fence; later ones are cancelled with ErrKilled, so
-	// the set of completed saves is a pure function of virtual time.
+	// below its death fence; later ones are cancelled with ErrKilled and
+	// their staged writes discarded, so the set of completed saves is a
+	// pure function of virtual time.
 	issueVT := p.clock.Now()
 	if err := p.rt.net.AwaitTurn(p.rank, issueVT); err != nil {
+		staged.Discard()
 		return err
 	}
-	endVT, err := p.rt.store.Save(snap, issueVT)
+	endVT, err := staged.Commit(issueVT)
 	if err != nil {
 		return err
 	}
@@ -380,7 +393,7 @@ func (p *Proc) checkpointCall() error {
 	p.clock.MergeAtLeast(endVT)
 	p.publish()
 	p.metrics.Checkpoints++
-	p.metrics.CkptBytes += snap.CostBytes()
+	p.metrics.CkptBytes += cost
 	p.ckptsDone++
 	round := -1
 	if p.round != nil {
@@ -390,8 +403,15 @@ func (p *Proc) checkpointCall() error {
 	return p.maybeFail()
 }
 
-func (p *Proc) haveMarkers(seq int, scope []int) bool {
+// haveMarkers reports whether every scope member but p has sent its
+// marker for seq; peers is how many that is. The set's size counts
+// distinct senders, so the check is O(1) until there are enough of them;
+// then one scan confirms they are the scope's.
+func (p *Proc) haveMarkers(seq int, scope []int, peers int) bool {
 	set := p.markers[seq]
+	if len(set) < peers {
+		return false
+	}
 	for _, r := range scope {
 		if r == p.rank {
 			continue

@@ -27,6 +27,12 @@ type (
 	// Load returns a private copy the caller may mutate. (The built-in
 	// redundant stores recycle only buffers they built themselves; see
 	// DESIGN.md "Checkpoint redundancy", Data path.)
+	//
+	// The built-in in-memory stores copy what they keep before
+	// admission: their Save is a stage (copy, encoding, parity, seals),
+	// which the runtime runs before it waits for its virtual-time turn,
+	// followed by a commit under it. A custom store is unaffected: its
+	// Save runs whole under the turn, as it always has.
 	Store = checkpoint.Store
 	// Snapshot is one process checkpoint (process image, protocol
 	// state, buffered in-transit messages), with accessors EncodedSize,
