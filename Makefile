@@ -80,11 +80,12 @@ bench-check:
 # path (fragment seal, steady-state ec and replica saves, the stage and
 # the commit of an ec save, a degraded ec load) with MB/s and B/op, the
 # delivery plane (one mutation at np 16 to 4096), the clustering tool
-# (torus and complete graphs at 256, a torus at 4096) and the runtime (an
-# np = 64 checkpoint wave into ec:4+2, staged and under the turn; the
-# supervisor event channel). CI runs the same set with -benchtime 1x so
-# they cannot rot.
-BENCH_LAYERS = ./internal/erasure ./internal/checkpoint ./internal/transport ./internal/graph ./internal/mpi
+# (torus and complete graphs at 256, a torus at 4096), the protocol engine
+# (Algorithm 1's send path, a checkpoint's protocol state) and the runtime
+# (an np = 64 checkpoint wave into ec:4+2, staged and under the turn; the
+# supervisor event channel; FT's pairwise all-to-all at np = 256, per
+# message). CI runs the same set with -benchtime 1x so they cannot rot.
+BENCH_LAYERS = ./internal/erasure ./internal/checkpoint ./internal/transport ./internal/graph ./internal/core ./internal/mpi
 
 bench-layers:
 	$(GO) test -run '^$$' -bench . -benchtime 200ms $(BENCH_LAYERS)

@@ -17,7 +17,6 @@ import (
 	"hydee/internal/netmodel"
 	"hydee/internal/rollback"
 	"hydee/internal/transport"
-	"hydee/internal/vtime"
 )
 
 // engineRun builds an engine from opts and runs prog on it once.
@@ -234,22 +233,6 @@ func BenchmarkMicro_TransportSendRecv(b *testing.B) {
 	}
 }
 
-// BenchmarkMicro_EnginePreSend measures Algorithm 1's send path (date,
-// phase, logging decision, piggyback strategy).
-func BenchmarkMicro_EnginePreSend(b *testing.B) {
-	topo := rollback.NewTopology([]int{0, 1})
-	px := &benchProc{topo: topo}
-	e := core.New().NewEngine(0, px)
-	payload := make([]byte, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := &transport.Msg{Src: 0, Dst: 1, Kind: transport.App, WireLen: 128, Data: payload}
-		if _, err := e.PreSend(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkMicro_PingPong measures the full simulated stack end to end.
 func BenchmarkMicro_PingPong(b *testing.B) {
 	prog := func(c *hydee.Comm) error {
@@ -279,22 +262,3 @@ func BenchmarkMicro_PingPong(b *testing.B) {
 			hydee.WithTopology(hydee.NewTopology([]int{0, 1})), hydee.WithModel(hydee.Myrinet10G()))
 	}
 }
-
-// benchProc is a minimal rollback.Proc for micro-benchmarks.
-type benchProc struct {
-	topo    *rollback.Topology
-	metrics rollback.Metrics
-	clock   vtime.Clock
-}
-
-func (p *benchProc) Rank() int                                { return 0 }
-func (p *benchProc) Topo() *rollback.Topology                 { return p.topo }
-func (p *benchProc) Clock() *vtime.Clock                      { return &p.clock }
-func (p *benchProc) Model() netmodel.Model                    { return netmodel.Myrinet10G() }
-func (p *benchProc) Metrics() *rollback.Metrics               { return &p.metrics }
-func (p *benchProc) SendCtl(dst int, body any, wireBytes int) {}
-func (p *benchProc) SendAppRaw(m *transport.Msg)              {}
-func (p *benchProc) WaitCtl(pred func() bool) error           { return nil }
-func (p *benchProc) RecoveryID() int                          { return p.topo.NP }
-func (p *benchProc) HeldFrom(src int) int64                   { return 0 }
-func (p *benchProc) HeldEntries(src int) []rollback.HeldMsg   { return nil }

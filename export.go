@@ -194,7 +194,11 @@ func (x *FanoutExporter) Subscribe() (<-chan RunEvent, func()) {
 	}
 	x.mu.Unlock()
 
-	out := make(chan RunEvent)
+	// Buffered so the replay runs ahead of the reader: a reader that
+	// writes whatever is already waiting before it flushes (the SSE
+	// handler) then finds a burst queued, not one event at a time; 64
+	// holds a small job's whole stream.
+	out := make(chan RunEvent, 64)
 	go func() {
 		defer close(out)
 		next := 0

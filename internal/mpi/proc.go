@@ -45,6 +45,12 @@ type Proc struct {
 	// pending holds application messages popped from the endpoint but not
 	// yet matched by a receive.
 	pending []*transport.Msg
+	// outbox holds the sends made since the process's last plane
+	// operation; the next one (a receive, a checkpoint turn, a publish)
+	// enqueues them inside its own plane mutation, and event flushes them
+	// before the supervisor hears from the process (the transport
+	// package's outbox rule says why delaying them is safe).
+	outbox []*transport.Msg
 	// markers tracks flush markers received, per checkpoint sequence.
 	markers map[int]map[int]bool
 
@@ -110,16 +116,47 @@ func (p *Proc) run() {
 	err := p.rt.program(p.comm)
 	switch {
 	case err == nil:
-		p.rt.event(procEvent{kind: evFinished, rank: p.rank, vt: p.clock.Now()})
+		p.event(procEvent{kind: evFinished, rank: p.rank, vt: p.clock.Now()})
 		lerr := p.linger()
 		if errors.Is(lerr, transport.ErrKilled) {
-			p.rt.event(procEvent{kind: evDied, rank: p.rank, vt: p.clock.Now()})
+			p.event(procEvent{kind: evDied, rank: p.rank, vt: p.clock.Now()})
 		}
 	case errors.Is(err, transport.ErrKilled):
-		p.rt.event(procEvent{kind: evDied, rank: p.rank, vt: p.clock.Now()})
+		p.event(procEvent{kind: evDied, rank: p.rank, vt: p.clock.Now()})
 	default:
-		p.rt.event(procEvent{kind: evFatal, rank: p.rank, vt: p.clock.Now(), err: err})
+		p.event(procEvent{kind: evFatal, rank: p.rank, vt: p.clock.Now(), err: err})
 	}
+}
+
+// event reports ev to the supervisor once the outbox has reached the plane:
+// what the supervisor does next — kill the process and bump its
+// incarnation, restart its scope, end the run — must find every send the
+// process made before it.
+func (p *Proc) event(ev procEvent) {
+	if len(p.outbox) > 0 {
+		// Every destination is a rank or the recovery endpoint, which exist
+		// from the start, so the batch cannot fail.
+		_ = p.rt.net.SendBatch(p.outbox)
+		p.sent()
+	}
+	p.rt.event(ev)
+}
+
+// post buffers m for the process's next plane operation.
+func (p *Proc) post(m *transport.Msg) { p.outbox = append(p.outbox, m) }
+
+// sent empties the outbox once a plane call has enqueued it.
+func (p *Proc) sent() {
+	clear(p.outbox)
+	p.outbox = p.outbox[:0]
+}
+
+// recv flushes the outbox and receives the next message (Endpoint.FlushRecv,
+// which documents accept).
+func (p *Proc) recv(accept func(*transport.Msg) bool) (*transport.Msg, error) {
+	m, err := p.ep.FlushRecv(p.outbox, p.clock.Now(), accept)
+	p.sent()
+	return m, err
 }
 
 // collect publishes the incarnation's metrics and result to the runtime.
@@ -140,7 +177,7 @@ func (p *Proc) collect() {
 // messages, and take part in recovery rounds of other clusters.
 func (p *Proc) linger() error {
 	for {
-		m, err := p.ep.Recv(p.clock.Now())
+		m, err := p.recv(nil)
 		if err != nil {
 			return err
 		}
@@ -185,7 +222,7 @@ func (p *Proc) handle(m *transport.Msg) (bool, error) {
 // application traffic meanwhile.
 func (p *Proc) waitCtl(pred func() bool) error {
 	for !pred() {
-		m, err := p.ep.Recv(p.clock.Now())
+		m, err := p.recv(nil)
 		if err != nil {
 			return err
 		}
@@ -214,7 +251,7 @@ func (p *Proc) maybeFail() error {
 	if ranks == nil {
 		return nil
 	}
-	p.rt.event(procEvent{kind: evFail, rank: p.rank, vt: p.clock.Now(), ranks: ranks})
+	p.event(procEvent{kind: evFail, rank: p.rank, vt: p.clock.Now(), ranks: ranks})
 	// The victim stops acting immediately; the supervisor kills the rest
 	// of the scope.
 	return transport.ErrKilled
@@ -266,7 +303,8 @@ func (p *Proc) send(dst, tag int, data []byte, wire int) error {
 	p.clock.Advance(p.rt.model.SendOverhead(m.Wire()) + verdict.ExtraCPU)
 	m.SendVT = p.clock.Now()
 	m.Epoch = p.epoch
-	return p.rt.net.Send(m)
+	p.post(m)
+	return nil
 }
 
 func matches(m *transport.Msg, src, tag int) bool {
@@ -284,6 +322,14 @@ func (p *Proc) recvMatch(src, tag int) (*transport.Msg, error) {
 	if err := p.maybeFail(); err != nil {
 		return nil, err
 	}
+	// No pending message matches when the loop receives, so a popped App
+	// message that matches and that handle admits is the next one
+	// delivered, before the process can send; any other App message is
+	// buffered or dropped, and the loop receives again at the same clock
+	// without sending. That is the promise accept makes to the plane
+	// (Endpoint.FlushRecv); Admit is a pure check, so handle's second call
+	// agrees with this one.
+	accept := func(m *transport.Msg) bool { return matches(m, src, tag) && p.engine.Admit(m) }
 	for {
 		for i, m := range p.pending {
 			if matches(m, src, tag) {
@@ -292,7 +338,7 @@ func (p *Proc) recvMatch(src, tag int) (*transport.Msg, error) {
 				return m, nil
 			}
 		}
-		m, err := p.ep.Recv(p.clock.Now())
+		m, err := p.recv(accept)
 		if err != nil {
 			return nil, err
 		}
@@ -345,13 +391,10 @@ func (p *Proc) checkpointCall() error {
 		}
 		peers++
 		p.clock.Advance(p.rt.model.SendOverhead(markerWire))
-		mm := &transport.Msg{
+		p.post(&transport.Msg{
 			Src: p.rank, Dst: r, Kind: transport.Marker,
 			Epoch: seq, WireLen: markerWire, SendVT: p.clock.Now(),
-		}
-		if err := p.rt.net.Send(mm); err != nil {
-			return err
-		}
+		})
 	}
 	if err := p.waitCtl(func() bool { return p.haveMarkers(seq, scope, peers) }); err != nil {
 		return err
@@ -379,7 +422,9 @@ func (p *Proc) checkpointCall() error {
 	// their staged writes discarded, so the set of completed saves is a
 	// pure function of virtual time.
 	issueVT := p.clock.Now()
-	if err := p.rt.net.AwaitTurn(p.rank, issueVT); err != nil {
+	err = p.rt.net.FlushAwaitTurn(p.outbox, p.rank, issueVT)
+	p.sent()
+	if err != nil {
 		staged.Discard()
 		return err
 	}
@@ -470,10 +515,15 @@ func (p *Proc) capture(seq int, scope []int) (*checkpoint.Snapshot, error) {
 
 func (p *Proc) cluster() int { return p.rt.topo.ClusterOf[p.rank] }
 
-// publish advances the process's send frontier to its clock, letting gated
-// receivers elsewhere stop waiting on a stale lower bound. Purely a
-// real-time liveness aid: frontiers never reorder deliveries.
-func (p *Proc) publish() { p.rt.net.Publish(p.rank, p.clock.Now()) }
+// publish flushes the outbox and advances the process's send frontier to its
+// clock, letting gated receivers elsewhere stop waiting on a stale lower
+// bound. Purely a real-time liveness aid: frontiers never reorder
+// deliveries.
+func (p *Proc) publish() {
+	// The batch cannot fail; see event.
+	_ = p.rt.net.FlushPublish(p.outbox, p.rank, p.clock.Now())
+	p.sent()
+}
 
 // --- rollback.Proc interface ---
 
@@ -495,13 +545,12 @@ func (p *Proc) Metrics() *rollback.Metrics { return &p.metrics }
 // SendCtl implements rollback.Proc.
 func (p *Proc) SendCtl(dst int, body any, wireBytes int) {
 	p.clock.Advance(p.rt.model.SendOverhead(wireBytes))
-	m := &transport.Msg{
+	p.post(&transport.Msg{
 		Src: p.rank, Dst: dst, Kind: transport.Ctl,
 		CtlBody: body, WireLen: wireBytes,
 		SendVT: p.clock.Now(), Epoch: p.epoch,
-	}
+	})
 	p.metrics.CtlMsgs++
-	_ = p.rt.net.Send(m)
 }
 
 // SendAppRaw implements rollback.Proc: log replay of a fully formed
@@ -510,7 +559,7 @@ func (p *Proc) SendAppRaw(m *transport.Msg) {
 	p.clock.Advance(p.rt.model.SendOverhead(m.Wire()))
 	m.SendVT = p.clock.Now()
 	m.Epoch = p.epoch
-	_ = p.rt.net.Send(m)
+	p.post(m)
 }
 
 // WaitCtl implements rollback.Proc.

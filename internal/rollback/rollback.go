@@ -257,10 +257,13 @@ type Engine interface {
 	// recovery may block (send gating) or suppress the send. It returns an
 	// error only if the process dies while blocked.
 	PreSend(m *transport.Msg) (SendVerdict, error)
-	// Admit decides, when an application message is matched for delivery,
+	// Admit decides, when an application message reaches the process,
 	// whether it may reach the application. It returns false for
 	// duplicates that a log replay supersedes (the sender had not yet
-	// learned of this process's restart); such messages are dropped.
+	// learned of this process's restart); such messages are dropped. It
+	// must not change the engine's state: a receive asks it once, under the
+	// delivery plane's lock, to tell the plane whether the message is
+	// delivered at once, and again when it buffers the message.
 	Admit(m *transport.Msg) bool
 	// OnDeliver runs at each application-level Delivery event.
 	OnDeliver(m *transport.Msg)

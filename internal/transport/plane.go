@@ -18,7 +18,9 @@ import (
 // cost, never its outcome, and stay out of every byte-reproducible output.
 type Counters struct {
 	// Mutations counts plane mutations: sends, receive commits, deliveries,
-	// publishes, quiesces, dooms, kills, restarts.
+	// publishes, quiesces, dooms, kills, restarts. A batch — the sends one
+	// call flushes, together with the block, publish or turn they precede —
+	// counts once.
 	Mutations int64
 	// Visited counts tree nodes touched plus waiters gate-checked: the
 	// plane's own work, O(log np) per mutation plus what it wakes.
@@ -289,15 +291,13 @@ func (n *Network) low3Locked(low *[3]boundRef, lowEp *[3]*Endpoint) {
 // low3StaleLocked reports whether the mutation that touched e may have
 // changed low3: e was in it, or e's new bound sorts into it. If neither holds
 // for any touched endpoint, low3 stands. The minimum cap m1 cannot have
-// risen: every holder of the old minimum would have been touched, and those
-// (at most two, plus the latent source) were the only bounds equal to it, so
-// they were in low3. It cannot have fallen: the endpoint that lowered it now
-// has the plane's smallest bound, which sorts into low3. And with m1 unmoved
-// no untouched source's bound moved.
+// risen: every holder of the old minimum would have been touched, and every
+// holder's bound is m1, the smallest any bound can be — so if there were
+// three or fewer of them all were in low3, and if there were more, at least
+// one of the touched was. It cannot have fallen: the endpoint that lowered it
+// now has the plane's smallest bound, which sorts into low3. And with m1
+// unmoved no untouched source's bound moved.
 func (n *Network) low3StaleLocked(e *Endpoint) bool {
-	if e == nil {
-		return false
-	}
 	if e == n.low3ep[0] || e == n.low3ep[1] || e == n.low3ep[2] {
 		return true
 	}
@@ -403,16 +403,31 @@ func (n *Network) rebuildIndexLocked() {
 	}
 }
 
-// planeChangedLocked ends every delivery-plane mutation. a and b (either
-// may be nil) are the endpoints whose state, frontier, queue, fence or
-// liveness the mutation changed; every other endpoint's keys are untouched.
-// It re-keys the two, recomputes low3 if it may have moved, and signals
-// exactly the parked waiters whose condition now holds and who have not been
-// signalled already.
+// touchLocked adds e (nil is ignored) to the touched set of the mutation in
+// progress: an endpoint whose state, frontier, queue, fence or liveness it
+// changed.
+func (n *Network) touchLocked(e *Endpoint) {
+	if e != nil && !e.touched {
+		e.touched = true
+		n.touched = append(n.touched, e)
+	}
+}
+
+// planeChangedLocked ends every delivery-plane mutation, whether one call
+// changed one endpoint or a batch of sends and a block changed many: it adds
+// es to the touched set, re-keys every touched endpoint, recomputes low3 at
+// most once if it may have moved, and signals exactly the parked waiters
+// whose condition now holds and who have not been signalled already. Every
+// other endpoint's keys are untouched. A mutation that touched nothing is
+// not one.
+//
+// Staleness is judged once, against the low3 before the batch: the argument
+// of low3StaleLocked holds for any set of touched endpoints, since m1 can
+// only move if a touched endpoint was in low3 or now sorts into it.
 //
 // Who can newly pass: a waiter's condition reads only its own state and
-// low3. Own state changed only for a and b, which are checked directly. If
-// low3 changed, a waiter passing under the new triple is one of
+// low3. Own state changed only for the touched endpoints, which are checked
+// directly. If low3 changed, a waiter passing under the new triple is one of
 //
 //   - the (at most three) endpoints named in it, whose own entries the
 //     checks skip;
@@ -424,15 +439,24 @@ func (n *Network) rebuildIndexLocked() {
 //
 // Every unsignalled parked waiter failed before the mutation (or it would
 // have been signalled then), so all that pass now are new.
-func (n *Network) planeChangedLocked(a, b *Endpoint) {
+func (n *Network) planeChangedLocked(es ...*Endpoint) {
+	for _, e := range es {
+		n.touchLocked(e)
+	}
+	if len(n.touched) == 0 {
+		return
+	}
 	n.ctr.Mutations++
-	if a != nil {
-		n.reindexLocked(a)
+	stale := false
+	for _, e := range n.touched {
+		n.reindexLocked(e)
 	}
-	if b != nil {
-		n.reindexLocked(b)
+	for _, e := range n.touched {
+		if stale = n.low3StaleLocked(e); stale {
+			break
+		}
 	}
-	if n.low3StaleLocked(a) || n.low3StaleLocked(b) {
+	if stale {
 		was := n.low3
 		n.low3Locked(&n.low3, &n.low3ep)
 		if n.low3 != was {
@@ -440,8 +464,12 @@ func (n *Network) planeChangedLocked(a, b *Endpoint) {
 			n.wakeByLow3Locked()
 		}
 	}
-	n.wakeIfReadyLocked(a)
-	n.wakeIfReadyLocked(b)
+	for _, e := range n.touched {
+		e.touched = false
+		n.wakeIfReadyLocked(e)
+	}
+	clear(n.touched)
+	n.touched = n.touched[:0]
 }
 
 // wakeByLow3Locked signals every waiter that passes under a changed low3.

@@ -14,8 +14,10 @@ func parkInRecv(tb testing.TB, n *Network, rank int) {
 	e := n.Endpoint(rank)
 	n.dmu.Lock()
 	defer n.dmu.Unlock()
-	e.blockLocked(0)
-	if _, done, _ := e.recvStepLocked(0); done {
+	if err := e.recvBeginLocked(nil, 0); err != nil {
+		tb.Fatal(err)
+	}
+	if _, done, _ := e.recvStepLocked(0, nil); done {
 		tb.Fatalf("rank %d: Recv did not have to wait", rank)
 	}
 	n.parkLocked(e, wRecv, false)

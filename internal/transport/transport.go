@@ -55,6 +55,33 @@
 // once per relevant change, not once per mutation — no broadcast herds, and
 // no hand-made wake-up edges to get wrong.
 //
+// # One mutation per rank step
+//
+// A mutation may be a batch: planeChangedLocked takes every endpoint a call
+// touched, re-keys them all, judges low3's staleness once against the
+// triple before the batch, recomputes it at most once and runs one wake
+// pass, and Counters count the batch as one mutation. Send is the batch of
+// one; there is no other mutation path.
+//
+// Outbox rule: a source may buffer its sends and hand them over with its
+// next plane operation — FlushRecv, FlushAwaitTurn, FlushPublish — under
+// that operation's lock hold and inside its mutation, or with SendBatch
+// before it reports anything to whoever supervises it. No buffered send can
+// be undercut by what the plane admits meanwhile: its SendVT is at or above
+// the sender's published frontier, so it arrives no earlier than that
+// frontier plus the lookahead, behind the sender's id on ties — exactly the
+// keys the gate already holds back for a running source. Its channel clamp
+// and sequence number depend only on the sender's own earlier sends.
+//
+// Merge at delivery: a receiver's bound does not dip when it pops. A Ctl or
+// Marker message, or an App message the receive says it delivers at once
+// (FlushRecv's accept), merges the receiver's clock to the arrival stamp
+// before it acts, so its frontier rises there at the pop; an App message
+// the receive says it only buffers or drops leaves it blocked, since it
+// receives again before it acts. Falling back to the clock it blocked with
+// instead would lower low3 and send waiters signalled a moment earlier back
+// to sleep.
+//
 // Progress requires strictly positive lookahead, so the network enforces a
 // minimum virtual latency of 1ns per hop (zero-cost models otherwise admit
 // cycles of processes none of which can be proven unable to produce an
@@ -263,24 +290,28 @@ type Endpoint struct {
 	signalled bool
 	turnVT    vtime.Time
 
-	// pos is the endpoint's position in the network's epList and trees.
-	pos int
+	// pos is the endpoint's position in the network's epList and trees;
+	// touched marks it as a member of the touched set of the mutation in
+	// progress (planeChangedLocked).
+	pos     int
+	touched bool
 	// srcWaiters heads the list of parked receivers whose queue head this
 	// endpoint sent; headSrc, srcPrev and srcNext are this endpoint's own
 	// membership of such a list (see indexWaiterLocked).
 	srcWaiters, headSrc, srcPrev, srcNext *Endpoint
 
 	// chans holds one record per source that has sent here, sorted by
-	// source id.
+	// source id; chSrc[i] is the source of chans[i]. The search every send
+	// makes runs over chSrc, four bytes a probe, not over the records.
+	chSrc []int32
 	chans []channel
 }
 
-// channel is the state of the FIFO channel from src into an endpoint: the
-// last clamped arrival time and the sequence counter (FIFO-consistency of
-// the key order), and the App accounting when both ends are application
-// ranks.
+// channel is the state of the FIFO channel from one source into an
+// endpoint: the last clamped arrival time and the sequence counter
+// (FIFO-consistency of the key order), and the App accounting when both
+// ends are application ranks.
 type channel struct {
-	src    int
 	arrive vtime.Time
 	seq    uint64
 	stat   PairStat
@@ -299,10 +330,11 @@ func newEndpoint(n *Network, id int, state srcState) *Endpoint {
 
 // channelLocked returns e's record of the channel from src, adding it on
 // the first send.
-func (e *Endpoint) channelLocked(src int) *channel {
-	at, ok := slices.BinarySearchFunc(e.chans, src, func(c channel, src int) int { return cmp.Compare(c.src, src) })
+func (e *Endpoint) channelLocked(src int32) *channel {
+	at, ok := slices.BinarySearch(e.chSrc, src)
 	if !ok {
-		e.chans = slices.Insert(e.chans, at, channel{src: src})
+		e.chSrc = slices.Insert(e.chSrc, at, src)
+		e.chans = slices.Insert(e.chans, at, channel{})
 	}
 	return &e.chans[at]
 }
@@ -316,21 +348,30 @@ func (e *Endpoint) ID() int { return e.id }
 // the endpoint's send frontier is pinned there, since the caller cannot
 // send before it delivers. It returns ErrKilled if the endpoint is (or
 // becomes) dead.
-func (e *Endpoint) Recv(now vtime.Time) (*Msg, error) {
+func (e *Endpoint) Recv(now vtime.Time) (*Msg, error) { return e.FlushRecv(nil, now, nil) }
+
+// FlushRecv is Recv preceded by the caller's buffered sends (the package
+// comment's outbox rule): out is enqueued under the same lock hold, and the
+// sends and the block are one plane mutation. A send to an unknown endpoint
+// is dropped and its error returned, without receiving.
+//
+// accept, when not nil, is the caller's promise about a popped App message
+// (the merge-at-delivery rule). True: the caller delivers it at once — it
+// matches the pending receive and the protocol admits it — merging its
+// clock to the arrival stamp before it acts. False: the caller only buffers
+// or drops it and calls FlushRecv again, with nothing to flush and the same
+// clock, before it acts. accept runs under the plane lock and must not call
+// into the network.
+func (e *Endpoint) FlushRecv(out []*Msg, now vtime.Time, accept func(*Msg) bool) (*Msg, error) {
 	n := e.n
+	n.stampAll(out)
 	n.dmu.Lock()
 	defer n.dmu.Unlock()
-	if e.dead {
-		return nil, ErrKilled
+	if err := e.recvBeginLocked(out, now); err != nil {
+		return nil, err
 	}
-	// Commit to the blocked state BEFORE evaluating the gate: the caller
-	// cannot send until this Recv returns, and the transitive bounds must
-	// reflect that — evaluating while still marked running would let the
-	// receiver's own stale frontier hold the plane's bounds below its
-	// head's stamp and fail a check its own blocking satisfies.
-	e.blockLocked(now)
 	for again := false; ; again = true {
-		if m, done, err := e.recvStepLocked(now); done {
+		if m, done, err := e.recvStepLocked(now, accept); done {
 			return m, err
 		}
 		n.parkLocked(e, wRecv, again)
@@ -339,40 +380,52 @@ func (e *Endpoint) Recv(now vtime.Time) (*Msg, error) {
 	}
 }
 
-// blockLocked commits e to the blocked state at clock now.
-func (e *Endpoint) blockLocked(now vtime.Time) {
-	changed := e.state != stBlocked
-	e.state = stBlocked
-	if e.frontier < now {
-		e.frontier = now
-		changed = true
+// recvBeginLocked enqueues out and commits e to the blocked state at clock
+// now, as one mutation. Blocking comes BEFORE the gate is evaluated: the
+// caller cannot send until the receive returns, and the transitive bounds
+// must reflect that — evaluating while still marked running would let the
+// receiver's own stale frontier hold the plane's bounds below its head's
+// stamp and fail a check its own blocking satisfies.
+func (e *Endpoint) recvBeginLocked(out []*Msg, now vtime.Time) error {
+	err := e.n.enqueueAllLocked(out)
+	if err == nil && !e.dead {
+		changed := e.state != stBlocked
+		e.state = stBlocked
+		if e.frontier < now {
+			e.frontier = now
+			changed = true
+		}
+		if changed {
+			e.n.touchLocked(e)
+		}
 	}
-	if changed {
-		e.n.planeChangedLocked(e, nil)
-	}
+	e.n.planeChangedLocked()
+	return err
 }
 
-// recvStepLocked makes one attempt at a receive: done reports whether the
-// attempt settled it — a delivery, or ErrKilled — or the caller has to wait.
-func (e *Endpoint) recvStepLocked(now vtime.Time) (m *Msg, done bool, err error) {
+// recvStepLocked makes one attempt at a receive, as one mutation: done
+// reports whether the attempt settled it — a delivery, or ErrKilled — or the
+// caller has to wait.
+func (e *Endpoint) recvStepLocked(now vtime.Time, accept func(*Msg) bool) (m *Msg, done bool, err error) {
 	n := e.n
-	if e.dead {
+	switch {
+	case e.dead:
 		return nil, true, ErrKilled
-	}
-	if len(e.q) > 0 && n.gatePassLocked(e, e.q[0]) {
+	case len(e.q) > 0 && n.gatePassLocked(e, e.q[0]):
+		done = true
 		if n.pastFenceLocked(e, e.q[0]) {
 			// The gate proves the next delivery would happen past the
 			// death fence; the process is dead by then.
-			return nil, true, e.reapLocked()
+			err = e.reapLocked()
+			break
 		}
 		m = heap.Pop(&e.q).(*Msg)
-		e.deliveredLocked(m, now)
-		return m, true, nil
+		e.deliveredLocked(m, now, accept)
+	case n.doomReapLocked(e):
+		done, err = true, e.reapLocked()
 	}
-	if n.doomReapLocked(e) {
-		return nil, true, e.reapLocked()
-	}
-	return nil, false, nil
+	n.planeChangedLocked()
+	return m, done, err
 }
 
 // pastFenceLocked reports whether delivering m to the doomed endpoint e
@@ -394,27 +447,27 @@ func (n *Network) pastFenceLocked(e *Endpoint, m *Msg) bool {
 func (e *Endpoint) reapLocked() error {
 	if !e.dead && e.state != stIdle {
 		e.state = stIdle
-		e.n.planeChangedLocked(e, nil)
+		e.n.touchLocked(e)
 	}
 	return ErrKilled
 }
 
-// deliveredLocked records the state transition of a successful pop: the receiver
-// runs again, and — for Ctl and Marker messages, which merge the receiver's
-// clock to the arrival stamp before it can act — its frontier advances to
-// the delivered stamp. App deliveries guarantee only the clock the receiver
-// blocked with (a non-matching message is buffered without a merge).
-func (e *Endpoint) deliveredLocked(m *Msg, now vtime.Time) {
-	e.state = stRunning
-	f := now
-	if m.Kind != App && m.ArriveVT > f {
-		f = m.ArriveVT
-	}
-	if f > e.frontier {
-		e.frontier = f
-	}
+// deliveredLocked records the state transition of a successful pop by the
+// merge-at-delivery rule (package comment): running at the arrival stamp,
+// or still blocked if accept refuses the App message. Without accept, an
+// App pop guarantees only the clock the receiver blocked with.
+func (e *Endpoint) deliveredLocked(m *Msg, now vtime.Time, accept func(*Msg) bool) {
 	e.n.ctr.Delivered++
-	e.n.planeChangedLocked(e, nil)
+	e.n.touchLocked(e)
+	f := now
+	switch {
+	case m.Kind != App, accept != nil && accept(m):
+		f = max(f, m.ArriveVT)
+	case accept != nil:
+		return
+	}
+	e.state = stRunning
+	e.frontier = max(e.frontier, f)
 }
 
 // TryRecv returns the earliest deliverable message without blocking. ok
@@ -428,9 +481,9 @@ func (e *Endpoint) TryRecv(now vtime.Time) (m *Msg, ok bool, err error) {
 	}
 	if e.frontier < now {
 		e.frontier = now
-		n.planeChangedLocked(e, nil)
+		n.planeChangedLocked(e)
 	}
-	m, _, err = e.recvStepLocked(now)
+	m, _, err = e.recvStepLocked(now, nil)
 	return m, m != nil, err
 }
 
@@ -503,6 +556,9 @@ type Network struct {
 	// endpoints.
 	low3   [3]boundRef
 	low3ep [3]*Endpoint
+	// touched collects the endpoints the mutation in progress changed, for
+	// planeChangedLocked; it is empty between mutations.
+	touched []*Endpoint
 	// latent designates the recovery endpoint as a latent source: while
 	// it is idle, its bound is the plane's minimum cap rather than
 	// infinity. A failure detected at a victim's clock c spawns recovery
@@ -625,21 +681,57 @@ func (n *Network) IncOf(rank int) int32 {
 // Send stamps and enqueues m. The caller must have set Src, Dst and advanced
 // its clock past the send overhead; SendVT is the sender's clock after that.
 // WireLen defaults to len(Data). Sending also publishes the sender's
-// frontier: its next send cannot predate this one.
-func (n *Network) Send(m *Msg) error {
-	if m.WireLen == 0 {
-		m.WireLen = len(m.Data)
-	}
-	lat := n.model.Latency(m.Wire())
-	if lat < n.minLat {
-		lat = n.minLat
-	}
+// frontier: its next send cannot predate this one. Send is SendBatch of one
+// message.
+func (n *Network) Send(m *Msg) error { return n.SendBatch([]*Msg{m}) }
 
+// SendBatch stamps and enqueues every message of out, in order, as one plane
+// mutation: a source's buffered sends (the package comment's outbox rule).
+// A send to an unknown endpoint is dropped, and the first such error is
+// returned once the others are enqueued.
+func (n *Network) SendBatch(out []*Msg) error {
+	n.stampAll(out)
 	n.dmu.Lock()
 	defer n.dmu.Unlock()
+	err := n.enqueueAllLocked(out)
+	n.planeChangedLocked()
+	return err
+}
+
+// stampAll applies the WireLen default and the cost model's latency to each
+// message of out, which its sender still owns: nothing here needs the lock.
+func (n *Network) stampAll(out []*Msg) {
+	for _, m := range out {
+		if m.WireLen == 0 {
+			m.WireLen = len(m.Data)
+		}
+		m.ArriveVT = m.SendVT.Add(max(n.model.Latency(m.Wire()), n.minLat))
+	}
+}
+
+// enqueueAllLocked enqueues the stamped messages of out, touching their
+// sources and destinations, and returns the first error.
+func (n *Network) enqueueAllLocked(out []*Msg) error {
+	var first error
+	for _, m := range out {
+		if err := n.enqueueLocked(m); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// enqueueLocked is the locked half of a send: incarnation, the sender's
+// frontier, the channel's clamp, sequence and accounting, and the
+// destination's queue. It touches what it changed; the caller ends the
+// mutation.
+func (n *Network) enqueueLocked(m *Msg) error {
 	dst, _ := n.lookupLocked(m.Dst)
 	if dst == nil {
 		return fmt.Errorf("transport: send to unknown endpoint %d", m.Dst)
+	}
+	if int(int32(m.Src)) != m.Src {
+		return fmt.Errorf("transport: source id %d out of range", m.Src)
 	}
 	rankSrc := m.Src >= 0 && m.Src < n.np
 	if rankSrc {
@@ -657,9 +749,9 @@ func (n *Network) Send(m *Msg) error {
 			src.state = stRunning
 		}
 	}
+	n.touchLocked(src)
 
-	m.ArriveVT = m.SendVT.Add(lat)
-	ch := dst.channelLocked(m.Src)
+	ch := dst.channelLocked(int32(m.Src))
 	if m.Kind == App && rankSrc && m.Dst >= 0 && m.Dst < n.np {
 		ch.stat.Msgs++
 		ch.stat.Bytes += int64(m.WireLen)
@@ -681,12 +773,11 @@ func (n *Network) Send(m *Msg) error {
 	ch.seq++
 	m.chSeq = ch.seq
 	if dst.dead {
-		dst.droppedWhileDead++
-		n.planeChangedLocked(src, nil) // the sender's frontier still advanced
+		dst.droppedWhileDead++ // the sender's frontier still advanced
 		return nil
 	}
 	heap.Push(&dst.q, m)
-	n.planeChangedLocked(src, dst)
+	n.touchLocked(dst)
 	return nil
 }
 
@@ -695,17 +786,26 @@ func (n *Network) Send(m *Msg) error {
 // checkpoint I/O) and the supervisor calls it to attach a service actor; a
 // stale frontier never reorders deliveries, it only delays them in real
 // time.
-func (n *Network) Publish(id int, vt vtime.Time) {
+func (n *Network) Publish(id int, vt vtime.Time) { _ = n.FlushPublish(nil, id, vt) }
+
+// FlushPublish is Publish preceded by the caller's buffered sends, as one
+// plane mutation (see SendBatch). A send to an unknown endpoint is dropped
+// and its error returned, without publishing.
+func (n *Network) FlushPublish(out []*Msg, id int, vt vtime.Time) error {
+	n.stampAll(out)
 	n.dmu.Lock()
+	defer n.dmu.Unlock()
+	err := n.enqueueAllLocked(out)
 	e := n.endpointLocked(id)
-	if e.state != stDead && (e.state != stRunning || vt > e.frontier) {
+	if err == nil && e.state != stDead && (e.state != stRunning || vt > e.frontier) {
 		e.state = stRunning
 		if vt > e.frontier {
 			e.frontier = vt
 		}
-		n.planeChangedLocked(e, nil)
+		n.touchLocked(e)
 	}
-	n.dmu.Unlock()
+	n.planeChangedLocked()
+	return err
 }
 
 // Quiesce marks id as unable to send until reattached (Publish, Restart):
@@ -717,7 +817,7 @@ func (n *Network) Quiesce(id int) {
 	e := n.endpointLocked(id)
 	if e.state != stDead && e.state != stIdle {
 		e.state = stIdle
-		n.planeChangedLocked(e, nil)
+		n.planeChangedLocked(e)
 	}
 	n.dmu.Unlock()
 }
@@ -730,9 +830,20 @@ func (n *Network) Quiesce(id int) {
 // death fence is still granted — an in-flight checkpoint write issued
 // before the failure's detection time completes — while a turn past the
 // fence returns ErrKilled: the write is cancelled deterministically.
-func (n *Network) AwaitTurn(id int, vt vtime.Time) error {
+func (n *Network) AwaitTurn(id int, vt vtime.Time) error { return n.FlushAwaitTurn(nil, id, vt) }
+
+// FlushAwaitTurn is AwaitTurn preceded by the caller's buffered sends: they
+// and the first attempt at the turn are one plane mutation (see SendBatch).
+// A send to an unknown endpoint is dropped and its error returned, without
+// waiting for the turn.
+func (n *Network) FlushAwaitTurn(out []*Msg, id int, vt vtime.Time) error {
+	n.stampAll(out)
 	n.dmu.Lock()
 	defer n.dmu.Unlock()
+	if err := n.enqueueAllLocked(out); err != nil {
+		n.planeChangedLocked()
+		return err
+	}
 	e := n.endpointLocked(id)
 	e.turnVT = vt
 	for again := false; ; again = true {
@@ -745,28 +856,28 @@ func (n *Network) AwaitTurn(id int, vt vtime.Time) error {
 	}
 }
 
-// turnStepLocked makes one attempt at taking the (vt, e.id) turn: done
-// reports whether it was granted or refused with ErrKilled, or the caller
-// has to wait.
+// turnStepLocked makes one attempt at taking the (vt, e.id) turn, as one
+// mutation: done reports whether it was granted or refused with ErrKilled,
+// or the caller has to wait.
 func (n *Network) turnStepLocked(e *Endpoint, vt vtime.Time) (done bool, err error) {
-	if e.dead {
-		return true, ErrKilled
-	}
-	if vt > e.doomVT {
-		return true, e.reapLocked()
-	}
-	if e.state != stRunning || e.frontier < vt {
+	switch {
+	case e.dead:
+		done, err = true, ErrKilled
+	case vt > e.doomVT:
+		done, err = true, e.reapLocked()
+	case e.state != stRunning || e.frontier < vt:
 		e.state = stRunning
 		if vt > e.frontier {
 			e.frontier = vt
 		}
-		n.planeChangedLocked(e, nil)
+		n.touchLocked(e)
 	}
-	if n.turnPassLocked(e, vt) {
+	n.planeChangedLocked()
+	if !done && n.turnPassLocked(e, vt) {
 		n.ctr.TurnGrants++
-		return true, nil
+		done = true
 	}
-	return false, nil
+	return done, err
 }
 
 // doomReapLocked reports whether a doomed endpoint blocked in Recv can be
@@ -891,9 +1002,9 @@ func (n *Network) Stats() []Traffic {
 func (n *Network) statsLocked() []Traffic {
 	next := make([]int, n.np+1)
 	for _, e := range n.eps {
-		for _, c := range e.chans {
+		for i, c := range e.chans {
 			if c.stat.Msgs > 0 {
-				next[c.src+1]++
+				next[e.chSrc[i]+1]++
 			}
 		}
 	}
@@ -902,10 +1013,10 @@ func (n *Network) statsLocked() []Traffic {
 	}
 	out := make([]Traffic, next[n.np])
 	for _, e := range n.eps {
-		for _, c := range e.chans {
-			if c.stat.Msgs > 0 {
-				out[next[c.src]] = Traffic{Src: c.src, Dst: e.id, PairStat: c.stat}
-				next[c.src]++
+		for i, c := range e.chans {
+			if src := e.chSrc[i]; c.stat.Msgs > 0 {
+				out[next[src]] = Traffic{Src: int(src), Dst: e.id, PairStat: c.stat}
+				next[src]++
 			}
 		}
 	}
@@ -928,7 +1039,7 @@ func (n *Network) Doom(id int, d vtime.Time) {
 	e := n.endpointLocked(id)
 	if !e.dead && d < e.doomVT {
 		e.doomVT = d
-		n.planeChangedLocked(e, nil)
+		n.planeChangedLocked(e)
 	}
 	n.dmu.Unlock()
 }
@@ -970,7 +1081,7 @@ func (n *Network) killLocked(e *Endpoint) {
 	e.state = stDead
 	e.doomVT = infTime
 	e.q = nil
-	n.planeChangedLocked(e, nil)
+	n.planeChangedLocked(e)
 }
 
 // RestartAt revives the endpoint of rank — an application rank, or a killed
@@ -995,7 +1106,7 @@ func (n *Network) RestartAt(rank int, vt vtime.Time) {
 	e.doomVT = infTime
 	e.frontier = vt
 	e.q = nil
-	n.planeChangedLocked(e, nil)
+	n.planeChangedLocked(e)
 	n.dmu.Unlock()
 }
 
@@ -1010,7 +1121,7 @@ func (n *Network) AttachAt(id int, vt vtime.Time) {
 	if e.state != stDead {
 		e.state = stRunning
 		e.frontier = vt
-		n.planeChangedLocked(e, nil)
+		n.planeChangedLocked(e)
 	}
 	n.dmu.Unlock()
 }

@@ -150,34 +150,52 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	flusher.Flush()
 
 	for {
+		var (
+			ev hydee.RunEvent
+			ok bool
+		)
 		select {
-		case ev, ok := <-events:
+		case ev, ok = <-events:
+		case <-r.Context().Done():
+			return
+		}
+		// Write every event that is already waiting, then flush once: a job
+		// emits its events in bursts, and a flush per event was most of the
+		// handler's time.
+		for ready := true; ready; {
 			if !ok {
 				// Stream drained: the job is terminal (Subscribe's channel
 				// only closes after the fanout hub is closed, which run()
 				// and queued-cancel do after the state settles).
-				view, err := s.Job(id)
-				if err != nil {
-					return
-				}
-				data, err := json.Marshal(view)
-				if err != nil {
-					return
-				}
-				fmt.Fprintf(w, "event: summary\ndata: %s\n\n", data)
+				writeSummary(w, s, id)
 				flusher.Flush()
 				return
 			}
-			data, err := hydee.MarshalRunEvent(ev)
-			if err != nil {
-				continue
+			if data, err := hydee.MarshalRunEvent(ev); err == nil {
+				fmt.Fprintf(w, "event: lifecycle\ndata: %s\n\n", data)
 			}
-			fmt.Fprintf(w, "event: lifecycle\ndata: %s\n\n", data)
-			flusher.Flush()
-		case <-r.Context().Done():
-			return
+			select {
+			case ev, ok = <-events:
+			default:
+				ready = false
+			}
 		}
+		flusher.Flush()
 	}
+}
+
+// writeSummary writes the stream's closing summary event: the job's final
+// view, or nothing if it cannot be read.
+func writeSummary(w http.ResponseWriter, s *Server, id int) {
+	view, err := s.Job(id)
+	if err != nil {
+		return
+	}
+	data, err := json.Marshal(view)
+	if err != nil {
+		return
+	}
+	fmt.Fprintf(w, "event: summary\ndata: %s\n\n", data)
 }
 
 func (s *Server) handleRegistry(w http.ResponseWriter, _ *http.Request) {

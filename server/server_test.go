@@ -309,6 +309,69 @@ func TestEventStreamSSE(t *testing.T) {
 	}
 }
 
+// flushRecorder records a response and the bytes each Flush pushed out.
+type flushRecorder struct {
+	*httptest.ResponseRecorder
+	chunks  []string
+	flushed int
+}
+
+func (f *flushRecorder) Flush() {
+	f.chunks = append(f.chunks, f.Body.String()[f.flushed:])
+	f.flushed = f.Body.Len()
+}
+
+// TestEventStreamBytes pins the SSE body byte for byte: one lifecycle frame
+// per event the job's hub replays, in order, then the summary frame of the
+// final view. The handler flushes once per run of events that were waiting,
+// never inside a frame, and leaves nothing unflushed.
+func TestEventStreamBytes(t *testing.T) {
+	srv := newTestServer(t, server.Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	view := submitHTTP(t, ts, server.JobRequest{Runs: []hydee.SweepSpec{
+		{App: "cg", NP: 8, Iters: 3, Proto: "hydee", Clusters: 2, CheckpointEvery: 1, FailAt: "ckpts:1@3"},
+		{App: "cg", NP: 8, Iters: 2, Proto: "native"},
+	}})
+	final := waitDone(t, srv, view.ID)
+
+	events, cancel, err := srv.Subscribe(view.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	var want strings.Builder
+	frames := 0
+	for ev := range events {
+		data, err := hydee.MarshalRunEvent(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&want, "event: lifecycle\ndata: %s\n\n", data)
+		frames++
+	}
+	summary, err := json.Marshal(final)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&want, "event: summary\ndata: %s\n\n", summary)
+
+	rec := &flushRecorder{ResponseRecorder: httptest.NewRecorder()}
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/jobs/%d/events", view.ID), nil))
+	if got := rec.Body.String(); got != want.String() {
+		t.Fatalf("stream of %d lifecycle frames differs:\n got %q\nwant %q", frames, got, want.String())
+	}
+	if rec.flushed != rec.Body.Len() {
+		t.Errorf("%d of %d bytes never flushed", rec.Body.Len()-rec.flushed, rec.Body.Len())
+	}
+	for i, c := range rec.chunks {
+		if c != "" && !strings.HasSuffix(c, "\n\n") {
+			t.Errorf("flush %d ends inside a frame: %q", i, c)
+		}
+	}
+	t.Logf("%d lifecycle frames in %d flushes", frames, len(rec.chunks))
+}
+
 // TestQueueBackpressureAndErrors drives the 503/400/404 paths: a full
 // queue rejects rather than buffers, a bad spec is rejected at submit
 // with the resolution error, unknown job ids 404.
