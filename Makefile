@@ -76,15 +76,16 @@ bench-check:
 	cd benchmark && $(GO) build . && $(GO) vet . && $(GO) test -short .
 
 # The in-tree benchmarks of the layers the repository benchmark attributes
-# time to: the erasure kernel (Split, Reconstruct), the checkpoint data
+# time to: the erasure kernel (Encode under each of its bodies, Split,
+# Reconstruct), the checkpoint data
 # path (fragment seal, steady-state ec and replica saves, the stage and
 # the commit of an ec save, a degraded ec load) with MB/s and B/op, the
 # delivery plane (one mutation at np 16 to 4096), the clustering tool
 # (torus and complete graphs at 256, a torus at 4096), the protocol engine
 # (Algorithm 1's send path, a checkpoint's protocol state) and the runtime
-# (an np = 64 checkpoint wave into ec:4+2, staged and under the turn; the
-# supervisor event channel; FT's pairwise all-to-all at np = 256, per
-# message). CI runs the same set with -benchtime 1x so they cannot rot.
+# (an np = 64 checkpoint wave into ec:4+2, staged and under the turn;
+# Proc.capture at 64 KiB and 512 KiB images; the supervisor event
+# channel; FT's pairwise all-to-all at np = 256, per message). CI runs the same set with -benchtime 1x so they cannot rot.
 BENCH_LAYERS = ./internal/erasure ./internal/checkpoint ./internal/transport ./internal/graph ./internal/core ./internal/mpi
 
 bench-layers:

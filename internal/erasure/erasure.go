@@ -11,13 +11,26 @@
 // x^8+x^4+x^3+x+1 is 0x11b) through a 64 KiB product table built at
 // init.
 //
-// Shard payloads go through one kernel: a coefficient matrix is
-// compiled into per-column lookup tables whose entries pack a byte's
-// products for two output rows, so with up to two parity shards (or
-// two lost data shards) every input byte is read once and costs one
-// lookup. Encode runs it over the parity rows, Reconstruct over the
-// rows of the inverted decode matrix that belong to missing data
-// shards.
+// Shard payloads go through one kernel, which takes output rows two at
+// a time and reads every input byte once per pair, so with up to two
+// parity shards (or two lost data shards) each input byte is read once.
+// Encode runs it over the parity rows, Reconstruct over the rows of the
+// inverted decode matrix that belong to missing data shards. The kernel
+// has two bodies:
+//
+//   - the table body (every platform): per-column 256-entry tables whose
+//     16-bit entries pack a byte's products for both rows, one lookup
+//     per input byte;
+//   - the AVX2 body (amd64): split-nibble tables, lo[x] = c·x and
+//     hi[x] = c·(x<<4) for x < 16, so c·b = lo[b&15] ^ hi[b>>4] and one
+//     VPSHUFB does 32 lookups. It covers whole 32-byte blocks; the last
+//     n%32 bytes go through the table body.
+//
+// The body is chosen once, at init, from CPUID (AVX2, with the OS saving
+// YMM state); there is no knob. Both bodies compute the same products
+// in the same field and XOR them, which is associative and commutative,
+// so their bytes cannot differ: the oracle tests run each against the
+// log/exp reference in oracle_test.go.
 //
 // Everything here is a pure function of its inputs — no clocks, no
 // randomness, no global state beyond the constant tables — so encoded
@@ -68,15 +81,28 @@ func init() {
 // serves both rows. A quad is 2 KiB and is all a pass over the payload
 // touches besides the payload itself. Columns past the last and the row
 // past the last of an odd matrix are zero coefficients.
+//
+// When the AVX2 body is in use, nib[r/2*cols+j] holds column j's
+// split-nibble tables for rows r and r+1 (the same zero padding), and
+// the vector body covers the whole 32-byte blocks before the quads take
+// the tail.
 type kernel struct {
 	rows, cols, quads int
 	quad              [][4][256]uint16
+	nib               []nibbles
 }
+
+// nibbles is one column's split-nibble tables for a pair of rows: lo
+// and hi of row r, then lo and hi of row r+1.
+type nibbles [4][16]byte
 
 // newKernel compiles coef, a rows×cols matrix given row by row.
 func newKernel(coef [][]byte, cols int) *kernel {
 	kn := &kernel{rows: len(coef), cols: cols, quads: (cols + 3) / 4}
 	kn.quad = make([][4][256]uint16, (kn.rows+1)/2*kn.quads)
+	if useAVX2 {
+		kn.nib = make([]nibbles, (kn.rows+1)/2*cols)
+	}
 	for r, row := range coef {
 		shift := 8 * uint(r%2)
 		for j, c := range row {
@@ -84,6 +110,13 @@ func newKernel(coef [][]byte, cols int) *kernel {
 			mul := &gfMulTable[c]
 			for x := range t {
 				t[x] |= uint16(mul[x]) << shift
+			}
+			if kn.nib != nil {
+				nb := &kn.nib[r/2*cols+j]
+				for x := range 16 {
+					nb[2*(r%2)][x] = mul[x]
+					nb[2*(r%2)+1][x] = mul[x<<4]
+				}
 			}
 		}
 	}
@@ -94,16 +127,25 @@ func newKernel(coef [][]byte, cols int) *kernel {
 // holds cols slices and out rows slices, all of one length.
 func (kn *kernel) apply(in, out [][]byte) {
 	last := kn.cols - 1
+	n := len(out[0])
 	for r := 0; r < kn.rows; r += 2 {
 		d0 := out[r]
-		d1 := d0 // no row r+1: the high bytes are zero and setPair writes d0 last
+		d1 := d0 // no row r+1: the high bytes are zero and both bodies write d0 last
 		if r+1 < kn.rows {
 			d1 = out[r+1]
 		}
+		done := 0
+		if kn.nib != nil && n >= 32 {
+			done = n &^ 31
+			mulPairAVX2(kn.nib[r/2*kn.cols:(r/2+1)*kn.cols], in, d0[:done], d1[:done])
+		}
+		// The table body takes what the vector body left: everything, or
+		// the last n%32 bytes.
+		d0, d1 = d0[done:], d1[done:]
 		for q := 0; q < kn.quads; q++ {
 			t := &kn.quad[r/2*kn.quads+q]
 			// A padding column reads the last input against a zero table.
-			s0, s1, s2, s3 := in[4*q], in[min(4*q+1, last)], in[min(4*q+2, last)], in[min(4*q+3, last)]
+			s0, s1, s2, s3 := in[4*q][done:], in[min(4*q+1, last)][done:], in[min(4*q+2, last)][done:], in[min(4*q+3, last)][done:]
 			if q == 0 {
 				setPair(t, s0, s1, s2, s3, d0, d1)
 			} else {

@@ -156,6 +156,27 @@ func BenchmarkSplit4x2_512K(b *testing.B) {
 	}
 }
 
+// BenchmarkEncode4x2_512K is the kernel alone, without Split's
+// allocation and copy: Encode of a 512 KiB blob's four data shards into
+// two caller parity buffers, once per kernel body.
+func BenchmarkEncode4x2_512K(b *testing.B) {
+	data := make([]byte, 512<<10)
+	rand.New(rand.NewSource(2)).Read(data)
+	bodies(func(body string) {
+		b.Run(body, func(b *testing.B) {
+			c, _ := New(4, 2)
+			shards := c.Split(data)
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := c.Encode(shards[:4], shards[4:]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	})
+}
+
 func BenchmarkReconstruct4x2_512K_TwoDataLost(b *testing.B) {
 	c, _ := New(4, 2)
 	data := make([]byte, 512<<10)

@@ -154,26 +154,75 @@ func TestProductTableMatchesLogExp(t *testing.T) {
 }
 
 // oracleLens covers every payload length 0…130 (so lengths not
-// divisible by 8 or by k) plus a few that span several kernel blocks.
-func oracleLens() []int {
+// divisible by 8 or by k), a few that span several kernel blocks, and,
+// for a code with k data shards, blobs whose shards sit at and either
+// side of the AVX2 body's 32-byte block edges (31/32/33, 63/64/65 and
+// 4096±1 bytes), each once full and once with a padded last shard.
+func oracleLens(k int) []int {
 	lens := []int{257, 1000, 4099, 70001}
 	for n := 0; n <= 130; n++ {
 		lens = append(lens, n)
 	}
+	for _, size := range []int{31, 32, 33, 63, 64, 65, 4095, 4096, 4097} {
+		lens = append(lens, k*size, k*size-1)
+	}
 	return lens
+}
+
+// bodies calls f once per kernel body this machine runs, with useAVX2
+// set to select it: "avx2" where the CPU has it, then "table". Codes
+// and kernels must be built inside f, since a kernel's body is fixed
+// when it is compiled.
+func bodies(f func(body string)) {
+	defer func(v bool) { useAVX2 = v }(useAVX2)
+	if useAVX2 {
+		f("avx2")
+	}
+	useAVX2 = false
+	f("table")
+}
+
+// oddShards copies shards into one buffer, each at an odd offset, so no
+// shard's base is 32-byte aligned. nil entries stay nil.
+func oddShards(shards [][]byte) [][]byte {
+	size := 0
+	for _, sh := range shards {
+		if sh != nil {
+			size = len(sh)
+		}
+	}
+	stride := size + 2 + size%2 // even, so every offset 1 + i*stride is odd
+	buf := make([]byte, 1+len(shards)*stride)
+	out := make([][]byte, len(shards))
+	for i, sh := range shards {
+		if sh == nil {
+			continue
+		}
+		off := 1 + i*stride
+		out[i] = buf[off : off+size : off+size]
+		copy(out[i], sh)
+	}
+	return out
 }
 
 // TestEncodeMatchesReference: Split, and Encode into dirty caller
 // buffers, are byte-identical to the accumulate loop over a (k, m) grid
-// that includes m = 1, m > 8 (several packed row groups) and k+m = 256.
+// that includes m = 1, m > 8 (several packed row groups) and k+m = 256,
+// under each kernel body. Encode's shards are unaligned.
 func TestEncodeMatchesReference(t *testing.T) {
+	bodies(func(body string) {
+		t.Run(body, testEncodeMatchesReference)
+	})
+}
+
+func testEncodeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, km := range [][2]int{{1, 1}, {2, 1}, {4, 2}, {3, 5}, {7, 8}, {5, 9}, {2, 17}, {255, 1}, {1, 255}, {200, 56}, {128, 128}} {
 		c, err := New(km[0], km[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, n := range oracleLens() {
+		for _, n := range oracleLens(c.k) {
 			if c.N() > 64 && n > 1000 {
 				continue // wide codes: the reference is slow and the blocks are covered above
 			}
@@ -185,7 +234,8 @@ func TestEncodeMatchesReference(t *testing.T) {
 			for i := range parity {
 				parity[i] = bytes.Repeat([]byte{0xCC}, c.ShardSize(n))
 			}
-			if err := c.Encode(want[:c.k], parity); err != nil {
+			parity = oddShards(parity)
+			if err := c.Encode(oddShards(want[:c.k]), parity); err != nil {
 				t.Fatal(err)
 			}
 			for i := range want {
@@ -221,15 +271,23 @@ func TestEncodeValidation(t *testing.T) {
 
 // TestReconstructMatchesReference: for every pattern of at most m
 // erasures the inverted-matrix Reconstruct returns exactly what
-// payload-wide elimination returns, which is the padded original.
+// payload-wide elimination returns, which is the padded original, under
+// each kernel body and from unaligned survivors.
 func TestReconstructMatchesReference(t *testing.T) {
+	bodies(func(body string) {
+		t.Run(body, testReconstructMatchesReference)
+	})
+}
+
+func testReconstructMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, km := range [][2]int{{1, 1}, {1, 3}, {2, 2}, {3, 2}, {4, 2}, {4, 3}, {5, 4}, {2, 9}} {
 		c, err := New(km[0], km[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, n := range []int{0, 1, 13, 130, 1031} {
+		k := c.k
+		for _, n := range []int{0, 1, 13, 130, 1031, 31 * k, 32*k - 1, 33 * k, 64 * k, 65*k - 1, 4097 * k} {
 			data := make([]byte, n)
 			rng.Read(data)
 			shards := c.Split(data)
@@ -240,6 +298,7 @@ func TestReconstructMatchesReference(t *testing.T) {
 					for _, e := range erased {
 						damaged[e] = nil
 					}
+					damaged = oddShards(damaged)
 					name := fmt.Sprintf("(%d,%d) len=%d erased=%v", c.k, c.m, n, erased)
 					got, err := c.Reconstruct(damaged)
 					if err != nil {
