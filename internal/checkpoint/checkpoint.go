@@ -15,9 +15,6 @@
 package checkpoint
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"sync"
 
 	"hydee/internal/transport"
@@ -86,34 +83,6 @@ func (s *Snapshot) Clone() *Snapshot {
 		c.Mailbox[i] = &mm
 	}
 	return &c
-}
-
-// EncodeState gob-encodes an application state value.
-func EncodeState(v any) ([]byte, error) {
-	var w appendWriter
-	if err := gob.NewEncoder(&w).Encode(v); err != nil {
-		return nil, fmt.Errorf("checkpoint: encode state: %w", err)
-	}
-	return w, nil
-}
-
-// appendWriter collects writes by append. gob hands over a whole value
-// as one Write, so a large image costs one allocation of its size that —
-// unlike a bytes.Buffer's growth or a pre-sized make — the runtime need
-// not zero before the copy lands in it.
-type appendWriter []byte
-
-func (w *appendWriter) Write(p []byte) (int, error) {
-	*w = append(*w, p...)
-	return len(p), nil
-}
-
-// DecodeState gob-decodes into the application state pointer.
-func DecodeState(b []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(v); err != nil {
-		return fmt.Errorf("checkpoint: decode state: %w", err)
-	}
-	return nil
 }
 
 // Store is stable storage for snapshots.
@@ -208,7 +177,7 @@ func (st *MemStore) Save(s *Snapshot, at vtime.Time) (vtime.Time, error) { retur
 
 // stage implements stager: the deep copy is taken before the turn, and
 // only keeping it is left to commit.
-func (st *MemStore) stage(s *Snapshot) (staged, error) { return keptCopy{st, s.Clone()}, nil }
+func (st *MemStore) stage(s *Snapshot) (staged, error) { return keptCopy{st, s.Clone(), true}, nil }
 
 // saveOwned implements fragmentTarget: fs is kept as it is, and the
 // AppState buffer of a generation it displaces goes back to the caller.

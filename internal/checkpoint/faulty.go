@@ -236,10 +236,11 @@ func (sh *faultyShard) Save(s *Snapshot, at vtime.Time) (vtime.Time, error) { re
 // copies in its own Save, so s itself goes to commit: one copy, as
 // before staging.
 func (sh *faultyShard) stage(s *Snapshot) (staged, error) {
-	if _, ok := sh.inner.(fragmentTarget); ok {
+	_, copied := sh.inner.(fragmentTarget)
+	if copied {
 		s = s.Clone()
 	}
-	return keptCopy{sh, s}, nil
+	return keptCopy{sh, s, copied}, nil
 }
 
 // saveOwned implements fragmentTarget with the same faults; a dropped

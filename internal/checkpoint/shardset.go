@@ -238,6 +238,9 @@ func (g *groupSave) commit(at vtime.Time) (vtime.Time, error) {
 	return end, nil
 }
 
+// detached implements staged: the fragments are the package's own.
+func (*groupSave) detached() bool { return true }
+
 // discard returns the group's buffers to the spare list. Whatever a later
 // save builds in them overwrites every byte: header, payload (striped,
 // zero-filled past the blob, or computed as parity) and seal.

@@ -28,21 +28,32 @@ type staged interface {
 	// discard drops the save: nothing observable changes, and buffers the
 	// stage took from a spare list go back to it.
 	discard()
+	// detached reports that the stage references nothing of the snapshot
+	// it was built from.
+	detached() bool
 }
 
 // Staged is a save whose time-independent work is done and whose
 // admission is not. Exactly one of Commit or Discard must follow.
 type Staged struct{ p staged }
 
-// Stage prepares the save of s to st. A built-in in-memory store copies
-// what it keeps before Stage returns, so the caller may mutate s at once
-// and s is not referenced by the result. A file-backed store, and any
-// store that cannot stage, writes s in Commit, so s must stay untouched
-// until then.
+// Stage prepares the save of s to st. When it returns, the caller's
+// snapshot — every buffer and message it points to — is free to mutate,
+// reuse or recycle either at once or after Commit or Discard, and Detached
+// says which. It is free at once for a store that copies what it keeps in
+// Stage: MemStore, the sharded, ec and replica layouts over memory, and
+// the fault plane over any of them. A file-backed store, and any store
+// that cannot stage, writes s in Commit, so s stays referenced, and must
+// stay untouched, until Commit or Discard has returned.
 func Stage(st Store, s *Snapshot) (Staged, error) {
 	p, err := stageOn(st, s)
 	return Staged{p}, err
 }
+
+// Detached reports whether the staged save references nothing of the
+// snapshot it was staged from, which is then the caller's again (see
+// Stage).
+func (s Staged) Detached() bool { return s.p.detached() }
 
 // Commit admits the staged save issued at `at` and returns the virtual
 // time the write completes — exactly what Save(s, at) returns, with the
@@ -79,15 +90,18 @@ type saveLater struct {
 
 func (p saveLater) commit(at vtime.Time) (vtime.Time, error) { return p.t.Save(p.s, at) }
 func (saveLater) discard()                                   {}
+func (saveLater) detached() bool                             { return false }
 
 // keptCopy is a staged single-snapshot save handed to t under the turn:
-// fs is the copy t keeps, taken before the turn (see fragmentTarget), or
-// the caller's snapshot when t's inner store copies in its own Save. The
-// spare the hand-off returns is dropped either way: a single-snapshot
-// save has no spare list, and only fragment buffers are recycled.
+// fs is the copy t keeps, taken before the turn (see fragmentTarget), or,
+// with copied false, the caller's snapshot when t's inner store copies in
+// its own Save. The spare the hand-off returns is dropped either way: a
+// single-snapshot save has no spare list, and only fragment buffers are
+// recycled.
 type keptCopy struct {
-	t  fragmentTarget
-	fs *Snapshot
+	t      fragmentTarget
+	fs     *Snapshot
+	copied bool
 }
 
 func (p keptCopy) commit(at vtime.Time) (vtime.Time, error) {
@@ -95,4 +109,5 @@ func (p keptCopy) commit(at vtime.Time) (vtime.Time, error) {
 	return end, err
 }
 
-func (keptCopy) discard() {}
+func (keptCopy) discard()         {}
+func (p keptCopy) detached() bool { return p.copied }

@@ -95,12 +95,13 @@ func (e *engine) OnRestore(s *checkpoint.Snapshot, round *rollback.RoundInfo) {
 			rs.notesNeeded[r] = true
 		}
 	}
-	for _, dst := range e.outsideRanks() {
+	outside := e.outsideRanks()
+	for _, dst := range outside {
 		rs.needWatermark[dst] = true
 	}
 	// Broadcast the rollback notification (Algorithm 2 line 6) with the
 	// per-channel held watermark (DESIGN.md deviation 1).
-	for _, dst := range e.outsideRanks() {
+	for _, dst := range outside {
 		wm := e.px.HeldFrom(dst)
 		if ch := e.rpp[dst]; ch != nil && ch.MaxDate > wm {
 			wm = ch.MaxDate

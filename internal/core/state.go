@@ -4,7 +4,8 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"sync"
+
+	"hydee/internal/checkpoint"
 )
 
 // rppChannel is one entry of the Received-Per-Phase table (§III-C): for the
@@ -120,59 +121,9 @@ type engineState struct {
 	GCPendingDeliv map[int]int64
 }
 
-// A gob stream opens with the descriptors of every type its first value
-// reaches, then the value; a later value of the same type on the same
-// encoder is the value alone. So a checkpoint's protocol state — which a
-// fresh decoder must read — is the descriptors, computed once, followed by
-// the value as an encoder that already sent them writes it. Primed encoders
-// are shared through a pool rather than kept per engine: a buffer per rank,
-// sized by its largest state, costs memory the pool returns.
-var (
-	stateTypes = sync.OnceValues(func() ([]byte, error) {
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		if err := enc.Encode(&engineState{}); err != nil {
-			return nil, err
-		}
-		withTypes := buf.Len()
-		if err := enc.Encode(&engineState{}); err != nil {
-			return nil, err
-		}
-		return buf.Bytes()[:2*withTypes-buf.Len()], nil
-	})
-	stateEncoders sync.Pool // of *stateEncoder
-)
-
-// stateEncoder is a gob encoder that has sent engineState's type
-// descriptors, and the buffer it writes to.
-type stateEncoder struct {
-	buf bytes.Buffer
-	enc *gob.Encoder
-}
-
-func encodeEngineState(s *engineState) ([]byte, error) {
-	types, err := stateTypes()
-	if err != nil {
-		return nil, fmt.Errorf("core: encode protocol state types: %w", err)
-	}
-	e, _ := stateEncoders.Get().(*stateEncoder)
-	if e == nil {
-		e = &stateEncoder{}
-		e.enc = gob.NewEncoder(&e.buf)
-		if err := e.enc.Encode(&engineState{}); err != nil {
-			return nil, fmt.Errorf("core: encode protocol state types: %w", err)
-		}
-	}
-	e.buf.Reset()
-	if err := e.enc.Encode(s); err != nil {
-		// An encoder that failed mid-value is not returned to the pool.
-		return nil, fmt.Errorf("core: encode protocol state: %w", err)
-	}
-	out := make([]byte, len(types)+e.buf.Len())
-	copy(out[copy(out, types):], e.buf.Bytes())
-	stateEncoders.Put(e)
-	return out, nil
-}
+// encodeEngineState gob-encodes a checkpoint's protocol state through the
+// checkpoint package's shared codec: the bytes a fresh gob encoder writes.
+func encodeEngineState(s *engineState) ([]byte, error) { return checkpoint.EncodeState(s) }
 
 func decodeEngineState(b []byte) (*engineState, error) {
 	var s engineState

@@ -401,16 +401,21 @@ func (p *Proc) checkpointCall() error {
 	}
 	delete(p.markers, seq)
 
-	snap, err := p.capture(seq, scope)
+	snap, release, err := p.capture(seq, scope)
 	if err != nil {
 		return err
 	}
 	cost := snap.CostBytes()
 	// Everything of the save that does not depend on its issue time — the
 	// store's copy, encoding, parity, seals — is built now, off the turn
-	// and in parallel with the other ranks; the snapshot is unreachable
-	// from here on (a store that cannot stage keeps it until Commit).
+	// and in parallel with the other ranks. The snapshot's AppState buffer
+	// goes back to its codec as soon as nothing references it: here when
+	// the stage copied the snapshot, else once Commit or Discard returns.
 	staged, err := checkpoint.Stage(p.rt.store, snap)
+	if err != nil || staged.Detached() {
+		release()
+		release = func() {}
+	}
 	if err != nil {
 		return err
 	}
@@ -426,9 +431,11 @@ func (p *Proc) checkpointCall() error {
 	p.sent()
 	if err != nil {
 		staged.Discard()
+		release()
 		return err
 	}
 	endVT, err := staged.Commit(issueVT)
+	release()
 	if err != nil {
 		return err
 	}
@@ -469,9 +476,11 @@ func (p *Proc) haveMarkers(seq int, scope []int, peers int) bool {
 }
 
 // capture builds the snapshot: process image, protocol state, and the
-// in-transit messages the checkpoint must hold (DESIGN.md note 3).
-func (p *Proc) capture(seq int, scope []int) (*checkpoint.Snapshot, error) {
-	snap := &checkpoint.Snapshot{
+// in-transit messages the checkpoint must hold (DESIGN.md note 3). The
+// image is encoded into a buffer borrowed from its type's codec, and
+// release gives it back; the snapshot must not be used after it.
+func (p *Proc) capture(seq int, scope []int) (snap *checkpoint.Snapshot, release func(), err error) {
+	snap = &checkpoint.Snapshot{
 		Rank:        p.rank,
 		Seq:         seq,
 		TakenVT:     p.clock.Now(),
@@ -479,12 +488,11 @@ func (p *Proc) capture(seq int, scope []int) (*checkpoint.Snapshot, error) {
 		CollSeq:     p.collSeq,
 		ModelBytes:  p.stateBytes,
 	}
+	release = func() {}
 	if p.stateTarget != nil {
-		b, err := checkpoint.EncodeState(p.stateTarget)
-		if err != nil {
-			return nil, err
+		if snap.AppState, release, err = checkpoint.BorrowState(p.stateTarget); err != nil {
+			return nil, nil, err
 		}
-		snap.AppState = b
 	}
 	p.engine.OnCheckpoint(snap)
 	inScope := make(map[int]bool, len(scope))
@@ -510,7 +518,7 @@ func (p *Proc) capture(seq int, scope []int) (*checkpoint.Snapshot, error) {
 		// envelope constant, matching Snapshot.EncodedSize.
 		snap.ModelBytes += int64(m.Wire()) + 64
 	}
-	return snap, nil
+	return snap, release, nil
 }
 
 func (p *Proc) cluster() int { return p.rt.topo.ClusterOf[p.rank] }

@@ -11,9 +11,6 @@
 package coord
 
 import (
-	"bytes"
-	"encoding/gob"
-
 	"hydee/internal/checkpoint"
 	"hydee/internal/rollback"
 	"hydee/internal/transport"
@@ -83,9 +80,8 @@ func (e *engine) OnCtl(m *transport.Msg) {}
 
 // OnCheckpoint implements rollback.Engine.
 func (e *engine) OnCheckpoint(s *checkpoint.Snapshot) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(engineState{Date: e.date}); err == nil {
-		s.ProtState = buf.Bytes()
+	if b, err := checkpoint.EncodeState(engineState{Date: e.date}); err == nil {
+		s.ProtState = b
 	}
 }
 
@@ -96,7 +92,7 @@ func (e *engine) OnRestore(s *checkpoint.Snapshot, round *rollback.RoundInfo) {
 		return
 	}
 	var st engineState
-	if err := gob.NewDecoder(bytes.NewReader(s.ProtState)).Decode(&st); err == nil {
+	if err := checkpoint.DecodeState(s.ProtState, &st); err == nil {
 		e.date = st.Date
 	}
 }

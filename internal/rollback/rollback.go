@@ -270,7 +270,9 @@ type Engine interface {
 	// OnCtl handles one protocol control message addressed to this rank.
 	OnCtl(m *transport.Msg)
 	// OnCheckpoint contributes protocol state to the snapshot under
-	// construction (Algorithm 1 line 21: RPP, Logs, Phase, Date).
+	// construction (Algorithm 1 line 21: RPP, Logs, Phase, Date). s is
+	// the runtime's, its AppState a borrowed buffer: the engine must not
+	// keep s, or anything s points to, past the call.
 	OnCheckpoint(s *checkpoint.Snapshot)
 	// OnRestore rehydrates protocol state from the snapshot and performs
 	// the restart protocol of Algorithm 2 (rollback notifications etc.).
