@@ -34,9 +34,6 @@ type Engine struct {
 	// default.
 	storeMake storeBackend
 	storeOpts StoreOptions
-	// failAt accumulates WithFailureAt events; New appends them to the
-	// configured failure schedule.
-	failAt []FailureEvent
 }
 
 // Option configures an Engine. Options apply in the order given to New;
@@ -58,13 +55,6 @@ func New(opts ...Option) (*Engine, error) {
 	}
 	if e.cfg.NP == 0 && e.cfg.Topo != nil {
 		e.cfg.NP = e.cfg.Topo.NP
-	}
-	if len(e.failAt) > 0 {
-		var events []FailureEvent
-		if e.cfg.Failures != nil {
-			events = append(events, e.cfg.Failures.Events...)
-		}
-		e.cfg.Failures = NewFailureSchedule(append(events, e.failAt...)...)
 	}
 	if err := mpi.Validate(e.cfg); err != nil {
 		return nil, err
@@ -190,41 +180,18 @@ func WithStaggeredCheckpoints() Option {
 	}
 }
 
-// WithFailures installs a fail-stop failure schedule. Each Run compiles its
-// own injector, so a schedule fires afresh on every run of the engine.
-func WithFailures(s *FailureSchedule) Option {
-	return func(e *Engine) error {
-		e.cfg.Failures = s
-		return nil
-	}
-}
-
-// WithFailureEvents is shorthand for WithFailures(NewFailureSchedule(...)).
+// WithFailureEvents installs the fail-stop failure plan: each event's
+// ranks die together when its trigger holds for the first of them. An
+// AtVT trigger is an ordered event in virtual time — in-flight deliveries
+// and checkpoint writes at or below the detection fence complete, later
+// ones are cancelled — so a run with one failure event is
+// byte-reproducible wherever it lands, including mid-checkpoint-wave under
+// a storage bandwidth model (several events: DESIGN.md "Remaining
+// caveat"). Every Run fires the plan afresh; a later WithFailureEvents
+// replaces an earlier one.
 func WithFailureEvents(events ...FailureEvent) Option {
-	return WithFailures(NewFailureSchedule(events...))
-}
-
-// WithFailureAt schedules a fail-stop event at a virtual time: the listed
-// ranks die together when the first one's virtual clock reaches at. The
-// kill is an ordered event in virtual time — in-flight deliveries and
-// checkpoint writes at or below the detection fence complete, later ones
-// are cancelled — so a run with one failure event is byte-reproducible
-// wherever it lands, including mid-checkpoint-wave under a storage
-// bandwidth model (several events: DESIGN.md "Remaining caveat"). Repeated
-// WithFailureAt options accumulate into one schedule (in option order);
-// combining with WithFailures appends to it regardless of option order.
-func WithFailureAt(at Time, ranks ...int) Option {
 	return func(e *Engine) error {
-		if at <= 0 {
-			return fmt.Errorf("hydee: WithFailureAt(%v): virtual time must be positive", at)
-		}
-		if len(ranks) == 0 {
-			return fmt.Errorf("hydee: WithFailureAt(%v): need at least one victim rank", at)
-		}
-		e.failAt = append(e.failAt, FailureEvent{
-			Ranks: append([]int(nil), ranks...),
-			When:  FailureTrigger{AtVT: at},
-		})
+		e.cfg.Failures = events
 		return nil
 	}
 }

@@ -99,11 +99,11 @@ func TestEngineReuseSequentialRuns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reuse run %d: %v", i, err)
 		}
-		// Fresh store and fresh injector per run: the failure fires every
+		// Fresh store and fresh plan per run: the failure fires every
 		// time and the recovered digests stay bit-identical (makespan of a
 		// failure run may vary with control-message scheduling).
 		if len(res.Rounds) != 1 {
-			t.Fatalf("reuse run %d: rounds %+v, want the schedule to fire afresh", i, res.Rounds)
+			t.Fatalf("reuse run %d: rounds %+v, want the plan to fire afresh", i, res.Rounds)
 		}
 		for r := range res.Results {
 			if res.Results[r] != first.Results[r] {

@@ -61,10 +61,10 @@ func main() {
 		}
 		clean := spec
 		specs = append(specs, clean)
-		spec.Failures = hydee.NewFailureSchedule(hydee.FailureEvent{
+		spec.Failures = []hydee.FailureEvent{{
 			Ranks: []int{np / 2},
 			When:  hydee.FailureTrigger{AfterCheckpoints: 1},
-		})
+		}}
 		specs = append(specs, spec)
 	}
 	sums, err := hydee.RunExperiments(ctx, specs, 0)

@@ -42,7 +42,7 @@ func main() {
 		clean.Makespan, clean.Totals.AppSends, clean.Totals.LoggedMsgs,
 		100*float64(clean.Totals.LoggedBytes)/float64(clean.Totals.AppBytes))
 
-	// Same configuration plus a failure schedule and a lifecycle observer
+	// Same configuration plus a failure plan and a lifecycle observer
 	// narrating the recovery.
 	failingEng, err := hydee.New(append(base,
 		hydee.WithFailureEvents(hydee.FailureEvent{

@@ -102,8 +102,5 @@ func ParseFailureSpec(spec string) ([]FailureEvent, error) {
 // ValidateFailureEvents checks parsed events against a run size, so
 // binaries can reject a bad spec before any sweep work starts.
 func ValidateFailureEvents(events []FailureEvent, np int) error {
-	if len(events) == 0 {
-		return nil
-	}
-	return failure.NewSchedule(events...).Validate(np)
+	return failure.Validate(events, np)
 }

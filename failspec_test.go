@@ -2,6 +2,7 @@ package hydee_test
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"hydee"
@@ -54,6 +55,45 @@ func TestParseFailureSpecTypedErrors(t *testing.T) {
 	}
 }
 
+// FuzzParseFailureSpec holds the -fail-at grammar to two properties on
+// any input: the parser never panics, and every spec it accepts is a plan
+// that validates for a run just large enough to hold its highest victim.
+func FuzzParseFailureSpec(f *testing.F) {
+	for _, seed := range []string{
+		"", "vt:1.5ms@3", "sends:10@0,7; ckpts:2@8", "vt:1ms@1;;", "vt:-3ms@1",
+		"ckpts:two@1", "epoch:5@1", "vt:1ms@x", "sends:9223372036854775807@0",
+		"vt:1ns@9223372036854775807", " vt : 2us @ 4 , 4 ",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		events, err := hydee.ParseFailureSpec(spec)
+		if err != nil {
+			var se *hydee.FailureSpecError
+			if !errors.As(err, &se) {
+				t.Fatalf("spec %q: untyped error %v", spec, err)
+			}
+			return
+		}
+		maxRank := -1
+		for _, ev := range events {
+			for _, r := range ev.Ranks {
+				maxRank = max(maxRank, r)
+			}
+		}
+		if maxRank == math.MaxInt {
+			// No run has MaxInt+1 ranks: every size must refuse the victim.
+			if hydee.ValidateFailureEvents(events, math.MaxInt) == nil {
+				t.Fatalf("spec %q: rank MaxInt validated", spec)
+			}
+			return
+		}
+		if err := hydee.ValidateFailureEvents(events, maxRank+1); err != nil {
+			t.Fatalf("spec %q parsed to %+v, which does not validate at np %d: %v", spec, events, maxRank+1, err)
+		}
+	})
+}
+
 func TestValidateFailureEventsRange(t *testing.T) {
 	events, err := hydee.ParseFailureSpec("vt:1ms@7")
 	if err != nil {
@@ -67,15 +107,18 @@ func TestValidateFailureEventsRange(t *testing.T) {
 	}
 }
 
-// TestWithFailureAtInjectsAtVirtualTime drives the option end to end: the
-// failure fires once the victim's clock passes the given virtual time and
-// the cluster recovers.
-func TestWithFailureAtInjectsAtVirtualTime(t *testing.T) {
+// TestWithFailureEventsInjectsAtVirtualTime drives the option end to end
+// with an AtVT trigger: the failure fires once the victim's clock passes
+// the given virtual time and the cluster recovers.
+func TestWithFailureEventsInjectsAtVirtualTime(t *testing.T) {
 	eng, err := hydee.New(
 		hydee.WithTopology(hydee.NewTopology([]int{0, 0, 1, 1})),
 		hydee.WithProtocol(hydee.HydEE()),
 		hydee.WithModel(hydee.IdealNetwork()),
-		hydee.WithFailureAt(hydee.Time(150*hydee.Microsecond), 3),
+		hydee.WithFailureEvents(hydee.FailureEvent{
+			Ranks: []int{3},
+			When:  hydee.FailureTrigger{AtVT: hydee.Time(150 * hydee.Microsecond)},
+		}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -89,56 +132,47 @@ func TestWithFailureAtInjectsAtVirtualTime(t *testing.T) {
 		c.SetResult(c.Rank())
 		return nil
 	}
-	res, err := eng.Run(t.Context(), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rounds) != 1 {
-		t.Fatalf("rounds %d, want 1", len(res.Rounds))
-	}
-	if res.Rounds[0].StartVT < hydee.Time(150*hydee.Microsecond) {
-		t.Errorf("detection VT %v before the scheduled time", res.Rounds[0].StartVT)
-	}
-	if res.Totals.Restarts != 2 {
-		t.Errorf("restarts %d, want the 2 ranks of cluster 1", res.Totals.Restarts)
-	}
-}
-
-// TestWithFailureAtAccumulates checks the schedule assembly: repeated
-// WithFailureAt options append, and they compose with WithFailures.
-func TestWithFailureAtAccumulates(t *testing.T) {
-	eng, err := hydee.New(
-		hydee.WithRanks(8),
-		hydee.WithProtocol(hydee.HydEE()),
-		hydee.WithTopology(hydee.Singletons(8)),
-		hydee.WithFailures(hydee.NewFailureSchedule(
-			hydee.FailureEvent{Ranks: []int{0}, When: hydee.FailureTrigger{AfterSends: 5}},
-		)),
-		hydee.WithFailureAt(hydee.Time(hydee.Millisecond), 2),
-		hydee.WithFailureAt(hydee.Time(2*hydee.Millisecond), 4, 6),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := eng.Config().Failures.Events
-	if len(events) != 3 {
-		t.Fatalf("got %d events, want 3 (WithFailures + 2x WithFailureAt)", len(events))
-	}
-	if events[1].When.AtVT != hydee.Time(hydee.Millisecond) || len(events[2].Ranks) != 2 {
-		t.Errorf("accumulated events wrong: %+v", events)
+	// The plan fires afresh on every run of the engine.
+	for run := 0; run < 2; run++ {
+		res, err := eng.Run(t.Context(), prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rounds) != 1 {
+			t.Fatalf("run %d: rounds %d, want 1", run, len(res.Rounds))
+		}
+		if res.Rounds[0].StartVT < hydee.Time(150*hydee.Microsecond) {
+			t.Errorf("run %d: detection VT %v before the scheduled time", run, res.Rounds[0].StartVT)
+		}
+		if res.Totals.Restarts != 2 {
+			t.Errorf("run %d: restarts %d, want the 2 ranks of cluster 1", run, res.Totals.Restarts)
+		}
 	}
 }
 
-func TestWithFailureAtValidation(t *testing.T) {
-	if _, err := hydee.New(hydee.WithRanks(2), hydee.WithFailureAt(0, 1)); err == nil {
-		t.Error("accepted non-positive virtual time")
+func TestWithFailureEventsValidation(t *testing.T) {
+	at := hydee.FailureTrigger{AtVT: hydee.Time(hydee.Millisecond)}
+	bad := map[string]hydee.FailureEvent{
+		"non-positive virtual time": {Ranks: []int{1}, When: hydee.FailureTrigger{AtVT: -1}},
+		"empty trigger":             {Ranks: []int{1}},
+		"empty victim list":         {When: at},
+		"out-of-range victim rank":  {Ranks: []int{5}, When: at},
 	}
-	if _, err := hydee.New(hydee.WithRanks(2), hydee.WithFailureAt(hydee.Time(hydee.Millisecond))); err == nil {
-		t.Error("accepted empty victim list")
+	for name, ev := range bad {
+		// Plan errors surface at New, not at the first run.
+		if _, err := hydee.New(hydee.WithRanks(2), hydee.WithProtocol(hydee.HydEE()),
+			hydee.WithFailureEvents(ev)); err == nil {
+			t.Errorf("accepted %s", name)
+		}
 	}
-	// Range errors surface at New, not at the first run.
-	if _, err := hydee.New(hydee.WithRanks(2), hydee.WithProtocol(hydee.HydEE()),
-		hydee.WithFailureAt(hydee.Time(hydee.Millisecond), 5)); err == nil {
-		t.Error("accepted out-of-range victim rank")
+	// A later WithFailureEvents replaces an earlier one.
+	eng, err := hydee.New(hydee.WithRanks(2),
+		hydee.WithFailureEvents(bad["out-of-range victim rank"]),
+		hydee.WithFailureEvents(hydee.FailureEvent{Ranks: []int{1}, When: at}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.Config().Failures; len(got) != 1 || got[0].Ranks[0] != 1 {
+		t.Errorf("plan %+v, want the later option's one event", got)
 	}
 }

@@ -80,8 +80,6 @@ type (
 
 // Failure injection types.
 type (
-	// FailureSchedule lists fail-stop events.
-	FailureSchedule = failure.Schedule
 	// FailureEvent is one (possibly multi-process) concurrent failure.
 	FailureEvent = failure.Event
 	// FailureTrigger decides when an event fires.
@@ -166,11 +164,6 @@ func TCPGigE() netmodel.Model { return netmodel.TCPGigE() }
 
 // IdealNetwork returns a zero-cost model for protocol-logic experiments.
 func IdealNetwork() netmodel.Model { return netmodel.Ideal() }
-
-// NewFailureSchedule builds a failure schedule.
-func NewFailureSchedule(events ...FailureEvent) *FailureSchedule {
-	return failure.NewSchedule(events...)
-}
 
 // Float64sToBytes / BytesToFloat64s convert numeric payloads.
 func Float64sToBytes(v []float64) []byte { return mpi.Float64sToBytes(v) }

@@ -14,7 +14,7 @@ import (
 )
 
 func runKernel(t *testing.T, k apps.Kernel, np, iters int, prot rollback.Protocol,
-	topo *rollback.Topology, sched *failure.Schedule, ckpt int, rec *trace.Recorder) *mpi.Result {
+	topo *rollback.Topology, sched []failure.Event, ckpt int, rec *trace.Recorder) *mpi.Result {
 	t.Helper()
 	prog, err := k.Make(apps.Params{NP: np, Iters: iters})
 	if err != nil {
@@ -119,10 +119,10 @@ func TestKernelsRecoverFromFailure(t *testing.T) {
 			t.Parallel()
 			topo := rollback.NewTopology(assign)
 			clean := runKernel(t, k, 16, 6, core.New(), topo, nil, 2, nil)
-			sched := failure.NewSchedule(failure.Event{
+			sched := []failure.Event{{
 				Ranks: []int{6},
 				When:  failure.Trigger{AfterCheckpoints: 1},
-			})
+			}}
 			failed := runKernel(t, k, 16, 6, core.New(), topo, sched, 2, nil)
 			if len(failed.Rounds) != 1 {
 				t.Fatalf("rounds %d", len(failed.Rounds))
@@ -161,7 +161,7 @@ func TestRingAndStencilProgramsRecover(t *testing.T) {
 		"ring":    apps.Ring(8, 1024),
 		"stencil": apps.Stencil2D(8, 2048),
 	} {
-		run := func(sched *failure.Schedule) *mpi.Result {
+		run := func(sched []failure.Event) *mpi.Result {
 			res, err := mpi.Run(mpi.Config{
 				NP: 6, Topo: topo, Protocol: core.New(),
 				CheckpointEvery: 3, Failures: sched,
@@ -173,9 +173,9 @@ func TestRingAndStencilProgramsRecover(t *testing.T) {
 			return res
 		}
 		clean := run(nil)
-		failed := run(failure.NewSchedule(failure.Event{
+		failed := run([]failure.Event{{
 			Ranks: []int{1}, When: failure.Trigger{AfterCheckpoints: 1},
-		}))
+		}})
 		for r := 0; r < 6; r++ {
 			if clean.Results[r] != failed.Results[r] {
 				t.Fatalf("%s rank %d diverged", name, r)

@@ -16,10 +16,10 @@ func TestDebugDivergence(t *testing.T) {
 	}
 	seed := int64(1)
 	_, recClean := runDAG(t, seed, 8, nil, 3)
-	sched := failure.NewSchedule(failure.Event{
+	sched := []failure.Event{{
 		Ranks: []int{4},
 		When:  failure.Trigger{AfterCheckpoints: 1},
-	})
+	}}
 	_, recFail := runDAG(t, seed, 8, sched, 3)
 
 	evA, evB := recClean.Events(), recFail.Events()

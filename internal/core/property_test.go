@@ -23,7 +23,7 @@ const propNP = 9
 
 var propTopo = []int{0, 0, 0, 1, 1, 1, 2, 2, 2}
 
-func runDAG(t *testing.T, seed int64, rounds int, sched *failure.Schedule, ckptEvery int) (*mpi.Result, *trace.Recorder) {
+func runDAG(t *testing.T, seed int64, rounds int, sched []failure.Event, ckptEvery int) (*mpi.Result, *trace.Recorder) {
 	t.Helper()
 	rec := trace.NewRecorder(propNP)
 	res, err := mpi.Run(mpi.Config{
@@ -51,10 +51,10 @@ func TestLemma1PhaseMonotone(t *testing.T) {
 		if err := trace.BuildHB(rec.Events()).CheckPhaseMonotone(); err != nil {
 			t.Fatalf("seed %d failure-free: %v", seed, err)
 		}
-		sched := failure.NewSchedule(failure.Event{
+		sched := []failure.Event{{
 			Ranks: []int{int(seed) % propNP},
 			When:  failure.Trigger{AfterCheckpoints: 1},
-		})
+		}}
 		_, rec = runDAG(t, seed, 6, sched, 2)
 		if err := trace.BuildHB(rec.Events()).CheckPhaseMonotone(); err != nil {
 			t.Fatalf("seed %d with failure: %v", seed, err)
@@ -92,10 +92,10 @@ func TestLemma4SendDeterminism(t *testing.T) {
 func TestLemma4UnderRecovery(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		resClean, recClean := runDAG(t, seed, 8, nil, 3)
-		sched := failure.NewSchedule(failure.Event{
+		sched := []failure.Event{{
 			Ranks: []int{4},
 			When:  failure.Trigger{AfterCheckpoints: 1},
-		})
+		}}
 		resFail, recFail := runDAG(t, seed, 8, sched, 3)
 		if len(resFail.Rounds) != 1 {
 			t.Fatalf("seed %d: rounds %d", seed, len(resFail.Rounds))
@@ -120,10 +120,10 @@ func TestLemma4UnderRecovery(t *testing.T) {
 // suppressed re-send, and the recovery round drains completely.
 func TestTheorem2OrphanAccounting(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
-		sched := failure.NewSchedule(failure.Event{
+		sched := []failure.Event{{
 			Ranks: []int{1},
 			When:  failure.Trigger{AfterCheckpoints: 1},
-		})
+		}}
 		res, _ := runDAG(t, seed, 8, sched, 2)
 		if len(res.Rounds) != 1 {
 			t.Fatalf("seed %d: %d rounds", seed, len(res.Rounds))

@@ -16,7 +16,7 @@ import (
 	"hydee/internal/rollback"
 )
 
-func runStencil(t *testing.T, prot rollback.Protocol, assign []int, iters, ckptEvery int, sched *failure.Schedule) *mpi.Result {
+func runStencil(t *testing.T, prot rollback.Protocol, assign []int, iters, ckptEvery int, sched []failure.Event) *mpi.Result {
 	t.Helper()
 	res, err := mpi.Run(mpi.Config{
 		NP:              len(assign),
@@ -46,10 +46,10 @@ func sameResults(t *testing.T, a, b *mpi.Result, label string) {
 
 func TestRecoveryWithoutAnyCheckpoint(t *testing.T) {
 	clean := runStencil(t, core.New(), edgeAssign, 6, 0, nil)
-	failed := runStencil(t, core.New(), edgeAssign, 6, 0, failure.NewSchedule(failure.Event{
+	failed := runStencil(t, core.New(), edgeAssign, 6, 0, []failure.Event{{
 		Ranks: []int{5},
 		When:  failure.Trigger{AfterSends: 7},
-	}))
+	}})
 	if len(failed.Rounds) != 1 {
 		t.Fatalf("rounds %d", len(failed.Rounds))
 	}
@@ -61,10 +61,10 @@ func TestRecoveryWithoutAnyCheckpoint(t *testing.T) {
 
 func TestSequentialFailureRounds(t *testing.T) {
 	clean := runStencil(t, core.New(), edgeAssign, 14, 4, nil)
-	failed := runStencil(t, core.New(), edgeAssign, 14, 4, failure.NewSchedule(
-		failure.Event{Ranks: []int{2}, When: failure.Trigger{AfterCheckpoints: 1}},
-		failure.Event{Ranks: []int{9}, When: failure.Trigger{AfterCheckpoints: 2}},
-	))
+	failed := runStencil(t, core.New(), edgeAssign, 14, 4, []failure.Event{
+		{Ranks: []int{2}, When: failure.Trigger{AfterCheckpoints: 1}},
+		{Ranks: []int{9}, When: failure.Trigger{AfterCheckpoints: 2}},
+	})
 	if len(failed.Rounds) != 2 {
 		t.Fatalf("rounds %d, want 2", len(failed.Rounds))
 	}
@@ -73,10 +73,10 @@ func TestSequentialFailureRounds(t *testing.T) {
 
 func TestSameClusterFailsTwice(t *testing.T) {
 	clean := runStencil(t, core.New(), edgeAssign, 14, 3, nil)
-	failed := runStencil(t, core.New(), edgeAssign, 14, 3, failure.NewSchedule(
-		failure.Event{Ranks: []int{4}, When: failure.Trigger{AfterCheckpoints: 1}},
-		failure.Event{Ranks: []int{6}, When: failure.Trigger{AfterCheckpoints: 3}},
-	))
+	failed := runStencil(t, core.New(), edgeAssign, 14, 3, []failure.Event{
+		{Ranks: []int{4}, When: failure.Trigger{AfterCheckpoints: 1}},
+		{Ranks: []int{6}, When: failure.Trigger{AfterCheckpoints: 3}},
+	})
 	if len(failed.Rounds) != 2 {
 		t.Fatalf("rounds %d, want 2", len(failed.Rounds))
 	}
@@ -89,10 +89,10 @@ func TestSameClusterFailsTwice(t *testing.T) {
 func TestFailureSweep(t *testing.T) {
 	clean := runStencil(t, core.New(), edgeAssign, 10, 3, nil)
 	for _, after := range []int64{1, 5, 9, 17, 23, 31, 39} {
-		failed := runStencil(t, core.New(), edgeAssign, 10, 3, failure.NewSchedule(failure.Event{
+		failed := runStencil(t, core.New(), edgeAssign, 10, 3, []failure.Event{{
 			Ranks: []int{10},
 			When:  failure.Trigger{AfterSends: after},
-		}))
+		}})
 		if len(failed.Rounds) != 1 {
 			t.Fatalf("after %d sends: rounds %d", after, len(failed.Rounds))
 		}
@@ -123,10 +123,10 @@ func TestGCBoundsLogOccupancy(t *testing.T) {
 	}
 	// A late failure after heavy pruning must still recover correctly:
 	// everything pruned was covered by a stable checkpoint.
-	failed := runStencil(t, core.New(), edgeAssign, iters, ckpt, failure.NewSchedule(failure.Event{
+	failed := runStencil(t, core.New(), edgeAssign, iters, ckpt, []failure.Event{{
 		Ranks: []int{12},
 		When:  failure.Trigger{AfterCheckpoints: 10},
-	}))
+	}})
 	sameResults(t, withGC, failed, "failure after GC pruning")
 }
 
@@ -138,10 +138,10 @@ func TestSingleClusterDegeneratesToCoordinated(t *testing.T) {
 	if clean.Totals.LoggedMsgs != 0 {
 		t.Fatalf("K=1 logged %d messages", clean.Totals.LoggedMsgs)
 	}
-	failed := runStencil(t, core.New(), assign, 8, 3, failure.NewSchedule(failure.Event{
+	failed := runStencil(t, core.New(), assign, 8, 3, []failure.Event{{
 		Ranks: []int{3},
 		When:  failure.Trigger{AfterCheckpoints: 1},
-	}))
+	}})
 	if failed.Rounds[0].RolledBack != 8 {
 		t.Fatalf("K=1 rollback %d, want all 8", failed.Rounds[0].RolledBack)
 	}
@@ -160,10 +160,10 @@ func TestSingletonClustersFullLogging(t *testing.T) {
 	if clean.Totals.LoggedMsgs != clean.Totals.AppSends {
 		t.Fatalf("singletons logged %d of %d messages", clean.Totals.LoggedMsgs, clean.Totals.AppSends)
 	}
-	failed := runStencil(t, core.New(), assign, 8, 3, failure.NewSchedule(failure.Event{
+	failed := runStencil(t, core.New(), assign, 8, 3, []failure.Event{{
 		Ranks: []int{3},
 		When:  failure.Trigger{AfterCheckpoints: 1},
-	}))
+	}})
 	if failed.Rounds[0].RolledBack != 1 {
 		t.Fatalf("singleton rollback %d, want 1", failed.Rounds[0].RolledBack)
 	}

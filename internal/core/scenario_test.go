@@ -86,7 +86,7 @@ func figProgram(c *mpi.Comm) error {
 	return nil
 }
 
-func runFig(t *testing.T, sched *failure.Schedule) (*mpi.Result, map[int]int) {
+func runFig(t *testing.T, sched []failure.Event) (*mpi.Result, map[int]int) {
 	t.Helper()
 	rec := trace.NewRecorder(8)
 	res, err := mpi.Run(mpi.Config{
@@ -128,10 +128,10 @@ func TestPaperScenarioCluster2Failure(t *testing.T) {
 	// §III-B: Cluster 2 fails after P3 sent m3; m3 becomes an orphan. The
 	// whole cluster {P2,P3,P4} restarts from its initial state (no
 	// checkpoint was taken), re-executes, and suppresses the orphan send.
-	res, phases := runFig(t, failure.NewSchedule(failure.Event{
+	res, phases := runFig(t, []failure.Event{{
 		Ranks: []int{2},
 		When:  failure.Trigger{AfterSends: 1},
-	}))
+	}})
 	if len(res.Rounds) != 1 {
 		t.Fatalf("rounds: %d", len(res.Rounds))
 	}
@@ -162,10 +162,10 @@ func TestPaperScenarioCluster3Failure(t *testing.T) {
 	// Cluster 3 has no checkpoint, so the restart loses it and P3 must
 	// replay m3 from its log — and m7 was certainly not sent yet (§III-B
 	// scenario (i)).
-	res, phases := runFig(t, failure.NewSchedule(failure.Event{
+	res, phases := runFig(t, []failure.Event{{
 		Ranks: []int{4},
 		When:  failure.Trigger{AtVT: vtime.Time(1)},
-	}))
+	}})
 	if len(res.Rounds) != 1 || res.Rounds[0].RolledBack != 4 {
 		t.Fatalf("rounds: %+v", res.Rounds)
 	}
@@ -186,10 +186,10 @@ func TestPaperScenarioBothClustersFail(t *testing.T) {
 	// "If both Cluster2 and Cluster3 roll back, m7 can be sent during
 	// recovery of Cluster3" — two concurrent cluster failures in one
 	// round.
-	res, phases := runFig(t, failure.NewSchedule(failure.Event{
+	res, phases := runFig(t, []failure.Event{{
 		Ranks: []int{2, 6},
 		When:  failure.Trigger{AfterSends: 1},
-	}))
+	}})
 	if len(res.Rounds) != 1 {
 		t.Fatalf("rounds: %d", len(res.Rounds))
 	}

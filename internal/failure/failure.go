@@ -1,16 +1,17 @@
-// Package failure injects fail-stop process failures into a run.
+// Package failure describes fail-stop process failures.
 //
 // The paper assumes a fail-stop failure model with multiple concurrent
-// failures (§II-A). A Schedule is a list of Events; each event names the
-// process(es) that die together and the condition under which the event
-// fires. Conditions are evaluated at the victims' own interaction points
-// with the runtime (sends, receives, checkpoint calls), which makes the
-// injection deterministic with respect to virtual time and operation counts.
+// failures (§II-A). A failure plan is a list of Events; each event names
+// the process(es) that die together and the condition under which the
+// event fires. Conditions are evaluated at the first victim's own
+// interaction points with the runtime (sends, receives, checkpoint calls),
+// which makes the injection deterministic with respect to virtual time and
+// operation counts.
 package failure
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 
 	"hydee/internal/vtime"
 )
@@ -38,23 +39,13 @@ type Event struct {
 	When  Trigger
 }
 
-// Schedule is an ordered list of failure events.
-type Schedule struct {
-	Events []Event
-}
-
-// NewSchedule builds a schedule from events.
-func NewSchedule(events ...Event) *Schedule {
-	return &Schedule{Events: events}
-}
-
 // Validate reports whether every event is well formed for a run of np
 // ranks: at least one victim, victims within [0, np), and exactly one
 // positive trigger condition. The runtime validates eagerly at
 // configuration time — a mistyped rank or an empty trigger would
 // otherwise just never fire and silently produce a failure-free run.
-func (s *Schedule) Validate(np int) error {
-	for i, ev := range s.Events {
+func Validate(events []Event, np int) error {
+	for i, ev := range events {
 		if len(ev.Ranks) == 0 {
 			return fmt.Errorf("failure: event %d: no victim ranks", i)
 		}
@@ -101,83 +92,45 @@ func (t Trigger) Validate() error {
 	return nil
 }
 
-// Injector tracks progress and decides when a process must die. It is safe
-// for concurrent use by all process goroutines.
-type Injector struct {
-	mu     sync.Mutex
-	events []Event
-	fired  []bool
-}
-
-// NewInjector compiles a schedule. A nil schedule yields an injector that
-// never fires.
-func NewInjector(s *Schedule) *Injector {
-	if s == nil {
-		return &Injector{}
+// hit reports whether the trigger holds for a victim whose virtual clock
+// reads vt, that has posted sends application sends and completed ckpts
+// checkpoints. A trigger with no condition set never holds.
+func (t Trigger) hit(vt vtime.Time, sends int64, ckpts int) bool {
+	switch {
+	case t.AtVT > 0:
+		return vt >= t.AtVT
+	case t.AfterSends > 0:
+		return sends >= t.AfterSends
+	case t.AfterCheckpoints > 0:
+		return ckpts >= t.AfterCheckpoints
 	}
-	return &Injector{
-		events: append([]Event(nil), s.Events...),
-		fired:  make([]bool, len(s.Events)),
+	return false
+}
+
+// ByFirstVictim files each event under its first victim, in list order,
+// for a run of np ranks whose plan Validate accepted: rank r's
+// incarnations consume list r with Next. An empty plan yields nil.
+func ByFirstVictim(events []Event, np int) [][]Event {
+	if len(events) == 0 {
+		return nil
 	}
+	byRank := make([][]Event, np)
+	for _, ev := range events {
+		byRank[ev.Ranks[0]] = append(byRank[ev.Ranks[0]], ev)
+	}
+	return byRank
 }
 
-// Progress is the victim-side state a trigger is evaluated against.
-type Progress struct {
-	VT          vtime.Time
-	Sends       int64
-	Checkpoints int
-}
-
-// Due reports, for the process `rank` at the given progress, the ranks that
-// must be killed now (including rank itself). It returns nil if no event
-// fires. An event fires at most once, when its first victim reaches the
-// trigger.
-func (in *Injector) Due(rank int, p Progress) []int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for i, ev := range in.events {
-		if in.fired[i] || len(ev.Ranks) == 0 || ev.Ranks[0] != rank {
-			continue
-		}
-		t := ev.When
-		hit := false
-		switch {
-		case t.AtVT > 0:
-			hit = p.VT >= t.AtVT
-		case t.AfterSends > 0:
-			hit = p.Sends >= t.AfterSends
-		case t.AfterCheckpoints > 0:
-			hit = p.Checkpoints >= t.AfterCheckpoints
-		}
-		if hit {
-			in.fired[i] = true
-			return append([]int(nil), ev.Ranks...)
+// Next removes from *pending the first event whose trigger holds at the
+// given progress and returns its victims (first victim included), or nil
+// when none holds: each event fires at most once, and events whose
+// triggers hold together fire in list order at successive calls.
+func Next(pending *[]Event, vt vtime.Time, sends int64, ckpts int) []int {
+	for i, ev := range *pending {
+		if ev.When.hit(vt, sends, ckpts) {
+			*pending = slices.Delete(*pending, i, i+1)
+			return slices.Clone(ev.Ranks)
 		}
 	}
 	return nil
-}
-
-// Remaining reports how many events have not fired yet.
-func (in *Injector) Remaining() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	n := 0
-	for _, f := range in.fired {
-		if !f {
-			n++
-		}
-	}
-	return n
-}
-
-// AllFired reports whether every scheduled event has fired.
-func (in *Injector) AllFired() bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for _, f := range in.fired {
-		if !f {
-			return false
-		}
-	}
-	return true
 }

@@ -22,19 +22,11 @@ import (
 // traffic matrix.
 func runTwice(t *testing.T, s Spec) *Summary {
 	t.Helper()
-	// Failure schedules carry fired-state; give each run its own copy.
-	mkSpec := func() Spec {
-		cp := s
-		if s.Failures != nil {
-			cp.Failures = failure.NewSchedule(s.Failures.Events...)
-		}
-		return cp
-	}
-	a, err := Run(mkSpec())
+	a, err := Run(s)
 	if err != nil {
 		t.Fatalf("%s/%s run 1: %v", s.Kernel.Name, s.Proto, err)
 	}
-	b, err := Run(mkSpec())
+	b, err := Run(s)
 	if err != nil {
 		t.Fatalf("%s/%s run 2: %v", s.Kernel.Name, s.Proto, err)
 	}
@@ -76,10 +68,10 @@ func TestE4MakespansReproducible(t *testing.T) {
 		sum := runTwice(t, Spec{
 			Kernel: k, Params: apps.Params{NP: 16, Iters: 8},
 			Proto: proto, Assign: assign, CheckpointEvery: 3,
-			Failures: failure.NewSchedule(failure.Event{
+			Failures: []failure.Event{{
 				Ranks: []int{8},
 				When:  failure.Trigger{AfterCheckpoints: 1},
-			}),
+			}},
 		})
 		if len(sum.Rounds) != 1 {
 			t.Errorf("%s: expected 1 recovery round, got %d", proto, len(sum.Rounds))
@@ -147,10 +139,10 @@ func TestMidWaveFailureReproducible(t *testing.T) {
 			Kernel: k, Params: apps.Params{NP: 16, Iters: 8},
 			Proto: proto, Assign: assign, CheckpointEvery: 3,
 			NewStore: memStore(2e9),
-			Failures: failure.NewSchedule(failure.Event{
+			Failures: []failure.Event{{
 				Ranks: []int{8},
 				When:  failure.Trigger{AfterCheckpoints: 1},
-			}),
+			}},
 		})
 		if len(sum.Rounds) != 1 {
 			t.Errorf("%s: expected 1 recovery round, got %d", proto, len(sum.Rounds))
@@ -173,10 +165,10 @@ func TestRunAllByteStableAcrossParallelism(t *testing.T) {
 			specs = append(specs, Spec{
 				Kernel: k, Params: apps.Params{NP: 16, Iters: 6},
 				Proto: proto, Assign: assign, CheckpointEvery: 2,
-				Failures: failure.NewSchedule(failure.Event{
+				Failures: []failure.Event{{
 					Ranks: []int{8},
 					When:  failure.Trigger{AfterCheckpoints: 1},
-				}),
+				}},
 			})
 		}
 		return specs

@@ -275,12 +275,6 @@ func Containment(k apps.Kernel, np, iters, ckptEvery int, assign []int, failAfte
 // run's topology so sharded stores can place clusters).
 func ContainmentCtx(ctx context.Context, k apps.Kernel, np, iters, ckptEvery int, assign []int, failWhen failure.Trigger, model netmodel.Model, newStore func(*rollback.Topology) (checkpoint.Store, error)) ([]E4Row, error) {
 	var rows []E4Row
-	sched := func() *failure.Schedule {
-		return failure.NewSchedule(failure.Event{
-			Ranks: []int{np / 2},
-			When:  failWhen,
-		})
-	}
 	for _, proto := range []Proto{ProtoCoord, ProtoMLog, ProtoHydEE} {
 		params := apps.Params{NP: np, Iters: iters}
 		base := Spec{Kernel: k, Params: params, Proto: proto, Assign: assign, CheckpointEvery: ckptEvery, Model: model, NewStore: newStore}
@@ -289,7 +283,7 @@ func ContainmentCtx(ctx context.Context, k apps.Kernel, np, iters, ckptEvery int
 			return nil, fmt.Errorf("e4: %s/%s clean: %w", k.Name, proto, err)
 		}
 		withFail := base
-		withFail.Failures = sched()
+		withFail.Failures = []failure.Event{{Ranks: []int{np / 2}, When: failWhen}}
 		failed, err := RunCtx(ctx, withFail)
 		if err != nil {
 			return nil, fmt.Errorf("e4: %s/%s failed: %w", k.Name, proto, err)

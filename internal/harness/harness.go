@@ -1,6 +1,6 @@
 // Package harness orchestrates the experiments: it wires a kernel, a
 // rollback protocol, a clustering, a network model, a checkpoint schedule
-// and a failure schedule into an mpi run, and aggregates the metrics the
+// and a failure plan into an mpi run, and aggregates the metrics the
 // paper's tables and figures report.
 package harness
 
@@ -78,8 +78,8 @@ type Spec struct {
 	// CheckpointEvery / Stagger configure the checkpoint schedule.
 	CheckpointEvery int
 	Stagger         bool
-	// Failures is the fail-stop schedule.
-	Failures *failure.Schedule
+	// Failures is the fail-stop plan.
+	Failures []failure.Event
 	// NewStore builds the run's checkpoint store — the one way to pick a
 	// store; nil means a fresh free (untimed) in-memory store. It sees
 	// the resolved topology so placements can follow clusters
@@ -128,6 +128,11 @@ func (s *Spec) topoAndProtocol() (*rollback.Topology, rollback.Protocol, error) 
 	case ProtoHydEE:
 		if len(s.Assign) != np {
 			return nil, nil, fmt.Errorf("harness: hydee needs a cluster assignment covering %d ranks (got %d)", np, len(s.Assign))
+		}
+		for r, c := range s.Assign {
+			if c < 0 || c >= np {
+				return nil, nil, fmt.Errorf("harness: rank %d: cluster id %d outside [0,%d)", r, c, np)
+			}
 		}
 		return rollback.NewTopology(s.Assign), core.New(), nil
 	default:

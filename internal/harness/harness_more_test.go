@@ -21,6 +21,14 @@ func TestSpecValidation(t *testing.T) {
 	if _, err := Run(Spec{Kernel: k, Params: apps.Params{NP: 4, Iters: 1}, Proto: Proto(99)}); err == nil {
 		t.Fatal("accepted unknown protocol")
 	}
+	// Cluster ids outside [0, np) are an error, not a panic in the
+	// topology constructor.
+	for _, assign := range [][]int{{0, 0, 4, 1}, {0, 0, -1, 1}} {
+		_, err := Run(Spec{Kernel: k, Params: apps.Params{NP: 4, Iters: 1}, Proto: ProtoHydEE, Assign: assign})
+		if err == nil || !strings.Contains(err.Error(), "cluster id") {
+			t.Errorf("assign %v: error %v, want a cluster id error", assign, err)
+		}
+	}
 }
 
 func TestProtoString(t *testing.T) {

@@ -92,10 +92,10 @@ func TestShardedStoreRunReproducible(t *testing.T) {
 			Kernel: k, Params: apps.Params{NP: 16, Iters: 8},
 			Proto: ProtoHydEE, Assign: assign, CheckpointEvery: 3,
 			NewStore: shardedStore(4, 4e9),
-			Failures: failure.NewSchedule(failure.Event{
+			Failures: []failure.Event{{
 				Ranks: []int{8},
 				When:  failure.Trigger{AfterSends: 44},
-			}),
+			}},
 		}
 	}
 	a, err := Run(mkSpec())

@@ -98,12 +98,7 @@ func e6Configs(bps float64) []e6Config {
 // run; every aborting run must fail with mpi.ErrCheckpointLost.
 func StoreFaultSweep(ctx context.Context, k apps.Kernel, np, iters, ckptEvery int, assign []int, storeBPS float64) ([]E6Row, error) {
 	victim := np / 2
-	fail := func() *failure.Schedule {
-		return failure.NewSchedule(failure.Event{
-			Ranks: []int{victim},
-			When:  failure.Trigger{AfterCheckpoints: 2},
-		})
-	}
+	fail := []failure.Event{{Ranks: []int{victim}, When: failure.Trigger{AfterCheckpoints: 2}}}
 	var rows []E6Row
 	for _, cfg := range e6Configs(storeBPS) {
 		base := Spec{
@@ -111,7 +106,7 @@ func StoreFaultSweep(ctx context.Context, k apps.Kernel, np, iters, ckptEvery in
 			Proto: ProtoHydEE, Assign: assign, Model: netmodel.Myrinet10G(),
 			CheckpointEvery: ckptEvery,
 		}
-		mkSpec := func(newStore func(*rollback.Topology) (checkpoint.Store, error), failures *failure.Schedule) Spec {
+		mkSpec := func(newStore func(*rollback.Topology) (checkpoint.Store, error), failures []failure.Event) Spec {
 			s := base
 			s.NewStore = newStore
 			s.Failures = failures
@@ -128,7 +123,7 @@ func StoreFaultSweep(ctx context.Context, k apps.Kernel, np, iters, ckptEvery in
 		// 2. Probe: the same rank failure on healthy storage pins down
 		// the recovery round's start in virtual time (deterministic, so
 		// it transfers to the faulted run below).
-		probe, err := RunCtx(ctx, mkSpec(cfg.mk, fail()))
+		probe, err := RunCtx(ctx, mkSpec(cfg.mk, fail))
 		if err != nil {
 			return nil, fmt.Errorf("e6: %s probe: %w", cfg.name, err)
 		}
@@ -179,7 +174,7 @@ func StoreFaultSweep(ctx context.Context, k apps.Kernel, np, iters, ckptEvery in
 			CleanVT:   clean.Makespan,
 			PhysBytes: clean.Store.SavedBytes,
 		}
-		faulted, err := RunCtx(ctx, mkSpec(func(*rollback.Topology) (checkpoint.Store, error) { return faulty, nil }, fail()))
+		faulted, err := RunCtx(ctx, mkSpec(func(*rollback.Topology) (checkpoint.Store, error) { return faulty, nil }, fail))
 		switch {
 		case err == nil:
 			if err := SameDigests(clean, faulted); err != nil {

@@ -50,6 +50,7 @@ var deterministicPkgs = map[string]bool{
 	"hydee/internal/erasure":    true, // pure codec: no clocks, no maps, no rand
 	"hydee/internal/graph":      true, // workload generation: seeded rand only
 	"hydee/internal/apps":       true,
+	"hydee/internal/failure":    true, // decides at which interaction point a victim dies
 }
 
 // deterministicPkg reports whether the pass's package is in the

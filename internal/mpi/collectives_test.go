@@ -11,14 +11,8 @@ import (
 	"hydee/internal/rollback"
 )
 
-// mpiFailureSchedule wraps an optional failure schedule for test helpers.
-type mpiFailureSchedule struct{ s *failure.Schedule }
-
-func failAfterCkpt(rank, n int) *mpiFailureSchedule {
-	return &mpiFailureSchedule{s: failure.NewSchedule(failure.Event{
-		Ranks: []int{rank},
-		When:  failure.Trigger{AfterCheckpoints: n},
-	})}
+func failAfterCkpt(rank, n int) []failure.Event {
+	return []failure.Event{{Ranks: []int{rank}, When: failure.Trigger{AfterCheckpoints: n}}}
 }
 
 // runColl executes a program on np ranks under HydEE with two clusters so
@@ -234,17 +228,17 @@ func TestCollectivesSurviveFailure(t *testing.T) {
 		c.SetResult(st.Acc)
 		return nil
 	}
-	run := func(sched *mpiFailureSchedule) *mpi.Result {
+	run := func(failures []failure.Event) *mpi.Result {
 		res, err := mpi.Run(mpi.Config{
 			NP: np, Topo: rollback.NewTopology(assign), Protocol: core.New(),
-			CheckpointEvery: 3, Failures: sched.s, Watchdog: 30 * time.Second,
+			CheckpointEvery: 3, Failures: failures, Watchdog: 30 * time.Second,
 		}, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	clean := run(&mpiFailureSchedule{})
+	clean := run(nil)
 	failed := run(failAfterCkpt(6, 1))
 	for r := 0; r < np; r++ {
 		if clean.Results[r] != failed.Results[r] {

@@ -45,8 +45,8 @@ type Config struct {
 	// CheckpointStagger offsets the checkpoint schedule per cluster to
 	// avoid I/O bursts (experiment E5).
 	CheckpointStagger bool
-	// Failures is the fail-stop schedule; nil injects none.
-	Failures *failure.Schedule
+	// Failures is the fail-stop plan; nil injects none.
+	Failures []failure.Event
 	// Recorder, when non-nil, records application-level events for the
 	// property tests.
 	Recorder *trace.Recorder
@@ -96,10 +96,8 @@ func (cfg *Config) normalize() error {
 	if cfg.Protocol == nil {
 		cfg.Protocol = rollback.Native()
 	}
-	if cfg.Failures != nil {
-		if err := cfg.Failures.Validate(cfg.NP); err != nil {
-			return err
-		}
+	if err := failure.Validate(cfg.Failures, cfg.NP); err != nil {
+		return err
 	}
 	if cfg.Store == nil {
 		cfg.Store = checkpoint.NewMemStore(0, 0)

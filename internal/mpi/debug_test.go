@@ -21,10 +21,10 @@ func TestDebugRecovery(t *testing.T) {
 	res, err := mpi.Run(mpi.Config{
 		NP: 6, Topo: topo, Protocol: core.New(),
 		CheckpointEvery: 3,
-		Failures: failure.NewSchedule(failure.Event{
+		Failures: []failure.Event{{
 			Ranks: []int{2},
 			When:  failure.Trigger{AfterCheckpoints: 2},
-		}),
+		}},
 		Watchdog: 60 * time.Second,
 		Observer: mpi.NewLogObserver(os.Stderr),
 	}, ringProgram(12))

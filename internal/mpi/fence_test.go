@@ -24,9 +24,9 @@ import (
 	"hydee/internal/vtime"
 )
 
-// runFenced executes cfg/prog twice with fresh failure schedules and fails
-// unless the two results are indistinguishable — makespan, rounds, totals,
-// per-rank metrics, traffic matrices, store stats and digests.
+// runFenced executes cfg/prog twice and fails unless the two results are
+// indistinguishable — makespan, rounds, totals, per-rank metrics, traffic
+// matrices, store stats and digests.
 // virtualOnly clears the one part of a Result that is not a function of
 // virtual time — the delivery plane's host-side work counters, which depend
 // on goroutine scheduling — so two runs can be compared whole.
@@ -38,16 +38,12 @@ func virtualOnly(res *mpi.Result) *mpi.Result {
 func runFenced(t *testing.T, cfg mpi.Config, prog mpi.Program) *mpi.Result {
 	t.Helper()
 	run := func() *mpi.Result {
-		c := cfg
-		if cfg.Failures != nil {
-			c.Failures = failure.NewSchedule(cfg.Failures.Events...)
-		}
 		if cfg.Store != nil {
 			// Stores accumulate state; each run builds its own of the same
 			// shape via the spec below.
 			t.Fatal("runFenced: use cfg.Store == nil and storeBPS instead")
 		}
-		res, err := mpi.Run(c, prog)
+		res, err := mpi.Run(cfg, prog)
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
@@ -84,10 +80,10 @@ func TestExactTieQueuedSaveKillReproducible(t *testing.T) {
 		Protocol:        core.New(),
 		Model:           netmodel.Ideal(),
 		CheckpointEvery: 1,
-		Failures: failure.NewSchedule(failure.Event{
+		Failures: []failure.Event{{
 			Ranks: []int{2},
 			When:  failure.Trigger{AtVT: vtime.Time(101)},
-		}),
+		}},
 		Watchdog: 30 * time.Second,
 	}
 	prog := func(c *mpi.Comm) error {
@@ -139,10 +135,10 @@ func TestTwoVictimsOneRoundReproducible(t *testing.T) {
 		Protocol:        core.New(),
 		Model:           netmodel.Myrinet10G(),
 		CheckpointEvery: 2,
-		Failures: failure.NewSchedule(failure.Event{
+		Failures: []failure.Event{{
 			Ranks: []int{2, 4},
 			When:  failure.Trigger{AfterCheckpoints: 1},
-		}),
+		}},
 		Watchdog: 30 * time.Second,
 	}
 	mkStore := func() checkpoint.Store { return checkpoint.NewMemStore(2e9, 2e9) }
@@ -182,7 +178,7 @@ func TestFailureDuringRecoveryReproducible(t *testing.T) {
 	// then aim the second failure's trigger inside it.
 	first := failure.Event{Ranks: []int{2}, When: failure.Trigger{AfterCheckpoints: 1}}
 	probeCfg := base
-	probeCfg.Failures = failure.NewSchedule(first)
+	probeCfg.Failures = []failure.Event{first}
 	probe := runStoreBacked(t, probeCfg, func() checkpoint.Store { return checkpoint.NewMemStore(2e9, 2e9) }, prog, true)
 	if len(probe.Rounds) != 1 {
 		t.Fatalf("probe rounds %d, want 1", len(probe.Rounds))
@@ -191,10 +187,10 @@ func TestFailureDuringRecoveryReproducible(t *testing.T) {
 	midVT := r0.StartVT.Add(r0.EndVT.Sub(r0.StartVT) / 2)
 
 	cfg := base
-	cfg.Failures = failure.NewSchedule(first, failure.Event{
+	cfg.Failures = []failure.Event{first, {
 		Ranks: []int{9},
 		When:  failure.Trigger{AtVT: midVT},
-	})
+	}}
 	failed := runStoreBacked(t, cfg, func() checkpoint.Store { return checkpoint.NewMemStore(2e9, 2e9) }, prog, true)
 	if len(failed.Rounds) != 2 {
 		t.Fatalf("rounds %d, want 2", len(failed.Rounds))
@@ -221,10 +217,10 @@ func TestBlockedScopePeerDrainReproducible(t *testing.T) {
 		Topo:     rollback.NewTopology([]int{0, 0, 1}),
 		Protocol: core.New(),
 		Model:    netmodel.Myrinet10G(),
-		Failures: failure.NewSchedule(failure.Event{
+		Failures: []failure.Event{{
 			Ranks: []int{0},
 			When:  failure.Trigger{AfterSends: 1},
-		}),
+		}},
 		// Short watchdog: a deadlocked drain fails fast and loudly.
 		Watchdog: 10 * time.Second,
 	}
@@ -234,7 +230,7 @@ func TestBlockedScopePeerDrainReproducible(t *testing.T) {
 			if err := c.Send(1, 1, []byte("one")); err != nil {
 				return err
 			}
-			// The injector fires here on the first incarnation: rank 1
+			// The plan fires here on the first incarnation: rank 1
 			// never gets the second message and blocks on its dead peer.
 			if err := c.Compute(vtime.Microsecond); err != nil {
 				return err
@@ -308,18 +304,18 @@ func reverseOrderScenario() (mpi.Config, mpi.Program) {
 		Topo:     rollback.NewTopology([]int{0, 0, 1, 1}),
 		Protocol: core.New(),
 		Model:    netmodel.Ideal(),
-		Failures: failure.NewSchedule(
+		Failures: []failure.Event{
 			// Cluster 1 is compute-only: the trigger at VT 50 fires at the
 			// first interaction point past it — the end of rank 2's first
 			// 1000ns chunk — so the detection lands at VT 1000.
-			failure.Event{Ranks: []int{2}, When: failure.Trigger{AtVT: vtime.Time(50)}},
+			{Ranks: []int{2}, When: failure.Trigger{AtVT: vtime.Time(50)}},
 			// Cluster 0 ping-pongs in tens of nanoseconds; rank 0 dies at
 			// its third send, i.e. at a detection time far BELOW 1000 —
 			// but its evFail can only reach the supervisor after cluster
 			// 1's frontiers unblocked the ping-pong, i.e. after rank 2's
 			// failure was already emitted: reverse virtual-time order.
-			failure.Event{Ranks: []int{0}, When: failure.Trigger{AfterSends: 3}},
-		),
+			{Ranks: []int{0}, When: failure.Trigger{AfterSends: 3}},
+		},
 		Watchdog: 30 * time.Second,
 	}
 	prog := func(c *mpi.Comm) error {
@@ -377,15 +373,15 @@ func TestOverlappingScopeRefailureReproducible(t *testing.T) {
 		Topo:     rollback.NewTopology([]int{0, 0, 1, 1}),
 		Protocol: core.New(),
 		Model:    netmodel.Ideal(),
-		Failures: failure.NewSchedule(
+		Failures: []failure.Event{
 			// First incarnation of rank 0 dies entering its third send.
-			failure.Event{Ranks: []int{0}, When: failure.Trigger{AfterSends: 2}},
+			{Ranks: []int{0}, When: failure.Trigger{AfterSends: 2}},
 			// The replay suppresses re-sends of the two orphans; the
 			// cumulative send counter crosses 3 after the first suppressed
 			// re-send, so the restarted incarnation dies entering the
 			// second — leaving one orphan notification outstanding.
-			failure.Event{Ranks: []int{0}, When: failure.Trigger{AfterSends: 3}},
-		),
+			{Ranks: []int{0}, When: failure.Trigger{AfterSends: 3}},
+		},
 		Watchdog: 30 * time.Second,
 	}
 	prog := func(c *mpi.Comm) error {
@@ -439,9 +435,6 @@ func runStoreBacked(t *testing.T, cfg mpi.Config, mkStore func() checkpoint.Stor
 	run := func() *mpi.Result {
 		c := cfg
 		c.Store = mkStore()
-		if cfg.Failures != nil {
-			c.Failures = failure.NewSchedule(cfg.Failures.Events...)
-		}
 		res, err := mpi.Run(c, prog)
 		if err != nil {
 			t.Fatalf("run: %v", err)
@@ -501,7 +494,7 @@ func TestStagedSaveRefusedPastFenceReproducible(t *testing.T) {
 		if hide {
 			cfg.Store = underTurn{st.faulty}
 		}
-		cfg.Failures = failure.NewSchedule(failure.Event{Ranks: []int{13}, When: failure.Trigger{AfterCheckpoints: 2}})
+		cfg.Failures = []failure.Event{{Ranks: []int{13}, When: failure.Trigger{AfterCheckpoints: 2}}}
 		res, err := mpi.Run(cfg, ringWave(iters, imgs))
 		if err != nil {
 			t.Fatalf("run: %v", err)

@@ -34,9 +34,7 @@ func TestKnownBugReverseOrderArrival(t *testing.T) {
 	cfg, prog := reverseOrderScenario()
 	var first *mpi.Result
 	for i := 0; i < 300; i++ {
-		c := cfg
-		c.Failures = failure.NewSchedule(cfg.Failures.Events...)
-		res, err := mpi.Run(c, prog)
+		res, err := mpi.Run(cfg, prog)
 		if err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
@@ -67,7 +65,7 @@ func TestKnownBugSameClusterTwiceDeadlock(t *testing.T) {
 		Protocol:        core.New(),
 		Model:           netmodel.Myrinet10G(),
 		CheckpointEvery: 1,
-		Failures:        failure.NewSchedule(after(2, 30), after(5, 46), after(8, 45)),
+		Failures:        []failure.Event{after(2, 30), after(5, 46), after(8, 45)},
 		Watchdog:        3 * time.Second,
 	}, apps.Ring(24, 4096))
 	if errors.Is(err, mpi.ErrDeadlock) {

@@ -124,7 +124,7 @@ func TestRingHydEEFailureFreeMatchesNative(t *testing.T) {
 
 func TestRingHydEERecoversFromFailure(t *testing.T) {
 	topo := rollback.NewTopology([]int{0, 0, 1, 1, 2, 2})
-	run := func(sched *failure.Schedule) []int64 {
+	run := func(sched []failure.Event) []int64 {
 		t.Helper()
 		res, err := mpi.Run(mpi.Config{
 			NP: 6, Topo: topo, Protocol: core.New(),
@@ -135,16 +135,16 @@ func TestRingHydEERecoversFromFailure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sched != nil && len(res.Rounds) != len(sched.Events) {
-			t.Fatalf("expected %d recovery rounds, got %d", len(sched.Events), len(res.Rounds))
+		if sched != nil && len(res.Rounds) != len(sched) {
+			t.Fatalf("expected %d recovery rounds, got %d", len(sched), len(res.Rounds))
 		}
 		return ringResults(t, res)
 	}
 	clean := run(nil)
-	failed := run(failure.NewSchedule(failure.Event{
+	failed := run([]failure.Event{{
 		Ranks: []int{2},
 		When:  failure.Trigger{AfterCheckpoints: 2},
-	}))
+	}})
 	for r := range clean {
 		if clean[r] != failed[r] {
 			t.Fatalf("rank %d: failure-free acc %d != recovered acc %d", r, clean[r], failed[r])
@@ -154,7 +154,7 @@ func TestRingHydEERecoversFromFailure(t *testing.T) {
 
 func TestRingHydEEConcurrentClusterFailures(t *testing.T) {
 	topo := rollback.NewTopology([]int{0, 0, 1, 1, 2, 2})
-	run := func(sched *failure.Schedule) []int64 {
+	run := func(sched []failure.Event) []int64 {
 		t.Helper()
 		res, err := mpi.Run(mpi.Config{
 			NP: 6, Topo: topo, Protocol: core.New(),
@@ -168,10 +168,10 @@ func TestRingHydEEConcurrentClusterFailures(t *testing.T) {
 		return ringResults(t, res)
 	}
 	clean := run(nil)
-	failed := run(failure.NewSchedule(failure.Event{
+	failed := run([]failure.Event{{
 		Ranks: []int{0, 5}, // two clusters fail concurrently
 		When:  failure.Trigger{AfterCheckpoints: 1},
-	}))
+	}})
 	for r := range clean {
 		if clean[r] != failed[r] {
 			t.Fatalf("rank %d: failure-free acc %d != recovered acc %d", r, clean[r], failed[r])

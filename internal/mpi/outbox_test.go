@@ -99,7 +99,7 @@ func TestOutboxFlushedBeforeFailureReproducible(t *testing.T) {
 					CheckpointEvery: 1, Watchdog: 60 * time.Second,
 				}
 				if fail {
-					cfg.Failures = failure.NewSchedule(c.fail)
+					cfg.Failures = []failure.Event{c.fail}
 				}
 				res, err := mpi.Run(cfg, alltoallSteps(iters))
 				if err != nil {

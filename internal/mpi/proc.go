@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"hydee/internal/checkpoint"
 	"hydee/internal/failure"
@@ -237,17 +236,12 @@ func (p *Proc) waitCtl(pred func() bool) error {
 	return nil
 }
 
-// maybeFail consults the failure injector at this interaction point.
+// maybeFail consults the rank's failure plan at this interaction point.
 func (p *Proc) maybeFail() error {
-	inj := p.rt.inj
-	if inj == nil {
+	if p.rt.plan == nil {
 		return nil
 	}
-	ranks := inj.Due(p.rank, failure.Progress{
-		VT:          p.clock.Now(),
-		Sends:       atomic.LoadInt64(&p.rt.cumSends[p.rank]),
-		Checkpoints: p.ckptsDone,
-	})
+	ranks := failure.Next(&p.rt.plan[p.rank], p.clock.Now(), p.rt.sends[p.rank], p.ckptsDone)
 	if ranks == nil {
 		return nil
 	}
@@ -285,7 +279,7 @@ func (p *Proc) send(dst, tag int, data []byte, wire int) error {
 	}
 	p.metrics.AppSends++
 	p.metrics.AppBytes += int64(wire)
-	atomic.AddInt64(&p.rt.cumSends[p.rank], 1)
+	p.rt.sends[p.rank]++
 	if rec := p.rt.rec; rec != nil {
 		rec.Record(trace.Event{
 			Op: trace.Send, Proc: p.rank, Peer: dst,

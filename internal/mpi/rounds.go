@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 
-	"hydee/internal/failure"
 	"hydee/internal/rollback"
 	"hydee/internal/transport"
 	"hydee/internal/vtime"
@@ -112,23 +111,19 @@ type machine struct {
 	procs, coords int
 	nextRound     int
 	// opened counts opens (extensions and merges included) against the
-	// runaway cap: the schedule's event count plus two.
+	// runaway cap: the plan's event count plus two.
 	opened, maxRounds int
 
 	acts []action // reused by every step
 }
 
-func newMachine(np int, prot rollback.Protocol, topo *rollback.Topology, minLat vtime.Duration, sched *failure.Schedule) *machine {
-	m := &machine{
+func newMachine(np int, prot rollback.Protocol, topo *rollback.Topology, minLat vtime.Duration, events int) *machine {
+	return &machine{
 		np: np, prot: prot, topo: topo, minLat: minLat,
 		fences: make(map[int]vtime.Time), drain: make(map[int]bool),
 		finished: make([]bool, np), deadEarly: make(map[int]bool),
-		procs: np, maxRounds: 2,
+		procs: np, maxRounds: events + 2,
 	}
-	if sched != nil {
-		m.maxRounds += len(sched.Events)
-	}
-	return m
 }
 
 // done reports that every rank finished and no round is active or queued.

@@ -13,20 +13,15 @@ import (
 	"testing"
 
 	"hydee/internal/core"
-	"hydee/internal/failure"
 	"hydee/internal/rollback"
 	"hydee/internal/transport"
 	"hydee/internal/vtime"
 )
 
 // Six ranks in three clusters of two, one-nanosecond minimum latency, a
-// three-event schedule (runaway cap 5).
+// three-event plan (runaway cap 5).
 func newTestMachine(prot rollback.Protocol, events int) *machine {
-	var sched *failure.Schedule
-	if events > 0 {
-		sched = failure.NewSchedule(make([]failure.Event, events)...)
-	}
-	return newMachine(6, prot, rollback.NewTopology([]int{0, 0, 1, 1, 2, 2}), vtime.Nanosecond, sched)
+	return newMachine(6, prot, rollback.NewTopology([]int{0, 0, 1, 1, 2, 2}), vtime.Nanosecond, events)
 }
 
 func fmtAction(a action) string {

@@ -25,13 +25,18 @@ type Runtime struct {
 	topo    *rollback.Topology
 	prot    rollback.Protocol
 	store   checkpoint.Store
-	inj     *failure.Injector
 	rec     *trace.Recorder
 	obs     *observerMux
 	program Program
 
-	evCh     chan procEvent
-	cumSends []int64 // atomic, cumulative app sends per rank across incarnations
+	evCh chan procEvent
+	// plan[r] lists the failure events whose first victim is r, not yet
+	// fired, and sends[r] counts r's application sends across
+	// incarnations. Only r's current incarnation touches them, without a
+	// lock: launchRound starts a new incarnation only after the old one's
+	// evDied came through evCh, which orders every write before it.
+	plan  [][]failure.Event
+	sends []int64
 
 	mu      sync.Mutex
 	metrics []rollback.Metrics
@@ -115,14 +120,12 @@ func RunContext(ctx context.Context, cfg Config, program Program) (*Result, erro
 		program:  program,
 		net:      transport.NewNetwork(cfg.NP, cfg.Model),
 		evCh:     make(chan procEvent, 4*cfg.NP+16),
-		cumSends: make([]int64, cfg.NP),
+		plan:     failure.ByFirstVictim(cfg.Failures, cfg.NP),
+		sends:    make([]int64, cfg.NP),
 		metrics:  make([]rollback.Metrics, cfg.NP),
 		results:  make([]any, cfg.NP),
 		finalVT:  make([]vtime.Time, cfg.NP),
 		ckptDone: make([][]savePoint, cfg.NP),
-	}
-	if cfg.Failures != nil {
-		rt.inj = failure.NewInjector(cfg.Failures)
 	}
 	// Pre-create the recovery endpoint so early control traffic to it is
 	// buffered rather than lost, and declare it as the latent failure
@@ -175,7 +178,7 @@ const starveProbe = 2 * time.Millisecond
 // and the starvation probe become inputs, with the plane facts a step needs,
 // and the actions each step returns run here. The machine decides; this acts.
 func (rt *Runtime) supervise(ctx context.Context) error {
-	m := newMachine(rt.cfg.NP, rt.prot, rt.topo, rt.net.MinLatency(), rt.cfg.Failures)
+	m := newMachine(rt.cfg.NP, rt.prot, rt.topo, rt.net.MinLatency(), len(rt.cfg.Failures))
 
 	watchdogDur := rt.cfg.watchdog()
 	//hydee:allow wallclock(watchdog is a liveness knob: it only aborts hung runs, never shapes virtual time)

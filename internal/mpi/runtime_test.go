@@ -43,7 +43,7 @@ func TestNativeCannotTolerateFailures(t *testing.T) {
 	_, err := mpi.Run(mpi.Config{
 		NP:       2,
 		Watchdog: 10 * time.Second,
-		Failures: failure.NewSchedule(failure.Event{Ranks: []int{0}, When: failure.Trigger{AfterSends: 1}}),
+		Failures: []failure.Event{{Ranks: []int{0}, When: failure.Trigger{AfterSends: 1}}},
 	}, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
 			if err := c.Send(1, 1, []byte("x")); err != nil {
@@ -275,7 +275,7 @@ func TestFinishedProcessStillServesRecovery(t *testing.T) {
 			return err
 		}
 		// The compute gives the failure trigger an interaction point
-		// after the delivery (the injector fires once, pre-restart).
+		// after the delivery (the plan fires once, pre-restart).
 		if err := c.Compute(vtime.Microsecond); err != nil {
 			return err
 		}
@@ -284,10 +284,10 @@ func TestFinishedProcessStillServesRecovery(t *testing.T) {
 	}
 	res, err := mpi.Run(mpi.Config{
 		NP: 2, Topo: rollback.NewTopology(assign), Protocol: core.New(),
-		Failures: failure.NewSchedule(failure.Event{
+		Failures: []failure.Event{{
 			Ranks: []int{1},
 			When:  failure.Trigger{AtVT: vtime.Time(1)},
-		}),
+		}},
 		Model:    netmodel.Myrinet10G(),
 		Watchdog: 15 * time.Second,
 	}, prog)

@@ -177,7 +177,7 @@ func TestStagedCheckpointWaveReproducible(t *testing.T) {
 		if hide {
 			cfg.Store = underTurn{st.faulty}
 		}
-		cfg.Failures = failure.NewSchedule(failure.Event{Ranks: []int{29}, When: failure.Trigger{AfterCheckpoints: iters / 2}})
+		cfg.Failures = []failure.Event{{Ranks: []int{29}, When: failure.Trigger{AfterCheckpoints: iters / 2}}}
 		res, err := mpi.Run(cfg, ringWave(iters, imgs))
 		if err != nil {
 			t.Fatalf("run: %v", err)

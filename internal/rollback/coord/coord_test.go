@@ -28,7 +28,7 @@ func TestProtocolShape(t *testing.T) {
 }
 
 func TestGlobalRestartRecovers(t *testing.T) {
-	run := func(sched *failure.Schedule) *mpi.Result {
+	run := func(sched []failure.Event) *mpi.Result {
 		res, err := mpi.Run(mpi.Config{
 			NP:              8,
 			Topo:            rollback.SingleCluster(8),
@@ -47,10 +47,10 @@ func TestGlobalRestartRecovers(t *testing.T) {
 	if clean.Totals.LoggedMsgs != 0 || clean.Totals.PiggyBytes != 0 {
 		t.Fatalf("coordinated baseline must not log or piggyback: %+v", clean.Totals)
 	}
-	failed := run(failure.NewSchedule(failure.Event{
+	failed := run([]failure.Event{{
 		Ranks: []int{5},
 		When:  failure.Trigger{AfterCheckpoints: 2},
-	}))
+	}})
 	if failed.Totals.Restarts != 8 {
 		t.Fatalf("restarts %d, want all 8 (no containment)", failed.Totals.Restarts)
 	}
@@ -66,10 +66,10 @@ func TestGlobalRestartWithoutCheckpoint(t *testing.T) {
 		NP:       4,
 		Topo:     rollback.SingleCluster(4),
 		Protocol: coord.New(),
-		Failures: failure.NewSchedule(failure.Event{
+		Failures: []failure.Event{{
 			Ranks: []int{1},
 			When:  failure.Trigger{AfterSends: 3},
-		}),
+		}},
 		Watchdog: 30 * time.Second,
 	}, apps.Ring(5, 512))
 	if err != nil {

@@ -501,6 +501,38 @@ func TestQueueBackpressureAndErrors(t *testing.T) {
 	}
 }
 
+// TestBadClusterIDRejected: a job whose assign holds a cluster id outside
+// [0, np) answers 400 at submission, and the server goes on to run the
+// next job.
+func TestBadClusterIDRejected(t *testing.T) {
+	srv := newTestServer(t, server.Config{Concurrency: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, assign := range []string{"[0,0,-1,1]", "[0,0,4,1]"} {
+		body := `{"runs":[{"app":"cg","np":4,"assign":` + assign + `}]}`
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var apiErr struct {
+			Error string `json:"error"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Error, "cluster id") {
+			t.Errorf("assign %s: status %d, error %q; want 400 naming the cluster id", assign, resp.StatusCode, apiErr.Error)
+		}
+	}
+	view := submitHTTP(t, ts, server.JobRequest{Runs: []hydee.SweepSpec{
+		{App: "cg", NP: 4, Iters: 2, Proto: "hydee", Assign: []int{0, 0, 1, 1}},
+	}})
+	if v := waitDone(t, srv, view.ID); v.State != server.StateDone {
+		t.Errorf("next job: state %s (%s), want done", v.State, v.Error)
+	}
+}
+
 // TestGracefulClose: Close drains queued work, then refuses submissions.
 func TestGracefulClose(t *testing.T) {
 	srv, err := server.New(server.Config{EventDir: t.TempDir()})

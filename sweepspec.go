@@ -202,6 +202,11 @@ func (s SweepSpec) Experiment() (ExperimentSpec, error) {
 			if len(s.Assign) != s.NP {
 				return spec, fmt.Errorf("hydee: sweep spec: assign covers %d ranks, np is %d", len(s.Assign), s.NP)
 			}
+			for r, c := range s.Assign {
+				if c < 0 || c >= s.NP {
+					return spec, fmt.Errorf("hydee: sweep spec: assign gives rank %d cluster id %d outside [0,%d)", r, c, s.NP)
+				}
+			}
 			spec.Assign = append([]int(nil), s.Assign...)
 		case s.Clusters > 0:
 			if s.Clusters > s.NP {
@@ -221,15 +226,11 @@ func (s SweepSpec) Experiment() (ExperimentSpec, error) {
 			return spec, err
 		}
 	}
-	if s.FailAt != "" {
-		events, err := ParseFailureSpec(s.FailAt)
-		if err != nil {
-			return spec, err
-		}
-		if err := ValidateFailureEvents(events, s.NP); err != nil {
-			return spec, err
-		}
-		spec.Failures = NewFailureSchedule(events...)
+	if spec.Failures, err = ParseFailureSpec(s.FailAt); err != nil {
+		return spec, err
+	}
+	if err := ValidateFailureEvents(spec.Failures, s.NP); err != nil {
+		return spec, err
 	}
 	if s.StoreSpec == (StoreSpec{}) {
 		return spec, nil
