@@ -7,7 +7,7 @@ STATICCHECK ?= staticcheck
 # "Static analysis".)
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build test test-short race determinism known-bugs profile bench bench-check bench-layers smoke16k vet lint staticcheck-install fmt-check loc check clean
+.PHONY: all build test test-short race determinism known-bugs profile bench bench-check bench-layers smoke16k smoke-cli vet lint staticcheck-install fmt-check loc check clean
 
 all: check
 
@@ -97,6 +97,18 @@ bench-layers:
 # test logs its wall time and the process's peak RSS.
 smoke16k:
 	$(GO) test -tags smoke16k -run 'TestHydEESmoke16384' -count=1 -v -timeout 30m .
+
+# Every sweep binary once at toy size, then every example program, so
+# the experiment entry points run end to end rather than only compile.
+# hydee-recover streams its events into a throwaway directory, which must
+# come back holding per-run files.
+smoke-cli:
+	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	for cmd in "./cmd/hydee-cluster -np 16" "./cmd/hydee-nas -np 16 -iters 2" "./cmd/hydee-netpipe -reps 2" \
+		"./cmd/hydee-recover -np 16 -iters 4 -store sharded:4 -store-bps 4e9 -events $$tmp/" $(wildcard ./examples/*/); do \
+		echo "go run $$cmd"; $(GO) run $$cmd >/dev/null; \
+	done; \
+	ls "$$tmp"/run-*.jsonl >/dev/null
 
 vet:
 	$(GO) vet ./...

@@ -34,7 +34,7 @@ func engineRun(b *testing.B, prog hydee.Program, opts ...hydee.Option) *hydee.Re
 // over the Myrinet 10G model.
 func BenchmarkFigure5_NetPIPE(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := hydee.Figure5(nil, 5)
+		rows, err := hydee.Figure5(context.Background(), nil, nil, 5)
 		if err != nil {
 			b.Fatal(err)
 		}

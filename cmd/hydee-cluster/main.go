@@ -48,7 +48,7 @@ func main() {
 		}
 	}()
 
-	rows, err := hydee.Table1Ctx(ctx, *np, *iters, model, *par)
+	rows, err := hydee.Table1(ctx, *np, *iters, model, *par)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func main() {
 		}
 	}()
 
-	t1, err := hydee.Table1Ctx(ctx, *np, *traceIters, model, *par)
+	t1, err := hydee.Table1(ctx, *np, *traceIters, model, *par)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func main() {
 	fmt.Printf("Table I — application clustering on %d processes (%s):\n", *np, model.Name())
 	fmt.Println(hydee.FormatTable1(t1))
 
-	rows, err := hydee.Figure6Ctx(ctx, *np, *iters, clusterings, model, comparator, *par)
+	rows, err := hydee.Figure6(ctx, *np, *iters, clusterings, model, comparator, *par)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func main() {
 		}
 	}()
 
-	rows, err := hydee.Figure5Ctx(ctx, model, nil, *reps)
+	rows, err := hydee.Figure5(ctx, model, nil, *reps)
 	if err != nil {
 		log.Fatal(err)
 	}

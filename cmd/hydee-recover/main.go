@@ -100,7 +100,7 @@ func main() {
 	fmt.Printf("%s on %d ranks: %d clusters, %.2f%% logged, %.2f%% expected rollback (store %s)\n\n",
 		*app, *np, cl.K, 100*cl.CutFrac, 100*cl.ExpRollback, store.Spec)
 
-	rows, err := harness.ContainmentCtx(ctx, k, *np, *iters, *ckpt, cl.Assign, failWhen, model, store.New)
+	rows, err := harness.Containment(ctx, k, *np, *iters, *ckpt, cl.Assign, failWhen, model, store.New)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func main() {
 	// The E5 burst comparison is about plain sharding; redundancy specs
 	// (ec, replica) have their own shard-loss sweep (harness E6).
 	if shards := geometry.Shards; shards > 1 && geometry.Parity == 0 && geometry.Replicas == 0 && store.BPS > 0 {
-		burst, err := harness.CheckpointBurstSharded(ctx, k, *np, *iters, *ckpt, cl.Assign, store.BPS, shards, model)
+		burst, err := hydee.CheckpointBurst(ctx, k, *np, *iters, *ckpt, cl.Assign, store.BPS, shards, model)
 		if err != nil {
 			log.Fatal(err)
 		}

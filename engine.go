@@ -27,8 +27,7 @@ import (
 // are *RunError values carrying rank, round and phase; match causes with
 // errors.Is against ErrCanceled, ErrDeadlock and ErrNotSendDeterministic.
 type Engine struct {
-	cfg                         mpi.Config
-	storeWriteBPS, storeReadBPS float64
+	cfg mpi.Config
 	// storeMake/storeOpts build a fresh per-run store (unless WithStore
 	// pinned one): the WithStoreName backend, the free in-memory store by
 	// default.
@@ -69,23 +68,13 @@ func New(opts ...Option) (*Engine, error) {
 func (e *Engine) Run(ctx context.Context, program Program) (*Result, error) {
 	cfg := e.cfg
 	if cfg.Store == nil {
-		st, err := e.makeStore()
+		st, err := e.storeMake.newStore(e.storeOpts, e.cfg.Topo)
 		if err != nil {
 			return nil, err
 		}
 		cfg.Store = st
 	}
 	return mpi.RunContext(ctx, cfg, program)
-}
-
-// makeStore builds the per-run store; zero option bandwidths fall back
-// to WithStorageBandwidth.
-func (e *Engine) makeStore() (Store, error) {
-	opts := e.storeOpts
-	if opts.WriteBPS == 0 && opts.ReadBPS == 0 {
-		opts.WriteBPS, opts.ReadBPS = e.storeWriteBPS, e.storeReadBPS
-	}
-	return e.storeMake.newStore(opts, e.cfg.Topo)
 }
 
 // Config returns a copy of the runtime configuration the engine resolved
@@ -236,9 +225,10 @@ func WithStore(st Store) Option {
 // WithStoreName resolves the store through the name registry ("mem",
 // "file", "sharded", or anything added via RegisterStore) and builds a
 // fresh store from it on every Run, so sequential runs never bleed
-// state. Zero opts bandwidths fall back to WithStorageBandwidth; a
-// sharded store with no explicit placement defaults to per-cluster
-// placement when the engine has a topology.
+// state. opts.WriteBPS/ReadBPS model the storage bandwidth (0 = free); a
+// negative or non-finite one fails the Run. A sharded store with no
+// explicit placement defaults to per-cluster placement when the engine
+// has a topology.
 func WithStoreName(name string, opts StoreOptions) Option {
 	return func(e *Engine) error {
 		b, err := storeRegistry.lookup(name)
@@ -247,18 +237,6 @@ func WithStoreName(name string, opts StoreOptions) Option {
 		}
 		e.storeMake, e.storeOpts = b, opts
 		e.cfg.Store = nil
-		return nil
-	}
-}
-
-// WithStorageBandwidth models stable-storage write/read bandwidth in
-// bytes/second for the per-run checkpoint store (0 = free storage).
-func WithStorageBandwidth(writeBPS, readBPS float64) Option {
-	return func(e *Engine) error {
-		if writeBPS < 0 || readBPS < 0 {
-			return fmt.Errorf("hydee: WithStorageBandwidth(%g, %g): bandwidth must be >= 0", writeBPS, readBPS)
-		}
-		e.storeWriteBPS, e.storeReadBPS = writeBPS, readBPS
 		return nil
 	}
 }

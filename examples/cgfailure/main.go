@@ -26,7 +26,7 @@ func main() {
 	}
 
 	// Step 1: trace the communication graph and cluster it.
-	sum, err := hydee.RunExperimentCtx(ctx, hydee.ExperimentSpec{
+	sum, err := hydee.RunExperiment(hydee.ExperimentSpec{
 		Kernel: kernel,
 		Params: hydee.KernelParams{NP: np, Iters: 2},
 		Proto:  hydee.ProtoNative,

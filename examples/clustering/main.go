@@ -26,7 +26,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("clustering the six NAS kernels at %d ranks (paper Table I at 256):\n\n", *np)
-	rows, err := hydee.Table1Ctx(context.Background(), *np, *iters, model, 0)
+	rows, err := hydee.Table1(context.Background(), *np, *iters, model, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

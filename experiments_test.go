@@ -18,7 +18,7 @@ import (
 // TestTable1Reproduction clusters the six kernels at 256 ranks and checks
 // each row against the paper's Table I.
 func TestTable1Reproduction(t *testing.T) {
-	rows, err := hydee.Table1(256, 2)
+	rows, err := hydee.Table1(context.Background(), 256, 2, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestTable1Reproduction(t *testing.T) {
 // where a plateau is crossed, equivalence of logging and no-logging, decay
 // to ~zero overhead for large messages.
 func TestFigure5Reproduction(t *testing.T) {
-	rows, err := hydee.Figure5(nil, 5)
+	rows, err := hydee.Figure5(context.Background(), nil, nil, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestFigure6Reproduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := hydee.Figure6(256, 3, clusterings)
+	rows, err := hydee.Figure6(context.Background(), 256, 3, clusterings, nil, hydee.ProtoMLog, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestE4ContainmentReproduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := harness.Containment(k, 64, 10, 3, cl.Assign, 1)
+	rows, err := harness.Containment(context.Background(), k, 64, 10, 3, cl.Assign, hydee.FailureTrigger{AfterCheckpoints: 1}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,9 +178,12 @@ func TestE5CheckpointBurst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := harness.CheckpointBurst(k, 16, 8, 4, cl.Assign, 4e9)
+	rows, err := hydee.CheckpointBurst(context.Background(), k, 16, 8, 4, cl.Assign, 4e9, 0, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(rows) != 3 {
+		t.Fatalf("%d rows without shards, want coord-simultaneous, hydee-simultaneous, hydee-staggered", len(rows))
 	}
 	var coordQ, stagQ hydee.E5Row
 	for _, r := range rows {

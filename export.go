@@ -1,7 +1,6 @@
 package hydee
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 	"sync"
 )
 
@@ -66,8 +64,8 @@ func NewJSONLExporter(w io.Writer) Exporter {
 	return &jsonlExporter{enc: json.NewEncoder(w)}
 }
 
-// OnEvent implements Observer.
-func (x *jsonlExporter) OnEvent(ev RunEvent) {
+// newJSONLEvent builds the wire record of one lifecycle event.
+func newJSONLEvent(ev RunEvent) jsonlEvent {
 	rec := jsonlEvent{
 		Kind:  ev.Kind.String(),
 		Run:   ev.Run,
@@ -86,6 +84,12 @@ func (x *jsonlExporter) OnEvent(ev RunEvent) {
 	if ev.Err != nil {
 		rec.Err = ev.Err.Error()
 	}
+	return rec
+}
+
+// OnEvent implements Observer.
+func (x *jsonlExporter) OnEvent(ev RunEvent) {
+	rec := newJSONLEvent(ev)
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if x.err != nil {
@@ -108,24 +112,7 @@ func (x *jsonlExporter) Close() error {
 // writes, exposed so network transports (the hydee-serve SSE stream) can
 // frame events byte-compatibly with the files on disk.
 func MarshalRunEvent(ev RunEvent) ([]byte, error) {
-	rec := jsonlEvent{
-		Kind:  ev.Kind.String(),
-		Run:   ev.Run,
-		VT:    int64(ev.VT),
-		Rank:  ev.Rank,
-		Ranks: ev.Ranks,
-		Round: ev.Round,
-		Seq:   ev.Seq,
-	}
-	if s := ev.Stats; s != nil {
-		rec.RolledBack = s.RolledBack
-		rec.Orphans = s.Orphans
-		rec.CtlMsgs = s.CtlMsgs
-		rec.StartVT = int64(s.StartVT)
-	}
-	if ev.Err != nil {
-		rec.Err = ev.Err.Error()
-	}
+	rec := newJSONLEvent(ev)
 	return json.Marshal(&rec)
 }
 
@@ -414,61 +401,4 @@ func (x *runDirExporter) Close() error {
 	}
 	x.runs = make(map[int64]*runSink)
 	return err
-}
-
-// StreamEvents wires the named exporter to path and returns a context
-// carrying it as the ambient observer: a path ending in a separator, or
-// naming an existing directory, gets one file per run (StreamEventsToDir);
-// anything else is a single fan-in file (StreamEventsToFile). This is the
-// wiring behind the cmd binaries' -events flags.
-func StreamEvents(ctx context.Context, exporterName, path string) (context.Context, func() error, error) {
-	if strings.HasSuffix(path, string(os.PathSeparator)) || strings.HasSuffix(path, "/") {
-		return StreamEventsToDir(ctx, exporterName, path)
-	}
-	if st, err := os.Stat(path); err == nil && st.IsDir() {
-		return StreamEventsToDir(ctx, exporterName, path)
-	}
-	return StreamEventsToFile(ctx, exporterName, path)
-}
-
-// StreamEventsToDir creates dir, builds one named registered exporter per
-// run over its own run-<id>.jsonl file, and returns a context that
-// streams every run's lifecycle events to it, so a parallel sweep's
-// output is dissectable per run. The returned function closes all per-run
-// files; call it once the sweep is done.
-func StreamEventsToDir(ctx context.Context, exporterName, dir string) (context.Context, func() error, error) {
-	mk, err := ExporterByName(exporterName)
-	if err != nil {
-		return ctx, nil, err
-	}
-	exp, err := NewRunDirExporter(dir, mk)
-	if err != nil {
-		return ctx, nil, err
-	}
-	return ContextWithObserver(ctx, exp), exp.Close, nil
-}
-
-// StreamEventsToFile creates path, builds the named registered exporter
-// over it, and returns a context that streams every run's lifecycle
-// events to it — the one-call wiring behind the cmd binaries' -events
-// flags. The returned function closes the exporter and the file; call it
-// once the sweep is done.
-func StreamEventsToFile(ctx context.Context, exporterName, path string) (context.Context, func() error, error) {
-	mk, err := ExporterByName(exporterName)
-	if err != nil {
-		return ctx, nil, err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return ctx, nil, fmt.Errorf("hydee: event stream: %w", err)
-	}
-	exp := mk(f)
-	closeFn := func() error {
-		expErr := exp.Close()
-		if err := f.Close(); err != nil && expErr == nil {
-			expErr = fmt.Errorf("hydee: event stream: %w", err)
-		}
-		return expErr
-	}
-	return ContextWithObserver(ctx, exp), closeFn, nil
 }

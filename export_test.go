@@ -87,7 +87,7 @@ func TestMetricsExporter(t *testing.T) {
 // binaries — and checks every run reported its lifecycle.
 func TestContextObserverReachesSweeps(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "events.jsonl")
-	ctx, closeEvents, err := hydee.StreamEventsToFile(context.Background(), "jsonl", path)
+	ctx, closeEvents, err := hydee.EventStreamSpec{Path: path}.Wire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,12 +154,12 @@ func TestContextObserverComposes(t *testing.T) {
 	}
 }
 
-// TestStreamEventsToDirSplitsPerRun drives a parallel sweep through a
+// TestEventStreamDirSplitsPerRun drives a parallel sweep through a
 // run-dir exporter and checks each run's lifecycle lands in its own file,
 // internally consistent (one run id, run-start through run-complete).
-func TestStreamEventsToDirSplitsPerRun(t *testing.T) {
+func TestEventStreamDirSplitsPerRun(t *testing.T) {
 	dir := t.TempDir()
-	ctx, closeEvents, err := hydee.StreamEventsToDir(context.Background(), "jsonl", dir)
+	ctx, closeEvents, err := hydee.EventStreamSpec{Path: dir}.Wire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestRunDirExportersConcurrent(t *testing.T) {
 	errs := make(chan error, len(dirs))
 	for _, dir := range dirs {
 		go func(dir string) {
-			ctx, closeEvents, err := hydee.StreamEventsToDir(context.Background(), "jsonl", dir)
+			ctx, closeEvents, err := hydee.EventStreamSpec{Path: dir}.Wire(context.Background())
 			if err != nil {
 				errs <- err
 				return
@@ -355,12 +355,12 @@ func TestFanoutExporter(t *testing.T) {
 	}
 }
 
-// TestStreamEventsEdgeCases: an existing directory without a trailing
+// TestEventStreamWireEdgeCases: an existing directory without a trailing
 // separator still selects per-run files, and an unknown exporter name
 // fails up front in both dir and file modes.
-func TestStreamEventsEdgeCases(t *testing.T) {
+func TestEventStreamWireEdgeCases(t *testing.T) {
 	dir := t.TempDir() // exists, no trailing separator
-	ctx, closeEvents, err := hydee.StreamEvents(context.Background(), "jsonl", dir)
+	ctx, closeEvents, err := hydee.EventStreamSpec{Path: dir}.Wire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,19 +379,19 @@ func TestStreamEventsEdgeCases(t *testing.T) {
 		t.Fatalf("existing dir selected %d per-run files, want 1", len(files))
 	}
 
-	if _, _, err := hydee.StreamEvents(context.Background(), "no-such-exporter", dir); err == nil {
+	if _, _, err := (hydee.EventStreamSpec{Path: dir, Exporter: "no-such-exporter"}).Wire(context.Background()); err == nil {
 		t.Error("unknown exporter in dir mode: no error")
 	}
-	if _, _, err := hydee.StreamEvents(context.Background(), "no-such-exporter", filepath.Join(dir, "f.jsonl")); err == nil {
+	if _, _, err := (hydee.EventStreamSpec{Path: filepath.Join(dir, "f.jsonl"), Exporter: "no-such-exporter"}).Wire(context.Background()); err == nil {
 		t.Error("unknown exporter in file mode: no error")
 	}
 }
 
-// TestStreamEventsAutoDetectsDirectory checks the -events flag wiring: a
+// TestEventStreamWireAutoDetectsDirectory checks the -events flag wiring: a
 // trailing separator selects per-run files, a plain path one fan-in file.
-func TestStreamEventsAutoDetectsDirectory(t *testing.T) {
+func TestEventStreamWireAutoDetectsDirectory(t *testing.T) {
 	base := t.TempDir()
-	ctx, closeEvents, err := hydee.StreamEvents(context.Background(), "jsonl", filepath.Join(base, "events")+string(os.PathSeparator))
+	ctx, closeEvents, err := hydee.EventStreamSpec{Path: filepath.Join(base, "events") + string(os.PathSeparator)}.Wire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestStreamEventsAutoDetectsDirectory(t *testing.T) {
 	}
 
 	plain := filepath.Join(base, "flat.jsonl")
-	ctx2, closeEvents2, err := hydee.StreamEvents(context.Background(), "jsonl", plain)
+	ctx2, closeEvents2, err := hydee.EventStreamSpec{Path: plain}.Wire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,7 +144,7 @@ func Coordinated() Protocol { return coord.New() }
 // MessageLogging returns the full sender-based message-logging comparator
 // of Figure 6 (use with Singletons clustering).
 func MessageLogging() Protocol {
-	return core.NewWithOptions(core.Options{Name: "mlog", ExtraPiggyBytes: 8})
+	return core.NewMLog()
 }
 
 // NewTopology builds a clustering from a per-rank cluster assignment.
@@ -260,11 +260,8 @@ const (
 )
 
 // RunExperiment executes one harness spec.
-func RunExperiment(s ExperimentSpec) (*ExperimentSummary, error) { return harness.Run(s) }
-
-// RunExperimentCtx executes one harness spec, honoring ctx.
-func RunExperimentCtx(ctx context.Context, s ExperimentSpec) (*ExperimentSummary, error) {
-	return harness.RunCtx(ctx, s)
+func RunExperiment(s ExperimentSpec) (*ExperimentSummary, error) {
+	return harness.RunCtx(context.Background(), s)
 }
 
 // RunExperiments executes independent specs through a bounded worker pool
@@ -274,40 +271,26 @@ func RunExperiments(ctx context.Context, specs []ExperimentSpec, parallelism int
 	return harness.RunAll(ctx, specs, parallelism)
 }
 
-// Table1 regenerates Table I at np ranks.
-func Table1(np, traceIters int) ([]Table1Row, error) {
-	return harness.Table1(np, traceIters, graph.DefaultOptions())
+// Table1 regenerates Table I at np ranks over the network model (nil =
+// Myrinet10G), tracing the six kernels at the given sweep parallelism
+// (<= 0 = one worker per CPU).
+func Table1(ctx context.Context, np, traceIters int, model Model, parallelism int) ([]Table1Row, error) {
+	return harness.Table1(ctx, np, traceIters, graph.DefaultOptions(), model, parallelism)
 }
 
-// Table1Ctx is Table1 with a context, an explicit network model (nil =
-// Myrinet10G) and a sweep parallelism (<= 0 = one worker per CPU).
-func Table1Ctx(ctx context.Context, np, traceIters int, model Model, parallelism int) ([]Table1Row, error) {
-	return harness.Table1Ctx(ctx, np, traceIters, graph.DefaultOptions(), model, parallelism)
+// Figure5 regenerates Figure 5 over the network model (nil = Myrinet10G,
+// nil sizes = the standard sweep); the three sweep configurations run
+// concurrently.
+func Figure5(ctx context.Context, model Model, sizes []int, reps int) ([]Fig5Row, error) {
+	return harness.Figure5(ctx, model, sizes, reps)
 }
 
-// Figure5 regenerates Figure 5 (nil model = Myrinet10G, nil sizes =
-// standard sweep).
-func Figure5(sizes []int, reps int) ([]Fig5Row, error) {
-	return harness.Figure5(netmodel.Myrinet10G(), sizes, reps)
-}
-
-// Figure5Ctx is Figure5 with a context and an explicit network model (nil
-// = Myrinet10G); the three sweep configurations run concurrently.
-func Figure5Ctx(ctx context.Context, model Model, sizes []int, reps int) ([]Fig5Row, error) {
-	return harness.Figure5Ctx(ctx, model, sizes, reps)
-}
-
-// Figure6 regenerates Figure 6 at np ranks with the given clusterings.
-func Figure6(np, iters int, clusterings map[string][]int) ([]Fig6Row, error) {
-	return harness.Figure6(np, iters, clusterings)
-}
-
-// Figure6Ctx is Figure6 with a context, an explicit network model (nil =
-// Myrinet10G), a configurable comparator protocol for the middle bar
-// (ProtoMLog reproduces the paper) and a sweep parallelism (<= 0 = one
-// worker per CPU).
-func Figure6Ctx(ctx context.Context, np, iters int, clusterings map[string][]int, model Model, comparator ExperimentProto, parallelism int) ([]Fig6Row, error) {
-	return harness.Figure6Ctx(ctx, np, iters, clusterings, model, comparator, parallelism)
+// Figure6 regenerates Figure 6 at np ranks with the given clusterings
+// over the network model (nil = Myrinet10G), with a configurable
+// comparator protocol for the middle bar (ProtoMLog reproduces the paper)
+// and a sweep parallelism (<= 0 = one worker per CPU).
+func Figure6(ctx context.Context, np, iters int, clusterings map[string][]int, model Model, comparator ExperimentProto, parallelism int) ([]Fig6Row, error) {
+	return harness.Figure6(ctx, np, iters, clusterings, model, comparator, parallelism)
 }
 
 // Clusterings runs the clustering tool for every kernel.
@@ -316,17 +299,12 @@ func Clusterings(np, traceIters int) (map[string][]int, []Table1Row, error) {
 }
 
 // CheckpointBurst regenerates E5: the kernel checkpoints into one shared
-// store of storeBPS bytes/second, simultaneously vs staggered.
-func CheckpointBurst(k Kernel, np, iters, ckptEvery int, assign []int, storeBPS float64) ([]E5Row, error) {
-	return harness.CheckpointBurst(k, np, iters, ckptEvery, assign, storeBPS)
-}
-
-// CheckpointBurstSharded is the E5 extension: one shared store vs
-// HydEE's staggered schedule vs a sharded store with per-cluster
-// placement and independent per-shard bandwidth contention (nil model =
-// Myrinet10G).
-func CheckpointBurstSharded(ctx context.Context, k Kernel, np, iters, ckptEvery int, assign []int, storeBPS float64, shards int, model Model) ([]E5Row, error) {
-	return harness.CheckpointBurstSharded(ctx, k, np, iters, ckptEvery, assign, storeBPS, shards, model)
+// store of storeBPS bytes/second, all clusters at once under the
+// coordinated baseline and HydEE, then staggered under HydEE; shards >= 2
+// adds HydEE checkpointing at once into that many cluster-placed shards
+// of storeBPS each (nil model = Myrinet10G).
+func CheckpointBurst(ctx context.Context, k Kernel, np, iters, ckptEvery int, assign []int, storeBPS float64, shards int, model Model) ([]E5Row, error) {
+	return harness.CheckpointBurst(ctx, k, np, iters, ckptEvery, assign, storeBPS, shards, model)
 }
 
 // NetPIPEStandardSizes is the Figure 5 size sweep.

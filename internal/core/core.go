@@ -62,6 +62,11 @@ type Protocol struct {
 // New returns HydEE with default options.
 func New() *Protocol { return NewWithOptions(Options{}) }
 
+// NewMLog returns the full sender-based message-logging comparator of
+// Figure 6: HydEE (to be run over singleton clusters) piggybacking an
+// 8-byte determinant id on every message.
+func NewMLog() *Protocol { return NewWithOptions(Options{Name: "mlog", ExtraPiggyBytes: 8}) }
+
 // NewWithOptions returns HydEE with the given options.
 func NewWithOptions(o Options) *Protocol {
 	if o.Name == "" {

@@ -7,6 +7,7 @@ package graph_test
 // — on the kernels' traced graphs and on seeded and fuzzed random graphs.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -394,7 +395,7 @@ func TestClusterMatchesDenseOracle(t *testing.T) {
 		}
 		for _, np := range nps {
 			for _, k := range apps.Registry() {
-				sum, err := harness.Run(harness.Spec{Kernel: k, Params: apps.Params{NP: np, Iters: 2}, Proto: harness.ProtoNative})
+				sum, err := harness.RunCtx(context.Background(), harness.Spec{Kernel: k, Params: apps.Params{NP: np, Iters: 2}, Proto: harness.ProtoNative})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -22,11 +22,11 @@ import (
 // traffic matrix.
 func runTwice(t *testing.T, s Spec) *Summary {
 	t.Helper()
-	a, err := Run(s)
+	a, err := RunCtx(context.Background(), s)
 	if err != nil {
 		t.Fatalf("%s/%s run 1: %v", s.Kernel.Name, s.Proto, err)
 	}
-	b, err := Run(s)
+	b, err := RunCtx(context.Background(), s)
 	if err != nil {
 		t.Fatalf("%s/%s run 2: %v", s.Kernel.Name, s.Proto, err)
 	}

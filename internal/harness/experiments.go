@@ -2,7 +2,6 @@ package harness
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -10,7 +9,6 @@ import (
 	"hydee/internal/checkpoint"
 	"hydee/internal/failure"
 	"hydee/internal/graph"
-	"hydee/internal/mpi"
 	"hydee/internal/netmodel"
 	"hydee/internal/netpipe"
 	"hydee/internal/rollback"
@@ -37,18 +35,13 @@ type Table1Row struct {
 	Assign []int
 }
 
-// Table1 traces each kernel's communication graph at np ranks and runs the
-// clustering tool on it.
-func Table1(np, traceIters int, opt graph.Options) ([]Table1Row, error) {
-	return Table1Ctx(context.Background(), np, traceIters, opt, nil, 0)
-}
-
-// Table1Ctx is Table1 with a context, an explicit network model (nil =
-// Myrinet10G) and a sweep parallelism (<= 0 = one worker per CPU). The six
-// kernel traces are independent runs, so they execute through RunAll; the
-// clustering itself is serial and deterministic, making the rows identical
-// to the serial path at any parallelism.
-func Table1Ctx(ctx context.Context, np, traceIters int, opt graph.Options, model netmodel.Model, parallelism int) ([]Table1Row, error) {
+// Table1 traces each kernel's communication graph at np ranks under the
+// network model (nil = Myrinet10G) and runs the clustering tool on it. The
+// six kernel traces are independent runs, so they execute through RunAll
+// at the given parallelism (<= 0 = one worker per CPU); the clustering
+// itself is serial and deterministic, making the rows identical to the
+// serial path at any parallelism.
+func Table1(ctx context.Context, np, traceIters int, opt graph.Options, model netmodel.Model, parallelism int) ([]Table1Row, error) {
 	kernels := apps.Registry()
 	specs := make([]Spec, len(kernels))
 	for i, k := range kernels {
@@ -92,14 +85,10 @@ type Fig5Row struct {
 }
 
 // Figure5 sweeps the ping-pong benchmark in the paper's three
-// configurations over the Myrinet 10G model.
-func Figure5(model netmodel.Model, sizes []int, reps int) ([]Fig5Row, error) {
-	return Figure5Ctx(context.Background(), model, sizes, reps)
-}
-
-// Figure5Ctx is Figure5 with a context; the three sweep configurations
-// (native, same-cluster HydEE, cross-cluster HydEE) run concurrently.
-func Figure5Ctx(ctx context.Context, model netmodel.Model, sizes []int, reps int) ([]Fig5Row, error) {
+// configurations (native, same-cluster HydEE, cross-cluster HydEE) over
+// the network model (nil = Myrinet10G, nil sizes = the standard sweep).
+// The three sweeps run concurrently; the first to fail cancels the others.
+func Figure5(ctx context.Context, model netmodel.Model, sizes []int, reps int) ([]Fig5Row, error) {
 	if model == nil {
 		model = netmodel.Myrinet10G()
 	}
@@ -115,30 +104,17 @@ func Figure5Ctx(ctx context.Context, model netmodel.Model, sizes []int, reps int
 	var wg sync.WaitGroup
 	for i, cfg := range configs {
 		wg.Add(1)
-		go func(i int, cfg netpipe.Config) {
+		go func() {
 			defer wg.Done()
 			sweeps[i], errs[i] = netpipe.RunCtx(sweepCtx, cfg)
 			if errs[i] != nil {
 				cancel() // don't let sibling sweeps run to completion
 			}
-		}(i, cfg)
+		}()
 	}
 	wg.Wait()
-	// Prefer the real failure over the sibling cancellations it caused.
-	var fallback error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if !errors.Is(err, mpi.ErrCanceled) {
-			return nil, err
-		}
-		if fallback == nil {
-			fallback = err
-		}
-	}
-	if fallback != nil {
-		return nil, fallback
+	if err := firstFailure(errs); err != nil {
+		return nil, err
 	}
 	native, noLog, withLog := sweeps[0], sweeps[1], sweeps[2]
 	if len(noLog) != len(native) || len(withLog) != len(native) {
@@ -175,18 +151,13 @@ type Fig6Row struct {
 	NativeTime     vtime.Time
 }
 
-// Figure6 runs each kernel under native, full message logging, and HydEE
-// with the given clusterings, failure-free, and reports normalized times.
-func Figure6(np, iters int, clusterings map[string][]int) ([]Fig6Row, error) {
-	return Figure6Ctx(context.Background(), np, iters, clusterings, nil, ProtoMLog, 0)
-}
-
-// Figure6Ctx is Figure6 with a context, an explicit network model (nil =
-// Myrinet10G), a configurable comparator protocol for the middle bar
-// (ProtoMLog reproduces the paper), and a sweep parallelism (<= 0 = one
-// worker per CPU). The 3*|kernels| runs are independent and execute
-// through RunAll.
-func Figure6Ctx(ctx context.Context, np, iters int, clusterings map[string][]int, model netmodel.Model, comparator Proto, parallelism int) ([]Fig6Row, error) {
+// Figure6 runs each kernel failure-free under native, a comparator
+// protocol for the middle bar (ProtoMLog reproduces the paper) and HydEE
+// with the given clusterings, over the network model (nil = Myrinet10G),
+// and reports normalized times. The 3*|kernels| runs are independent and
+// execute through RunAll at the given parallelism (<= 0 = one worker per
+// CPU).
+func Figure6(ctx context.Context, np, iters int, clusterings map[string][]int, model netmodel.Model, comparator Proto, parallelism int) ([]Fig6Row, error) {
 	kernels := apps.Registry()
 	specs := make([]Spec, 0, 3*len(kernels))
 	for _, k := range kernels {
@@ -228,7 +199,7 @@ func Figure6Ctx(ctx context.Context, np, iters int, clusterings map[string][]int
 // Clusterings runs the clustering tool for every kernel and returns the
 // assignments keyed by kernel name (shared by Figure6 and E4).
 func Clusterings(np, traceIters int, opt graph.Options) (map[string][]int, []Table1Row, error) {
-	rows, err := Table1(np, traceIters, opt)
+	rows, err := Table1(context.Background(), np, traceIters, opt, nil, 0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -261,19 +232,14 @@ type E4Row struct {
 
 // Containment injects one failure into the kernel under each
 // fault-tolerant protocol and measures how far it spreads. Results are
-// also validated against the failure-free digests.
-func Containment(k apps.Kernel, np, iters, ckptEvery int, assign []int, failAfterCkpts int) ([]E4Row, error) {
-	return ContainmentCtx(context.Background(), k, np, iters, ckptEvery, assign,
-		failure.Trigger{AfterCheckpoints: failAfterCkpts}, nil, nil)
-}
-
-// ContainmentCtx is Containment with a context, an arbitrary failure
-// trigger for the victim (rank np/2) — an AtVT trigger injects at a
-// virtual time, including mid-checkpoint-wave — an explicit network
-// model (nil = Myrinet10G) and an explicit checkpoint-store constructor
-// (nil = a fresh free in-memory store per run; the constructor sees each
-// run's topology so sharded stores can place clusters).
-func ContainmentCtx(ctx context.Context, k apps.Kernel, np, iters, ckptEvery int, assign []int, failWhen failure.Trigger, model netmodel.Model, newStore func(*rollback.Topology) (checkpoint.Store, error)) ([]E4Row, error) {
+// also validated against the failure-free digests. failWhen triggers the
+// victim (rank np/2) — an AtVT trigger injects at a virtual time,
+// including mid-checkpoint-wave; model is the network (nil = Myrinet10G)
+// and newStore the checkpoint-store constructor (nil = a fresh free
+// in-memory store per run; the constructor sees each run's topology so
+// sharded stores can place clusters). The runs stay serial: a file-backed
+// store built by newStore may share one directory across all of them.
+func Containment(ctx context.Context, k apps.Kernel, np, iters, ckptEvery int, assign []int, failWhen failure.Trigger, model netmodel.Model, newStore func(*rollback.Topology) (checkpoint.Store, error)) ([]E4Row, error) {
 	var rows []E4Row
 	for _, proto := range []Proto{ProtoCoord, ProtoMLog, ProtoHydEE} {
 		params := apps.Params{NP: np, Iters: iters}
@@ -323,72 +289,40 @@ type E5Row struct {
 	CkptBytes int64
 }
 
-// CheckpointBurst runs the kernel with all clusters checkpointing at once
-// (coordinated baseline) and with HydEE's per-cluster staggered schedule,
-// under a shared store of storeBPS bytes/second.
-func CheckpointBurst(k apps.Kernel, np, iters, ckptEvery int, assign []int, storeBPS float64) ([]E5Row, error) {
-	var rows []E5Row
-	cases := []struct {
-		name    string
-		proto   Proto
-		stagger bool
-	}{
-		{"coord-simultaneous", ProtoCoord, false},
-		{"hydee-simultaneous", ProtoHydEE, false},
-		{"hydee-staggered", ProtoHydEE, true},
-	}
-	for _, cs := range cases {
-		sum, err := Run(Spec{
-			Kernel: k, Params: apps.Params{NP: np, Iters: iters},
-			Proto: cs.proto, Assign: assign,
-			CheckpointEvery: ckptEvery, Stagger: cs.stagger,
-			NewStore: memStore(storeBPS),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("e5: %s: %w", cs.name, err)
-		}
-		rows = append(rows, E5Row{
-			Config:    cs.name,
-			MaxQueue:  sum.Store.MaxQueue,
-			Makespan:  sum.Makespan,
-			CkptBytes: sum.Totals.CkptBytes,
-		})
-	}
-	return rows, nil
-}
-
-// CheckpointBurstSharded extends E5 to sharded stable storage: the
-// kernel runs under HydEE with everything checkpointing simultaneously
-// into (a) one shared store of storeBPS bytes/second, (b) the same store
-// with HydEE's staggered schedule, and (c) a sharded store of `shards`
-// cluster-placed shards of storeBPS each. Sharding attacks the I/O burst
-// spatially (independent storage targets) where staggering attacks it
-// temporally (skewed schedules); the sharded MaxQueue backlog should
-// drop toward the staggered one with no schedule skew at all. model
-// selects the network (nil = Myrinet10G, like the other sweeps).
-func CheckpointBurstSharded(ctx context.Context, k apps.Kernel, np, iters, ckptEvery int, assign []int, storeBPS float64, shards int, model netmodel.Model) ([]E5Row, error) {
-	if shards < 2 {
-		return nil, fmt.Errorf("e5-sharded: need at least 2 shards, got %d", shards)
-	}
-	cases := []struct {
+// CheckpointBurst runs E5: the kernel checkpoints simultaneously into
+// one shared store of storeBPS bytes/second under the coordinated
+// baseline and under HydEE, then under HydEE's per-cluster staggered
+// schedule; with shards >= 2 it adds HydEE checkpointing simultaneously
+// into a sharded store of `shards` cluster-placed shards of storeBPS
+// each. Sharding attacks the I/O burst spatially (independent storage
+// targets) where staggering attacks it temporally (skewed schedules);
+// the sharded MaxQueue backlog should drop toward the staggered one with
+// no schedule skew at all. model selects the network (nil = Myrinet10G).
+func CheckpointBurst(ctx context.Context, k apps.Kernel, np, iters, ckptEvery int, assign []int, storeBPS float64, shards int, model netmodel.Model) ([]E5Row, error) {
+	type burstCase struct {
 		name     string
+		proto    Proto
 		stagger  bool
 		newStore func(*rollback.Topology) (checkpoint.Store, error)
-	}{
-		{"hydee-shared", false, memStore(storeBPS)},
-		{"hydee-staggered", true, memStore(storeBPS)},
-		{fmt.Sprintf("hydee-sharded:%d", shards), false, shardedStore(shards, storeBPS)},
 	}
-	var rows []E5Row
+	cases := []burstCase{
+		{"coord-simultaneous", ProtoCoord, false, memStore(storeBPS)},
+		{"hydee-simultaneous", ProtoHydEE, false, memStore(storeBPS)},
+		{"hydee-staggered", ProtoHydEE, true, memStore(storeBPS)},
+	}
+	if shards >= 2 {
+		cases = append(cases, burstCase{fmt.Sprintf("hydee-sharded:%d", shards), ProtoHydEE, false, shardedStore(shards, storeBPS)})
+	}
+	rows := make([]E5Row, 0, len(cases))
 	for _, cs := range cases {
 		sum, err := RunCtx(ctx, Spec{
 			Kernel: k, Params: apps.Params{NP: np, Iters: iters},
-			Proto: ProtoHydEE, Assign: assign, Model: model,
+			Proto: cs.proto, Assign: assign, Model: model,
 			CheckpointEvery: ckptEvery, Stagger: cs.stagger,
 			NewStore: cs.newStore,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("e5-sharded: %s: %w", cs.name, err)
+			return nil, fmt.Errorf("e5: %s: %w", cs.name, err)
 		}
 		rows = append(rows, E5Row{
 			Config:    cs.name,

@@ -121,10 +121,7 @@ func (s *Spec) topoAndProtocol() (*rollback.Topology, rollback.Protocol, error) 
 	case ProtoCoord:
 		return rollback.SingleCluster(np), coord.New(), nil
 	case ProtoMLog:
-		return rollback.Singletons(np), core.NewWithOptions(core.Options{
-			Name:            "mlog",
-			ExtraPiggyBytes: 8, // determinant id piggybacked per message
-		}), nil
+		return rollback.Singletons(np), core.NewMLog(), nil
 	case ProtoHydEE:
 		if len(s.Assign) != np {
 			return nil, nil, fmt.Errorf("harness: hydee needs a cluster assignment covering %d ranks (got %d)", np, len(s.Assign))
@@ -155,9 +152,6 @@ func shardedStore(n int, bps float64) func(*rollback.Topology) (checkpoint.Store
 		return checkpoint.NewShardedStore(n, bps, bps, rollback.ClusterPlacement(topo, n)), nil
 	}
 }
-
-// Run executes the spec.
-func Run(s Spec) (*Summary, error) { return RunCtx(context.Background(), s) }
 
 // RunCtx executes the spec, honoring ctx cancellation.
 func RunCtx(ctx context.Context, s Spec) (*Summary, error) {
@@ -244,7 +238,7 @@ func SameDigests(a, b *Summary) error {
 // returns its communication graph (what the off-line tool of [28] takes as
 // input).
 func TraceGraph(k apps.Kernel, p apps.Params) (*graph.Graph, *Summary, error) {
-	sum, err := Run(Spec{Kernel: k, Params: p, Proto: ProtoNative})
+	sum, err := RunCtx(context.Background(), Spec{Kernel: k, Params: p, Proto: ProtoNative})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,30 +1,34 @@
 package harness
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"hydee/internal/apps"
 	"hydee/internal/graph"
+	"hydee/internal/mpi"
 	"hydee/internal/vtime"
 )
 
 func TestSpecValidation(t *testing.T) {
 	k, _ := apps.Get("cg")
-	if _, err := Run(Spec{Kernel: k, Params: apps.Params{NP: 0}}); err == nil {
+	if _, err := RunCtx(context.Background(), Spec{Kernel: k, Params: apps.Params{NP: 0}}); err == nil {
 		t.Fatal("accepted NP=0")
 	}
 	// HydEE without an assignment must fail loudly.
-	if _, err := Run(Spec{Kernel: k, Params: apps.Params{NP: 4, Iters: 1}, Proto: ProtoHydEE}); err == nil {
+	if _, err := RunCtx(context.Background(), Spec{Kernel: k, Params: apps.Params{NP: 4, Iters: 1}, Proto: ProtoHydEE}); err == nil {
 		t.Fatal("accepted hydee without clustering")
 	}
-	if _, err := Run(Spec{Kernel: k, Params: apps.Params{NP: 4, Iters: 1}, Proto: Proto(99)}); err == nil {
+	if _, err := RunCtx(context.Background(), Spec{Kernel: k, Params: apps.Params{NP: 4, Iters: 1}, Proto: Proto(99)}); err == nil {
 		t.Fatal("accepted unknown protocol")
 	}
 	// Cluster ids outside [0, np) are an error, not a panic in the
 	// topology constructor.
 	for _, assign := range [][]int{{0, 0, 4, 1}, {0, 0, -1, 1}} {
-		_, err := Run(Spec{Kernel: k, Params: apps.Params{NP: 4, Iters: 1}, Proto: ProtoHydEE, Assign: assign})
+		_, err := RunCtx(context.Background(), Spec{Kernel: k, Params: apps.Params{NP: 4, Iters: 1}, Proto: ProtoHydEE, Assign: assign})
 		if err == nil || !strings.Contains(err.Error(), "cluster id") {
 			t.Errorf("assign %v: error %v, want a cluster id error", assign, err)
 		}
@@ -118,7 +122,7 @@ func TestClusteringsCoverAllKernels(t *testing.T) {
 
 func TestMLogLogsEverything(t *testing.T) {
 	k, _ := apps.Get("mg")
-	sum, err := Run(Spec{Kernel: k, Params: apps.Params{NP: 8, Iters: 2}, Proto: ProtoMLog})
+	sum, err := RunCtx(context.Background(), Spec{Kernel: k, Params: apps.Params{NP: 8, Iters: 2}, Proto: ProtoMLog})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +136,34 @@ func TestMLogLogsEverything(t *testing.T) {
 
 func TestCoordLogsNothing(t *testing.T) {
 	k, _ := apps.Get("mg")
-	sum, err := Run(Spec{Kernel: k, Params: apps.Params{NP: 8, Iters: 2}, Proto: ProtoCoord})
+	sum, err := RunCtx(context.Background(), Spec{Kernel: k, Params: apps.Params{NP: 8, Iters: 2}, Proto: ProtoCoord})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sum.LoggedFrac != 0 || sum.PiggyFrac != 0 {
 		t.Fatalf("coord logged %.3f piggy %.3f, want zero", sum.LoggedFrac, sum.PiggyFrac)
+	}
+}
+
+// TestFirstFailurePrefersRealFailure pins the error rule RunAll and
+// Figure5 share: the first real failure wins over the cancellations it
+// caused, wherever it sits; a cancellation is reported only when nothing
+// else failed.
+func TestFirstFailurePrefersRealFailure(t *testing.T) {
+	canceled := fmt.Errorf("sweep: %w", mpi.ErrCanceled)
+	boom, later := errors.New("boom"), errors.New("later")
+	cases := []struct {
+		errs []error
+		want error
+	}{
+		{nil, nil},
+		{[]error{nil, nil}, nil},
+		{[]error{canceled, nil, boom, later}, boom},
+		{[]error{nil, canceled, canceled}, canceled},
+	}
+	for i, tc := range cases {
+		if got := firstFailure(tc.errs); got != tc.want {
+			t.Errorf("case %d: firstFailure = %v, want %v", i, got, tc.want)
+		}
 	}
 }

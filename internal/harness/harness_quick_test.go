@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"context"
 	"testing"
 
 	"hydee/internal/apps"
+	"hydee/internal/failure"
 	"hydee/internal/graph"
 )
 
@@ -11,7 +13,7 @@ import (
 // the unit suite fast; the full 256-rank reproduction lives in the root
 // experiment tests.
 func TestTable1Quick(t *testing.T) {
-	rows, err := Table1(64, 2, graph.DefaultOptions())
+	rows, err := Table1(context.Background(), 64, 2, graph.DefaultOptions(), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +37,7 @@ func TestFigure6Quick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Figure6(16, 3, clusterings)
+	rows, err := Figure6(context.Background(), 16, 3, clusterings, nil, ProtoMLog, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +61,7 @@ func TestContainmentQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Containment(k, 16, 8, 3, res.Assign, 1)
+	rows, err := Containment(context.Background(), k, 16, 8, 3, res.Assign, failure.Trigger{AfterCheckpoints: 1}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,11 +37,8 @@ func RunAll(ctx context.Context, specs []Spec, parallelism int) ([]*Summary, err
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	type slot struct {
-		sum *Summary
-		err error
-	}
-	out := make([]slot, len(specs))
+	sums := make([]*Summary, len(specs))
+	errs := make([]error, len(specs))
 	next := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < parallelism; w++ {
@@ -50,8 +47,10 @@ func RunAll(ctx context.Context, specs []Spec, parallelism int) ([]*Summary, err
 			defer wg.Done()
 			for i := range next {
 				sum, err := RunCtx(runCtx, specs[i])
-				out[i] = slot{sum, err}
+				sums[i] = sum
 				if err != nil {
+					// RunCtx already names the kernel/proto; add only the index.
+					errs[i] = fmt.Errorf("harness: spec %d: %w", i, err)
 					cancel() // first failure stops the sweep
 				}
 			}
@@ -66,26 +65,8 @@ func RunAll(ctx context.Context, specs []Spec, parallelism int) ([]*Summary, err
 	close(next)
 	wg.Wait()
 
-	// Report the first real failure in spec order. Runs the pool itself
-	// canceled after that failure surface ErrCanceled — only fall back to
-	// one of those when nothing else failed (caller-canceled sweep).
-	var fallback error
-	sums := make([]*Summary, len(specs))
-	for i, s := range out {
-		if s.err != nil {
-			// RunCtx already names the kernel/proto; add only the index.
-			wrapped := fmt.Errorf("harness: spec %d: %w", i, s.err)
-			if !errors.Is(s.err, mpi.ErrCanceled) {
-				return nil, wrapped
-			}
-			if fallback == nil {
-				fallback = wrapped
-			}
-		}
-		sums[i] = s.sum
-	}
-	if fallback != nil {
-		return nil, fallback
+	if err := firstFailure(errs); err != nil {
+		return nil, err
 	}
 	for _, s := range sums {
 		if s == nil {
@@ -97,4 +78,24 @@ func RunAll(ctx context.Context, specs []Spec, parallelism int) ([]*Summary, err
 		}
 	}
 	return sums, nil
+}
+
+// firstFailure picks the error a fanned-out sweep reports: the first real
+// failure in order. Runs the sweep itself canceled after that failure
+// surface ErrCanceled, so it falls back to the first of those only when
+// nothing else failed (a caller-canceled sweep).
+func firstFailure(errs []error) error {
+	var fallback error
+	for _, err := range errs {
+		if err == nil {
+			continue
+		}
+		if !errors.Is(err, mpi.ErrCanceled) {
+			return err
+		}
+		if fallback == nil {
+			fallback = err
+		}
+	}
+	return fallback
 }

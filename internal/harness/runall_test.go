@@ -21,7 +21,7 @@ func TestRunAllMatchesSerial(t *testing.T) {
 	}
 	serial := make([]*harness.Summary, len(specs))
 	for i, s := range specs {
-		sum, err := harness.Run(s)
+		sum, err := harness.RunCtx(context.Background(), s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,11 +46,11 @@ func TestRunAllMatchesSerial(t *testing.T) {
 // (parallelism 1) and with parallelism 4 and requires byte-identical text.
 func TestTable1ParallelByteIdentical(t *testing.T) {
 	opt := graph.DefaultOptions()
-	serial, err := harness.Table1Ctx(context.Background(), 32, 2, opt, nil, 1)
+	serial, err := harness.Table1(context.Background(), 32, 2, opt, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := harness.Table1Ctx(context.Background(), 32, 2, opt, nil, 4)
+	par, err := harness.Table1(context.Background(), 32, 2, opt, nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func TestE5ShardedSweepReproducible(t *testing.T) {
 	}
 	assign := cgAssign(t)
 	runOnce := func() string {
-		rows, err := CheckpointBurstSharded(context.Background(), k, 16, 8, 4, assign, 4e9, 4, nil)
+		rows, err := CheckpointBurst(context.Background(), k, 16, 8, 4, assign, 4e9, 4, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,15 +46,19 @@ func TestE5ShardedRelievesBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 	assign := cgAssign(t)
-	rows, err := CheckpointBurstSharded(context.Background(), k, 16, 8, 4, assign, 4e9, 4, nil)
+	rows, err := CheckpointBurst(context.Background(), k, 16, 8, 4, assign, 4e9, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := []string{"coord-simultaneous", "hydee-simultaneous", "hydee-staggered", "hydee-sharded:4"}
 	byName := map[string]E5Row{}
-	for _, r := range rows {
+	for i, r := range rows {
+		if i >= len(want) || r.Config != want[i] {
+			t.Fatalf("row %d is %q; want the rows %v", i, r.Config, want)
+		}
 		byName[r.Config] = r
 	}
-	shared, sharded := byName["hydee-shared"], byName["hydee-sharded:4"]
+	shared, sharded := byName["hydee-simultaneous"], byName["hydee-sharded:4"]
 	if shared.MaxQueue == 0 {
 		t.Fatal("shared store saw no burst; the scenario does not exercise contention")
 	}
@@ -98,11 +102,11 @@ func TestShardedStoreRunReproducible(t *testing.T) {
 			}},
 		}
 	}
-	a, err := Run(mkSpec())
+	a, err := RunCtx(context.Background(), mkSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(mkSpec())
+	b, err := RunCtx(context.Background(), mkSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

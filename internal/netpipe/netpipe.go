@@ -103,9 +103,6 @@ func pingpong(reps, size int) mpi.Program {
 	}
 }
 
-// Run executes the sweep.
-func Run(cfg Config) ([]Point, error) { return RunCtx(context.Background(), cfg) }
-
 // RunCtx executes the sweep, honoring ctx between and during size points.
 func RunCtx(ctx context.Context, cfg Config) ([]Point, error) {
 	if cfg.Model == nil {

@@ -1,6 +1,7 @@
 package netpipe
 
 import (
+	"context"
 	"testing"
 
 	"hydee/internal/core"
@@ -24,7 +25,7 @@ func TestStandardSizesSane(t *testing.T) {
 
 func TestNativeSweepMatchesModel(t *testing.T) {
 	model := netmodel.Myrinet10G()
-	pts, err := Run(Config{Model: model, Sizes: []int{1, 1024, 1 << 20}, Reps: 5})
+	pts, err := RunCtx(context.Background(), Config{Model: model, Sizes: []int{1, 1024, 1 << 20}, Reps: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +45,11 @@ func TestNativeSweepMatchesModel(t *testing.T) {
 func TestHydEENeverFasterThanNative(t *testing.T) {
 	model := netmodel.Myrinet10G()
 	sizes := []int{1, 17, 32, 33, 1024, 1025, 64 << 10, 1 << 20}
-	native, err := Run(Config{Model: model, Sizes: sizes, Reps: 5})
+	native, err := RunCtx(context.Background(), Config{Model: model, Sizes: sizes, Reps: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hyd, err := Run(Config{Model: model, Sizes: sizes, Reps: 5, Protocol: core.New(), SameCluster: false})
+	hyd, err := RunCtx(context.Background(), Config{Model: model, Sizes: sizes, Reps: 5, Protocol: core.New(), SameCluster: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +65,11 @@ func TestLoggingCostMatchesNoLogging(t *testing.T) {
 	// the sender-based copy overlaps the transmission.
 	model := netmodel.Myrinet10G()
 	sizes := []int{64, 4096, 1 << 20}
-	noLog, err := Run(Config{Model: model, Sizes: sizes, Reps: 5, Protocol: core.New(), SameCluster: true})
+	noLog, err := RunCtx(context.Background(), Config{Model: model, Sizes: sizes, Reps: 5, Protocol: core.New(), SameCluster: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	withLog, err := Run(Config{Model: model, Sizes: sizes, Reps: 5, Protocol: core.New(), SameCluster: false})
+	withLog, err := RunCtx(context.Background(), Config{Model: model, Sizes: sizes, Reps: 5, Protocol: core.New(), SameCluster: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestLoggingCostMatchesNoLogging(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(Config{}); err == nil {
+	if _, err := RunCtx(context.Background(), Config{}); err == nil {
 		t.Fatal("missing model accepted")
 	}
 }

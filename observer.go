@@ -43,8 +43,8 @@ func NewLogObserver(w io.Writer) Observer { return mpi.NewLogObserver(w) }
 func MultiObserver(obs ...Observer) Observer { return mpi.MultiObserver(obs...) }
 
 // ContextWithObserver returns a context carrying o: every run started
-// under it — directly or through sweep helpers like Table1Ctx and
-// Figure6Ctx — streams its lifecycle events to o in addition to its own
+// under it — directly or through sweep helpers like Table1 and
+// Figure6 — streams its lifecycle events to o in addition to its own
 // configured observer. This is how the cmd binaries wire -events
 // exporters into whole sweeps. Unlike a run's own observer, o may see
 // events of several concurrent runs interleaved, so it must be

@@ -533,6 +533,36 @@ func TestBadClusterIDRejected(t *testing.T) {
 	}
 }
 
+// TestBadStoreBandwidthRejected: a job whose store_bps is negative
+// answers 400 at submission instead of running on free storage, and the
+// server goes on to run the next job.
+func TestBadStoreBandwidthRejected(t *testing.T) {
+	srv := newTestServer(t, server.Config{Concurrency: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	body := `{"runs":[{"app":"cg","np":4,"proto":"native","store_bps":-1}]}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var apiErr struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Error, "bandwidth") {
+		t.Errorf("store_bps -1: status %d, error %q; want 400 naming the bandwidth", resp.StatusCode, apiErr.Error)
+	}
+	view := submitHTTP(t, ts, server.JobRequest{Runs: []hydee.SweepSpec{
+		{App: "cg", NP: 4, Iters: 2, Proto: "native", StoreSpec: hydee.StoreSpec{BPS: 4e9}},
+	}})
+	if v := waitDone(t, srv, view.ID); v.State != server.StateDone {
+		t.Errorf("next job: state %s (%s), want done", v.State, v.Error)
+	}
+}
+
 // TestGracefulClose: Close drains queued work, then refuses submissions.
 func TestGracefulClose(t *testing.T) {
 	srv, err := server.New(server.Config{EventDir: t.TempDir()})

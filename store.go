@@ -2,6 +2,7 @@ package hydee
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -103,8 +104,16 @@ type storeBackend struct {
 	build StoreFactory
 }
 
-// validate checks opts against the backend without constructing it.
+// validate checks opts against the backend without constructing it. The
+// bandwidths are checked for every backend, third-party ones included: a
+// negative or non-finite rate has no meaning, and none may silently
+// stand for free storage.
 func (b storeBackend) validate(opts StoreOptions) error {
+	for _, bps := range []float64{opts.WriteBPS, opts.ReadBPS} {
+		if bps < 0 || math.IsNaN(bps) || math.IsInf(bps, 0) {
+			return fmt.Errorf("hydee: store bandwidth must be finite and >= 0 (got write %g, read %g B/s)", opts.WriteBPS, opts.ReadBPS)
+		}
+	}
 	if b.check == nil {
 		return nil
 	}

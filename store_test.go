@@ -8,6 +8,8 @@ package hydee_test
 import (
 	"context"
 	"errors"
+	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -149,6 +151,35 @@ func TestWithStoreNameUnknown(t *testing.T) {
 	}
 }
 
+// TestStoreBandwidthRejected: a negative or non-finite storage bandwidth
+// is an error on every path that resolves a store — a StoreSpec probe, a
+// sweep spec, StoreByName and a WithStoreName engine at run time — and
+// never silently stands for free storage.
+func TestStoreBandwidthRejected(t *testing.T) {
+	for _, bps := range []float64{-1, math.NaN(), math.Inf(1)} {
+		for _, spec := range []string{"mem", "sharded:4", "ec:4+2", "replica:3"} {
+			if _, err := (hydee.StoreSpec{Spec: spec, BPS: bps}).Probe(); err == nil || !strings.Contains(err.Error(), "bandwidth") {
+				t.Errorf("Probe(%s, %g): error %v, want a bandwidth error", spec, bps, err)
+			}
+		}
+		sweep := hydee.SweepSpec{App: "cg", NP: 8, Proto: "native", StoreSpec: hydee.StoreSpec{BPS: bps}}
+		if _, err := sweep.Experiment(); err == nil || !strings.Contains(err.Error(), "bandwidth") {
+			t.Errorf("SweepSpec store_bps %g: error %v, want a bandwidth error", bps, err)
+		}
+		if _, err := hydee.StoreByName("mem", hydee.StoreOptions{WriteBPS: bps}); err == nil {
+			t.Errorf("StoreByName write bandwidth %g: no error", bps)
+		}
+		eng, err := hydee.New(hydee.WithRanks(4),
+			hydee.WithStoreName("sharded", hydee.StoreOptions{Shards: 2, WriteBPS: 1e9, ReadBPS: bps}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Run(context.Background(), hydee.RingProgram(2, 64)); err == nil || !strings.Contains(err.Error(), "bandwidth") {
+			t.Errorf("WithStoreName read bandwidth %g: Run error %v, want a bandwidth error", bps, err)
+		}
+	}
+}
+
 // TestWithStoreNameShardedClusterPlacement checks the engine defaults a
 // sharded store to per-cluster placement: with per-shard bandwidth, two
 // clusters checkpointing simultaneously into 2 shards see no cross-shard
@@ -173,7 +204,7 @@ func TestWithStoreNameShardedClusterPlacement(t *testing.T) {
 		return res.StoreStats
 	}
 	const bps = 5e8
-	shared := run(hydee.WithStorageBandwidth(bps, bps))
+	shared := run(hydee.WithStoreName("mem", hydee.StoreOptions{WriteBPS: bps, ReadBPS: bps}))
 	sharded := run(hydee.WithStoreName("sharded", hydee.StoreOptions{Shards: 2, WriteBPS: bps, ReadBPS: bps}))
 	if shared.Saves != sharded.Saves || shared.SavedBytes != sharded.SavedBytes {
 		t.Errorf("store traffic differs: shared %+v vs sharded %+v", shared, sharded)

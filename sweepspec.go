@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"os"
 	"strings"
 )
 
@@ -108,23 +109,47 @@ func (s *EventStreamSpec) Bind(fs *flag.FlagSet) {
 		"event exporter for -events: "+strings.Join(ExporterNames(), ", "))
 }
 
-// exporterName is the registry name with the "jsonl" default applied.
-func (s EventStreamSpec) exporterName() string {
-	if s.Exporter == "" {
-		return "jsonl"
-	}
-	return s.Exporter
-}
-
 // Wire connects the stream to ctx: every run started under the returned
-// context streams its lifecycle events to the configured destination.
-// The returned function closes and flushes the stream; it is never nil.
-// A spec with no Path wires nothing and succeeds.
+// context streams its lifecycle events to the configured destination. A
+// Path ending in a separator, or naming an existing directory, gets one
+// run-<id>.jsonl file per run, so a parallel sweep's output is
+// dissectable per run; anything else is one fan-in file. The returned
+// function closes every file and flushes the stream — call it once the
+// sweep is done; it is never nil when err is. A spec with no Path wires
+// nothing and succeeds.
 func (s EventStreamSpec) Wire(ctx context.Context) (context.Context, func() error, error) {
 	if s.Path == "" {
 		return ctx, func() error { return nil }, nil
 	}
-	return StreamEvents(ctx, s.exporterName(), s.Path)
+	name := s.Exporter
+	if name == "" {
+		name = "jsonl"
+	}
+	mk, err := ExporterByName(name)
+	if err != nil {
+		return ctx, nil, err
+	}
+	st, statErr := os.Stat(s.Path)
+	if strings.HasSuffix(s.Path, string(os.PathSeparator)) || strings.HasSuffix(s.Path, "/") || statErr == nil && st.IsDir() {
+		exp, err := NewRunDirExporter(s.Path, mk)
+		if err != nil {
+			return ctx, nil, err
+		}
+		return ContextWithObserver(ctx, exp), exp.Close, nil
+	}
+	f, err := os.Create(s.Path)
+	if err != nil {
+		return ctx, nil, fmt.Errorf("hydee: event stream: %w", err)
+	}
+	exp := mk(f)
+	closeFn := func() error {
+		expErr := exp.Close()
+		if err := f.Close(); err != nil && expErr == nil {
+			expErr = fmt.Errorf("hydee: event stream: %w", err)
+		}
+		return expErr
+	}
+	return ContextWithObserver(ctx, exp), closeFn, nil
 }
 
 // SweepSpec is the wire form of one experiment run — what one element of
