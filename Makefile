@@ -33,16 +33,19 @@ race:
 # pre-kill drain deadlock regression), and the E6 store-fault sweep
 # (shard kills ordered in virtual time during recovery; shared/sharded/
 # ec/replica survival outcomes must be byte-identical run-to-run). The
-# byte-reproducibility promise covers ONE failure event; schedules of
-# several events have two open bugs (DESIGN.md "Remaining caveat"), which
-# `make known-bugs` keeps reproducible.
+# second line repeats the multi-failure fence tests whose outcome once
+# followed real-time arrival order (reverse-order detections, overlapping
+# scopes) on one, two and eight cores. One multi-failure schedule still
+# deadlocks (DESIGN.md "Remaining caveat"); `make known-bugs` keeps it
+# reproducible.
 determinism:
 	$(GO) test -race -count=2 -run 'Reproducible|ByteStable|SchedulingIndependent|AwaitTurn' ./internal/harness/ ./internal/transport/ ./internal/mpi/
+	$(GO) test -cpu 1,2,8 -count=50 -run 'ReverseOrderDetections|OverlappingScope' ./internal/mpi/
 
-# The multi-failure bugs ROADMAP item 2 has to fix (internal/mpi/
+# The multi-failure bug ROADMAP item 1 has to fix (internal/mpi/
 # knownbugs_test.go, build tag knownbugs). The result is INVERTED: exit 0
-# while at least one still reproduces (naming it), non-zero once none does
-# — the signal to delete the tag and fold the tests into `determinism`.
+# while it still reproduces (naming it), non-zero once it does not — the
+# signal to delete the tag and fold the test into `determinism`.
 # Not part of `check`.
 known-bugs:
 	@out="$$($(GO) test -tags knownbugs -run KnownBug -count=1 ./internal/mpi 2>&1)"; \
@@ -101,14 +104,16 @@ smoke16k:
 # Every sweep binary once at toy size, then every example program, so
 # the experiment entry points run end to end rather than only compile.
 # hydee-recover streams its events into a throwaway directory, which must
-# come back holding per-run files.
+# come back holding per-run files, and runs once more over a file store
+# in that directory, so snapshots go through the codec to disk and back.
 smoke-cli:
 	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	for cmd in "./cmd/hydee-cluster -np 16" "./cmd/hydee-nas -np 16 -iters 2" "./cmd/hydee-netpipe -reps 2" \
-		"./cmd/hydee-recover -np 16 -iters 4 -store sharded:4 -store-bps 4e9 -events $$tmp/" $(wildcard ./examples/*/); do \
+		"./cmd/hydee-recover -np 16 -iters 4 -store sharded:4 -store-bps 4e9 -events $$tmp/" \
+		"./cmd/hydee-recover -np 16 -iters 4 -store file -store-dir $$tmp/ckpt" $(wildcard ./examples/*/); do \
 		echo "go run $$cmd"; $(GO) run $$cmd >/dev/null; \
 	done; \
-	ls "$$tmp"/run-*.jsonl >/dev/null
+	ls "$$tmp"/run-*.jsonl "$$tmp"/ckpt/ckpt-*.hysn >/dev/null
 
 vet:
 	$(GO) vet ./...

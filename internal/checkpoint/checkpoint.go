@@ -48,19 +48,23 @@ type Snapshot struct {
 	ModelBytes int64
 }
 
-// EncodedSize reports the modeled encoded byte count of the snapshot. An
-// in-transit message is costed at its modeled wire size (payload plus
-// piggybacked protocol data) — Algorithm 1 line 21 includes in-transit
-// bytes in the checkpoint volume — plus a fixed envelope overhead;
-// len(m.Data) is only the (often much smaller) simulation payload and
-// would understate E5's storage-bandwidth traffic.
+// EncodedSize reports the modeled encoded byte count of the snapshot:
+// the two state blobs plus MailboxCost of every in-transit message.
 func (s *Snapshot) EncodedSize() int64 {
 	n := int64(len(s.AppState) + len(s.ProtState))
 	for _, m := range s.Mailbox {
-		n += int64(m.Wire()) + 64
+		n += MailboxCost(m)
 	}
 	return n
 }
+
+// MailboxCost is the modeled storage cost of one in-transit message a
+// checkpoint holds: its modeled wire size (payload plus piggybacked
+// protocol data) — Algorithm 1 line 21 includes in-transit bytes in the
+// checkpoint volume — plus a fixed envelope overhead. len(m.Data) is only
+// the (often much smaller) simulation payload and would understate E5's
+// storage-bandwidth traffic.
+func MailboxCost(m *transport.Msg) int64 { return int64(m.Wire()) + 64 }
 
 // CostBytes is the size used for storage timing.
 func (s *Snapshot) CostBytes() int64 {
@@ -87,12 +91,12 @@ func (s *Snapshot) Clone() *Snapshot {
 
 // Store is stable storage for snapshots.
 //
-// Restart consistency: a coordinated checkpoint is only usable once every
-// member of the coordination scope has completed it. A failure can land
-// while some members have saved sequence N and others are still writing, so
-// the runtime restores the whole scope from the *minimum* completed
-// sequence; stores therefore retain a small history per rank, not just the
-// latest snapshot.
+// A store only stores: which sequence a restart loads is the runtime's
+// decision, made from the saves it completed itself. A failure can land
+// while some members of a coordination scope have saved sequence N and
+// others are still writing it, so the runtime restores the whole scope
+// from the *minimum* completed sequence; stores therefore retain a small
+// history per rank, not just the latest snapshot.
 //
 // Ownership: the snapshot passed to Save, and every byte slice and
 // message it points to, stays the caller's. A store copies what it keeps —
@@ -116,11 +120,6 @@ type Store interface {
 	// Save persists the snapshot and returns the virtual time at which the
 	// write completes, given it was issued at the process clock `at`.
 	Save(s *Snapshot, at vtime.Time) (vtime.Time, error)
-	// LatestSeq reports the newest snapshot sequence of the rank's
-	// current save streak (0 = none). A save at or below the previous
-	// latest restarts the streak — that is how a store pinned across
-	// several runs reports the current run, not an earlier one.
-	LatestSeq(rank int) int
 	// Load returns the snapshot of rank with the given sequence. The
 	// returned time is when the read completes if issued at `at`.
 	Load(rank, seq int, at vtime.Time) (*Snapshot, vtime.Time, bool)
@@ -143,36 +142,61 @@ type StoreStats struct {
 // by at most one checkpoint); three adds slack for diagnostics.
 const historyKeep = 3
 
-// MemStore is an in-memory stable store with a shared-bandwidth model.
+// link is the shared-bandwidth model of one storage target, and its
+// activity counters. Saves queue behind each other in virtual time: one
+// issued at t starts at max(t, busyUntil), which reproduces I/O bursts.
+// Reads are timed at the read bandwidth; a zero bandwidth makes its
+// direction free. The owning store serializes the calls.
+type link struct {
+	writeBPS, readBPS float64
+	busyUntil         vtime.Time
+	stats             StoreStats
+}
+
+// write admits a save of cost modeled bytes issued at `at` and returns
+// the virtual time it completes.
+func (l *link) write(cost int64, at vtime.Time) vtime.Time {
+	l.stats.Saves++
+	l.stats.SavedBytes += cost
+	if l.writeBPS <= 0 {
+		return at
+	}
+	start := at
+	if l.busyUntil > at {
+		l.stats.MaxQueue = max(l.stats.MaxQueue, l.busyUntil.Sub(at))
+		start = l.busyUntil
+	}
+	l.busyUntil = start.Add(vtime.Duration(float64(cost) / l.writeBPS * 1e9))
+	return l.busyUntil
+}
+
+// read counts a load of cost modeled bytes issued at `at` and returns the
+// virtual time it completes.
+func (l *link) read(cost int64, at vtime.Time) vtime.Time {
+	l.stats.Loads++
+	if l.readBPS <= 0 {
+		return at
+	}
+	return at.Add(vtime.Duration(float64(cost) / l.readBPS * 1e9))
+}
+
+// MemStore is an in-memory stable store over one shared link.
 // The zero value is unusable; use NewMemStore.
 type MemStore struct {
 	mu sync.Mutex
 	// gens[rank] holds the retained generations in ascending Seq order.
 	gens map[int][]*Snapshot
-	// latest[rank] is the newest completed sequence.
-	latest map[int]int
-	// bytesPerSec is the aggregate write bandwidth shared by all writers;
-	// zero disables timing.
-	bytesPerSec float64
-	readBPS     float64
-	busyUntil   vtime.Time
-	stats       StoreStats
+	link link
 }
 
 // NewMemStore builds a store with the given aggregate write and read
 // bandwidths in bytes/second (zero disables the cost model).
 func NewMemStore(writeBPS, readBPS float64) *MemStore {
-	return &MemStore{
-		gens:        make(map[int][]*Snapshot),
-		latest:      make(map[int]int),
-		bytesPerSec: writeBPS,
-		readBPS:     readBPS,
-	}
+	return &MemStore{gens: make(map[int][]*Snapshot), link: link{writeBPS: writeBPS, readBPS: readBPS}}
 }
 
 // Save implements Store: the store keeps a deep copy. Concurrent saves
-// serialize on the shared link: a save issued at time t starts at
-// max(t, busyUntil), reproducing I/O bursts.
+// serialize on the shared link.
 func (st *MemStore) Save(s *Snapshot, at vtime.Time) (vtime.Time, error) { return save(st, s, at) }
 
 // stage implements stager: the deep copy is taken before the turn, and
@@ -206,16 +230,10 @@ func (st *MemStore) keep(cp *Snapshot, at vtime.Time) (end vtime.Time, spare []b
 		copy(gen[i+1:], gen[i:])
 		gen[i] = cp
 	}
-	// latest tracks the newest sequence of the current save streak. A
-	// rank's saves are strictly increasing within one run, so a save at or
-	// below the recorded latest means the store is being reused by a new
-	// run whose sequence space restarted (engine WithStore pinning); the
-	// streak resets with it, or the GC below would prune the new run's
-	// snapshots against the old run's high-water mark. The old run's
-	// higher-sequence leftovers linger unpruned, which is harmless: the
-	// runtime only restores sequences the current run completed.
-	st.latest[cp.Rank] = cp.Seq
-	// Generations are sorted, so the prunable ones lead the slice.
+	// Generations are sorted, so the prunable ones lead the slice. Pruning
+	// is relative to cp, not to a high-water mark, so a store reused by a
+	// run whose sequences restart keeps that run's generations; an earlier
+	// run's higher leftovers linger, and nothing restores them.
 	drop := 0
 	for drop < len(gen) && gen[drop].Seq <= cp.Seq-historyKeep {
 		spare = gen[drop].AppState
@@ -224,29 +242,7 @@ func (st *MemStore) keep(cp *Snapshot, at vtime.Time) (end vtime.Time, spare []b
 	n := copy(gen, gen[drop:])
 	clear(gen[n:])
 	st.gens[cp.Rank] = gen[:n]
-	st.stats.Saves++
-	st.stats.SavedBytes += cp.CostBytes()
-	if st.bytesPerSec <= 0 {
-		return at, spare
-	}
-	start := at
-	if st.busyUntil > start {
-		if q := st.busyUntil.Sub(at); q > st.stats.MaxQueue {
-			st.stats.MaxQueue = q
-		}
-		start = st.busyUntil
-	}
-	dur := vtime.Duration(float64(cp.CostBytes()) / st.bytesPerSec * 1e9)
-	end = start.Add(dur)
-	st.busyUntil = end
-	return end, spare
-}
-
-// LatestSeq implements Store.
-func (st *MemStore) LatestSeq(rank int) int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.latest[rank]
+	return st.link.write(cp.CostBytes(), at), spare
 }
 
 // Load implements Store.
@@ -263,17 +259,12 @@ func (st *MemStore) Load(rank, seq int, at vtime.Time) (*Snapshot, vtime.Time, b
 	if s == nil {
 		return nil, at, false
 	}
-	st.stats.Loads++
-	end := at
-	if st.readBPS > 0 {
-		end = at.Add(vtime.Duration(float64(s.CostBytes()) / st.readBPS * 1e9))
-	}
-	return s.Clone(), end, true
+	return s.Clone(), st.link.read(s.CostBytes(), at), true
 }
 
 // Stats implements Store.
 func (st *MemStore) Stats() StoreStats {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.stats
+	return st.link.stats
 }

@@ -224,3 +224,36 @@ func TestStripeLaysOutTheEncoding(t *testing.T) {
 		}
 	}
 }
+
+// FuzzDecodeSnapshot: DecodeSnapshot parses what FileStore reads from
+// disk, input from outside the program. It must never panic, and any blob
+// it accepts must re-encode and decode to an equal snapshot.
+func FuzzDecodeSnapshot(f *testing.F) {
+	for _, s := range []*Snapshot{codecSnap(2, 3), {Rank: 1, Seq: 1}} {
+		blob, err := EncodeSnapshot(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+		f.Add(blob[:len(blob)/2])
+	}
+	f.Add([]byte{})
+	f.Add([]byte(snapMagic))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s, err := DecodeSnapshot(b)
+		if err != nil {
+			return
+		}
+		again, err := EncodeSnapshot(s)
+		if err != nil {
+			t.Fatalf("accepted blob does not re-encode: %v", err)
+		}
+		s2, err := DecodeSnapshot(again)
+		if err != nil {
+			t.Fatalf("re-encoded blob does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(s, s2) {
+			t.Fatalf("re-encoding changed the snapshot:\n  first  %+v\n  second %+v", s, s2)
+		}
+	})
+}

@@ -154,12 +154,6 @@ func (st *FaultyStore) Save(s *Snapshot, at vtime.Time) (vtime.Time, error) { re
 // write admission, so they act in the shards' commits.
 func (st *FaultyStore) stage(s *Snapshot) (staged, error) { return stageOn(st.inner, s) }
 
-// LatestSeq implements Store. Sequence tracking is structural metadata,
-// not shard payload, so it reflects saves the fault plane dropped; the
-// runtime restores from its own completed-sequence records, and a load
-// of a dropped sequence fails like any other lost checkpoint.
-func (st *FaultyStore) LatestSeq(rank int) int { return st.inner.LatestSeq(rank) }
-
 // Load implements Store.
 func (st *FaultyStore) Load(rank, seq int, at vtime.Time) (*Snapshot, vtime.Time, bool) {
 	return st.inner.Load(rank, seq, at)
@@ -252,9 +246,6 @@ func (sh *faultyShard) saveOwned(fs *Snapshot, at vtime.Time) (vtime.Time, []byt
 	}
 	return handOff(sh.inner, fs, at)
 }
-
-// LatestSeq implements Store (see FaultyStore.LatestSeq).
-func (sh *faultyShard) LatestSeq(rank int) int { return sh.inner.LatestSeq(rank) }
 
 // Load implements Store: killed shards refuse the read, corrupt shards
 // damage the returned snapshot (detectable only by self-verifying

@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,20 +9,18 @@ import (
 	"hydee/internal/vtime"
 )
 
-// FileStore persists snapshots as gob files in a directory, one file per
-// (rank, sequence), with the same shared-bandwidth timing model as
-// MemStore. It demonstrates that snapshots survive the process — what the
-// paper means by "reliable storage" for checkpoints — and is used by tests
-// that restart from real files.
+// FileStore persists snapshots in a directory, one EncodeSnapshot blob
+// per (rank, sequence), over one shared link like MemStore. It
+// demonstrates that snapshots survive the process — what the paper means
+// by "reliable storage" for checkpoints — and is used by tests that
+// restart from real files. A file that does not decode to the snapshot
+// its name promises (truncated, damaged, or of another format) is a
+// missing checkpoint: Load reports false.
 type FileStore struct {
 	dir string
 
-	mu          sync.Mutex
-	latest      map[int]int
-	bytesPerSec float64
-	readBPS     float64
-	busyUntil   vtime.Time
-	stats       StoreStats
+	mu   sync.Mutex
+	link link
 }
 
 // NewFileStore creates (if needed) dir and returns a store over it.
@@ -31,107 +28,51 @@ func NewFileStore(dir string, writeBPS, readBPS float64) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	st := &FileStore{
-		dir:         dir,
-		latest:      make(map[int]int),
-		bytesPerSec: writeBPS,
-		readBPS:     readBPS,
-	}
-	// Recover the latest-sequence index from existing files so a store
-	// reopened over an old directory resumes correctly.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	for _, e := range entries {
-		var rank, seq int
-		if _, err := fmt.Sscanf(e.Name(), "ckpt-%d-%d.gob", &rank, &seq); err == nil {
-			if seq > st.latest[rank] {
-				st.latest[rank] = seq
-			}
-		}
-	}
-	return st, nil
+	return &FileStore{dir: dir, link: link{writeBPS: writeBPS, readBPS: readBPS}}, nil
 }
 
 func (st *FileStore) path(rank, seq int) string {
-	return filepath.Join(st.dir, fmt.Sprintf("ckpt-%d-%d.gob", rank, seq))
+	return filepath.Join(st.dir, fmt.Sprintf("ckpt-%d-%d.hysn", rank, seq))
 }
 
 // Save implements Store.
 func (st *FileStore) Save(s *Snapshot, at vtime.Time) (vtime.Time, error) {
+	blob, err := EncodeSnapshot(s)
+	if err != nil {
+		return at, err
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	f, err := os.Create(st.path(s.Rank, s.Seq))
-	if err != nil {
+	if err := os.WriteFile(st.path(s.Rank, s.Seq), blob, 0o644); err != nil {
 		return at, fmt.Errorf("checkpoint: %w", err)
 	}
-	if err := gob.NewEncoder(f).Encode(s); err != nil {
-		f.Close()
-		return at, fmt.Errorf("checkpoint: encode: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return at, fmt.Errorf("checkpoint: %w", err)
-	}
-	// Reset the streak on sequence restart, like MemStore: a reused store
-	// must report the current run's latest, not an earlier run's.
-	st.latest[s.Rank] = s.Seq
 	// Prune old generations like MemStore.
 	for seq := s.Seq - historyKeep; seq > 0; seq-- {
-		p := st.path(s.Rank, seq)
-		if _, err := os.Stat(p); err != nil {
+		if os.Remove(st.path(s.Rank, seq)) != nil {
 			break
 		}
-		_ = os.Remove(p)
 	}
-	st.stats.Saves++
-	st.stats.SavedBytes += s.CostBytes()
-	if st.bytesPerSec <= 0 {
-		return at, nil
-	}
-	start := at
-	if st.busyUntil > start {
-		if q := st.busyUntil.Sub(at); q > st.stats.MaxQueue {
-			st.stats.MaxQueue = q
-		}
-		start = st.busyUntil
-	}
-	end := start.Add(vtime.Duration(float64(s.CostBytes()) / st.bytesPerSec * 1e9))
-	st.busyUntil = end
-	return end, nil
-}
-
-// LatestSeq implements Store.
-func (st *FileStore) LatestSeq(rank int) int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.latest[rank]
+	return st.link.write(s.CostBytes(), at), nil
 }
 
 // Load implements Store.
 func (st *FileStore) Load(rank, seq int, at vtime.Time) (*Snapshot, vtime.Time, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	f, err := os.Open(st.path(rank, seq))
+	b, err := os.ReadFile(st.path(rank, seq))
 	if err != nil {
 		return nil, at, false
 	}
-	defer f.Close()
-	var s Snapshot
-	if err := gob.NewDecoder(f).Decode(&s); err != nil {
+	s, err := DecodeSnapshot(b)
+	if err != nil || s.Rank != rank || s.Seq != seq {
 		return nil, at, false
 	}
-	st.stats.Loads++
-	end := at
-	if st.readBPS > 0 {
-		end = at.Add(vtime.Duration(float64(s.CostBytes()) / st.readBPS * 1e9))
-	}
-	return &s, end, true
+	return s, st.link.read(s.CostBytes(), at), true
 }
 
 // Stats implements Store.
 func (st *FileStore) Stats() StoreStats {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.stats
+	return st.link.stats
 }

@@ -14,8 +14,9 @@ import (
 // guarantee — while store GC prunes old generations. A failure may strike
 // at ANY interleaving point, killing each member before or after its
 // current save, and the supervisor then restores every member from the
-// minimum sequence completed by all of them (read via LatestSeq, exactly
-// what launchRound does). That snapshot must always still be loadable: if
+// minimum sequence completed by all of them, from its own record of the
+// saves that returned, exactly as launchRound does (stores keep no restore
+// points). That snapshot must always still be loadable: if
 // GC ever reclaims it, the restart lands in ErrCheckpointLost territory.
 
 // runGCProperty drives one cluster through maxSeq generations with a
@@ -39,8 +40,10 @@ func runGCProperty(t *testing.T, st Store, seed int64, ranks []int, maxSeq int) 
 		roundDone[i] = make(chan struct{})
 	}
 	finishCounts := make([]int, maxSeq+2)
-	markDone := func(seq, members int) {
+	completed := make(map[int]int, len(ranks)) // rank -> newest seq saved
+	markDone := func(rank, seq, members int) {
 		mu.Lock()
+		completed[rank] = seq
 		finishCounts[seq]++
 		if finishCounts[seq] == members {
 			close(roundDone[seq])
@@ -84,7 +87,7 @@ func runGCProperty(t *testing.T, st Store, seed int64, ranks []int, maxSeq int) 
 					t.Errorf("rank %d seq %d: %v", r, seq, err)
 					return
 				}
-				markDone(seq, aliveAt(seq))
+				markDone(r, seq, aliveAt(seq))
 			}
 		}(r, rand.New(rand.NewSource(seed^int64(r<<16))))
 	}
@@ -93,7 +96,7 @@ func runGCProperty(t *testing.T, st Store, seed int64, ranks []int, maxSeq int) 
 	// The failure round: restore from the minimum completed sequence.
 	min := 0
 	for i, r := range ranks {
-		seq := st.LatestSeq(r)
+		seq := completed[r]
 		if i == 0 || seq < min {
 			min = seq
 		}
@@ -127,13 +130,14 @@ func TestFileStoreGCNeverReclaimsMinCompletedSeq(t *testing.T) {
 	}
 }
 
-// TestKillRestartRestoreCycle drives the Save/kill/LatestSeq/Load cycle
-// the supervisor performs deterministically: a member dies while the
-// cluster is writing generation 7, so the cluster restores from 6, which
-// must load for every member.
+// TestKillRestartRestoreCycle drives the Save/kill/Load cycle the
+// supervisor performs deterministically: a member dies while the cluster
+// is writing generation 7, so the cluster restores from 6 — the minimum of
+// the saves each member completed — which must load for every member.
 func TestKillRestartRestoreCycle(t *testing.T) {
 	st := NewMemStore(0, 0)
 	ranks := []int{0, 1, 2}
+	completed := make(map[int]int)
 	for seq := 1; seq <= 7; seq++ {
 		for i, r := range ranks {
 			if seq == 7 && i == 2 {
@@ -142,11 +146,12 @@ func TestKillRestartRestoreCycle(t *testing.T) {
 			if _, err := st.Save(&Snapshot{Rank: r, Seq: seq, ModelBytes: 100}, vtime.Time(seq)); err != nil {
 				t.Fatal(err)
 			}
+			completed[r] = seq
 		}
 	}
 	min := 10
 	for _, r := range ranks {
-		if s := st.LatestSeq(r); s < min {
+		if s := completed[r]; s < min {
 			min = s
 		}
 	}

@@ -277,7 +277,7 @@ func TestDiscardChangesNothing(t *testing.T) {
 				}
 			}
 		}
-		before := storeState(t, st, 4)
+		before := storeState(t, st)
 		next := codecSnap(2, historyKeep+2)
 		p, err := Stage(st, next)
 		if err != nil {
@@ -294,7 +294,7 @@ func TestDiscardChangesNothing(t *testing.T) {
 			}
 		}
 		p.Discard()
-		if after := storeState(t, st, 4); after != before {
+		if after := storeState(t, st); after != before {
 			t.Fatalf("%s: Discard changed the store:\nbefore:\n%s\nafter:\n%s", be.name, before, after)
 		}
 		if !grouped {
@@ -322,7 +322,7 @@ func TestDiscardChangesNothing(t *testing.T) {
 		if _, err := twin.Save(next, 100); err != nil {
 			t.Fatal(err)
 		}
-		if a, b := storeState(t, twin, 4), storeState(t, st, 4); a != b {
+		if a, b := storeState(t, twin), storeState(t, st); a != b {
 			t.Fatalf("%s: a save built in discarded buffers stores other bytes:\nnever discarded:\n%s\nrecycled:\n%s", be.name, a, b)
 		}
 	}

@@ -31,9 +31,6 @@ func TestECStoreRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(s, got) {
 		t.Fatalf("snapshot changed through the EC store:\n  in  %+v\n  out %+v", s, got)
 	}
-	if st.LatestSeq(3) != 1 {
-		t.Errorf("LatestSeq = %d, want 1", st.LatestSeq(3))
-	}
 	if st.DegradedLoads() != 0 {
 		t.Errorf("healthy load counted as degraded")
 	}
@@ -524,7 +521,7 @@ func TestLayoutContract(t *testing.T) {
 
 // TestLayoutPlacementReduction: a placement value outside [0, n) —
 // negative or >= n — routes exactly like its residue modulo n, on all
-// three layouts and across Save, LatestSeq and Load.
+// three layouts and across Save and Load.
 func TestLayoutPlacementReduction(t *testing.T) {
 	raw := []int{-7, -3, -1, 0, 2, 3, 5, 11}
 	for name, mk := range map[string]func(place func(int) int) (Store, error){
@@ -542,9 +539,6 @@ func TestLayoutPlacementReduction(t *testing.T) {
 			for rank := range raw {
 				if _, err := st.Save(codecSnap(rank, 2), 0); err != nil {
 					t.Fatal(err)
-				}
-				if st.LatestSeq(rank) != 2 {
-					t.Errorf("%s rank %d: LatestSeq not routed back to the save's target", name, rank)
 				}
 				if _, _, ok := st.Load(rank, 2, 0); !ok {
 					t.Errorf("%s rank %d: Load not routed back to the save's target", name, rank)

@@ -37,11 +37,10 @@ func NewShardedStore(n int, writeBPS, readBPS float64, place func(rank int) int)
 // NewShardedOver shards over caller-supplied backends (mixing memory- and
 // file-backed shards is fine). It panics on zero shards — a sharded store
 // with nothing behind it is a programming error, not a runtime condition.
-// Persistent backends recover their own contents on construction (a
-// FileStore rebuilds its latest-sequence index from the files it finds),
-// so a sharded store reopened over the same backends resumes where it
-// left off; NewShardedFileStore packages that into a directory-layout
-// convention.
+// A persistent backend keeps its contents across reopens (a FileStore
+// reads its files back on Load), so a sharded store reopened over the
+// same backends loads what it saved before; NewShardedFileStore packages
+// that into a directory-layout convention.
 func NewShardedOver(place func(rank int) int, shards ...Store) *ShardedStore {
 	if len(shards) == 0 {
 		panic("checkpoint: NewShardedOver needs at least one shard")
@@ -60,8 +59,8 @@ const shardDirFmt = "shard-%03d"
 // n may be zero to infer the shard count from the existing layout; a
 // non-zero n that contradicts the directory's shard count is an error
 // (placement is static, so re-sharding silently would route ranks to the
-// wrong snapshots). Each shard recovers its latest-sequence index from
-// its files, so restarts and GC resume correctly across reopens.
+// wrong snapshots). Each shard loads the files it holds, so snapshots
+// saved before a reopen route back to the same shards.
 func NewShardedFileStore(dir string, n int, writeBPS, readBPS float64, place func(rank int) int) (*ShardedStore, error) {
 	existing, err := shardDirs(dir)
 	if err != nil {

@@ -31,9 +31,6 @@ func TestShardedRoutingAndStats(t *testing.T) {
 		t.Errorf("aggregate stats = %+v", agg)
 	}
 	for r := 0; r < 4; r++ {
-		if st.LatestSeq(r) != 1 {
-			t.Errorf("rank %d: LatestSeq = %d, want 1", r, st.LatestSeq(r))
-		}
 		if s, _, ok := st.Load(r, 1, 0); !ok || s.Rank != r {
 			t.Errorf("rank %d: Load failed (ok=%v)", r, ok)
 		}
@@ -73,12 +70,12 @@ func TestShardedIndependentContention(t *testing.T) {
 func TestShardedPlacementNormalization(t *testing.T) {
 	st := NewShardedStore(3, 0, 0, func(r int) int { return -1 - r })
 	// Any placement value must reduce to a valid shard (including
-	// negatives), and routing must be stable across Save/Load/LatestSeq.
+	// negatives), and routing must be stable across Save and Load.
 	for r := 0; r < 7; r++ {
 		if _, err := st.Save(shardSnap(r, 2, 1), 0); err != nil {
 			t.Fatal(err)
 		}
-		if st.LatestSeq(r) != 2 {
+		if _, _, ok := st.Load(r, 2, 0); !ok {
 			t.Errorf("rank %d not routed back to its shard", r)
 		}
 	}
@@ -90,7 +87,7 @@ func TestShardedPlacementNormalization(t *testing.T) {
 // TestSequenceRestartSurvivesGC covers store reuse across runs (engine
 // WithStore pinning): after a run drove the sequence high, a new run's
 // restarted low sequences must not be pruned against the old run's
-// high-water mark — the GC threshold follows the current save streak.
+// high-water mark — the GC threshold follows the save being made.
 func TestSequenceRestartSurvivesGC(t *testing.T) {
 	for name, st := range map[string]Store{
 		"mem":     NewMemStore(0, 0),
@@ -106,9 +103,6 @@ func TestSequenceRestartSurvivesGC(t *testing.T) {
 		for seq := 1; seq <= 2; seq++ {
 			if _, err := st.Save(shardSnap(0, seq, 1), 0); err != nil {
 				t.Fatal(err)
-			}
-			if got := st.LatestSeq(0); got != seq {
-				t.Errorf("%s: LatestSeq = %d after restart save %d, want the current streak", name, got, seq)
 			}
 			if _, _, ok := st.Load(0, seq, 0); !ok {
 				t.Errorf("%s: restarted seq %d pruned against the old run's high-water mark", name, seq)
@@ -129,9 +123,6 @@ func TestFileStoreSequenceRestart(t *testing.T) {
 	}
 	if _, err := st.Save(shardSnap(0, 1, 0), 0); err != nil {
 		t.Fatal(err)
-	}
-	if got := st.LatestSeq(0); got != 1 {
-		t.Errorf("LatestSeq = %d after sequence restart, want 1", got)
 	}
 	if _, _, ok := st.Load(0, 1, 0); !ok {
 		t.Error("restarted seq 1 not loadable")
@@ -193,9 +184,6 @@ func TestShardedFileStoreReopenRoundTrip(t *testing.T) {
 		t.Fatalf("reopen inferred %d shards, want 3", re.NumShards())
 	}
 	for r := 0; r < 6; r++ {
-		if got := re.LatestSeq(r); got != 2 {
-			t.Errorf("rank %d: LatestSeq after reopen = %d, want 2", r, got)
-		}
 		s, _, ok := re.Load(r, 2, 0)
 		if !ok || len(s.AppState) != 2 || s.AppState[0] != byte(r) {
 			t.Errorf("rank %d: reopen load: ok=%v snap=%+v", r, ok, s)

@@ -75,12 +75,6 @@ func (ss *shardSet) swapShard(i int, wrap func(Store) Store) {
 	ss.targets[i] = wrap(ss.targets[i])
 }
 
-// LatestSeq implements Store, delegating to the rank's home target
-// (every target a save touches receives the same sequence).
-func (ss *shardSet) LatestSeq(rank int) int {
-	return ss.targets[ss.home(rank)].LatestSeq(rank)
-}
-
 // ShardStats reports per-target physical activity, indexed by target.
 func (ss *shardSet) ShardStats() []StoreStats {
 	out := make([]StoreStats, len(ss.targets))

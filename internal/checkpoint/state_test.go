@@ -261,7 +261,7 @@ func TestReleasedBufferReachesNoStore(t *testing.T) {
 				}
 			}
 			if be.inMem {
-				if a, b := storeState(t, twin, ranks), storeState(t, st, ranks); a != b {
+				if a, b := storeState(t, twin), storeState(t, st); a != b {
 					t.Errorf("the store differs from one fed snapshots nobody scribbled over:\nwant:\n%s\ngot:\n%s", a, b)
 				}
 			}

@@ -16,8 +16,8 @@ var (
 	// event for the configured duration — the usual symptom of a
 	// deadlocked program or of overlapping unsupported failures.
 	ErrDeadlock = errors.New("mpi: deadlock suspected")
-	// ErrCheckpointLost reports that a checkpoint the store had announced
-	// via LatestSeq could not be loaded during a restart. Restarting the
+	// ErrCheckpointLost reports that a checkpoint this run completed could
+	// not be loaded from the store during a restart. Restarting the
 	// rank from its initial state instead would silently diverge from the
 	// surviving processes (skewed clock, replayed sends the protocol never
 	// accounted for), so the run aborts.

@@ -259,23 +259,16 @@ func TestBlockedScopePeerDrainReproducible(t *testing.T) {
 	}
 }
 
-// TestReverseOrderDetectionsMergeReproducible closes the reverse-VT-order
-// watchdog caveat: a compute-only victim's detection is quantized to its
-// chunk end, so a failure triggered early can reach the supervisor with a
-// LATER virtual detection time than a communicating victim's failure that
-// reaches it afterwards. The first-arriving round can then never collect a
-// report from the second failure's already-dead scope. Instead of the old
-// watchdog abort, the starved round must be superseded by a merged round
-// rolling back both clusters at their own fences, byte-reproducibly.
+// TestReverseOrderDetectionsMergeReproducible: a compute-only victim's
+// detection is quantized to its chunk end, so a failure triggered early
+// can be detected at a LATER virtual time than a communicating victim's
+// failure triggered afterwards in real time. Detections are admitted in
+// virtual-time order (Proc.maybeFail takes the turn), so rank 0's failure
+// at 24ns opens round 0 and rank 2's at 1000ns queues behind it. Round 0's
+// coordinator can never collect a report from the queued failure's doomed
+// scope, so the starved round is superseded by a merged round rolling
+// back both clusters at their own fences — on any number of cores.
 func TestReverseOrderDetectionsMergeReproducible(t *testing.T) {
-	// Arrival-order caveat: which victim opens the round follows the real-
-	// time order the two evFail events reach the supervisor in, and on two
-	// or more cores the later-detected failure wins that race in 5-13 of
-	// 100 runs (makespan 4076ns instead of 5076ns). One scheduler thread
-	// makes the order a function of the program; the multi-core race stays
-	// visible as TestKnownBugReverseOrderArrival (`make known-bugs`). No
-	// test in this package is t.Parallel, so the pin affects only this one.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cfg, prog := reverseOrderScenario()
 	res := runFenced(t, cfg, prog)
 	if len(res.Rounds) != 1 {
@@ -283,6 +276,9 @@ func TestReverseOrderDetectionsMergeReproducible(t *testing.T) {
 	}
 	if res.Rounds[0].RolledBack != 4 {
 		t.Fatalf("merged round rolled back %d ranks, want all 4", res.Rounds[0].RolledBack)
+	}
+	if res.Makespan != 4076 {
+		t.Fatalf("makespan %v, want 4.076µs (round 0 opened by the earlier detection)", res.Makespan)
 	}
 	for r, v := range res.Results {
 		want := 2
@@ -295,9 +291,31 @@ func TestReverseOrderDetectionsMergeReproducible(t *testing.T) {
 	}
 }
 
-// reverseOrderScenario is the schedule and program of
-// TestReverseOrderDetectionsMergeReproducible, shared with its known-bugs
-// twin.
+// TestReverseOrderArrivalReproducible repeats the reverse-order scenario
+// on at least two cores, where the two evFail events race in real time:
+// which victim opens the round must not follow that race.
+func TestReverseOrderArrivalReproducible(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	cfg, prog := reverseOrderScenario()
+	var first *mpi.Result
+	for i := 0; i < 300; i++ {
+		res, err := mpi.Run(cfg, prog)
+		if err != nil {
+			t.Fatalf("iteration %d: %v", i, err)
+		}
+		if virtualOnly(res); first == nil {
+			first = res
+		} else if !reflect.DeepEqual(first, res) {
+			t.Fatalf("iteration %d diverged from iteration 0: makespan %v vs %v, rounds %+v vs %+v",
+				i, res.Makespan, first.Makespan, res.Rounds, first.Rounds)
+		}
+	}
+}
+
+// reverseOrderScenario is the schedule and program of the two
+// reverse-order tests.
 func reverseOrderScenario() (mpi.Config, mpi.Program) {
 	cfg := mpi.Config{
 		NP:       4,
@@ -357,6 +375,47 @@ func reverseOrderScenario() (mpi.Config, mpi.Program) {
 		}
 	}
 	return cfg, prog
+}
+
+// TestPostFenceTriggerDroppedReproducible: a trigger that fires past its
+// rank's doom fence belongs to an incarnation already dead in virtual
+// time, so it is dropped, not admitted as a second failure. Rank 0 fails
+// at 100ns and dooms its cluster there; rank 1's 150ns trigger fires at
+// the end of its 200ns chunk, past that fence.
+func TestPostFenceTriggerDroppedReproducible(t *testing.T) {
+	var failures [][]int // both runs', in order
+	cfg := mpi.Config{
+		NP:       2,
+		Topo:     rollback.NewTopology([]int{0, 0}),
+		Protocol: core.New(),
+		Model:    netmodel.Ideal(),
+		Failures: []failure.Event{
+			{Ranks: []int{0}, When: failure.Trigger{AtVT: 100}},
+			{Ranks: []int{1}, When: failure.Trigger{AtVT: 150}},
+		},
+		Observer: mpi.ObserverFunc(func(ev mpi.Event) {
+			if ev.Kind == mpi.EvFailure {
+				failures = append(failures, ev.Ranks)
+			}
+		}),
+		Watchdog: 30 * time.Second,
+	}
+	prog := func(c *mpi.Comm) error {
+		for i := 0; i < 4; i++ {
+			if err := c.Compute(100 * vtime.Nanosecond); err != nil {
+				return err
+			}
+		}
+		c.SetResult(4)
+		return nil
+	}
+	res := runFenced(t, cfg, prog)
+	if len(res.Rounds) != 1 || res.Rounds[0].RolledBack != 2 {
+		t.Fatalf("rounds %+v, want exactly one rolling back both ranks", res.Rounds)
+	}
+	if want := [][]int{{0}, {0}}; !reflect.DeepEqual(failures, want) {
+		t.Fatalf("failure events %v over two runs, want only rank 0's in each", failures)
+	}
 }
 
 // TestOverlappingScopeRefailureReproducible closes the overlapping-scope

@@ -2,15 +2,13 @@
 
 package mpi_test
 
-// The two multi-failure bugs ROADMAP item 2 has to fix, kept reproducible
-// until it does. `make known-bugs` runs them and inverts the result: it
-// succeeds while at least one still fails here. Once both pass, delete the
-// build tag and fold them into `make determinism`.
+// The open multi-failure bug, kept reproducible until it is fixed. `make
+// known-bugs` runs it and inverts the result: it succeeds while the bug
+// still fails here. Once it passes, delete the build tag and fold the test
+// into `make determinism`.
 
 import (
 	"errors"
-	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -23,34 +21,17 @@ import (
 	"hydee/internal/rollback"
 )
 
-// TestKnownBugReverseOrderArrival is TestReverseOrderDetectionsMerge-
-// Reproducible without the one-thread pin: on two or more cores, which
-// victim opens the round follows the real-time arrival order of the two
-// evFail events, and 5-13 runs in 100 pick the other one.
-func TestKnownBugReverseOrderArrival(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	}
-	cfg, prog := reverseOrderScenario()
-	var first *mpi.Result
-	for i := 0; i < 300; i++ {
-		res, err := mpi.Run(cfg, prog)
-		if err != nil {
-			t.Fatalf("iteration %d: %v", i, err)
-		}
-		if virtualOnly(res); first == nil {
-			first = res
-		} else if !reflect.DeepEqual(first, res) {
-			t.Fatalf("iteration %d diverged from iteration 0: makespan %v vs %v, rounds %+v vs %+v",
-				i, res.Makespan, first.Makespan, res.Rounds, first.Rounds)
-		}
-	}
-}
-
 // TestKnownBugSameClusterTwiceDeadlock fails cluster 5 twice (ranks 46 and
 // 45) after a failure in cluster 3: round 2 ends up recovering with an
 // empty drain set and nothing queued — the `recovering × probe quiescent,
 // nothing pending` cell of the round machine — until the watchdog fires.
+//
+// Measured diagnosis: the rounds do not overlap. Round 0 runs 28–62µs,
+// round 1 runs 122–155µs, and round 2 opens at 270µs. All 64 Reports reach
+// round 2's coordinator; it then counts two phase-2 orphans and receives
+// only one OrphanNotification. So this is a HydEE orphan-accounting bug,
+// not a round-machine bug: the hypothesis that round 1's restarted
+// incarnations are re-doomed below their resume clocks is refuted.
 func TestKnownBugSameClusterTwiceDeadlock(t *testing.T) {
 	assign := make([]int, 64)
 	for r := range assign {

@@ -245,6 +245,15 @@ func (p *Proc) maybeFail() error {
 	if ranks == nil {
 		return nil
 	}
+	// Admit the detection in virtual-time order, as checkpoint writes are:
+	// the supervisor sees failures sorted by (detection VT, rank), not by
+	// real-time arrival. A trigger past this rank's doom fence is refused
+	// here and dropped — the incarnation is already dead in virtual time.
+	err := p.rt.net.FlushAwaitTurn(p.outbox, p.rank, p.clock.Now())
+	p.sent()
+	if err != nil {
+		return err
+	}
 	p.event(procEvent{kind: evFail, rank: p.rank, vt: p.clock.Now(), ranks: ranks})
 	// The victim stops acting immediately; the supervisor kills the rest
 	// of the scope.
@@ -508,9 +517,7 @@ func (p *Proc) capture(seq int, scope []int) (snap *checkpoint.Snapshot, release
 		}
 	}
 	for _, m := range snap.Mailbox {
-		// Modeled wire size (payload + piggybacked protocol data) plus an
-		// envelope constant, matching Snapshot.EncodedSize.
-		snap.ModelBytes += int64(m.Wire()) + 64
+		snap.ModelBytes += checkpoint.MailboxCost(m)
 	}
 	return snap, release, nil
 }

@@ -28,7 +28,7 @@ func (p phase) String() string {
 // input is one step of the machine: a procEvent or the starvation probe,
 // with the plane facts the driver read for it. quiescent (evProbe, asked
 // only while starvable) is Network.Quiescent(parked()) with no event in
-// flight; maxFrontier (evRecoveryDone, quiescent evProbe) is MaxFrontier.
+// flight; maxFrontier (evRecoveryDone) is MaxFrontier.
 type input struct {
 	procEvent
 	quiescent   bool
@@ -91,7 +91,7 @@ type machine struct {
 	info rollback.RoundInfo
 	// fences maps each rolled-back cluster to its detection fence, the
 	// virtual time its restore cut is judged against: one time for a plain
-	// round, one per cluster for an extended or merged one.
+	// round, one per cluster for a merged one.
 	fences map[int]vtime.Time
 	// drain holds the doomed scope members that have not unwound yet.
 	drain map[int]bool
@@ -110,8 +110,8 @@ type machine struct {
 	// not yet seen to end: what must be parked for the plane to be stuck.
 	procs, coords int
 	nextRound     int
-	// opened counts opens (extensions and merges included) against the
-	// runaway cap: the plan's event count plus two.
+	// opened counts opens (merges included) against the runaway cap: the
+	// plan's event count plus two.
 	opened, maxRounds int
 
 	acts []action // reused by every step
@@ -140,8 +140,10 @@ func (m *machine) round() int {
 }
 
 // starvable reports whether a queued failure could be starving the round
-// in flight: only then does the probe need the plane's answer.
-func (m *machine) starvable() bool { return m.phase != phIdle && len(m.pending) > 0 }
+// in flight: only then does the probe need the plane's answer. Failures
+// are admitted in virtual-time order, so a queued one never blocks a
+// drain; only a launched round's coordinator can starve.
+func (m *machine) starvable() bool { return m.phase == phRecovering && len(m.pending) > 0 }
 
 // parked is how many goroutines must be parked for the plane to be stuck.
 func (m *machine) parked() int { return m.procs + m.coords }
@@ -264,21 +266,20 @@ func (m *machine) recoveryDone(in input) {
 	}
 }
 
-// probe is the starvation check: a round in flight plus queued failures,
+// probe is the starvation check: a recovering round plus queued failures,
 // with every goroutine parked beyond waking and no event in flight, is a
 // round that can never complete — typically its coordinator waits on a
 // report from a rank a queued overlapping failure already stopped. The
-// stuck state is a pure function of virtual time, so what follows is too.
+// stuck state is a pure function of virtual time, so what follows is too:
+// the starved coordinator is killed, and the merge happens when its
+// evRecoveryDone comes back. The driver asks the plane only while the
+// machine is starvable, and a draining round never is.
 func (m *machine) probe(in input) {
-	if !m.starvable() || !in.quiescent {
-		return
-	}
-	switch m.phase {
-	case phDraining:
-		m.open(in.maxFrontier)
-	case phRecovering:
-		// Kill the starved coordinator; the merge happens when its
-		// evRecoveryDone comes back.
+	switch {
+	case !in.quiescent || len(m.pending) == 0:
+	case m.phase == phDraining:
+		m.impossible(in)
+	case m.phase == phRecovering:
 		m.phase = phSuperseded
 		m.act(action{kind: actKillService})
 	}
@@ -292,11 +293,10 @@ func (m *machine) probe(in input) {
 // later is cancelled deterministically) and leaves the round draining — or
 // launches it, if the scope already unwound. The round starts one network
 // hop after its detection and no earlier than one hop after `after` (the
-// previous round's end when chained, MaxFrontier when extended or merged),
-// so no stamp it produces undercuts a delivery already admitted.
+// previous round's end when chained, MaxFrontier when merged), so no stamp
+// it produces undercuts a delivery already admitted.
 func (m *machine) open(after vtime.Time) {
 	attach, floor := actAttach, after.Add(m.minLat)
-	var doomed []int
 	switch m.phase {
 	case phIdle, phRecovering:
 		// Plain (or chained) round: the head of the queue, every cluster
@@ -316,14 +316,6 @@ func (m *machine) open(after vtime.Time) {
 			m.fences[c] = head.vt
 		}
 		m.startVT = max(head.vt.Add(m.minLat), floor)
-		doomed = m.info.RolledBack
-	case phDraining:
-		// Starved while draining: the doomed scope and the queued failures'
-		// scopes block each other (overlapping scopes, or detections in
-		// reverse virtual-time order). The round absorbs the queue in place
-		// — same number, since no coordinator or RoundStart exists yet.
-		m.startVT = max(m.startVT, floor)
-		doomed = m.absorbPending()
 	case phSuperseded:
 		// Merged round: a fresh number, since the old RoundStart was
 		// broadcast, for the union of the old scope and the queue. The old
@@ -339,7 +331,6 @@ func (m *machine) open(after vtime.Time) {
 		m.absorbPending()
 		m.startVT = floor
 		attach = actRevive // KillService left the endpoint dead
-		doomed = m.info.RolledBack
 	}
 	m.phase = phDraining
 	m.emit(Event{Kind: EvRecoveryStart, Rank: -1, Round: m.info.Round, Ranks: m.info.RolledBack, VT: m.info.DetectVT})
@@ -351,7 +342,7 @@ func (m *machine) open(after vtime.Time) {
 	// its own bound never holds doomed peers' drain at the fence itself.
 	// AttachAt (not Publish): the start may precede the previous round's end.
 	m.act(action{kind: attach, vt: m.startVT})
-	for _, r := range doomed {
+	for _, r := range m.info.RolledBack {
 		m.act(action{kind: actDoom, id: r, vt: m.fences[m.topo.ClusterOf[r]]})
 		if m.finished[r] {
 			m.finished[r] = false
@@ -393,9 +384,8 @@ func (m *machine) launchIfDrained() {
 
 // absorbPending folds every queued failure into the round: scope members
 // are added and each affected cluster's fence drops to the earliest
-// detection covering it. It returns the added ranks and empties the queue.
-func (m *machine) absorbPending() []int {
-	var added []int
+// detection covering it. It empties the queue.
+func (m *machine) absorbPending() {
 	for _, ev := range m.pending {
 		m.info.DetectVT = min(m.info.DetectVT, ev.vt) // stays the earliest fence
 		for _, r := range m.prot.RestartScope(m.topo, ev.ranks) {
@@ -405,14 +395,12 @@ func (m *machine) absorbPending() []int {
 			}
 			if !m.info.Includes(r) {
 				m.info.RolledBack = append(m.info.RolledBack, r)
-				added = append(added, r)
 			}
 		}
 	}
 	m.pending = m.pending[:0]
 	sort.Ints(m.info.RolledBack)
 	m.info.FailedClusters = m.topo.ClustersOf(m.info.RolledBack)
-	return added
 }
 
 // insertPending inserts ev keeping the queue ordered by (detection VT,

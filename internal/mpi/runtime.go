@@ -46,8 +46,8 @@ type Runtime struct {
 	wg      sync.WaitGroup
 	// ckptDone[rank] lists the checkpoint writes THIS run completed for
 	// rank, with the virtual time each write was issued at (guarded by
-	// mu). Restores consult it rather than the store's LatestSeq for two
-	// reasons: a store pinned across several runs (engine WithStore) can
+	// mu). It is the one record of restore points, since stores only
+	// store: a store pinned across several runs (engine WithStore) can
 	// never leak a previous run's sequences into this run's restart
 	// scope, and a failure round restores from the newest sequence issued
 	// at or below its detection fence — a save that completed in real
@@ -214,9 +214,7 @@ func (rt *Runtime) supervise(ctx context.Context) error {
 			// Quiescence is evaluated first: once it holds, no actor can
 			// emit an event, so the channel check cannot race.
 			in := input{procEvent: procEvent{kind: evProbe}}
-			if m.starvable() && rt.net.Quiescent(m.parked()) && len(rt.evCh) == 0 {
-				in.quiescent, in.maxFrontier = true, rt.net.MaxFrontier()
-			}
+			in.quiescent = m.starvable() && rt.net.Quiescent(m.parked()) && len(rt.evCh) == 0
 			err = rt.apply(m, in)
 			probe.Reset(starveProbe)
 

@@ -129,8 +129,8 @@ func newECUnderFaults(t testing.TB, faults ...checkpoint.ShardFault) ecUnderFaul
 }
 
 // observables renders everything the store exposes after a run: stats,
-// per-shard stats, degraded loads, fault stats, each rank's latest
-// sequence, and then — loads count, so last — the digest, completion time
+// per-shard stats, degraded loads, fault stats, and then — loads count,
+// so last — the digest, completion time
 // and availability of every (rank, seq) up to maxSeq. A snapshot is
 // digested with its protocol state reduced to its length: the HydEE
 // engine gob-encodes maps into it, and gob writes a map in Go's
@@ -141,7 +141,7 @@ func (s ecUnderFaults) observables(np, maxSeq int) string {
 	out := fmt.Sprintf("stats %+v\nshards %+v\ndegraded %d\nfaults %+v\n",
 		s.ec.Stats(), s.ec.ShardStats(), s.ec.DegradedLoads(), s.faulty.FaultStats())
 	for r := 0; r < np; r++ {
-		out += fmt.Sprintf("rank %d latest %d:", r, s.faulty.LatestSeq(r))
+		out += fmt.Sprintf("rank %d:", r)
 		for seq := 1; seq <= maxSeq; seq++ {
 			snap, end, ok := s.faulty.Load(r, seq, 1<<40)
 			if !ok {

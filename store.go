@@ -19,7 +19,8 @@ import (
 // DESIGN.md "Extension points".
 type (
 	// Store is stable storage for checkpoints: Save/Load with modeled
-	// completion times, LatestSeq per rank, aggregate Stats.
+	// completion times and aggregate Stats. Which checkpoint a restart
+	// loads is the runtime's decision, not the store's.
 	//
 	// Ownership: the snapshot passed to Save, with every byte slice and
 	// message it points to, stays the caller's. A store copies what it
