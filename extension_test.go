@@ -20,9 +20,12 @@ import (
 
 // auditProtocol is a third-party protocol: HydEE under a different name
 // (delegation is the minimal protocol wrapper shape).
-type auditProtocol struct{ hydee.Protocol }
+type auditProtocol struct {
+	hydee.Protocol
+	name string
+}
 
-func (auditProtocol) Name() string { return "audit-hydee" }
+func (p auditProtocol) Name() string { return p.name }
 
 // countingExporter is a third-party exporter tallying events per kind.
 type countingExporter struct {
@@ -57,10 +60,11 @@ func TestThirdPartyExtensionsByName(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mustRegister(hydee.RegisterProtocol("audit-hydee", func() hydee.Protocol {
-		return auditProtocol{hydee.HydEE()}
+	proto, store, exporter := freshName("audit-hydee"), freshName("audit-sharded"), freshName("audit-count")
+	mustRegister(hydee.RegisterProtocol(proto, func() hydee.Protocol {
+		return auditProtocol{hydee.HydEE(), proto}
 	}))
-	mustRegister(hydee.RegisterStore("audit-sharded", func(o hydee.StoreOptions) (hydee.Store, error) {
+	mustRegister(hydee.RegisterStore(store, func(o hydee.StoreOptions) (hydee.Store, error) {
 		backend, err := hydee.StoreByName("sharded", o)
 		if err != nil {
 			return nil, err
@@ -69,26 +73,26 @@ func TestThirdPartyExtensionsByName(t *testing.T) {
 		stores = append(stores, st)
 		return st, nil
 	}))
-	mustRegister(hydee.RegisterExporter("audit-count", func(w io.Writer) hydee.Exporter {
+	mustRegister(hydee.RegisterExporter(exporter, func(w io.Writer) hydee.Exporter {
 		x := newCountingExporter(w)
 		exporters = append(exporters, x)
 		return x
 	}))
 
 	// Everything below resolves by name only.
-	p, err := hydee.ProtocolByName("AUDIT-HYDEE") // case-insensitive
-	if err != nil || p.Name() != "audit-hydee" {
+	p, err := hydee.ProtocolByName(strings.ToUpper(proto)) // case-insensitive
+	if err != nil || p.Name() != proto {
 		t.Fatalf("ProtocolByName: %v (%v)", p, err)
 	}
-	mkExp, err := hydee.ExporterByName("audit-count")
+	mkExp, err := hydee.ExporterByName(exporter)
 	if err != nil {
 		t.Fatal(err)
 	}
 	exp := mkExp(&bytes.Buffer{})
 
 	eng, err := hydee.New(failingEngineOpts(
-		hydee.WithProtocolName("audit-hydee"),
-		hydee.WithStoreName("audit-sharded", hydee.StoreOptions{Shards: 2, WriteBPS: 1e9, ReadBPS: 1e9}),
+		hydee.WithProtocolName(proto),
+		hydee.WithStoreName(store, hydee.StoreOptions{Shards: 2, WriteBPS: 1e9, ReadBPS: 1e9}),
 		hydee.WithObserver(exp),
 	)...)
 	if err != nil {
@@ -119,9 +123,9 @@ func TestThirdPartyExtensionsByName(t *testing.T) {
 	}
 
 	// The registered names show up in the listings the flag help prints.
-	if !contains(hydee.ProtocolNames(), "audit-hydee") ||
-		!contains(hydee.StoreNames(), "audit-sharded") ||
-		!contains(hydee.ExporterNames(), "audit-count") {
+	if !contains(hydee.ProtocolNames(), proto) ||
+		!contains(hydee.StoreNames(), store) ||
+		!contains(hydee.ExporterNames(), exporter) {
 		t.Errorf("registered names missing from listings: %v / %v / %v",
 			hydee.ProtocolNames(), hydee.StoreNames(), hydee.ExporterNames())
 	}

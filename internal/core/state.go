@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"hydee/internal/checkpoint"
@@ -127,7 +125,7 @@ func encodeEngineState(s *engineState) ([]byte, error) { return checkpoint.Encod
 
 func decodeEngineState(b []byte) (*engineState, error) {
 	var s engineState
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&s); err != nil {
+	if err := checkpoint.DecodeState(b, &s); err != nil {
 		return nil, fmt.Errorf("core: decode protocol state: %w", err)
 	}
 	return &s, nil

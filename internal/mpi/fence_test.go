@@ -487,6 +487,96 @@ func TestOverlappingScopeRefailureReproducible(t *testing.T) {
 	}
 }
 
+// windowRun runs four compute-only ranks in clusters {0, 1} and {2, 3},
+// rank r computing two chunks of chunk[r] nanoseconds, rank 1 pausing for
+// pause of real time after each, with one AtVT 50 trigger per victim:
+// every trigger fires at its victim's first chunk end. It returns the
+// result and the scope of the last recovery-start event.
+func windowRun(t *testing.T, chunk [4]vtime.Duration, pause time.Duration, victims ...int) (*mpi.Result, []int) {
+	t.Helper()
+	var scope []int
+	cfg := mpi.Config{
+		NP:       4,
+		Topo:     rollback.NewTopology([]int{0, 0, 1, 1}),
+		Protocol: core.New(),
+		Model:    netmodel.Ideal(),
+		Observer: mpi.ObserverFunc(func(ev mpi.Event) {
+			if ev.Kind == mpi.EvRecoveryStart {
+				scope = ev.Ranks
+			}
+		}),
+		Watchdog: 30 * time.Second,
+	}
+	for _, v := range victims {
+		cfg.Failures = append(cfg.Failures, failure.Event{Ranks: []int{v}, When: failure.Trigger{AtVT: 50}})
+	}
+	prog := func(c *mpi.Comm) error {
+		for i := 0; i < 2; i++ {
+			if err := c.Compute(chunk[c.Rank()]); err != nil {
+				return err
+			}
+			if c.Rank() == 1 {
+				time.Sleep(pause)
+			}
+		}
+		c.SetResult(2)
+		return nil
+	}
+	return runFenced(t, cfg, prog), scope
+}
+
+// checkOneRound asserts that res recovered in a single round 0 whose scope
+// is want, and finished at makespan.
+func checkOneRound(t *testing.T, res *mpi.Result, scope, want []int, makespan vtime.Time) {
+	t.Helper()
+	if len(res.Rounds) != 1 || res.Rounds[0].Round != 0 || res.Rounds[0].RolledBack != len(want) {
+		t.Fatalf("rounds %+v, want one round 0 rolling back %d ranks", res.Rounds, len(want))
+	}
+	if !reflect.DeepEqual(scope, want) {
+		t.Fatalf("round scope %v, want %v", scope, want)
+	}
+	if res.Makespan != makespan {
+		t.Fatalf("makespan %d ns, want %d ns", int64(res.Makespan), int64(makespan))
+	}
+}
+
+var evenChunks = [4]vtime.Duration{1000, 1000, 1000, 1000}
+
+// TestSameDetectionOneClusterReproducible: both ranks of cluster 0 fail at
+// the same detection time. The second failure is admitted while round 0
+// drains and joins it, so the cluster rolls back once.
+func TestSameDetectionOneClusterReproducible(t *testing.T) {
+	res, scope := windowRun(t, evenChunks, 0, 0, 1)
+	checkOneRound(t, res, scope, []int{0, 1}, 3001)
+}
+
+// TestSameDetectionTwoClustersReproducible: one rank of each cluster fails
+// at the same detection time. The second failure joins the draining round
+// 0 with its own cluster fenced at its own detection, so no round starves
+// and none is superseded.
+func TestSameDetectionTwoClustersReproducible(t *testing.T) {
+	res, scope := windowRun(t, evenChunks, 0, 0, 2)
+	checkOneRound(t, res, scope, []int{0, 1, 2, 3}, 3003)
+}
+
+// TestJoinAtStartReproducible: rank 0's failure at 1000ns opens round 0,
+// which starts one hop later, at 1001ns, exactly where rank 2's failure is
+// detected. Whether rank 1, still draining, unwinds before or after rank
+// 2's failure reaches the supervisor is a real-time race; a pause in rank
+// 1's goroutine forces one side of it. Either way rank 2's failure joins
+// round 0, because the round launches only once the recovery endpoint
+// holds the turn at its start, and its start moves one hop past the join,
+// so the joined cluster's fence is not held by the endpoint's bound.
+func TestJoinAtStartReproducible(t *testing.T) {
+	chunks := [4]vtime.Duration{1000, 5000, 1001, 1001}
+	fast, scope := windowRun(t, chunks, 0, 0, 2)
+	checkOneRound(t, fast, scope, []int{0, 1, 2, 3}, 11004)
+	slow, _ := windowRun(t, chunks, 2*time.Millisecond, 0, 2)
+	if !reflect.DeepEqual(fast, slow) {
+		t.Fatalf("a slow drain changed the run:\n  %+v\n  %+v", fast, slow)
+	}
+}
+
 // runStoreBacked runs cfg with a fresh store per run; when twice is true it
 // runs two times and asserts byte-identical results first.
 func runStoreBacked(t *testing.T, cfg mpi.Config, mkStore func() checkpoint.Store, prog mpi.Program, twice bool) *mpi.Result {

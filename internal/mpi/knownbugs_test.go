@@ -28,10 +28,17 @@ import (
 //
 // Measured diagnosis: the rounds do not overlap. Round 0 runs 28–62µs,
 // round 1 runs 122–155µs, and round 2 opens at 270µs. All 64 Reports reach
-// round 2's coordinator; it then counts two phase-2 orphans and receives
-// only one OrphanNotification. So this is a HydEE orphan-accounting bug,
-// not a round-machine bug: the hypothesis that round 1's restarted
-// incarnations are re-doomed below their resume clocks is refuted.
+// round 2's coordinator. Round 2 restores cluster 5 at date 24, with ranks
+// 40–43 in phase 3 and ranks 44–47 in phase 2. Rank 48 holds two phase-2
+// orphans from rank 47, at dates 25 and 27, so the coordinator's count of
+// two is correct. Rank 47 suppresses date 25, delivers from rank 46 and
+// then blocks in checkpoint seq 13, as ranks 45 and 46 do: all three wait
+// for markers from ranks 40–44. Ranks 40–43 stay gated until no phase-2
+// orphan is outstanding, and rank 44 waits on rank 43. The date-27 orphan
+// is rank 47's first send after that checkpoint, so its notification
+// never comes. The deadlock is a cycle between Algorithm 4's phase gate
+// and the blocking intra-cluster marker exchange, not an orphan-count
+// error.
 func TestKnownBugSameClusterTwiceDeadlock(t *testing.T) {
 	assign := make([]int, 64)
 	for r := range assign {

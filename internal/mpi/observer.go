@@ -24,7 +24,9 @@ const (
 	// EvRankFinished fires when a rank's program returns successfully.
 	EvRankFinished
 	// EvRecoveryStart fires when a recovery round begins (restart scope
-	// computed, victims being killed).
+	// computed, victims being killed), and again, under the same round
+	// number and with the widened scope, when a failure joins the round
+	// before it launches.
 	EvRecoveryStart
 	// EvRecoveryEnd fires when a recovery round completes.
 	EvRecoveryEnd

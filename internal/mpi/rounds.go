@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"hydee/internal/rollback"
 	"hydee/internal/transport"
@@ -44,6 +43,7 @@ const (
 	actRevive                     // Network.RestartAt(recovery endpoint, vt)
 	actQuiesce                    // Network.Quiesce(id)
 	actKillService                // Network.KillService(recovery endpoint)
+	actTurn                       // Network.AwaitTurn(recovery endpoint, vt), then evTurn
 	actLaunch                     // kill, restore and restart the scope; spawn the coordinator
 	actEmit                       // observer event
 	actRecord                     // a finished round's stats join the result
@@ -53,15 +53,13 @@ const (
 type action struct {
 	kind  actKind
 	id    int                    // doom, quiesce: the endpoint
-	vt    vtime.Time             // doom: the fence; attach, revive, launch: the round's start
+	vt    vtime.Time             // doom: the fence; attach, revive, turn, launch: the round's start
 	ev    Event                  // emit
 	stats rollback.RecoveryStats // record
 	err   error                  // fail
-	// launch: the round, its per-cluster fences, and the dooms that put
-	// still-queued failures' fences back on restarted ranks.
+	// launch: the round and its per-cluster fences.
 	info   rollback.RoundInfo
 	fences map[int]vtime.Time
-	redoom []action
 }
 
 // stepError reports an input the machine has no cell for in its phase: a
@@ -97,8 +95,12 @@ type machine struct {
 	drain map[int]bool
 	// startVT is where the round's restores and coordinator start (see open).
 	startVT vtime.Time
-	// pending holds failures queued behind the round in flight, ordered by
-	// (detection VT, first victim); empty whenever the phase is idle.
+	// asking marks a turn request in flight; granted, that the recovery
+	// endpoint holds the turn at startVT (see launchIfDrained).
+	asking, granted bool
+	// pending holds failures queued behind a launched round, in admission
+	// order, which is (detection VT, first victim) order; empty unless the
+	// phase is recovering or superseded.
 	pending []procEvent
 
 	finished []bool
@@ -127,9 +129,7 @@ func newMachine(np int, prot rollback.Protocol, topo *rollback.Topology, minLat 
 }
 
 // done reports that every rank finished and no round is active or queued.
-func (m *machine) done() bool {
-	return m.finCount == m.np && m.phase == phIdle && len(m.pending) == 0
-}
+func (m *machine) done() bool { return m.finCount == m.np && m.phase == phIdle }
 
 // round is the number of the round in flight, -1 when idle.
 func (m *machine) round() int {
@@ -140,9 +140,9 @@ func (m *machine) round() int {
 }
 
 // starvable reports whether a queued failure could be starving the round
-// in flight: only then does the probe need the plane's answer. Failures
-// are admitted in virtual-time order, so a queued one never blocks a
-// drain; only a launched round's coordinator can starve.
+// in flight: only then does the probe need the plane's answer. A failure
+// admitted while a round drains joins it, so only a launched round has a
+// queue, and only its coordinator can starve.
 func (m *machine) starvable() bool { return m.phase == phRecovering && len(m.pending) > 0 }
 
 // parked is how many goroutines must be parked for the plane to be stuck.
@@ -179,6 +179,8 @@ func (m *machine) step(in input) []action {
 		m.died(in)
 	case evRecoveryDone:
 		m.recoveryDone(in)
+	case evTurn:
+		m.turn(in)
 	case evProbe:
 		m.probe(in)
 	}
@@ -192,29 +194,20 @@ func (m *machine) failed(ev procEvent) {
 			fmt.Errorf("protocol %q cannot tolerate the injected failure of ranks %v", m.prot.Name(), ev.ranks))
 		return
 	}
-	m.pending = insertPending(m.pending, ev)
-	if m.phase == phIdle {
+	m.pending = append(m.pending, ev)
+	if m.phase == phIdle || m.phase == phDraining {
 		m.open(0)
 		return
 	}
-	// Queued behind the round in flight, but fenced now, on every scope
+	// Queued behind the launched round, but fenced now, on every scope
 	// member — ranks shared with the active round included: their current
 	// incarnation stops at the new detection time. Nothing above ev.vt plus
 	// one hop has been admitted yet (the victim's un-quiesced endpoint still
 	// froze the plane when this event was emitted), so the cut is a pure
 	// function of virtual time.
-	m.acts = m.queuedDooms(m.acts, ev, nil)
-}
-
-// queuedDooms appends the dooms a queued failure declares at its detection
-// time: on its whole restart scope, or only on the members within a round.
-func (m *machine) queuedDooms(dst []action, pf procEvent, within *rollback.RoundInfo) []action {
-	for _, r := range m.prot.RestartScope(m.topo, pf.ranks) {
-		if within == nil || within.Includes(r) {
-			dst = append(dst, action{kind: actDoom, id: r, vt: pf.vt})
-		}
+	for _, r := range m.prot.RestartScope(m.topo, ev.ranks) {
+		m.act(action{kind: actDoom, id: r, vt: ev.vt})
 	}
-	return dst
 }
 
 // died: the goroutine has unwound, so nothing at or below its fence remains
@@ -253,9 +246,9 @@ func (m *machine) recoveryDone(in input) {
 		m.emit(Event{Kind: EvRecoveryEnd, Rank: -1, Round: in.stats.Round, VT: in.stats.EndVT, Stats: &in.stats})
 		m.act(action{kind: actRecord, stats: in.stats})
 		if len(m.pending) > 0 {
-			// Chain the queued round directly behind the one that just
-			// ended: the recovery endpoint stays attached throughout, with
-			// no unconstrained window in between.
+			// Chain one round of every queued failure directly behind the
+			// one that just ended: the recovery endpoint stays attached
+			// throughout, with no unconstrained window in between.
 			m.open(in.stats.EndVT)
 		} else {
 			// No round follows: detach the recovery endpoint, which falls
@@ -286,63 +279,67 @@ func (m *machine) probe(in input) {
 }
 
 // open is the declare step of the three-step virtual-time kill protocol
-// and the only way a round starts; which way depends on the phase it is
-// called in. It settles scope, fences and start time, attaches the
-// recovery endpoint, dooms the newly covered ranks at their fences
+// and the only place queued failures become part of a round: every open
+// takes the whole queue. It settles scope, fences and start time, attaches
+// the recovery endpoint, dooms the newly covered ranks at their fences
 // (deliveries and checkpoint writes at or below a fence complete; anything
-// later is cancelled deterministically) and leaves the round draining — or
-// launches it, if the scope already unwound. The round starts one network
-// hop after its detection and no earlier than one hop after `after` (the
-// previous round's end when chained, MaxFrontier when merged), so no stamp
-// it produces undercuts a delivery already admitted.
+// later is cancelled deterministically) and leaves the round draining.
+// Each cluster is fenced at the earliest detection covering it. A round
+// starts one network hop after its latest detection and no earlier than
+// `floor`: one hop after the previous round's end when chained, after
+// MaxFrontier when merged. So no stamp it produces undercuts a delivery
+// already admitted, and its clusters resume past their fences.
+//
+// A failure admitted while the round drains joins it, under the same
+// number. Its admission turn sorted before the recovery endpoint's bound,
+// the round's start, so its detection is at or below the start, and the
+// round launches only once the endpoint holds the turn at its start (see
+// launchIfDrained): whether a failure joins is a function of virtual
+// time. A join detected less than a hop before the start moves the start
+// one hop past it, so the endpoint's bound never holds the new fence's
+// drain.
 func (m *machine) open(after vtime.Time) {
-	attach, floor := actAttach, after.Add(m.minLat)
+	joined, start := m.phase == phDraining, m.startVT
+	endpoint, floor := action{kind: actAttach}, after.Add(m.minLat)
 	switch m.phase {
 	case phIdle, phRecovering:
-		// Plain (or chained) round: the head of the queue, every cluster
-		// fenced at the one detection time.
-		head := m.pending[0]
-		m.pending = m.pending[1:]
-		scope := m.prot.RestartScope(m.topo, head.ranks)
-		m.info = rollback.RoundInfo{
-			Round:          m.nextRound,
-			FailedClusters: m.topo.ClustersOf(scope),
-			RolledBack:     append([]int(nil), scope...),
-			DetectVT:       head.vt,
-		}
+		m.info = rollback.RoundInfo{Round: m.nextRound, DetectVT: m.pending[0].vt}
 		m.nextRound++
 		clear(m.fences)
-		for _, c := range m.info.FailedClusters {
-			m.fences[c] = head.vt
-		}
-		m.startVT = max(head.vt.Add(m.minLat), floor)
+	case phDraining:
+		floor = m.startVT
 	case phSuperseded:
 		// Merged round: a fresh number, since the old RoundStart was
-		// broadcast, for the union of the old scope and the queue. The old
-		// scope's restarted incarnations, doomed below their resume clocks,
-		// die at their first wait, so the merged scope drains through the
-		// ordinary kill machinery. They still read the old scope slice: copy.
-		m.info = rollback.RoundInfo{
-			Round:      m.nextRound,
-			RolledBack: append([]int(nil), m.info.RolledBack...),
-			DetectVT:   m.info.DetectVT,
-		}
+		// broadcast, for the union of the old scope and the queue, each old
+		// fence kept. The old scope's restarted incarnations, doomed below
+		// their resume clocks, die at their first wait, so the merged scope
+		// drains through the ordinary kill machinery.
+		m.info.Round = m.nextRound
 		m.nextRound++
-		m.absorbPending()
-		m.startVT = floor
-		attach = actRevive // KillService left the endpoint dead
+		endpoint.kind = actRevive // KillService left the endpoint dead
 	}
+	m.startVT = max(m.pending[len(m.pending)-1].vt.Add(m.minLat), floor)
+	doom := m.absorbPending()
 	m.phase = phDraining
 	m.emit(Event{Kind: EvRecoveryStart, Rank: -1, Round: m.info.Round, Ranks: m.info.RolledBack, VT: m.info.DetectVT})
-	// Attach the recovery endpoint before the first doom: from the moment
-	// the scope's frontiers stop constraining the delivery gate, the
-	// recovery actor's must, or survivors could deliver post-detection
-	// stamps the round has yet to undercut. It attaches at the round's
-	// start, where its control traffic is stamped, not at the fence — so
-	// its own bound never holds doomed peers' drain at the fence itself.
-	// AttachAt (not Publish): the start may precede the previous round's end.
-	m.act(action{kind: attach, vt: m.startVT})
-	for _, r := range m.info.RolledBack {
+	// The endpoint attaches before the first doom: from the moment the
+	// scope's frontiers stop constraining the delivery gate, the recovery
+	// actor's must, or survivors could deliver post-detection stamps the
+	// round has yet to undercut. It attaches at the round's start, where
+	// its control traffic is stamped, not at the fence — so its own bound
+	// never holds doomed peers' drain at the fence itself. AttachAt (not
+	// Publish): the start may precede the previous round's end.
+	if !joined || m.startVT != start {
+		m.granted = false
+		endpoint.vt = m.startVT
+		m.act(endpoint)
+	}
+	// A join dooms only the ranks it added: members that already unwound
+	// must not re-enter the drain set.
+	if !joined {
+		doom = m.info.RolledBack
+	}
+	for _, r := range doom {
 		m.act(action{kind: actDoom, id: r, vt: m.fences[m.topo.ClusterOf[r]]})
 		if m.finished[r] {
 			m.finished[r] = false
@@ -360,32 +357,45 @@ func (m *machine) open(after vtime.Time) {
 	}
 }
 
-// launchIfDrained triggers the kill step: once every doomed goroutine has
-// unwound, the kills — incarnation bumps and mailbox wipes — happen at a
-// deterministic point of the virtual execution, and the restore can begin.
+// launchIfDrained triggers the kill step once every doomed goroutine has
+// unwound and the recovery endpoint holds the turn at the round's start.
+// The turn is granted only when no process can still act at or below the
+// start, so every failure that could join the round has joined: no queued
+// fence ever needs restoring on the restarted ranks. The kills —
+// incarnation bumps and mailbox wipes — then happen at a deterministic
+// point of the virtual execution, and the restore can begin.
 func (m *machine) launchIfDrained() {
-	if len(m.drain) > 0 {
-		return
+	switch {
+	case len(m.drain) > 0 || m.asking:
+	case !m.granted:
+		m.asking = true
+		m.act(action{kind: actTurn, vt: m.startVT})
+	default:
+		m.phase = phRecovering
+		m.procs += len(m.info.RolledBack)
+		m.coords = 1
+		m.act(action{kind: actLaunch, vt: m.startVT, info: m.info, fences: m.fences})
 	}
-	m.phase = phRecovering
-	m.procs += len(m.info.RolledBack)
-	m.coords = 1
-	// A queued overlapping failure's fence must survive the kill/restart
-	// cycle: Kill and RestartAt clear it, so a restarted rank it covers is
-	// re-doomed before its goroutine starts. A fence below the restart
-	// clock just means the incarnation dies at its first wait, after its
-	// (non-blocking) OnRestore notifications went out.
-	var redoom []action
-	for _, pf := range m.pending {
-		redoom = m.queuedDooms(redoom, pf, &m.info)
-	}
-	m.act(action{kind: actLaunch, vt: m.startVT, info: m.info, fences: m.fences, redoom: redoom})
 }
 
-// absorbPending folds every queued failure into the round: scope members
-// are added and each affected cluster's fence drops to the earliest
-// detection covering it. It empties the queue.
-func (m *machine) absorbPending() {
+// turn: the recovery endpoint holds the turn it asked for. A grant for a
+// start a later join moved is stale; launchIfDrained asks again.
+func (m *machine) turn(in input) {
+	if m.phase != phDraining {
+		m.impossible(in)
+		return
+	}
+	m.asking = false
+	m.granted = in.vt == m.startVT
+	m.launchIfDrained()
+}
+
+// absorbPending folds every queued failure into the round, empties the
+// queue and returns the ranks it added to the scope. Each affected
+// cluster's fence drops to the earliest detection covering it. The scope
+// is a fresh slice: emitted events and restarted incarnations may still
+// hold the old one.
+func (m *machine) absorbPending() (added []int) {
 	for _, ev := range m.pending {
 		m.info.DetectVT = min(m.info.DetectVT, ev.vt) // stays the earliest fence
 		for _, r := range m.prot.RestartScope(m.topo, ev.ranks) {
@@ -393,25 +403,16 @@ func (m *machine) absorbPending() {
 			if f, ok := m.fences[c]; !ok || ev.vt < f {
 				m.fences[c] = ev.vt
 			}
-			if !m.info.Includes(r) {
-				m.info.RolledBack = append(m.info.RolledBack, r)
+			if !m.info.Includes(r) && !slices.Contains(added, r) {
+				added = append(added, r)
 			}
 		}
 	}
 	m.pending = m.pending[:0]
-	sort.Ints(m.info.RolledBack)
+	m.info.RolledBack = slices.Concat(m.info.RolledBack, added)
+	slices.Sort(m.info.RolledBack)
 	m.info.FailedClusters = m.topo.ClustersOf(m.info.RolledBack)
-}
-
-// insertPending inserts ev keeping the queue ordered by (detection VT,
-// first victim): queued failure rounds begin in virtual-time order, not in
-// the real-time order their evFail events happened to reach the
-// supervisor's channel.
-func insertPending(q []procEvent, ev procEvent) []procEvent {
-	i := sort.Search(len(q), func(i int) bool {
-		return q[i].vt > ev.vt || (q[i].vt == ev.vt && q[i].ranks[0] > ev.ranks[0])
-	})
-	return slices.Insert(q, i, ev)
+	return added
 }
 
 // String is the deadlock report's account of what the supervisor waits for.
@@ -421,6 +422,9 @@ func (m *machine) String() string {
 	if m.phase != phIdle {
 		s += fmt.Sprintf("; round %d scope %v waiting on deaths %v, fences %v, start %v",
 			m.info.Round, m.info.RolledBack, m.drain, m.fences, m.startVT)
+		if m.asking {
+			s += " and the turn there"
+		}
 	}
 	return s
 }

@@ -7,9 +7,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"hydee/internal/core"
@@ -36,9 +34,11 @@ func fmtAction(a action) string {
 		return fmt.Sprintf("quiesce %d", a.id)
 	case actKillService:
 		return "kill-service"
+	case actTurn:
+		return fmt.Sprintf("turn@%d", int64(a.vt))
 	case actLaunch:
-		return fmt.Sprintf("launch round %d scope %v clusters %v detect %d fences %v start %d redoom %v",
-			a.info.Round, a.info.RolledBack, a.info.FailedClusters, int64(a.info.DetectVT), a.fences, int64(a.vt), fmtActions(a.redoom))
+		return fmt.Sprintf("launch round %d scope %v clusters %v detect %d fences %v start %d",
+			a.info.Round, a.info.RolledBack, a.info.FailedClusters, int64(a.info.DetectVT), a.fences, int64(a.vt))
 	case actEmit:
 		s := fmt.Sprintf("emit %v round %d rank %d ranks %v vt %d", a.ev.Kind, a.ev.Round, a.ev.Rank, a.ev.Ranks, int64(a.ev.VT))
 		if a.ev.Stats != nil {
@@ -87,37 +87,41 @@ func doneIn(round int, end, maxFrontier vtime.Time, err error) input {
 	return input{procEvent: procEvent{kind: evRecoveryDone, err: err,
 		stats: rollback.RecoveryStats{Round: round, RolledBack: 2, StartVT: 100, EndVT: end}}, maxFrontier: maxFrontier}
 }
+func turnIn(vt vtime.Time) input { return input{procEvent: procEvent{kind: evTurn, vt: vt}} }
 func probeIn(quiescent bool) input {
 	return input{procEvent: procEvent{kind: evProbe}, quiescent: quiescent}
 }
 
 // fixture steps a fresh machine into ph: round 0 rolls back cluster 1
-// (ranks 2, 3) fenced at 100; with pending, a failure of rank 4 detected at
-// 150 is queued behind it. Superseded implies a queued failure and idle
-// implies none; the two cells that say otherwise edit the queue directly.
+// (ranks 2, 3) fenced at 100 and starts at 101; with pending, a failure of
+// rank 4 detected at 150 is queued behind the launched round. Superseded
+// implies a queued failure, and idle and draining imply none (a failure
+// admitted while a round drains joins it); the cells that say otherwise
+// edit the queue directly.
 func fixture(t *testing.T, ph phase, pending bool) *machine {
 	t.Helper()
 	m := newTestMachine(core.New(), 3)
-	if ph == phIdle {
+	queued := failIn(150, 4)
+	if ph != phIdle {
+		expect(t, m, failIn(100, 2), phDraining,
+			"emit failure round -1 rank -1 ranks [2] vt 100",
+			"emit recovery-start round 0 rank -1 ranks [2 3] vt 100",
+			"attach@101", "doom 2@100", "doom 3@100")
+	}
+	if ph == phIdle || ph == phDraining {
 		if pending {
-			m.pending = insertPending(m.pending, failIn(150, 4).procEvent)
+			m.pending = append(m.pending, queued.procEvent)
 		}
 		return m
 	}
-	expect(t, m, failIn(100, 2), phDraining,
-		"emit failure round -1 rank -1 ranks [2] vt 100",
-		"emit recovery-start round 0 rank -1 ranks [2 3] vt 100",
-		"attach@101", "doom 2@100", "doom 3@100")
+	expect(t, m, diedIn(2), phDraining, "quiesce 2")
+	expect(t, m, diedIn(3), phDraining, "quiesce 3", "turn@101")
+	expect(t, m, turnIn(101), phRecovering,
+		"launch round 0 scope [2 3] clusters [1] detect 100 fences map[1:100ns] start 101")
 	if pending || ph == phSuperseded {
-		expect(t, m, failIn(150, 4), phDraining,
+		expect(t, m, queued, phRecovering,
 			"emit failure round -1 rank -1 ranks [4] vt 150", "doom 4@150", "doom 5@150")
 	}
-	if ph == phDraining {
-		return m
-	}
-	expect(t, m, diedIn(2), phDraining, "quiesce 2")
-	expect(t, m, diedIn(3), phRecovering, "quiesce 3",
-		"launch round 0 scope [2 3] clusters [1] detect 100 fences map[1:100ns] start 101 redoom []")
 	if ph == phSuperseded {
 		expect(t, m, probeIn(true), phSuperseded, "kill-service")
 		if !pending {
@@ -129,7 +133,7 @@ func fixture(t *testing.T, ph phase, pending bool) *machine {
 
 var errBoom = errors.New("boom")
 
-// The eleven input classes of the phase × input table.
+// The twelve input classes of the phase × input table.
 var inputClasses = []struct {
 	name    string
 	pending bool // the fixture has a queued failure
@@ -138,11 +142,12 @@ var inputClasses = []struct {
 	{"finished", false, finishedIn(0, 7)},
 	{"died-in-drain-set", false, diedIn(2)},
 	{"died-outside", false, diedIn(0)},
-	{"fail", false, failIn(160, 0)},
+	{"fail", false, failIn(100, 0)},
 	{"fatal", false, input{procEvent: procEvent{kind: evFatal, rank: 1, vt: 9, err: errBoom}}},
 	{"recovery-done ok", false, doneIn(0, 140, 500, nil)},
 	{"recovery-done ErrKilled", false, doneIn(0, 140, 500, fmt.Errorf("recv: %w", transport.ErrKilled))},
 	{"recovery-done error", false, doneIn(0, 140, 500, errBoom)},
+	{"turn", false, turnIn(101)},
 	{"probe busy", true, probeIn(false)},
 	{"probe quiescent, pending", true, probeIn(true)},
 	{"probe quiescent, nothing pending", false, probeIn(true)},
@@ -154,9 +159,11 @@ type cell struct {
 }
 
 // impossibleCells lists the cells no execution reaches: no coordinator runs
-// before a launch, the drain set is empty outside the draining phase, and
-// failures are admitted in virtual-time order, so a queued failure never
-// starves a drain (the driver does not ask the plane while draining).
+// before a launch, the drain set is empty outside the draining phase, only
+// a draining round asks for the turn and no request is in flight at its
+// launch, and a failure admitted while a round drains joins it, so nothing
+// is queued that could starve a drain (the driver does not ask the plane
+// while draining).
 var impossibleCells = map[cell]bool{
 	{phIdle, "died-in-drain-set"}:            true,
 	{phRecovering, "died-in-drain-set"}:      true,
@@ -168,6 +175,9 @@ var impossibleCells = map[cell]bool{
 	{phDraining, "recovery-done ErrKilled"}:  true,
 	{phDraining, "recovery-done error"}:      true,
 	{phDraining, "probe quiescent, pending"}: true,
+	{phIdle, "turn"}:                         true,
+	{phRecovering, "turn"}:                   true,
+	{phSuperseded, "turn"}:                   true,
 }
 
 // cellRows is the phase × input table: the next phase and the exact action
@@ -181,9 +191,9 @@ var cellRows = map[cell]struct {
 	{phIdle, "finished"}:     {phIdle, []string{"emit rank-finished round -1 rank 0 ranks [] vt 7"}},
 	{phIdle, "died-outside"}: {phIdle, []string{"quiesce 0"}},
 	{phIdle, "fail"}: {phDraining, []string{
-		"emit failure round -1 rank -1 ranks [0] vt 160",
-		"emit recovery-start round 0 rank -1 ranks [0 1] vt 160",
-		"attach@161", "doom 0@160", "doom 1@160"}},
+		"emit failure round -1 rank -1 ranks [0] vt 100",
+		"emit recovery-start round 0 rank -1 ranks [0 1] vt 100",
+		"attach@101", "doom 0@100", "doom 1@100"}},
 	{phIdle, "fatal"}:      {phIdle, []string{"fail mpi: program rank 1: boom"}},
 	{phIdle, "probe busy"}: {phIdle, nil},
 	// The queue is empty whenever the phase is idle; the driver does not
@@ -195,9 +205,16 @@ var cellRows = map[cell]struct {
 	{phDraining, "finished"}:          {phDraining, []string{"emit rank-finished round 0 rank 0 ranks [] vt 7"}},
 	{phDraining, "died-in-drain-set"}: {phDraining, []string{"quiesce 2"}}, // the last death launches: see the scenarios
 	{phDraining, "died-outside"}:      {phDraining, []string{"quiesce 0"}},
+	// A join: same round, same start, the widened scope announced again
+	// and only the new cluster doomed, at its own detection time.
 	{phDraining, "fail"}: {phDraining, []string{
-		"emit failure round -1 rank -1 ranks [0] vt 160", "doom 0@160", "doom 1@160"}},
-	{phDraining, "fatal"}:                            {phDraining, []string{"fail mpi: program rank 1 round 0: boom"}},
+		"emit failure round -1 rank -1 ranks [0] vt 100",
+		"emit recovery-start round 0 rank -1 ranks [0 1 2 3] vt 100",
+		"doom 0@100", "doom 1@100"}},
+	{phDraining, "fatal"}: {phDraining, []string{"fail mpi: program rank 1 round 0: boom"}},
+	// The turn is granted, but ranks 2 and 3 still drain (a join after the
+	// request): the last death launches.
+	{phDraining, "turn"}:                             {phDraining, nil},
 	{phDraining, "probe busy"}:                       {phDraining, nil},
 	{phDraining, "probe quiescent, nothing pending"}: {phDraining, nil},
 
@@ -205,7 +222,7 @@ var cellRows = map[cell]struct {
 	{phRecovering, "finished"}:     {phRecovering, []string{"emit rank-finished round 0 rank 0 ranks [] vt 7"}},
 	{phRecovering, "died-outside"}: {phRecovering, []string{"quiesce 0"}},
 	{phRecovering, "fail"}: {phRecovering, []string{
-		"emit failure round -1 rank -1 ranks [0] vt 160", "doom 0@160", "doom 1@160"}},
+		"emit failure round -1 rank -1 ranks [0] vt 100", "doom 0@100", "doom 1@100"}},
 	{phRecovering, "fatal"}: {phRecovering, []string{"fail mpi: program rank 1 round 0: boom"}},
 	{phRecovering, "recovery-done ok"}: {phIdle, []string{
 		"emit recovery-end round 0 rank -1 ranks [] vt 140 stats {Round:0 RolledBack:2 Orphans:0 StartVT:100ns EndVT:140ns CtlMsgs:0}",
@@ -223,7 +240,7 @@ var cellRows = map[cell]struct {
 	{phSuperseded, "finished"}:     {phSuperseded, []string{"emit rank-finished round 0 rank 0 ranks [] vt 7"}},
 	{phSuperseded, "died-outside"}: {phSuperseded, []string{"quiesce 0"}},
 	{phSuperseded, "fail"}: {phSuperseded, []string{
-		"emit failure round -1 rank -1 ranks [0] vt 160", "doom 0@160", "doom 1@160"}},
+		"emit failure round -1 rank -1 ranks [0] vt 100", "doom 0@100", "doom 1@100"}},
 	{phSuperseded, "fatal"}: {phSuperseded, []string{"fail mpi: program rank 1 round 0: boom"}},
 	// A coordinator that completed just as it was killed is merged all the same.
 	{phSuperseded, "recovery-done ok"}:        {phDraining, mergedActions},
@@ -309,8 +326,9 @@ func TestMachinePlainRound(t *testing.T) {
 	}
 	expect(t, m, diedIn(2), phDraining, "quiesce 2")
 	expect(t, m, finishedIn(0, 120), phDraining, "emit rank-finished round 0 rank 0 ranks [] vt 120")
-	expect(t, m, diedIn(3), phRecovering, "quiesce 3",
-		"launch round 0 scope [2 3] clusters [1] detect 100 fences map[1:100ns] start 101 redoom []")
+	expect(t, m, diedIn(3), phDraining, "quiesce 3", "turn@101")
+	expect(t, m, turnIn(101), phRecovering,
+		"launch round 0 scope [2 3] clusters [1] detect 100 fences map[1:100ns] start 101")
 	if m.parked() != 7 {
 		t.Fatalf("parked %d, want 6 processes + 1 coordinator", m.parked())
 	}
@@ -329,48 +347,97 @@ func TestMachineTwoVictimsOneEvent(t *testing.T) {
 	for _, r := range []int{4, 2, 5} {
 		expect(t, m, diedIn(r), phDraining, fmt.Sprintf("quiesce %d", r))
 	}
-	expect(t, m, diedIn(3), phRecovering, "quiesce 3",
-		"launch round 0 scope [2 3 4 5] clusters [1 2] detect 100 fences map[1:100ns 2:100ns] start 101 redoom []")
+	expect(t, m, diedIn(3), phDraining, "quiesce 3", "turn@101")
+	expect(t, m, turnIn(101), phRecovering,
+		"launch round 0 scope [2 3 4 5] clusters [1 2] detect 100 fences map[1:100ns 2:100ns] start 101")
 }
 
-// A failure queued behind a recovering round chains directly behind it:
-// the next round starts one hop after the previous round's end. Rank 4
-// unwound while queued (deadEarly) and never enters the drain set.
+// Failures queued behind a recovering round chain directly behind it, all
+// in one round: each cluster fenced at its own detection, the start one
+// hop after the latest detection and no earlier than one hop after the
+// previous round's end. Rank 4 unwound while queued (deadEarly) and never
+// enters the drain set.
 func TestMachineChainedRoundAndDeadEarly(t *testing.T) {
 	m := fixture(t, phRecovering, false)
 	expect(t, m, failIn(120, 4), phRecovering,
 		"emit failure round -1 rank -1 ranks [4] vt 120", "doom 4@120", "doom 5@120")
 	expect(t, m, diedIn(4), phRecovering, "quiesce 4")
+	expect(t, m, failIn(180, 0), phRecovering,
+		"emit failure round -1 rank -1 ranks [0] vt 180", "doom 0@180", "doom 1@180")
 	expect(t, m, doneIn(0, 140, 500, nil), phDraining,
 		"emit recovery-end round 0 rank -1 ranks [] vt 140 stats {Round:0 RolledBack:2 Orphans:0 StartVT:100ns EndVT:140ns CtlMsgs:0}",
 		"record round 0",
-		"emit recovery-start round 1 rank -1 ranks [4 5] vt 120",
-		"attach@141", "doom 4@120", "doom 5@120")
-	if len(m.drain) != 1 || !m.drain[5] || len(m.deadEarly) != 0 {
-		t.Fatalf("drain %v deadEarly %v, want only rank 5 draining", m.drain, m.deadEarly)
+		"emit recovery-start round 1 rank -1 ranks [0 1 4 5] vt 120",
+		"attach@181", "doom 0@180", "doom 1@180", "doom 4@120", "doom 5@120")
+	if len(m.drain) != 3 || m.drain[4] || len(m.deadEarly) != 0 || len(m.pending) != 0 {
+		t.Fatalf("drain %v deadEarly %v pending %v, want ranks 0, 1 and 5 draining and nothing queued",
+			m.drain, m.deadEarly, m.pending)
 	}
-	expect(t, m, diedIn(5), phRecovering, "quiesce 5",
-		"launch round 1 scope [4 5] clusters [2] detect 120 fences map[2:120ns] start 141 redoom []")
+	m.step(diedIn(0))
+	m.step(diedIn(1))
+	expect(t, m, diedIn(5), phDraining, "quiesce 5", "turn@181")
+	expect(t, m, turnIn(181), phRecovering,
+		"launch round 1 scope [0 1 4 5] clusters [0 2] detect 120 fences map[0:180ns 2:120ns] start 181")
 }
 
-// A whole scope that unwound while queued launches in the step that opens it.
+// A whole scope that unwound while queued asks for the turn in the step
+// that opens it, and launches at the turn: there is nothing to drain.
 func TestMachineChainedRoundLaunchesAtOnce(t *testing.T) {
 	m := fixture(t, phRecovering, true)
 	m.step(diedIn(4))
 	m.step(diedIn(5))
-	expect(t, m, doneIn(0, 200, 500, nil), phRecovering,
+	expect(t, m, doneIn(0, 200, 500, nil), phDraining,
 		"emit recovery-end round 0 rank -1 ranks [] vt 200 stats {Round:0 RolledBack:2 Orphans:0 StartVT:100ns EndVT:200ns CtlMsgs:0}",
 		"record round 0",
 		"emit recovery-start round 1 rank -1 ranks [4 5] vt 150",
-		"attach@201", "doom 4@150", "doom 5@150",
-		"launch round 1 scope [4 5] clusters [2] detect 150 fences map[2:150ns] start 201 redoom []")
+		"attach@201", "doom 4@150", "doom 5@150", "turn@201")
+	expect(t, m, turnIn(201), phRecovering,
+		"launch round 1 scope [4 5] clusters [2] detect 150 fences map[2:150ns] start 201")
+}
+
+// A failure admitted while a round drains joins it under the same number.
+// A same-cluster failure at the same detection time adds nothing, and rank
+// 2, which already unwound, does not re-enter the drain set. A failure of
+// another cluster, detected at the round's start while the turn is asked
+// for, is fenced at its own detection, dooms only that cluster (finished
+// ranks included) and moves the start one hop past it: the grant for the
+// old start is stale, and the turn is asked for again once the new
+// cluster drained. The queue stays empty throughout.
+func TestMachineJoin(t *testing.T) {
+	m := newTestMachine(core.New(), 3)
+	expect(t, m, finishedIn(5, 90), phIdle, "emit rank-finished round -1 rank 5 ranks [] vt 90")
+	expect(t, m, failIn(100, 2), phDraining,
+		"emit failure round -1 rank -1 ranks [2] vt 100",
+		"emit recovery-start round 0 rank -1 ranks [2 3] vt 100",
+		"attach@101", "doom 2@100", "doom 3@100")
+	expect(t, m, diedIn(2), phDraining, "quiesce 2")
+	expect(t, m, failIn(100, 3), phDraining,
+		"emit failure round -1 rank -1 ranks [3] vt 100",
+		"emit recovery-start round 0 rank -1 ranks [2 3] vt 100")
+	if len(m.drain) != 1 || !m.drain[3] {
+		t.Fatalf("drain %v, want only rank 3", m.drain)
+	}
+	expect(t, m, diedIn(3), phDraining, "quiesce 3", "turn@101")
+	expect(t, m, failIn(101, 4), phDraining,
+		"emit failure round -1 rank -1 ranks [4] vt 101",
+		"emit recovery-start round 0 rank -1 ranks [2 3 4 5] vt 100",
+		"attach@102", "doom 4@101", "doom 5@101")
+	if m.finCount != 0 || len(m.pending) != 0 {
+		t.Fatalf("finished %d pending %v, want rank 5 un-finished and nothing queued", m.finCount, m.pending)
+	}
+	expect(t, m, turnIn(101), phDraining)
+	expect(t, m, diedIn(4), phDraining, "quiesce 4")
+	expect(t, m, diedIn(5), phDraining, "quiesce 5", "turn@102")
+	expect(t, m, turnIn(102), phRecovering,
+		"launch round 0 scope [2 3 4 5] clusters [1 2] detect 100 fences map[1:100ns 2:101ns] start 102")
 }
 
 // The same cluster fails again mid-recovery: the starved round is
-// superseded, and the merged round — fresh number, union scope, revive one
-// hop past MaxFrontier — re-dooms restarted ranks a later queued failure
-// still covers.
-func TestMachineSupersededMergedAndRedoom(t *testing.T) {
+// superseded by a merged round — fresh number, union scope, each cluster
+// at its earliest fence, revive one hop past MaxFrontier — and a failure
+// admitted while the merged round drains joins it. The launch needs no
+// queued fence put back: the queue is empty.
+func TestMachineSupersededMergedAndJoined(t *testing.T) {
 	m := fixture(t, phRecovering, false)
 	expect(t, m, failIn(130, 3), phRecovering,
 		"emit failure round -1 rank -1 ranks [3] vt 130", "doom 2@130", "doom 3@130")
@@ -379,11 +446,15 @@ func TestMachineSupersededMergedAndRedoom(t *testing.T) {
 	expect(t, m, doneIn(0, 0, 500, transport.ErrKilled), phDraining,
 		"emit recovery-start round 1 rank -1 ranks [2 3] vt 100",
 		"revive@501", "doom 2@100", "doom 3@100")
-	expect(t, m, failIn(600, 0, 2), phDraining,
-		"emit failure round -1 rank -1 ranks [0 2] vt 600",
-		"doom 0@600", "doom 1@600", "doom 2@600", "doom 3@600")
-	expect(t, m, diedIn(2), phRecovering, "quiesce 2",
-		"launch round 1 scope [2 3] clusters [1] detect 100 fences map[1:100ns] start 501 redoom [doom 2@600 doom 3@600]")
+	expect(t, m, failIn(500, 0), phDraining,
+		"emit failure round -1 rank -1 ranks [0] vt 500",
+		"emit recovery-start round 1 rank -1 ranks [0 1 2 3] vt 100",
+		"doom 0@500", "doom 1@500")
+	m.step(diedIn(0))
+	m.step(diedIn(1))
+	expect(t, m, diedIn(2), phDraining, "quiesce 2", "turn@501")
+	expect(t, m, turnIn(501), phRecovering,
+		"launch round 1 scope [0 1 2 3] clusters [0 1] detect 100 fences map[0:500ns 1:100ns] start 501")
 }
 
 // The runaway cap is the schedule's event count plus two: the round opened
@@ -404,6 +475,7 @@ func TestMachineRoundCapFromSchedule(t *testing.T) {
 				}
 				m.step(diedIn(2))
 				m.step(diedIn(3))
+				m.step(turnIn(vt + 1))
 				m.step(doneIn(i, vt+40, 0, nil))
 				continue
 			}
@@ -424,11 +496,23 @@ func TestMachineIntolerantProtocolFails(t *testing.T) {
 
 // The deadlock report's account of what a round waits for.
 func TestMachineString(t *testing.T) {
-	m := fixture(t, phDraining, true)
+	m := fixture(t, phDraining, false)
 	m.step(diedIn(2))
 	m.step(finishedIn(0, 7))
-	want := "phase draining, 1/6 finished, 5 processes + 0 coordinators live, 1 of at most 5 rounds opened, pending [(150ns [4])]; " +
+	want := "phase draining, 1/6 finished, 5 processes + 0 coordinators live, 1 of at most 5 rounds opened, pending []; " +
 		"round 0 scope [2 3] waiting on deaths map[3:true], fences map[1:100ns], start 101ns"
+	if got := m.String(); got != want {
+		t.Errorf("String\n  got  %s\n  want %s", got, want)
+	}
+	m.step(diedIn(3))
+	want = "phase draining, 1/6 finished, 4 processes + 0 coordinators live, 1 of at most 5 rounds opened, pending []; " +
+		"round 0 scope [2 3] waiting on deaths map[], fences map[1:100ns], start 101ns and the turn there"
+	if got := m.String(); got != want {
+		t.Errorf("String\n  got  %s\n  want %s", got, want)
+	}
+	m = fixture(t, phRecovering, true)
+	want = "phase recovering, 0/6 finished, 6 processes + 1 coordinators live, 1 of at most 5 rounds opened, pending [(150ns [4])]; " +
+		"round 0 scope [2 3] waiting on deaths map[], fences map[1:100ns], start 101ns"
 	if got := m.String(); got != want {
 		t.Errorf("String\n  got  %s\n  want %s", got, want)
 	}
@@ -450,35 +534,5 @@ func TestMachineStepDoesNotAllocate(t *testing.T) {
 		m.procs++
 	}); n != 0 {
 		t.Errorf("%v allocations per steady-state step batch, want 0", n)
-	}
-}
-
-// insertPending keeps the queue ordered by (detection VT, first victim)
-// whatever order the failures arrive in.
-func TestInsertPendingOrder(t *testing.T) {
-	var evs []procEvent
-	for vt := 0; vt < 6; vt++ {
-		for rank := 0; rank < 4; rank++ {
-			evs = append(evs, failIn(vtime.Time(10*vt), rank, 9-rank).procEvent)
-		}
-	}
-	key := func(q []procEvent) string {
-		var b strings.Builder
-		for _, ev := range q {
-			fmt.Fprintf(&b, "(%d %d)", int64(ev.vt), ev.ranks[0])
-		}
-		return b.String()
-	}
-	want := key(evs)
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 200; trial++ {
-		rng.Shuffle(len(evs), func(i, j int) { evs[i], evs[j] = evs[j], evs[i] })
-		var q []procEvent
-		for _, ev := range evs {
-			q = insertPending(q, ev)
-		}
-		if got := key(q); got != want {
-			t.Fatalf("trial %d: queue %s, want %s", trial, got, want)
-		}
 	}
 }

@@ -71,11 +71,12 @@ const (
 	evFail
 	evFatal
 	evRecoveryDone
+	evTurn  // the recovery endpoint holds the turn at vt
 	evProbe // the supervisor's own starvation probe; never travels through evCh
 )
 
 func (k evKind) String() string {
-	return [...]string{"finished", "died", "fail", "fatal", "recovery-done", "probe"}[k]
+	return [...]string{"finished", "died", "fail", "fatal", "recovery-done", "turn", "probe"}[k]
 }
 
 type procEvent struct {
@@ -256,6 +257,15 @@ func (rt *Runtime) apply(m *machine, in input) error {
 			rt.net.Quiesce(a.id)
 		case actKillService:
 			rt.net.KillService(rt.cfg.NP)
+		case actTurn:
+			rt.wg.Add(1)
+			go func(vt vtime.Time) {
+				defer rt.wg.Done()
+				// Refused only once the run aborts: nobody waits then.
+				if rt.net.AwaitTurn(rt.cfg.NP, vt) == nil {
+					rt.event(procEvent{kind: evTurn, vt: vt})
+				}
+			}(a.vt)
 		case actLaunch:
 			if err := rt.launchRound(a); err != nil {
 				return err
@@ -345,11 +355,6 @@ func (rt *Runtime) launchRound(a action) error {
 	// frontier is the rank's resume time: its replays cannot predate it.
 	for i, r := range info.RolledBack {
 		rt.net.RestartAt(r, starts[i])
-	}
-	// Kill and RestartAt cleared the fences queued failures had declared;
-	// put them back before any restarted goroutine runs.
-	for _, d := range a.redoom {
-		rt.net.Doom(d.id, d.vt)
 	}
 	for i, r := range info.RolledBack {
 		rt.startProc(r, snaps[i], &info, starts[i])

@@ -598,9 +598,6 @@ func NewNetwork(np int, model netmodel.Model) *Network {
 	return n
 }
 
-// NP reports the number of application ranks.
-func (n *Network) NP() int { return n.np }
-
 // MinLatency reports the minimum virtual latency of the plane (>= 1ns) —
 // the delivery gate's lookahead. The supervisor stamps a failure round's
 // recovery traffic one such hop after the detection time, so the attached

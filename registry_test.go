@@ -10,10 +10,19 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hydee"
 )
+
+// registered numbers the names tests register. Registries have no
+// unregister, so a test registers fresh names on every run (go test
+// -count=N runs it N times in one process).
+var registered atomic.Int64
+
+// freshName returns base with a suffix no earlier call returned.
+func freshName(base string) string { return fmt.Sprintf("%s-%d", base, registered.Add(1)) }
 
 func TestRegisterCollisionAndEmptyName(t *testing.T) {
 	if err := hydee.RegisterProtocol("", hydee.HydEE); err == nil {
@@ -22,14 +31,15 @@ func TestRegisterCollisionAndEmptyName(t *testing.T) {
 	if err := hydee.RegisterProtocol("   ", hydee.HydEE); err == nil {
 		t.Error("blank protocol name accepted")
 	}
-	if err := hydee.RegisterProtocol("collider", hydee.HydEE); err != nil {
+	collider := freshName("collider")
+	if err := hydee.RegisterProtocol(collider, hydee.HydEE); err != nil {
 		t.Fatal(err)
 	}
 	// Same name again — and case-insensitively — must collide.
-	if err := hydee.RegisterProtocol("collider", hydee.Coordinated); err == nil {
+	if err := hydee.RegisterProtocol(collider, hydee.Coordinated); err == nil {
 		t.Error("duplicate protocol name accepted")
 	}
-	if err := hydee.RegisterProtocol("COLLIDER", hydee.Coordinated); err == nil {
+	if err := hydee.RegisterProtocol(strings.ToUpper(collider), hydee.Coordinated); err == nil {
 		t.Error("case-variant duplicate accepted")
 	}
 	// Builtins and aliases are also protected.
@@ -109,6 +119,7 @@ func TestConcurrentRegistration(t *testing.T) {
 	// name may win, listings must stay snapshot-consistent, and every
 	// winner must be resolvable afterwards. Run with -race.
 	const names, racers = 16, 8
+	prefix := freshName("race-proto")
 	var wg sync.WaitGroup
 	wins := make([][]bool, names)
 	for n := 0; n < names; n++ {
@@ -117,7 +128,7 @@ func TestConcurrentRegistration(t *testing.T) {
 			wg.Add(1)
 			go func(n, g int) {
 				defer wg.Done()
-				name := fmt.Sprintf("race-proto-%d", n)
+				name := fmt.Sprintf("%s-%d", prefix, n)
 				if err := hydee.RegisterProtocol(name, hydee.HydEE); err == nil {
 					wins[n][g] = true
 				}
@@ -139,10 +150,10 @@ func TestConcurrentRegistration(t *testing.T) {
 				won++
 			}
 		}
+		name := fmt.Sprintf("%s-%d", prefix, n)
 		if won != 1 {
-			t.Errorf("name race-proto-%d: %d registrations succeeded, want exactly 1", n, won)
+			t.Errorf("name %s: %d registrations succeeded, want exactly 1", name, won)
 		}
-		name := fmt.Sprintf("race-proto-%d", n)
 		if !listed[name] {
 			t.Errorf("winner %q missing from ProtocolNames", name)
 		}

@@ -114,7 +114,7 @@ func TestEngineReuseWithPinnedStore(t *testing.T) {
 // the previous run's snapshots.
 func TestWithStoreNameFreshPerRun(t *testing.T) {
 	var built []*trackingStore
-	name := "fresh-per-run-test"
+	name := freshName("fresh-per-run-test")
 	if err := hydee.RegisterStore(name, func(o hydee.StoreOptions) (hydee.Store, error) {
 		st := &trackingStore{Store: hydee.NewMemStore(o.WriteBPS, o.ReadBPS)}
 		built = append(built, st)
