@@ -36,12 +36,15 @@ race:
 # second line repeats the multi-failure fence tests whose outcome once
 # followed real-time arrival order (reverse-order detections, overlapping
 # scopes, two failures detected at the same virtual time, a failure
-# joining a round at its start while a slow rank still drains) on one, two
-# and eight cores. One multi-failure schedule still deadlocks (DESIGN.md
-# "Remaining caveat"); `make known-bugs` keeps it reproducible.
+# joining a round at its start while a slow rank still drains, a failure
+# during a recovery round, those scenarios with every coordinator's result
+# delayed in real time, and two checkpoint-triggered failures under all
+# three protocols) on one, two and eight cores. One multi-failure schedule
+# still deadlocks (DESIGN.md "Remaining caveat"); `make known-bugs` keeps
+# it reproducible.
 determinism:
 	$(GO) test -race -count=2 -run 'Reproducible|ByteStable|SchedulingIndependent|AwaitTurn' ./internal/harness/ ./internal/transport/ ./internal/mpi/
-	$(GO) test -cpu 1,2,8 -count=50 -run 'ReverseOrderDetections|OverlappingScope|SameDetection|JoinAtStart' ./internal/mpi/
+	$(GO) test -cpu 1,2,8 -count=50 -run 'ReverseOrderDetections|OverlappingScope|SameDetection|JoinAtStart|FailureDuringRecovery|SlowCoordinatorResult|TwoCheckpointFailuresAllProtocols' ./internal/mpi/
 
 # The multi-failure bug ROADMAP item 1 has to fix (internal/mpi/
 # knownbugs_test.go, build tag knownbugs). The result is INVERTED: exit 0

@@ -172,10 +172,10 @@ func (e *engine) PreSend(m *transport.Msg) (rollback.SendVerdict, error) {
 		// First post-failure send: wait for the recovery process's
 		// release and, if this process rolled back, for every channel
 		// watermark (Algorithm 2 line 8, Algorithm 3 line 18). The wait
-		// also ends when a newer round supersedes this one (a starved
-		// round's coordinator was killed and a merged round took over):
-		// the old release will never come, and the predicate re-anchors
-		// on the new active round.
+		// also ends when a newer round supersedes this one (a queued
+		// failure stopped the round's coordinator at its fence and a
+		// merged round took over): the old release will never come, and
+		// the predicate re-anchors on the new active round.
 		err := e.px.WaitCtl(func() bool {
 			return e.active != rs || (rs.released && (!rs.selfRolled || len(rs.needWatermark) == 0))
 		})

@@ -21,6 +21,7 @@ import (
 	"hydee/internal/mpi"
 	"hydee/internal/netmodel"
 	"hydee/internal/rollback"
+	"hydee/internal/rollback/coord"
 	"hydee/internal/vtime"
 )
 
@@ -159,12 +160,42 @@ func TestTwoVictimsOneRoundReproducible(t *testing.T) {
 
 // TestFailureDuringRecoveryReproducible injects a second failure whose
 // detection lands while the first round's recovery is still in flight
-// (disjoint clusters) and asserts both rounds and the final state are
-// byte-stable: the queued round's fence is declared at detection, so its
-// scope cannot race ahead while the active round completes.
+// (disjoint clusters) and asserts the recovery and the final state are
+// byte-stable: the queued failure's fence is declared at detection on its
+// scope and on round 0's coordinator, which needs reports from past that
+// fence and so stops there. One merged round rolls back both clusters,
+// each from its own fence, and the run ends as the failure-free run does.
 func TestFailureDuringRecoveryReproducible(t *testing.T) {
+	cfg, prog, r0 := duringRecoveryScenario(t)
+	failed := runStoreBacked(t, cfg, memStore2e9, prog, true)
+	if len(failed.Rounds) != 1 {
+		t.Fatalf("rounds %+v, want only the merged round", failed.Rounds)
+	}
+	if got := failed.Rounds[0]; got.Round != 1 || got.RolledBack != 8 || got.StartVT != r0.StartVT {
+		t.Fatalf("round %+v, want round 1 rolling back clusters 0 and 2 from round 0's fence %v", got, r0.StartVT)
+	}
+	if failed.Makespan != 1_995_284 {
+		t.Fatalf("makespan %d ns, want 1 995 284 ns", int64(failed.Makespan))
+	}
+	cfg.Failures = nil
+	clean := runStoreBacked(t, cfg, memStore2e9, prog, false)
+	for r := range clean.Results {
+		if clean.Results[r] != failed.Results[r] {
+			t.Fatalf("rank %d diverged after overlapping rounds: %v vs %v", r, clean.Results[r], failed.Results[r])
+		}
+	}
+}
+
+func memStore2e9() checkpoint.Store { return checkpoint.NewMemStore(2e9, 2e9) }
+
+// duringRecoveryScenario is the plan and program of
+// TestFailureDuringRecoveryReproducible, run over memStore2e9, and round 0
+// of the run with only its first failure: a probe run locates round 0's
+// span, and the second failure's trigger is aimed inside it.
+func duringRecoveryScenario(t *testing.T) (mpi.Config, mpi.Program, rollback.RecoveryStats) {
+	t.Helper()
 	assign := []int{0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2}
-	base := mpi.Config{
+	cfg := mpi.Config{
 		NP:              12,
 		Topo:            rollback.NewTopology(assign),
 		Protocol:        core.New(),
@@ -173,37 +204,16 @@ func TestFailureDuringRecoveryReproducible(t *testing.T) {
 		Watchdog:        30 * time.Second,
 	}
 	prog := apps.Stencil2D(10, 8192)
-
-	// Probe: run with only the first failure to locate round 0's span,
-	// then aim the second failure's trigger inside it.
 	first := failure.Event{Ranks: []int{2}, When: failure.Trigger{AfterCheckpoints: 1}}
-	probeCfg := base
-	probeCfg.Failures = []failure.Event{first}
-	probe := runStoreBacked(t, probeCfg, func() checkpoint.Store { return checkpoint.NewMemStore(2e9, 2e9) }, prog, true)
+	cfg.Failures = []failure.Event{first}
+	probe := runStoreBacked(t, cfg, memStore2e9, prog, true)
 	if len(probe.Rounds) != 1 {
 		t.Fatalf("probe rounds %d, want 1", len(probe.Rounds))
 	}
 	r0 := probe.Rounds[0]
 	midVT := r0.StartVT.Add(r0.EndVT.Sub(r0.StartVT) / 2)
-
-	cfg := base
-	cfg.Failures = []failure.Event{first, {
-		Ranks: []int{9},
-		When:  failure.Trigger{AtVT: midVT},
-	}}
-	failed := runStoreBacked(t, cfg, func() checkpoint.Store { return checkpoint.NewMemStore(2e9, 2e9) }, prog, true)
-	if len(failed.Rounds) != 2 {
-		t.Fatalf("rounds %d, want 2", len(failed.Rounds))
-	}
-	if s := failed.Rounds[1].StartVT; s >= r0.EndVT {
-		t.Fatalf("second failure detected at %v, after round 0 ended (%v) — the rounds did not overlap", s, r0.EndVT)
-	}
-	clean := runStoreBacked(t, base, func() checkpoint.Store { return checkpoint.NewMemStore(2e9, 2e9) }, prog, false)
-	for r := range clean.Results {
-		if clean.Results[r] != failed.Results[r] {
-			t.Fatalf("rank %d diverged after overlapping rounds: %v vs %v", r, clean.Results[r], failed.Results[r])
-		}
-	}
+	cfg.Failures = []failure.Event{first, {Ranks: []int{9}, When: failure.Trigger{AtVT: midVT}}}
+	return cfg, prog, r0
 }
 
 // TestBlockedScopePeerDrainReproducible is the naive-drain deadlock
@@ -264,21 +274,21 @@ func TestBlockedScopePeerDrainReproducible(t *testing.T) {
 // can be detected at a LATER virtual time than a communicating victim's
 // failure triggered afterwards in real time. Detections are admitted in
 // virtual-time order (Proc.maybeFail takes the turn), so rank 0's failure
-// at 24ns opens round 0 and rank 2's at 1000ns queues behind it. Round 0's
-// coordinator can never collect a report from the queued failure's doomed
-// scope, so the starved round is superseded by a merged round rolling
-// back both clusters at their own fences — on any number of cores.
+// at 24ns opens round 0 and rank 2's at 1000ns queues behind it, dooming
+// its scope and round 0's coordinator there. The coordinator needs a
+// report from that scope past the fence, so it stops, and a merged round
+// rolls back both clusters at their own fences — on any number of cores.
 func TestReverseOrderDetectionsMergeReproducible(t *testing.T) {
 	cfg, prog := reverseOrderScenario()
 	res := runFenced(t, cfg, prog)
 	if len(res.Rounds) != 1 {
-		t.Fatalf("rounds %d, want 1 (the starved round is superseded, only the merged round completes)", len(res.Rounds))
+		t.Fatalf("rounds %d, want 1 (round 0's coordinator stops at the queued fence, only the merged round completes)", len(res.Rounds))
 	}
 	if res.Rounds[0].RolledBack != 4 {
 		t.Fatalf("merged round rolled back %d ranks, want all 4", res.Rounds[0].RolledBack)
 	}
-	if res.Makespan != 4076 {
-		t.Fatalf("makespan %v, want 4.076µs (round 0 opened by the earlier detection)", res.Makespan)
+	if res.Makespan != 3076 {
+		t.Fatalf("makespan %v, want 3.076µs (round 0 opened by the earlier detection)", res.Makespan)
 	}
 	for r, v := range res.Results {
 		want := 2
@@ -422,11 +432,28 @@ func TestPostFenceTriggerDroppedReproducible(t *testing.T) {
 // watchdog caveat: the same cluster is hit again while its own recovery
 // round is mid-flight. Rank 0 logs inter-cluster sends, dies, and its
 // restarted incarnation dies again after notifying only the first of two
-// orphans — so round 0's coordinator waits forever on the second orphan
-// notification. The starved round must be superseded by a merged round that
-// re-rolls the cluster to the earliest fence and converges, with rank 2
-// delivering every message exactly once.
+// orphans — so round 0's coordinator would wait forever on the second
+// orphan notification. The second failure dooms the coordinator at its
+// detection time, where it stops, and a merged round re-rolls the cluster
+// to the earliest fence and converges, with rank 2 delivering every
+// message exactly once.
 func TestOverlappingScopeRefailureReproducible(t *testing.T) {
+	cfg, prog := overlappingScopeScenario()
+	res := runFenced(t, cfg, prog)
+	if len(res.Rounds) != 1 {
+		t.Fatalf("rounds %d, want 1 (round 0's coordinator stops, only the merged round completes)", len(res.Rounds))
+	}
+	if res.Rounds[0].RolledBack != 2 {
+		t.Fatalf("merged round rolled back %d ranks, want cluster 0's 2", res.Rounds[0].RolledBack)
+	}
+	if res.Results[2] != 1+2+3+4 {
+		t.Fatalf("rank 2 sum %v, want 10 (each message delivered exactly once)", res.Results[2])
+	}
+}
+
+// overlappingScopeScenario is the plan and program of
+// TestOverlappingScopeRefailureReproducible.
+func overlappingScopeScenario() (mpi.Config, mpi.Program) {
 	cfg := mpi.Config{
 		NP:       4,
 		Topo:     rollback.NewTopology([]int{0, 0, 1, 1}),
@@ -475,36 +502,33 @@ func TestOverlappingScopeRefailureReproducible(t *testing.T) {
 			return nil
 		}
 	}
-	res := runFenced(t, cfg, prog)
-	if len(res.Rounds) != 1 {
-		t.Fatalf("rounds %d, want 1 (round 0 is superseded, only the merged round completes)", len(res.Rounds))
-	}
-	if res.Rounds[0].RolledBack != 2 {
-		t.Fatalf("merged round rolled back %d ranks, want cluster 0's 2", res.Rounds[0].RolledBack)
-	}
-	if res.Results[2] != 1+2+3+4 {
-		t.Fatalf("rank 2 sum %v, want 10 (each message delivered exactly once)", res.Results[2])
-	}
+	return cfg, prog
 }
 
-// windowRun runs four compute-only ranks in clusters {0, 1} and {2, 3},
-// rank r computing two chunks of chunk[r] nanoseconds, rank 1 pausing for
-// pause of real time after each, with one AtVT 50 trigger per victim:
-// every trigger fires at its victim's first chunk end. It returns the
-// result and the scope of the last recovery-start event.
+// windowRun runs windowScenario and returns the result and the scope of
+// the last recovery-start event.
 func windowRun(t *testing.T, chunk [4]vtime.Duration, pause time.Duration, victims ...int) (*mpi.Result, []int) {
 	t.Helper()
 	var scope []int
+	cfg, prog := windowScenario(chunk, pause, victims...)
+	cfg.Observer = mpi.ObserverFunc(func(ev mpi.Event) {
+		if ev.Kind == mpi.EvRecoveryStart {
+			scope = ev.Ranks
+		}
+	})
+	return runFenced(t, cfg, prog), scope
+}
+
+// windowScenario runs four compute-only ranks in clusters {0, 1} and
+// {2, 3}, rank r computing two chunks of chunk[r] nanoseconds, rank 1
+// pausing for pause of real time after each, with one AtVT 50 trigger per
+// victim: every trigger fires at its victim's first chunk end.
+func windowScenario(chunk [4]vtime.Duration, pause time.Duration, victims ...int) (mpi.Config, mpi.Program) {
 	cfg := mpi.Config{
 		NP:       4,
 		Topo:     rollback.NewTopology([]int{0, 0, 1, 1}),
 		Protocol: core.New(),
 		Model:    netmodel.Ideal(),
-		Observer: mpi.ObserverFunc(func(ev mpi.Event) {
-			if ev.Kind == mpi.EvRecoveryStart {
-				scope = ev.Ranks
-			}
-		}),
 		Watchdog: 30 * time.Second,
 	}
 	for _, v := range victims {
@@ -522,7 +546,7 @@ func windowRun(t *testing.T, chunk [4]vtime.Duration, pause time.Duration, victi
 		c.SetResult(2)
 		return nil
 	}
-	return runFenced(t, cfg, prog), scope
+	return cfg, prog
 }
 
 // checkOneRound asserts that res recovered in a single round 0 whose scope
@@ -552,8 +576,8 @@ func TestSameDetectionOneClusterReproducible(t *testing.T) {
 
 // TestSameDetectionTwoClustersReproducible: one rank of each cluster fails
 // at the same detection time. The second failure joins the draining round
-// 0 with its own cluster fenced at its own detection, so no round starves
-// and none is superseded.
+// 0 with its own cluster fenced at its own detection, so no coordinator is
+// doomed and no round is merged.
 func TestSameDetectionTwoClustersReproducible(t *testing.T) {
 	res, scope := windowRun(t, evenChunks, 0, 0, 2)
 	checkOneRound(t, res, scope, []int{0, 1, 2, 3}, 3003)
@@ -574,6 +598,64 @@ func TestJoinAtStartReproducible(t *testing.T) {
 	slow, _ := windowRun(t, chunks, 2*time.Millisecond, 0, 2)
 	if !reflect.DeepEqual(fast, slow) {
 		t.Fatalf("a slow drain changed the run:\n  %+v\n  %+v", fast, slow)
+	}
+}
+
+// slowResult delays every recovery coordinator's result by 2 ms of real
+// time after its Run returns, so a failure detected during the round
+// reaches the supervisor first wherever it can.
+type slowResult struct{ rollback.Protocol }
+
+func (p slowResult) NewRecovery(rx rollback.RecoveryContext) rollback.Recovery {
+	if rec := p.Protocol.NewRecovery(rx); rec != nil {
+		return slowRecovery{rec}
+	}
+	return nil
+}
+
+type slowRecovery struct{ rollback.Recovery }
+
+func (r slowRecovery) Run(info rollback.RoundInfo) (rollback.RecoveryStats, error) {
+	stats, err := r.Recovery.Run(info)
+	time.Sleep(2 * time.Millisecond)
+	return stats, err
+}
+
+// TestSlowCoordinatorResultReproducible: whether a coordinator's result or
+// a failure detected during its round reaches the supervisor first is a
+// real-time race. The failure dooms the coordinator at its detection time,
+// so the next round is the same either way. Each multi-failure scenario
+// must give the same Result with every coordinator's result delayed.
+func TestSlowCoordinatorResultReproducible(t *testing.T) {
+	during, duringProg, _ := duringRecoveryScenario(t)
+	reverse, reverseProg := reverseOrderScenario()
+	overlap, overlapProg := overlappingScopeScenario()
+	join, joinProg := windowScenario([4]vtime.Duration{1000, 5000, 1001, 1001}, 0, 0, 2)
+	for _, sc := range []struct {
+		name  string
+		cfg   mpi.Config
+		prog  mpi.Program
+		store func() checkpoint.Store // nil: the default store
+	}{
+		{"reverse-order", reverse, reverseProg, nil},
+		{"overlapping-scope", overlap, overlapProg, nil},
+		{"during-recovery", during, duringProg, memStore2e9},
+		{"join-at-start", join, joinProg, nil},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			run := func(cfg mpi.Config) *mpi.Result {
+				if sc.store != nil {
+					return runStoreBacked(t, cfg, sc.store, sc.prog, true)
+				}
+				return runFenced(t, cfg, sc.prog)
+			}
+			want := run(sc.cfg)
+			slow := sc.cfg
+			slow.Protocol = slowResult{slow.Protocol}
+			if got := run(slow); !reflect.DeepEqual(got, want) {
+				t.Fatalf("a slow coordinator result changed the run:\n  %+v\n  %+v", got, want)
+			}
+		})
 	}
 }
 
@@ -665,5 +747,77 @@ func TestStagedSaveRefusedPastFenceReproducible(t *testing.T) {
 		if n != refused {
 			t.Errorf("pass %d (under the turn: %v): %d saves refused, first run %d", pass, hide, n, refused)
 		}
+	}
+}
+
+// TestTwoCheckpointFailuresAllProtocolsReproducible runs two plans under
+// all three protocols. In the first, ranks 1 and 5, in clusters 0 and 1,
+// fail right after their first checkpoint. Each checkpoint group restores
+// from the newest sequence all its members completed at or below their
+// fences: under coord the group is every rank, so a round restores one
+// global cut even when some clusters have re-taken a checkpoint and others
+// have not. In the second, rank 9 fails after its second checkpoint while
+// rank 1's round recovers: under HydEE and mlog the coordinator stops at
+// rank 9's fence, and the merged round dooms cluster 0's restarted
+// incarnations where the stopped coordinator held the plane, so how far
+// they ran before the merge does not show; a store with a bandwidth model
+// makes their checkpoint writes take virtual time, where a cut at their
+// old fences would land at a different write from run to run. Each run
+// must be byte-stable and end as the failure-free run does.
+func TestTwoCheckpointFailuresAllProtocolsReproducible(t *testing.T) {
+	assign := make([]int, 16)
+	for r := range assign {
+		assign[r] = r / 4
+	}
+	after := func(ckpts, rank int) failure.Event {
+		return failure.Event{Ranks: []int{rank}, When: failure.Trigger{AfterCheckpoints: ckpts}}
+	}
+	oneAndFive := []failure.Event{after(1, 1), after(1, 5)}
+	oneThenNine := []failure.Event{after(1, 1), after(2, 9)}
+	for _, tc := range []struct {
+		plan     string
+		failures []failure.Event
+		store    func() checkpoint.Store // nil: the default store
+		prot     rollback.Protocol
+		rounds   int
+		// makespan is not pinned (0) over the bandwidth-modelled store:
+		// snapshot sizes carry gob type ids, which a process numbers in
+		// the order it meets types, so they move with the tests run
+		// earlier in the same binary.
+		makespan vtime.Time
+	}{
+		{"1-and-5", oneAndFive, nil, core.New(), 1, 112_077},
+		{"1-and-5", oneAndFive, nil, core.NewMLog(), 1, 112_140},
+		{"1-and-5", oneAndFive, nil, coord.New(), 2, 131_076},
+		{"1-then-9", oneThenNine, memStore2e9, core.New(), 1, 0},
+		{"1-then-9", oneThenNine, memStore2e9, core.NewMLog(), 1, 0},
+		{"1-then-9", oneThenNine, memStore2e9, coord.New(), 2, 0},
+	} {
+		t.Run(tc.plan+"/"+tc.prot.Name(), func(t *testing.T) {
+			cfg := mpi.Config{
+				NP:              16,
+				Topo:            rollback.NewTopology(assign),
+				Protocol:        tc.prot,
+				Model:           netmodel.Myrinet10G(),
+				CheckpointEvery: 1,
+				Watchdog:        30 * time.Second,
+			}
+			run := func(cfg mpi.Config) *mpi.Result {
+				if tc.store != nil {
+					return runStoreBacked(t, cfg, tc.store, apps.Ring(8, 1024), true)
+				}
+				return runFenced(t, cfg, apps.Ring(8, 1024))
+			}
+			clean := run(cfg)
+			cfg.Failures = tc.failures
+			res := run(cfg)
+			if len(res.Rounds) != tc.rounds || (tc.makespan != 0 && res.Makespan != tc.makespan) {
+				t.Errorf("%d rounds, makespan %d ns; want %d rounds, %d ns",
+					len(res.Rounds), int64(res.Makespan), tc.rounds, int64(tc.makespan))
+			}
+			if !reflect.DeepEqual(res.Results, clean.Results) {
+				t.Errorf("results %v, failure-free %v", res.Results, clean.Results)
+			}
+		})
 	}
 }

@@ -23,8 +23,8 @@ import (
 
 // TestKnownBugSameClusterTwiceDeadlock fails cluster 5 twice (ranks 46 and
 // 45) after a failure in cluster 3: round 2 ends up recovering with an
-// empty drain set and nothing queued — the `recovering × probe quiescent,
-// nothing pending` cell of the round machine — until the watchdog fires.
+// empty drain set and nothing queued, so no input of the round machine is
+// left to come, and its coordinator waits until the watchdog fires.
 //
 // Measured diagnosis: the rounds do not overlap. Round 0 runs 28–62µs,
 // round 1 runs 122–155µs, and round 2 opens at 270µs. All 64 Reports reach

@@ -17,43 +17,30 @@ const (
 	phIdle       phase = iota // no round; the recovery endpoint is the plane's latent failure source
 	phDraining                // scope doomed at its fences; doomed goroutines finish pre-fence work and unwind
 	phRecovering              // scope killed, restored and restarted; the coordinator is running
-	phSuperseded              // starved coordinator killed; its evRecoveryDone opens the merged round
 )
 
 func (p phase) String() string {
-	return [...]string{"idle", "draining", "recovering", "superseded"}[p]
-}
-
-// input is one step of the machine: a procEvent or the starvation probe,
-// with the plane facts the driver read for it. quiescent (evProbe, asked
-// only while starvable) is Network.Quiescent(parked()) with no event in
-// flight; maxFrontier (evRecoveryDone) is MaxFrontier.
-type input struct {
-	procEvent
-	quiescent   bool
-	maxFrontier vtime.Time
+	return [...]string{"idle", "draining", "recovering"}[p]
 }
 
 // actKind enumerates the closed set of things a step asks the driver to do.
 type actKind int
 
 const (
-	actDoom        actKind = iota // Network.Doom(id, vt)
-	actAttach                     // Network.AttachAt(recovery endpoint, vt)
-	actRevive                     // Network.RestartAt(recovery endpoint, vt)
-	actQuiesce                    // Network.Quiesce(id)
-	actKillService                // Network.KillService(recovery endpoint)
-	actTurn                       // Network.AwaitTurn(recovery endpoint, vt), then evTurn
-	actLaunch                     // kill, restore and restart the scope; spawn the coordinator
-	actEmit                       // observer event
-	actRecord                     // a finished round's stats join the result
-	actFail                       // abort the run with err
+	actDoom    actKind = iota // Network.Doom(id, vt)
+	actAttach                 // Network.AttachAt(recovery endpoint, vt)
+	actQuiesce                // Network.Quiesce(id)
+	actTurn                   // Network.AwaitTurn(recovery endpoint, vt), then evTurn
+	actLaunch                 // kill, restore and restart the scope; spawn the coordinator
+	actEmit                   // observer event
+	actRecord                 // a finished round's stats join the result
+	actFail                   // abort the run with err
 )
 
 type action struct {
 	kind  actKind
 	id    int                    // doom, quiesce: the endpoint
-	vt    vtime.Time             // doom: the fence; attach, revive, turn, launch: the round's start
+	vt    vtime.Time             // doom: the fence; attach, turn, launch: the round's start
 	ev    Event                  // emit
 	stats rollback.RecoveryStats // record
 	err   error                  // fail
@@ -75,8 +62,8 @@ func (e *stepError) Error() string {
 
 // machine is the failure-round state machine: all supervisor state and one
 // mutator, step. It touches no network, store, observer, channel, timer or
-// goroutine — the driver (Runtime.supervise) reads the plane facts a step
-// needs and executes the actions it returns, in order.
+// goroutine — the driver (Runtime.supervise) feeds it the events of the
+// run and executes the actions it returns, in order.
 type machine struct {
 	np     int
 	prot   rollback.Protocol // pure queries only: RestartScope, Tolerates, Name
@@ -98,9 +85,10 @@ type machine struct {
 	// asking marks a turn request in flight; granted, that the recovery
 	// endpoint holds the turn at startVT (see launchIfDrained).
 	asking, granted bool
-	// pending holds failures queued behind a launched round, in admission
-	// order, which is (detection VT, first victim) order; empty unless the
-	// phase is recovering or superseded.
+	// pending holds failures admitted while a round recovers, in admission
+	// order, which is (detection VT, first victim) order. The first of them
+	// doomed the coordinator, so the queue is non-empty only while a doomed
+	// coordinator's result is on its way.
 	pending []procEvent
 
 	finished []bool
@@ -108,10 +96,7 @@ type machine struct {
 	// deadEarly marks ranks that unwound outside a drain set, doomed by a
 	// failure still queued: they skip the drain of their eventual round.
 	deadEarly map[int]bool
-	// procs and coords count process and coordinator goroutines started and
-	// not yet seen to end: what must be parked for the plane to be stuck.
-	procs, coords int
-	nextRound     int
+	nextRound int
 	// opened counts opens (merges included) against the runaway cap: the
 	// plan's event count plus two.
 	opened, maxRounds int
@@ -124,7 +109,7 @@ func newMachine(np int, prot rollback.Protocol, topo *rollback.Topology, minLat 
 		np: np, prot: prot, topo: topo, minLat: minLat,
 		fences: make(map[int]vtime.Time), drain: make(map[int]bool),
 		finished: make([]bool, np), deadEarly: make(map[int]bool),
-		procs: np, maxRounds: events + 2,
+		maxRounds: events + 2,
 	}
 }
 
@@ -139,15 +124,6 @@ func (m *machine) round() int {
 	return m.info.Round
 }
 
-// starvable reports whether a queued failure could be starving the round
-// in flight: only then does the probe need the plane's answer. A failure
-// admitted while a round drains joins it, so only a launched round has a
-// queue, and only its coordinator can starve.
-func (m *machine) starvable() bool { return m.phase == phRecovering && len(m.pending) > 0 }
-
-// parked is how many goroutines must be parked for the plane to be stuck.
-func (m *machine) parked() int { return m.procs + m.coords }
-
 func (m *machine) act(a action) { m.acts = append(m.acts, a) }
 
 func (m *machine) emit(ev Event) { m.act(action{kind: actEmit, ev: ev}) }
@@ -156,33 +132,31 @@ func (m *machine) fail(rank, round int, phase string, err error) {
 	m.act(action{kind: actFail, err: runErr(rank, round, phase, err)})
 }
 
-func (m *machine) impossible(in input) {
-	m.fail(-1, m.round(), PhaseSupervise, &stepError{phase: m.phase, input: in.kind})
+func (m *machine) impossible(ev procEvent) {
+	m.fail(-1, m.round(), PhaseSupervise, &stepError{phase: m.phase, input: ev.kind})
 }
 
-// step advances the machine by one input and returns the actions to run,
+// step advances the machine by one event and returns the actions to run,
 // in order (the next step reuses the slice). A fail action is always last.
-func (m *machine) step(in input) []action {
+func (m *machine) step(ev procEvent) []action {
 	m.acts = m.acts[:0]
-	switch in.kind {
+	switch ev.kind {
 	case evFinished:
-		if !m.finished[in.rank] {
-			m.finished[in.rank] = true
+		if !m.finished[ev.rank] {
+			m.finished[ev.rank] = true
 			m.finCount++
 		}
-		m.emit(Event{Kind: EvRankFinished, Rank: in.rank, Round: m.round(), VT: in.vt})
+		m.emit(Event{Kind: EvRankFinished, Rank: ev.rank, Round: m.round(), VT: ev.vt})
 	case evFatal:
-		m.fail(in.rank, m.round(), PhaseProgram, in.err)
+		m.fail(ev.rank, m.round(), PhaseProgram, ev.err)
 	case evFail:
-		m.failed(in.procEvent)
+		m.failed(ev)
 	case evDied:
-		m.died(in)
+		m.died(ev)
 	case evRecoveryDone:
-		m.recoveryDone(in)
+		m.recoveryDone(ev)
 	case evTurn:
-		m.turn(in)
-	case evProbe:
-		m.probe(in)
+		m.turn(ev)
 	}
 	return m.acts
 }
@@ -195,16 +169,24 @@ func (m *machine) failed(ev procEvent) {
 		return
 	}
 	m.pending = append(m.pending, ev)
-	if m.phase == phIdle || m.phase == phDraining {
-		m.open(0)
+	if m.phase != phRecovering {
+		m.open()
 		return
 	}
 	// Queued behind the launched round, but fenced now, on every scope
 	// member — ranks shared with the active round included: their current
-	// incarnation stops at the new detection time. Nothing above ev.vt plus
-	// one hop has been admitted yet (the victim's un-quiesced endpoint still
-	// froze the plane when this event was emitted), so the cut is a pure
-	// function of virtual time.
+	// incarnation stops at the new detection time. The first queued failure
+	// fences the coordinator too, like any scope member: it stops at its
+	// first wait past the fence, and while doomed its bound holds the plane
+	// one hop past the fence (transport's doomed latent source), so nothing
+	// the next round's stamps could undercut is admitted before that round
+	// attaches. Nothing above ev.vt plus one hop has been admitted yet (the
+	// victim's un-quiesced endpoint still froze the plane when this event
+	// was emitted), so the cut, and whether the coordinator completes within
+	// it, is a pure function of virtual time.
+	if len(m.pending) == 1 {
+		m.act(action{kind: actDoom, id: m.np, vt: ev.vt})
+	}
 	for _, r := range m.prot.RestartScope(m.topo, ev.ranks) {
 		m.act(action{kind: actDoom, id: r, vt: ev.vt})
 	}
@@ -213,134 +195,116 @@ func (m *machine) failed(ev procEvent) {
 // died: the goroutine has unwound, so nothing at or below its fence remains
 // in flight for it; quiescing its endpoint (not killed yet) stops the
 // delivery gate from waiting on its stale frontier.
-func (m *machine) died(in input) {
-	m.procs--
+func (m *machine) died(ev procEvent) {
 	switch {
-	case !m.drain[in.rank]:
-		m.deadEarly[in.rank] = true
-		m.act(action{kind: actQuiesce, id: in.rank})
+	case !m.drain[ev.rank]:
+		m.deadEarly[ev.rank] = true
+		m.act(action{kind: actQuiesce, id: ev.rank})
 	case m.phase != phDraining:
-		m.impossible(in)
+		m.impossible(ev)
 	default:
-		delete(m.drain, in.rank)
-		m.act(action{kind: actQuiesce, id: in.rank})
+		delete(m.drain, ev.rank)
+		m.act(action{kind: actQuiesce, id: ev.rank})
 		m.launchIfDrained()
 	}
 }
 
-func (m *machine) recoveryDone(in input) {
-	if m.phase != phRecovering && m.phase != phSuperseded {
-		m.impossible(in)
-		return
-	}
-	m.coords = 0
-	switch superseded := m.phase == phSuperseded; {
-	case in.err != nil && !(superseded && errors.Is(in.err, transport.ErrKilled)):
-		m.fail(-1, in.stats.Round, PhaseRecovery, in.err)
-	case superseded:
-		// The starved coordinator unwound after KillService: its partial
-		// stats are discarded and the merged round takes over at a
-		// quiescent point of the virtual execution.
-		m.open(in.maxFrontier)
+// recoveryDone settles a launched round. With nothing queued, a completed
+// coordinator's round is recorded and the recovery endpoint falls back to
+// being the plane's latent failure source. With a failure queued, the
+// coordinator was doomed at its detection time, and its result decides
+// the next round: stopped at the fence (ErrKilled), the round is replaced
+// by a merged one; completed within it, the round is recorded and a fresh
+// one opens, exactly as if the queue had been admitted once the machine
+// was idle. Which of the two it is is a function of virtual time, so the
+// outcome does not depend on whether the failure or this result reached
+// the supervisor first.
+func (m *machine) recoveryDone(ev procEvent) {
+	stopped := len(m.pending) > 0 && errors.Is(ev.err, transport.ErrKilled)
+	switch {
+	case m.phase != phRecovering:
+		m.impossible(ev)
+	case ev.err != nil && !stopped:
+		m.fail(-1, ev.stats.Round, PhaseRecovery, ev.err)
+	case stopped:
+		m.open()
 	default:
-		m.emit(Event{Kind: EvRecoveryEnd, Rank: -1, Round: in.stats.Round, VT: in.stats.EndVT, Stats: &in.stats})
-		m.act(action{kind: actRecord, stats: in.stats})
+		m.emit(Event{Kind: EvRecoveryEnd, Rank: -1, Round: ev.stats.Round, VT: ev.stats.EndVT, Stats: &ev.stats})
+		m.act(action{kind: actRecord, stats: ev.stats})
+		m.phase = phIdle
 		if len(m.pending) > 0 {
-			// Chain one round of every queued failure directly behind the
-			// one that just ended: the recovery endpoint stays attached
-			// throughout, with no unconstrained window in between.
-			m.open(in.stats.EndVT)
+			m.open()
 		} else {
-			// No round follows: detach the recovery endpoint, which falls
-			// back to being the plane's latent failure source.
-			m.phase = phIdle
 			m.act(action{kind: actQuiesce, id: m.np})
 		}
 	}
 }
 
-// probe is the starvation check: a recovering round plus queued failures,
-// with every goroutine parked beyond waking and no event in flight, is a
-// round that can never complete — typically its coordinator waits on a
-// report from a rank a queued overlapping failure already stopped. The
-// stuck state is a pure function of virtual time, so what follows is too:
-// the starved coordinator is killed, and the merge happens when its
-// evRecoveryDone comes back. The driver asks the plane only while the
-// machine is starvable, and a draining round never is.
-func (m *machine) probe(in input) {
-	switch {
-	case !in.quiescent || len(m.pending) == 0:
-	case m.phase == phDraining:
-		m.impossible(in)
-	case m.phase == phRecovering:
-		m.phase = phSuperseded
-		m.act(action{kind: actKillService})
-	}
-}
-
 // open is the declare step of the three-step virtual-time kill protocol
 // and the only place queued failures become part of a round: every open
-// takes the whole queue. It settles scope, fences and start time, attaches
-// the recovery endpoint, dooms the newly covered ranks at their fences
-// (deliveries and checkpoint writes at or below a fence complete; anything
-// later is cancelled deterministically) and leaves the round draining.
-// Each cluster is fenced at the earliest detection covering it. A round
-// starts one network hop after its latest detection and no earlier than
-// `floor`: one hop after the previous round's end when chained, after
-// MaxFrontier when merged. So no stamp it produces undercuts a delivery
-// already admitted, and its clusters resume past their fences.
+// takes the whole queue. It settles scope, fences and start time, dooms
+// the newly covered ranks (deliveries and checkpoint writes at or below a
+// fence complete; anything later is cancelled deterministically), attaches
+// the recovery endpoint and leaves the round draining. Each cluster is
+// fenced at the earliest detection covering it, and a round starts one
+// network hop after its latest detection. Opened while idle, it is fresh:
+// a new number and scope. Opened while recovering, it is merged: the
+// stopped coordinator's RoundStart was broadcast, so it takes a new
+// number, but it keeps the old scope and fences for the restore cut; the
+// old scope's restarted incarnations are doomed one hop past the latest
+// detection and the round starts a hop later (see the doom loop), so the
+// merged scope drains through the ordinary kill machinery. No stamp
+// either produces undercuts a delivery already admitted: an idle plane
+// admitted nothing past the latest detection plus one hop, and a doomed
+// coordinator held it there.
 //
-// A failure admitted while the round drains joins it, under the same
-// number. Its admission turn sorted before the recovery endpoint's bound,
-// the round's start, so its detection is at or below the start, and the
-// round launches only once the endpoint holds the turn at its start (see
-// launchIfDrained): whether a failure joins is a function of virtual
-// time. A join detected less than a hop before the start moves the start
-// one hop past it, so the endpoint's bound never holds the new fence's
-// drain.
-func (m *machine) open(after vtime.Time) {
-	joined, start := m.phase == phDraining, m.startVT
-	endpoint, floor := action{kind: actAttach}, after.Add(m.minLat)
+// Opened while draining, it is a join: a failure admitted while the round
+// drains joins it, under the same number. Its admission turn sorted before
+// the recovery endpoint's bound, the round's start, so its detection is at
+// or below the start, and the round launches only once the endpoint holds
+// the turn at its start (see launchIfDrained): whether a failure joins is
+// a function of virtual time. A join detected less than a hop before the
+// start moves the start one hop past it, so the endpoint's bound never
+// holds the new fence's drain.
+func (m *machine) open() {
+	joined, merged := m.phase == phDraining, m.phase == phRecovering
+	kill := m.pending[len(m.pending)-1].vt.Add(m.minLat) // merged: the scope's doom
+	start := kill
 	switch m.phase {
-	case phIdle, phRecovering:
-		m.info = rollback.RoundInfo{Round: m.nextRound, DetectVT: m.pending[0].vt}
-		m.nextRound++
+	case phIdle:
+		m.info = rollback.RoundInfo{DetectVT: m.pending[0].vt}
 		clear(m.fences)
+	case phRecovering:
+		start = kill.Add(m.minLat)
 	case phDraining:
-		floor = m.startVT
-	case phSuperseded:
-		// Merged round: a fresh number, since the old RoundStart was
-		// broadcast, for the union of the old scope and the queue, each old
-		// fence kept. The old scope's restarted incarnations, doomed below
-		// their resume clocks, die at their first wait, so the merged scope
-		// drains through the ordinary kill machinery.
+		start = max(start, m.startVT)
+	}
+	if !joined {
 		m.info.Round = m.nextRound
 		m.nextRound++
-		endpoint.kind = actRevive // KillService left the endpoint dead
 	}
-	m.startVT = max(m.pending[len(m.pending)-1].vt.Add(m.minLat), floor)
 	doom := m.absorbPending()
 	m.phase = phDraining
 	m.emit(Event{Kind: EvRecoveryStart, Rank: -1, Round: m.info.Round, Ranks: m.info.RolledBack, VT: m.info.DetectVT})
-	// The endpoint attaches before the first doom: from the moment the
-	// scope's frontiers stop constraining the delivery gate, the recovery
-	// actor's must, or survivors could deliver post-detection stamps the
-	// round has yet to undercut. It attaches at the round's start, where
-	// its control traffic is stamped, not at the fence — so its own bound
-	// never holds doomed peers' drain at the fence itself. AttachAt (not
-	// Publish): the start may precede the previous round's end.
-	if !joined || m.startVT != start {
-		m.granted = false
-		endpoint.vt = m.startVT
-		m.act(endpoint)
-	}
 	// A join dooms only the ranks it added: members that already unwound
 	// must not re-enter the drain set.
 	if !joined {
 		doom = m.info.RolledBack
 	}
 	for _, r := range doom {
-		m.act(action{kind: actDoom, id: r, vt: m.fences[m.topo.ClusterOf[r]]})
+		// A merged round dooms its scope at kill, where the stopped
+		// coordinator held the plane, not at the old fences the restore
+		// cut keeps: the stopped round's restarted incarnations ran
+		// undoomed until this step, so at an old fence each would stop at
+		// whichever wait this step found it in, and at kill each stops
+		// where the hold stopped it anyway. The round starts a hop past
+		// kill, so the endpoint's bound does not hold their drain. Ranks a
+		// queued failure doomed keep that earlier fence.
+		fence := m.fences[m.topo.ClusterOf[r]]
+		if merged {
+			fence = kill
+		}
+		m.act(action{kind: actDoom, id: r, vt: fence})
 		if m.finished[r] {
 			m.finished[r] = false
 			m.finCount--
@@ -350,6 +314,19 @@ func (m *machine) open(after vtime.Time) {
 		} else {
 			m.drain[r] = true
 		}
+	}
+	// The endpoint attaches at the round's start, where its control
+	// traffic is stamped, not at a fence — so its own bound never holds
+	// doomed peers' drain at the fence itself — and after the dooms, so
+	// the merged start does not let a restarted incarnation past kill
+	// before its doom. No doomed rank stops constraining the gate before
+	// the attach: a fresh or joined failure's victim still pins the plane
+	// at its detection, and a stopped coordinator holds it at kill.
+	// AttachAt (not Publish): the start may precede the previous round's
+	// end, and it clears a doomed coordinator's fence.
+	if !joined || start != m.startVT {
+		m.startVT, m.granted = start, false
+		m.act(action{kind: actAttach, vt: start})
 	}
 	m.launchIfDrained()
 	if m.opened++; m.opened > m.maxRounds {
@@ -372,21 +349,19 @@ func (m *machine) launchIfDrained() {
 		m.act(action{kind: actTurn, vt: m.startVT})
 	default:
 		m.phase = phRecovering
-		m.procs += len(m.info.RolledBack)
-		m.coords = 1
 		m.act(action{kind: actLaunch, vt: m.startVT, info: m.info, fences: m.fences})
 	}
 }
 
 // turn: the recovery endpoint holds the turn it asked for. A grant for a
 // start a later join moved is stale; launchIfDrained asks again.
-func (m *machine) turn(in input) {
+func (m *machine) turn(ev procEvent) {
 	if m.phase != phDraining {
-		m.impossible(in)
+		m.impossible(ev)
 		return
 	}
 	m.asking = false
-	m.granted = in.vt == m.startVT
+	m.granted = ev.vt == m.startVT
 	m.launchIfDrained()
 }
 
@@ -417,8 +392,8 @@ func (m *machine) absorbPending() (added []int) {
 
 // String is the deadlock report's account of what the supervisor waits for.
 func (m *machine) String() string {
-	s := fmt.Sprintf("phase %v, %d/%d finished, %d processes + %d coordinators live, %d of at most %d rounds opened, pending %v",
-		m.phase, m.finCount, m.np, m.procs, m.coords, m.opened, m.maxRounds, m.pending)
+	s := fmt.Sprintf("phase %v, %d/%d finished, %d of at most %d rounds opened, pending %v",
+		m.phase, m.finCount, m.np, m.opened, m.maxRounds, m.pending)
 	if m.phase != phIdle {
 		s += fmt.Sprintf("; round %d scope %v waiting on deaths %v, fences %v, start %v",
 			m.info.Round, m.info.RolledBack, m.drain, m.fences, m.startVT)

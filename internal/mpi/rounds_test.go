@@ -28,12 +28,8 @@ func fmtAction(a action) string {
 		return fmt.Sprintf("doom %d@%d", a.id, int64(a.vt))
 	case actAttach:
 		return fmt.Sprintf("attach@%d", int64(a.vt))
-	case actRevive:
-		return fmt.Sprintf("revive@%d", int64(a.vt))
 	case actQuiesce:
 		return fmt.Sprintf("quiesce %d", a.id)
-	case actKillService:
-		return "kill-service"
 	case actTurn:
 		return fmt.Sprintf("turn@%d", int64(a.vt))
 	case actLaunch:
@@ -62,42 +58,39 @@ func fmtActions(acts []action) []string {
 }
 
 // expect steps m and asserts the next phase and the exact action list.
-func expect(t *testing.T, m *machine, in input, next phase, want ...string) {
+func expect(t *testing.T, m *machine, ev procEvent, next phase, want ...string) {
 	t.Helper()
 	if want == nil {
 		want = []string{}
 	}
-	got := fmtActions(m.step(in))
+	got := fmtActions(m.step(ev))
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%v in: actions\n  got  %q\n  want %q", in.kind, got, want)
+		t.Fatalf("%v in: actions\n  got  %q\n  want %q", ev.kind, got, want)
 	}
 	if m.phase != next {
-		t.Fatalf("%v in: phase %v, want %v", in.kind, m.phase, next)
+		t.Fatalf("%v in: phase %v, want %v", ev.kind, m.phase, next)
 	}
 }
 
-func finishedIn(rank int, vt vtime.Time) input {
-	return input{procEvent: procEvent{kind: evFinished, rank: rank, vt: vt}}
+func finishedIn(rank int, vt vtime.Time) procEvent {
+	return procEvent{kind: evFinished, rank: rank, vt: vt}
 }
-func diedIn(rank int) input { return input{procEvent: procEvent{kind: evDied, rank: rank}} }
-func failIn(vt vtime.Time, ranks ...int) input {
-	return input{procEvent: procEvent{kind: evFail, rank: ranks[0], vt: vt, ranks: ranks}}
+func diedIn(rank int) procEvent { return procEvent{kind: evDied, rank: rank} }
+func failIn(vt vtime.Time, ranks ...int) procEvent {
+	return procEvent{kind: evFail, rank: ranks[0], vt: vt, ranks: ranks}
 }
-func doneIn(round int, end, maxFrontier vtime.Time, err error) input {
-	return input{procEvent: procEvent{kind: evRecoveryDone, err: err,
-		stats: rollback.RecoveryStats{Round: round, RolledBack: 2, StartVT: 100, EndVT: end}}, maxFrontier: maxFrontier}
+func doneIn(round int, end vtime.Time, err error) procEvent {
+	return procEvent{kind: evRecoveryDone, err: err,
+		stats: rollback.RecoveryStats{Round: round, RolledBack: 2, StartVT: 100, EndVT: end}}
 }
-func turnIn(vt vtime.Time) input { return input{procEvent: procEvent{kind: evTurn, vt: vt}} }
-func probeIn(quiescent bool) input {
-	return input{procEvent: procEvent{kind: evProbe}, quiescent: quiescent}
-}
+func turnIn(vt vtime.Time) procEvent { return procEvent{kind: evTurn, vt: vt} }
 
 // fixture steps a fresh machine into ph: round 0 rolls back cluster 1
 // (ranks 2, 3) fenced at 100 and starts at 101; with pending, a failure of
-// rank 4 detected at 150 is queued behind the launched round. Superseded
-// implies a queued failure, and idle and draining imply none (a failure
-// admitted while a round drains joins it); the cells that say otherwise
-// edit the queue directly.
+// rank 4 detected at 150 is queued behind the launched round and dooms the
+// coordinator (endpoint 6) with its scope. Idle and draining imply an
+// empty queue (a failure admitted while a round drains joins it); the
+// cells that say otherwise edit the queue directly.
 func fixture(t *testing.T, ph phase, pending bool) *machine {
 	t.Helper()
 	m := newTestMachine(core.New(), 3)
@@ -106,11 +99,11 @@ func fixture(t *testing.T, ph phase, pending bool) *machine {
 		expect(t, m, failIn(100, 2), phDraining,
 			"emit failure round -1 rank -1 ranks [2] vt 100",
 			"emit recovery-start round 0 rank -1 ranks [2 3] vt 100",
-			"attach@101", "doom 2@100", "doom 3@100")
+			"doom 2@100", "doom 3@100", "attach@101")
 	}
 	if ph == phIdle || ph == phDraining {
 		if pending {
-			m.pending = append(m.pending, queued.procEvent)
+			m.pending = append(m.pending, queued)
 		}
 		return m
 	}
@@ -118,39 +111,34 @@ func fixture(t *testing.T, ph phase, pending bool) *machine {
 	expect(t, m, diedIn(3), phDraining, "quiesce 3", "turn@101")
 	expect(t, m, turnIn(101), phRecovering,
 		"launch round 0 scope [2 3] clusters [1] detect 100 fences map[1:100ns] start 101")
-	if pending || ph == phSuperseded {
+	if pending {
 		expect(t, m, queued, phRecovering,
-			"emit failure round -1 rank -1 ranks [4] vt 150", "doom 4@150", "doom 5@150")
-	}
-	if ph == phSuperseded {
-		expect(t, m, probeIn(true), phSuperseded, "kill-service")
-		if !pending {
-			m.pending = nil
-		}
+			"emit failure round -1 rank -1 ranks [4] vt 150", "doom 6@150", "doom 4@150", "doom 5@150")
 	}
 	return m
 }
 
 var errBoom = errors.New("boom")
 
-// The twelve input classes of the phase × input table.
+var errKilled = fmt.Errorf("recv: %w", transport.ErrKilled)
+
+// The eleven input classes of the phase × input table.
 var inputClasses = []struct {
 	name    string
 	pending bool // the fixture has a queued failure
-	in      input
+	in      procEvent
 }{
 	{"finished", false, finishedIn(0, 7)},
 	{"died-in-drain-set", false, diedIn(2)},
 	{"died-outside", false, diedIn(0)},
 	{"fail", false, failIn(100, 0)},
-	{"fatal", false, input{procEvent: procEvent{kind: evFatal, rank: 1, vt: 9, err: errBoom}}},
-	{"recovery-done ok", false, doneIn(0, 140, 500, nil)},
-	{"recovery-done ErrKilled", false, doneIn(0, 140, 500, fmt.Errorf("recv: %w", transport.ErrKilled))},
-	{"recovery-done error", false, doneIn(0, 140, 500, errBoom)},
+	{"fatal", false, procEvent{kind: evFatal, rank: 1, vt: 9, err: errBoom}},
+	{"recovery-done ok", false, doneIn(0, 140, nil)},
+	{"recovery-done ok, pending", true, doneIn(0, 140, nil)},
+	{"recovery-done ErrKilled", false, doneIn(0, 140, errKilled)},
+	{"recovery-done ErrKilled, pending", true, doneIn(0, 140, errKilled)},
+	{"recovery-done error", false, doneIn(0, 140, errBoom)},
 	{"turn", false, turnIn(101)},
-	{"probe busy", true, probeIn(false)},
-	{"probe quiescent, pending", true, probeIn(true)},
-	{"probe quiescent, nothing pending", false, probeIn(true)},
 }
 
 type cell struct {
@@ -159,25 +147,24 @@ type cell struct {
 }
 
 // impossibleCells lists the cells no execution reaches: no coordinator runs
-// before a launch, the drain set is empty outside the draining phase, only
-// a draining round asks for the turn and no request is in flight at its
-// launch, and a failure admitted while a round drains joins it, so nothing
-// is queued that could starve a drain (the driver does not ask the plane
-// while draining).
+// before a launch, the drain set is empty outside the draining phase, and
+// only a draining round asks for the turn and no request is in flight at
+// its launch.
 var impossibleCells = map[cell]bool{
-	{phIdle, "died-in-drain-set"}:            true,
-	{phRecovering, "died-in-drain-set"}:      true,
-	{phSuperseded, "died-in-drain-set"}:      true,
-	{phIdle, "recovery-done ok"}:             true,
-	{phIdle, "recovery-done ErrKilled"}:      true,
-	{phIdle, "recovery-done error"}:          true,
-	{phDraining, "recovery-done ok"}:         true,
-	{phDraining, "recovery-done ErrKilled"}:  true,
-	{phDraining, "recovery-done error"}:      true,
-	{phDraining, "probe quiescent, pending"}: true,
-	{phIdle, "turn"}:                         true,
-	{phRecovering, "turn"}:                   true,
-	{phSuperseded, "turn"}:                   true,
+	{phIdle, "died-in-drain-set"}:                    true,
+	{phRecovering, "died-in-drain-set"}:              true,
+	{phIdle, "recovery-done ok"}:                     true,
+	{phIdle, "recovery-done ok, pending"}:            true,
+	{phIdle, "recovery-done ErrKilled"}:              true,
+	{phIdle, "recovery-done ErrKilled, pending"}:     true,
+	{phIdle, "recovery-done error"}:                  true,
+	{phDraining, "recovery-done ok"}:                 true,
+	{phDraining, "recovery-done ok, pending"}:        true,
+	{phDraining, "recovery-done ErrKilled"}:          true,
+	{phDraining, "recovery-done ErrKilled, pending"}: true,
+	{phDraining, "recovery-done error"}:              true,
+	{phIdle, "turn"}:                                 true,
+	{phRecovering, "turn"}:                           true,
 }
 
 // cellRows is the phase × input table: the next phase and the exact action
@@ -193,13 +180,8 @@ var cellRows = map[cell]struct {
 	{phIdle, "fail"}: {phDraining, []string{
 		"emit failure round -1 rank -1 ranks [0] vt 100",
 		"emit recovery-start round 0 rank -1 ranks [0 1] vt 100",
-		"attach@101", "doom 0@100", "doom 1@100"}},
-	{phIdle, "fatal"}:      {phIdle, []string{"fail mpi: program rank 1: boom"}},
-	{phIdle, "probe busy"}: {phIdle, nil},
-	// The queue is empty whenever the phase is idle; the driver does not
-	// even ask the plane.
-	{phIdle, "probe quiescent, pending"}:         {phIdle, nil},
-	{phIdle, "probe quiescent, nothing pending"}: {phIdle, nil},
+		"doom 0@100", "doom 1@100", "attach@101"}},
+	{phIdle, "fatal"}: {phIdle, []string{"fail mpi: program rank 1: boom"}},
 
 	// draining: round 0, scope [2 3] fenced at 100, start 101
 	{phDraining, "finished"}:          {phDraining, []string{"emit rank-finished round 0 rank 0 ranks [] vt 7"}},
@@ -214,52 +196,41 @@ var cellRows = map[cell]struct {
 	{phDraining, "fatal"}: {phDraining, []string{"fail mpi: program rank 1 round 0: boom"}},
 	// The turn is granted, but ranks 2 and 3 still drain (a join after the
 	// request): the last death launches.
-	{phDraining, "turn"}:                             {phDraining, nil},
-	{phDraining, "probe busy"}:                       {phDraining, nil},
-	{phDraining, "probe quiescent, nothing pending"}: {phDraining, nil},
+	{phDraining, "turn"}: {phDraining, nil},
 
-	// recovering: round 0 launched, coordinator running
+	// recovering: round 0 launched, coordinator running; with pending,
+	// (150 [4]) queued and the coordinator doomed at 150
 	{phRecovering, "finished"}:     {phRecovering, []string{"emit rank-finished round 0 rank 0 ranks [] vt 7"}},
 	{phRecovering, "died-outside"}: {phRecovering, []string{"quiesce 0"}},
+	// The first queued failure dooms the coordinator with its scope.
 	{phRecovering, "fail"}: {phRecovering, []string{
-		"emit failure round -1 rank -1 ranks [0] vt 100", "doom 0@100", "doom 1@100"}},
+		"emit failure round -1 rank -1 ranks [0] vt 100", "doom 6@100", "doom 0@100", "doom 1@100"}},
 	{phRecovering, "fatal"}: {phRecovering, []string{"fail mpi: program rank 1 round 0: boom"}},
 	{phRecovering, "recovery-done ok"}: {phIdle, []string{
 		"emit recovery-end round 0 rank -1 ranks [] vt 140 stats {Round:0 RolledBack:2 Orphans:0 StartVT:100ns EndVT:140ns CtlMsgs:0}",
 		"record round 0", "quiesce 6"}},
-	{phRecovering, "recovery-done ErrKilled"}:  {phRecovering, []string{"fail mpi: recovery round 0: recv: transport: process killed"}},
-	{phRecovering, "recovery-done error"}:      {phRecovering, []string{"fail mpi: recovery round 0: boom"}},
-	{phRecovering, "probe busy"}:               {phRecovering, nil},
-	{phRecovering, "probe quiescent, pending"}: {phSuperseded, []string{"kill-service"}},
-	// Wait for the watchdog. This is where the known same-cluster-twice
-	// deadlock (ranks 30·46·45, `make known-bugs`) sits: the plane is stuck
-	// and nothing is queued that could supersede the round.
-	{phRecovering, "probe quiescent, nothing pending"}: {phRecovering, nil},
-
-	// superseded: round 0's coordinator killed, (150 [4]) queued
-	{phSuperseded, "finished"}:     {phSuperseded, []string{"emit rank-finished round 0 rank 0 ranks [] vt 7"}},
-	{phSuperseded, "died-outside"}: {phSuperseded, []string{"quiesce 0"}},
-	{phSuperseded, "fail"}: {phSuperseded, []string{
-		"emit failure round -1 rank -1 ranks [0] vt 100", "doom 0@100", "doom 1@100"}},
-	{phSuperseded, "fatal"}: {phSuperseded, []string{"fail mpi: program rank 1 round 0: boom"}},
-	// A coordinator that completed just as it was killed is merged all the same.
-	{phSuperseded, "recovery-done ok"}:        {phDraining, mergedActions},
-	{phSuperseded, "recovery-done ErrKilled"}: {phDraining, mergedActions},
-	{phSuperseded, "recovery-done error"}:     {phSuperseded, []string{"fail mpi: recovery round 0: boom"}},
-	{phSuperseded, "probe busy"}:              {phSuperseded, nil},
-	// Already superseded: the killed coordinator's event is on its way.
-	{phSuperseded, "probe quiescent, pending"}:         {phSuperseded, nil},
-	{phSuperseded, "probe quiescent, nothing pending"}: {phSuperseded, nil},
+	// The doomed coordinator completed within its fence: the round is
+	// recorded and the queue opens a fresh round, as it would from idle.
+	{phRecovering, "recovery-done ok, pending"}: {phDraining, []string{
+		"emit recovery-end round 0 rank -1 ranks [] vt 140 stats {Round:0 RolledBack:2 Orphans:0 StartVT:100ns EndVT:140ns CtlMsgs:0}",
+		"record round 0",
+		"emit recovery-start round 1 rank -1 ranks [4 5] vt 150",
+		"doom 4@150", "doom 5@150", "attach@151"}},
+	// Nothing was queued, so nothing doomed the coordinator: a plain error.
+	{phRecovering, "recovery-done ErrKilled"}: {phRecovering, []string{"fail mpi: recovery round 0: recv: transport: process killed"}},
+	// The doomed coordinator stopped at its fence: a merged round with a
+	// fresh number, the union scope and every old fence kept for the
+	// restore cut. The scope is doomed one hop past the queued detection,
+	// where the coordinator held the plane (ranks 4 and 5 keep their
+	// earlier doom at 150), and the endpoint attaches one hop later.
+	{phRecovering, "recovery-done ErrKilled, pending"}: {phDraining, []string{
+		"emit recovery-start round 1 rank -1 ranks [2 3 4 5] vt 100",
+		"doom 2@151", "doom 3@151", "doom 4@151", "doom 5@151", "attach@152"}},
+	{phRecovering, "recovery-done error"}: {phRecovering, []string{"fail mpi: recovery round 0: boom"}},
 }
 
-// Merged round: fresh number, union scope, per-cluster fences, revive one
-// hop past MaxFrontier.
-var mergedActions = []string{
-	"emit recovery-start round 1 rank -1 ranks [2 3 4 5] vt 100",
-	"revive@501", "doom 2@100", "doom 3@100", "doom 4@150", "doom 5@150"}
-
 func TestMachinePhaseInputTable(t *testing.T) {
-	phases := []phase{phIdle, phDraining, phRecovering, phSuperseded}
+	phases := []phase{phIdle, phDraining, phRecovering}
 	if got, want := len(cellRows)+len(impossibleCells), len(phases)*len(inputClasses); got != want {
 		t.Fatalf("table has %d cells, want every one of %d", got, want)
 	}
@@ -268,7 +239,7 @@ func TestMachinePhaseInputTable(t *testing.T) {
 		for _, ic := range inputClasses {
 			c := cell{ph, ic.name}
 			t.Run(fmt.Sprintf("%v/%s", ph, ic.name), func(t *testing.T) {
-				m := fixture(t, ph, ic.pending || ph == phSuperseded && ic.name != "probe quiescent, nothing pending")
+				m := fixture(t, ph, ic.pending)
 				if ic.name == "died-in-drain-set" && ph != phDraining {
 					m.drain[2] = true // the cell is unreachable by stepping
 				}
@@ -320,7 +291,7 @@ func TestMachinePlainRound(t *testing.T) {
 	expect(t, m, failIn(100, 2), phDraining,
 		"emit failure round -1 rank -1 ranks [2] vt 100",
 		"emit recovery-start round 0 rank -1 ranks [2 3] vt 100",
-		"attach@101", "doom 2@100", "doom 3@100")
+		"doom 2@100", "doom 3@100", "attach@101")
 	if m.finCount != 0 {
 		t.Fatalf("rolled-back rank 3 still counted finished (%d)", m.finCount)
 	}
@@ -329,10 +300,7 @@ func TestMachinePlainRound(t *testing.T) {
 	expect(t, m, diedIn(3), phDraining, "quiesce 3", "turn@101")
 	expect(t, m, turnIn(101), phRecovering,
 		"launch round 0 scope [2 3] clusters [1] detect 100 fences map[1:100ns] start 101")
-	if m.parked() != 7 {
-		t.Fatalf("parked %d, want 6 processes + 1 coordinator", m.parked())
-	}
-	expect(t, m, doneIn(0, 140, 500, nil), phIdle,
+	expect(t, m, doneIn(0, 140, nil), phIdle,
 		"emit recovery-end round 0 rank -1 ranks [] vt 140 stats {Round:0 RolledBack:2 Orphans:0 StartVT:100ns EndVT:140ns CtlMsgs:0}",
 		"record round 0", "quiesce 6")
 	allFinish(t, m)
@@ -343,7 +311,7 @@ func TestMachineTwoVictimsOneEvent(t *testing.T) {
 	expect(t, m, failIn(100, 2, 4), phDraining,
 		"emit failure round -1 rank -1 ranks [2 4] vt 100",
 		"emit recovery-start round 0 rank -1 ranks [2 3 4 5] vt 100",
-		"attach@101", "doom 2@100", "doom 3@100", "doom 4@100", "doom 5@100")
+		"doom 2@100", "doom 3@100", "doom 4@100", "doom 5@100", "attach@101")
 	for _, r := range []int{4, 2, 5} {
 		expect(t, m, diedIn(r), phDraining, fmt.Sprintf("quiesce %d", r))
 	}
@@ -352,23 +320,24 @@ func TestMachineTwoVictimsOneEvent(t *testing.T) {
 		"launch round 0 scope [2 3 4 5] clusters [1 2] detect 100 fences map[1:100ns 2:100ns] start 101")
 }
 
-// Failures queued behind a recovering round chain directly behind it, all
-// in one round: each cluster fenced at its own detection, the start one
-// hop after the latest detection and no earlier than one hop after the
-// previous round's end. Rank 4 unwound while queued (deadEarly) and never
-// enters the drain set.
+// Failures queued behind a recovering round chain behind it in one fresh
+// round once its coordinator completes within the first one's fence: each
+// cluster fenced at its own detection, the start one hop after the latest
+// detection — even below the previous round's end. Only the first queued
+// failure dooms the coordinator. Rank 4 unwound while queued (deadEarly)
+// and never enters the drain set.
 func TestMachineChainedRoundAndDeadEarly(t *testing.T) {
 	m := fixture(t, phRecovering, false)
 	expect(t, m, failIn(120, 4), phRecovering,
-		"emit failure round -1 rank -1 ranks [4] vt 120", "doom 4@120", "doom 5@120")
+		"emit failure round -1 rank -1 ranks [4] vt 120", "doom 6@120", "doom 4@120", "doom 5@120")
 	expect(t, m, diedIn(4), phRecovering, "quiesce 4")
 	expect(t, m, failIn(180, 0), phRecovering,
 		"emit failure round -1 rank -1 ranks [0] vt 180", "doom 0@180", "doom 1@180")
-	expect(t, m, doneIn(0, 140, 500, nil), phDraining,
-		"emit recovery-end round 0 rank -1 ranks [] vt 140 stats {Round:0 RolledBack:2 Orphans:0 StartVT:100ns EndVT:140ns CtlMsgs:0}",
+	expect(t, m, doneIn(0, 300, nil), phDraining,
+		"emit recovery-end round 0 rank -1 ranks [] vt 300 stats {Round:0 RolledBack:2 Orphans:0 StartVT:100ns EndVT:300ns CtlMsgs:0}",
 		"record round 0",
 		"emit recovery-start round 1 rank -1 ranks [0 1 4 5] vt 120",
-		"attach@181", "doom 0@180", "doom 1@180", "doom 4@120", "doom 5@120")
+		"doom 0@180", "doom 1@180", "doom 4@120", "doom 5@120", "attach@181")
 	if len(m.drain) != 3 || m.drain[4] || len(m.deadEarly) != 0 || len(m.pending) != 0 {
 		t.Fatalf("drain %v deadEarly %v pending %v, want ranks 0, 1 and 5 draining and nothing queued",
 			m.drain, m.deadEarly, m.pending)
@@ -381,18 +350,26 @@ func TestMachineChainedRoundAndDeadEarly(t *testing.T) {
 }
 
 // A whole scope that unwound while queued asks for the turn in the step
-// that opens it, and launches at the turn: there is nothing to drain.
+// that opens it, and launches at the turn: there is nothing to drain. A
+// completed coordinator's result that reaches the supervisor before the
+// failure detected during its round gives the same round.
 func TestMachineChainedRoundLaunchesAtOnce(t *testing.T) {
-	m := fixture(t, phRecovering, true)
-	m.step(diedIn(4))
-	m.step(diedIn(5))
-	expect(t, m, doneIn(0, 200, 500, nil), phDraining,
-		"emit recovery-end round 0 rank -1 ranks [] vt 200 stats {Round:0 RolledBack:2 Orphans:0 StartVT:100ns EndVT:200ns CtlMsgs:0}",
-		"record round 0",
-		"emit recovery-start round 1 rank -1 ranks [4 5] vt 150",
-		"attach@201", "doom 4@150", "doom 5@150", "turn@201")
-	expect(t, m, turnIn(201), phRecovering,
-		"launch round 1 scope [4 5] clusters [2] detect 150 fences map[2:150ns] start 201")
+	end := "emit recovery-end round 0 rank -1 ranks [] vt 200 stats {Round:0 RolledBack:2 Orphans:0 StartVT:100ns EndVT:200ns CtlMsgs:0}"
+	open := []string{"emit recovery-start round 1 rank -1 ranks [4 5] vt 150", "doom 4@150", "doom 5@150", "attach@151"}
+	launch := "launch round 1 scope [4 5] clusters [2] detect 150 fences map[2:150ns] start 151"
+
+	after := fixture(t, phRecovering, true)
+	after.step(diedIn(4))
+	after.step(diedIn(5))
+	expect(t, after, doneIn(0, 200, nil), phDraining, append([]string{end, "record round 0"}, append(open, "turn@151")...)...)
+	expect(t, after, turnIn(151), phRecovering, launch)
+
+	before := fixture(t, phRecovering, false)
+	expect(t, before, doneIn(0, 200, nil), phIdle, end, "record round 0", "quiesce 6")
+	expect(t, before, failIn(150, 4), phDraining, append([]string{"emit failure round -1 rank -1 ranks [4] vt 150"}, open...)...)
+	before.step(diedIn(4))
+	expect(t, before, diedIn(5), phDraining, "quiesce 5", "turn@151")
+	expect(t, before, turnIn(151), phRecovering, launch)
 }
 
 // A failure admitted while a round drains joins it under the same number.
@@ -409,7 +386,7 @@ func TestMachineJoin(t *testing.T) {
 	expect(t, m, failIn(100, 2), phDraining,
 		"emit failure round -1 rank -1 ranks [2] vt 100",
 		"emit recovery-start round 0 rank -1 ranks [2 3] vt 100",
-		"attach@101", "doom 2@100", "doom 3@100")
+		"doom 2@100", "doom 3@100", "attach@101")
 	expect(t, m, diedIn(2), phDraining, "quiesce 2")
 	expect(t, m, failIn(100, 3), phDraining,
 		"emit failure round -1 rank -1 ranks [3] vt 100",
@@ -421,7 +398,7 @@ func TestMachineJoin(t *testing.T) {
 	expect(t, m, failIn(101, 4), phDraining,
 		"emit failure round -1 rank -1 ranks [4] vt 101",
 		"emit recovery-start round 0 rank -1 ranks [2 3 4 5] vt 100",
-		"attach@102", "doom 4@101", "doom 5@101")
+		"doom 4@101", "doom 5@101", "attach@102")
 	if m.finCount != 0 || len(m.pending) != 0 {
 		t.Fatalf("finished %d pending %v, want rank 5 un-finished and nothing queued", m.finCount, m.pending)
 	}
@@ -432,29 +409,30 @@ func TestMachineJoin(t *testing.T) {
 		"launch round 0 scope [2 3 4 5] clusters [1 2] detect 100 fences map[1:100ns 2:101ns] start 102")
 }
 
-// The same cluster fails again mid-recovery: the starved round is
-// superseded by a merged round — fresh number, union scope, each cluster
-// at its earliest fence, revive one hop past MaxFrontier — and a failure
-// admitted while the merged round drains joins it. The launch needs no
-// queued fence put back: the queue is empty.
+// The same cluster fails again mid-recovery, and the coordinator stops at
+// the new fence: the round is superseded by a merged round — fresh number,
+// union scope, each cluster at its earliest fence for the restore cut,
+// doomed one hop past the queued detection and attached a hop later — and
+// a failure admitted at that start joins the merged round and moves its
+// start one hop on. The launch needs no queued fence put back: the queue
+// is empty.
 func TestMachineSupersededMergedAndJoined(t *testing.T) {
 	m := fixture(t, phRecovering, false)
 	expect(t, m, failIn(130, 3), phRecovering,
-		"emit failure round -1 rank -1 ranks [3] vt 130", "doom 2@130", "doom 3@130")
+		"emit failure round -1 rank -1 ranks [3] vt 130", "doom 6@130", "doom 2@130", "doom 3@130")
 	expect(t, m, diedIn(3), phRecovering, "quiesce 3")
-	expect(t, m, probeIn(true), phSuperseded, "kill-service")
-	expect(t, m, doneIn(0, 0, 500, transport.ErrKilled), phDraining,
+	expect(t, m, doneIn(0, 0, transport.ErrKilled), phDraining,
 		"emit recovery-start round 1 rank -1 ranks [2 3] vt 100",
-		"revive@501", "doom 2@100", "doom 3@100")
-	expect(t, m, failIn(500, 0), phDraining,
-		"emit failure round -1 rank -1 ranks [0] vt 500",
+		"doom 2@131", "doom 3@131", "attach@132")
+	expect(t, m, failIn(132, 0), phDraining,
+		"emit failure round -1 rank -1 ranks [0] vt 132",
 		"emit recovery-start round 1 rank -1 ranks [0 1 2 3] vt 100",
-		"doom 0@500", "doom 1@500")
+		"doom 0@132", "doom 1@132", "attach@133")
 	m.step(diedIn(0))
 	m.step(diedIn(1))
-	expect(t, m, diedIn(2), phDraining, "quiesce 2", "turn@501")
-	expect(t, m, turnIn(501), phRecovering,
-		"launch round 1 scope [0 1 2 3] clusters [0 1] detect 100 fences map[0:500ns 1:100ns] start 501")
+	expect(t, m, diedIn(2), phDraining, "quiesce 2", "turn@133")
+	expect(t, m, turnIn(133), phRecovering,
+		"launch round 1 scope [0 1 2 3] clusters [0 1] detect 100 fences map[0:132ns 1:100ns] start 133")
 }
 
 // The runaway cap is the schedule's event count plus two: the round opened
@@ -476,7 +454,7 @@ func TestMachineRoundCapFromSchedule(t *testing.T) {
 				m.step(diedIn(2))
 				m.step(diedIn(3))
 				m.step(turnIn(vt + 1))
-				m.step(doneIn(i, vt+40, 0, nil))
+				m.step(doneIn(i, vt+40, nil))
 				continue
 			}
 			want := fmt.Sprintf("mpi: supervise round %d: more than %d recovery rounds", i, events+2)
@@ -499,39 +477,38 @@ func TestMachineString(t *testing.T) {
 	m := fixture(t, phDraining, false)
 	m.step(diedIn(2))
 	m.step(finishedIn(0, 7))
-	want := "phase draining, 1/6 finished, 5 processes + 0 coordinators live, 1 of at most 5 rounds opened, pending []; " +
+	want := "phase draining, 1/6 finished, 1 of at most 5 rounds opened, pending []; " +
 		"round 0 scope [2 3] waiting on deaths map[3:true], fences map[1:100ns], start 101ns"
 	if got := m.String(); got != want {
 		t.Errorf("String\n  got  %s\n  want %s", got, want)
 	}
 	m.step(diedIn(3))
-	want = "phase draining, 1/6 finished, 4 processes + 0 coordinators live, 1 of at most 5 rounds opened, pending []; " +
+	want = "phase draining, 1/6 finished, 1 of at most 5 rounds opened, pending []; " +
 		"round 0 scope [2 3] waiting on deaths map[], fences map[1:100ns], start 101ns and the turn there"
 	if got := m.String(); got != want {
 		t.Errorf("String\n  got  %s\n  want %s", got, want)
 	}
 	m = fixture(t, phRecovering, true)
-	want = "phase recovering, 0/6 finished, 6 processes + 1 coordinators live, 1 of at most 5 rounds opened, pending [(150ns [4])]; " +
+	want = "phase recovering, 0/6 finished, 1 of at most 5 rounds opened, pending [(150ns [4])]; " +
 		"round 0 scope [2 3] waiting on deaths map[], fences map[1:100ns], start 101ns"
 	if got := m.String(); got != want {
 		t.Errorf("String\n  got  %s\n  want %s", got, want)
 	}
 	if got, want := newTestMachine(core.New(), 0).String(),
-		"phase idle, 0/6 finished, 6 processes + 0 coordinators live, 0 of at most 2 rounds opened, pending []"; got != want {
+		"phase idle, 0/6 finished, 0 of at most 2 rounds opened, pending []"; got != want {
 		t.Errorf("idle String\n  got  %s\n  want %s", got, want)
 	}
 }
 
-// Steady-state inputs (finishes, deaths, probes) reuse the action buffer.
+// Steady-state inputs (finishes, deaths) reuse the action buffer.
 func TestMachineStepDoesNotAllocate(t *testing.T) {
 	m := fixture(t, phRecovering, false)
 	m.step(diedIn(0))
-	ins := []input{finishedIn(1, 7), probeIn(true), diedIn(0)}
+	evs := []procEvent{finishedIn(1, 7), diedIn(0)}
 	if n := testing.AllocsPerRun(100, func() {
-		for _, in := range ins {
-			m.step(in)
+		for _, ev := range evs {
+			m.step(ev)
 		}
-		m.procs++
 	}); n != 0 {
 		t.Errorf("%v allocations per steady-state step batch, want 0", n)
 	}

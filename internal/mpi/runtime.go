@@ -3,6 +3,7 @@ package mpi
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -71,12 +72,11 @@ const (
 	evFail
 	evFatal
 	evRecoveryDone
-	evTurn  // the recovery endpoint holds the turn at vt
-	evProbe // the supervisor's own starvation probe; never travels through evCh
+	evTurn // the recovery endpoint holds the turn at vt
 )
 
 func (k evKind) String() string {
-	return [...]string{"finished", "died", "fail", "fatal", "recovery-done", "turn", "probe"}[k]
+	return [...]string{"finished", "died", "fail", "fatal", "recovery-done", "turn"}[k]
 }
 
 type procEvent struct {
@@ -169,15 +169,9 @@ func (rt *Runtime) startProc(rank int, snap *checkpoint.Snapshot, round *rollbac
 	go p.run()
 }
 
-// starveProbe is the real-time interval at which the supervisor checks a
-// stalled plane for deterministic starvation (machine.probe). It is a
-// liveness knob only: what the check triggers fires at a quiescent state
-// that is a pure function of virtual time.
-const starveProbe = 2 * time.Millisecond
-
-// supervise drives the failure-round machine (rounds.go): channel events
-// and the starvation probe become inputs, with the plane facts a step needs,
-// and the actions each step returns run here. The machine decides; this acts.
+// supervise drives the failure-round machine (rounds.go): every channel
+// event is one step, and the actions each step returns run here. The
+// machine decides; this acts.
 func (rt *Runtime) supervise(ctx context.Context) error {
 	m := newMachine(rt.cfg.NP, rt.prot, rt.topo, rt.net.MinLatency(), len(rt.cfg.Failures))
 
@@ -185,16 +179,13 @@ func (rt *Runtime) supervise(ctx context.Context) error {
 	//hydee:allow wallclock(watchdog is a liveness knob: it only aborts hung runs, never shapes virtual time)
 	watchdog := time.NewTimer(watchdogDur)
 	defer watchdog.Stop()
-	//hydee:allow wallclock(starvation probe fires only at transport quiescence, a pure function of virtual time)
-	probe := time.NewTimer(starveProbe)
-	defer probe.Stop()
 
 	var err error
 	for err == nil && !m.done() {
 		// The evCh case is the only one that shapes virtual time, and its
-		// events arrive in plane-determined order; watchdog/probe are
-		// wall-clock liveness aids that abort or inspect quiescent state.
-		//hydee:allow selectorder(only evCh affects virtual time; timer cases abort or probe quiescence)
+		// events arrive in plane-determined order; the watchdog is a
+		// wall-clock liveness aid that only aborts.
+		//hydee:allow selectorder(only evCh affects virtual time; the watchdog and ctx cases only abort)
 		select {
 		case ev := <-rt.evCh:
 			// Since Go 1.23, Reset on an active timer needs no stop-and-
@@ -202,22 +193,10 @@ func (rt *Runtime) supervise(ctx context.Context) error {
 			// can block forever here, because under the new semantics a
 			// fired-but-unread timer's channel is emptied by Stop itself.
 			watchdog.Reset(watchdogDur)
-			in := input{procEvent: ev}
-			if ev.kind == evRecoveryDone {
-				in.maxFrontier = rt.net.MaxFrontier()
-			}
-			err = rt.apply(m, in)
+			err = rt.apply(m, ev)
 
 		case <-ctx.Done():
 			err = runErr(-1, m.round(), PhaseSupervise, fmt.Errorf("%w: %w", ErrCanceled, context.Cause(ctx)))
-
-		case <-probe.C:
-			// Quiescence is evaluated first: once it holds, no actor can
-			// emit an event, so the channel check cannot race.
-			in := input{procEvent: procEvent{kind: evProbe}}
-			in.quiescent = m.starvable() && rt.net.Quiescent(m.parked()) && len(rt.evCh) == 0
-			err = rt.apply(m, in)
-			probe.Reset(starveProbe)
 
 		case <-watchdog.C:
 			err = runErr(-1, m.round(), PhaseSupervise,
@@ -244,19 +223,15 @@ func (rt *Runtime) supervise(ctx context.Context) error {
 
 // apply steps the machine and executes its actions in order; the first
 // failing one ends the run.
-func (rt *Runtime) apply(m *machine, in input) error {
-	for _, a := range m.step(in) {
+func (rt *Runtime) apply(m *machine, ev procEvent) error {
+	for _, a := range m.step(ev) {
 		switch a.kind {
 		case actDoom:
 			rt.net.Doom(a.id, a.vt)
 		case actAttach:
 			rt.net.AttachAt(rt.cfg.NP, a.vt)
-		case actRevive:
-			rt.net.RestartAt(rt.cfg.NP, a.vt)
 		case actQuiesce:
 			rt.net.Quiesce(a.id)
-		case actKillService:
-			rt.net.KillService(rt.cfg.NP)
 		case actTurn:
 			rt.wg.Add(1)
 			go func(vt vtime.Time) {
@@ -287,10 +262,12 @@ func (rt *Runtime) apply(m *machine, in input) error {
 // revives and restarts its processes from their checkpoints and spawns the
 // recovery coordinator.
 //
-// A failure can land while part of a cluster has completed checkpoint N and
-// the rest is still writing it, so each cluster restores from the minimum
-// sequence completed by all of its members (0 = restart from the initial
-// state), "completed" meaning issued at or below the cluster's fence in
+// A failure can land while part of a checkpoint group — the ranks that
+// checkpoint together, RestartScope of one of them: its cluster under
+// HydEE, every rank under coord — has completed checkpoint N and the rest
+// is still writing it, so each group restores from the minimum sequence
+// completed by all of its members (0 = restart from the initial state),
+// "completed" meaning issued at or below the member's cluster fence in
 // this run's own table (see ckptDone). A sequence this run completed but
 // the store cannot load aborts the round with ErrCheckpointLost:
 // restarting that rank from its initial state instead would silently
@@ -301,45 +278,49 @@ func (rt *Runtime) launchRound(a action) error {
 		info.Incs = append(info.Incs, rt.net.Kill(r))
 	}
 	info.AllIncs = rt.net.Incs()
-	restoreSeq := make(map[int]int) // cluster -> min completed seq at the fence
+	restoreSeq := make(map[int]int, len(info.RolledBack)) // rank -> its group's restore point
 	rt.mu.Lock()
 	for _, r := range info.RolledBack {
-		c := rt.topo.ClusterOf[r]
-		fence := a.fences[c]
-		seq := 0
-		for _, sp := range rt.ckptDone[r] {
-			if sp.vt <= fence && sp.seq > seq {
-				seq = sp.seq
-			}
+		if _, ok := restoreSeq[r]; ok {
+			continue
 		}
-		if cur, ok := restoreSeq[c]; !ok || seq < cur {
-			restoreSeq[c] = seq
+		group := rt.prot.RestartScope(rt.topo, []int{r})
+		seq := math.MaxInt
+		for _, g := range group {
+			done := 0
+			for _, sp := range rt.ckptDone[g] {
+				if sp.vt <= a.fences[rt.topo.ClusterOf[g]] {
+					done = max(done, sp.seq)
+				}
+			}
+			seq = min(seq, done)
+		}
+		for _, g := range group {
+			restoreSeq[g] = seq
 		}
 	}
-	// A rolled-back rank's saves above its cluster's restore point belong
+	// A rolled-back rank's saves above its group's restore point belong
 	// to the abandoned timeline: prune them, or a later round could mix a
 	// pre-rollback snapshot into a restore cut with post-rollback ones
 	// from its peers.
 	for _, r := range info.RolledBack {
-		restored := restoreSeq[rt.topo.ClusterOf[r]]
 		kept := rt.ckptDone[r][:0]
 		for _, sp := range rt.ckptDone[r] {
-			if sp.seq <= restored {
+			if sp.seq <= restoreSeq[r] {
 				kept = append(kept, sp)
 			}
 		}
 		rt.ckptDone[r] = kept
 	}
 	rt.mu.Unlock()
-	// Restores are issued at the round's start time (one hop after
-	// detection, or after the previous round when chained), never at the
-	// raw detection stamp: every stamp the restarted incarnations produce
-	// therefore sorts after everything the plane admitted before the
-	// round launched.
+	// Restores are issued at the round's start time (one hop after its
+	// latest detection), never at the raw detection stamp: every stamp the
+	// restarted incarnations produce therefore sorts after everything the
+	// plane admitted before the round launched.
 	snaps := make([]*checkpoint.Snapshot, len(info.RolledBack))
 	starts := make([]vtime.Time, len(info.RolledBack))
 	for i, r := range info.RolledBack {
-		seq := restoreSeq[rt.topo.ClusterOf[r]]
+		seq := restoreSeq[r]
 		starts[i] = startVT
 		if seq > 0 {
 			snap, endVT, ok := rt.store.Load(r, seq, startVT)
@@ -373,12 +354,12 @@ func (rt *Runtime) launchRound(a action) error {
 		defer rt.wg.Done()
 		stats, err := rec.Run(info)
 		// The endpoint stays attached (bounded at the round's final
-		// frontier) until the supervisor processes this event: it either
-		// chains the next queued round — whose stamps continue from here —
-		// or quiesces the endpoint back to latent-source duty. Detaching
-		// here instead would open an unconstrained window in which
-		// deliveries could be admitted that a chained round's stamps
-		// would undercut.
+		// frontier, or one hop past a queued failure's fence while
+		// doomed) until the supervisor processes this event: it either
+		// re-attaches the endpoint at the next round's start or quiesces
+		// it back to latent-source duty. Detaching here instead would open
+		// an unconstrained window in which deliveries could be admitted
+		// that the next round's stamps would undercut.
 		rt.event(procEvent{kind: evRecoveryDone, stats: stats, err: err})
 	}()
 	return nil

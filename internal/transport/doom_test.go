@@ -99,3 +99,89 @@ func TestKillAndRestartClearDoom(t *testing.T) {
 		t.Fatalf("restarted endpoint still fenced: %v", err)
 	}
 }
+
+// heldAt asserts that the latent recovery endpoint rec is bounded at b and
+// that low3 names it there.
+func heldAt(t *testing.T, n *Network, rec int, b vtime.Time, state string) {
+	t.Helper()
+	n.dmu.Lock()
+	defer n.dmu.Unlock()
+	e, _ := n.lookupLocked(rec)
+	if got := n.boundLocked(e); got != b {
+		t.Fatalf("%s: recovery endpoint bound %d, want %d\n%v", state, got, b, n.low3)
+	}
+	for _, r := range n.low3 {
+		if r == (boundRef{b, rec}) {
+			return
+		}
+	}
+	t.Fatalf("%s: low3 %v does not hold the recovery endpoint at %d", state, n.low3, b)
+}
+
+// A recovery coordinator doomed by a failure queued behind its round holds
+// the gate one hop past the fence — where the round replacing it begins —
+// while it runs, while it is blocked, once it is reaped and when nothing
+// else can act, whatever frontier it ran ahead to; attaching or restarting
+// the endpoint releases it.
+func TestDoomedRecoveryEndpointHoldsGate(t *testing.T) {
+	const rec, fence, hold = 2, vtime.Time(100), vtime.Time(101)
+	for _, release := range []string{"AttachAt", "RestartAt"} {
+		t.Run(release, func(t *testing.T) {
+			n := NewNetwork(2, netmodel.Ideal())
+			n.DeclareRecovery(rec)
+			n.AttachAt(rec, 50)
+			n.Publish(0, 10)          // rank 0 pins everything past 11 for now
+			n.Publish(rec, 300)       // the coordinator ran ahead of the fence
+			send(t, n, 1, rec, 1, 49) // a report arriving at 50, within the fence
+			n.Doom(rec, fence)
+			heldAt(t, n, rec, hold, "running")
+
+			done := make(chan error, 1)
+			go func() {
+				ep := n.Endpoint(rec)
+				if _, err := ep.Recv(300); err != nil {
+					done <- err
+					return
+				}
+				_, err := ep.Recv(300)
+				done <- err
+			}()
+			for !n.Quiescent(1) { // blocked on the report rank 0 still pins
+				time.Sleep(time.Millisecond)
+			}
+			heldAt(t, n, rec, hold, "blocked")
+
+			// Rank 0 moves past the fence: the report is delivered, and once
+			// rank 1 can no longer send within the fence the coordinator is
+			// reaped.
+			n.Publish(0, 200)
+			n.Quiesce(1)
+			if err := <-done; !errors.Is(err, ErrKilled) {
+				t.Fatalf("doomed coordinator's second Recv returned %v, want ErrKilled", err)
+			}
+			heldAt(t, n, rec, hold, "reaped")
+			send(t, n, -1, 0, 1, 100) // arrives 101: below the hold, delivered
+			send(t, n, -1, 0, 2, 149) // arrives 150: past it, held back
+			ep0 := n.Endpoint(0)
+			if m, ok, _ := ep0.TryRecv(0); !ok || m.Tag != 1 {
+				t.Fatalf("delivery at 101 refused under the hold at %d", hold)
+			}
+			if _, ok, _ := ep0.TryRecv(0); ok {
+				t.Fatalf("delivery at 150 admitted under the hold at %d", hold)
+			}
+			n.Quiesce(0)
+			heldAt(t, n, rec, hold, "alone") // nothing else can act: m1 is infinite
+
+			if release == "AttachAt" {
+				n.AttachAt(rec, hold)
+			} else {
+				n.RestartAt(rec, hold)
+			}
+			n.Publish(rec, 300) // the next coordinator runs ahead unheld
+			heldAt(t, n, rec, 300, "released")
+			if m, ok, _ := ep0.TryRecv(0); !ok || m.Tag != 2 {
+				t.Fatalf("delivery at 150 still held after %s", release)
+			}
+		})
+	}
+}

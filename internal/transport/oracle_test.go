@@ -57,8 +57,9 @@ func oracleRefresh(n *Network) (bounds []vtime.Time, low3 [3]boundRef, wake []in
 		}
 	}
 	// Pass 2: blocked sources other than the cap-argmin are bounded by the
-	// earliest arrival the rest of the plane can still emit, and the idle
-	// latent recovery source by the minimum cap.
+	// earliest arrival the rest of the plane can still emit, the idle
+	// latent recovery source by the minimum cap, and a doomed latent
+	// recovery source, in any state, by at most one hop past its fence.
 	low3 = [3]boundRef{{infTime, -1}, {infTime, -1}, {infTime, -1}}
 	for p, e := range n.epList {
 		if e.state == stBlocked && e != a1 && m1 < infTime {
@@ -72,6 +73,9 @@ func oracleRefresh(n *Network) (bounds []vtime.Time, low3 [3]boundRef, wake []in
 			bounds[p] = b
 		} else if e.state == stIdle && e == n.latent {
 			bounds[p] = m1
+		}
+		if e == n.latent && e.doomVT < infTime {
+			bounds[p] = min(bounds[p], e.doomVT.Add(n.minLat))
 		}
 		if bounds[p] < infTime {
 			r := boundRef{bounds[p], e.id}

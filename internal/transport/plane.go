@@ -210,8 +210,8 @@ func (n *Network) waitNextLocked(from int, thr waitKey) int {
 // Bounds.
 
 // boundLocked is e's action bound: no send or checkpoint write by e can be
-// issued before it. It is a pure function of e's own indexed keys and the
-// plane's minimum cap m1, so nothing stores it:
+// issued before it. It is a pure function of e's own indexed keys, its
+// fence and the plane's minimum cap m1, so nothing stores it:
 //
 //	running, dead:  frontier
 //	blocked:        min(cap, max(frontier, m1+minLat))
@@ -223,21 +223,30 @@ func (n *Network) waitNextLocked(from int, thr waitKey) int {
 // max(frontier, head)). For the argmin, cap = m1 < m1+minLat, so the outer
 // min selects cap — exactly the bound its head earns by preceding anything
 // the rest of the plane can still emit.
+//
+// A doomed latent source — a recovery coordinator a queued failure
+// stopped — is bounded by at most doomVT+minLat in every state, the
+// earliest point the round that replaces it starts or dooms its scope at:
+// the gate admits nothing that round could undercut or cut short until
+// AttachAt or RestartAt clears the fence.
 func (n *Network) boundLocked(e *Endpoint) vtime.Time {
-	m1 := n.capT[1]
+	m1, b := n.capT[1], infTime
 	switch e.state {
 	case stRunning, stDead:
-		return e.frontier
+		b = e.frontier
 	case stBlocked:
-		if m1 == infTime {
-			return infTime
+		if m1 < infTime {
+			b = min(n.capT[n.leaves+e.pos], max(e.frontier, m1.Add(n.minLat)))
 		}
-		return min(n.capT[n.leaves+e.pos], max(e.frontier, m1.Add(n.minLat)))
+	case stIdle:
+		if e == n.latent {
+			b = m1
+		}
 	}
-	if e == n.latent {
-		return m1
+	if e == n.latent && e.doomVT < infTime {
+		b = min(b, e.doomVT.Add(n.minLat))
 	}
-	return infTime
+	return b
 }
 
 // lowInsert places r into the sorted triple low unless it is infinite,
@@ -265,14 +274,18 @@ func lowInsert(low *[3]boundRef, lowEp *[3]*Endpoint, r boundRef, e *Endpoint) {
 // smallest bounds is among the three smallest by (cap, id) or among the three
 // smallest by (g, id) — three others sorting before it in either order would
 // have bounds sorting before its own. Both triples come from descents; the
-// latent recovery source, which is in neither tree while idle, is the
-// seventh candidate.
+// latent recovery source, which is in neither tree while idle and may be
+// held below its keys while doomed, is the seventh candidate — even when m1
+// is infinite and nothing else can act.
 func (n *Network) low3Locked(low *[3]boundRef, lowEp *[3]*Endpoint) {
 	*low = [3]boundRef{{infTime, -1}, {infTime, -1}, {infTime, -1}}
 	*lowEp = [3]*Endpoint{}
+	if e := n.latent; e != nil {
+		lowInsert(low, lowEp, boundRef{n.boundLocked(e), e.id}, e)
+	}
 	m1 := n.capT[1]
 	if m1 == infTime {
-		return // nothing can act: every bound is infinite
+		return // nothing else can act: every other bound is infinite
 	}
 	var pos [3]int
 	for _, p := range pos[:n.treeLowest3Locked(n.capT, noFloor, &pos)] {
@@ -283,20 +296,18 @@ func (n *Network) low3Locked(low *[3]boundRef, lowEp *[3]*Endpoint) {
 		e := n.epList[p]
 		lowInsert(low, lowEp, boundRef{n.boundLocked(e), e.id}, e)
 	}
-	if e := n.latent; e != nil && e.state == stIdle {
-		lowInsert(low, lowEp, boundRef{m1, e.id}, e)
-	}
 }
 
 // low3StaleLocked reports whether the mutation that touched e may have
 // changed low3: e was in it, or e's new bound sorts into it. If neither holds
 // for any touched endpoint, low3 stands. The minimum cap m1 cannot have
 // risen: every holder of the old minimum would have been touched, and every
-// holder's bound is m1, the smallest any bound can be — so if there were
-// three or fewer of them all were in low3, and if there were more, at least
-// one of the touched was. It cannot have fallen: the endpoint that lowered it
-// now has the plane's smallest bound, which sorts into low3. And with m1
-// unmoved no untouched source's bound moved.
+// holder's bound is m1, the smallest any bound can be but a doomed latent
+// source's — so if there were two or fewer of them all were in low3, and if
+// there were more, at least one of the touched was. It cannot have fallen:
+// the endpoint that lowered it now has a bound below every other but that
+// latent source's, which sorts into low3. And with m1 unmoved no untouched
+// source's bound moved.
 func (n *Network) low3StaleLocked(e *Endpoint) bool {
 	if e == n.low3ep[0] || e == n.low3ep[1] || e == n.low3ep[2] {
 		return true

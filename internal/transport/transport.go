@@ -1030,7 +1030,8 @@ func (n *Network) statsLocked() []Traffic {
 // failure's whole restart scope at the detection time, drains the plane to
 // the fence, and only then finalizes with Kill — making the kill phase an
 // ordered event in virtual time. An earlier doom wins when called twice;
-// Kill and RestartAt clear it.
+// Kill, RestartAt and AttachAt clear it. A doomed latent recovery source
+// also holds the delivery gate one hop past its fence (boundLocked).
 func (n *Network) Doom(id int, d vtime.Time) {
 	n.dmu.Lock()
 	e := n.endpointLocked(id)
@@ -1063,8 +1064,9 @@ func (n *Network) Kill(rank int) int32 {
 	return newInc
 }
 
-// KillService kills a non-application endpoint (e.g. the recovery process)
-// without touching incarnation bookkeeping.
+// KillService kills a non-application endpoint without touching
+// incarnation bookkeeping. The runtime calls it only to abort a run, on the
+// recovery endpoint.
 func (n *Network) KillService(id int) {
 	n.dmu.Lock()
 	if e, _ := n.lookupLocked(id); e != nil {
@@ -1081,9 +1083,9 @@ func (n *Network) killLocked(e *Endpoint) {
 	n.planeChangedLocked(e)
 }
 
-// RestartAt revives the endpoint of rank — an application rank, or a killed
-// service endpoint such as the recovery process a superseding merged round
-// reuses — with an empty mailbox, running with its send frontier at exactly
+// RestartAt revives the endpoint of rank — the runtime restarts rolled-back
+// application ranks with it; any killed endpoint can be revived — with an
+// empty mailbox and no fence, running with its send frontier at exactly
 // vt, the virtual time the restarted process resumes from. Unlike AttachAt
 // it revives a dead endpoint; it touches no incarnation bookkeeping (only
 // Kill does). The frontier is allowed to move BACKWARDS here: a
@@ -1108,47 +1110,31 @@ func (n *Network) RestartAt(rank int, vt vtime.Time) {
 }
 
 // AttachAt marks id running with its send frontier at exactly vt,
-// rewinding a stale frontier left by a previous attachment. The supervisor
-// uses it to attach the recovery endpoint at a round's detection time,
-// which may precede the virtual time the previous round ended at; the same
-// latent-source argument as RestartAt makes the rewind sound.
+// rewinding a stale frontier left by a previous attachment, and clears its
+// death fence: a new actor takes the endpoint over, keeping its mailbox.
+// The supervisor uses it to attach the recovery endpoint at a round's
+// start, which may precede the virtual time the previous round ended at;
+// the same latent-source argument as RestartAt makes the rewind sound, and
+// a coordinator doomed by a queued failure held the gate for that round
+// until this call releases it.
 func (n *Network) AttachAt(id int, vt vtime.Time) {
 	n.dmu.Lock()
 	e := n.endpointLocked(id)
 	if e.state != stDead {
 		e.state = stRunning
 		e.frontier = vt
+		e.doomVT = infTime
 		n.planeChangedLocked(e)
 	}
 	n.dmu.Unlock()
-}
-
-// MaxFrontier reports the largest send frontier over all endpoints — an
-// upper bound on every virtual stamp the plane has produced or admitted
-// (any admitted delivery advanced some frontier to at least its stamp minus
-// one hop). At a quiescent point it is a pure function of virtual time: the
-// supervisor uses it to place a superseding merged round's start.
-func (n *Network) MaxFrontier() vtime.Time {
-	n.dmu.Lock()
-	defer n.dmu.Unlock()
-	var max vtime.Time
-	for _, e := range n.epList {
-		if e.frontier > max {
-			max = e.frontier
-		}
-	}
-	return max
 }
 
 // Quiescent reports whether the plane is truly stuck: exactly expected
 // goroutines are parked (in Recv or AwaitTurn) and none of their wake
 // conditions (readyLocked, what a mutation signals on) hold. A true result
 // is a stable property: no parked goroutine can run again until the caller
-// mutates the plane, and the stuck state it describes is a pure function of
-// virtual time (every run of the same schedule reaches the identical one).
-// The supervisor uses it to detect a starved recovery round — one whose
-// coordinator waits on reports from ranks a queued overlapping failure
-// already killed — and deterministically supersede it.
+// mutates the plane. The runtime never asks; tests and the benchmark's
+// transport probe use it to wait until their goroutines have parked.
 func (n *Network) Quiescent(expected int) bool {
 	n.dmu.Lock()
 	defer n.dmu.Unlock()
