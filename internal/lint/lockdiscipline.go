@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 
 	"hydee/internal/lint/analysis"
@@ -18,13 +19,15 @@ import (
 //     is a self-deadlock with sync.Mutex and a latent one with RWMutex;
 //  2. a call to a *Locked function is only legal from another *Locked
 //     function, or from a function that visibly acquires a mutex
-//     (mu.Lock/mu.RLock) before the call.
+//     (mu.Lock/mu.RLock) before the call, or inside a body a successful
+//     mu.TryLock/mu.TryRLock guards: `if mu.TryLock() {…}` or
+//     `for cond && mu.TryLock() {…}` (the call may be any conjunct).
 //
 // Rule 2 is deliberately approximate: it checks that *some* lock is
 // held in the enclosing function, not that it is the right one, because
 // relating a callee's receiver to the caller's mutex expression is
-// aliasing analysis (transport endpoints share their Network's dmu via
-// sync.NewCond(&n.dmu)). The convention plus "a lock is held" catches
+// aliasing analysis (an endpoint's *Locked methods run under its
+// Network's dmu). The convention plus "a lock is held" catches
 // the mistakes refactors actually make: calling a *Locked helper from a
 // fresh code path with no lock in sight.
 var Lockdiscipline = &analysis.Analyzer{
@@ -66,7 +69,7 @@ func checkSelfAcquire(pass *analysis.Pass, allow allowlist, fd *ast.FuncDecl) {
 		if !ok {
 			return true
 		}
-		sel, kind := mutexAcquire(pass, call)
+		sel, kind := mutexCall(pass, call, "Lock", "RLock")
 		if sel == nil {
 			return true
 		}
@@ -91,14 +94,23 @@ func checkLockedCalls(pass *analysis.Pass, allow allowlist, fd *ast.FuncDecl) {
 	var visit func(body ast.Node, lockedScope bool)
 	visit = func(body ast.Node, lockedScope bool) {
 		var acquires []token.Pos // positions of mu.Lock/mu.RLock in this scope
+		var guarded []*ast.BlockStmt
 		if !lockedScope {
 			ast.Inspect(body, func(n ast.Node) bool {
-				if _, ok := n.(*ast.FuncLit); ok {
+				switch n := n.(type) {
+				case *ast.FuncLit:
 					return false
-				}
-				if call, ok := n.(*ast.CallExpr); ok {
-					if sel, _ := mutexAcquire(pass, call); sel != nil {
-						acquires = append(acquires, call.Pos())
+				case *ast.CallExpr:
+					if sel, _ := mutexCall(pass, n, "Lock", "RLock"); sel != nil {
+						acquires = append(acquires, n.Pos())
+					}
+				case *ast.IfStmt:
+					if tryLocks(pass, n.Cond) {
+						guarded = append(guarded, n.Body)
+					}
+				case *ast.ForStmt:
+					if n.Cond != nil && tryLocks(pass, n.Cond) {
+						guarded = append(guarded, n.Body)
 					}
 				}
 				return true
@@ -107,6 +119,11 @@ func checkLockedCalls(pass *analysis.Pass, allow allowlist, fd *ast.FuncDecl) {
 		lockHeldBefore := func(pos token.Pos) bool {
 			for _, p := range acquires {
 				if p < pos {
+					return true
+				}
+			}
+			for _, b := range guarded {
+				if b.Pos() <= pos && pos < b.End() {
 					return true
 				}
 			}
@@ -141,12 +158,26 @@ func checkLockedCalls(pass *analysis.Pass, allow allowlist, fd *ast.FuncDecl) {
 	visit(fd.Body, callerLocked)
 }
 
-// mutexAcquire recognizes calls of the form expr.Lock() / expr.RLock()
-// where the method belongs to sync.Mutex or sync.RWMutex (directly or by
-// embedding), returning the selector and the method name.
-func mutexAcquire(pass *analysis.Pass, call *ast.CallExpr) (*ast.SelectorExpr, string) {
+// tryLocks reports whether cond holds only if a mutex's TryLock or
+// TryRLock succeeded: it is such a call, or a && chain with one among its
+// operands.
+func tryLocks(pass *analysis.Pass, cond ast.Expr) bool {
+	switch c := ast.Unparen(cond).(type) {
+	case *ast.CallExpr:
+		sel, _ := mutexCall(pass, c, "TryLock", "TryRLock")
+		return sel != nil
+	case *ast.BinaryExpr:
+		return c.Op == token.LAND && (tryLocks(pass, c.X) || tryLocks(pass, c.Y))
+	}
+	return false
+}
+
+// mutexCall recognizes a call of one of the named methods of sync.Mutex or
+// sync.RWMutex (directly or by embedding), returning the selector and the
+// method name.
+func mutexCall(pass *analysis.Pass, call *ast.CallExpr, names ...string) (*ast.SelectorExpr, string) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "Lock" && sel.Sel.Name != "RLock") {
+	if !ok || !slices.Contains(names, sel.Sel.Name) {
 		return nil, ""
 	}
 	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)

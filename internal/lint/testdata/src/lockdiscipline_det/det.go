@@ -39,6 +39,40 @@ func (b *box) held() {
 	b.bumpLocked()
 }
 
+// tryHeld takes the lock only if it is free: the body a successful TryLock
+// guards holds it.
+func (b *box) tryHeld() {
+	if b.mu.TryLock() {
+		b.bumpLocked()
+		b.mu.Unlock()
+	} else {
+		b.bumpLocked() // want `bumpLocked is called without a mutex visibly held`
+	}
+}
+
+// tryLoop retakes the lock while there is work and the lock is free.
+func (b *box) tryLoop(work func() bool) {
+	for work() && b.mu.TryLock() {
+		b.bumpLocked()
+		b.mu.Unlock()
+	}
+}
+
+// tryAfter calls past the guarded body, where the lock is released.
+func (b *box) tryAfter() {
+	if b.mu.TryLock() {
+		b.mu.Unlock()
+	}
+	b.bumpLocked() // want `bumpLocked is called without a mutex visibly held`
+}
+
+// tryEither does not know which of two conditions held.
+func (b *box) tryEither(ok bool) {
+	if ok || b.mu.TryLock() {
+		b.bumpLocked() // want `bumpLocked is called without a mutex visibly held`
+	}
+}
+
 // chained *Locked callers are allowed: the promise propagates.
 func (b *box) chainLocked() {
 	b.bumpLocked()

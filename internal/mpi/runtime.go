@@ -214,10 +214,12 @@ func (rt *Runtime) supervise(ctx context.Context) error {
 	// process drains its remaining control traffic (whose clock merges are
 	// part of the makespan) in virtual-time order before it exits, instead
 	// of racing the supervisor's send in real time.
-	for r := 0; r < rt.cfg.NP; r++ {
-		_ = rt.net.Send(&transport.Msg{Src: -1, Dst: r, Kind: transport.Ctl, CtlBody: shutdownBody{},
-			WireLen: 1, SendVT: shutdownSendVT})
+	shutdown := make([]*transport.Msg, rt.cfg.NP)
+	for r := range shutdown {
+		shutdown[r] = &transport.Msg{Src: -1, Dst: r, Kind: transport.Ctl, CtlBody: shutdownBody{},
+			WireLen: 1, SendVT: shutdownSendVT}
 	}
+	_ = rt.net.SendBatch(shutdown)
 	return nil
 }
 
@@ -237,7 +239,7 @@ func (rt *Runtime) apply(m *machine, ev procEvent) error {
 			go func(vt vtime.Time) {
 				defer rt.wg.Done()
 				// Refused only once the run aborts: nobody waits then.
-				if rt.net.AwaitTurn(rt.cfg.NP, vt) == nil {
+				if rt.net.FlushAwaitTurn(nil, rt.cfg.NP, vt) == nil {
 					rt.event(procEvent{kind: evTurn, vt: vt})
 				}
 			}(a.vt)
@@ -416,7 +418,7 @@ func (r *recCtx) Topo() *rollback.Topology { return r.rt.topo }
 
 // Recv implements rollback.RecoveryContext.
 func (r *recCtx) Recv() (*transport.Msg, error) {
-	m, err := r.ep.Recv(r.now)
+	m, err := r.ep.FlushRecv(nil, r.now, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -432,7 +434,7 @@ func (r *recCtx) SendCtl(dst int, body any, wireBytes int) {
 		Src: r.rt.cfg.NP, Dst: dst, Kind: transport.Ctl,
 		CtlBody: body, WireLen: wireBytes, SendVT: r.now,
 	}
-	_ = r.rt.net.Send(m)
+	_ = r.rt.net.SendBatch([]*transport.Msg{m})
 }
 
 // Now implements rollback.RecoveryContext.

@@ -27,11 +27,11 @@ type Counters struct {
 	Visited int64
 	// Low3Changes counts mutations that changed the three smallest bounds.
 	Low3Changes int64
-	// Signals counts waiter wake-ups issued; Parks counts waits entered.
-	Signals, Parks int64
-	// Reparks counts waits re-entered after a wake-up within one Recv or
-	// AwaitTurn call: the wake found its condition no longer true.
-	Reparks int64
+	// Parks counts waits that outlasted the mutation entering them, Served
+	// the parked waits a later mutation finished (the package comment's
+	// serve rule). Each park is served exactly once, so once every waiter's
+	// goroutine has returned the two are equal.
+	Served, Parks int64
 	// Delivered counts messages handed to receivers, TurnGrants the
 	// AwaitTurn calls granted.
 	Delivered, TurnGrants int64
@@ -40,7 +40,7 @@ type Counters struct {
 // Counters returns a snapshot of the plane's work counters.
 func (n *Network) Counters() Counters {
 	n.dmu.Lock()
-	defer n.dmu.Unlock()
+	defer n.unlock()
 	return n.ctr
 }
 
@@ -319,8 +319,9 @@ func (n *Network) low3StaleLocked(e *Endpoint) bool {
 // ---------------------------------------------------------------------------
 // Index maintenance and wake-ups.
 
-// reindexLocked recomputes e's tree keys — cap, blocked frontier, wait key —
-// and its place on a per-source waiter list after a mutation touched it.
+// reindexLocked recomputes e's bound keys — cap and blocked frontier —
+// after a mutation touched it. Its wake-index entry follows once the serve
+// round has run (planeChangedLocked).
 func (n *Network) reindexLocked(e *Endpoint) {
 	cap, bf := infTime, infTime
 	switch e.state {
@@ -334,11 +335,10 @@ func (n *Network) reindexLocked(e *Endpoint) {
 	}
 	n.treeSetLocked(n.capT, e.pos, cap)
 	n.treeSetLocked(n.bfT, e.pos, bf)
-	n.indexWaiterLocked(e)
 }
 
-// indexWaiterLocked files e in the wake index. A parked waiter that has not
-// been signalled yet has a wait key: for wTurn, the turn itself, shifted by
+// indexWaiterLocked files e in the wake index. A parked waiter has a wait
+// key: for wTurn, the turn itself, shifted by
 // minLat onto the receivers' scale; for wRecv, the head's delivery key, or
 // the death fence (shifted likewise, and losing every tie: the reap needs
 // low3[0].b strictly past it) if that comes first. A receiver with a head
@@ -348,21 +348,19 @@ func (n *Network) reindexLocked(e *Endpoint) {
 func (n *Network) indexWaiterLocked(e *Endpoint) {
 	key := noWait
 	var src *Endpoint
-	if !e.signalled {
-		switch e.waiting {
-		case wTurn:
-			key = waitKey{e.turnVT.Add(n.minLat), e.id}
-		case wRecv:
-			if e.doomVT < infTime {
-				key = waitKey{e.doomVT.Add(n.minLat), math.MaxInt}
+	switch e.waiting {
+	case wTurn:
+		key = waitKey{e.at.Add(n.minLat), e.id}
+	case wRecv:
+		if e.doomVT < infTime {
+			key = waitKey{e.doomVT.Add(n.minLat), math.MaxInt}
+		}
+		if len(e.q) > 0 {
+			m := e.q[0]
+			if k := (waitKey{m.ArriveVT, m.Src}); k.less(key) {
+				key = k
 			}
-			if len(e.q) > 0 {
-				m := e.q[0]
-				if k := (waitKey{m.ArriveVT, m.Src}); k.less(key) {
-					key = k
-				}
-				src, _ = n.lookupLocked(m.Src)
-			}
+			src, _ = n.lookupLocked(m.Src)
 		}
 	}
 	n.waitSetLocked(e.pos, key)
@@ -411,6 +409,7 @@ func (n *Network) rebuildIndexLocked() {
 	}
 	for _, e := range n.epList {
 		n.reindexLocked(e)
+		n.indexWaiterLocked(e)
 	}
 }
 
@@ -427,14 +426,15 @@ func (n *Network) touchLocked(e *Endpoint) {
 // planeChangedLocked ends every delivery-plane mutation, whether one call
 // changed one endpoint or a batch of sends and a block changed many: it adds
 // es to the touched set, re-keys every touched endpoint, recomputes low3 at
-// most once if it may have moved, and signals exactly the parked waiters
-// whose condition now holds and who have not been signalled already. Every
-// other endpoint's keys are untouched. A mutation that touched nothing is
-// not one.
+// most once if it may have moved, and serves exactly the parked waiters
+// whose condition now holds. A serve changes the served endpoint — a pop, a
+// reap — so the endpoints it touches are the next round's touched set, and
+// the rounds repeat until one serves nobody. Every other endpoint's keys are
+// untouched. A mutation that touched nothing is not one.
 //
-// Staleness is judged once, against the low3 before the batch: the argument
-// of low3StaleLocked holds for any set of touched endpoints, since m1 can
-// only move if a touched endpoint was in low3 or now sorts into it.
+// Staleness is judged once per round, against the low3 before it: the
+// argument of low3StaleLocked holds for any set of touched endpoints, since
+// m1 can only move if a touched endpoint was in low3 or now sorts into it.
 //
 // Who can newly pass: a waiter's condition reads only its own state and
 // low3. Own state changed only for the touched endpoints, which are checked
@@ -448,8 +448,15 @@ func (n *Network) touchLocked(e *Endpoint) {
 //     passes exactly when (low3[0].b+minLat, low3[0].id) exceeds the
 //     waiter's key — the wait tree enumerates those.
 //
-// Every unsignalled parked waiter failed before the mutation (or it would
-// have been signalled then), so all that pass now are new.
+// Every parked waiter failed before the round (or it would have been served
+// then), so all that pass now are new. Serving one within a round does not
+// change who else passes: a condition reads its own endpoint and low3, and
+// low3 is not recomputed until the next round.
+//
+// The wake index serves only the untouched waiters, so a touched endpoint's
+// entry is refreshed after the round, not before: a receive served in the
+// round that entered it never enters the index at all. Until then a stale
+// entry can only make the round check it once more, directly.
 func (n *Network) planeChangedLocked(es ...*Endpoint) {
 	for _, e := range es {
 		n.touchLocked(e)
@@ -458,32 +465,40 @@ func (n *Network) planeChangedLocked(es ...*Endpoint) {
 		return
 	}
 	n.ctr.Mutations++
-	stale := false
-	for _, e := range n.touched {
-		n.reindexLocked(e)
-	}
-	for _, e := range n.touched {
-		if stale = n.low3StaleLocked(e); stale {
-			break
+	for len(n.touched) > 0 {
+		wave := n.touched
+		n.touched, n.wave = n.wave[:0], wave
+		for _, e := range wave {
+			e.touched = false
+			n.reindexLocked(e)
 		}
-	}
-	if stale {
-		was := n.low3
-		n.low3Locked(&n.low3, &n.low3ep)
-		if n.low3 != was {
+		moved := false
+		for _, e := range wave {
+			if n.low3StaleLocked(e) {
+				was := n.low3
+				n.low3Locked(&n.low3, &n.low3ep)
+				moved = n.low3 != was
+				break
+			}
+		}
+		if n.waveHook != nil {
+			n.waveHook()
+		}
+		if moved {
 			n.ctr.Low3Changes++
 			n.wakeByLow3Locked()
 		}
+		for _, e := range wave {
+			n.wakeIfReadyLocked(e)
+		}
+		for _, e := range wave {
+			n.indexWaiterLocked(e)
+		}
+		clear(wave)
 	}
-	for _, e := range n.touched {
-		e.touched = false
-		n.wakeIfReadyLocked(e)
-	}
-	clear(n.touched)
-	n.touched = n.touched[:0]
 }
 
-// wakeByLow3Locked signals every waiter that passes under a changed low3.
+// wakeByLow3Locked serves every waiter that passes under a changed low3.
 func (n *Network) wakeByLow3Locked() {
 	for _, e := range n.low3ep {
 		n.wakeIfReadyLocked(e)
@@ -492,7 +507,7 @@ func (n *Network) wakeByLow3Locked() {
 	if r := n.low3[0]; r.b < infTime {
 		thr = waitKey{r.b.Add(n.minLat), r.id}
 		for w := n.low3ep[0].srcWaiters; w != nil; {
-			next := w.srcNext // signalling w unlinks it
+			next := w.srcNext // serving w unlinks it
 			n.wakeIfReadyLocked(w)
 			w = next
 		}
@@ -502,49 +517,83 @@ func (n *Network) wakeByLow3Locked() {
 	}
 }
 
-// readyLocked reports whether the condition e's goroutine is parked on
-// holds.
-func (n *Network) readyLocked(e *Endpoint) bool {
-	switch e.waiting {
-	case wRecv:
-		return e.dead || (len(e.q) > 0 && n.gatePassLocked(e, e.q[0])) || n.doomReapLocked(e)
-	case wTurn:
-		return e.dead || e.turnVT > e.doomVT || n.turnPassLocked(e, e.turnVT)
-	}
-	return false
-}
-
-// wakeIfReadyLocked signals e if it is parked, not signalled yet and its
-// condition holds. A signalled waiter leaves the wake index until it parks
-// again: it will run, re-evaluate under the lock and either proceed or
-// re-park with a fresh evaluation, so nothing it misses meanwhile is lost.
+// wakeIfReadyLocked serves e if it is parked and its condition holds: the
+// step its owner would take next runs here, with the clock and accept it
+// parked with, and its result is handed off.
 func (n *Network) wakeIfReadyLocked(e *Endpoint) {
-	if e == nil || e.waiting == wNone || e.signalled {
+	if e == nil || e.waiting == wNone {
 		return
 	}
 	n.ctr.Visited++
-	if n.readyLocked(e) {
-		n.ctr.Signals++
-		e.signalled = true
-		n.indexWaiterLocked(e)
-		e.cond.Signal()
+	var done bool
+	if e.waiting == wRecv {
+		e.got, done, e.err = e.recvStepLocked(e.at, e.accept)
+	} else {
+		done, e.err = n.turnStepLocked(e, e.at)
+	}
+	if done {
+		if e.parked {
+			n.ctr.Served++
+		}
+		n.handOffLocked(e)
 	}
 }
 
-// parkLocked records that e's goroutine is about to wait for kind; again
-// marks a wait re-entered after a wake-up. The caller waits on e.cond next
-// and calls unparkLocked when it returns.
-func (n *Network) parkLocked(e *Endpoint, kind waitKind, again bool) {
-	n.ctr.Parks++
-	if again {
-		n.ctr.Reparks++
-	}
-	e.waiting = kind
+// handOffLocked ends e's wait with the result in e.got and e.err: e leaves
+// the wake index and its owner gets the token. Nothing here touches e's
+// request after the token is sent: the owner may make the next at once.
+// The token goes out under the lock on purpose: the woken goroutine runs
+// on another core while the hold lasts, and the receive it makes next
+// joins the stack for this holder's next batch.
+func (n *Network) handOffLocked(e *Endpoint) {
+	e.waiting, e.parked, e.accept = wNone, false, nil
 	n.indexWaiterLocked(e)
+	e.wake <- struct{}{}
 }
 
-// unparkLocked records that e's goroutine runs again.
-func (n *Network) unparkLocked(e *Endpoint) {
-	e.waiting, e.signalled = wNone, false
-	n.indexWaiterLocked(e)
+// parkedLocked counts e's wait as a park if the mutation entering it did
+// not serve it.
+func (n *Network) parkedLocked(e *Endpoint) {
+	if e.waiting != wNone {
+		e.parked = true
+		n.ctr.Parks++
+	}
+}
+
+// ---------------------------------------------------------------------------
+// The hand-off stack.
+
+// pushRequest puts e's receive request on the stack; the lock was taken.
+func (n *Network) pushRequest(e *Endpoint) {
+	for {
+		head := n.reqs.Load()
+		e.reqNext = head
+		if n.reqs.CompareAndSwap(head, e) {
+			return
+		}
+	}
+}
+
+// unlock releases the plane lock, then serves the request stack (drain).
+// Every release of dmu goes through it: a receive that found the lock taken
+// left its request on the stack, and the release of whoever held the lock
+// then is where it is picked up.
+func (n *Network) unlock() {
+	n.dmu.Unlock()
+	n.drain()
+}
+
+// drain enters the queued receive requests, one batch per lock hold, for as
+// long as there are any and the lock is free. It runs after every release
+// and after every push, so no request is left behind: a pusher whose TryLock
+// fails lost to a holder that has yet to release and to drain.
+func (n *Network) drain() {
+	for n.reqs.Load() != nil && n.dmu.TryLock() {
+		n.batch = n.batch[:0]
+		for e := n.reqs.Swap(nil); e != nil; e = e.reqNext {
+			n.batch = append(n.batch, e)
+		}
+		n.receiveLocked(n.batch)
+		n.dmu.Unlock()
+	}
 }

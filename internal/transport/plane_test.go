@@ -8,19 +8,17 @@ import (
 	"hydee/internal/vtime"
 )
 
-// parkInRecv parks rank's endpoint in Recv(0) through the calls Recv makes,
-// without a goroutine; its head must not be deliverable.
+// parkInRecv parks rank's endpoint in Recv(0) through the locked step Recv
+// takes, without a goroutine; its head must not be deliverable.
 func parkInRecv(tb testing.TB, n *Network, rank int) {
 	e := n.Endpoint(rank)
 	n.dmu.Lock()
-	defer n.dmu.Unlock()
-	if err := e.recvBeginLocked(nil, 0); err != nil {
-		tb.Fatal(err)
+	defer n.unlock()
+	e.at = 0
+	n.receiveLocked([]*Endpoint{e})
+	if e.waiting == wNone {
+		tb.Fatalf("rank %d: Recv did not have to wait (err %v)", rank, e.err)
 	}
-	if _, done, _ := e.recvStepLocked(0, nil); done {
-		tb.Fatalf("rank %d: Recv did not have to wait", rank)
-	}
-	n.parkLocked(e, wRecv, false)
 }
 
 // exchangePlane builds the configuration the benchmark's plane probe
@@ -76,8 +74,8 @@ func TestPlaneWorkSublinear(t *testing.T) {
 		if got := c.Mutations - before.Mutations; got != 600 {
 			t.Fatalf("np=%d: %d mutations in 100 exchanges, want 600", np, got)
 		}
-		if c.Signals != 0 {
-			t.Fatalf("np=%d: %d waiters signalled; none can pass", np, c.Signals)
+		if c.Served != 0 {
+			t.Fatalf("np=%d: %d waiters served; none can pass", np, c.Served)
 		}
 		return float64(c.Visited-before.Visited) / 600
 	}
@@ -123,8 +121,8 @@ func TestPlaneTiedWaitersAreNotRevisited(t *testing.T) {
 	if got := c.Low3Changes - before.Low3Changes; got != 200 {
 		t.Fatalf("%d low3 changes in 200 mutations, want 200", got)
 	}
-	if c.Signals != 0 {
-		t.Fatalf("%d waiters signalled; none can pass", c.Signals)
+	if c.Served != 0 {
+		t.Fatalf("%d waiters served; none can pass", c.Served)
 	}
 	if per := float64(c.Visited-before.Visited) / 200; per > 100 {
 		t.Errorf("%.0f visits per mutation with %d tied waiters parked, want a few dozen", per, np-2)

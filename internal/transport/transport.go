@@ -50,18 +50,36 @@
 // gate-checks the endpoints it touched and, only if low3 moved, the waiters
 // that can pass under the new triple — those it names, those whose queue
 // head comes from low3[0]'s source (a per-source list) and those a third
-// tree finds with a wait key below low3[0]'s threshold. A signalled waiter
-// leaves the index until it runs and parks again, so each park is evaluated
-// once per relevant change, not once per mutation — no broadcast herds, and
-// no hand-made wake-up edges to get wrong.
+// tree finds with a wait key below low3[0]'s threshold. Each park is
+// evaluated once per relevant change, not once per mutation — no broadcast
+// herds, and no hand-made wake-up edges to get wrong.
+//
+// Serve rule: whoever holds the plane lock finishes the waits its mutation
+// unblocks. A parked waiter whose condition holds is served under the lock
+// — its receive pops the queue head with the clock and accept it parked
+// with (or is reaped, or gets ErrKilled), its turn is granted or refused —
+// and a token on its wake channel, of capacity 1 since an endpoint has at
+// most one outstanding wait, hands the result over. The holder pops the
+// message the owner would have: gate passing is stable (bounds only rise
+// past a passed gate; rewinds are covered by the latent recovery source).
+// accept runs on the serving goroutine and may read only state its owner
+// leaves frozen while it waits. A serve changes the served endpoint, so
+// planeChangedLocked repeats its round until one serves nobody.
 //
 // # One mutation per rank step
 //
 // A mutation may be a batch: planeChangedLocked takes every endpoint a call
 // touched, re-keys them all, judges low3's staleness once against the
 // triple before the batch, recomputes it at most once and runs one wake
-// pass, and Counters count the batch as one mutation. Send is the batch of
-// one; there is no other mutation path.
+// pass per serve round, and Counters count the batch as one mutation.
+// Send is the batch of one; there is no other mutation path.
+//
+// Hand-off queue: a FlushRecv whose TryLock fails pushes its request —
+// outbox, clock, accept — onto a lock-free stack and waits for its token.
+// Every release of the lock goes through unlock, which drains the stack
+// while it is non-empty and the lock free, so no request is left behind:
+// the holder the pusher lost to has yet to release. A drained batch is one
+// mutation; a FlushRecv whose TryLock succeeds is a batch of one.
 //
 // Outbox rule: a source may buffer its sends and hand them over with its
 // next plane operation — FlushRecv, FlushAwaitTurn, FlushPublish — under
@@ -79,8 +97,7 @@
 // before it acts, so its frontier rises there at the pop; an App message
 // the receive says it only buffers or drops leaves it blocked, since it
 // receives again before it acts. Falling back to the clock it blocked with
-// instead would lower low3 and send waiters signalled a moment earlier back
-// to sleep.
+// instead would lower low3 below waiters served a moment earlier under it.
 //
 // Progress requires strictly positive lookahead, so the network enforces a
 // minimum virtual latency of 1ns per hop (zero-cost models otherwise admit
@@ -112,6 +129,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"hydee/internal/netmodel"
 	"hydee/internal/vtime"
@@ -235,7 +253,7 @@ const (
 )
 
 // waitKind says what an endpoint's goroutine is parked on, so a mutation
-// can signal exactly the waiters whose condition now holds.
+// can serve exactly the waiters whose condition now holds.
 type waitKind uint8
 
 const (
@@ -281,14 +299,22 @@ type Endpoint struct {
 	state    srcState
 	frontier vtime.Time
 
-	// cond parks this endpoint's goroutine (shared delivery-plane lock);
-	// waiting/turnVT describe what it waits for. signalled marks a parked
-	// goroutine that has been woken and has not run yet; it is out of the
-	// wake index until it parks again.
-	cond      *sync.Cond
-	waiting   waitKind
-	signalled bool
-	turnVT    vtime.Time
+	// waiting says what the endpoint's goroutine waits for (the package
+	// comment's serve rule): at is the clock its receive blocked with, or
+	// the turn it asked for, and accept its receive's promise. parked
+	// marks a wait that outlasted the mutation entering it (Counters.Parks).
+	// out holds a receive request's sends until the plane enqueues them,
+	// and reqNext links the request stack. got and err are the result the
+	// serving goroutine leaves; a token on wake hands them over.
+	waiting waitKind
+	parked  bool
+	at      vtime.Time
+	accept  func(*Msg) bool
+	out     []*Msg
+	reqNext *Endpoint
+	got     *Msg
+	err     error
+	wake    chan struct{}
 
 	// pos is the endpoint's position in the network's epList and trees;
 	// touched marks it as a member of the touched set of the mutation in
@@ -318,14 +344,13 @@ type channel struct {
 }
 
 func newEndpoint(n *Network, id int, state srcState) *Endpoint {
-	e := &Endpoint{
+	return &Endpoint{
 		id:     id,
 		n:      n,
 		state:  state,
 		doomVT: infTime,
+		wake:   make(chan struct{}, 1),
 	}
-	e.cond = sync.NewCond(&n.dmu)
-	return e
 }
 
 // channelLocked returns e's record of the channel from src, adding it on
@@ -361,71 +386,90 @@ func (e *Endpoint) Recv(now vtime.Time) (*Msg, error) { return e.FlushRecv(nil, 
 // clock to the arrival stamp before it acts. False: the caller only buffers
 // or drops it and calls FlushRecv again, with nothing to flush and the same
 // clock, before it acts. accept runs under the plane lock and must not call
-// into the network.
+// into the network; it may run on another goroutine — whichever holds the
+// plane lock when the message becomes deliverable — while the caller waits.
 func (e *Endpoint) FlushRecv(out []*Msg, now vtime.Time, accept func(*Msg) bool) (*Msg, error) {
 	n := e.n
 	n.stampAll(out)
-	n.dmu.Lock()
-	defer n.dmu.Unlock()
-	if err := e.recvBeginLocked(out, now); err != nil {
-		return nil, err
+	e.out, e.at, e.accept = out, now, accept
+	if n.dmu.TryLock() {
+		n.batch = append(n.batch[:0], e)
+		n.receiveLocked(n.batch)
+		n.unlock()
+	} else {
+		n.pushRequest(e)
+		n.drain()
 	}
-	for again := false; ; again = true {
-		if m, done, err := e.recvStepLocked(now, accept); done {
-			return m, err
-		}
-		n.parkLocked(e, wRecv, again)
-		e.cond.Wait()
-		n.unparkLocked(e)
-	}
+	<-e.wake
+	return e.result()
 }
 
-// recvBeginLocked enqueues out and commits e to the blocked state at clock
-// now, as one mutation. Blocking comes BEFORE the gate is evaluated: the
-// caller cannot send until the receive returns, and the transitive bounds
-// must reflect that — evaluating while still marked running would let the
-// receiver's own stale frontier hold the plane's bounds below its head's
-// stamp and fail a check its own blocking satisfies.
-func (e *Endpoint) recvBeginLocked(out []*Msg, now vtime.Time) error {
-	err := e.n.enqueueAllLocked(out)
-	if err == nil && !e.dead {
-		changed := e.state != stBlocked
+// result takes the result of e's finished wait.
+func (e *Endpoint) result() (*Msg, error) {
+	m, err := e.got, e.err
+	e.got, e.err = nil, nil
+	return m, err
+}
+
+// receiveLocked enters the receive requests of batch as one mutation:
+// every requester's sends are enqueued and every requester blocked, then
+// planeChangedLocked serves whoever can pass already; the rest park.
+func (n *Network) receiveLocked(batch []*Endpoint) {
+	for _, e := range batch {
+		e.requestLocked()
+	}
+	n.planeChangedLocked()
+	for _, e := range batch {
+		n.parkedLocked(e)
+	}
+	clear(batch)
+}
+
+// requestLocked enqueues e's buffered sends and commits e to the blocked
+// state at its clock, waiting to receive; a failed send hands the error
+// back at once, without receiving. Blocking comes BEFORE the gate is
+// evaluated: the caller cannot send until the receive returns, and the
+// transitive bounds must reflect that — evaluating while still marked
+// running would let the receiver's own stale frontier hold the plane's
+// bounds below its head's stamp and fail a check its own blocking
+// satisfies.
+func (e *Endpoint) requestLocked() {
+	n := e.n
+	err := n.enqueueAllLocked(e.out)
+	e.out = nil
+	if err != nil {
+		e.got, e.err = nil, err
+		n.handOffLocked(e)
+		return
+	}
+	if !e.dead {
 		e.state = stBlocked
-		if e.frontier < now {
-			e.frontier = now
-			changed = true
-		}
-		if changed {
-			e.n.touchLocked(e)
-		}
+		e.frontier = max(e.frontier, e.at)
 	}
-	e.n.planeChangedLocked()
-	return err
+	e.waiting = wRecv
+	n.touchLocked(e)
 }
 
-// recvStepLocked makes one attempt at a receive, as one mutation: done
-// reports whether the attempt settled it — a delivery, or ErrKilled — or the
-// caller has to wait.
+// recvStepLocked settles a receive if it can: done reports a delivery, or
+// ErrKilled, as opposed to a wait. The caller ends the mutation.
 func (e *Endpoint) recvStepLocked(now vtime.Time, accept func(*Msg) bool) (m *Msg, done bool, err error) {
 	n := e.n
 	switch {
 	case e.dead:
 		return nil, true, ErrKilled
 	case len(e.q) > 0 && n.gatePassLocked(e, e.q[0]):
-		done = true
 		if n.pastFenceLocked(e, e.q[0]) {
 			// The gate proves the next delivery would happen past the
 			// death fence; the process is dead by then.
-			err = e.reapLocked()
-			break
+			return nil, true, e.reapLocked()
 		}
 		m = heap.Pop(&e.q).(*Msg)
 		e.deliveredLocked(m, now, accept)
+		return m, true, nil
 	case n.doomReapLocked(e):
-		done, err = true, e.reapLocked()
+		return nil, true, e.reapLocked()
 	}
-	n.planeChangedLocked()
-	return m, done, err
+	return nil, false, nil
 }
 
 // pastFenceLocked reports whether delivering m to the doomed endpoint e
@@ -475,7 +519,7 @@ func (e *Endpoint) deliveredLocked(m *Msg, now vtime.Time, accept func(*Msg) boo
 func (e *Endpoint) TryRecv(now vtime.Time) (m *Msg, ok bool, err error) {
 	n := e.n
 	n.dmu.Lock()
-	defer n.dmu.Unlock()
+	defer n.unlock()
 	if e.dead {
 		return nil, false, ErrKilled
 	}
@@ -484,13 +528,14 @@ func (e *Endpoint) TryRecv(now vtime.Time) (m *Msg, ok bool, err error) {
 		n.planeChangedLocked(e)
 	}
 	m, _, err = e.recvStepLocked(now, nil)
+	n.planeChangedLocked()
 	return m, m != nil, err
 }
 
 // Pending reports the number of queued messages (diagnostics only).
 func (e *Endpoint) Pending() int {
 	e.n.dmu.Lock()
-	defer e.n.dmu.Unlock()
+	defer e.n.unlock()
 	return len(e.q)
 }
 
@@ -498,7 +543,7 @@ func (e *Endpoint) Pending() int {
 // endpoint was dead.
 func (e *Endpoint) DroppedWhileDead() int {
 	e.n.dmu.Lock()
-	defer e.n.dmu.Unlock()
+	defer e.n.unlock()
 	return e.droppedWhileDead
 }
 
@@ -529,15 +574,20 @@ func (r boundRef) less(s boundRef) bool {
 // Network connects the endpoints and applies the cost model. It owns the
 // deterministic delivery plane: one lock guards every mailbox and the index
 // the per-source bounds derive from; planeChangedLocked ends every mutation,
-// re-keying the endpoints it touched and signalling exactly the waiters
-// whose condition now holds (plane.go).
+// re-keying the endpoints it touched and serving exactly the waiters whose
+// condition now holds (plane.go).
 type Network struct {
 	model netmodel.Model
 	// minLat is the smallest latency any message can observe (>= 1ns),
 	// the lookahead of the conservative delivery gate.
 	minLat vtime.Duration
 
-	dmu sync.Mutex
+	// dmu is the plane lock; every release goes through unlock. reqs is
+	// the hand-off stack of receive requests that found it taken, linked
+	// through Endpoint.reqNext; batch is receiveLocked's reused buffer.
+	dmu   sync.Mutex
+	reqs  atomic.Pointer[Endpoint]
+	batch []*Endpoint
 	// eps holds the application ranks' endpoints, by rank. epList holds
 	// every endpoint, service ones included, sorted by id; an endpoint's
 	// position in it is its leaf in the trees below.
@@ -557,8 +607,14 @@ type Network struct {
 	low3   [3]boundRef
 	low3ep [3]*Endpoint
 	// touched collects the endpoints the mutation in progress changed, for
-	// planeChangedLocked; it is empty between mutations.
-	touched []*Endpoint
+	// planeChangedLocked; it is empty between mutations. wave is the set
+	// the serve round in progress re-keys, so that what its serves touch
+	// collects for the next round.
+	touched, wave []*Endpoint
+	// waveHook, when set, runs at every serve round with the index re-keyed
+	// and low3 current, before anyone is served: the reference model's
+	// view of each round.
+	waveHook func()
 	// latent designates the recovery endpoint as a latent source: while
 	// it is idle, its bound is the plane's minimum cap rather than
 	// infinity. A failure detected at a victim's clock c spawns recovery
@@ -613,7 +669,7 @@ func (n *Network) Model() netmodel.Model { return n.model }
 // until attached with Publish.
 func (n *Network) Endpoint(id int) *Endpoint {
 	n.dmu.Lock()
-	defer n.dmu.Unlock()
+	defer n.unlock()
 	return n.endpointLocked(id)
 }
 
@@ -654,13 +710,13 @@ func (n *Network) DeclareRecovery(id int) {
 	was := n.latent
 	n.latent = n.endpointLocked(id)
 	n.planeChangedLocked(n.latent, was)
-	n.dmu.Unlock()
+	n.unlock()
 }
 
 // Incs returns a copy of the current incarnation of every application rank.
 func (n *Network) Incs() []int32 {
 	n.dmu.Lock()
-	defer n.dmu.Unlock()
+	defer n.unlock()
 	return append([]int32(nil), n.inc...)
 }
 
@@ -671,7 +727,7 @@ func (n *Network) IncOf(rank int) int32 {
 		return 0
 	}
 	n.dmu.Lock()
-	defer n.dmu.Unlock()
+	defer n.unlock()
 	return n.inc[rank]
 }
 
@@ -689,7 +745,7 @@ func (n *Network) Send(m *Msg) error { return n.SendBatch([]*Msg{m}) }
 func (n *Network) SendBatch(out []*Msg) error {
 	n.stampAll(out)
 	n.dmu.Lock()
-	defer n.dmu.Unlock()
+	defer n.unlock()
 	err := n.enqueueAllLocked(out)
 	n.planeChangedLocked()
 	return err
@@ -791,7 +847,7 @@ func (n *Network) Publish(id int, vt vtime.Time) { _ = n.FlushPublish(nil, id, v
 func (n *Network) FlushPublish(out []*Msg, id int, vt vtime.Time) error {
 	n.stampAll(out)
 	n.dmu.Lock()
-	defer n.dmu.Unlock()
+	defer n.unlock()
 	err := n.enqueueAllLocked(out)
 	e := n.endpointLocked(id)
 	if err == nil && e.state != stDead && (e.state != stRunning || vt > e.frontier) {
@@ -816,7 +872,7 @@ func (n *Network) Quiesce(id int) {
 		e.state = stIdle
 		n.planeChangedLocked(e)
 	}
-	n.dmu.Unlock()
+	n.unlock()
 }
 
 // AwaitTurn blocks until no other live source can still act (send or issue
@@ -836,45 +892,50 @@ func (n *Network) AwaitTurn(id int, vt vtime.Time) error { return n.FlushAwaitTu
 func (n *Network) FlushAwaitTurn(out []*Msg, id int, vt vtime.Time) error {
 	n.stampAll(out)
 	n.dmu.Lock()
-	defer n.dmu.Unlock()
-	if err := n.enqueueAllLocked(out); err != nil {
-		n.planeChangedLocked()
+	e, err := n.turnLocked(out, id, vt)
+	n.unlock()
+	if e == nil {
 		return err
 	}
-	e := n.endpointLocked(id)
-	e.turnVT = vt
-	for again := false; ; again = true {
-		if done, err := n.turnStepLocked(e, vt); done {
-			return err
-		}
-		n.parkLocked(e, wTurn, again)
-		e.cond.Wait()
-		n.unparkLocked(e)
-	}
+	<-e.wake
+	_, err = e.result()
+	return err
 }
 
-// turnStepLocked makes one attempt at taking the (vt, e.id) turn, as one
-// mutation: done reports whether it was granted or refused with ErrKilled,
-// or the caller has to wait.
+// turnLocked enqueues out and, unless a send fails, files id's endpoint as
+// waiting for the (vt, id) turn, running with its frontier pinned at vt:
+// one mutation, which grants the turn at once if no other source can still
+// act before it. The caller waits for the returned endpoint's token; a
+// failed send returns no endpoint and the error.
+func (n *Network) turnLocked(out []*Msg, id int, vt vtime.Time) (*Endpoint, error) {
+	if err := n.enqueueAllLocked(out); err != nil {
+		n.planeChangedLocked()
+		return nil, err
+	}
+	e := n.endpointLocked(id)
+	if !e.dead && vt <= e.doomVT && (e.state != stRunning || e.frontier < vt) {
+		e.state = stRunning
+		e.frontier = max(e.frontier, vt)
+	}
+	e.at, e.waiting = vt, wTurn
+	n.planeChangedLocked(e)
+	n.parkedLocked(e)
+	return e, nil
+}
+
+// turnStepLocked settles the (vt, e.id) turn if it can: done reports a
+// grant, or a refusal with ErrKilled, as opposed to a wait.
 func (n *Network) turnStepLocked(e *Endpoint, vt vtime.Time) (done bool, err error) {
 	switch {
 	case e.dead:
-		done, err = true, ErrKilled
+		return true, ErrKilled
 	case vt > e.doomVT:
-		done, err = true, e.reapLocked()
-	case e.state != stRunning || e.frontier < vt:
-		e.state = stRunning
-		if vt > e.frontier {
-			e.frontier = vt
-		}
-		n.touchLocked(e)
-	}
-	n.planeChangedLocked()
-	if !done && n.turnPassLocked(e, vt) {
+		return true, e.reapLocked()
+	case n.turnPassLocked(e, vt):
 		n.ctr.TurnGrants++
-		done = true
+		return true, nil
 	}
-	return done, err
+	return false, nil
 }
 
 // doomReapLocked reports whether a doomed endpoint blocked in Recv can be
@@ -948,7 +1009,11 @@ func (n *Network) turnPassLocked(e *Endpoint, vt vtime.Time) bool {
 // the runtime includes it in watchdog errors.
 func (n *Network) DebugState() string {
 	n.dmu.Lock()
-	defer n.dmu.Unlock()
+	defer n.unlock()
+	return n.debugStateLocked()
+}
+
+func (n *Network) debugStateLocked() string {
 	var b []byte
 	names := [...]string{"running", "blocked", "idle", "dead"}
 	for _, e := range n.epList {
@@ -989,7 +1054,7 @@ func (n *Network) pinLocked(dst *Endpoint, m *Msg) boundRef {
 // per channel used, O(edges) rather than np².
 func (n *Network) Stats() []Traffic {
 	n.dmu.Lock()
-	defer n.dmu.Unlock()
+	defer n.unlock()
 	return n.statsLocked()
 }
 
@@ -1039,7 +1104,7 @@ func (n *Network) Doom(id int, d vtime.Time) {
 		e.doomVT = d
 		n.planeChangedLocked(e)
 	}
-	n.dmu.Unlock()
+	n.unlock()
 }
 
 // Kill marks rank dead: bumps its incarnation, wipes its mailbox and wakes
@@ -1060,7 +1125,7 @@ func (n *Network) Kill(rank int) int32 {
 	n.inc[rank]++
 	newInc := n.inc[rank]
 	n.killLocked(n.eps[rank])
-	n.dmu.Unlock()
+	n.unlock()
 	return newInc
 }
 
@@ -1072,7 +1137,7 @@ func (n *Network) KillService(id int) {
 	if e, _ := n.lookupLocked(id); e != nil {
 		n.killLocked(e)
 	}
-	n.dmu.Unlock()
+	n.unlock()
 }
 
 func (n *Network) killLocked(e *Endpoint) {
@@ -1106,7 +1171,7 @@ func (n *Network) RestartAt(rank int, vt vtime.Time) {
 	e.frontier = vt
 	e.q = nil
 	n.planeChangedLocked(e)
-	n.dmu.Unlock()
+	n.unlock()
 }
 
 // AttachAt marks id running with its send frontier at exactly vt,
@@ -1126,26 +1191,24 @@ func (n *Network) AttachAt(id int, vt vtime.Time) {
 		e.doomVT = infTime
 		n.planeChangedLocked(e)
 	}
-	n.dmu.Unlock()
+	n.unlock()
 }
 
 // Quiescent reports whether the plane is truly stuck: exactly expected
-// goroutines are parked (in Recv or AwaitTurn) and none of their wake
-// conditions (readyLocked, what a mutation signals on) hold. A true result
-// is a stable property: no parked goroutine can run again until the caller
-// mutates the plane. The runtime never asks; tests and the benchmark's
-// transport probe use it to wait until their goroutines have parked.
+// goroutines are parked (in Recv or AwaitTurn) and no receive request is
+// waiting to be entered. None of their conditions holds — a mutation serves
+// a waiter the moment its condition holds — so a true result is a stable
+// property: no parked goroutine can run again until the caller mutates the
+// plane. The runtime never asks; tests and the benchmark's transport probe
+// use it to wait until their goroutines have parked.
 func (n *Network) Quiescent(expected int) bool {
 	n.dmu.Lock()
-	defer n.dmu.Unlock()
+	defer n.unlock()
 	parked := 0
 	for _, e := range n.epList {
 		if e.waiting != wNone {
 			parked++
-			if n.readyLocked(e) {
-				return false
-			}
 		}
 	}
-	return parked == expected
+	return parked == expected && n.reqs.Load() == nil
 }

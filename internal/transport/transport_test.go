@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -395,6 +396,89 @@ func TestDeliverySequenceIsSchedulingIndependent(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("delivery sequence diverged at %d: %s vs %s", i, a[i], b[i])
 		}
+	}
+}
+
+// TestFlushRecvHandOffUnderContention: 64 goroutines ping-pong through
+// FlushRecv while another cycles Publish, Doom and TryRecv on a spare
+// endpoint, so the plane lock is contended from every side and receive
+// requests keep landing on the hand-off stack. Every receive must return
+// with the message it waited for — a request left on the stack with the
+// lock free hangs its goroutine, and the deadline fails the test — and the
+// plane must end quiescent, every park served once. make determinism runs
+// it under the race detector on one, two and eight cores; the accept each
+// receive passes reads its goroutine's round, so the detector also checks
+// that the serving goroutine sees what the owner wrote before it waited.
+func TestFlushRecvHandOffUnderContention(t *testing.T) {
+	const ranks, rounds, spare = 64, 300, 64
+	n := NewNetwork(ranks+1, netmodel.Myrinet10G())
+	var wg sync.WaitGroup
+	errs := make(chan error, ranks)
+	for r := 0; r < ranks; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer n.Quiesce(r) // an exited goroutine stops constraining the gate
+			ep, peer := n.Endpoint(r), r^1
+			var clock vtime.Time
+			for k := 0; k < rounds; k++ {
+				out := []*Msg{{Src: r, Dst: peer, Kind: App, Tag: k, WireLen: 64, SendVT: clock}}
+				m, err := ep.FlushRecv(out, clock, func(m *Msg) bool { return m.Tag == k })
+				if err != nil || m.Src != peer || m.Tag != k {
+					errs <- fmt.Errorf("rank %d round %d: got %v, %v", r, k, m, err)
+					return
+				}
+				clock = max(clock, m.ArriveVT) + 1
+			}
+		}()
+	}
+	ranksDone := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(ranksDone)
+	}()
+	cyclerDone := make(chan struct{})
+	go func() {
+		defer close(cyclerDone)
+		ep := n.Endpoint(spare)
+		// The spare's frontier trails the ranks' clocks, a few
+		// microseconds a round, so its publishes keep releasing parked
+		// receivers; a doom every 50 steps and the TryRecv that reaps it
+		// take it off the gate until the next publish revives it.
+		for t := vtime.Time(0); ; t += 1_000 {
+			select {
+			case <-ranksDone:
+				n.Quiesce(spare)
+				return
+			default:
+			}
+			n.Publish(spare, t)
+			if t%50_000 == 0 {
+				n.Doom(spare, t)
+			}
+			if _, _, err := ep.TryRecv(t); err != nil && err != ErrKilled {
+				errs <- err
+			}
+			runtime.Gosched() // on one core the ranks run between steps
+		}
+	}()
+	select {
+	case <-cyclerDone:
+	case <-time.After(60 * time.Second):
+		lost := n.reqs.Load() != nil
+		t.Fatalf("receives still blocked after 60s (requests left on the stack: %v); plane:\n%s", lost, n.DebugState())
+	}
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if !n.Quiescent(0) {
+		t.Errorf("plane not quiescent at the end:\n%s", n.DebugState())
+	}
+	c := n.Counters()
+	t.Logf("plane counters: %+v", c)
+	if c.Served != c.Parks {
+		t.Errorf("%d parks, %d served: every park must be served exactly once", c.Parks, c.Served)
 	}
 }
 

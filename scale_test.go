@@ -3,10 +3,10 @@ package hydee_test
 // The ROADMAP scale point: a 1024-rank HydEE smoke workload; the
 // benchmark's stencil1024-onefail workload is the same shape. `make profile`
 // profiles it. The test logs the delivery plane's work counters and holds
-// spurious wake-ups down: a rank's sends reach the plane with its next
-// receive, turn or publish as one mutation, and a receiver's bound no longer
-// dips when it pops a message, so a woken waiter rarely finds its condition
-// false again (internal/transport, DESIGN.md "Concurrency and determinism").
+// the plane to its serve rule: whoever holds the plane lock finishes the
+// waits its mutation unblocks, so every park is served exactly once and no
+// waiter ever re-parks (internal/transport, DESIGN.md "Concurrency and
+// determinism").
 
 import (
 	"context"
@@ -18,13 +18,13 @@ import (
 // TestHydEESmoke1024 runs HydEE at np=1024 (32 clusters of 32) through a
 // checkpoint, a failure and a recovery round, and checks the protocol's
 // containment claim holds at scale — exactly one cluster rolls back — and
-// that at most 15% of the plane's parks are re-parks.
+// that the plane served every park exactly once.
 func TestHydEESmoke1024(t *testing.T) {
 	if raceEnabled {
 		t.Skip("np=1024 smoke workload skipped under the race detector (~25x slower, no added coverage)")
 	}
-	if c := smokeRun(t, 1024).Plane; c.Reparks*100 > c.Parks*15 {
-		t.Errorf("%d of %d parks are re-parks, want at most 15%%: woken waiters keep finding their condition false", c.Reparks, c.Parks)
+	if c := smokeRun(t, 1024).Plane; c.Served != c.Parks {
+		t.Errorf("%d parks, %d served at run end: every park must be served exactly once", c.Parks, c.Served)
 	}
 }
 
