@@ -41,14 +41,15 @@ race:
 # delayed in real time, and two checkpoint-triggered failures under all
 # three protocols) on one, two and eight cores. The third line holds the
 # delivery plane's hand-off queue to its promise under the race detector on
-# one, two and eight cores: 64 goroutines ping-pong through FlushRecv
-# while the lock is contended from every side, and every receive must
-# return. One multi-failure schedule still deadlocks (DESIGN.md "Remaining
-# caveat"); `make known-bugs` keeps it reproducible.
+# one, two and eight cores: 64 goroutines ping-pong through FlushRecv and 8
+# take turns with FlushAwaitTurn while the lock is contended from every
+# side, and every receive and every turn must return. One multi-failure
+# schedule still deadlocks (DESIGN.md "Remaining caveat"); `make
+# known-bugs` keeps it reproducible.
 determinism:
 	$(GO) test -race -count=2 -run 'Reproducible|ByteStable|SchedulingIndependent|AwaitTurn' ./internal/harness/ ./internal/transport/ ./internal/mpi/
 	$(GO) test -cpu 1,2,8 -count=50 -run 'ReverseOrderDetections|OverlappingScope|SameDetection|JoinAtStart|FailureDuringRecovery|SlowCoordinatorResult|TwoCheckpointFailuresAllProtocols' ./internal/mpi/
-	$(GO) test -race -cpu 1,2,8 -count=5 -run 'TestFlushRecvHandOffUnderContention' ./internal/transport/
+	$(GO) test -race -cpu 1,2,8 -count=5 -run 'TestRecvAndTurnHandOffUnderContention' ./internal/transport/
 
 # The multi-failure bug ROADMAP item 1 has to fix (internal/mpi/
 # knownbugs_test.go, build tag knownbugs). The result is INVERTED: exit 0
@@ -97,14 +98,15 @@ bench-check:
 # (an np = 64 checkpoint wave into ec:4+2, staged and under the turn;
 # Proc.capture at 64 KiB and 512 KiB images; the supervisor event
 # channel; FT's pairwise all-to-all at np = 256, per message). CI runs the same set with -benchtime 1x so they cannot rot.
-# The all-to-all runs once more on one and on two cores: receive requests
-# batch on the plane's hand-off stack only when a second core contends for
-# the lock, so each setting has its own ns, parks and mutations per message.
+# The all-to-all and the checkpoint wave, the turn-heavy layer, run once
+# more on one and on two cores: receive and turn requests batch on the
+# plane's hand-off stack only when a second core contends for the lock, so
+# each setting has its own cost per message or wave.
 BENCH_LAYERS = ./internal/erasure ./internal/checkpoint ./internal/transport ./internal/graph ./internal/core ./internal/mpi
 
 bench-layers:
 	$(GO) test -run '^$$' -bench . -benchtime 200ms $(BENCH_LAYERS)
-	$(GO) test -run '^$$' -bench 'Alltoall256' -benchtime 5x -cpu 1,2 ./internal/mpi
+	$(GO) test -run '^$$' -bench 'Alltoall256|CheckpointWave' -benchtime 5x -cpu 1,2 ./internal/mpi
 
 # The TestHydEESmoke1024 shape (HydEE, 32-rank clusters, one checkpoint,
 # one failure, one recovery round) at np = 16384, the scale ROADMAP item 6

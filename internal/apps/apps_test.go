@@ -102,8 +102,12 @@ func TestKernelsAreSendDeterministic(t *testing.T) {
 					t.Fatalf("proc %d: %v", p, err)
 				}
 			}
-			if err := trace.BuildHB(recA.Events()).CheckPhaseMonotone(); err != nil {
+			hb := trace.BuildHB(recA.Events())
+			if err := hb.CheckPhaseMonotone(); err != nil {
 				t.Fatalf("Lemma 1 on %s: %v", k.Name, err)
+			}
+			if un := hb.UnmatchedDelivers(); len(un) > 0 {
+				t.Fatalf("%s: %d deliveries without a recorded send, first %+v", k.Name, len(un), un[0])
 			}
 		})
 	}

@@ -11,7 +11,7 @@ import (
 // store fail at a scheduled virtual time, the storage-side counterpart
 // of rank kills. A fault is a pure predicate on the virtual time a store
 // operation is issued at — and the runtime already orders every save
-// through Network.AwaitTurn and issues restore loads at the recovery
+// through Endpoint.FlushAwaitTurn and issues restore loads at the recovery
 // round's deterministic start time — so fault activation is totally
 // ordered against all other store traffic on the same virtual-time event
 // plane as rank failures, and faulted runs stay byte-reproducible.

@@ -18,11 +18,11 @@ const fragmentEnvelope = 64
 // policy (the DESIGN.md failure-semantics table).
 //
 // Determinism: every save is admitted in virtual-time order (the runtime
-// brackets commits with Network.AwaitTurn) and placement and encoding are
-// pure functions, so the per-target queues build up identically on every
-// run. Stages run in any order; they touch nothing but the spare list,
-// and which recycled buffer a stage gets never shows: it is overwritten
-// whole.
+// brackets commits with Endpoint.FlushAwaitTurn) and placement and
+// encoding are pure functions, so the per-target queues build up
+// identically on every run. Stages run in any order; they touch nothing
+// but the spare list, and which recycled buffer a stage gets never shows:
+// it is overwritten whole.
 type shardSet struct {
 	// place maps a rank to its home target and may return any int (it is
 	// reduced modulo the target count); nil places ranks round-robin.

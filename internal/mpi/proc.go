@@ -158,6 +158,14 @@ func (p *Proc) recv(accept func(*transport.Msg) bool) (*transport.Msg, error) {
 	return m, err
 }
 
+// turn flushes the outbox and waits for the (vt, rank) turn
+// (Endpoint.FlushAwaitTurn).
+func (p *Proc) turn(vt vtime.Time) error {
+	err := p.ep.FlushAwaitTurn(p.outbox, vt)
+	p.sent()
+	return err
+}
+
 // collect publishes the incarnation's metrics and result to the runtime.
 func (p *Proc) collect() {
 	p.rt.mu.Lock()
@@ -249,9 +257,7 @@ func (p *Proc) maybeFail() error {
 	// the supervisor sees failures sorted by (detection VT, rank), not by
 	// real-time arrival. A trigger past this rank's doom fence is refused
 	// here and dropped — the incarnation is already dead in virtual time.
-	err := p.rt.net.FlushAwaitTurn(p.outbox, p.rank, p.clock.Now())
-	p.sent()
-	if err != nil {
+	if err := p.turn(p.clock.Now()); err != nil {
 		return err
 	}
 	p.event(procEvent{kind: evFail, rank: p.rank, vt: p.clock.Now(), ranks: ranks})
@@ -430,9 +436,7 @@ func (p *Proc) checkpointCall() error {
 	// their staged writes discarded, so the set of completed saves is a
 	// pure function of virtual time.
 	issueVT := p.clock.Now()
-	err = p.rt.net.FlushAwaitTurn(p.outbox, p.rank, issueVT)
-	p.sent()
-	if err != nil {
+	if err := p.turn(issueVT); err != nil {
 		staged.Discard()
 		release()
 		return err
@@ -530,7 +534,7 @@ func (p *Proc) cluster() int { return p.rt.topo.ClusterOf[p.rank] }
 // deliveries.
 func (p *Proc) publish() {
 	// The batch cannot fail; see event.
-	_ = p.rt.net.FlushPublish(p.outbox, p.rank, p.clock.Now())
+	_ = p.ep.FlushPublish(p.outbox, p.clock.Now())
 	p.sent()
 }
 

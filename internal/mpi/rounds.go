@@ -30,7 +30,7 @@ const (
 	actDoom    actKind = iota // Network.Doom(id, vt)
 	actAttach                 // Network.AttachAt(recovery endpoint, vt)
 	actQuiesce                // Network.Quiesce(id)
-	actTurn                   // Network.FlushAwaitTurn(nil, recovery endpoint, vt), then evTurn
+	actTurn                   // FlushAwaitTurn(nil, vt) on the recovery endpoint, then evTurn
 	actLaunch                 // kill, restore and restart the scope; spawn the coordinator
 	actEmit                   // observer event
 	actRecord                 // a finished round's stats join the result

@@ -22,6 +22,7 @@ import (
 type Runtime struct {
 	cfg     Config
 	net     *transport.Network
+	recEP   *transport.Endpoint // the recovery endpoint, id NP
 	model   netmodel.Model
 	topo    *rollback.Topology
 	prot    rollback.Protocol
@@ -58,7 +59,8 @@ type Runtime struct {
 }
 
 // savePoint records one completed checkpoint write: the sequence saved and
-// the virtual time the write was issued (admitted by Network.AwaitTurn) at.
+// the virtual time the write was issued at (admitted by
+// Endpoint.FlushAwaitTurn).
 type savePoint struct {
 	seq int
 	vt  vtime.Time
@@ -132,7 +134,7 @@ func RunContext(ctx context.Context, cfg Config, program Program) (*Result, erro
 	// buffered rather than lost, and declare it as the latent failure
 	// source: the delivery gate then never admits a stamp a future
 	// recovery round could undercut.
-	rt.net.DeclareRecovery(cfg.NP)
+	rt.recEP = rt.net.DeclareRecovery(cfg.NP)
 
 	rt.obs.emit(Event{Kind: EvRunStart, Rank: -1, Round: -1})
 	for r := 0; r < cfg.NP; r++ {
@@ -239,7 +241,7 @@ func (rt *Runtime) apply(m *machine, ev procEvent) error {
 			go func(vt vtime.Time) {
 				defer rt.wg.Done()
 				// Refused only once the run aborts: nobody waits then.
-				if rt.net.FlushAwaitTurn(nil, rt.cfg.NP, vt) == nil {
+				if rt.recEP.FlushAwaitTurn(nil, vt) == nil {
 					rt.event(procEvent{kind: evTurn, vt: vt})
 				}
 			}(a.vt)
@@ -342,7 +344,7 @@ func (rt *Runtime) launchRound(a action) error {
 	for i, r := range info.RolledBack {
 		rt.startProc(r, snaps[i], &info, starts[i])
 	}
-	rx := &recCtx{rt: rt, ep: rt.net.Endpoint(rt.cfg.NP), now: startVT}
+	rx := &recCtx{rt: rt, ep: rt.recEP, now: startVT}
 	rec := rt.prot.NewRecovery(rx)
 	if rec == nil {
 		rt.event(procEvent{kind: evRecoveryDone, stats: rollback.RecoveryStats{
@@ -369,10 +371,9 @@ func (rt *Runtime) launchRound(a action) error {
 
 // abort tears everything down after a fatal error.
 func (rt *Runtime) abort() {
-	for r := 0; r < rt.cfg.NP; r++ {
+	for r := 0; r <= rt.cfg.NP; r++ { // the ranks and the recovery endpoint
 		rt.net.Kill(r)
 	}
-	rt.net.KillService(rt.cfg.NP) // recovery endpoint
 }
 
 // drainAndJoin waits for every goroutine while consuming stray events.

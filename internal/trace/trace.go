@@ -226,7 +226,7 @@ func (g *HBGraph) CheckPhaseMonotone() error {
 		}
 	}
 	for p, evs := range g.events {
-		for i, ev := range evs {
+		for _, ev := range evs {
 			if ev.Op != Deliver {
 				continue
 			}
@@ -241,7 +241,6 @@ func (g *HBGraph) CheckPhaseMonotone() error {
 			if ev.Phase < se.Phase {
 				return fmt.Errorf("message (%d,%d)->%d: deliver phase %d < send phase %d (Lemma 1 edge violation)", ev.Peer, ev.MsgDate, p, ev.Phase, se.Phase)
 			}
-			_ = i
 		}
 	}
 	return nil
@@ -261,6 +260,5 @@ func (g *HBGraph) UnmatchedDelivers() []Event {
 			}
 		}
 	}
-	_ = out
 	return out
 }

@@ -7,9 +7,9 @@ package transport
 // it recomputes every bound, the three smallest, and the set of parked
 // waiters whose condition holds, from nothing but the endpoints' own state.
 // planeSim drives a Network through randomised mutation sequences without
-// goroutines — a "parked" waiter is an endpoint the driver entered through
-// the same locked step FlushRecv and FlushAwaitTurn take, or pushed on the
-// hand-off stack as a FlushRecv that lost the lock does — and compares plane
+// goroutines — a "parked" waiter is an endpoint whose receive or turn the
+// driver entered through the locked step every wait takes, or pushed on the
+// hand-off stack as a wait that lost the lock does — and compares plane
 // and oracle at every serve round of every mutation (the plane's waveHook)
 // and after it: identical bounds, identical low3, tree and list invariants,
 // and a served set equal to the oracle's wake set of the round before (a
@@ -18,12 +18,14 @@ package transport
 // queue head at the round, or a reap or ErrKilled — with exactly one token;
 // every pop to the merge rule: the receiver's frontier rises to the arrival
 // stamp exactly when the message is not App or the receive delivers it, and
-// it stays blocked on an App message its receive refuses. A mutation may be
+// it stays blocked on an App message its receive refuses; every entry to
+// the entry rule: a receiver blocks at its clock, a turn's requester runs
+// pinned at the turn unless dead or asking past its fence. A mutation may be
 // a batch: several sends from one id, alone or fused with that endpoint's
-// block, or several receive requests drained from the stack by the next
-// release of the lock; after every public call the stack must be empty. The
-// same check holds the traffic edge list to a dense np×np PairStat matrix
-// the simulation keeps from its own sends.
+// block or turn, or several requests, receives and turns mixed, drained from
+// the stack by the next release of the lock; after every public call the
+// stack must be empty. The same check holds the traffic edge list to a
+// dense np×np PairStat matrix the simulation keeps from its own sends.
 
 import (
 	"math"
@@ -126,7 +128,7 @@ func oracleServe(n *Network, e *Endpoint, bounds []vtime.Time) (ready bool, pop 
 	case wRecv:
 		fenced := e.doomVT < infTime
 		switch {
-		case e.dead:
+		case e.state == stDead:
 			return true, nil
 		case len(e.q) > 0 && othersAbove(e.q[0].ArriveVT, e.q[0].Src, e.q[0].Src, n.minLat):
 			if fenced && e.q[0].ArriveVT > e.doomVT.Add(n.minLat) {
@@ -137,7 +139,7 @@ func oracleServe(n *Network, e *Endpoint, bounds []vtime.Time) (ready bool, pop 
 			return othersAbove(e.doomVT, math.MaxInt, e.id, 0), nil
 		}
 	case wTurn:
-		return e.dead || e.at > e.doomVT || othersAbove(e.at, e.id, e.id, 0), nil
+		return e.state == stDead || e.at > e.doomVT || othersAbove(e.at, e.id, e.id, 0), nil
 	}
 	return false, nil
 }
@@ -145,10 +147,15 @@ func oracleServe(n *Network, e *Endpoint, bounds []vtime.Time) (ready bool, pop 
 // simActor is the driver's view of one endpoint's goroutine.
 type simActor struct {
 	parked waitKind // what the driver parked it on (wNone: free to act)
-	// queued marks a receive request on the hand-off stack, out its sends,
-	// accounted once a drain takes the request.
-	queued bool
-	out    []*Msg
+	// queued marks a request on the hand-off stack, out its sends,
+	// accounted once a drain takes the request. entered marks a request
+	// the plane entered in the mutation in progress, before its first
+	// round; pre and preF are the endpoint's state and frontier when the
+	// driver made the request, and preOK says no call changed them since.
+	queued, entered, preOK bool
+	pre                    srcState
+	preF                   vtime.Time
+	out                    []*Msg
 	// accept is what its pending receive tells the plane (nil: nothing);
 	// delivers is what that accept answers for every App message.
 	accept   func(*Msg) bool
@@ -176,8 +183,8 @@ type planeSim struct {
 	step   int
 	what   string // the call in progress, for messages
 	// tally counts what the run exercised: serves, requests a drain
-	// entered, and serve rounds past a mutation's first.
-	tally struct{ served, drained, cascades int }
+	// entered (turns among them), and serve rounds past a mutation's first.
+	tally struct{ served, drained, drainedTurns, cascades int }
 	first bool // the next round is its mutation's first
 	// traffic is the dense np×np accounting the accepted sends imply: App
 	// messages between application ranks, whatever the destination's
@@ -261,7 +268,7 @@ func (s *planeSim) checkLocked(what string, final bool) {
 		}
 		a := s.actor(id)
 		_, a.pop = oracleServe(n, e, bounds)
-		a.due, a.granted = true, e.waiting == wTurn && !e.dead && e.at <= e.doomVT
+		a.due, a.granted = true, e.waiting == wTurn && e.state != stDead && e.at <= e.doomVT
 		a.state, a.frontier = e.state, e.frontier
 	}
 	s.checkIndexLocked(what, final)
@@ -282,9 +289,18 @@ func (s *planeSim) settleLocked(what string, e *Endpoint) {
 		}
 		a.queued = false
 		s.tally.drained++
-		if a.sendErr = s.account(a.out); !a.sendErr {
-			return // entered, and not served before its first round
+		if a.parked == wTurn {
+			s.tally.drainedTurns++
 		}
+		a.sendErr = s.account(a.out)
+		a.entered = true
+	}
+	if a.entered && !a.sendErr {
+		a.entered = false
+		if a.preOK {
+			s.checkEntryLocked(what, e, a)
+		}
+		return // entered, and not served before its first round
 	}
 	if a.parked == wNone {
 		if e.waiting != wNone {
@@ -330,7 +346,7 @@ func (s *planeSim) settleLocked(what string, e *Endpoint) {
 		if m != nil || err != ErrKilled {
 			s.t.Fatalf("step %d %s: ep %d got %v, %v; the oracle reaps or kills it", s.step, what, e.id, m, err)
 		}
-		if !e.dead && e.state != stIdle {
+		if e.state != stDead && e.state != stIdle {
 			s.t.Fatalf("step %d %s: reaped ep %d left in state %d", s.step, what, e.id, e.state)
 		}
 	default:
@@ -356,6 +372,35 @@ func (s *planeSim) settleLocked(what string, e *Endpoint) {
 		}
 	}
 	*a = simActor{}
+}
+
+// checkEntryLocked holds a request the plane just entered to the entry rule,
+// from the endpoint's state before it: the request's own sends raise the
+// frontier and promote an idle sender, then a receiver blocks at its clock,
+// and a turn's requester runs with its frontier pinned at the turn — unless
+// the endpoint is dead, or the turn lies past its fence.
+func (s *planeSim) checkEntryLocked(what string, e *Endpoint, a *simActor) {
+	s.t.Helper()
+	state, f := a.pre, a.preF
+	for _, m := range a.out {
+		if state != stDead {
+			f = max(f, m.SendVT)
+			if state == stIdle {
+				state = stRunning
+			}
+		}
+	}
+	switch {
+	case state == stDead:
+	case a.parked == wRecv:
+		state, f = stBlocked, max(f, e.at)
+	case e.at <= e.doomVT:
+		state, f = stRunning, max(f, e.at)
+	}
+	if e.waiting != a.parked || e.state != state || e.frontier != f {
+		s.t.Fatalf("step %d %s: ep %d entered a wait on %d at %d (fence %d) from state %d frontier %d: waits on %d, state %d frontier %d, want state %d frontier %d\n%s",
+			s.step, what, e.id, a.parked, e.at, e.doomVT, a.pre, a.preF, e.waiting, e.state, e.frontier, state, f, s.dump())
+	}
 }
 
 // checkTrafficLocked compares the edge list with the dense matrix: sorted
@@ -466,6 +511,13 @@ func (s *planeSim) dump() string { return s.n.debugStateLocked() }
 func (s *planeSim) public(what string, f func()) {
 	s.t.Helper()
 	s.what = what
+	if what != "drain" {
+		// The call may change a queued requester before its unlock drains
+		// the stack.
+		for _, a := range s.actors {
+			a.preOK = a.preOK && !a.queued
+		}
+	}
 	f()
 	s.n.dmu.Lock()
 	defer s.n.dmu.Unlock()
@@ -518,41 +570,43 @@ func (s *planeSim) msg(id int) *Msg {
 	return &Msg{Src: id, Dst: dst, Kind: kind, WireLen: wire, PiggyLen: piggy, SendVT: s.time()}
 }
 
-// request prepares e's receive request the way FlushRecv does — out
-// stamped, clock, an accept that answers delivers for every App message,
-// or none — and parks its actor on it. A queued request's sends are
-// accounted when a drain takes it.
-func (s *planeSim) request(e *Endpoint, out []*Msg, now vtime.Time, queued bool) {
+// request prepares e's request the way wait does — kind, out stamped, clock
+// or turn and, for a receive, an accept that answers delivers for every App
+// message, or none — and parks its actor on it. A queued request's sends
+// are accounted when a drain takes it.
+func (s *planeSim) request(e *Endpoint, kind waitKind, out []*Msg, at vtime.Time, queued bool) {
 	a := s.actor(e.id)
-	*a = simActor{parked: wRecv, queued: queued, out: out}
-	switch s.pick(3) {
-	case 1:
-		a.accept, a.delivers = func(*Msg) bool { return true }, true
-	case 2:
-		a.accept = func(*Msg) bool { return false }
+	*a = simActor{parked: kind, queued: queued, entered: !queued, preOK: true, pre: e.state, preF: e.frontier, out: out}
+	if kind == wRecv {
+		switch s.pick(3) {
+		case 1:
+			a.accept, a.delivers = func(*Msg) bool { return true }, true
+		case 2:
+			a.accept = func(*Msg) bool { return false }
+		}
 	}
 	s.n.stampAll(out)
 	if !queued {
 		a.sendErr = s.account(out)
 	}
-	e.out, e.at, e.accept = out, now, a.accept
+	e.kind, e.out, e.at, e.accept = kind, out, at, a.accept
 }
 
-// recv is a FlushRecv whose TryLock succeeds: its request enters as a
-// batch of one.
-func (s *planeSim) recv(e *Endpoint, out []*Msg, now vtime.Time) {
+// enter is a wait — a FlushRecv or a FlushAwaitTurn — whose TryLock
+// succeeds: its request enters as a batch of one.
+func (s *planeSim) enter(e *Endpoint, kind waitKind, out []*Msg, at vtime.Time) {
 	n := s.n
-	s.request(e, out, now, false)
-	s.what = "recv"
+	s.request(e, kind, out, at, false)
+	s.what = map[waitKind]string{wRecv: "recv", wTurn: "turn"}[kind]
 	n.dmu.Lock()
 	defer n.dmu.Unlock()
 	n.receiveLocked([]*Endpoint{e})
-	s.checkLocked("recv", true)
+	s.checkLocked(s.what, true)
 }
 
-// requests are FlushRecvs that lost the lock: each pushes its request on
-// the stack, where the next release of the lock — the next public call,
-// or a pusher's own drain — finds them all.
+// requests are waits that lost the lock, receives and turns: each pushes
+// its request on the stack, where the next release of the lock — the next
+// public call, or a pusher's own drain — finds them all.
 func (s *planeSim) requests() {
 	n := s.n
 	from := s.pick(len(n.epList))
@@ -565,7 +619,12 @@ func (s *planeSim) requests() {
 		for j := s.pick(4) - 1; j > 0; j-- {
 			out = append(out, s.msg(e.id))
 		}
-		s.request(e, out, s.time(), true)
+		at := s.time()
+		kind := wRecv
+		if s.pick(3) == 2 {
+			kind = wTurn
+		}
+		s.request(e, kind, out, at, true)
 		n.pushRequest(e)
 		k--
 	}
@@ -574,26 +633,13 @@ func (s *planeSim) requests() {
 	}
 }
 
-// turn is a FlushAwaitTurn up to its wait.
-func (s *planeSim) turn(e *Endpoint, vt vtime.Time) {
-	n := s.n
-	*s.actor(e.id) = simActor{parked: wTurn}
-	s.what = "turn"
-	n.dmu.Lock()
-	defer n.dmu.Unlock()
-	if _, err := n.turnLocked(nil, e.id, vt); err != nil {
-		s.t.Fatal(err)
-	}
-	s.checkLocked("turn", true)
-}
-
 // tryRecv is Endpoint.TryRecv with a check between its two mutations.
 func (s *planeSim) tryRecv(e *Endpoint, now vtime.Time) {
 	n := s.n
 	s.what = "tryrecv"
 	n.dmu.Lock()
 	defer n.dmu.Unlock()
-	if e.dead {
+	if e.state == stDead {
 		return
 	}
 	if e.frontier < now {
@@ -630,7 +676,7 @@ func (s *planeSim) run() {
 			vt := s.time()
 			s.public("publish", func() { n.Publish(id, vt) })
 		case op < 11 && free:
-			s.recv(e, nil, s.time())
+			s.enter(e, wRecv, nil, s.time())
 		case op < 12 && free:
 			s.tryRecv(e, s.time())
 		case op < 13 && free:
@@ -640,17 +686,17 @@ func (s *planeSim) run() {
 		case op < 14 && e != nil && loose:
 			s.public("quiesce", func() { n.Quiesce(id) })
 		case op < 16 && free:
-			s.turn(e, s.time())
+			s.enter(e, wTurn, nil, s.time())
 		case op < 17 && e != nil:
 			d := s.time()
 			s.public("doom", func() { n.Doom(id, d) })
-		case op < 18 && e != nil && !e.dead && s.pick(3) == 0:
-			if id >= 0 && id < n.np {
-				s.public("kill", func() { n.Kill(id) })
-			} else {
-				s.public("kill service", func() { n.KillService(id) })
-			}
-		case op < 19 && e != nil && (e.dead || loose):
+		case op < 18 && e != nil && e.state != stDead && s.pick(3) == 0:
+			s.public("kill", func() {
+				if inc := n.Kill(id); (inc != 0) != (id >= 0 && id < n.np) {
+					s.t.Fatalf("step %d: Kill(%d) returned incarnation %d", s.step, id, inc)
+				}
+			})
+		case op < 19 && e != nil && (e.state == stDead || loose):
 			vt := s.time()
 			if id >= 0 && id < n.np {
 				s.public("restart", func() { n.RestartAt(id, vt) })
@@ -682,14 +728,16 @@ func (s *planeSim) run() {
 			}
 		case op < 24:
 			// A burst: several sends from one id as one batch, on their own
-			// or fused with the sender's block.
+			// or fused with the sender's block or turn.
 			out := make([]*Msg, 2+s.pick(4))
 			for i := range out {
 				out[i] = s.msg(id)
 			}
-			if free && s.pick(2) == 0 {
-				s.recv(e, out, s.time())
-				break
+			if free {
+				if k := s.pick(3); k < 2 {
+					s.enter(e, []waitKind{wRecv, wTurn}[k], out, s.time())
+					break
+				}
 			}
 			s.send("batch", out, func() error { return n.SendBatch(out) })
 		default:
@@ -726,18 +774,19 @@ func TestPlaneOracle(t *testing.T) {
 	if testing.Short() {
 		seeds = 40
 	}
-	var served, drained, cascades int
+	var served, drained, drainedTurns, cascades int
 	for seed := 0; seed < seeds; seed++ {
 		data := make([]byte, steps)
 		rand.New(rand.NewSource(int64(seed))).Read(data)
 		s := runPlaneSim(t, data)
 		served += s.tally.served
 		drained += s.tally.drained
+		drainedTurns += s.tally.drainedTurns
 		cascades += s.tally.cascades
 	}
-	t.Logf("%d serves, %d requests entered by a drain, %d serve rounds past a mutation's first", served, drained, cascades)
-	if served == 0 || drained == 0 || cascades == 0 {
-		t.Errorf("the seeds no longer exercise serves, drained requests and serve cascades alike")
+	t.Logf("%d serves, %d requests entered by a drain (%d turns), %d serve rounds past a mutation's first", served, drained, drainedTurns, cascades)
+	if served == 0 || drainedTurns == 0 || drained == drainedTurns || cascades == 0 {
+		t.Errorf("the seeds no longer exercise serves, drained receives and turns, and serve cascades alike")
 	}
 }
 

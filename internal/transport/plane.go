@@ -32,8 +32,8 @@ type Counters struct {
 	// serve rule). Each park is served exactly once, so once every waiter's
 	// goroutine has returned the two are equal.
 	Served, Parks int64
-	// Delivered counts messages handed to receivers, TurnGrants the
-	// AwaitTurn calls granted.
+	// Delivered counts messages handed to receivers, TurnGrants the turns
+	// granted.
 	Delivered, TurnGrants int64
 }
 
@@ -543,7 +543,7 @@ func (n *Network) wakeIfReadyLocked(e *Endpoint) {
 // the wake index and its owner gets the token. Nothing here touches e's
 // request after the token is sent: the owner may make the next at once.
 // The token goes out under the lock on purpose: the woken goroutine runs
-// on another core while the hold lasts, and the receive it makes next
+// on another core while the hold lasts, and the wait it makes next
 // joins the stack for this holder's next batch.
 func (n *Network) handOffLocked(e *Endpoint) {
 	e.waiting, e.parked, e.accept = wNone, false, nil
@@ -551,19 +551,10 @@ func (n *Network) handOffLocked(e *Endpoint) {
 	e.wake <- struct{}{}
 }
 
-// parkedLocked counts e's wait as a park if the mutation entering it did
-// not serve it.
-func (n *Network) parkedLocked(e *Endpoint) {
-	if e.waiting != wNone {
-		e.parked = true
-		n.ctr.Parks++
-	}
-}
-
 // ---------------------------------------------------------------------------
 // The hand-off stack.
 
-// pushRequest puts e's receive request on the stack; the lock was taken.
+// pushRequest puts e's request on the stack; the lock was taken.
 func (n *Network) pushRequest(e *Endpoint) {
 	for {
 		head := n.reqs.Load()
@@ -575,7 +566,7 @@ func (n *Network) pushRequest(e *Endpoint) {
 }
 
 // unlock releases the plane lock, then serves the request stack (drain).
-// Every release of dmu goes through it: a receive that found the lock taken
+// Every release of dmu goes through it: a wait that found the lock taken
 // left its request on the stack, and the release of whoever held the lock
 // then is where it is picked up.
 func (n *Network) unlock() {
@@ -583,7 +574,7 @@ func (n *Network) unlock() {
 	n.drain()
 }
 
-// drain enters the queued receive requests, one batch per lock hold, for as
+// drain enters the queued requests, one batch per lock hold, for as
 // long as there are any and the lock is free. It runs after every release
 // and after every push, so no request is left behind: a pusher whose TryLock
 // fails lost to a holder that has yet to release and to drain.

@@ -14,7 +14,7 @@ func parkInRecv(tb testing.TB, n *Network, rank int) {
 	e := n.Endpoint(rank)
 	n.dmu.Lock()
 	defer n.unlock()
-	e.at = 0
+	e.kind, e.at = wRecv, 0
 	n.receiveLocked([]*Endpoint{e})
 	if e.waiting == wNone {
 		tb.Fatalf("rank %d: Recv did not have to wait (err %v)", rank, e.err)

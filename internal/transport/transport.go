@@ -55,13 +55,14 @@
 // herds, and no hand-made wake-up edges to get wrong.
 //
 // Serve rule: whoever holds the plane lock finishes the waits its mutation
-// unblocks. A parked waiter whose condition holds is served under the lock
-// — its receive pops the queue head with the clock and accept it parked
-// with (or is reaped, or gets ErrKilled), its turn is granted or refused —
-// and a token on its wake channel, of capacity 1 since an endpoint has at
-// most one outstanding wait, hands the result over. The holder pops the
-// message the owner would have: gate passing is stable (bounds only rise
-// past a passed gate; rewinds are covered by the latent recovery source).
+// unblocks. A parked wait — receive or turn — whose condition holds is
+// served under the lock: a receive pops the queue head with the clock and
+// accept it parked with (or is reaped, or gets ErrKilled), a turn is granted
+// or refused. A token on the wake channel, of capacity 1 since an endpoint
+// has at most one outstanding wait, hands the result over. The holder
+// settles the wait exactly as the owner would have: a receive's gate and a
+// turn's condition are both stable (bounds only rise past a passed gate or
+// a granted turn; rewinds are covered by the latent recovery source).
 // accept runs on the serving goroutine and may read only state its owner
 // leaves frozen while it waits. A serve changes the served endpoint, so
 // planeChangedLocked repeats its round until one serves nobody.
@@ -74,22 +75,23 @@
 // pass per serve round, and Counters count the batch as one mutation.
 // Send is the batch of one; there is no other mutation path.
 //
-// Hand-off queue: a FlushRecv whose TryLock fails pushes its request —
-// outbox, clock, accept — onto a lock-free stack and waits for its token.
-// Every release of the lock goes through unlock, which drains the stack
-// while it is non-empty and the lock free, so no request is left behind:
-// the holder the pusher lost to has yet to release. A drained batch is one
-// mutation; a FlushRecv whose TryLock succeeds is a batch of one.
+// Hand-off queue: a wait — receive or turn — whose TryLock fails pushes its
+// request — kind, outbox, clock or turn, accept — onto a lock-free stack and
+// waits for its token. Every release of the lock goes through unlock, which
+// drains the stack while it is non-empty and the lock free, so no request
+// is left behind: the holder the pusher lost to has yet to release. A
+// drained batch, receives and turns mixed, is one mutation; a wait whose
+// TryLock succeeds is a batch of one.
 //
 // Outbox rule: a source may buffer its sends and hand them over with its
-// next plane operation — FlushRecv, FlushAwaitTurn, FlushPublish — under
-// that operation's lock hold and inside its mutation, or with SendBatch
-// before it reports anything to whoever supervises it. No buffered send can
-// be undercut by what the plane admits meanwhile: its SendVT is at or above
-// the sender's published frontier, so it arrives no earlier than that
-// frontier plus the lookahead, behind the sender's id on ties — exactly the
-// keys the gate already holds back for a running source. Its channel clamp
-// and sequence number depend only on the sender's own earlier sends.
+// next wait — receive or turn — or its next FlushPublish, under that call's
+// lock hold and inside its mutation, or with SendBatch before it reports
+// anything to whoever supervises it. No buffered send can be undercut by
+// what the plane admits meanwhile: its SendVT is at or above the sender's
+// published frontier, so it arrives no earlier than that frontier plus the
+// lookahead, behind the sender's id on ties — exactly the keys the gate
+// already holds back for a running source. Its channel clamp and sequence
+// number depend only on the sender's own earlier sends.
 //
 // Merge at delivery: a receiver's bound does not dip when it pops. A Ctl or
 // Marker message, or an App message the receive says it delivers at once
@@ -108,7 +110,7 @@
 // virtual time. Doom(rank, d) declares the endpoint dead *as of* virtual
 // time d without stopping it immediately: operations at or below the fence
 // complete exactly as a failure-free execution would have performed them
-// (a queued checkpoint write issued at vt <= d still completes; a message
+// (a checkpoint write's turn at vt <= d is still granted; a message
 // arriving at vt <= d is still delivered), while the first wait for
 // anything past the fence returns ErrKilled. The gate is victim-aware: a
 // doomed endpoint blocked on traffic that provably cannot arrive at or
@@ -284,34 +286,33 @@ type Endpoint struct {
 	id int
 	n  *Network
 
-	q    msgHeap
-	dead bool
+	q msgHeap
 	// doomVT is the virtual time this endpoint is declared to die at
 	// (infTime = not doomed). A doomed endpoint keeps operating at or
 	// below the fence — in-flight work up to the failure's detection time
 	// completes deterministically — and gets ErrKilled at its first wait
 	// for anything provably past it.
 	doomVT vtime.Time
-	// droppedWhileDead counts arrivals discarded because the process was
-	// dead; exposed for tests and metrics.
-	droppedWhileDead int
 
 	state    srcState
 	frontier vtime.Time
 
-	// waiting says what the endpoint's goroutine waits for (the package
-	// comment's serve rule): at is the clock its receive blocked with, or
-	// the turn it asked for, and accept its receive's promise. parked
-	// marks a wait that outlasted the mutation entering it (Counters.Parks).
-	// out holds a receive request's sends until the plane enqueues them,
-	// and reqNext links the request stack. got and err are the result the
-	// serving goroutine leaves; a token on wake hands them over.
-	waiting waitKind
-	parked  bool
+	// A request (the package comment's hand-off queue) is what the owner
+	// asks for before it waits: kind, at — the clock its receive blocks
+	// with, or the turn it asks for —, accept, its receive's promise, and
+	// out, the sends the plane enqueues first; reqNext links the request
+	// stack. waiting says what the endpoint's goroutine waits for once the
+	// plane entered the request (the serve rule), and parked marks a wait
+	// that outlasted the mutation entering it (Counters.Parks). got and err
+	// are the result the serving goroutine leaves; a token on wake hands
+	// them over.
+	kind    waitKind
 	at      vtime.Time
 	accept  func(*Msg) bool
 	out     []*Msg
 	reqNext *Endpoint
+	waiting waitKind
+	parked  bool
 	got     *Msg
 	err     error
 	wake    chan struct{}
@@ -389,9 +390,35 @@ func (e *Endpoint) Recv(now vtime.Time) (*Msg, error) { return e.FlushRecv(nil, 
 // into the network; it may run on another goroutine — whichever holds the
 // plane lock when the message becomes deliverable — while the caller waits.
 func (e *Endpoint) FlushRecv(out []*Msg, now vtime.Time, accept func(*Msg) bool) (*Msg, error) {
+	return e.wait(wRecv, out, now, accept)
+}
+
+// FlushAwaitTurn blocks until no other live source can still act (send or
+// issue a checkpoint write) at a virtual time before (vt, e's id), pinning
+// e's own frontier at vt meanwhile. The checkpoint runtime brackets
+// stable-storage writes with it so shared-bandwidth contention resolves in
+// virtual-time order, not real-time race order, and admits failure
+// detections the same way. A doomed endpoint's turn at or below its death
+// fence is still granted — an in-flight checkpoint write issued before the
+// failure's detection time completes — while a turn past the fence returns
+// ErrKilled: the write is cancelled deterministically.
+//
+// out is the caller's buffered sends (the package comment's outbox rule):
+// they and the first attempt at the turn are one plane mutation. A send to
+// an unknown endpoint is dropped and its error returned, without waiting
+// for the turn.
+func (e *Endpoint) FlushAwaitTurn(out []*Msg, vt vtime.Time) error {
+	_, err := e.wait(wTurn, out, vt, nil)
+	return err
+}
+
+// wait is every wait's one path into the plane: it files e's request and
+// enters it under the lock if TryLock succeeds, else hands it to the holder
+// through the request stack, then waits for the token.
+func (e *Endpoint) wait(kind waitKind, out []*Msg, at vtime.Time, accept func(*Msg) bool) (*Msg, error) {
 	n := e.n
 	n.stampAll(out)
-	e.out, e.at, e.accept = out, now, accept
+	e.kind, e.out, e.at, e.accept = kind, out, at, accept
 	if n.dmu.TryLock() {
 		n.batch = append(n.batch[:0], e)
 		n.receiveLocked(n.batch)
@@ -401,38 +428,38 @@ func (e *Endpoint) FlushRecv(out []*Msg, now vtime.Time, accept func(*Msg) bool)
 		n.drain()
 	}
 	<-e.wake
-	return e.result()
-}
-
-// result takes the result of e's finished wait.
-func (e *Endpoint) result() (*Msg, error) {
 	m, err := e.got, e.err
 	e.got, e.err = nil, nil
 	return m, err
 }
 
-// receiveLocked enters the receive requests of batch as one mutation:
-// every requester's sends are enqueued and every requester blocked, then
-// planeChangedLocked serves whoever can pass already; the rest park.
+// receiveLocked enters the requests of batch, receives and turns alike, as
+// one mutation: every requester's sends are enqueued and every requester
+// committed to its wait, then planeChangedLocked serves whoever can pass
+// already; the rest park.
 func (n *Network) receiveLocked(batch []*Endpoint) {
 	for _, e := range batch {
 		e.requestLocked()
 	}
 	n.planeChangedLocked()
 	for _, e := range batch {
-		n.parkedLocked(e)
+		if e.waiting != wNone {
+			e.parked = true
+			n.ctr.Parks++
+		}
 	}
 	clear(batch)
 }
 
-// requestLocked enqueues e's buffered sends and commits e to the blocked
-// state at its clock, waiting to receive; a failed send hands the error
-// back at once, without receiving. Blocking comes BEFORE the gate is
-// evaluated: the caller cannot send until the receive returns, and the
-// transitive bounds must reflect that — evaluating while still marked
-// running would let the receiver's own stale frontier hold the plane's
-// bounds below its head's stamp and fail a check its own blocking
-// satisfies.
+// requestLocked enqueues e's buffered sends and commits e to its wait; a
+// failed send hands the error back at once, without waiting. A receiver
+// blocks at its clock. Blocking comes BEFORE the gate is evaluated: the
+// caller cannot send until the receive returns, and the transitive bounds
+// must reflect that — evaluating while still marked running would let the
+// receiver's own stale frontier hold the plane's bounds below its head's
+// stamp and fail a check its own blocking satisfies. A turn's requester,
+// unless dead or asking past its fence, runs with its frontier pinned at
+// the turn: it acts at vt once granted.
 func (e *Endpoint) requestLocked() {
 	n := e.n
 	err := n.enqueueAllLocked(e.out)
@@ -442,11 +469,16 @@ func (e *Endpoint) requestLocked() {
 		n.handOffLocked(e)
 		return
 	}
-	if !e.dead {
+	switch {
+	case e.state == stDead:
+	case e.kind == wRecv:
 		e.state = stBlocked
 		e.frontier = max(e.frontier, e.at)
+	case e.at <= e.doomVT:
+		e.state = stRunning
+		e.frontier = max(e.frontier, e.at)
 	}
-	e.waiting = wRecv
+	e.waiting = e.kind
 	n.touchLocked(e)
 }
 
@@ -455,7 +487,7 @@ func (e *Endpoint) requestLocked() {
 func (e *Endpoint) recvStepLocked(now vtime.Time, accept func(*Msg) bool) (m *Msg, done bool, err error) {
 	n := e.n
 	switch {
-	case e.dead:
+	case e.state == stDead:
 		return nil, true, ErrKilled
 	case len(e.q) > 0 && n.gatePassLocked(e, e.q[0]):
 		if n.pastFenceLocked(e, e.q[0]) {
@@ -489,7 +521,7 @@ func (n *Network) pastFenceLocked(e *Endpoint, m *Msg) bool {
 // reaped). Without this transition a doomed scope peer blocked on the dead
 // victim would pin its peers' transitive bounds forever.
 func (e *Endpoint) reapLocked() error {
-	if !e.dead && e.state != stIdle {
+	if e.state != stDead && e.state != stIdle {
 		e.state = stIdle
 		e.n.touchLocked(e)
 	}
@@ -520,7 +552,7 @@ func (e *Endpoint) TryRecv(now vtime.Time) (m *Msg, ok bool, err error) {
 	n := e.n
 	n.dmu.Lock()
 	defer n.unlock()
-	if e.dead {
+	if e.state == stDead {
 		return nil, false, ErrKilled
 	}
 	if e.frontier < now {
@@ -530,21 +562,6 @@ func (e *Endpoint) TryRecv(now vtime.Time) (m *Msg, ok bool, err error) {
 	m, _, err = e.recvStepLocked(now, nil)
 	n.planeChangedLocked()
 	return m, m != nil, err
-}
-
-// Pending reports the number of queued messages (diagnostics only).
-func (e *Endpoint) Pending() int {
-	e.n.dmu.Lock()
-	defer e.n.unlock()
-	return len(e.q)
-}
-
-// DroppedWhileDead reports how many arrivals were discarded while the
-// endpoint was dead.
-func (e *Endpoint) DroppedWhileDead() int {
-	e.n.dmu.Lock()
-	defer e.n.unlock()
-	return e.droppedWhileDead
 }
 
 // PairStat accumulates traffic accounting for one ordered process pair.
@@ -666,8 +683,12 @@ func (n *Network) Model() netmodel.Model { return n.model }
 // Endpoint returns the endpoint with the given id, creating it if it is a
 // non-application (service) id such as the recovery process. Service
 // endpoints start idle: they buffer arrivals but are known not to send
-// until attached with Publish.
+// until attached with Publish. An application rank's endpoint is fixed at
+// construction, so finding it takes no lock.
 func (n *Network) Endpoint(id int) *Endpoint {
+	if id >= 0 && id < n.np {
+		return n.eps[id]
+	}
 	n.dmu.Lock()
 	defer n.unlock()
 	return n.endpointLocked(id)
@@ -704,13 +725,15 @@ func (n *Network) lookupLocked(id int) (*Endpoint, int) {
 // recovery round is active, the delivery gate assumes a failure could be
 // detected at the plane's minimum cap and stamps from id could follow. The
 // runtime calls it once at startup for the recovery endpoint, before any
-// traffic flows.
-func (n *Network) DeclareRecovery(id int) {
+// traffic flows, and keeps the endpoint it returns for the recovery
+// rounds' receives and turns.
+func (n *Network) DeclareRecovery(id int) *Endpoint {
 	n.dmu.Lock()
+	defer n.unlock()
 	was := n.latent
 	n.latent = n.endpointLocked(id)
 	n.planeChangedLocked(n.latent, was)
-	n.unlock()
+	return n.latent
 }
 
 // Incs returns a copy of the current incarnation of every application rank.
@@ -825,36 +848,33 @@ func (n *Network) enqueueLocked(m *Msg) error {
 	ch.arrive = m.ArriveVT
 	ch.seq++
 	m.chSeq = ch.seq
-	if dst.dead {
-		dst.droppedWhileDead++ // the sender's frontier still advanced
-		return nil
+	if dst.state == stDead {
+		return nil // dropped; the sender's frontier still advanced
 	}
 	heap.Push(&dst.q, m)
 	n.touchLocked(dst)
 	return nil
 }
 
-// Publish raises id's send frontier to vt and marks it running. Actors call
-// it when their clock advances without a transport operation (local compute,
-// checkpoint I/O) and the supervisor calls it to attach a service actor; a
-// stale frontier never reorders deliveries, it only delays them in real
-// time.
-func (n *Network) Publish(id int, vt vtime.Time) { _ = n.FlushPublish(nil, id, vt) }
+// Publish is FlushPublish on id's endpoint with nothing to flush.
+func (n *Network) Publish(id int, vt vtime.Time) { _ = n.Endpoint(id).FlushPublish(nil, vt) }
 
-// FlushPublish is Publish preceded by the caller's buffered sends, as one
-// plane mutation (see SendBatch). A send to an unknown endpoint is dropped
-// and its error returned, without publishing.
-func (n *Network) FlushPublish(out []*Msg, id int, vt vtime.Time) error {
+// FlushPublish raises e's send frontier to vt and marks it running, after
+// the caller's buffered sends, as one plane mutation (see SendBatch). Actors
+// call it when their clock advances without a transport operation (local
+// compute, checkpoint I/O) and the supervisor calls it to attach a service
+// actor; a stale frontier never reorders deliveries, it only delays them
+// in real time. A send to an unknown endpoint is dropped and its error
+// returned, without publishing.
+func (e *Endpoint) FlushPublish(out []*Msg, vt vtime.Time) error {
+	n := e.n
 	n.stampAll(out)
 	n.dmu.Lock()
 	defer n.unlock()
 	err := n.enqueueAllLocked(out)
-	e := n.endpointLocked(id)
 	if err == nil && e.state != stDead && (e.state != stRunning || vt > e.frontier) {
 		e.state = stRunning
-		if vt > e.frontier {
-			e.frontier = vt
-		}
+		e.frontier = max(e.frontier, vt)
 		n.touchLocked(e)
 	}
 	n.planeChangedLocked()
@@ -875,59 +895,16 @@ func (n *Network) Quiesce(id int) {
 	n.unlock()
 }
 
-// AwaitTurn blocks until no other live source can still act (send or issue
-// a checkpoint write) at a virtual time before (vt, id), pinning id's own
-// frontier at vt meanwhile. The checkpoint runtime brackets stable-storage
-// writes with it so shared-bandwidth contention resolves in virtual-time
-// order, not real-time race order. A doomed endpoint's turn at or below its
-// death fence is still granted — an in-flight checkpoint write issued
-// before the failure's detection time completes — while a turn past the
-// fence returns ErrKilled: the write is cancelled deterministically.
-func (n *Network) AwaitTurn(id int, vt vtime.Time) error { return n.FlushAwaitTurn(nil, id, vt) }
-
-// FlushAwaitTurn is AwaitTurn preceded by the caller's buffered sends: they
-// and the first attempt at the turn are one plane mutation (see SendBatch).
-// A send to an unknown endpoint is dropped and its error returned, without
-// waiting for the turn.
-func (n *Network) FlushAwaitTurn(out []*Msg, id int, vt vtime.Time) error {
-	n.stampAll(out)
-	n.dmu.Lock()
-	e, err := n.turnLocked(out, id, vt)
-	n.unlock()
-	if e == nil {
-		return err
-	}
-	<-e.wake
-	_, err = e.result()
-	return err
-}
-
-// turnLocked enqueues out and, unless a send fails, files id's endpoint as
-// waiting for the (vt, id) turn, running with its frontier pinned at vt:
-// one mutation, which grants the turn at once if no other source can still
-// act before it. The caller waits for the returned endpoint's token; a
-// failed send returns no endpoint and the error.
-func (n *Network) turnLocked(out []*Msg, id int, vt vtime.Time) (*Endpoint, error) {
-	if err := n.enqueueAllLocked(out); err != nil {
-		n.planeChangedLocked()
-		return nil, err
-	}
-	e := n.endpointLocked(id)
-	if !e.dead && vt <= e.doomVT && (e.state != stRunning || e.frontier < vt) {
-		e.state = stRunning
-		e.frontier = max(e.frontier, vt)
-	}
-	e.at, e.waiting = vt, wTurn
-	n.planeChangedLocked(e)
-	n.parkedLocked(e)
-	return e, nil
+// AwaitTurn is FlushAwaitTurn on id's endpoint with nothing to flush.
+func (n *Network) AwaitTurn(id int, vt vtime.Time) error {
+	return n.Endpoint(id).FlushAwaitTurn(nil, vt)
 }
 
 // turnStepLocked settles the (vt, e.id) turn if it can: done reports a
 // grant, or a refusal with ErrKilled, as opposed to a wait.
 func (n *Network) turnStepLocked(e *Endpoint, vt vtime.Time) (done bool, err error) {
 	switch {
-	case e.dead:
+	case e.state == stDead:
 		return true, ErrKilled
 	case vt > e.doomVT:
 		return true, e.reapLocked()
@@ -948,7 +925,7 @@ func (n *Network) turnStepLocked(e *Endpoint, vt vtime.Time) (done bool, err err
 // proves the wait hopeless, instead of deadlocking the pre-kill drain.
 func (n *Network) doomReapLocked(e *Endpoint) bool {
 	d := e.doomVT
-	if d == infTime || e.dead {
+	if d == infTime || e.state == stDead {
 		return false
 	}
 	if len(e.q) > 0 && !n.pastFenceLocked(e, e.q[0]) {
@@ -1100,52 +1077,45 @@ func (n *Network) statsLocked() []Traffic {
 func (n *Network) Doom(id int, d vtime.Time) {
 	n.dmu.Lock()
 	e := n.endpointLocked(id)
-	if !e.dead && d < e.doomVT {
+	if e.state != stDead && d < e.doomVT {
 		e.doomVT = d
 		n.planeChangedLocked(e)
 	}
 	n.unlock()
 }
 
-// Kill marks rank dead: bumps its incarnation, wipes its mailbox and wakes
-// any blocked receiver with ErrKilled. It returns the incarnation the
-// process will restart with. A dead source keeps constraining the delivery
-// gate at its stale frontier: it can only come back via RestartAt, at or
-// after that point (the runtime resumes it from a checkpoint read no
-// earlier than the failure's detection time), so the plane never admits a
-// stamp its restart could undercut.
+// Kill marks id dead: wipes its mailbox and wakes any blocked receiver with
+// ErrKilled. For an application rank it bumps the incarnation and returns
+// the one the process will restart with; a service endpoint has no
+// incarnation and returns 0 (the runtime kills the recovery endpoint only
+// to abort a run), and an id that is no endpoint is left alone. A dead
+// source keeps constraining the delivery gate at its stale frontier: it
+// can only come back via RestartAt, at or after that point (the runtime
+// resumes it from a checkpoint read no earlier than the failure's
+// detection time), so the plane never admits a stamp its restart could
+// undercut.
 //
 // Messages the dead incarnation had already enqueued at other processes are
 // deliberately left in place: a message sent before the victim's checkpoint
 // is not rolled back and must still be delivered, and one sent after it is
 // handled by the protocol's orphan machinery exactly as if it had been
 // delivered just before the failure.
-func (n *Network) Kill(rank int) int32 {
+func (n *Network) Kill(id int) int32 {
 	n.dmu.Lock()
-	n.inc[rank]++
-	newInc := n.inc[rank]
-	n.killLocked(n.eps[rank])
-	n.unlock()
-	return newInc
-}
-
-// KillService kills a non-application endpoint without touching
-// incarnation bookkeeping. The runtime calls it only to abort a run, on the
-// recovery endpoint.
-func (n *Network) KillService(id int) {
-	n.dmu.Lock()
-	if e, _ := n.lookupLocked(id); e != nil {
-		n.killLocked(e)
+	defer n.unlock()
+	e, _ := n.lookupLocked(id)
+	if e == nil {
+		return 0
 	}
-	n.unlock()
-}
-
-func (n *Network) killLocked(e *Endpoint) {
-	e.dead = true
 	e.state = stDead
 	e.doomVT = infTime
 	e.q = nil
 	n.planeChangedLocked(e)
+	if id < 0 || id >= n.np {
+		return 0
+	}
+	n.inc[id]++
+	return n.inc[id]
 }
 
 // RestartAt revives the endpoint of rank — the runtime restarts rolled-back
@@ -1165,7 +1135,6 @@ func (n *Network) killLocked(e *Endpoint) {
 func (n *Network) RestartAt(rank int, vt vtime.Time) {
 	n.dmu.Lock()
 	e, _ := n.lookupLocked(rank)
-	e.dead = false
 	e.state = stRunning
 	e.doomVT = infTime
 	e.frontier = vt
@@ -1195,9 +1164,9 @@ func (n *Network) AttachAt(id int, vt vtime.Time) {
 }
 
 // Quiescent reports whether the plane is truly stuck: exactly expected
-// goroutines are parked (in Recv or AwaitTurn) and no receive request is
-// waiting to be entered. None of their conditions holds — a mutation serves
-// a waiter the moment its condition holds — so a true result is a stable
+// goroutines are parked (in a receive or a turn) and no request is waiting
+// to be entered. None of their conditions holds — a mutation serves a
+// waiter the moment its condition holds — so a true result is a stable
 // property: no parked goroutine can run again until the caller mutates the
 // plane. The runtime never asks; tests and the benchmark's transport probe
 // use it to wait until their goroutines have parked.

@@ -172,7 +172,7 @@ func TestBlockedReceiverFrontierUnblocksPeers(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("blocked receiver's frontier did not release the delivery")
 	}
-	n.KillService(2) // reap the helper goroutine
+	n.Kill(2) // reap the helper goroutine
 }
 
 func TestPiggybackInflatesWire(t *testing.T) {
@@ -195,9 +195,14 @@ func TestKillWipesMailboxAndUnblocks(t *testing.T) {
 	n := NewNetwork(2, netmodel.Ideal())
 	send(t, n, 0, 1, 1, 0)
 
+	ep := n.Endpoint(1)
+	queued := func() int {
+		n.dmu.Lock()
+		defer n.unlock()
+		return len(ep.q)
+	}
 	done := make(chan error, 1)
 	go func() {
-		ep := n.Endpoint(1)
 		if _, err := ep.Recv(0); err != nil { // consumes the queued message
 			done <- err
 			return
@@ -206,7 +211,8 @@ func TestKillWipesMailboxAndUnblocks(t *testing.T) {
 		done <- err
 	}()
 	// Wait for the goroutine to consume then block.
-	for n.Endpoint(1).Pending() > 0 {
+	for queued() > 0 {
+		runtime.Gosched()
 	}
 	if inc := n.Kill(1); inc != 1 {
 		t.Fatalf("incarnation %d, want 1", inc)
@@ -214,15 +220,15 @@ func TestKillWipesMailboxAndUnblocks(t *testing.T) {
 	if err := <-done; err != ErrKilled {
 		t.Fatalf("blocked receiver got %v, want ErrKilled", err)
 	}
-	// Arrivals while dead are dropped.
+	// Arrivals while dead are dropped: they never reach the queue.
 	send(t, n, 0, 1, 2, 0)
-	if d := n.Endpoint(1).DroppedWhileDead(); d != 1 {
-		t.Fatalf("dropped %d, want 1", d)
+	if q := queued(); q != 0 {
+		t.Fatalf("%d arrivals queued at the dead endpoint, want none", q)
 	}
 	// Restart revives with an empty mailbox.
 	n.RestartAt(1, 0)
-	if p := n.Endpoint(1).Pending(); p != 0 {
-		t.Fatalf("pending after restart: %d", p)
+	if q := queued(); q != 0 {
+		t.Fatalf("queued after restart: %d", q)
 	}
 	send(t, n, 0, 1, 3, 0)
 	m, err := n.Endpoint(1).Recv(0)
@@ -291,9 +297,11 @@ func TestServiceEndpoints(t *testing.T) {
 	if err != nil || m.CtlBody != "hello" {
 		t.Fatalf("service endpoint broken: %v %v", m, err)
 	}
-	n.KillService(2)
+	if inc := n.Kill(2); inc != 0 {
+		t.Fatalf("killing a service endpoint returned incarnation %d, want 0", inc)
+	}
 	if _, err := rec.Recv(0); err != ErrKilled {
-		t.Fatal("KillService did not kill")
+		t.Fatal("Kill did not kill the service endpoint")
 	}
 }
 
@@ -399,21 +407,24 @@ func TestDeliverySequenceIsSchedulingIndependent(t *testing.T) {
 	}
 }
 
-// TestFlushRecvHandOffUnderContention: 64 goroutines ping-pong through
-// FlushRecv while another cycles Publish, Doom and TryRecv on a spare
-// endpoint, so the plane lock is contended from every side and receive
-// requests keep landing on the hand-off stack. Every receive must return
-// with the message it waited for — a request left on the stack with the
-// lock free hangs its goroutine, and the deadline fails the test — and the
-// plane must end quiescent, every park served once. make determinism runs
-// it under the race detector on one, two and eight cores; the accept each
-// receive passes reads its goroutine's round, so the detector also checks
-// that the serving goroutine sees what the owner wrote before it waited.
-func TestFlushRecvHandOffUnderContention(t *testing.T) {
-	const ranks, rounds, spare = 64, 300, 64
-	n := NewNetwork(ranks+1, netmodel.Myrinet10G())
+// TestRecvAndTurnHandOffUnderContention: 64 goroutines ping-pong through
+// FlushRecv and 8 more take turns with FlushAwaitTurn, each turn flushing a
+// send, while another cycles Publish, Doom and TryRecv on a spare endpoint,
+// so the plane lock is contended from every side and receive and turn
+// requests keep landing on the hand-off stack together. Every wait must
+// return — a request left on the stack with the lock free hangs its
+// goroutine, and the deadline fails the test —, every receive with the
+// message it waited for, every turn granted in (vt, id) order across the
+// turn takers, and the plane must end quiescent, every park served once.
+// make determinism runs it under the race detector on one, two and eight
+// cores; the accept each receive passes reads its goroutine's round, so the
+// detector also checks that the serving goroutine sees what the owner wrote
+// before it waited.
+func TestRecvAndTurnHandOffUnderContention(t *testing.T) {
+	const ranks, takers, rounds, spare = 64, 8, 300, 64
+	n := NewNetwork(ranks+1+takers, netmodel.Myrinet10G())
 	var wg sync.WaitGroup
-	errs := make(chan error, ranks)
+	errs := make(chan error, ranks+takers)
 	for r := 0; r < ranks; r++ {
 		wg.Add(1)
 		go func() {
@@ -429,6 +440,31 @@ func TestFlushRecvHandOffUnderContention(t *testing.T) {
 					return
 				}
 				clock = max(clock, m.ArriveVT) + 1
+			}
+		}()
+	}
+	// A granted turn's taker acts before any later turn is granted: the
+	// later one needs the taker's bound past it, which only its next
+	// request or its exit gives. So the grants, listed as each returns,
+	// come in (vt, id) order.
+	var grantMu sync.Mutex
+	var grants []boundRef
+	for id := spare + 1; id <= spare+takers; id++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer n.Quiesce(id)
+			ep := n.Endpoint(id)
+			for k := 0; k < rounds; k++ {
+				vt := vtime.Time(k*3_000 + id)
+				out := []*Msg{{Src: id, Dst: spare, Kind: Ctl, WireLen: 8, SendVT: vt}}
+				if err := ep.FlushAwaitTurn(out, vt); err != nil {
+					errs <- fmt.Errorf("turn taker %d round %d: %v", id, k, err)
+					return
+				}
+				grantMu.Lock()
+				grants = append(grants, boundRef{vt, id})
+				grantMu.Unlock()
 			}
 		}()
 	}
@@ -466,11 +502,19 @@ func TestFlushRecvHandOffUnderContention(t *testing.T) {
 	case <-cyclerDone:
 	case <-time.After(60 * time.Second):
 		lost := n.reqs.Load() != nil
-		t.Fatalf("receives still blocked after 60s (requests left on the stack: %v); plane:\n%s", lost, n.DebugState())
+		t.Fatalf("waits still blocked after 60s (requests left on the stack: %v); plane:\n%s", lost, n.DebugState())
 	}
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+	if len(grants) != takers*rounds {
+		t.Errorf("%d turns granted, want %d", len(grants), takers*rounds)
+	}
+	for i := 1; i < len(grants); i++ {
+		if !grants[i-1].less(grants[i]) {
+			t.Errorf("turn %v granted before turn %v", grants[i-1], grants[i])
+		}
 	}
 	if !n.Quiescent(0) {
 		t.Errorf("plane not quiescent at the end:\n%s", n.DebugState())
