@@ -43,13 +43,18 @@ race:
 # delivery plane's hand-off queue to its promise under the race detector on
 # one, two and eight cores: 64 goroutines ping-pong through FlushRecv and 8
 # take turns with FlushAwaitTurn while the lock is contended from every
-# side, and every receive and every turn must return. One multi-failure
+# side, and every receive and every turn must return. The fourth runs it
+# with the staged checkpoint wave, whose marker flush and buffered App
+# messages are consumed by take callbacks that write the waiting process's
+# pending list, markers and clock from whichever goroutine serves the wait,
+# under the race detector on one, two and eight cores. One multi-failure
 # schedule still deadlocks (DESIGN.md "Remaining caveat"); `make
 # known-bugs` keeps it reproducible.
 determinism:
 	$(GO) test -race -count=2 -run 'Reproducible|ByteStable|SchedulingIndependent|AwaitTurn' ./internal/harness/ ./internal/transport/ ./internal/mpi/
 	$(GO) test -cpu 1,2,8 -count=50 -run 'ReverseOrderDetections|OverlappingScope|SameDetection|JoinAtStart|FailureDuringRecovery|SlowCoordinatorResult|TwoCheckpointFailuresAllProtocols' ./internal/mpi/
 	$(GO) test -race -cpu 1,2,8 -count=5 -run 'TestRecvAndTurnHandOffUnderContention' ./internal/transport/
+	$(GO) test -race -cpu 1,2,8 -count=3 -run 'StagedCheckpointWaveReproducible|HandOffUnderContention' ./internal/mpi ./internal/transport
 
 # The multi-failure bug ROADMAP item 1 has to fix (internal/mpi/
 # knownbugs_test.go, build tag knownbugs). The result is INVERTED: exit 0
@@ -94,8 +99,9 @@ bench-check:
 # the commit of an ec save, a degraded ec load) with MB/s and B/op, the
 # delivery plane (one mutation at np 16 to 4096), the clustering tool
 # (torus and complete graphs at 256, a torus at 4096), the protocol engine
-# (Algorithm 1's send path, a checkpoint's protocol state) and the runtime
-# (an np = 64 checkpoint wave into ec:4+2, staged and under the turn;
+# (Algorithm 1's send path, a checkpoint's protocol state at np = 64, 1024
+# and 16384) and the runtime (an np = 64 checkpoint wave into ec:4+2,
+# staged and under the turn; the marker flush of an np = 1024 wave;
 # Proc.capture at 64 KiB and 512 KiB images; the supervisor event
 # channel; FT's pairwise all-to-all at np = 256, per message). CI runs the same set with -benchtime 1x so they cannot rot.
 # The all-to-all and the checkpoint wave, the turn-heavy layer, run once

@@ -276,24 +276,14 @@ func (e *engine) OnCheckpoint(s *checkpoint.Snapshot) {
 	e.gcPendingValid = true
 	e.gcPendingDate = e.date
 	e.gcPendingDeliv = make(map[int]int64, len(e.rpp))
-	// Sorted for determinism: HeldFrom is a read today, but this loop
-	// runs on the checkpoint path where any future side effect would
-	// leak map order into the plane.
-	for _, src := range sortedKeys(e.rpp) {
-		w := e.rpp[src].MaxDate
-		if h := e.px.HeldFrom(src); h > w {
-			w = h
-		}
-		e.gcPendingDeliv[src] = w
+	for src, ch := range e.rpp {
+		e.gcPendingDeliv[src] = ch.MaxDate
 	}
-	// A buffered message from a sender with no RPP entry yet still counts
-	// as held.
-	for _, src := range e.outsideRanks() {
-		if _, ok := e.gcPendingDeliv[src]; ok {
-			continue
-		}
-		if h := e.px.HeldFrom(src); h > 0 {
-			e.gcPendingDeliv[src] = h
+	// A buffered inter-cluster message counts as delivered, also from a
+	// sender with no RPP entry yet.
+	for _, h := range e.px.HeldMarks() {
+		if e.interCluster(h.Src) && h.Date > e.gcPendingDeliv[h.Src] {
+			e.gcPendingDeliv[h.Src] = h.Date
 		}
 	}
 	e.gcAcked = make(map[int]bool)
@@ -332,14 +322,4 @@ func (e *engine) drainStall(n int) vtime.Duration {
 		return 0
 	}
 	return vtime.Duration(over / bps * 1e9)
-}
-
-func (e *engine) outsideRanks() []int {
-	out := make([]int, 0, e.topo.NP)
-	for r := 0; r < e.topo.NP; r++ {
-		if r != e.rank && e.topo.ClusterOf[r] != e.cluster {
-			out = append(out, r)
-		}
-	}
-	return out
 }

@@ -60,6 +60,15 @@ func (f *fakeProc) HeldFrom(src int) int64 {
 	return max
 }
 func (f *fakeProc) HeldEntries(src int) []rollback.HeldMsg { return f.held[src] }
+func (f *fakeProc) HeldMarks() []rollback.HeldMark {
+	var out []rollback.HeldMark
+	for _, src := range sortedKeys(f.held) {
+		if d := f.HeldFrom(src); len(f.held[src]) > 0 {
+			out = append(out, rollback.HeldMark{Src: src, Date: d})
+		}
+	}
+	return out
+}
 
 func (f *fakeProc) SendCtl(dst int, body any, wire int) {
 	f.sentCtl = append(f.sentCtl, capturedCtl{dst: dst, body: body})

@@ -95,13 +95,14 @@ func (e *engine) OnRestore(s *checkpoint.Snapshot, round *rollback.RoundInfo) {
 			rs.notesNeeded[r] = true
 		}
 	}
-	outside := e.outsideRanks()
-	for _, dst := range outside {
+	// Broadcast the rollback notification (Algorithm 2 line 6) to every
+	// rank outside the cluster, with the per-channel held watermark
+	// (DESIGN.md deviation 1).
+	for dst := range e.topo.NP {
+		if !e.interCluster(dst) {
+			continue
+		}
 		rs.needWatermark[dst] = true
-	}
-	// Broadcast the rollback notification (Algorithm 2 line 6) with the
-	// per-channel held watermark (DESIGN.md deviation 1).
-	for _, dst := range outside {
 		wm := e.px.HeldFrom(dst)
 		if ch := e.rpp[dst]; ch != nil && ch.MaxDate > wm {
 			wm = ch.MaxDate

@@ -8,6 +8,7 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -124,11 +125,11 @@ func TestEngineStateEncodingIsGob(t *testing.T) {
 	wg.Wait()
 }
 
-// benchEngine is an engine of rank 0 in the first of two 32-rank clusters
-// that has exchanged perRank messages with every rank of the other: a full
-// RPP table and sender log, the state a checkpoint captures.
-func benchEngine(b *testing.B, perRank int) *engine {
-	assign := make([]int, 64)
+// benchEngine is an engine of rank 0 in the first of np/32 32-rank
+// clusters that has exchanged perRank messages with every rank of the
+// second: a full RPP table and sender log, the state a checkpoint captures.
+func benchEngine(b *testing.B, np, perRank int) *engine {
+	assign := make([]int, np)
 	for r := range assign {
 		assign[r] = r / 32
 	}
@@ -162,11 +163,16 @@ func BenchmarkEnginePreSend(b *testing.B) {
 
 // BenchmarkEngineOnCheckpoint measures the protocol's share of a
 // checkpoint: garbage-collection watermarks and the encoded state, for an
-// engine holding a few messages per remote peer.
+// engine holding a few messages per peer of one remote 32-rank cluster, at
+// np = 64, 1024 and 16384. The cost must not grow with np.
 func BenchmarkEngineOnCheckpoint(b *testing.B) {
-	e := benchEngine(b, 4)
-	b.ReportAllocs()
-	for b.Loop() {
-		e.OnCheckpoint(&checkpoint.Snapshot{Rank: 0, Seq: 1})
+	for _, np := range []int{64, 1024, 16384} {
+		b.Run(fmt.Sprintf("np%d", np), func(b *testing.B) {
+			e := benchEngine(b, np, 4)
+			b.ReportAllocs()
+			for b.Loop() {
+				e.OnCheckpoint(&checkpoint.Snapshot{Rank: 0, Seq: 1})
+			}
+		})
 	}
 }

@@ -10,8 +10,9 @@ import (
 // BenchmarkAlltoall256 is FT's transpose without FT: np = 256 ranks run
 // the runtime's pairwise-shift Alltoall (send to rank+k, receive from
 // rank-k, for k = 1..255) under the native protocol, the densest traffic a
-// kernel puts through the delivery plane. Besides ns per message it reports
-// the plane's parks and mutations per message, from Result.Plane.
+// kernel puts through the delivery plane. Besides ns per message and
+// allocations it reports the plane's parks and mutations per message, from
+// Result.Plane.
 func BenchmarkAlltoall256(b *testing.B) {
 	const np, rounds = 256, 2
 	prog := func(c *mpi.Comm) error {
@@ -28,6 +29,7 @@ func BenchmarkAlltoall256(b *testing.B) {
 	}
 	cfg := mpi.Config{NP: np, Model: netmodel.Myrinet10G()}
 	var parks, mutations, runs int64
+	b.ReportAllocs()
 	for b.Loop() {
 		res, err := mpi.Run(cfg, prog)
 		if err != nil {

@@ -1,9 +1,11 @@
 package mpi
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"hydee/internal/checkpoint"
 	"hydee/internal/failure"
@@ -52,6 +54,12 @@ type Proc struct {
 	outbox []*transport.Msg
 	// markers tracks flush markers received, per checkpoint sequence.
 	markers map[int]map[int]bool
+	// take is every receive's take callback, p.takeMsg bound once; src,
+	// tag, matching and until say what the receive in progress waits for.
+	take     func(*transport.Msg) transport.Verdict
+	src, tag int
+	matching bool
+	until    func() bool
 
 	epoch       int
 	ckptCallIdx int
@@ -93,6 +101,7 @@ func (rt *Runtime) newProc(rank int, snap *checkpoint.Snapshot, round *rollback.
 	}
 	p.engine = rt.prot.NewEngine(rank, p)
 	p.comm = &Comm{p: p}
+	p.take = p.takeMsg
 	return p
 }
 
@@ -150,10 +159,10 @@ func (p *Proc) sent() {
 	p.outbox = p.outbox[:0]
 }
 
-// recv flushes the outbox and receives the next message (Endpoint.FlushRecv,
-// which documents accept).
-func (p *Proc) recv(accept func(*transport.Msg) bool) (*transport.Msg, error) {
-	m, err := p.ep.FlushRecv(p.outbox, p.clock.Now(), accept)
+// recv flushes the outbox and receives the next message takeMsg does not
+// consume (Endpoint.FlushRecv), or nil once until holds.
+func (p *Proc) recv() (*transport.Msg, error) {
+	m, err := p.ep.FlushRecv(p.outbox, p.clock.Now(), p.take)
 	p.sent()
 	return m, err
 }
@@ -183,61 +192,71 @@ func (p *Proc) collect() {
 // the process can still answer rollback notifications, re-send logged
 // messages, and take part in recovery rounds of other clusters.
 func (p *Proc) linger() error {
+	p.matching, p.until = false, nil
 	for {
-		m, err := p.recv(nil)
+		m, err := p.recv()
 		if err != nil {
 			return err
 		}
-		sd, err := p.handle(m)
-		if err != nil {
-			return err
-		}
-		if sd {
+		if p.handleCtl(m) {
 			return nil
 		}
 	}
 }
 
-// handle dispatches one incoming message. It reports whether a shutdown was
-// observed.
-func (p *Proc) handle(m *transport.Msg) (bool, error) {
+// takeMsg is the take callback of every receive (the transport package's
+// take rule): it does under the plane lock what the process's own loop
+// would do with a message before receiving again. It records a marker and
+// merges the clock, or buffers an App message through Admit, and returns
+// Stop if until then holds; a Ctl message, and an App message recvMatch
+// delivers, go to the process.
+func (p *Proc) takeMsg(m *transport.Msg) transport.Verdict {
 	switch m.Kind {
 	case transport.Ctl:
-		if _, ok := m.CtlBody.(shutdownBody); ok {
-			return true, nil
-		}
-		p.clock.MergeAtLeast(m.ArriveVT)
-		p.engine.OnCtl(m)
+		return transport.Deliver
 	case transport.Marker:
 		p.clock.MergeAtLeast(m.ArriveVT)
-		seq := m.Epoch
-		set := p.markers[seq]
+		set := p.markers[m.Epoch]
 		if set == nil {
 			set = make(map[int]bool)
-			p.markers[seq] = set
+			p.markers[m.Epoch] = set
 		}
 		set[m.Src] = true
 	case transport.App:
-		if p.engine.Admit(m) {
-			p.pending = append(p.pending, m)
+		if !p.engine.Admit(m) {
+			break
 		}
+		if p.matching && matches(m, p.src, p.tag) {
+			return transport.Deliver
+		}
+		p.pending = append(p.pending, m)
 	}
-	return false, nil
+	if p.until != nil && p.until() {
+		return transport.Stop
+	}
+	return transport.Keep
+}
+
+// handleCtl runs a delivered control message; it reports a shutdown.
+func (p *Proc) handleCtl(m *transport.Msg) bool {
+	if _, ok := m.CtlBody.(shutdownBody); ok {
+		return true
+	}
+	p.clock.MergeAtLeast(m.ArriveVT)
+	p.engine.OnCtl(m)
+	return false
 }
 
 // waitCtl blocks until pred holds, processing control traffic and buffering
 // application traffic meanwhile.
 func (p *Proc) waitCtl(pred func() bool) error {
+	p.matching, p.until = false, pred
 	for !pred() {
-		m, err := p.recv(nil)
+		m, err := p.recv()
 		if err != nil {
 			return err
 		}
-		sd, err := p.handle(m)
-		if err != nil {
-			return err
-		}
-		if sd {
+		if m != nil && p.handleCtl(m) {
 			return errShutdown
 		}
 	}
@@ -326,36 +345,31 @@ func matches(m *transport.Msg, src, tag int) bool {
 	return true
 }
 
-// recvMatch implements the application-level Delivery event.
+// recvMatch implements the application-level Delivery event. Once no
+// pending message matches, only a popped one can: takeMsg buffers every
+// other App message, and Ctl handling leaves pending alone.
 func (p *Proc) recvMatch(src, tag int) (*transport.Msg, error) {
 	if err := p.maybeFail(); err != nil {
 		return nil, err
 	}
-	// No pending message matches when the loop receives, so a popped App
-	// message that matches and that handle admits is the next one
-	// delivered, before the process can send; any other App message is
-	// buffered or dropped, and the loop receives again at the same clock
-	// without sending. That is the promise accept makes to the plane
-	// (Endpoint.FlushRecv); Admit is a pure check, so handle's second call
-	// agrees with this one.
-	accept := func(m *transport.Msg) bool { return matches(m, src, tag) && p.engine.Admit(m) }
+	for i, m := range p.pending {
+		if matches(m, src, tag) {
+			p.pending = append(p.pending[:i], p.pending[i+1:]...)
+			p.deliver(m)
+			return m, nil
+		}
+	}
+	p.src, p.tag, p.matching, p.until = src, tag, true, nil
 	for {
-		for i, m := range p.pending {
-			if matches(m, src, tag) {
-				p.pending = append(p.pending[:i], p.pending[i+1:]...)
-				p.deliver(m)
-				return m, nil
-			}
-		}
-		m, err := p.recv(accept)
+		m, err := p.recv()
 		if err != nil {
 			return nil, err
 		}
-		sd, err := p.handle(m)
-		if err != nil {
-			return nil, err
+		if m.Kind == transport.App {
+			p.deliver(m)
+			return m, nil
 		}
-		if sd {
+		if p.handleCtl(m) {
 			return nil, errShutdown
 		}
 	}
@@ -591,6 +605,18 @@ func (p *Proc) HeldFrom(src int) int64 {
 		}
 	}
 	return max
+}
+
+// HeldMarks implements rollback.Proc.
+func (p *Proc) HeldMarks() []rollback.HeldMark {
+	out := make([]rollback.HeldMark, len(p.pending))
+	for i, m := range p.pending {
+		out[i] = rollback.HeldMark{Src: m.Src, Date: m.Date}
+	}
+	slices.SortFunc(out, func(a, b rollback.HeldMark) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(b.Date, a.Date))
+	})
+	return slices.CompactFunc(out, func(a, b rollback.HeldMark) bool { return a.Src == b.Src })
 }
 
 // HeldEntries implements rollback.Proc.

@@ -211,6 +211,9 @@ func TestStagedCheckpointWaveReproducible(t *testing.T) {
 // step into a free ec:4+2 store, four steps per run. staged is the
 // runtime's path; under-turn hides the store's staging, so every save is
 // built while its turn is held, as any store that cannot stage is.
+// markers-1024 is the marker flush at stencil1024-onefail's scale: np =
+// 1024 in 32-rank clusters, 64-byte images into the default free store,
+// two checkpoints, per flush marker.
 func BenchmarkCheckpointWave(b *testing.B) {
 	const np, iters = 64, 4
 	imgs := waveImages(np, 512<<10)
@@ -235,4 +238,20 @@ func BenchmarkCheckpointWave(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*np*iters), "ns/save")
 		})
 	}
+	b.Run("markers-1024", func(b *testing.B) {
+		const np, size, ckpts = 1024, 32, 2
+		imgs := waveImages(np, 64)
+		cfg := waveConfig(np)
+		assign := make([]int, np)
+		for r := range assign {
+			assign[r] = r / size
+		}
+		cfg.Topo = rollback.NewTopology(assign)
+		for b.Loop() {
+			if _, err := mpi.Run(cfg, ringWave(ckpts, imgs)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*np*(size-1)*ckpts), "ns/marker")
+	})
 }

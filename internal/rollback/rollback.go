@@ -231,16 +231,29 @@ type Proc interface {
 	SendAppRaw(m *transport.Msg)
 	// WaitCtl blocks the process, dispatching incoming control traffic to
 	// the engine and buffering application traffic, until pred reports
-	// true. It returns transport.ErrKilled if the process dies meanwhile.
+	// true. pred may run on another goroutine while the process waits, so
+	// it only reads. It returns transport.ErrKilled if the process dies
+	// meanwhile.
 	WaitCtl(pred func() bool) error
 	// RecoveryID is the endpoint id of the recovery process.
 	RecoveryID() int
 	// HeldFrom reports the maximum application-message Date currently
 	// held undelivered (buffered) from the given source, or 0.
 	HeldFrom(src int) int64
+	// HeldMarks lists, in source order, every source from which
+	// application messages are held undelivered, with the maximum Date
+	// held from it: HeldFrom of every such source, in one pass over the
+	// held messages rather than one per source.
+	HeldMarks() []HeldMark
 	// HeldEntries lists the held undelivered application messages from
 	// the given source (for orphan accounting).
 	HeldEntries(src int) []HeldMsg
+}
+
+// HeldMark is the maximum Date held undelivered from one source.
+type HeldMark struct {
+	Src  int
+	Date int64
 }
 
 // HeldMsg summarizes one buffered, not-yet-delivered application message.
@@ -261,9 +274,9 @@ type Engine interface {
 	// whether it may reach the application. It returns false for
 	// duplicates that a log replay supersedes (the sender had not yet
 	// learned of this process's restart); such messages are dropped. It
-	// must not change the engine's state: a receive asks it once, under the
-	// delivery plane's lock, to tell the plane whether the message is
-	// delivered at once, and again when it buffers the message.
+	// must not change the engine's state: a receive asks it under the
+	// delivery plane's lock, possibly on another goroutine while the
+	// process waits.
 	Admit(m *transport.Msg) bool
 	// OnDeliver runs at each application-level Delivery event.
 	OnDeliver(m *transport.Msg)

@@ -14,13 +14,16 @@ package transport
 // and after it: identical bounds, identical low3, tree and list invariants,
 // and a served set equal to the oracle's wake set of the round before (a
 // missed serve is a deadlock, an extra one a delivery the gate did not
-// admit). Every serve is held to what the oracle pops for that waiter — its
-// queue head at the round, or a reap or ErrKilled — with exactly one token;
-// every pop to the merge rule: the receiver's frontier rises to the arrival
-// stamp exactly when the message is not App or the receive delivers it, and
-// it stays blocked on an App message its receive refuses; every entry to
-// the entry rule: a receiver blocks at its clock, a turn's requester runs
-// pinned at the turn unless dead or asking past its fence. A mutation may be
+// admit). Every serve is held to the run the oracle pops for that waiter
+// under the round's bounds — its queue heads, as many as the receive's
+// verdict script keeps and one more, or a reap or ErrKilled — with exactly
+// one token once the run settles the wait and none while it leaves it
+// parked; every run to the take rule: the receiver's clock merges to the
+// arrival stamp of every message that is not App and of an App message a
+// take delivers, a Keep leaves it blocked at that clock and a Deliver or
+// Stop running there; every entry to the entry rule: a receiver blocks at
+// its clock, a turn's requester runs pinned at the turn unless dead or
+// asking past its fence. A mutation may be
 // a batch: several sends from one id, alone or fused with that endpoint's
 // block or turn, or several requests, receives and turns mixed, drained from
 // the stack by the next release of the lock; after every public call the
@@ -28,8 +31,10 @@ package transport
 // dense np×np PairStat matrix the simulation keeps from its own sends.
 
 import (
+	"container/heap"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hydee/internal/netmodel"
@@ -98,19 +103,19 @@ func oracleRefresh(n *Network) (bounds []vtime.Time, low3 [3]boundRef, wake []in
 	}
 	// Pass 3: every parked waiter whose condition holds under those bounds.
 	for _, e := range n.epList {
-		if ready, _ := oracleServe(n, e, bounds); ready {
+		if ready, _ := oracleServe(n, e, e.q, bounds); ready {
 			wake = append(wake, e.id)
 		}
 	}
 	return bounds, low3, wake
 }
 
-// oracleServe reports whether e's wait can be settled under the bounds
-// oracleRefresh computed and, for a receive that delivers, the message it
-// pops; a settled wait without one is a reap or ErrKilled, or a turn's
+// oracleServe reports whether e's wait, with queue q, can take a step under
+// the bounds oracleRefresh computed and, for a receive that pops, the
+// message it pops; a step without one is a reap or ErrKilled, or a turn's
 // grant or refusal. It reads every other source's bound, as the package
 // comment states each condition, not low3.
-func oracleServe(n *Network, e *Endpoint, bounds []vtime.Time) (ready bool, pop *Msg) {
+func oracleServe(n *Network, e *Endpoint, q msgHeap, bounds []vtime.Time) (ready bool, pop *Msg) {
 	// othersAbove reports whether every other source's finite
 	// (bound+shift, id), skip's aside, sorts after (vt, tie).
 	othersAbove := func(vt vtime.Time, tie int, skip int, shift vtime.Duration) bool {
@@ -130,18 +135,38 @@ func oracleServe(n *Network, e *Endpoint, bounds []vtime.Time) (ready bool, pop 
 		switch {
 		case e.state == stDead:
 			return true, nil
-		case len(e.q) > 0 && othersAbove(e.q[0].ArriveVT, e.q[0].Src, e.q[0].Src, n.minLat):
-			if fenced && e.q[0].ArriveVT > e.doomVT.Add(n.minLat) {
+		case len(q) > 0 && othersAbove(q[0].ArriveVT, q[0].Src, q[0].Src, n.minLat):
+			if fenced && q[0].ArriveVT > e.doomVT.Add(n.minLat) {
 				return true, nil
 			}
-			return true, e.q[0]
-		case fenced && (len(e.q) == 0 || e.q[0].ArriveVT > e.doomVT.Add(n.minLat)):
+			return true, q[0]
+		case fenced && (len(q) == 0 || q[0].ArriveVT > e.doomVT.Add(n.minLat)):
 			return othersAbove(e.doomVT, math.MaxInt, e.id, 0), nil
 		}
 	case wTurn:
 		return e.state == stDead || e.at > e.doomVT || othersAbove(e.at, e.id, e.id, 0), nil
 	}
 	return false, nil
+}
+
+// oracleRun is the run of pops a due receive's serve makes under the
+// round's bounds: the step goes on past every pop a's script keeps, until
+// a pop it delivers or stops on, a reap or ErrKilled (killed) settles the
+// wait (done), or the gate holds the next head back. Other sources' bounds
+// stay the round's: a kept pop raises only e's own keys, which no check of
+// e reads.
+func oracleRun(n *Network, e *Endpoint, bounds []vtime.Time, a *simActor) (run []*Msg, done, killed bool) {
+	q := slices.Clone(e.q)
+	for keeps := a.keeps; ; keeps-- {
+		ready, pop := oracleServe(n, e, q, bounds)
+		if !ready || pop == nil {
+			return run, ready, ready
+		}
+		run = append(run, heap.Pop(&q).(*Msg))
+		if a.take == nil || keeps == 0 {
+			return run, true, false
+		}
+	}
 }
 
 // simActor is the driver's view of one endpoint's goroutine.
@@ -156,21 +181,24 @@ type simActor struct {
 	pre                    srcState
 	preF                   vtime.Time
 	out                    []*Msg
-	// accept is what its pending receive tells the plane (nil: nothing);
-	// delivers is what that accept answers for every App message.
-	accept   func(*Msg) bool
-	delivers bool
+	// take is its pending receive's verdict script (nil: no take): Keep
+	// keeps more times, then final. took lists the messages the plane
+	// handed it since the last serve round.
+	take  func(*Msg) Verdict
+	keeps int
+	final Verdict
+	took  []*Msg
 	// sendErr: one of its request's sends names no endpoint, so the
 	// request is handed back at once with the error.
 	sendErr bool
 	// What the oracle said at the last serve round: due marks a wait the
-	// round must settle, pop the message it must deliver (nil: a reap,
-	// ErrKilled, or a turn's grant or refusal) and granted a turn's
-	// grant; state and frontier are the endpoint's before the serve.
-	due, granted bool
-	pop          *Msg
-	state        srcState
-	frontier     vtime.Time
+	// round must step, run the messages the step pops, done that it
+	// settles the wait, killed that it settles it with a reap or
+	// ErrKilled, and granted a turn's grant; frontier and at are the
+	// endpoint's before the serve.
+	due, done, killed, granted bool
+	run                        []*Msg
+	frontier, at               vtime.Time
 }
 
 type planeSim struct {
@@ -183,8 +211,9 @@ type planeSim struct {
 	step   int
 	what   string // the call in progress, for messages
 	// tally counts what the run exercised: serves, requests a drain
-	// entered (turns among them), and serve rounds past a mutation's first.
-	tally struct{ served, drained, drainedTurns, cascades int }
+	// entered (turns among them), serve rounds past a mutation's first,
+	// and serve rounds that popped more than one message for one wait.
+	tally struct{ served, drained, drainedTurns, cascades, multiPops int }
 	first bool // the next round is its mutation's first
 	// traffic is the dense np×np accounting the accepted sends imply: App
 	// messages between application ranks, whatever the destination's
@@ -267,9 +296,12 @@ func (s *planeSim) checkLocked(what string, final bool) {
 			s.t.Fatalf("step %d %s: MISSED SERVE: ep %d's condition holds and the mutation left it parked\n%s", s.step, what, id, s.dump())
 		}
 		a := s.actor(id)
-		_, a.pop = oracleServe(n, e, bounds)
-		a.due, a.granted = true, e.waiting == wTurn && e.state != stDead && e.at <= e.doomVT
-		a.state, a.frontier = e.state, e.frontier
+		a.due, a.done, a.killed, a.run = true, true, true, nil
+		if e.waiting == wRecv {
+			a.run, a.done, a.killed = oracleRun(n, e, bounds, a)
+		}
+		a.granted = e.waiting == wTurn && e.state != stDead && e.at <= e.doomVT
+		a.frontier, a.at = e.frontier, e.at
 	}
 	s.checkIndexLocked(what, final)
 	s.checkTrafficLocked(what)
@@ -312,12 +344,18 @@ func (s *planeSim) settleLocked(what string, e *Endpoint) {
 	switch {
 	case served && !a.due && !a.sendErr:
 		s.t.Fatalf("step %d %s: EXTRA SERVE: ep %d served while its condition failed\n%s", s.step, what, e.id, s.dump())
-	case !served && (a.due || a.sendErr):
+	case !served && (a.sendErr || a.due && a.done):
 		s.t.Fatalf("step %d %s: MISSED SERVE: ep %d was due and is still parked\n%s", s.step, what, e.id, s.dump())
 	case !served:
 		if e.waiting != a.parked {
 			s.t.Fatalf("step %d %s: ep %d waits on %d, the driver parked it on %d", s.step, what, e.id, e.waiting, a.parked)
 		}
+		if a.due {
+			s.checkRunLocked(what, e, a, nil)
+		} else if len(a.took) > 0 {
+			s.t.Fatalf("step %d %s: ep %d popped %v while its condition failed", s.step, what, e.id, a.took)
+		}
+		a.due, a.took = false, nil
 		return
 	}
 	select {
@@ -342,7 +380,8 @@ func (s *planeSim) settleLocked(what string, e *Endpoint) {
 		if err != nil {
 			s.t.Fatalf("step %d %s: ep %d's turn refused with %v, the oracle grants it", s.step, what, e.id, err)
 		}
-	case a.pop == nil:
+	case a.killed:
+		s.checkRunLocked(what, e, a, nil)
 		if m != nil || err != ErrKilled {
 			s.t.Fatalf("step %d %s: ep %d got %v, %v; the oracle reaps or kills it", s.step, what, e.id, m, err)
 		}
@@ -350,28 +389,49 @@ func (s *planeSim) settleLocked(what string, e *Endpoint) {
 			s.t.Fatalf("step %d %s: reaped ep %d left in state %d", s.step, what, e.id, e.state)
 		}
 	default:
-		if m != a.pop || err != nil {
-			s.t.Fatalf("step %d %s: ep %d got %v, %v; the oracle pops %v", s.step, what, e.id, m, err, a.pop)
+		last := a.run[len(a.run)-1]
+		if a.take != nil && a.final == Stop {
+			last = nil
 		}
-		// The merge rule: a message that is not App, or that the receive
-		// delivers, leaves the receiver running with its frontier raised
-		// to the arrival stamp; an App message the receive refuses leaves
-		// its state and frontier as they were — blocked, unless the
-		// supervisor moved it meanwhile; any other App message leaves it
-		// running at the clock it blocked with.
-		want, state := max(a.frontier, e.at), stRunning
-		switch {
-		case m.Kind != App || a.delivers:
-			want = max(want, m.ArriveVT)
-		case a.accept != nil:
-			want, state = a.frontier, a.state
+		if m != last || err != nil {
+			s.t.Fatalf("step %d %s: ep %d got %v, %v; the oracle's run ends with %v", s.step, what, e.id, m, err, last)
 		}
-		if e.frontier != want || e.state != state {
-			s.t.Fatalf("step %d %s: ep %d popped %s (arrive %d, accept set %v, delivers %v) at clock %d: state %d frontier %d, want %d at %d",
-				s.step, what, e.id, m.Kind, m.ArriveVT, a.accept != nil, a.delivers, e.at, e.state, e.frontier, state, want)
-		}
+		s.checkRunLocked(what, e, a, m)
 	}
 	*a = simActor{}
+}
+
+// checkRunLocked holds a receive's serve to the run the oracle predicted —
+// the messages its take was handed — and to the take rule: its clock merged
+// to the arrival stamp of every popped message that is not App and of
+// delivered, the message a take delivers; blocked there while its run
+// ended in a Keep, running there once a Deliver or Stop ended it. A reap
+// leaves the state to the reap.
+func (s *planeSim) checkRunLocked(what string, e *Endpoint, a *simActor, delivered *Msg) {
+	s.t.Helper()
+	if a.take != nil && !slices.Equal(a.took, a.run) {
+		s.t.Fatalf("step %d %s: ep %d's take was handed %v, the oracle's run is %v\n%s", s.step, what, e.id, a.took, a.run, s.dump())
+	}
+	if len(a.took) > 1 {
+		s.tally.multiPops++
+	}
+	at := a.at
+	for _, m := range a.run {
+		if m.Kind != App || (m == delivered && a.take != nil) {
+			at = max(at, m.ArriveVT)
+		}
+	}
+	state := stBlocked
+	switch {
+	case a.killed:
+		return
+	case a.done:
+		state = stRunning
+	}
+	if e.state != state || e.frontier != max(a.frontier, at) {
+		s.t.Fatalf("step %d %s: ep %d popped %v from clock %d (keeps left %d, final %d): state %d frontier %d, want %d at %d",
+			s.step, what, e.id, a.run, a.at, a.keeps, a.final, e.state, e.frontier, state, max(a.frontier, at))
+	}
 }
 
 // checkEntryLocked holds a request the plane just entered to the entry rule,
@@ -571,25 +631,30 @@ func (s *planeSim) msg(id int) *Msg {
 }
 
 // request prepares e's request the way wait does — kind, out stamped, clock
-// or turn and, for a receive, an accept that answers delivers for every App
-// message, or none — and parks its actor on it. A queued request's sends
-// are accounted when a drain takes it.
+// or turn and, for a receive, no take or a seeded verdict script: Keep up to
+// three times, then Deliver or Stop — and parks its actor on it. A queued
+// request's sends are accounted when a drain takes it.
 func (s *planeSim) request(e *Endpoint, kind waitKind, out []*Msg, at vtime.Time, queued bool) {
 	a := s.actor(e.id)
 	*a = simActor{parked: kind, queued: queued, entered: !queued, preOK: true, pre: e.state, preF: e.frontier, out: out}
 	if kind == wRecv {
-		switch s.pick(3) {
-		case 1:
-			a.accept, a.delivers = func(*Msg) bool { return true }, true
-		case 2:
-			a.accept = func(*Msg) bool { return false }
+		if v := s.pick(3); v > 0 {
+			a.final, a.keeps = []Verdict{Deliver, Stop}[v-1], s.pick(4)
+			a.take = func(m *Msg) Verdict {
+				a.took = append(a.took, m)
+				if a.keeps == 0 {
+					return a.final
+				}
+				a.keeps--
+				return Keep
+			}
 		}
 	}
 	s.n.stampAll(out)
 	if !queued {
 		a.sendErr = s.account(out)
 	}
-	e.kind, e.out, e.at, e.accept = kind, out, at, a.accept
+	e.kind, e.out, e.at, e.take = kind, out, at, a.take
 }
 
 // enter is a wait — a FlushRecv or a FlushAwaitTurn — whose TryLock
@@ -647,7 +712,9 @@ func (s *planeSim) tryRecv(e *Endpoint, now vtime.Time) {
 		n.planeChangedLocked(e)
 		s.checkLocked("tryrecv frontier", true)
 	}
-	_, _, _ = e.recvStepLocked(now, nil)
+	e.at, e.take = now, nil
+	e.recvStepLocked()
+	e.got, e.err = nil, nil
 	n.planeChangedLocked()
 	s.checkLocked("tryrecv step", true)
 }
@@ -774,7 +841,7 @@ func TestPlaneOracle(t *testing.T) {
 	if testing.Short() {
 		seeds = 40
 	}
-	var served, drained, drainedTurns, cascades int
+	var served, drained, drainedTurns, cascades, multiPops int
 	for seed := 0; seed < seeds; seed++ {
 		data := make([]byte, steps)
 		rand.New(rand.NewSource(int64(seed))).Read(data)
@@ -783,10 +850,12 @@ func TestPlaneOracle(t *testing.T) {
 		drained += s.tally.drained
 		drainedTurns += s.tally.drainedTurns
 		cascades += s.tally.cascades
+		multiPops += s.tally.multiPops
 	}
-	t.Logf("%d serves, %d requests entered by a drain (%d turns), %d serve rounds past a mutation's first", served, drained, drainedTurns, cascades)
-	if served == 0 || drainedTurns == 0 || drained == drainedTurns || cascades == 0 {
-		t.Errorf("the seeds no longer exercise serves, drained receives and turns, and serve cascades alike")
+	t.Logf("%d serves, %d requests entered by a drain (%d turns), %d serve rounds past a mutation's first, %d steps popping more than one message",
+		served, drained, drainedTurns, cascades, multiPops)
+	if served == 0 || drainedTurns == 0 || drained == drainedTurns || cascades == 0 || multiPops == 0 {
+		t.Errorf("the seeds no longer exercise serves, drained receives and turns, serve cascades and multi-pop serves alike")
 	}
 }
 
@@ -795,7 +864,10 @@ func TestPlaneOracle(t *testing.T) {
 // found that its four seeds never reach; batch-staleness (six bytes) is a
 // drained batch of receive requests in which only an endpoint entered after
 // the first two moves low3, so it fails if staleness is judged on fewer
-// than all the touched endpoints.
+// than all the touched endpoints; keep-past-fence fails if a step pops on
+// past the death fence after a Keep, kept-marker-merge if a kept Marker
+// leaves the clock unmerged, keep-merged-clock if a Keep re-blocks at the
+// clock the wait started with.
 func FuzzPlaneOracle(f *testing.F) {
 	for seed := 0; seed < 4; seed++ {
 		data := make([]byte, 400)

@@ -32,9 +32,10 @@ type Counters struct {
 	// serve rule). Each park is served exactly once, so once every waiter's
 	// goroutine has returned the two are equal.
 	Served, Parks int64
-	// Delivered counts messages handed to receivers, TurnGrants the turns
-	// granted.
-	Delivered, TurnGrants int64
+	// Delivered counts messages popped by receives, Kept those of them a
+	// take callback consumed without returning them to the owner (Keep or
+	// Stop), TurnGrants the turns granted.
+	Delivered, Kept, TurnGrants int64
 }
 
 // Counters returns a snapshot of the plane's work counters.
@@ -518,7 +519,7 @@ func (n *Network) wakeByLow3Locked() {
 }
 
 // wakeIfReadyLocked serves e if it is parked and its condition holds: the
-// step its owner would take next runs here, with the clock and accept it
+// step its owner would take next runs here, with the clock and take it
 // parked with, and its result is handed off.
 func (n *Network) wakeIfReadyLocked(e *Endpoint) {
 	if e == nil || e.waiting == wNone {
@@ -527,7 +528,7 @@ func (n *Network) wakeIfReadyLocked(e *Endpoint) {
 	n.ctr.Visited++
 	var done bool
 	if e.waiting == wRecv {
-		e.got, done, e.err = e.recvStepLocked(e.at, e.accept)
+		done = e.recvStepLocked()
 	} else {
 		done, e.err = n.turnStepLocked(e, e.at)
 	}
@@ -546,7 +547,7 @@ func (n *Network) wakeIfReadyLocked(e *Endpoint) {
 // on another core while the hold lasts, and the wait it makes next
 // joins the stack for this holder's next batch.
 func (n *Network) handOffLocked(e *Endpoint) {
-	e.waiting, e.parked, e.accept = wNone, false, nil
+	e.waiting, e.parked, e.take = wNone, false, nil
 	n.indexWaiterLocked(e)
 	e.wake <- struct{}{}
 }

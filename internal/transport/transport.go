@@ -56,15 +56,14 @@
 //
 // Serve rule: whoever holds the plane lock finishes the waits its mutation
 // unblocks. A parked wait — receive or turn — whose condition holds is
-// served under the lock: a receive pops the queue head with the clock and
-// accept it parked with (or is reaped, or gets ErrKilled), a turn is granted
-// or refused. A token on the wake channel, of capacity 1 since an endpoint
-// has at most one outstanding wait, hands the result over. The holder
-// settles the wait exactly as the owner would have: a receive's gate and a
-// turn's condition are both stable (bounds only rise past a passed gate or
-// a granted turn; rewinds are covered by the latent recovery source).
-// accept runs on the serving goroutine and may read only state its owner
-// leaves frozen while it waits. A serve changes the served endpoint, so
+// served under the lock: a receive runs its step with the clock and take
+// it parked with (pops under the take rule, or is reaped, or gets
+// ErrKilled), a turn is granted or refused. A token on the wake channel,
+// of capacity 1 since an endpoint has at most one outstanding wait, hands
+// the result over. The holder settles the wait exactly as the owner would
+// have: a receive's gate and a turn's condition are both stable (bounds
+// only rise past a passed gate or a granted turn; rewinds are covered by
+// the latent recovery source). A serve changes the served endpoint, so
 // planeChangedLocked repeats its round until one serves nobody.
 //
 // # One mutation per rank step
@@ -76,7 +75,7 @@
 // Send is the batch of one; there is no other mutation path.
 //
 // Hand-off queue: a wait — receive or turn — whose TryLock fails pushes its
-// request — kind, outbox, clock or turn, accept — onto a lock-free stack and
+// request — kind, outbox, clock or turn, take — onto a lock-free stack and
 // waits for its token. Every release of the lock goes through unlock, which
 // drains the stack while it is non-empty and the lock free, so no request
 // is left behind: the holder the pusher lost to has yet to release. A
@@ -93,13 +92,17 @@
 // already holds back for a running source. Its channel clamp and sequence
 // number depend only on the sender's own earlier sends.
 //
-// Merge at delivery: a receiver's bound does not dip when it pops. A Ctl or
-// Marker message, or an App message the receive says it delivers at once
-// (FlushRecv's accept), merges the receiver's clock to the arrival stamp
-// before it acts, so its frontier rises there at the pop; an App message
-// the receive says it only buffers or drops leaves it blocked, since it
-// receives again before it acts. Falling back to the clock it blocked with
-// instead would lower low3 below waiters served a moment earlier under it.
+// Take rule: a receive hands each popped message to its take callback
+// (FlushRecv). Deliver returns it to the owner; Keep says the callback
+// consumed it and the owner would receive again at once without sending;
+// Stop, that it consumed it and the owner's wait is over. Ctl, Marker and
+// delivered App messages merge the receiver's clock to the arrival stamp.
+// Deliver and Stop leave the receiver running at the merged clock, so its
+// bound does not dip below waiters served a moment earlier; Keep re-blocks
+// it there, where its owner's next FlushRecv would, and the step pops on
+// under the same checks. A kept pop raises only the receiver's own keys,
+// so a passed gate stays passed and the kept pops are those its owner's
+// loop would make.
 //
 // Progress requires strictly positive lookahead, so the network enforces a
 // minimum virtual latency of 1ns per hop (zero-cost models otherwise admit
@@ -299,8 +302,8 @@ type Endpoint struct {
 
 	// A request (the package comment's hand-off queue) is what the owner
 	// asks for before it waits: kind, at — the clock its receive blocks
-	// with, or the turn it asks for —, accept, its receive's promise, and
-	// out, the sends the plane enqueues first; reqNext links the request
+	// with, merged as its take rule says, or the turn it asks for —, take,
+	// and out, the sends the plane enqueues first; reqNext links the request
 	// stack. waiting says what the endpoint's goroutine waits for once the
 	// plane entered the request (the serve rule), and parked marks a wait
 	// that outlasted the mutation entering it (Counters.Parks). got and err
@@ -308,7 +311,7 @@ type Endpoint struct {
 	// them over.
 	kind    waitKind
 	at      vtime.Time
-	accept  func(*Msg) bool
+	take    func(*Msg) Verdict
 	out     []*Msg
 	reqNext *Endpoint
 	waiting waitKind
@@ -381,17 +384,29 @@ func (e *Endpoint) Recv(now vtime.Time) (*Msg, error) { return e.FlushRecv(nil, 
 // sends and the block are one plane mutation. A send to an unknown endpoint
 // is dropped and its error returned, without receiving.
 //
-// accept, when not nil, is the caller's promise about a popped App message
-// (the merge-at-delivery rule). True: the caller delivers it at once — it
-// matches the pending receive and the protocol admits it — merging its
-// clock to the arrival stamp before it acts. False: the caller only buffers
-// or drops it and calls FlushRecv again, with nothing to flush and the same
-// clock, before it acts. accept runs under the plane lock and must not call
-// into the network; it may run on another goroutine — whichever holds the
-// plane lock when the message becomes deliverable — while the caller waits.
-func (e *Endpoint) FlushRecv(out []*Msg, now vtime.Time, accept func(*Msg) bool) (*Msg, error) {
-	return e.wait(wRecv, out, now, accept)
+// take, when not nil, says what the caller does with each popped message
+// (the take rule); a receive ends at the first Deliver, returning the
+// message, or Stop, returning none. It runs under the plane lock, possibly
+// on another goroutine — whichever holds the lock when the message becomes
+// deliverable — while the caller waits: it writes only state the caller
+// leaves frozen meanwhile and never calls into the network. Without take
+// every message is delivered, an App message at the clock now.
+func (e *Endpoint) FlushRecv(out []*Msg, now vtime.Time, take func(*Msg) Verdict) (*Msg, error) {
+	return e.wait(wRecv, out, now, take)
 }
+
+// Verdict is what a receive's take callback did with a popped message.
+type Verdict uint8
+
+const (
+	// Deliver hands the message to the caller.
+	Deliver Verdict = iota
+	// Keep: the callback consumed it, and the caller would receive again
+	// at once without sending.
+	Keep
+	// Stop: the callback consumed it, and the caller's wait is over.
+	Stop
+)
 
 // FlushAwaitTurn blocks until no other live source can still act (send or
 // issue a checkpoint write) at a virtual time before (vt, e's id), pinning
@@ -415,10 +430,10 @@ func (e *Endpoint) FlushAwaitTurn(out []*Msg, vt vtime.Time) error {
 // wait is every wait's one path into the plane: it files e's request and
 // enters it under the lock if TryLock succeeds, else hands it to the holder
 // through the request stack, then waits for the token.
-func (e *Endpoint) wait(kind waitKind, out []*Msg, at vtime.Time, accept func(*Msg) bool) (*Msg, error) {
+func (e *Endpoint) wait(kind waitKind, out []*Msg, at vtime.Time, take func(*Msg) Verdict) (*Msg, error) {
 	n := e.n
 	n.stampAll(out)
-	e.kind, e.out, e.at, e.accept = kind, out, at, accept
+	e.kind, e.out, e.at, e.take = kind, out, at, take
 	if n.dmu.TryLock() {
 		n.batch = append(n.batch[:0], e)
 		n.receiveLocked(n.batch)
@@ -482,26 +497,34 @@ func (e *Endpoint) requestLocked() {
 	n.touchLocked(e)
 }
 
-// recvStepLocked settles a receive if it can: done reports a delivery, or
-// ErrKilled, as opposed to a wait. The caller ends the mutation.
-func (e *Endpoint) recvStepLocked(now vtime.Time, accept func(*Msg) bool) (m *Msg, done bool, err error) {
+// recvStepLocked settles e's receive if it can — a delivery, a Stop, a
+// reap or ErrKilled, left in e.got and e.err — and reports whether it did.
+// A kept pop does not settle it: the step pops on (the take rule). The
+// caller ends the mutation.
+func (e *Endpoint) recvStepLocked() bool {
 	n := e.n
-	switch {
-	case e.state == stDead:
-		return nil, true, ErrKilled
-	case len(e.q) > 0 && n.gatePassLocked(e, e.q[0]):
-		if n.pastFenceLocked(e, e.q[0]) {
-			// The gate proves the next delivery would happen past the
-			// death fence; the process is dead by then.
-			return nil, true, e.reapLocked()
+	for {
+		switch {
+		case e.state == stDead:
+			e.err = ErrKilled
+			return true
+		case len(e.q) > 0 && n.gatePassLocked(e, e.q[0]):
+			if n.pastFenceLocked(e, e.q[0]) {
+				// The gate proves the next delivery would happen past the
+				// death fence; the process is dead by then.
+				e.err = e.reapLocked()
+				return true
+			}
+			if e.takeLocked(heap.Pop(&e.q).(*Msg)) {
+				return true
+			}
+		case n.doomReapLocked(e):
+			e.err = e.reapLocked()
+			return true
+		default:
+			return false
 		}
-		m = heap.Pop(&e.q).(*Msg)
-		e.deliveredLocked(m, now, accept)
-		return m, true, nil
-	case n.doomReapLocked(e):
-		return nil, true, e.reapLocked()
 	}
-	return nil, false, nil
 }
 
 // pastFenceLocked reports whether delivering m to the doomed endpoint e
@@ -528,22 +551,32 @@ func (e *Endpoint) reapLocked() error {
 	return ErrKilled
 }
 
-// deliveredLocked records the state transition of a successful pop by the
-// merge-at-delivery rule (package comment): running at the arrival stamp,
-// or still blocked if accept refuses the App message. Without accept, an
-// App pop guarantees only the clock the receiver blocked with.
-func (e *Endpoint) deliveredLocked(m *Msg, now vtime.Time, accept func(*Msg) bool) {
-	e.n.ctr.Delivered++
-	e.n.touchLocked(e)
-	f := now
-	switch {
-	case m.Kind != App, accept != nil && accept(m):
-		f = max(f, m.ArriveVT)
-	case accept != nil:
-		return
+// takeLocked applies the take rule (package comment) to a popped message
+// and reports whether it settles the receive.
+func (e *Endpoint) takeLocked(m *Msg) bool {
+	n := e.n
+	n.ctr.Delivered++
+	n.touchLocked(e)
+	v := Deliver
+	if e.take != nil {
+		v = e.take(m)
+	}
+	if m.Kind != App || (v == Deliver && e.take != nil) {
+		e.at = max(e.at, m.ArriveVT)
+	}
+	e.frontier = max(e.frontier, e.at)
+	switch v {
+	case Keep:
+		n.ctr.Kept++
+		e.state = stBlocked
+		return false
+	case Stop:
+		n.ctr.Kept++
+	default:
+		e.got = m
 	}
 	e.state = stRunning
-	e.frontier = max(e.frontier, f)
+	return true
 }
 
 // TryRecv returns the earliest deliverable message without blocking. ok
@@ -559,7 +592,10 @@ func (e *Endpoint) TryRecv(now vtime.Time) (m *Msg, ok bool, err error) {
 		e.frontier = now
 		n.planeChangedLocked(e)
 	}
-	m, _, err = e.recvStepLocked(now, nil)
+	e.at, e.take = now, nil
+	e.recvStepLocked()
+	m, err = e.got, e.err
+	e.got, e.err = nil, nil
 	n.planeChangedLocked()
 	return m, m != nil, err
 }

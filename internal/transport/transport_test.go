@@ -408,7 +408,7 @@ func TestDeliverySequenceIsSchedulingIndependent(t *testing.T) {
 }
 
 // TestRecvAndTurnHandOffUnderContention: 64 goroutines ping-pong through
-// FlushRecv and 8 more take turns with FlushAwaitTurn, each turn flushing a
+// FlushRecv, a marker the take keeps ahead of every message, and 8 more take turns with FlushAwaitTurn, each turn flushing a
 // send, while another cycles Publish, Doom and TryRecv on a spare endpoint,
 // so the plane lock is contended from every side and receive and turn
 // requests keep landing on the hand-off stack together. Every wait must
@@ -417,9 +417,10 @@ func TestDeliverySequenceIsSchedulingIndependent(t *testing.T) {
 // message it waited for, every turn granted in (vt, id) order across the
 // turn takers, and the plane must end quiescent, every park served once.
 // make determinism runs it under the race detector on one, two and eight
-// cores; the accept each receive passes reads its goroutine's round, so the
-// detector also checks that the serving goroutine sees what the owner wrote
-// before it waited.
+// cores; the take each receive passes reads its goroutine's round and
+// counts what it is handed, so the detector also checks that the serving
+// goroutine sees what the owner wrote before it waited, and the owner what
+// the serving goroutine wrote.
 func TestRecvAndTurnHandOffUnderContention(t *testing.T) {
 	const ranks, takers, rounds, spare = 64, 8, 300, 64
 	n := NewNetwork(ranks+1+takers, netmodel.Myrinet10G())
@@ -432,11 +433,22 @@ func TestRecvAndTurnHandOffUnderContention(t *testing.T) {
 			defer n.Quiesce(r) // an exited goroutine stops constraining the gate
 			ep, peer := n.Endpoint(r), r^1
 			var clock vtime.Time
-			for k := 0; k < rounds; k++ {
-				out := []*Msg{{Src: r, Dst: peer, Kind: App, Tag: k, WireLen: 64, SendVT: clock}}
-				m, err := ep.FlushRecv(out, clock, func(m *Msg) bool { return m.Tag == k })
-				if err != nil || m.Src != peer || m.Tag != k {
-					errs <- fmt.Errorf("rank %d round %d: got %v, %v", r, k, m, err)
+			var k, taken int
+			take := func(m *Msg) Verdict {
+				taken++
+				if m.Kind == App && m.Tag == k {
+					return Deliver
+				}
+				return Keep
+			}
+			for k = 0; k < rounds; k++ {
+				out := []*Msg{
+					{Src: r, Dst: peer, Kind: Marker, Tag: k, WireLen: 8, SendVT: clock},
+					{Src: r, Dst: peer, Kind: App, Tag: k, WireLen: 64, SendVT: clock},
+				}
+				m, err := ep.FlushRecv(out, clock, take)
+				if err != nil || m.Src != peer || m.Tag != k || taken != 2*(k+1) {
+					errs <- fmt.Errorf("rank %d round %d: got %v, %v after %d taken", r, k, m, err, taken)
 					return
 				}
 				clock = max(clock, m.ArriveVT) + 1

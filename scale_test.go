@@ -5,8 +5,9 @@ package hydee_test
 // profiles it. The test logs the delivery plane's work counters and holds
 // the plane to its serve rule: whoever holds the plane lock finishes the
 // waits its mutation unblocks, so every park is served exactly once and no
-// waiter ever re-parks (internal/transport, DESIGN.md "Concurrency and
-// determinism").
+// waiter ever re-parks, and to its take rule: the markers of a checkpoint's
+// flush are consumed inside the waits that pop them (internal/transport,
+// DESIGN.md "Concurrency and determinism").
 
 import (
 	"context"
@@ -17,15 +18,20 @@ import (
 
 // TestHydEESmoke1024 runs HydEE at np=1024 (32 clusters of 32) through a
 // checkpoint, a failure and a recovery round, and checks the protocol's
-// containment claim holds at scale — exactly one cluster rolls back — and
-// that the plane served every park exactly once.
+// containment claim holds at scale — exactly one cluster rolls back —,
+// that the plane served every park exactly once and that it kept pops.
 func TestHydEESmoke1024(t *testing.T) {
 	if raceEnabled {
 		t.Skip("np=1024 smoke workload skipped under the race detector (~25x slower, no added coverage)")
 	}
-	if c := smokeRun(t, 1024).Plane; c.Served != c.Parks {
+	c := smokeRun(t, 1024).Plane
+	if c.Served != c.Parks {
 		t.Errorf("%d parks, %d served at run end: every park must be served exactly once", c.Parks, c.Served)
 	}
+	if c.Kept == 0 {
+		t.Errorf("no pop kept: the marker flush no longer runs in the receives' take callbacks")
+	}
+	t.Logf("kept/delivered: %d/%d = %.3f", c.Kept, c.Delivered, float64(c.Kept)/float64(c.Delivered))
 }
 
 // smokeRun is the smoke workload at np ranks in clusters of 32.
