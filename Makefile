@@ -99,8 +99,8 @@ bench-check:
 # the commit of an ec save, a degraded ec load) with MB/s and B/op, the
 # delivery plane (one mutation at np 16 to 4096), the clustering tool
 # (torus and complete graphs at 256, a torus at 4096), the protocol engine
-# (Algorithm 1's send path, a checkpoint's protocol state at np = 64, 1024
-# and 16384) and the runtime (an np = 64 checkpoint wave into ec:4+2,
+# (building one at np = 1024 and 16384, Algorithm 1's send path, a
+# checkpoint's protocol state at np = 64, 1024 and 16384) and the runtime (an np = 64 checkpoint wave into ec:4+2,
 # staged and under the turn; the marker flush of an np = 1024 wave;
 # Proc.capture at 64 KiB and 512 KiB images; the supervisor event
 # channel; FT's pairwise all-to-all at np = 256, per message). CI runs the same set with -benchtime 1x so they cannot rot.
@@ -115,9 +115,10 @@ bench-layers:
 	$(GO) test -run '^$$' -bench 'Alltoall256|CheckpointWave' -benchtime 5x -cpu 1,2 ./internal/mpi
 
 # The TestHydEESmoke1024 shape (HydEE, 32-rank clusters, one checkpoint,
-# one failure, one recovery round) at np = 16384, the scale ROADMAP item 6
+# one failure, one recovery round) at np = 16384, the scale ROADMAP item 5
 # targets (scale16k_test.go, build tag smoke16k). Not part of `check`; the
-# test logs its wall time and the process's peak RSS.
+# test logs its wall time and the process's peak RSS, and fails above an
+# 800 MB peak RSS.
 smoke16k:
 	$(GO) test -tags smoke16k -run 'TestHydEESmoke16384' -count=1 -v -timeout 30m .
 

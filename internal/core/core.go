@@ -82,16 +82,15 @@ func (pr *Protocol) Name() string { return pr.opts.Name }
 func (pr *Protocol) NewEngine(rank int, px rollback.Proc) rollback.Engine {
 	topo := px.Topo()
 	return &engine{
-		prot:     pr,
-		px:       px,
-		rank:     rank,
-		topo:     topo,
-		cluster:  topo.ClusterOf[rank],
-		phase:    1, // all process phases are initialized to 1 (§III-B)
-		rpp:      make(map[int]*rppChannel),
-		logs:     newLogStore(),
-		knownInc: make([]int32, topo.NP),
-		rounds:   make(map[int]*roundState),
+		prot:    pr,
+		px:      px,
+		rank:    rank,
+		topo:    topo,
+		cluster: topo.ClusterOf[rank],
+		phase:   1, // all process phases are initialized to 1 (§III-B)
+		rpp:     make(map[int]*rppChannel),
+		logs:    newLogStore(),
+		rounds:  make(map[int]*roundState),
 	}
 }
 
@@ -123,8 +122,8 @@ type engine struct {
 	rpp   map[int]*rppChannel
 	logs  *logStore
 
-	myInc    int32
-	knownInc []int32
+	myInc int32
+	incs  incView
 
 	// Garbage collection (§III-E). Acknowledgments carry the watermarks
 	// of the previous checkpoint, not the latest one: a failure racing a
@@ -191,7 +190,7 @@ func (e *engine) PreSend(m *transport.Msg) (rollback.SendVerdict, error) {
 	e.date++
 	m.Date = e.date
 	m.Phase = e.phase
-	m.IncSeen = e.knownInc[m.Dst]
+	m.IncSeen = e.incs.of(m.Dst)
 
 	var v rollback.SendVerdict
 	inter := e.interCluster(m.Dst)

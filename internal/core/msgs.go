@@ -10,7 +10,8 @@ package core
 type RoundStart struct {
 	Round      int
 	RolledBack []int
-	// AllIncs is the current incarnation of every rank.
+	// AllIncs is the current incarnation of every rank: the round's
+	// RoundInfo.AllIncs itself, shared by every receiver and never written.
 	AllIncs []int32
 }
 

@@ -83,7 +83,7 @@ func (e *engine) OnRestore(s *checkpoint.Snapshot, round *rollback.RoundInfo) {
 		e.gcAcked = make(map[int]bool)
 	}
 	e.myInc = round.AllIncs[e.rank]
-	copy(e.knownInc, round.AllIncs)
+	e.incs.reset(round.Round, round.AllIncs)
 
 	rs := e.roundState(round.Round)
 	rs.selfRolled = true
@@ -122,11 +122,7 @@ func (e *engine) OnCtl(m *transport.Msg) {
 	switch b := m.CtlBody.(type) {
 	case RoundStart:
 		rs := e.roundState(b.Round)
-		for r, inc := range b.AllIncs {
-			if inc > e.knownInc[r] {
-				e.knownInc[r] = inc
-			}
-		}
+		e.incs.adopt(b.Round, b.AllIncs)
 		if !rs.startSeen {
 			rs.startSeen = true
 			if !rs.selfRolled {
@@ -170,9 +166,7 @@ func (e *engine) OnCtl(m *transport.Msg) {
 // messages held (Algorithm 3 lines 6-17).
 func (e *engine) onRollbackNote(q int, b RollbackNote) {
 	rs := e.roundState(b.Round)
-	if e.knownInc[q] < b.NewInc {
-		e.knownInc[q] = b.NewInc
-	}
+	e.incs.raise(q, b.NewInc)
 	if !rs.selfRolled {
 		rs.gated = true
 	}
@@ -262,7 +256,7 @@ func (e *engine) resendLogged(round, maxPhase int) {
 			Src: e.rank, Dst: le.Dst, Kind: transport.App,
 			Tag: le.Tag, Date: le.Date, Phase: le.Phase,
 			WireLen: le.WireLen, Data: le.Data,
-			IncSeen: e.knownInc[le.Dst],
+			IncSeen: e.incs.of(le.Dst),
 		}
 		e.px.SendAppRaw(m)
 		e.px.Metrics().ResentLogged++

@@ -34,11 +34,12 @@ func (rp *recovery) Run(round rollback.RoundInfo) (rollback.RecoveryStats, error
 	}
 
 	// Announce the round so survivors know which rollback notifications
-	// to collect before reporting.
+	// to collect before reporting. Every process shares the round's one
+	// AllIncs vector, read-only (incView).
 	start := RoundStart{
 		Round:      round.Round,
 		RolledBack: append([]int(nil), round.RolledBack...),
-		AllIncs:    append([]int32(nil), round.AllIncs...),
+		AllIncs:    round.AllIncs,
 	}
 	for r := 0; r < np; r++ {
 		rp.rx.SendCtl(r, start, wireRoundStart)

@@ -516,12 +516,8 @@ func (p *Proc) capture(seq int, scope []int) (snap *checkpoint.Snapshot, release
 		}
 	}
 	p.engine.OnCheckpoint(snap)
-	inScope := make(map[int]bool, len(scope))
-	for _, r := range scope {
-		inScope[r] = true
-	}
 	for _, m := range p.pending {
-		if inScope[m.Src] {
+		if _, inScope := slices.BinarySearch(scope, m.Src); inScope {
 			// Intra-scope traffic: include exactly the pre-snapshot
 			// epoch; later-epoch messages belong to the post-checkpoint
 			// execution and will be regenerated on rollback.

@@ -3,6 +3,7 @@ package mpi_test
 import (
 	"encoding/json"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"hydee/internal/mpi"
 	"hydee/internal/netmodel"
 	"hydee/internal/rollback"
+	"hydee/internal/rollback/coord"
 	"hydee/internal/vtime"
 )
 
@@ -182,6 +184,39 @@ func TestVirtualTimeAdvances(t *testing.T) {
 	}
 	if res.Makespan < vtime.Time(vtime.Millisecond) {
 		t.Fatalf("makespan %v too small", res.Makespan)
+	}
+}
+
+// topoProc is the part of rollback.Proc that building an engine reads.
+type topoProc struct {
+	rollback.Proc
+	topo *rollback.Topology
+}
+
+func (p topoProc) Topo() *rollback.Topology { return p.topo }
+
+// TestCheckpointScopeAscending holds every built-in protocol to the
+// CheckpointScope contract the runtime's capture searches by: ascending
+// rank order, with the process itself in any scope that is not empty, and
+// the same slice on every call. The clusters interleave, so a scope built
+// cluster by cluster in some other order would show.
+func TestCheckpointScopeAscending(t *testing.T) {
+	assign := []int{2, 0, 1, 2, 0, 1, 1, 0, 2, 2}
+	topo := rollback.NewTopology(assign)
+	for _, prot := range []rollback.Protocol{core.New(), core.NewMLog(), coord.New(), rollback.Native()} {
+		for r := range assign {
+			e := prot.NewEngine(r, topoProc{topo: topo})
+			scope := e.CheckpointScope()
+			if !slices.IsSorted(scope) {
+				t.Errorf("%s rank %d: scope %v not ascending", prot.Name(), r, scope)
+			}
+			if _, ok := slices.BinarySearch(scope, r); len(scope) > 0 && !ok {
+				t.Errorf("%s rank %d: scope %v lacks the rank", prot.Name(), r, scope)
+			}
+			if again := e.CheckpointScope(); len(scope) > 0 && &again[0] != &scope[0] {
+				t.Errorf("%s rank %d: scope rebuilt on every call", prot.Name(), r)
+			}
+		}
 	}
 }
 

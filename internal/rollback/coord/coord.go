@@ -27,7 +27,11 @@ func (*Protocol) Name() string { return "coord" }
 
 // NewEngine implements rollback.Protocol.
 func (*Protocol) NewEngine(rank int, px rollback.Proc) rollback.Engine {
-	return &engine{px: px, rank: rank}
+	all := make([]int, px.Topo().NP)
+	for i := range all {
+		all[i] = i
+	}
+	return &engine{all: all}
 }
 
 // NewRecovery implements rollback.Protocol: a global restart needs no
@@ -51,9 +55,9 @@ type engineState struct {
 }
 
 type engine struct {
-	px   rollback.Proc
-	rank int
 	date int64
+	// all is every rank, ascending: the checkpoint scope, built once.
+	all []int
 }
 
 // Name implements rollback.Engine.
@@ -98,11 +102,4 @@ func (e *engine) OnRestore(s *checkpoint.Snapshot, round *rollback.RoundInfo) {
 }
 
 // CheckpointScope implements rollback.Engine: all processes coordinate.
-func (e *engine) CheckpointScope() []int {
-	topo := e.px.Topo()
-	all := make([]int, topo.NP)
-	for i := range all {
-		all[i] = i
-	}
-	return all
-}
+func (e *engine) CheckpointScope() []int { return e.all }

@@ -188,7 +188,8 @@ type RoundInfo struct {
 	Incs []int32
 	// AllIncs is the current incarnation of every rank after the kills;
 	// restored processes need it to stamp valid IncSeen values toward
-	// peers that restarted in earlier rounds.
+	// peers that restarted in earlier rounds. One slice per round, which
+	// protocols share among all their processes: nobody writes it.
 	AllIncs []int32
 	// DetectVT is the virtual time the failure was detected.
 	DetectVT vtime.Time
@@ -294,7 +295,10 @@ type Engine interface {
 	OnRestore(s *checkpoint.Snapshot, round *RoundInfo)
 	// CheckpointScope lists the ranks that coordinate checkpoints with
 	// this process (its cluster for HydEE, everyone for the coordinated
-	// baseline, itself only for uncoordinated logging).
+	// baseline, itself only for uncoordinated logging, none for a
+	// protocol that takes no checkpoint), in ascending rank order. The
+	// runtime calls it at every checkpoint point and only reads the
+	// slice, so an engine can build it once and return it every time.
 	CheckpointScope() []int
 }
 

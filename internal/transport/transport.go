@@ -212,17 +212,23 @@ type Msg struct {
 	// ArriveVT is clamped so it is monotone per (src,dst) channel.
 	SendVT, ArriveVT vtime.Time
 
-	// chSeq is the message's position on its (src,dst) channel, the final
-	// tiebreak of the delivery key. It is assigned under the delivery-plane
-	// lock at enqueue, so it is deterministic per channel (each sender is a
-	// single goroutine).
-	chSeq uint64
+	// chSeq is the message's position on its (src,dst) channel modulo
+	// 2^32, the final tiebreak of the delivery key. It is assigned under
+	// the delivery-plane lock at enqueue, so it is deterministic per
+	// channel (each sender is a single goroutine).
+	chSeq uint32
 }
 
 // Wire returns the modeled number of bytes this message occupies on the wire.
 func (m *Msg) Wire() int { return m.WireLen + m.PiggyLen }
 
 // keyLess orders messages by the total delivery key (ArriveVT, Src, chSeq).
+// It only ever compares messages queued at one endpoint, so a chSeq
+// tiebreak is between two queued messages of one channel, and their
+// wrapping difference orders them: every message of the channel sent
+// between the two sorts between them, so it is still queued too (the
+// queue pops in key order and a kill empties it), and no queue holds 2^31
+// messages.
 func keyLess(a, b *Msg) bool {
 	if a.ArriveVT != b.ArriveVT {
 		return a.ArriveVT < b.ArriveVT
@@ -230,7 +236,7 @@ func keyLess(a, b *Msg) bool {
 	if a.Src != b.Src {
 		return a.Src < b.Src
 	}
-	return a.chSeq < b.chSeq
+	return int32(a.chSeq-b.chSeq) < 0
 }
 
 // ErrKilled is returned by receive operations on a killed endpoint.
@@ -333,18 +339,24 @@ type Endpoint struct {
 	// chans holds one record per source that has sent here, sorted by
 	// source id; chSrc[i] is the source of chans[i]. The search every send
 	// makes runs over chSrc, four bytes a probe, not over the records.
+	// stats holds the App accounting of the channels between application
+	// ranks, in first-App-send order, each reached through its channel's
+	// stat index: the control and marker sources most records belong to
+	// pay nothing for it.
 	chSrc []int32
 	chans []channel
+	stats []PairStat
 }
 
 // channel is the state of the FIFO channel from one source into an
-// endpoint: the last clamped arrival time and the sequence counter
-// (FIFO-consistency of the key order), and the App accounting when both
-// ends are application ranks.
+// endpoint, 16 bytes: what the key order's FIFO-consistency needs, the
+// last clamped arrival time and the sequence counter (it wraps; see
+// keyLess), and stat, one past the index of the channel's App accounting
+// in the endpoint's stats (0: none yet).
 type channel struct {
 	arrive vtime.Time
-	seq    uint64
-	stat   PairStat
+	seq    uint32
+	stat   int32
 }
 
 func newEndpoint(n *Network, id int, state srcState) *Endpoint {
@@ -865,9 +877,14 @@ func (n *Network) enqueueLocked(m *Msg) error {
 
 	ch := dst.channelLocked(int32(m.Src))
 	if m.Kind == App && rankSrc && m.Dst >= 0 && m.Dst < n.np {
-		ch.stat.Msgs++
-		ch.stat.Bytes += int64(m.WireLen)
-		ch.stat.PiggyBytes += int64(m.PiggyLen)
+		if ch.stat == 0 {
+			dst.stats = append(dst.stats, PairStat{})
+			ch.stat = int32(len(dst.stats))
+		}
+		st := &dst.stats[ch.stat-1]
+		st.Msgs++
+		st.Bytes += int64(m.WireLen)
+		st.PiggyBytes += int64(m.PiggyLen)
 	}
 	// FIFO channels admit no overtaking: clamp the arrival to the channel
 	// predecessor's, making arrival times monotone per (src,dst) and the
@@ -1078,7 +1095,7 @@ func (n *Network) statsLocked() []Traffic {
 	next := make([]int, n.np+1)
 	for _, e := range n.eps {
 		for i, c := range e.chans {
-			if c.stat.Msgs > 0 {
+			if c.stat != 0 {
 				next[e.chSrc[i]+1]++
 			}
 		}
@@ -1089,8 +1106,8 @@ func (n *Network) statsLocked() []Traffic {
 	out := make([]Traffic, next[n.np])
 	for _, e := range n.eps {
 		for i, c := range e.chans {
-			if src := e.chSrc[i]; c.stat.Msgs > 0 {
-				out[next[src]] = Traffic{Src: int(src), Dst: e.id, PairStat: c.stat}
+			if src := e.chSrc[i]; c.stat != 0 {
+				out[next[src]] = Traffic{Src: int(src), Dst: e.id, PairStat: e.stats[c.stat-1]}
 				next[src]++
 			}
 		}

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"strings"
@@ -34,6 +35,30 @@ func TestFIFOPerChannel(t *testing.T) {
 		}
 		if m.Tag != i {
 			t.Fatalf("out of order: got %d want %d", m.Tag, i)
+		}
+	}
+}
+
+// TestFIFOAcrossSequenceWrap holds a channel to FIFO order while its 32-bit
+// sequence number wraps among messages queued with one arrival time.
+func TestFIFOAcrossSequenceWrap(t *testing.T) {
+	n := NewNetwork(2, netmodel.Ideal())
+	send(t, n, 0, 1, 0, 0)
+	ep := n.Endpoint(1)
+	if _, err := ep.Recv(0); err != nil {
+		t.Fatal(err)
+	}
+	ep.chans[0].seq = math.MaxUint32 - 2
+	for i := 1; i <= 6; i++ {
+		send(t, n, 0, 1, i, 0)
+	}
+	for i := 1; i <= 6; i++ {
+		m, err := ep.Recv(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Tag != i {
+			t.Fatalf("out of order across the wrap: got %d want %d", m.Tag, i)
 		}
 	}
 }

@@ -196,6 +196,10 @@ func TestParseStoreSpec(t *testing.T) {
 		{"replica:1", "", hydee.StoreOptions{}, false},
 		{"replica:0", "", hydee.StoreOptions{}, false},
 		{"replica:x", "", hydee.StoreOptions{}, false},
+		{"sharded:256", "sharded", hydee.StoreOptions{Shards: 256}, true},
+		{"sharded:257", "", hydee.StoreOptions{}, false},
+		{"replica:256", "replica", hydee.StoreOptions{Replicas: 256}, true},
+		{"replica:257", "", hydee.StoreOptions{}, false},
 	}
 	for _, tc := range cases {
 		name, opts, err := hydee.ParseStoreSpec(tc.spec)
@@ -225,4 +229,49 @@ func TestParseStoreSpec(t *testing.T) {
 			t.Errorf("ParseStoreSpec(%q) = %q/%+v, want %q/%+v", tc.spec, name, opts, tc.name, tc.opts)
 		}
 	}
+}
+
+// FuzzParseStoreSpec holds the -store grammar to two properties on any
+// input: parsing and resolving never panic, and a spec that parses
+// resolves, through StoreSpec, to a store or to a *StoreSpecError, with
+// Probe refusing exactly what New refuses. The seeds cover every
+// registered store's forms, in and out of range.
+func FuzzParseStoreSpec(f *testing.F) {
+	for _, name := range hydee.StoreNames() {
+		f.Add(name)
+		f.Add(name + ":2")
+	}
+	for _, seed := range []string{
+		"", ":4", "bogus", "sharded:4", "sharded:0", "sharded:-2", "sharded:256", "sharded:257",
+		"sharded:99999999999999999999", "ec:4+2", "EC: 12 + 4", "ec:4", "ec:+", "ec:200+100",
+		"ec:1+255", "replica:3", "replicated:2", "replica:1", "replica:257", "replica:x",
+		"mem:1", "file", "file:3", "mem:: 2",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		if _, _, err := hydee.ParseStoreSpec(spec); err != nil {
+			var se *hydee.StoreSpecError
+			if !errors.As(err, &se) {
+				t.Fatalf("spec %q: untyped parse error %v", spec, err)
+			}
+			return
+		}
+		s := hydee.StoreSpec{Spec: spec}
+		st, err := s.New(nil)
+		_, perr := s.Probe()
+		if (err == nil) != (perr == nil) {
+			t.Fatalf("spec %q: New error %v, Probe error %v", spec, err, perr)
+		}
+		if err == nil {
+			if st == nil {
+				t.Fatalf("spec %q: no store and no error", spec)
+			}
+			return
+		}
+		var se *hydee.StoreSpecError
+		if !errors.As(err, &se) {
+			t.Fatalf("spec %q: untyped resolution error %v", spec, err)
+		}
+	})
 }

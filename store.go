@@ -324,9 +324,11 @@ func ClusterPlacement(t *Topology, shards int) func(rank int) int {
 // accepts, for flag help and error messages.
 const StoreSpecForms = `"<name>", "<name>:<shards>" (sharded:6), "ec:<k>+<m>" (ec:4+2), "replica:<r>" (replica:3)`
 
-// StoreSpecError reports a malformed or out-of-range -store spec,
-// rejected eagerly at flag-parse time. Its message lists the accepted
-// forms and the canonical registered store names.
+// StoreSpecError reports a -store spec that cannot select a store: one
+// ParseStoreSpec rejects as malformed or out of range, or one StoreSpec
+// cannot resolve, naming no registered store or options its store
+// refuses. Its message lists the accepted forms and the registered store
+// names, canonical first, aliases after.
 type StoreSpecError struct {
 	Spec   string // the spec as given
 	Reason string // what is wrong with it
@@ -334,8 +336,13 @@ type StoreSpecError struct {
 
 func (e *StoreSpecError) Error() string {
 	return fmt.Sprintf("hydee: store spec %q: %s (forms: %s; stores: %s)",
-		e.Spec, e.Reason, StoreSpecForms, strings.Join(StoreNames(), ", "))
+		e.Spec, e.Reason, StoreSpecForms, storeRegistry.have())
 }
+
+// maxStoreShards bounds every geometry a spec can ask for: the shard
+// count of a Reed–Solomon code over GF(2^8), and far more targets than
+// any run here places checkpoints on.
+const maxStoreShards = 256
 
 // ParseStoreSpec parses a -store flag value into the registry name and
 // the StoreOptions geometry it implies:
@@ -346,9 +353,9 @@ func (e *StoreSpecError) Error() string {
 //	"replica:3"    → ("replica", {Replicas: 3})
 //
 // Geometry is validated eagerly — ec needs k >= 1 data and m >= 1
-// parity shards with k+m <= 256, replica needs r >= 2 — so a bad spec
-// fails at flag-parse time with a *StoreSpecError instead of deep in
-// run setup. Bandwidth, directory and placement are orthogonal knobs
+// parity shards with k+m <= 256, replica 2 to 256 copies, sharded 1 to
+// 256 shards — so a bad spec fails at flag-parse time with a
+// *StoreSpecError instead of deep in run setup. Bandwidth, directory and placement are orthogonal knobs
 // the caller layers onto the returned options.
 func ParseStoreSpec(spec string) (name string, opts StoreOptions, err error) {
 	bad := func(format string, args ...any) (string, StoreOptions, error) {
@@ -374,8 +381,8 @@ func ParseStoreSpec(spec string) (name string, opts StoreOptions, err error) {
 		if kerr != nil || merr != nil || k < 1 || m < 1 {
 			return bad("ec needs k >= 1 data and m >= 1 parity shards")
 		}
-		if k+m > 256 {
-			return bad("ec supports at most 256 shards total, got %d+%d", k, m)
+		if k+m > maxStoreShards {
+			return bad("ec supports at most %d shards total, got %d+%d", maxStoreShards, k, m)
 		}
 		return name, StoreOptions{Shards: k, Parity: m}, nil
 	case "replica", "replicated":
@@ -386,6 +393,9 @@ func ParseStoreSpec(spec string) (name string, opts StoreOptions, err error) {
 		if rerr != nil || r < 2 {
 			return bad("replica needs r >= 2 copies (one copy is just a slower store)")
 		}
+		if r > maxStoreShards {
+			return bad("replica supports at most %d copies, got %d", maxStoreShards, r)
+		}
 		return name, StoreOptions{Replicas: r}, nil
 	}
 	if !hasArg {
@@ -394,6 +404,9 @@ func ParseStoreSpec(spec string) (name string, opts StoreOptions, err error) {
 	n, nerr := strconv.Atoi(arg)
 	if nerr != nil || n < 1 {
 		return bad("shard count must be a positive integer")
+	}
+	if n > maxStoreShards {
+		return bad("at most %d shards, got %d", maxStoreShards, n)
 	}
 	return name, StoreOptions{Shards: n}, nil
 }

@@ -44,7 +44,8 @@ func (s *StoreSpec) Bind(fs *flag.FlagSet) {
 		"snapshot directory for -store file (runs reuse it; same-sequence files are overwritten)")
 }
 
-// resolve parses the spec into StoreOptions and looks its backend up.
+// resolve parses the spec into StoreOptions, looks its backend up and
+// checks the options against it. Every error is a *StoreSpecError.
 func (s StoreSpec) resolve() (storeBackend, StoreOptions, error) {
 	spec := s.Spec
 	if strings.TrimSpace(spec) == "" {
@@ -57,26 +58,31 @@ func (s StoreSpec) resolve() (storeBackend, StoreOptions, error) {
 	opts.WriteBPS, opts.ReadBPS = s.BPS, s.BPS
 	opts.Dir = s.Dir
 	b, err := storeRegistry.lookup(name)
-	return b, opts, err
+	if err != nil {
+		return storeBackend{}, StoreOptions{}, &StoreSpecError{Spec: spec, Reason: fmt.Sprintf("unknown store %q", name)}
+	}
+	if err := b.validate(opts); err != nil {
+		return storeBackend{}, StoreOptions{}, &StoreSpecError{Spec: spec, Reason: strings.TrimPrefix(err.Error(), "hydee: ")}
+	}
+	return b, opts, nil
 }
 
 // Probe validates the spec eagerly — the geometry parses, the name
 // resolves and the backend accepts the options — so a typo fails at
 // startup or submission time, not inside the first run of a sweep. It
 // returns the options the spec resolves to and builds nothing: checking
-// a spec never touches the filesystem.
+// a spec never touches the filesystem. Its errors are *StoreSpecError.
 func (s StoreSpec) Probe() (StoreOptions, error) {
-	b, opts, err := s.resolve()
-	if err != nil {
-		return StoreOptions{}, err
-	}
-	return opts, b.validate(opts)
+	_, opts, err := s.resolve()
+	return opts, err
 }
 
 // New builds a fresh store for one run. A composite spec (sharded, ec,
 // replica) places each cluster of topo on its own shard — for ec, the
 // base shard of the cluster's fragment group; for replica, the cluster's
-// home replica. topo may be nil for unclustered runs.
+// home replica. topo may be nil for unclustered runs. A spec Probe
+// refuses fails here with the same *StoreSpecError; what fails after it,
+// a file store's directory say, is the store's own error.
 func (s StoreSpec) New(topo *Topology) (Store, error) {
 	b, opts, err := s.resolve()
 	if err != nil {
