@@ -176,7 +176,7 @@ func (e *engine) PreSend(m *transport.Msg) (rollback.SendVerdict, error) {
 		// merged round took over): the old release will never come, and
 		// the predicate re-anchors on the new active round.
 		err := e.px.WaitCtl(func() bool {
-			return e.active != rs || (rs.released && (!rs.selfRolled || len(rs.needWatermark) == 0))
+			return e.active != rs || (rs.released && (!rs.selfRolled || rs.watermarksLeft == 0))
 		})
 		if err != nil {
 			return rollback.SendVerdict{}, err
@@ -223,7 +223,7 @@ func (e *engine) PreSend(m *transport.Msg) (rollback.SendVerdict, error) {
 	// Orphan suppression (Algorithm 2 lines 13-15): the receiver already
 	// holds this message; notify the recovery process instead of sending.
 	if rs := e.active; rs != nil && rs.selfRolled && inter {
-		if wm, ok := rs.orphanDate[m.Dst]; ok && m.Date <= wm {
+		if m.Date <= rs.orphanDate[m.Dst] {
 			e.px.SendCtl(e.px.RecoveryID(), OrphanNotification{Round: rs.round, Phase: m.Phase}, wireOrphanNote)
 			v.Suppress = true
 		}
@@ -280,9 +280,9 @@ func (e *engine) OnCheckpoint(s *checkpoint.Snapshot) {
 	}
 	// A buffered inter-cluster message counts as delivered, also from a
 	// sender with no RPP entry yet.
-	for _, h := range e.px.HeldMarks() {
-		if e.interCluster(h.Src) && h.Date > e.gcPendingDeliv[h.Src] {
-			e.gcPendingDeliv[h.Src] = h.Date
+	for _, m := range e.px.Held() {
+		if e.interCluster(m.Src) && m.Date > e.gcPendingDeliv[m.Src] {
+			e.gcPendingDeliv[m.Src] = m.Date
 		}
 	}
 	e.gcAcked = make(map[int]bool)

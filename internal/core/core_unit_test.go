@@ -15,7 +15,6 @@ import (
 // fakeProc implements rollback.Proc for engine unit tests. Control messages
 // sent by the engine are captured; WaitCtl drains a scripted queue.
 type fakeProc struct {
-	rank    int
 	topo    *rollback.Topology
 	clock   *vtime.Clock
 	model   netmodel.Model
@@ -23,7 +22,6 @@ type fakeProc struct {
 
 	sentCtl []capturedCtl
 	sentRaw []*transport.Msg
-	held    map[int][]rollback.HeldMsg
 	// queue feeds WaitCtl; each entry is dispatched to the engine.
 	queue  []*transport.Msg
 	engine rollback.Engine
@@ -34,41 +32,20 @@ type capturedCtl struct {
 	body any
 }
 
-func newFakeProc(rank int, assign []int) *fakeProc {
+func newFakeProc(assign []int) *fakeProc {
 	return &fakeProc{
-		rank:  rank,
 		topo:  rollback.NewTopology(assign),
 		clock: vtime.NewClock(0),
 		model: netmodel.Myrinet10G(),
-		held:  make(map[int][]rollback.HeldMsg),
 	}
 }
 
-func (f *fakeProc) Rank() int                  { return f.rank }
 func (f *fakeProc) Topo() *rollback.Topology   { return f.topo }
 func (f *fakeProc) Clock() *vtime.Clock        { return f.clock }
 func (f *fakeProc) Model() netmodel.Model      { return f.model }
 func (f *fakeProc) Metrics() *rollback.Metrics { return &f.metrics }
 func (f *fakeProc) RecoveryID() int            { return f.topo.NP }
-func (f *fakeProc) HeldFrom(src int) int64 {
-	var max int64
-	for _, h := range f.held[src] {
-		if h.Date > max {
-			max = h.Date
-		}
-	}
-	return max
-}
-func (f *fakeProc) HeldEntries(src int) []rollback.HeldMsg { return f.held[src] }
-func (f *fakeProc) HeldMarks() []rollback.HeldMark {
-	var out []rollback.HeldMark
-	for _, src := range sortedKeys(f.held) {
-		if d := f.HeldFrom(src); len(f.held[src]) > 0 {
-			out = append(out, rollback.HeldMark{Src: src, Date: d})
-		}
-	}
-	return out
-}
+func (f *fakeProc) Held() []*transport.Msg     { return nil }
 
 func (f *fakeProc) SendCtl(dst int, body any, wire int) {
 	f.sentCtl = append(f.sentCtl, capturedCtl{dst: dst, body: body})
@@ -100,7 +77,7 @@ func (f *fakeProc) ctlOfType(match func(any) bool) []capturedCtl {
 }
 
 func newTestEngine(rank int, assign []int) (*engine, *fakeProc) {
-	px := newFakeProc(rank, assign)
+	px := newFakeProc(assign)
 	e := New().NewEngine(rank, px).(*engine)
 	px.engine = e
 	return e, px
@@ -202,7 +179,7 @@ func TestPiggybackStrategyBySize(t *testing.T) {
 }
 
 func TestExtraPiggyOption(t *testing.T) {
-	px := newFakeProc(0, []int{0, 0})
+	px := newFakeProc([]int{0, 0})
 	e := NewWithOptions(Options{Name: "mlog", ExtraPiggyBytes: 8}).NewEngine(0, px).(*engine)
 	px.engine = e
 	m := appMsg(0, 1, 1, 100)
@@ -411,7 +388,7 @@ func TestLogDrainStall(t *testing.T) {
 	// §V-C future work: a 100 MB/s device with a 1 MB staging buffer.
 	// Logging 1 MB bursts faster than the drain must eventually stall the
 	// sender; an unbounded buffer never stalls.
-	px := newFakeProc(0, []int{0, 1})
+	px := newFakeProc([]int{0, 1})
 	e := NewWithOptions(Options{LogDrainBPS: 100e6, LogMemBudget: 1 << 20}).NewEngine(0, px).(*engine)
 	px.engine = e
 	// Non-stall components of ExtraCPU for a large logged message: the
@@ -430,7 +407,7 @@ func TestLogDrainStall(t *testing.T) {
 		t.Fatal("overloaded staging buffer never stalled the sender")
 	}
 
-	px2 := newFakeProc(0, []int{0, 1})
+	px2 := newFakeProc([]int{0, 1})
 	e2 := NewWithOptions(Options{LogDrainBPS: 100e6}).NewEngine(0, px2).(*engine)
 	px2.engine = e2
 	for i := 0; i < 8; i++ {
@@ -448,7 +425,7 @@ func TestLogDrainStall(t *testing.T) {
 func TestLogDrainKeepsRecoveryIntact(t *testing.T) {
 	// The drained log must still replay: drain timing is a cost model,
 	// not a different data structure.
-	px := newFakeProc(0, []int{0, 1})
+	px := newFakeProc([]int{0, 1})
 	e := NewWithOptions(Options{LogDrainBPS: 50e6, LogMemBudget: 4096}).NewEngine(0, px).(*engine)
 	px.engine = e
 	for i := 0; i < 3; i++ {

@@ -107,7 +107,7 @@ func BenchmarkNewEngine(b *testing.B) {
 			for r := range assign {
 				assign[r] = r / 32
 			}
-			px := newFakeProc(np/2, assign)
+			px := newFakeProc(assign)
 			var prot rollback.Protocol = New()
 			b.ReportAllocs()
 			for b.Loop() {

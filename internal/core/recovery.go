@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"hydee/internal/checkpoint"
 	"hydee/internal/rollback"
@@ -15,11 +15,13 @@ type roundState struct {
 	// startSeen marks that the round membership is known (RoundStart
 	// received, or OnRestore for a rolled-back process).
 	startSeen bool
-	// notesNeeded lists the rolled-back ranks outside this process's
-	// cluster whose RollbackNote must be processed before reporting.
-	notesNeeded map[int]bool
-	notesDone   map[int]bool
-	reportSent  bool
+	// notesLeft counts the RollbackNotes still to process before
+	// reporting: every rolled-back rank outside this process's cluster
+	// sends one per round. A note can arrive before the membership is
+	// known, so the count goes negative until expectNotes adds the
+	// round's share.
+	notesLeft  int
+	reportSent bool
 	// gated blocks this process's first subsequent send until released.
 	gated    bool
 	released bool
@@ -29,21 +31,27 @@ type roundState struct {
 	// resent is the ResentLogs list: logged entries to re-send, released
 	// by phase.
 	resent []logEntry
-	// needWatermark / orphanDate implement Algorithm 2's OrphanDate table
-	// for a rolled-back process: suppression watermarks per outside rank.
-	needWatermark map[int]bool
-	orphanDate    map[int]int64
+	// orphanDate is Algorithm 2's OrphanDate table for a rolled-back
+	// process: the suppression watermark per outside rank, each of which
+	// sends one (by LastDate, or in its own RollbackNote). watermarksLeft
+	// counts those still to come.
+	orphanDate     map[int]int64
+	watermarksLeft int
+}
+
+// watermark records one outside rank's suppression watermark. Dates
+// start at 1, so a zero watermark suppresses nothing and takes no entry.
+func (rs *roundState) watermark(src int, wm int64) {
+	if wm > 0 {
+		rs.orphanDate[src] = wm
+	}
+	rs.watermarksLeft--
 }
 
 func (e *engine) roundState(round int) *roundState {
 	rs := e.rounds[round]
 	if rs == nil {
-		rs = &roundState{
-			round:         round,
-			notesDone:     make(map[int]bool),
-			needWatermark: make(map[int]bool),
-			orphanDate:    make(map[int]int64),
-		}
+		rs = &roundState{round: round}
 		e.rounds[round] = rs
 		delete(e.rounds, round-4) // prune long-gone rounds
 	}
@@ -51,6 +59,18 @@ func (e *engine) roundState(round int) *roundState {
 		e.active = rs
 	}
 	return rs
+}
+
+// expectNotes records that the round's membership is known: one
+// RollbackNote is due from every rank in rolledBack outside this
+// process's cluster.
+func (e *engine) expectNotes(rs *roundState, rolledBack []int) {
+	rs.startSeen = true
+	for _, r := range rolledBack {
+		if e.interCluster(r) {
+			rs.notesLeft++
+		}
+	}
 }
 
 // OnRestore implements Algorithm 2: rehydrate the protocol state from the
@@ -88,22 +108,21 @@ func (e *engine) OnRestore(s *checkpoint.Snapshot, round *rollback.RoundInfo) {
 	rs := e.roundState(round.Round)
 	rs.selfRolled = true
 	rs.gated = true
-	rs.startSeen = true
-	rs.notesNeeded = make(map[int]bool)
-	for _, r := range round.RolledBack {
-		if e.topo.ClusterOf[r] != e.cluster {
-			rs.notesNeeded[r] = true
-		}
-	}
+	e.expectNotes(rs, round.RolledBack)
 	// Broadcast the rollback notification (Algorithm 2 line 6) to every
 	// rank outside the cluster, with the per-channel held watermark
 	// (DESIGN.md deviation 1).
+	held := make(map[int]int64)
+	for _, m := range e.px.Held() {
+		held[m.Src] = max(held[m.Src], m.Date)
+	}
+	rs.watermarksLeft = e.topo.NP - len(e.topo.Members[e.cluster])
+	rs.orphanDate = make(map[int]int64)
 	for dst := range e.topo.NP {
 		if !e.interCluster(dst) {
 			continue
 		}
-		rs.needWatermark[dst] = true
-		wm := e.px.HeldFrom(dst)
+		wm := held[dst]
 		if ch := e.rpp[dst]; ch != nil && ch.MaxDate > wm {
 			wm = ch.MaxDate
 		}
@@ -124,16 +143,8 @@ func (e *engine) OnCtl(m *transport.Msg) {
 		rs := e.roundState(b.Round)
 		e.incs.adopt(b.Round, b.AllIncs)
 		if !rs.startSeen {
-			rs.startSeen = true
-			if !rs.selfRolled {
-				rs.gated = true // Algorithm 3 line 18
-				rs.notesNeeded = make(map[int]bool)
-				for _, r := range b.RolledBack {
-					if e.topo.ClusterOf[r] != e.cluster {
-						rs.notesNeeded[r] = true
-					}
-				}
-			}
+			rs.gated = true // Algorithm 3 line 18
+			e.expectNotes(rs, b.RolledBack)
 		}
 		e.maybeReport(rs)
 
@@ -141,9 +152,10 @@ func (e *engine) OnCtl(m *transport.Msg) {
 		e.onRollbackNote(m.Src, b)
 
 	case LastDate:
-		rs := e.roundState(b.Round)
-		rs.orphanDate[m.Src] = b.Held
-		delete(rs.needWatermark, m.Src)
+		// Only a rolled-back process asks for watermarks.
+		if rs := e.roundState(b.Round); rs.selfRolled {
+			rs.watermark(m.Src, b.Held)
+		}
 
 	case NotifySendMsg:
 		rs := e.roundState(b.Round)
@@ -170,28 +182,7 @@ func (e *engine) onRollbackNote(q int, b RollbackNote) {
 	if !rs.selfRolled {
 		rs.gated = true
 	}
-	if rs.notesDone[q] {
-		return
-	}
-	rs.notesDone[q] = true
-
-	// Watermark for the restarted process's suppression decisions. A
-	// rolled-back process's own note already carried its watermark, so
-	// only survivors answer with LastDate (Algorithm 3 line 9).
-	if rs.selfRolled {
-		rs.orphanDate[q] = b.HeldFromYou
-		delete(rs.needWatermark, q)
-	} else {
-		held := e.px.HeldFrom(q)
-		if ch := e.rpp[q]; ch != nil && ch.MaxDate > held {
-			held = ch.MaxDate
-		}
-		e.px.SendCtl(q, LastDate{Round: b.Round, Held: held}, wireLastDate)
-	}
-
-	// Logged messages to re-send: entries above what the restarted
-	// process still holds (Algorithm 3 lines 10-12).
-	rs.resent = append(rs.resent, e.logs.above(q, b.HeldFromYou)...)
+	rs.notesLeft--
 
 	// Orphan messages from q: delivered or buffered with a date later
 	// than q's restart point (Algorithm 3 lines 13-14).
@@ -204,38 +195,50 @@ func (e *engine) onRollbackNote(q int, b RollbackNote) {
 			}
 		}
 	}
-	for _, h := range e.px.HeldEntries(q) {
-		if h.Date > b.RestartDate {
-			rs.orphanPhases = append(rs.orphanPhases, h.Phase)
+	var held int64
+	for _, m := range e.px.Held() {
+		if m.Src != q {
+			continue
+		}
+		held = max(held, m.Date)
+		if m.Date > b.RestartDate {
+			rs.orphanPhases = append(rs.orphanPhases, m.Phase)
 		}
 	}
+
+	// Watermark for the restarted process's suppression decisions. A
+	// rolled-back process's own note already carried its watermark, so
+	// only survivors answer with LastDate (Algorithm 3 line 9).
+	if rs.selfRolled {
+		rs.watermark(q, b.HeldFromYou)
+	} else {
+		if ch := e.rpp[q]; ch != nil && ch.MaxDate > held {
+			held = ch.MaxDate
+		}
+		e.px.SendCtl(q, LastDate{Round: b.Round, Held: held}, wireLastDate)
+	}
+
+	// Logged messages to re-send: entries above what the restarted
+	// process still holds (Algorithm 3 lines 10-12).
+	rs.resent = append(rs.resent, e.logs.above(q, b.HeldFromYou)...)
 	e.maybeReport(rs)
 }
 
 // maybeReport sends the per-round report once the membership is known and
 // every expected rollback notification has been processed.
 func (e *engine) maybeReport(rs *roundState) {
-	if rs.reportSent || !rs.startSeen {
+	if rs.reportSent || !rs.startSeen || rs.notesLeft > 0 {
 		return
 	}
-	for r := range rs.notesNeeded {
-		if !rs.notesDone[r] {
-			return
-		}
+	logPhases := make([]int, len(rs.resent))
+	for i, le := range rs.resent {
+		logPhases[i] = le.Phase
 	}
-	phases := make(map[int]bool)
-	for _, le := range rs.resent {
-		phases[le.Phase] = true
-	}
-	logPhases := make([]int, 0, len(phases))
-	for ph := range phases {
-		logPhases = append(logPhases, ph)
-	}
-	sort.Ints(logPhases)
+	slices.Sort(logPhases)
 	rep := Report{
 		Round:        rs.round,
 		OwnPhase:     e.phase,
-		LogPhases:    logPhases,
+		LogPhases:    slices.Compact(logPhases),
 		OrphanPhases: append([]int(nil), rs.orphanPhases...),
 	}
 	e.px.SendCtl(e.px.RecoveryID(), rep, wireReport(&rep))

@@ -46,10 +46,11 @@ func (rp *recovery) Run(round rollback.RoundInfo) (rollback.RecoveryStats, error
 		stats.CtlMsgs++
 	}
 
-	// NbOrphanPhase / MsgLPhase / ProcessPhase of Algorithm 4.
+	// NbOrphanPhase / MsgLPhase / ProcessPhase of Algorithm 4. Every
+	// process reports once, so a rank is listed at most once per phase.
 	nbOrphan := make(map[int]int)
-	logProcs := make(map[int]map[int]bool)
-	msgProcs := make(map[int]map[int]bool)
+	logProcs := make(map[int][]int)
+	msgProcs := make(map[int][]int)
 
 	reports := 0
 	for reports < np {
@@ -68,15 +69,9 @@ func (rp *recovery) Run(round rollback.RoundInfo) (rollback.RecoveryStats, error
 				stats.Orphans++
 			}
 			for _, ph := range b.LogPhases {
-				if logProcs[ph] == nil {
-					logProcs[ph] = make(map[int]bool)
-				}
-				logProcs[ph][m.Src] = true
+				logProcs[ph] = append(logProcs[ph], m.Src)
 			}
-			if msgProcs[b.OwnPhase] == nil {
-				msgProcs[b.OwnPhase] = make(map[int]bool)
-			}
-			msgProcs[b.OwnPhase][m.Src] = true
+			msgProcs[b.OwnPhase] = append(msgProcs[b.OwnPhase], m.Src)
 		case OrphanNotification:
 			// Cannot normally precede the report barrier (senders are
 			// gated), but handle defensively.
@@ -111,7 +106,7 @@ func (rp *recovery) Run(round rollback.RoundInfo) (rollback.RecoveryStats, error
 			if ph > minBlocked {
 				continue
 			}
-			for proc := range logProcs[ph] {
+			for _, proc := range logProcs[ph] {
 				if cur, ok := perProc[proc]; !ok || ph > cur {
 					perProc[proc] = ph
 				}
@@ -128,7 +123,8 @@ func (rp *recovery) Run(round rollback.RoundInfo) (rollback.RecoveryStats, error
 			if ph > minBlocked {
 				continue
 			}
-			for _, proc := range sortedKeys(msgProcs[ph]) {
+			slices.Sort(msgProcs[ph]) // reports arrive in any order
+			for _, proc := range msgProcs[ph] {
 				rp.rx.SendCtl(proc, NotifySendMsg{Round: round.Round, Phase: ph}, wireNotify)
 				stats.CtlMsgs++
 			}

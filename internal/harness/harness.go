@@ -7,6 +7,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"hydee/internal/apps"
@@ -123,18 +124,35 @@ func (s *Spec) topoAndProtocol() (*rollback.Topology, rollback.Protocol, error) 
 	case ProtoMLog:
 		return rollback.Singletons(np), core.NewMLog(), nil
 	case ProtoHydEE:
-		if len(s.Assign) != np {
-			return nil, nil, fmt.Errorf("harness: hydee needs a cluster assignment covering %d ranks (got %d)", np, len(s.Assign))
-		}
-		for r, c := range s.Assign {
-			if c < 0 || c >= np {
-				return nil, nil, fmt.Errorf("harness: rank %d: cluster id %d outside [0,%d)", r, c, np)
-			}
+		if err := CheckAssign(s.Assign, np); err != nil {
+			return nil, nil, fmt.Errorf("harness: hydee: %w", err)
 		}
 		return rollback.NewTopology(s.Assign), core.New(), nil
 	default:
 		return nil, nil, fmt.Errorf("harness: unknown proto %d", int(s.Proto))
 	}
+}
+
+// CheckAssign reports whether assign is a cluster assignment of np
+// ranks: one cluster id in [0, np) per rank, with every id below the
+// largest in use also in use, since a cluster has at least one member.
+func CheckAssign(assign []int, np int) error {
+	if len(assign) != np {
+		return fmt.Errorf("assign covers %d ranks, np is %d", len(assign), np)
+	}
+	used := make([]bool, np)
+	k := 0
+	for r, c := range assign {
+		if c < 0 || c >= np {
+			return fmt.Errorf("assign gives rank %d cluster id %d outside [0,%d)", r, c, np)
+		}
+		used[c] = true
+		k = max(k, c+1)
+	}
+	if c := slices.Index(used[:k], false); c >= 0 {
+		return fmt.Errorf("assign uses cluster id %d but leaves cluster %d empty", k-1, c)
+	}
+	return nil
 }
 
 // memStore is a Spec.NewStore constructor: one shared in-memory store of

@@ -25,9 +25,9 @@ func TestSpecValidation(t *testing.T) {
 	if _, err := RunCtx(context.Background(), Spec{Kernel: k, Params: apps.Params{NP: 4, Iters: 1}, Proto: Proto(99)}); err == nil {
 		t.Fatal("accepted unknown protocol")
 	}
-	// Cluster ids outside [0, np) are an error, not a panic in the
-	// topology constructor.
-	for _, assign := range [][]int{{0, 0, 4, 1}, {0, 0, -1, 1}} {
+	// Cluster ids outside [0, np), or with an empty cluster below the
+	// largest, are an error, not a panic or a failed run later.
+	for _, assign := range [][]int{{0, 0, 4, 1}, {0, 0, -1, 1}, {0, 2, 2, 2}} {
 		_, err := RunCtx(context.Background(), Spec{Kernel: k, Params: apps.Params{NP: 4, Iters: 1}, Proto: ProtoHydEE, Assign: assign})
 		if err == nil || !strings.Contains(err.Error(), "cluster id") {
 			t.Errorf("assign %v: error %v, want a cluster id error", assign, err)

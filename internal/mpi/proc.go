@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -52,8 +51,9 @@ type Proc struct {
 	// before the supervisor hears from the process (the transport
 	// package's outbox rule says why delaying them is safe).
 	outbox []*transport.Msg
-	// markers tracks flush markers received, per checkpoint sequence.
-	markers map[int]map[int]bool
+	// markers counts the flush markers received per checkpoint sequence;
+	// each scope peer sends one per sequence.
+	markers map[int]int
 	// take is every receive's take callback, p.takeMsg bound once; src,
 	// tag, matching and until say what the receive in progress waits for.
 	take     func(*transport.Msg) transport.Verdict
@@ -84,7 +84,7 @@ func (rt *Runtime) newProc(rank int, snap *checkpoint.Snapshot, round *rollback.
 		rank:    rank,
 		ep:      rt.net.Endpoint(rank),
 		clock:   vtime.NewClock(startVT),
-		markers: make(map[int]map[int]bool),
+		markers: make(map[int]int),
 		round:   round,
 		inc:     rt.net.IncOf(rank),
 	}
@@ -216,12 +216,7 @@ func (p *Proc) takeMsg(m *transport.Msg) transport.Verdict {
 		return transport.Deliver
 	case transport.Marker:
 		p.clock.MergeAtLeast(m.ArriveVT)
-		set := p.markers[m.Epoch]
-		if set == nil {
-			set = make(map[int]bool)
-			p.markers[m.Epoch] = set
-		}
-		set[m.Src] = true
+		p.markers[m.Epoch]++
 	case transport.App:
 		if !p.engine.Admit(m) {
 			break
@@ -419,7 +414,9 @@ func (p *Proc) checkpointCall() error {
 			Epoch: seq, WireLen: markerWire, SendVT: p.clock.Now(),
 		})
 	}
-	if err := p.waitCtl(func() bool { return p.haveMarkers(seq, scope, peers) }); err != nil {
+	// Scopes are symmetric: the peers just sent to are exactly those that
+	// send a marker for seq, one each.
+	if err := p.waitCtl(func() bool { return p.markers[seq] == peers }); err != nil {
 		return err
 	}
 	delete(p.markers, seq)
@@ -476,26 +473,6 @@ func (p *Proc) checkpointCall() error {
 	return p.maybeFail()
 }
 
-// haveMarkers reports whether every scope member but p has sent its
-// marker for seq; peers is how many that is. The set's size counts
-// distinct senders, so the check is O(1) until there are enough of them;
-// then one scan confirms they are the scope's.
-func (p *Proc) haveMarkers(seq int, scope []int, peers int) bool {
-	set := p.markers[seq]
-	if len(set) < peers {
-		return false
-	}
-	for _, r := range scope {
-		if r == p.rank {
-			continue
-		}
-		if !set[r] {
-			return false
-		}
-	}
-	return true
-}
-
 // capture builds the snapshot: process image, protocol state, and the
 // in-transit messages the checkpoint must hold (DESIGN.md note 3). The
 // image is encoded into a buffer borrowed from its type's codec, and
@@ -550,9 +527,6 @@ func (p *Proc) publish() {
 
 // --- rollback.Proc interface ---
 
-// Rank implements rollback.Proc.
-func (p *Proc) Rank() int { return p.rank }
-
 // Topo implements rollback.Proc.
 func (p *Proc) Topo() *rollback.Topology { return p.rt.topo }
 
@@ -591,37 +565,5 @@ func (p *Proc) WaitCtl(pred func() bool) error { return p.waitCtl(pred) }
 // RecoveryID implements rollback.Proc.
 func (p *Proc) RecoveryID() int { return p.rt.cfg.NP }
 
-// HeldFrom implements rollback.Proc: the maximum application-message date
-// held undelivered from src.
-func (p *Proc) HeldFrom(src int) int64 {
-	var max int64
-	for _, m := range p.pending {
-		if m.Src == src && m.Date > max {
-			max = m.Date
-		}
-	}
-	return max
-}
-
-// HeldMarks implements rollback.Proc.
-func (p *Proc) HeldMarks() []rollback.HeldMark {
-	out := make([]rollback.HeldMark, len(p.pending))
-	for i, m := range p.pending {
-		out[i] = rollback.HeldMark{Src: m.Src, Date: m.Date}
-	}
-	slices.SortFunc(out, func(a, b rollback.HeldMark) int {
-		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(b.Date, a.Date))
-	})
-	return slices.CompactFunc(out, func(a, b rollback.HeldMark) bool { return a.Src == b.Src })
-}
-
-// HeldEntries implements rollback.Proc.
-func (p *Proc) HeldEntries(src int) []rollback.HeldMsg {
-	var out []rollback.HeldMsg
-	for _, m := range p.pending {
-		if m.Src == src {
-			out = append(out, rollback.HeldMsg{Date: m.Date, Phase: m.Phase})
-		}
-	}
-	return out
-}
+// Held implements rollback.Proc.
+func (p *Proc) Held() []*transport.Msg { return p.pending }

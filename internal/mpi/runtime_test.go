@@ -199,14 +199,18 @@ func (p topoProc) Topo() *rollback.Topology { return p.topo }
 // CheckpointScope contract the runtime's capture searches by: ascending
 // rank order, with the process itself in any scope that is not empty, and
 // the same slice on every call. The clusters interleave, so a scope built
-// cluster by cluster in some other order would show.
+// cluster by cluster in some other order would show. Scopes must also be
+// symmetric (r in s's scope iff s in r's), since a checkpoint wave counts
+// its markers instead of naming their senders.
 func TestCheckpointScopeAscending(t *testing.T) {
 	assign := []int{2, 0, 1, 2, 0, 1, 1, 0, 2, 2}
 	topo := rollback.NewTopology(assign)
 	for _, prot := range []rollback.Protocol{core.New(), core.NewMLog(), coord.New(), rollback.Native()} {
+		scopes := make([][]int, len(assign))
 		for r := range assign {
 			e := prot.NewEngine(r, topoProc{topo: topo})
 			scope := e.CheckpointScope()
+			scopes[r] = scope
 			if !slices.IsSorted(scope) {
 				t.Errorf("%s rank %d: scope %v not ascending", prot.Name(), r, scope)
 			}
@@ -215,6 +219,13 @@ func TestCheckpointScopeAscending(t *testing.T) {
 			}
 			if again := e.CheckpointScope(); len(scope) > 0 && &again[0] != &scope[0] {
 				t.Errorf("%s rank %d: scope rebuilt on every call", prot.Name(), r)
+			}
+		}
+		for r, scope := range scopes {
+			for _, s := range scope {
+				if _, ok := slices.BinarySearch(scopes[s], r); !ok {
+					t.Errorf("%s: rank %d is in rank %d's scope %v, but not %d in %d's scope %v", prot.Name(), s, r, scope, r, s, scopes[s])
+				}
 			}
 		}
 	}

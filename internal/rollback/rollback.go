@@ -12,6 +12,7 @@ package rollback
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"hydee/internal/checkpoint"
 	"hydee/internal/netmodel"
@@ -87,21 +88,12 @@ func ClusterPlacement(t *Topology, targets int) func(rank int) int {
 
 // ClustersOf maps a set of ranks to the sorted set of their clusters.
 func (t *Topology) ClustersOf(ranks []int) []int {
-	seen := make(map[int]bool)
-	var out []int
-	for _, r := range ranks {
-		c := t.ClusterOf[r]
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
+	out := make([]int, len(ranks))
+	for i, r := range ranks {
+		out[i] = t.ClusterOf[r]
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // RanksOf returns the union of members of the given clusters, ascending.
@@ -110,11 +102,7 @@ func (t *Topology) RanksOf(clusters []int) []int {
 	for _, c := range clusters {
 		out = append(out, t.Members[c]...)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 
@@ -220,7 +208,6 @@ type SendVerdict struct {
 
 // Proc is the view an engine has of its process runtime.
 type Proc interface {
-	Rank() int
 	Topo() *Topology
 	Clock() *vtime.Clock
 	Model() netmodel.Model
@@ -238,29 +225,11 @@ type Proc interface {
 	WaitCtl(pred func() bool) error
 	// RecoveryID is the endpoint id of the recovery process.
 	RecoveryID() int
-	// HeldFrom reports the maximum application-message Date currently
-	// held undelivered (buffered) from the given source, or 0.
-	HeldFrom(src int) int64
-	// HeldMarks lists, in source order, every source from which
-	// application messages are held undelivered, with the maximum Date
-	// held from it: HeldFrom of every such source, in one pass over the
-	// held messages rather than one per source.
-	HeldMarks() []HeldMark
-	// HeldEntries lists the held undelivered application messages from
-	// the given source (for orphan accounting).
-	HeldEntries(src int) []HeldMsg
-}
-
-// HeldMark is the maximum Date held undelivered from one source.
-type HeldMark struct {
-	Src  int
-	Date int64
-}
-
-// HeldMsg summarizes one buffered, not-yet-delivered application message.
-type HeldMsg struct {
-	Date  int64
-	Phase int
+	// Held lists the application messages the process holds undelivered
+	// (buffered), in the order it buffered them. The slice is the
+	// runtime's: read it during the engine call that asked for it, and
+	// neither keep nor modify it.
+	Held() []*transport.Msg
 }
 
 // Engine is the per-process protocol instance.
@@ -299,6 +268,9 @@ type Engine interface {
 	// protocol that takes no checkpoint), in ascending rank order. The
 	// runtime calls it at every checkpoint point and only reads the
 	// slice, so an engine can build it once and return it every time.
+	// Scopes must be symmetric: r is in s's scope iff s is in r's. The
+	// runtime counts a wave's markers instead of naming their senders,
+	// so a marker from outside the scope would end a wave early.
 	CheckpointScope() []int
 }
 

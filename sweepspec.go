@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"strings"
+
+	"hydee/internal/harness"
 )
 
 // Shared run-selection specs. The cmd binaries' -store/-store-bps/
@@ -230,13 +232,8 @@ func (s SweepSpec) Experiment() (ExperimentSpec, error) {
 	if proto == ProtoHydEE {
 		switch {
 		case len(s.Assign) > 0:
-			if len(s.Assign) != s.NP {
-				return spec, fmt.Errorf("hydee: sweep spec: assign covers %d ranks, np is %d", len(s.Assign), s.NP)
-			}
-			for r, c := range s.Assign {
-				if c < 0 || c >= s.NP {
-					return spec, fmt.Errorf("hydee: sweep spec: assign gives rank %d cluster id %d outside [0,%d)", r, c, s.NP)
-				}
+			if err := harness.CheckAssign(s.Assign, s.NP); err != nil {
+				return spec, fmt.Errorf("hydee: sweep spec: %w", err)
 			}
 			spec.Assign = append([]int(nil), s.Assign...)
 		case s.Clusters > 0:

@@ -63,6 +63,7 @@ func TestSweepSpecRejects(t *testing.T) {
 		{"negative cluster id", hydee.SweepSpec{App: "cg", NP: 4, Assign: []int{0, 0, -1, 1}}, "cluster id -1"},
 		{"cluster id np", hydee.SweepSpec{App: "cg", NP: 4, Assign: []int{0, 0, 4, 1}}, "cluster id 4"},
 		{"huge cluster id", hydee.SweepSpec{App: "cg", NP: 4, Assign: []int{0, 0, 1e9, 1}}, "cluster id 1000000000"},
+		{"gap in cluster ids", hydee.SweepSpec{App: "cg", NP: 4, Assign: []int{0, 2, 2, 2}}, "cluster 1 empty"},
 		{"too many clusters", hydee.SweepSpec{App: "cg", NP: 4, Clusters: 8}, "clusters"},
 		{"bad failure spec", hydee.SweepSpec{App: "cg", NP: 8, Proto: "native", FailAt: "moon:full"}, "moon"},
 		{"failure rank out of range", hydee.SweepSpec{App: "cg", NP: 8, Proto: "native", FailAt: "ckpts:1@99"}, "99"},
