@@ -27,7 +27,7 @@ func main() {
 	np := flag.Int("np", 256, "number of ranks (256 reproduces the paper)")
 	iters := flag.Int("iters", 3, "timesteps per kernel")
 	traceIters := flag.Int("trace-iters", 2, "iterations used to trace the communication graphs")
-	proto := flag.String("proto", "mlog", "comparator protocol: "+strings.Join(hydee.ProtocolNames(), ", "))
+	proto := flag.String("proto", "mlog", "comparator protocol: "+strings.Join(hydee.ExperimentProtoNames(), ", "))
 	net := flag.String("net", "myrinet10g", "network model: "+strings.Join(hydee.ModelNames(), ", "))
 	par := flag.Int("par", 0, "parallel runs in the sweep (0 = one per CPU)")
 	var stream hydee.EventStreamSpec

@@ -28,11 +28,9 @@ import (
 // errors.Is against ErrCanceled, ErrDeadlock and ErrNotSendDeterministic.
 type Engine struct {
 	cfg mpi.Config
-	// storeMake/storeOpts build a fresh per-run store (unless WithStore
-	// pinned one): the WithStoreName backend, the free in-memory store by
-	// default.
-	storeMake storeBackend
-	storeOpts StoreOptions
+	// store builds a fresh per-run store unless WithStore pinned one; the
+	// zero spec is the free in-memory store.
+	store StoreSpec
 }
 
 // Option configures an Engine. Options apply in the order given to New;
@@ -43,7 +41,7 @@ type Option func(*Engine) error
 // configuration. The rank count comes from WithRanks or, if absent, from
 // the topology.
 func New(opts ...Option) (*Engine, error) {
-	e := &Engine{storeMake: memBackend}
+	e := &Engine{}
 	for _, opt := range opts {
 		if opt == nil {
 			continue
@@ -68,7 +66,7 @@ func New(opts ...Option) (*Engine, error) {
 func (e *Engine) Run(ctx context.Context, program Program) (*Result, error) {
 	cfg := e.cfg
 	if cfg.Store == nil {
-		st, err := e.storeMake.newStore(e.storeOpts, e.cfg.Topo)
+		st, err := e.store.New(e.cfg.Topo)
 		if err != nil {
 			return nil, err
 		}
@@ -114,35 +112,9 @@ func WithProtocol(p Protocol) Option {
 	}
 }
 
-// WithProtocolName resolves the protocol through the name registry
-// ("hydee", "coord", "mlog", "native").
-func WithProtocolName(name string) Option {
-	return func(e *Engine) error {
-		p, err := ProtocolByName(name)
-		if err != nil {
-			return err
-		}
-		e.cfg.Protocol = p
-		return nil
-	}
-}
-
 // WithModel sets the network cost model.
 func WithModel(m Model) Option {
 	return func(e *Engine) error {
-		e.cfg.Model = m
-		return nil
-	}
-}
-
-// WithModelName resolves the network model through the name registry
-// ("myrinet10g", "tcpgige", "ideal").
-func WithModelName(name string) Option {
-	return func(e *Engine) error {
-		m, err := ModelByName(name)
-		if err != nil {
-			return err
-		}
 		e.cfg.Model = m
 		return nil
 	}
@@ -211,7 +183,7 @@ func WithRecorder(r *EventRecorder) Option {
 // state: sequential runs see each other's snapshots (sequences restart
 // from 1, so same-program reruns overwrite rather than diverge), and
 // concurrent Run calls require the store to tolerate them. For isolated
-// per-run stores resolved by name, use WithStoreName.
+// per-run stores resolved by name, use WithStoreSpec.
 func WithStore(st Store) Option {
 	return func(e *Engine) error {
 		if st == nil {
@@ -222,20 +194,19 @@ func WithStore(st Store) Option {
 	}
 }
 
-// WithStoreName resolves the store through the name registry ("mem",
-// "file", "sharded", or anything added via RegisterStore) and builds a
-// fresh store from it on every Run, so sequential runs never bleed
-// state. opts.WriteBPS/ReadBPS model the storage bandwidth (0 = free); a
-// negative or non-finite one fails the Run. A sharded store with no
-// explicit placement defaults to per-cluster placement when the engine
-// has a topology.
-func WithStoreName(name string, opts StoreOptions) Option {
+// WithStoreSpec selects the store by spec — a registry name with its
+// geometry ("mem", "sharded:4", "ec:4+2", "replica:3", or anything added
+// via RegisterStore), a bandwidth and a directory, exactly as the -store
+// flags and job submissions spell it — and builds a fresh store from it
+// on every Run, so sequential runs never bleed state. The spec is probed
+// here, so a spec its store refuses fails New. A multi-target store
+// places each cluster of the engine's topology on its own target.
+func WithStoreSpec(s StoreSpec) Option {
 	return func(e *Engine) error {
-		b, err := storeRegistry.lookup(name)
-		if err != nil {
+		if _, err := s.Probe(); err != nil {
 			return err
 		}
-		e.storeMake, e.storeOpts = b, opts
+		e.store = s
 		e.cfg.Store = nil
 		return nil
 	}

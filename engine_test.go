@@ -15,15 +15,34 @@ import (
 	"hydee"
 )
 
+// protocolNamed and modelNamed select by name the way an embedder does:
+// resolve the name, then pass the value; a name that does not resolve
+// fails New.
+func protocolNamed(name string) hydee.Option {
+	p, err := hydee.ProtocolByName(name)
+	if err != nil {
+		return func(*hydee.Engine) error { return err }
+	}
+	return hydee.WithProtocol(p)
+}
+
+func modelNamed(name string) hydee.Option {
+	m, err := hydee.ModelByName(name)
+	if err != nil {
+		return func(*hydee.Engine) error { return err }
+	}
+	return hydee.WithModel(m)
+}
+
 func TestEngineOptionOrder(t *testing.T) {
 	// Later options override earlier ones.
 	eng, err := hydee.New(
 		hydee.WithRanks(2),
 		hydee.WithCheckpointEvery(3),
 		hydee.WithCheckpointEvery(7),
-		hydee.WithModelName("ideal"),
+		modelNamed("ideal"),
 		hydee.WithModel(hydee.Myrinet10G()),
-		hydee.WithProtocolName("coord"),
+		protocolNamed("coord"),
 		hydee.WithProtocol(hydee.HydEE()),
 	)
 	if err != nil {
@@ -49,8 +68,8 @@ func TestEngineOptionErrors(t *testing.T) {
 		{"no ranks", nil},
 		{"bad ranks", []hydee.Option{hydee.WithRanks(-1)}},
 		{"nil topology", []hydee.Option{hydee.WithTopology(nil)}},
-		{"unknown protocol", []hydee.Option{hydee.WithRanks(2), hydee.WithProtocolName("paxos")}},
-		{"unknown model", []hydee.Option{hydee.WithRanks(2), hydee.WithModelName("infiniband")}},
+		{"unknown protocol", []hydee.Option{hydee.WithRanks(2), protocolNamed("paxos")}},
+		{"unknown model", []hydee.Option{hydee.WithRanks(2), modelNamed("infiniband")}},
 		{"negative ckpt", []hydee.Option{hydee.WithRanks(2), hydee.WithCheckpointEvery(-1)}},
 		{"negative watchdog", []hydee.Option{hydee.WithRanks(2), hydee.WithWatchdog(-time.Second)}},
 		{"topology mismatch", []hydee.Option{hydee.WithRanks(3), hydee.WithTopology(hydee.SingleCluster(2))}},

@@ -77,12 +77,10 @@ func main() {
 	}); err != nil {
 		log.Fatal(err)
 	}
+	// The factory receives the options "counting:<n>" resolves to: the
+	// shard count, the bandwidth and the per-cluster placement.
 	if err := hydee.RegisterStore("counting", func(o hydee.StoreOptions) (hydee.Store, error) {
-		backend, err := hydee.StoreByName("sharded", o)
-		if err != nil {
-			return nil, err
-		}
-		lastStore = &countingStore{Store: backend}
+		lastStore = &countingStore{Store: hydee.NewShardedStore(o.Shards, o.BPS, o.BPS, o.Placement)}
 		return lastStore, nil
 	}); err != nil {
 		log.Fatal(err)
@@ -97,12 +95,20 @@ func main() {
 		log.Fatal(err)
 	}
 	exporter := mkExporter(os.Stdout)
+	proto, err := hydee.ProtocolByName("traced-hydee")
+	if err != nil {
+		log.Fatal(err)
+	}
+	model, err := hydee.ModelByName("myrinet") // shorthand alias of myrinet10g
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	eng, err := hydee.New(
 		hydee.WithTopology(hydee.NewTopology([]int{0, 0, 1, 1, 2, 2})),
-		hydee.WithProtocolName("traced-hydee"),
-		hydee.WithModelName("myrinet"), // shorthand alias of myrinet10g
-		hydee.WithStoreName("counting", hydee.StoreOptions{Shards: 3, WriteBPS: 1e9, ReadBPS: 1e9}),
+		hydee.WithProtocol(proto),
+		hydee.WithModel(model),
+		hydee.WithStoreSpec(hydee.StoreSpec{Spec: "counting:3", BPS: 1e9}),
 		hydee.WithCheckpointEvery(2),
 		hydee.WithFailureEvents(hydee.FailureEvent{
 			Ranks: []int{3}, When: hydee.FailureTrigger{AfterCheckpoints: 1},

@@ -65,11 +65,7 @@ func TestThirdPartyExtensionsByName(t *testing.T) {
 		return auditProtocol{hydee.HydEE(), proto}
 	}))
 	mustRegister(hydee.RegisterStore(store, func(o hydee.StoreOptions) (hydee.Store, error) {
-		backend, err := hydee.StoreByName("sharded", o)
-		if err != nil {
-			return nil, err
-		}
-		st := &trackingStore{Store: backend}
+		st := &trackingStore{Store: hydee.NewShardedStore(o.Shards, o.BPS, o.BPS, o.Placement)}
 		stores = append(stores, st)
 		return st, nil
 	}))
@@ -91,8 +87,8 @@ func TestThirdPartyExtensionsByName(t *testing.T) {
 	exp := mkExp(&bytes.Buffer{})
 
 	eng, err := hydee.New(failingEngineOpts(
-		hydee.WithProtocolName(proto),
-		hydee.WithStoreName(store, hydee.StoreOptions{Shards: 2, WriteBPS: 1e9, ReadBPS: 1e9}),
+		hydee.WithProtocol(p),
+		hydee.WithStoreSpec(hydee.StoreSpec{Spec: store + ":2", BPS: 1e9}),
 		hydee.WithObserver(exp),
 	)...)
 	if err != nil {

@@ -56,10 +56,14 @@ func (p Proto) String() string {
 	}
 }
 
+// Protos is every protocol configuration: the table ProtoByName resolves
+// names over.
+var Protos = []Proto{ProtoNative, ProtoCoord, ProtoMLog, ProtoHydEE}
+
 // ProtoByName resolves a protocol-configuration name ("native", "coord",
 // "mlog", "hydee") to its Proto selector.
 func ProtoByName(name string) (Proto, error) {
-	for _, p := range []Proto{ProtoNative, ProtoCoord, ProtoMLog, ProtoHydEE} {
+	for _, p := range Protos {
 		if p.String() == name {
 			return p, nil
 		}

@@ -143,8 +143,8 @@ func init() {
 }
 
 // RegisterProtocol adds a third-party rollback-recovery protocol to the
-// name registry, making it selectable through WithProtocolName and the
-// cmd binaries' --proto flags. mk must return a fresh instance per call.
+// name registry, making it resolvable through ProtocolByName. mk must
+// return a fresh instance per call.
 // Registration is concurrency-safe; empty names and already-taken names
 // (canonical or alias, case-insensitive) are errors.
 func RegisterProtocol(name string, mk func() Protocol) error {
@@ -164,10 +164,11 @@ func RegisterModel(name string, mk func() Model) error {
 }
 
 // RegisterStore adds a third-party checkpoint-store backend to the name
-// registry, making it selectable through WithStoreName and the cmd
-// binaries' -store flags (see RegisterProtocol for the registration
-// rules). Custom stores carry determinism obligations — see the
-// "Extension points" section of DESIGN.md.
+// registry, making it selectable by StoreSpec — WithStoreSpec, the cmd
+// binaries' -store flags and job submissions (see RegisterProtocol for
+// the registration rules). mk receives the options the spec resolves
+// to. Custom stores carry determinism obligations — see the "Extension
+// points" section of DESIGN.md.
 func RegisterStore(name string, mk StoreFactory) error {
 	if mk == nil {
 		return fmt.Errorf("hydee: RegisterStore(%q): nil factory", name)
@@ -217,17 +218,6 @@ func ModelByName(name string) (Model, error) {
 // an alias is not a distinct backend.
 func ModelNames() []string { return modelRegistry.names() }
 
-// StoreByName builds the named checkpoint store: "mem", "file",
-// "sharded", "ec" (erasure-coded), "replica" (r-way replicated), or
-// anything added through RegisterStore.
-func StoreByName(name string, opts StoreOptions) (Store, error) {
-	b, err := storeRegistry.lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return b.newStore(opts, nil)
-}
-
 // StoreNames lists the registered store names, sorted.
 func StoreNames() []string { return storeRegistry.names() }
 
@@ -244,4 +234,16 @@ func ExporterNames() []string { return exporterRegistry.names() }
 // used by ExperimentSpec ("native", "coord", "mlog", "hydee").
 func ExperimentProtoByName(name string) (ExperimentProto, error) {
 	return harness.ProtoByName(strings.ToLower(name))
+}
+
+// ExperimentProtoNames lists the names ExperimentProtoByName accepts —
+// what a sweep's proto and the cmd binaries' -proto flags resolve
+// through. A protocol added with RegisterProtocol is not among them: the
+// harness configurations are fixed.
+func ExperimentProtoNames() []string {
+	names := make([]string, len(harness.Protos))
+	for i, p := range harness.Protos {
+		names[i] = p.String()
+	}
+	return names
 }

@@ -106,7 +106,7 @@ func TestUnknownNameErrorsListCanonicalFirst(t *testing.T) {
 	if !strings.Contains(msg, "myrinet") || !strings.Contains(msg, "gige") {
 		t.Errorf("shorthands dropped from inventory entirely: %q", msg)
 	}
-	if _, err := hydee.StoreByName("s3", hydee.StoreOptions{}); err == nil {
+	if _, err := (hydee.StoreSpec{Spec: "s3"}).New(nil); err == nil {
 		t.Error("unknown store accepted")
 	}
 	if _, err := hydee.ExporterByName("otlp"); err == nil {
@@ -231,10 +231,11 @@ func TestParseStoreSpec(t *testing.T) {
 	}
 }
 
-// FuzzParseStoreSpec holds the -store grammar to two properties on any
-// input: parsing and resolving never panic, and a spec that parses
+// FuzzParseStoreSpec holds the -store grammar to three properties on
+// any input: parsing and resolving never panic; a spec that parses
 // resolves, through StoreSpec, to a store or to a *StoreSpecError, with
-// Probe refusing exactly what New refuses. The seeds cover every
+// Probe refusing exactly what New refuses; and an engine configured with
+// WithStoreSpec refuses exactly what Probe refuses. The seeds cover every
 // registered store's forms, in and out of range.
 func FuzzParseStoreSpec(f *testing.F) {
 	for _, name := range hydee.StoreNames() {
@@ -262,6 +263,9 @@ func FuzzParseStoreSpec(f *testing.F) {
 		_, perr := s.Probe()
 		if (err == nil) != (perr == nil) {
 			t.Fatalf("spec %q: New error %v, Probe error %v", spec, err, perr)
+		}
+		if _, eerr := hydee.New(hydee.WithRanks(4), hydee.WithStoreSpec(s)); (eerr == nil) != (perr == nil) {
+			t.Fatalf("spec %q: engine error %v, Probe error %v", spec, eerr, perr)
 		}
 		if err == nil {
 			if st == nil {

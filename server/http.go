@@ -62,9 +62,14 @@ func jobID(r *http.Request) (int, error) {
 	return id, nil
 }
 
+// maxJobBytes bounds a job submission's body: hundreds of runs, or one
+// run's assign at the largest np a sweep spec accepts, fit well under
+// it. A larger body answers 400 without being read to its end.
+const maxJobBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBytes)).Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad job request: " + err.Error()})
 		return
 	}
@@ -205,7 +210,7 @@ func (s *Server) handleRegistry(w http.ResponseWriter, _ *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string][]string{
 		"kernels":   kernels,
-		"protocols": hydee.ProtocolNames(),
+		"protocols": hydee.ExperimentProtoNames(),
 		"models":    hydee.ModelNames(),
 		"stores":    hydee.StoreNames(),
 		"exporters": hydee.ExporterNames(),

@@ -588,8 +588,15 @@ func TestGracefulClose(t *testing.T) {
 	}
 }
 
-// TestRegistryEndpoint spot-checks the discoverable backend names.
+// TestRegistryEndpoint spot-checks the discoverable backend names, and
+// that every protocol it advertises is one a job's proto accepts — also
+// after an embedder registers a protocol of its own, which the engine's
+// registry lists but a sweep cannot run.
 func TestRegistryEndpoint(t *testing.T) {
+	// Names are claimed once per process; -count=N runs this N times.
+	if err := hydee.RegisterProtocol(fmt.Sprintf("registry-test-%d", time.Now().UnixNano()), hydee.HydEE); err != nil {
+		t.Fatal(err)
+	}
 	srv := newTestServer(t, server.Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -620,5 +627,32 @@ func TestRegistryEndpoint(t *testing.T) {
 		if !found {
 			t.Errorf("registry %s misses %q: %v", section, name, reg[section])
 		}
+	}
+	for _, name := range reg["protocols"] {
+		spec := hydee.SweepSpec{App: "cg", NP: 4, Proto: name, Clusters: 2}
+		if _, err := spec.Experiment(); err != nil {
+			t.Errorf("advertised protocol %q refused as a job's proto: %v", name, err)
+		}
+	}
+}
+
+// TestOversizedSubmissionRejected: a job body above the server's limit
+// answers 400 and queues nothing.
+func TestOversizedSubmissionRejected(t *testing.T) {
+	srv := newTestServer(t, server.Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	// A job the server would run, padded past 1 MiB with whitespace.
+	body := `{"runs":[{"app":"cg","np":4,"proto":"native"}]` + strings.Repeat(" ", 1<<20) + "}"
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("oversized submission: status %d, want 400", resp.StatusCode)
+	}
+	if jobs := srv.Jobs(); len(jobs) != 0 {
+		t.Errorf("oversized submission queued %d jobs", len(jobs))
 	}
 }

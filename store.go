@@ -12,7 +12,7 @@ import (
 
 // Stable-storage extension surface. Store is the contract checkpoint
 // backends implement; third-party implementations plug in through
-// WithStore (one pinned instance) or RegisterStore + WithStoreName (a
+// WithStore (one pinned instance) or RegisterStore + WithStoreSpec (a
 // fresh store per run). Custom stores carry determinism obligations —
 // the runtime admits saves in virtual-time order, and a store's reported
 // completion times must be a pure function of that admission order; see
@@ -45,18 +45,20 @@ type (
 	StoreStats = checkpoint.StoreStats
 )
 
-// StoreOptions parameterizes a named store factory. A factory reads the
-// fields it understands and rejects values it cannot honor where
-// silently ignoring them would mislead (the built-in "mem" and "file"
-// factories reject Shards > 1 — asking an unsharded backend to shard is
-// a misconfiguration, not a default).
+// StoreOptions is what a StoreFactory receives: the geometry a store
+// spec's "<name>[:<geometry>]" implies, the spec's bandwidth and
+// directory, and the placement the resolver derives from the run's
+// topology. Only the resolver fills it — StoreSpec is how a caller picks
+// a store — so a factory can trust the geometry to be one the -store
+// grammar (ParseStoreSpec) accepts.
 type StoreOptions struct {
-	// WriteBPS / ReadBPS model storage bandwidth in bytes/second:
+	// BPS models storage write and read bandwidth in bytes/second:
 	// aggregate for "mem" and "file", per shard for "sharded", "ec" and
-	// "replica". 0 means free (untimed) storage.
-	WriteBPS, ReadBPS float64
-	// Shards is the shard count of a "sharded" store (values < 1 mean
-	// one shard). For "ec" it is the data-shard count k of the k+m
+	// "replica". 0 means free (untimed) storage; it is never negative
+	// or non-finite.
+	BPS float64
+	// Shards is the shard count of a "<name>:<n>" spec (0 when the spec
+	// gives none). For "ec" it is the data-shard count k of the k+m
 	// geometry.
 	Shards int
 	// Parity is the parity-shard count m of an "ec" store (k = Shards);
@@ -68,153 +70,73 @@ type StoreOptions struct {
 	Replicas int
 	// Placement maps a rank to its shard — reduced modulo the physical
 	// shard count (Shards, k+m, or r) — and for "ec" selects the base
-	// shard of the rank's fragment group. nil defaults to per-cluster
-	// placement when the run has a topology (ClusterPlacement) and
-	// round-robin otherwise.
+	// shard of the rank's fragment group. The resolver sets it to
+	// ClusterPlacement when the run has a topology and the geometry more
+	// than one target; nil means round-robin.
 	Placement func(rank int) int
-	// Dir is the directory of a "file" store.
+	// Dir is the snapshot directory of file-backed stores.
 	Dir string
 }
 
-// totalShards is the physical shard count a spec implies — replica
-// count for "replica", data+parity for "ec", plain Shards otherwise —
-// the modulus ClusterPlacement needs.
-func (o StoreOptions) totalShards() int {
-	switch {
-	case o.Replicas > 0:
-		return o.Replicas
-	case o.Parity > 0:
-		return o.Shards + o.Parity
-	default:
-		return o.Shards
-	}
-}
-
-// StoreFactory builds a Store from options — the common constructor
-// signature RegisterStore expects. Each call must return a fresh,
-// independent store.
+// StoreFactory builds a Store from resolved options — the constructor
+// RegisterStore expects. Each call must return a fresh, independent
+// store.
 type StoreFactory func(StoreOptions) (Store, error)
 
-// storeBackend is one store-registry entry. The built-ins keep their
-// option check apart from construction, so a spec can be validated
-// without building anything (a directory-backed store creates its
-// directory when built); a third-party factory is opaque and has none —
-// its option errors surface when a run first builds the store.
+// storeBackend is one store-registry entry: its factory and what it
+// accepts of a parsed spec. The rules are data, not code, so a spec is
+// checked without building anything (a directory-backed store creates
+// its directory when built). A third-party backend accepts any geometry
+// and directory; its own refusals surface when a run builds the store.
 type storeBackend struct {
-	check func(StoreOptions) error
-	build StoreFactory
+	name      string // canonical name, for refusals
+	unsharded bool   // refuses "<name>:<n>" with n > 1
+	needsDir  bool   // file-backed only
+	memOnly   bool   // refuses a directory
+	build     StoreFactory
 }
 
-// validate checks opts against the backend without constructing it. The
-// bandwidths are checked for every backend, third-party ones included: a
-// negative or non-finite rate has no meaning, and none may silently
-// stand for free storage.
-func (b storeBackend) validate(opts StoreOptions) error {
-	for _, bps := range []float64{opts.WriteBPS, opts.ReadBPS} {
-		if bps < 0 || math.IsNaN(bps) || math.IsInf(bps, 0) {
-			return fmt.Errorf("hydee: store bandwidth must be finite and >= 0 (got write %g, read %g B/s)", opts.WriteBPS, opts.ReadBPS)
-		}
-	}
-	if b.check == nil {
-		return nil
-	}
-	return b.check(opts)
-}
-
-// newStore is the one resolution path from options to a run's store:
-// check the options, default the placement of a multi-target store to
-// per-cluster when the run has a topology, build.
-func (b storeBackend) newStore(opts StoreOptions, topo *Topology) (Store, error) {
-	if err := b.validate(opts); err != nil {
-		return nil, err
-	}
-	if n := opts.totalShards(); opts.Placement == nil && n > 1 && topo != nil {
-		opts.Placement = ClusterPlacement(topo, n)
-	}
-	return b.build(opts)
-}
-
-// rejectRedundancy guards backends that neither erasure-code nor
-// replicate against silently dropping a redundancy request.
-func rejectRedundancy(name string, o StoreOptions) error {
-	if o.Parity > 0 {
-		return fmt.Errorf("hydee: store %q does not erasure-code (got Parity=%d); use \"ec\"", name, o.Parity)
-	}
-	if o.Replicas > 0 {
-		return fmt.Errorf("hydee: store %q does not replicate (got Replicas=%d); use \"replica\"", name, o.Replicas)
+// validate checks resolved options against the backend. The bandwidth is
+// checked for every backend, third-party ones included: a negative or
+// non-finite rate has no meaning, and none may silently stand for free
+// storage.
+func (b storeBackend) validate(o StoreOptions) error {
+	switch {
+	case o.BPS < 0 || math.IsNaN(o.BPS) || math.IsInf(o.BPS, 0):
+		return fmt.Errorf("store bandwidth must be finite and >= 0 (got %g B/s)", o.BPS)
+	case b.unsharded && o.Shards > 1:
+		return fmt.Errorf(`store %q does not shard (got %d shards); use "sharded:%d"`, b.name, o.Shards, o.Shards)
+	case b.needsDir && o.Dir == "":
+		return fmt.Errorf("store %q needs a directory (store_dir, -store-dir)", b.name)
+	case b.memOnly && o.Dir != "":
+		return fmt.Errorf("store %q is memory-backed (got directory %q)", b.name, o.Dir)
 	}
 	return nil
 }
 
-// rejectSharding guards the unsharded backends likewise.
-func rejectSharding(name string, o StoreOptions) error {
-	if o.Shards > 1 {
-		return fmt.Errorf(`hydee: store %q does not shard (got Shards=%d); use "sharded"`, name, o.Shards)
-	}
-	return rejectRedundancy(name, o)
-}
-
 var (
-	memBackend = storeBackend{
-		check: func(o StoreOptions) error { return rejectSharding("mem", o) },
-		build: func(o StoreOptions) (Store, error) { return checkpoint.NewMemStore(o.WriteBPS, o.ReadBPS), nil },
+	memBackend = storeBackend{name: "mem", unsharded: true,
+		build: func(o StoreOptions) (Store, error) { return checkpoint.NewMemStore(o.BPS, o.BPS), nil },
 	}
-	fileBackend = storeBackend{
-		check: func(o StoreOptions) error {
-			if err := rejectSharding("file", o); err != nil {
-				return err
-			}
-			if o.Dir == "" {
-				return fmt.Errorf(`hydee: store "file" needs StoreOptions.Dir`)
-			}
-			return nil
-		},
-		build: func(o StoreOptions) (Store, error) { return checkpoint.NewFileStore(o.Dir, o.WriteBPS, o.ReadBPS) },
+	fileBackend = storeBackend{name: "file", unsharded: true, needsDir: true,
+		build: func(o StoreOptions) (Store, error) { return checkpoint.NewFileStore(o.Dir, o.BPS, o.BPS) },
 	}
-	shardedBackend = storeBackend{
-		check: func(o StoreOptions) error { return rejectRedundancy("sharded", o) },
+	shardedBackend = storeBackend{name: "sharded",
 		build: func(o StoreOptions) (Store, error) {
 			if o.Dir != "" {
-				return checkpoint.NewShardedFileStore(o.Dir, o.Shards, o.WriteBPS, o.ReadBPS, o.Placement)
+				return checkpoint.NewShardedFileStore(o.Dir, o.Shards, o.BPS, o.BPS, o.Placement)
 			}
-			return checkpoint.NewShardedStore(o.Shards, o.WriteBPS, o.ReadBPS, o.Placement), nil
+			return checkpoint.NewShardedStore(o.Shards, o.BPS, o.BPS, o.Placement), nil
 		},
 	}
-	ecBackend = storeBackend{
-		check: func(o StoreOptions) error {
-			if o.Replicas > 0 {
-				return fmt.Errorf(`hydee: store "ec" does not replicate (got Replicas=%d); use "replica"`, o.Replicas)
-			}
-			if o.Dir != "" {
-				return fmt.Errorf(`hydee: store "ec" is memory-backed (got Dir=%q)`, o.Dir)
-			}
-			if o.Shards < 1 || o.Parity < 1 {
-				return fmt.Errorf(`hydee: store "ec" needs Shards (data) >= 1 and Parity >= 1, got %d+%d (spec form ec:<k>+<m>)`, o.Shards, o.Parity)
-			}
-			return nil
-		},
+	ecBackend = storeBackend{name: "ec", memOnly: true,
 		build: func(o StoreOptions) (Store, error) {
-			return checkpoint.NewECStore(o.Shards, o.Parity, o.WriteBPS, o.ReadBPS, o.Placement)
+			return checkpoint.NewECStore(o.Shards, o.Parity, o.BPS, o.BPS, o.Placement)
 		},
 	}
-	replicaBackend = storeBackend{
-		check: func(o StoreOptions) error {
-			if o.Parity > 0 {
-				return fmt.Errorf(`hydee: store "replica" does not erasure-code (got Parity=%d); use "ec"`, o.Parity)
-			}
-			if o.Shards > 1 {
-				return fmt.Errorf(`hydee: store "replica" does not shard (got Shards=%d); replicas come from Replicas/replica:<r>`, o.Shards)
-			}
-			if o.Dir != "" {
-				return fmt.Errorf(`hydee: store "replica" is memory-backed (got Dir=%q)`, o.Dir)
-			}
-			if o.Replicas < 2 {
-				return fmt.Errorf(`hydee: store "replica" needs Replicas >= 2, got %d (spec form replica:<r>)`, o.Replicas)
-			}
-			return nil
-		},
+	replicaBackend = storeBackend{name: "replica", memOnly: true,
 		build: func(o StoreOptions) (Store, error) {
-			return checkpoint.NewReplicatedStore(o.Replicas, o.WriteBPS, o.ReadBPS, o.Placement)
+			return checkpoint.NewReplicatedStore(o.Replicas, o.BPS, o.BPS, o.Placement)
 		},
 	}
 )
@@ -223,11 +145,6 @@ var (
 // bandwidth model (zero disables timing) — the default backend.
 func NewMemStore(writeBPS, readBPS float64) Store {
 	return checkpoint.NewMemStore(writeBPS, readBPS)
-}
-
-// NewFileStore builds a store persisting snapshots as files under dir.
-func NewFileStore(dir string, writeBPS, readBPS float64) (Store, error) {
-	return checkpoint.NewFileStore(dir, writeBPS, readBPS)
 }
 
 // NewShardedStore builds a store of n independent in-memory shards, each
@@ -239,16 +156,6 @@ func NewShardedStore(n int, writeBPS, readBPS float64, place func(rank int) int)
 	return checkpoint.NewShardedStore(n, writeBPS, readBPS, place)
 }
 
-// NewShardedFileStore builds (or reopens) a durable sharded store under
-// dir, one file-backed shard per directory dir/shard-000, dir/shard-001,
-// ... Reopening with n == 0 infers the shard count from the layout;
-// snapshots saved before the reopen stay loadable. Also reachable as
-// WithStoreName("sharded", StoreOptions{Dir: ..., Shards: n}) and
-// `-store sharded:n -store-dir dir` in hydee-recover.
-func NewShardedFileStore(dir string, n int, writeBPS, readBPS float64, place func(rank int) int) (Store, error) {
-	return checkpoint.NewShardedFileStore(dir, n, writeBPS, readBPS, place)
-}
-
 // NewECStore builds an erasure-coded store: each snapshot is split into
 // k data + m parity fragments spread over k+m independent in-memory
 // shards (one bandwidth-contention window each), and restored from any k
@@ -256,8 +163,8 @@ func NewShardedFileStore(dir string, n int, writeBPS, readBPS float64, place fun
 // (k+m)/k× storage overhead instead of replication's r×. place selects
 // the base shard of a rank's fragment group (nil = round-robin by rank);
 // use ClusterPlacement so fragment groups start on their cluster's
-// storage target. Also reachable as WithStoreName("ec",
-// StoreOptions{Shards: k, Parity: m}) and `-store ec:k+m`.
+// storage target. Also reachable as StoreSpec{Spec: "ec:k+m"} and
+// `-store ec:k+m`.
 func NewECStore(k, m int, writeBPS, readBPS float64, place func(rank int) int) (Store, error) {
 	return checkpoint.NewECStore(k, m, writeBPS, readBPS, place)
 }
@@ -266,8 +173,8 @@ func NewECStore(k, m int, writeBPS, readBPS float64, place func(rank int) int) (
 // snapshot is written in full to all r in-memory replicas and read back
 // from the first healthy one, surviving up to r-1 replica losses at r×
 // storage cost. place selects a rank's home (first-probed) replica; nil
-// is round-robin. Also reachable as WithStoreName("replica",
-// StoreOptions{Replicas: r}) and `-store replica:r`.
+// is round-robin. Also reachable as StoreSpec{Spec: "replica:r"} and
+// `-store replica:r`.
 func NewReplicatedStore(r int, writeBPS, readBPS float64, place func(rank int) int) (Store, error) {
 	return checkpoint.NewReplicatedStore(r, writeBPS, readBPS, place)
 }
@@ -355,8 +262,9 @@ const maxStoreShards = 256
 // Geometry is validated eagerly — ec needs k >= 1 data and m >= 1
 // parity shards with k+m <= 256, replica 2 to 256 copies, sharded 1 to
 // 256 shards — so a bad spec fails at flag-parse time with a
-// *StoreSpecError instead of deep in run setup. Bandwidth, directory and placement are orthogonal knobs
-// the caller layers onto the returned options.
+// *StoreSpecError instead of deep in run setup. StoreSpec layers its
+// bandwidth and directory onto the returned options, and the placement
+// its run's topology implies.
 func ParseStoreSpec(spec string) (name string, opts StoreOptions, err error) {
 	bad := func(format string, args ...any) (string, StoreOptions, error) {
 		return "", StoreOptions{}, &StoreSpecError{Spec: spec, Reason: fmt.Sprintf(format, args...)}

@@ -1,7 +1,7 @@
 package hydee_test
 
 // Tests for the public Store surface: WithStore pinning across engine
-// reuse, WithStoreName per-run isolation with default per-cluster
+// reuse, WithStoreSpec per-run isolation with default per-cluster
 // placement, third-party Store implementations, and the typed
 // ErrCheckpointLost path through a custom store.
 
@@ -109,20 +109,20 @@ func TestEngineReuseWithPinnedStore(t *testing.T) {
 	}
 }
 
-// TestWithStoreNameFreshPerRun shows the registry path keeps sequential
+// TestWithStoreSpecFreshPerRun shows the registry path keeps sequential
 // runs isolated: each Run builds a fresh store, so a run never observes
 // the previous run's snapshots.
-func TestWithStoreNameFreshPerRun(t *testing.T) {
+func TestWithStoreSpecFreshPerRun(t *testing.T) {
 	var built []*trackingStore
 	name := freshName("fresh-per-run-test")
 	if err := hydee.RegisterStore(name, func(o hydee.StoreOptions) (hydee.Store, error) {
-		st := &trackingStore{Store: hydee.NewMemStore(o.WriteBPS, o.ReadBPS)}
+		st := &trackingStore{Store: hydee.NewMemStore(o.BPS, o.BPS)}
 		built = append(built, st)
 		return st, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	eng, err := hydee.New(failingEngineOpts(hydee.WithStoreName(name, hydee.StoreOptions{}))...)
+	eng, err := hydee.New(failingEngineOpts(hydee.WithStoreSpec(hydee.StoreSpec{Spec: name}))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,22 +140,29 @@ func TestWithStoreNameFreshPerRun(t *testing.T) {
 	}
 }
 
-// TestWithStoreNameUnknown verifies name resolution fails at option time.
-func TestWithStoreNameUnknown(t *testing.T) {
+// TestWithStoreSpecUnknown verifies name resolution fails at option time.
+func TestWithStoreSpecUnknown(t *testing.T) {
 	_, err := hydee.New(
 		hydee.WithRanks(2),
-		hydee.WithStoreName("glacier", hydee.StoreOptions{}),
+		hydee.WithStoreSpec(hydee.StoreSpec{Spec: "glacier"}),
 	)
-	if err == nil {
-		t.Fatal("unknown store name accepted")
+	var se *hydee.StoreSpecError
+	if !errors.As(err, &se) {
+		t.Fatalf("unknown store name: error %v, want a *StoreSpecError", err)
 	}
 }
 
 // TestStoreBandwidthRejected: a negative or non-finite storage bandwidth
 // is an error on every path that resolves a store — a StoreSpec probe, a
-// sweep spec, StoreByName and a WithStoreName engine at run time — and
-// never silently stands for free storage.
+// sweep spec, StoreSpec.New, a third-party backend and a WithStoreSpec
+// engine at New — and never silently stands for free storage.
 func TestStoreBandwidthRejected(t *testing.T) {
+	thirdParty := freshName("bandwidth-test")
+	if err := hydee.RegisterStore(thirdParty, func(o hydee.StoreOptions) (hydee.Store, error) {
+		return hydee.NewMemStore(o.BPS, o.BPS), nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for _, bps := range []float64{-1, math.NaN(), math.Inf(1)} {
 		for _, spec := range []string{"mem", "sharded:4", "ec:4+2", "replica:3"} {
 			if _, err := (hydee.StoreSpec{Spec: spec, BPS: bps}).Probe(); err == nil || !strings.Contains(err.Error(), "bandwidth") {
@@ -166,26 +173,25 @@ func TestStoreBandwidthRejected(t *testing.T) {
 		if _, err := sweep.Experiment(); err == nil || !strings.Contains(err.Error(), "bandwidth") {
 			t.Errorf("SweepSpec store_bps %g: error %v, want a bandwidth error", bps, err)
 		}
-		if _, err := hydee.StoreByName("mem", hydee.StoreOptions{WriteBPS: bps}); err == nil {
-			t.Errorf("StoreByName write bandwidth %g: no error", bps)
+		if _, err := (hydee.StoreSpec{Spec: "mem", BPS: bps}).New(nil); err == nil || !strings.Contains(err.Error(), "bandwidth") {
+			t.Errorf("StoreSpec.New bandwidth %g: error %v, want a bandwidth error", bps, err)
 		}
-		eng, err := hydee.New(hydee.WithRanks(4),
-			hydee.WithStoreName("sharded", hydee.StoreOptions{Shards: 2, WriteBPS: 1e9, ReadBPS: bps}))
-		if err != nil {
-			t.Fatal(err)
+		if _, err := (hydee.StoreSpec{Spec: thirdParty, BPS: bps}).New(nil); err == nil || !strings.Contains(err.Error(), "bandwidth") {
+			t.Errorf("third-party store bandwidth %g: error %v, want a bandwidth error", bps, err)
 		}
-		if _, err := eng.Run(context.Background(), hydee.RingProgram(2, 64)); err == nil || !strings.Contains(err.Error(), "bandwidth") {
-			t.Errorf("WithStoreName read bandwidth %g: Run error %v, want a bandwidth error", bps, err)
+		if _, err := hydee.New(hydee.WithRanks(4),
+			hydee.WithStoreSpec(hydee.StoreSpec{Spec: "sharded:2", BPS: bps})); err == nil || !strings.Contains(err.Error(), "bandwidth") {
+			t.Errorf("WithStoreSpec bandwidth %g: New error %v, want a bandwidth error", bps, err)
 		}
 	}
 }
 
-// TestWithStoreNameShardedClusterPlacement checks the engine defaults a
+// TestWithStoreSpecShardedClusterPlacement checks the engine defaults a
 // sharded store to per-cluster placement: with per-shard bandwidth, two
 // clusters checkpointing simultaneously into 2 shards see no cross-shard
 // queueing (MaxQueue stays below what one shared link of the same
 // bandwidth produces).
-func TestWithStoreNameShardedClusterPlacement(t *testing.T) {
+func TestWithStoreSpecShardedClusterPlacement(t *testing.T) {
 	run := func(opts ...hydee.Option) hydee.StoreStats {
 		t.Helper()
 		base := []hydee.Option{
@@ -204,8 +210,8 @@ func TestWithStoreNameShardedClusterPlacement(t *testing.T) {
 		return res.StoreStats
 	}
 	const bps = 5e8
-	shared := run(hydee.WithStoreName("mem", hydee.StoreOptions{WriteBPS: bps, ReadBPS: bps}))
-	sharded := run(hydee.WithStoreName("sharded", hydee.StoreOptions{Shards: 2, WriteBPS: bps, ReadBPS: bps}))
+	shared := run(hydee.WithStoreSpec(hydee.StoreSpec{Spec: "mem", BPS: bps}))
+	sharded := run(hydee.WithStoreSpec(hydee.StoreSpec{Spec: "sharded:2", BPS: bps}))
 	if shared.Saves != sharded.Saves || shared.SavedBytes != sharded.SavedBytes {
 		t.Errorf("store traffic differs: shared %+v vs sharded %+v", shared, sharded)
 	}

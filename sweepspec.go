@@ -46,27 +46,34 @@ func (s *StoreSpec) Bind(fs *flag.FlagSet) {
 		"snapshot directory for -store file (runs reuse it; same-sequence files are overwritten)")
 }
 
-// resolve parses the spec into StoreOptions, looks its backend up and
-// checks the options against it. Every error is a *StoreSpecError.
-func (s StoreSpec) resolve() (storeBackend, StoreOptions, error) {
+// resolve is the one path from a spec to a store's factory and options:
+// parse the geometry, look the backend up, layer the bandwidth and
+// directory on, check them against the backend, and place each cluster
+// of topo (nil for none) on its own target of a multi-target store.
+// Every error is a *StoreSpecError.
+func (s StoreSpec) resolve(topo *Topology) (StoreFactory, StoreOptions, error) {
 	spec := s.Spec
 	if strings.TrimSpace(spec) == "" {
 		spec = "mem"
 	}
 	name, opts, err := ParseStoreSpec(spec)
 	if err != nil {
-		return storeBackend{}, StoreOptions{}, err
+		return nil, StoreOptions{}, err
 	}
-	opts.WriteBPS, opts.ReadBPS = s.BPS, s.BPS
-	opts.Dir = s.Dir
 	b, err := storeRegistry.lookup(name)
 	if err != nil {
-		return storeBackend{}, StoreOptions{}, &StoreSpecError{Spec: spec, Reason: fmt.Sprintf("unknown store %q", name)}
+		return nil, StoreOptions{}, &StoreSpecError{Spec: spec, Reason: fmt.Sprintf("unknown store %q", name)}
 	}
+	opts.BPS, opts.Dir = s.BPS, s.Dir
 	if err := b.validate(opts); err != nil {
-		return storeBackend{}, StoreOptions{}, &StoreSpecError{Spec: spec, Reason: strings.TrimPrefix(err.Error(), "hydee: ")}
+		return nil, StoreOptions{}, &StoreSpecError{Spec: spec, Reason: err.Error()}
 	}
-	return b, opts, nil
+	// The parser sets one geometry field (k and m for ec), so their sum
+	// is the target count ClusterPlacement reduces modulo.
+	if n := opts.Shards + opts.Parity + opts.Replicas; n > 1 && topo != nil {
+		opts.Placement = ClusterPlacement(topo, n)
+	}
+	return b.build, opts, nil
 }
 
 // Probe validates the spec eagerly — the geometry parses, the name
@@ -75,7 +82,7 @@ func (s StoreSpec) resolve() (storeBackend, StoreOptions, error) {
 // returns the options the spec resolves to and builds nothing: checking
 // a spec never touches the filesystem. Its errors are *StoreSpecError.
 func (s StoreSpec) Probe() (StoreOptions, error) {
-	_, opts, err := s.resolve()
+	_, opts, err := s.resolve(nil)
 	return opts, err
 }
 
@@ -86,11 +93,11 @@ func (s StoreSpec) Probe() (StoreOptions, error) {
 // refuses fails here with the same *StoreSpecError; what fails after it,
 // a file store's directory say, is the store's own error.
 func (s StoreSpec) New(topo *Topology) (Store, error) {
-	b, opts, err := s.resolve()
+	build, opts, err := s.resolve(topo)
 	if err != nil {
 		return nil, err
 	}
-	return b.newStore(opts, topo)
+	return build(opts)
 }
 
 // EventStreamSpec is the flag/wire form of the -events/-exporter pair:
@@ -196,12 +203,18 @@ type SweepSpec struct {
 	StoreSpec
 }
 
+// maxSweepNP is the largest rank count a sweep spec accepts: the
+// largest any test or binary runs. A run's summary holds an np×np
+// pair-traffic matrix of int64s, 32 GiB at np = 65536, so a posted np
+// above it is refused before any run starts.
+const maxSweepNP = 16384
+
 // Experiment resolves the spec through the registries into a runnable
 // ExperimentSpec, validating every name and the failure grammar eagerly.
 func (s SweepSpec) Experiment() (ExperimentSpec, error) {
 	var spec ExperimentSpec
-	if s.NP <= 0 {
-		return spec, fmt.Errorf("hydee: sweep spec: np must be positive (got %d)", s.NP)
+	if s.NP <= 0 || s.NP > maxSweepNP {
+		return spec, fmt.Errorf("hydee: sweep spec: np must be in 1..%d (got %d)", maxSweepNP, s.NP)
 	}
 	iters := s.Iters
 	switch {

@@ -55,6 +55,7 @@ func TestSweepSpecRejects(t *testing.T) {
 		frag string // expected error fragment
 	}{
 		{"no np", hydee.SweepSpec{App: "cg"}, "np"},
+		{"np above the cap", hydee.SweepSpec{App: "cg", NP: 16385, Proto: "native"}, "16385"},
 		{"bad kernel", hydee.SweepSpec{App: "nope", NP: 8}, "nope"},
 		{"bad proto", hydee.SweepSpec{App: "cg", NP: 8, Proto: "bogus"}, "bogus"},
 		{"bad net", hydee.SweepSpec{App: "cg", NP: 8, Proto: "native", Net: "carrier-pigeon"}, "carrier-pigeon"},
