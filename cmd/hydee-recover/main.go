@@ -98,7 +98,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("%s on %d ranks: %d clusters, %.2f%% logged, %.2f%% expected rollback (store %s)\n\n",
-		*app, *np, cl.K, 100*cl.CutFrac, 100*cl.ExpRollback, store.Spec)
+		k.Name, *np, cl.K, 100*cl.CutFrac, 100*cl.ExpRollback, store.Spec)
 
 	rows, err := harness.Containment(ctx, k, *np, *iters, *ckpt, cl.Assign, failWhen, model, store.New)
 	if err != nil {

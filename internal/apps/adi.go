@@ -15,108 +15,44 @@ func adi(name string, classIters int, xMsg, yMsg, computeSec float64) Kernel {
 		Name:             name,
 		ClassIters:       classIters,
 		BytesPerRankIter: 2*xMsg + 2*yMsg,
-		Make: func(p Params) (mpi.Program, error) {
-			p = p.normalize()
+		Make: func(kp Params) (mpi.Program, error) {
+			kp = kp.normalize()
+			const (
+				tagX = 101
+				tagY = 102
+			)
+			xw, yw := wire(xMsg), wire(yMsg)
 			return func(c *mpi.Comm) error {
-				np := c.Size()
-				rows, cols := grid2D(np)
+				rows, cols := grid2D(c.Size())
 				rank := c.Rank()
 				r, col := rank/cols, rank%cols
 				east := r*cols + (col+1)%cols
 				west := r*cols + (col-1+cols)%cols
 				south := ((r+1)%rows)*cols + col
 				north := ((r-1+rows)%rows)*cols + col
-
-				st := newState(rank, 8)
-				if _, err := c.Restore(st); err != nil {
-					return err
-				}
-				c.SetStateBytes(int64(4 * (xMsg + yMsg) * p.SizeScale))
-
-				xw := wire(xMsg, p)
-				yw := wire(yMsg, p)
-				const (
-					tagX = 101
-					tagY = 102
-				)
-				for st.Iter < p.Iters {
+				return iterate(c, 8, kp.Iters, int64(4*(xMsg+yMsg)), func(p *proc) {
 					// x sweep: exchange east/west faces.
-					if np > 1 && cols > 1 {
-						if err := c.SendW(east, tagX, mpi.Float64sToBytes(st.slice(payloadFloats, 1)), xw); err != nil {
-							return err
-						}
-						got, _, err := c.Recv(west, tagX)
-						if err != nil {
-							return err
-						}
-						in, err := mpi.BytesToFloat64s(got)
-						if err != nil {
-							return err
-						}
-						st.fold(in)
-						if err := c.SendW(west, tagX, mpi.Float64sToBytes(st.slice(payloadFloats, 2)), xw); err != nil {
-							return err
-						}
-						got, _, err = c.Recv(east, tagX)
-						if err != nil {
-							return err
-						}
-						if in, err = mpi.BytesToFloat64s(got); err != nil {
-							return err
-						}
-						st.fold(in)
+					if cols > 1 {
+						p.send(east, tagX, 1, xw)
+						p.recv(west, tagX)
+						p.send(west, tagX, 2, xw)
+						p.recv(east, tagX)
 					}
-					if err := c.Compute(compute(computeSec*0.45, p)); err != nil {
-						return err
-					}
+					p.compute(kp.work(computeSec * 0.45))
 					// y sweep: exchange north/south faces.
-					if np > 1 && rows > 1 {
-						if err := c.SendW(south, tagY, mpi.Float64sToBytes(st.slice(payloadFloats, 3)), yw); err != nil {
-							return err
-						}
-						got, _, err := c.Recv(north, tagY)
-						if err != nil {
-							return err
-						}
-						in, err := mpi.BytesToFloat64s(got)
-						if err != nil {
-							return err
-						}
-						st.fold(in)
-						if err := c.SendW(north, tagY, mpi.Float64sToBytes(st.slice(payloadFloats, 4)), yw); err != nil {
-							return err
-						}
-						got, _, err = c.Recv(south, tagY)
-						if err != nil {
-							return err
-						}
-						if in, err = mpi.BytesToFloat64s(got); err != nil {
-							return err
-						}
-						st.fold(in)
+					if rows > 1 {
+						p.send(south, tagY, 3, yw)
+						p.recv(north, tagY)
+						p.send(north, tagY, 4, yw)
+						p.recv(south, tagY)
 					}
-					if err := c.Compute(compute(computeSec*0.45, p)); err != nil {
-						return err
-					}
+					p.compute(kp.work(computeSec * 0.45))
 					// z sweep is partition-local in the multipartition
 					// scheme; represented as compute.
-					if err := c.Compute(compute(computeSec*0.1, p)); err != nil {
-						return err
-					}
+					p.compute(kp.work(computeSec * 0.1))
 					// Residual norm.
-					res, err := c.Allreduce([]float64{st.V[0], st.V[1]}, mpi.OpSum, 16)
-					if err != nil {
-						return err
-					}
-					st.fold(res)
-
-					st.Iter++
-					if err := c.Checkpoint(); err != nil {
-						return err
-					}
-				}
-				c.SetResult(st.digest(rank))
-				return nil
+					p.allreduce(16, 0, 1)
+				})
 			}, nil
 		},
 	}

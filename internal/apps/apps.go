@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"strings"
 
 	"hydee/internal/mpi"
 	"hydee/internal/vtime"
@@ -34,17 +35,11 @@ type Params struct {
 	// Iters is the number of timesteps to execute (the class-D iteration
 	// count is Kernel.ClassIters; volumes extrapolate linearly).
 	Iters int
-	// SizeScale multiplies all modeled message sizes (default 1 = class
-	// D volumes).
-	SizeScale float64
 	// ComputeScale multiplies per-iteration compute time (default 1).
 	ComputeScale float64
 }
 
 func (p Params) normalize() Params {
-	if p.SizeScale <= 0 {
-		p.SizeScale = 1
-	}
 	if p.ComputeScale <= 0 {
 		p.ComputeScale = 1
 	}
@@ -52,6 +47,11 @@ func (p Params) normalize() Params {
 		p.Iters = 1
 	}
 	return p
+}
+
+// work converts seconds of class-D work through the compute scale.
+func (p Params) work(sec float64) vtime.Duration {
+	return vtime.Duration(sec * p.ComputeScale * 1e9)
 }
 
 // Kernel describes one benchmark.
@@ -146,18 +146,105 @@ func grid3D(np int) (x, y, z int) {
 	return x, y, z
 }
 
-// wire converts a modeled byte count through the size scale.
-func wire(bytes float64, p Params) int {
-	w := int(bytes * p.SizeScale)
-	if w < 8*payloadFloats {
-		w = 8 * payloadFloats
-	}
-	return w
+// wire is a modeled message size, never below the real payload.
+func wire(bytes float64) int {
+	return max(int(bytes), 8*payloadFloats)
 }
 
-// compute converts seconds of class-D work through the compute scale.
-func compute(sec float64, p Params) vtime.Duration {
-	return vtime.Duration(sec * p.ComputeScale * 1e9)
+// proc runs one rank's timestep as the operations it makes, in order. It
+// keeps the first error; every operation after it does nothing.
+type proc struct {
+	c   *mpi.Comm
+	st  *State
+	err error
+}
+
+// send sends dst a payload of the state salted by salt, modeled at w
+// bytes.
+func (p *proc) send(dst, tag, salt, w int) {
+	if p.err == nil {
+		p.err = p.c.SendW(dst, tag, mpi.Float64sToBytes(p.st.slice(payloadFloats, salt)), w)
+	}
+}
+
+// recv receives from src and folds the payload into the state.
+func (p *proc) recv(src, tag int) {
+	if p.err == nil {
+		got, _, err := p.c.Recv(src, tag)
+		p.fold(got, err)
+	}
+}
+
+// swap sends to dst and receives from src under one tag (SendRecvW), then
+// folds what it received.
+func (p *proc) swap(dst, src, tag, salt, w int) {
+	if p.err == nil {
+		got, err := p.c.SendRecvW(dst, tag, mpi.Float64sToBytes(p.st.slice(payloadFloats, salt)), w, src, tag)
+		p.fold(got, err)
+	}
+}
+
+// fold decodes a received payload into the state.
+func (p *proc) fold(b []byte, err error) {
+	var in []float64
+	if err == nil {
+		in, err = mpi.BytesToFloat64s(b)
+	}
+	if p.err = err; err == nil {
+		p.st.fold(in)
+	}
+}
+
+// compute advances the rank's clock by d of local work.
+func (p *proc) compute(d vtime.Duration) {
+	if p.err == nil {
+		p.err = p.c.Compute(d)
+	}
+}
+
+// allreduce sums the state entries idx across all ranks, modeled at w
+// bytes, and folds the sums into the state.
+func (p *proc) allreduce(w int, idx ...int) {
+	if p.err != nil {
+		return
+	}
+	in := make([]float64, len(idx))
+	for i, j := range idx {
+		in[i] = p.st.V[j]
+	}
+	res, err := p.c.Allreduce(in, mpi.OpSum, w)
+	if p.err = err; err == nil {
+		p.st.fold(res)
+	}
+}
+
+// iterate is the timestep loop of every send-deterministic program: it
+// creates the rank's state (width floats), restores it from a checkpoint
+// when the rank restarts, and declares a modeled image of image bytes
+// when image > 0. It then runs step until iters timesteps are done. After
+// each step it increments the iteration counter before calling
+// Checkpoint, which is the contract Comm.Checkpoint states: a restart
+// resumes with the next step, never re-executes one. Last it publishes
+// the state's digest as the rank's result.
+func iterate(c *mpi.Comm, width, iters int, image int64, step func(p *proc)) error {
+	p := &proc{c: c, st: newState(c.Rank(), width)}
+	if _, err := c.Restore(p.st); err != nil {
+		return err
+	}
+	if image > 0 {
+		c.SetStateBytes(image)
+	}
+	for p.st.Iter < iters {
+		if step(p); p.err != nil {
+			return p.err
+		}
+		p.st.Iter++
+		if err := c.Checkpoint(); err != nil {
+			return err
+		}
+	}
+	c.SetResult(p.st.digest(c.Rank()))
+	return nil
 }
 
 // Registry lists the six NAS kernels in the paper's Table I order.
@@ -165,10 +252,10 @@ func Registry() []Kernel {
 	return []Kernel{BT(), CG(), FT(), LU(), MG(), SP()}
 }
 
-// Get returns the kernel with the given name.
+// Get returns the kernel with the given name, in any letter case.
 func Get(name string) (Kernel, error) {
 	for _, k := range Registry() {
-		if k.Name == name {
+		if k.Name == strings.ToLower(name) {
 			return k, nil
 		}
 	}

@@ -52,6 +52,10 @@ func TestRegistryComplete(t *testing.T) {
 	if _, err := apps.Get("cg"); err != nil {
 		t.Error(err)
 	}
+	// Lookups ignore letter case, as model and protocol lookups do.
+	if k, err := apps.Get("CG"); err != nil || k.Name != "cg" {
+		t.Errorf("Get(%q) = %q, %v", "CG", k.Name, err)
+	}
 	if _, err := apps.Get("nope"); err == nil {
 		t.Error("unknown kernel accepted")
 	}

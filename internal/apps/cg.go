@@ -25,8 +25,13 @@ func CG() Kernel {
 		Name:             "cg",
 		ClassIters:       classIters,
 		BytesPerRankIter: 4*rowMsg + trMsg,
-		Make: func(p Params) (mpi.Program, error) {
-			p = p.normalize()
+		Make: func(kp Params) (mpi.Program, error) {
+			kp = kp.normalize()
+			const (
+				tagRow = 201
+				tagTr  = 202
+			)
+			rw, tw := wire(rowMsg), wire(trMsg)
 			return func(c *mpi.Comm) error {
 				np := c.Size()
 				rows, cols := grid2D(np)
@@ -40,75 +45,23 @@ func CG() Kernel {
 				} else if np > 1 {
 					tr = (rank + np/2) % np
 				}
-
-				st := newState(rank, 8)
-				if _, err := c.Restore(st); err != nil {
-					return err
-				}
-				c.SetStateBytes(int64(6 * rowMsg * p.SizeScale))
-
-				rw := wire(rowMsg, p)
-				tw := wire(trMsg, p)
-				const (
-					tagRow = 201
-					tagTr  = 202
-				)
-				for st.Iter < p.Iters {
+				return iterate(c, 8, kp.Iters, int64(6*rowMsg), func(p *proc) {
 					// Row butterfly: reduce partial sums across the row.
 					for k := 1; k < cols; k <<= 1 {
-						partner := col ^ k
-						if partner >= cols {
-							continue
+						if partner := col ^ k; partner < cols {
+							p.swap(r*cols+partner, r*cols+partner, tagRow+k, k, rw)
 						}
-						peer := r*cols + partner
-						got, err := c.SendRecvW(peer, tagRow+k,
-							mpi.Float64sToBytes(st.slice(payloadFloats, k)), rw,
-							peer, tagRow+k)
-						if err != nil {
-							return err
-						}
-						in, err := mpi.BytesToFloat64s(got)
-						if err != nil {
-							return err
-						}
-						st.fold(in)
 					}
-					if err := c.Compute(compute(computeSec*0.7, p)); err != nil {
-						return err
-					}
+					p.compute(kp.work(computeSec * 0.7))
 					// Transpose exchange.
 					if tr >= 0 && tr != rank {
-						got, err := c.SendRecvW(tr, tagTr,
-							mpi.Float64sToBytes(st.slice(payloadFloats, 9)), tw,
-							tr, tagTr)
-						if err != nil {
-							return err
-						}
-						in, err := mpi.BytesToFloat64s(got)
-						if err != nil {
-							return err
-						}
-						st.fold(in)
+						p.swap(tr, tr, tagTr, 9, tw)
 					}
-					if err := c.Compute(compute(computeSec*0.3, p)); err != nil {
-						return err
-					}
+					p.compute(kp.work(computeSec * 0.3))
 					// Two dot products per inner iteration.
-					for d := 0; d < 2; d++ {
-						res, err := c.Allreduce([]float64{st.V[d]}, mpi.OpSum, 8)
-						if err != nil {
-							return err
-						}
-						st.fold(res)
-					}
-
-					st.Iter++
-					if err := c.Checkpoint(); err != nil {
-						return err
-					}
-				}
-				c.SetResult(st.digest(rank))
-				return nil
+					p.allreduce(8, 0)
+					p.allreduce(8, 1)
+				})
 			}, nil
 		},
 	}

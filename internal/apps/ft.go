@@ -22,62 +22,41 @@ func FT() Kernel {
 		Name:             "ft",
 		ClassIters:       classIters,
 		BytesPerRankIter: slabBytes,
-		Make: func(p Params) (mpi.Program, error) {
-			p = p.normalize()
+		Make: func(kp Params) (mpi.Program, error) {
+			kp = kp.normalize()
 			return func(c *mpi.Comm) error {
 				np := c.Size()
 				rank := c.Rank()
-				st := newState(rank, 8)
-				if _, err := c.Restore(st); err != nil {
-					return err
-				}
-				c.SetStateBytes(int64(slabBytes * p.SizeScale))
-
-				blockWire := wire(slabBytes/float64(np), p)
-				for st.Iter < p.Iters {
+				blockWire := wire(slabBytes / float64(np))
+				return iterate(c, 8, kp.Iters, int64(slabBytes), func(p *proc) {
 					// Local 1D FFTs.
-					if err := c.Compute(compute(computeSec*0.5, p)); err != nil {
-						return err
-					}
+					p.compute(kp.work(computeSec * 0.5))
 					// Distributed transpose: global all-to-all.
-					blocks := make([][]byte, np)
-					for d := 0; d < np; d++ {
-						blocks[d] = mpi.Float64sToBytes(st.slice(payloadFloats, d))
-					}
-					got, err := c.Alltoall(blocks, blockWire)
-					if err != nil {
-						return err
-					}
-					for s, b := range got {
-						if s == rank || b == nil {
-							continue
+					if p.err == nil {
+						blocks := make([][]byte, np)
+						for d := range blocks {
+							blocks[d] = mpi.Float64sToBytes(p.st.slice(payloadFloats, d))
 						}
-						in, err := mpi.BytesToFloat64s(b)
-						if err != nil {
-							return err
+						var got [][]byte
+						got, p.err = c.Alltoall(blocks, blockWire)
+						for s, b := range got {
+							if s == rank || b == nil || p.err != nil {
+								continue
+							}
+							// Commutative fold of the first float: the
+							// pairwise exchange defines the order
+							// deterministically anyway.
+							var in []float64
+							if in, p.err = mpi.BytesToFloat64s(b); p.err == nil {
+								p.st.fold(in[:1])
+							}
 						}
-						// Commutative fold: the pairwise exchange defines
-						// the order deterministically anyway.
-						st.fold(in[:1])
 					}
 					// Remaining FFT dimension.
-					if err := c.Compute(compute(computeSec*0.5, p)); err != nil {
-						return err
-					}
+					p.compute(kp.work(computeSec * 0.5))
 					// Checksum.
-					res, err := c.Allreduce([]float64{st.V[0]}, mpi.OpSum, 8)
-					if err != nil {
-						return err
-					}
-					st.fold(res)
-
-					st.Iter++
-					if err := c.Checkpoint(); err != nil {
-						return err
-					}
-				}
-				c.SetResult(st.digest(rank))
-				return nil
+					p.allreduce(8, 0)
+				})
 			}, nil
 		},
 	}

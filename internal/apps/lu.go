@@ -26,8 +26,14 @@ func LU() Kernel {
 		Name:             "lu",
 		ClassIters:       classIters,
 		BytesPerRankIter: 2 * steps * (southMsg + eastMsg),
-		Make: func(p Params) (mpi.Program, error) {
-			p = p.normalize()
+		Make: func(kp Params) (mpi.Program, error) {
+			kp = kp.normalize()
+			const (
+				tagLow = 301
+				tagUp  = 302
+			)
+			sw, ew := wire(southMsg), wire(eastMsg)
+			stepCompute := kp.work(computeSec / (2 * steps))
 			return func(c *mpi.Comm) error {
 				np := c.Size()
 				rows, cols := grid2D(np)
@@ -47,99 +53,36 @@ func LU() Kernel {
 				if col < cols-1 {
 					east = r*cols + (col + 1)
 				}
-
-				st := newState(rank, 8)
-				if _, err := c.Restore(st); err != nil {
-					return err
-				}
-				c.SetStateBytes(int64(steps * (southMsg + eastMsg) * p.SizeScale))
-
-				sw := wire(southMsg, p)
-				ew := wire(eastMsg, p)
-				stepCompute := compute(computeSec/(2*steps), p)
-				const (
-					tagLow = 301
-					tagUp  = 302
-				)
-				recvFold := func(src, tag int) error {
-					got, _, err := c.Recv(src, tag)
-					if err != nil {
-						return err
+				// sweep is one triangular sweep: per k-plane block,
+				// receive from the upstream column and row neighbors,
+				// relax, and forward downstream, the column message salted
+				// s+salt and the row message s+salt+1. An absent neighbor
+				// is -1.
+				sweep := func(p *proc, colIn, rowIn, colOut, rowOut, tag, salt int) {
+					for s := 0; s < steps; s++ {
+						if colIn >= 0 {
+							p.recv(colIn, tag)
+						}
+						if rowIn >= 0 {
+							p.recv(rowIn, tag)
+						}
+						p.compute(stepCompute)
+						if colOut >= 0 {
+							p.send(colOut, tag, s+salt, sw)
+						}
+						if rowOut >= 0 {
+							p.send(rowOut, tag, s+salt+1, ew)
+						}
 					}
-					in, err := mpi.BytesToFloat64s(got)
-					if err != nil {
-						return err
-					}
-					st.fold(in)
-					return nil
 				}
-				for st.Iter < p.Iters {
+				return iterate(c, 8, kp.Iters, int64(steps*(southMsg+eastMsg)), func(p *proc) {
 					// Lower-triangular sweep: wavefront from (0,0).
-					for s := 0; s < steps; s++ {
-						if north >= 0 {
-							if err := recvFold(north, tagLow); err != nil {
-								return err
-							}
-						}
-						if west >= 0 {
-							if err := recvFold(west, tagLow); err != nil {
-								return err
-							}
-						}
-						if err := c.Compute(stepCompute); err != nil {
-							return err
-						}
-						if south >= 0 {
-							if err := c.SendW(south, tagLow, mpi.Float64sToBytes(st.slice(payloadFloats, s)), sw); err != nil {
-								return err
-							}
-						}
-						if east >= 0 {
-							if err := c.SendW(east, tagLow, mpi.Float64sToBytes(st.slice(payloadFloats, s+1)), ew); err != nil {
-								return err
-							}
-						}
-					}
+					sweep(p, north, west, south, east, tagLow, 0)
 					// Upper-triangular sweep: wavefront from (rows-1,cols-1).
-					for s := 0; s < steps; s++ {
-						if south >= 0 {
-							if err := recvFold(south, tagUp); err != nil {
-								return err
-							}
-						}
-						if east >= 0 {
-							if err := recvFold(east, tagUp); err != nil {
-								return err
-							}
-						}
-						if err := c.Compute(stepCompute); err != nil {
-							return err
-						}
-						if north >= 0 {
-							if err := c.SendW(north, tagUp, mpi.Float64sToBytes(st.slice(payloadFloats, s+2)), sw); err != nil {
-								return err
-							}
-						}
-						if west >= 0 {
-							if err := c.SendW(west, tagUp, mpi.Float64sToBytes(st.slice(payloadFloats, s+3)), ew); err != nil {
-								return err
-							}
-						}
-					}
+					sweep(p, south, east, north, west, tagUp, 2)
 					// Residual norm.
-					res, err := c.Allreduce([]float64{st.V[0], st.V[3]}, mpi.OpSum, 16)
-					if err != nil {
-						return err
-					}
-					st.fold(res)
-
-					st.Iter++
-					if err := c.Checkpoint(); err != nil {
-						return err
-					}
-				}
-				c.SetResult(st.digest(rank))
-				return nil
+					p.allreduce(16, 0, 3)
+				})
 			}, nil
 		},
 	}

@@ -30,8 +30,9 @@ func MG() Kernel {
 		Name:             "mg",
 		ClassIters:       classIters,
 		BytesPerRankIter: perIter,
-		Make: func(p Params) (mpi.Program, error) {
-			p = p.normalize()
+		Make: func(kp Params) (mpi.Program, error) {
+			kp = kp.normalize()
+			const tagMG = 401
 			return func(c *mpi.Comm) error {
 				np := c.Size()
 				nx, ny, nz := grid3D(np)
@@ -46,75 +47,28 @@ func MG() Kernel {
 				xp, xm := at((x+1)%nx, y, z), at((x-1+nx)%nx, y, z)
 				yp, ym := at(x, (y+1)%ny, z), at(x, (y-1+ny)%ny, z)
 				zp, zm := at(x, y, (z+1)%nz), at(x, y, (z-1+nz)%nz)
-
-				st := newState(rank, 8)
-				if _, err := c.Restore(st); err != nil {
-					return err
+				// exchange swaps both faces of one dimension; a dimension
+				// of extent 1 has none.
+				exchange := func(p *proc, plus, minus, w, tag, salt int) {
+					if plus != rank {
+						p.swap(plus, minus, tag, salt, w)
+						p.swap(minus, plus, tag+1, salt+1, w)
+					}
 				}
-				c.SetStateBytes(int64(2 * (2*faceXY + faceZ) * p.SizeScale))
-
-				const tagMG = 401
-				exchange := func(plus, minus, w, tag int, salt int) error {
-					if plus == c.Rank() {
-						return nil // dimension of extent 1
-					}
-					got, err := c.SendRecvW(plus, tag,
-						mpi.Float64sToBytes(st.slice(payloadFloats, salt)), w,
-						minus, tag)
-					if err != nil {
-						return err
-					}
-					in, err := mpi.BytesToFloat64s(got)
-					if err != nil {
-						return err
-					}
-					st.fold(in)
-					got, err = c.SendRecvW(minus, tag+1,
-						mpi.Float64sToBytes(st.slice(payloadFloats, salt+1)), w,
-						plus, tag+1)
-					if err != nil {
-						return err
-					}
-					if in, err = mpi.BytesToFloat64s(got); err != nil {
-						return err
-					}
-					st.fold(in)
-					return nil
-				}
-				for st.Iter < p.Iters {
+				return iterate(c, 8, kp.Iters, int64(2*(2*faceXY+faceZ)), func(p *proc) {
 					lscale := 1.0
 					for l := 0; l < levels; l++ {
-						wxy := wire(faceXY*lscale, p)
-						wz := wire(faceZ*lscale, p)
+						wxy, wz := wire(faceXY*lscale), wire(faceZ*lscale)
 						tag := tagMG + 10*l
-						if err := exchange(xp, xm, wxy, tag, l); err != nil {
-							return err
-						}
-						if err := exchange(yp, ym, wxy, tag+2, l+3); err != nil {
-							return err
-						}
-						if err := exchange(zp, zm, wz, tag+4, l+5); err != nil {
-							return err
-						}
-						if err := c.Compute(compute(computeSec/levels, p)); err != nil {
-							return err
-						}
+						exchange(p, xp, xm, wxy, tag, l)
+						exchange(p, yp, ym, wxy, tag+2, l+3)
+						exchange(p, zp, zm, wz, tag+4, l+5)
+						p.compute(kp.work(computeSec / levels))
 						lscale /= 4
 					}
 					// Norm check.
-					res, err := c.Allreduce([]float64{st.V[2]}, mpi.OpSum, 8)
-					if err != nil {
-						return err
-					}
-					st.fold(res)
-
-					st.Iter++
-					if err := c.Checkpoint(); err != nil {
-						return err
-					}
-				}
-				c.SetResult(st.digest(rank))
-				return nil
+					p.allreduce(8, 2)
+				})
 			}, nil
 		},
 	}

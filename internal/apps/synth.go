@@ -2,19 +2,12 @@ package apps
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 
 	"hydee/internal/mpi"
+	"hydee/internal/trace"
 )
-
-// payloadHash is a deterministic 64-bit hash of a payload.
-func payloadHash(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
-}
 
 // Synthetic applications used by tests, examples and the property suite.
 
@@ -23,34 +16,13 @@ func payloadHash(b []byte) uint64 {
 func Ring(iters, msgBytes int) mpi.Program {
 	return func(c *mpi.Comm) error {
 		np := c.Size()
-		rank := c.Rank()
-		next, prev := (rank+1)%np, (rank-1+np)%np
-		st := newState(rank, 4)
-		if _, err := c.Restore(st); err != nil {
-			return err
-		}
-		for st.Iter < iters {
+		next, prev := (c.Rank()+1)%np, (c.Rank()-1+np)%np
+		return iterate(c, 4, iters, 0, func(p *proc) {
 			if np > 1 {
-				if err := c.SendW(next, 11, mpi.Float64sToBytes(st.slice(payloadFloats, st.Iter)), msgBytes); err != nil {
-					return err
-				}
-				got, _, err := c.Recv(prev, 11)
-				if err != nil {
-					return err
-				}
-				in, err := mpi.BytesToFloat64s(got)
-				if err != nil {
-					return err
-				}
-				st.fold(in)
+				p.send(next, 11, p.st.Iter, msgBytes)
+				p.recv(prev, 11)
 			}
-			st.Iter++
-			if err := c.Checkpoint(); err != nil {
-				return err
-			}
-		}
-		c.SetResult(st.digest(rank))
-		return nil
+		})
 	}
 }
 
@@ -58,66 +30,24 @@ func Ring(iters, msgBytes int) mpi.Program {
 // the generic pattern the paper's introduction motivates.
 func Stencil2D(iters, msgBytes int) mpi.Program {
 	return func(c *mpi.Comm) error {
-		np := c.Size()
-		rows, cols := grid2D(np)
+		rows, cols := grid2D(c.Size())
 		rank := c.Rank()
 		r, col := rank/cols, rank%cols
 		east := r*cols + (col+1)%cols
 		west := r*cols + (col-1+cols)%cols
 		south := ((r+1)%rows)*cols + col
 		north := ((r-1+rows)%rows)*cols + col
-
-		st := newState(rank, 8)
-		if _, err := c.Restore(st); err != nil {
-			return err
-		}
 		const tag = 21
-		for st.Iter < iters {
+		return iterate(c, 8, iters, 0, func(p *proc) {
 			if cols > 1 {
-				got, err := c.SendRecvW(east, tag, mpi.Float64sToBytes(st.slice(payloadFloats, 0)), msgBytes, west, tag)
-				if err != nil {
-					return err
-				}
-				in, err := mpi.BytesToFloat64s(got)
-				if err != nil {
-					return err
-				}
-				st.fold(in)
-				got, err = c.SendRecvW(west, tag+1, mpi.Float64sToBytes(st.slice(payloadFloats, 1)), msgBytes, east, tag+1)
-				if err != nil {
-					return err
-				}
-				if in, err = mpi.BytesToFloat64s(got); err != nil {
-					return err
-				}
-				st.fold(in)
+				p.swap(east, west, tag, 0, msgBytes)
+				p.swap(west, east, tag+1, 1, msgBytes)
 			}
 			if rows > 1 {
-				got, err := c.SendRecvW(south, tag+2, mpi.Float64sToBytes(st.slice(payloadFloats, 2)), msgBytes, north, tag+2)
-				if err != nil {
-					return err
-				}
-				in, err := mpi.BytesToFloat64s(got)
-				if err != nil {
-					return err
-				}
-				st.fold(in)
-				got, err = c.SendRecvW(north, tag+3, mpi.Float64sToBytes(st.slice(payloadFloats, 3)), msgBytes, south, tag+3)
-				if err != nil {
-					return err
-				}
-				if in, err = mpi.BytesToFloat64s(got); err != nil {
-					return err
-				}
-				st.fold(in)
+				p.swap(south, north, tag+2, 2, msgBytes)
+				p.swap(north, south, tag+3, 3, msgBytes)
 			}
-			st.Iter++
-			if err := c.Checkpoint(); err != nil {
-				return err
-			}
-		}
-		c.SetResult(st.digest(rank))
-		return nil
+		})
 	}
 }
 
@@ -218,22 +148,15 @@ func RandomDAG(seed int64, rounds, maxFanout, msgBytes int) mpi.Program {
 				}
 			}
 		}
-		st := newState(rank, 8)
-		if _, err := c.Restore(st); err != nil {
-			return err
-		}
-		for st.Iter < rounds {
-			rd := st.Iter
+		return iterate(c, 8, rounds, 0, func(p *proc) {
+			rd := p.st.Iter
 			// The tag encodes the round so a fast sender's next-round
 			// message cannot match this round's wildcard receives.
 			tag := 41_000 + rd
 			// Sends first: payload depends only on the state before this
 			// round's receives.
-			out := mpi.Float64sToBytes(st.slice(payloadFloats, rd))
 			for _, dst := range sched[rd][rank] {
-				if err := c.SendW(dst, tag, out, msgBytes); err != nil {
-					return err
-				}
+				p.send(dst, tag, rd, msgBytes)
 			}
 			// Count expected messages and receive them in arrival order.
 			expected := 0
@@ -248,21 +171,13 @@ func RandomDAG(seed int64, rounds, maxFanout, msgBytes int) mpi.Program {
 			// of payload hashes. Floating-point addition would leak the
 			// arrival order through rounding and break send-determinism.
 			var sum uint64
-			for k := 0; k < expected; k++ {
-				got, _, err := c.Recv(mpi.AnySource, tag)
-				if err != nil {
-					return err
-				}
-				sum += payloadHash(got)
+			for k := 0; k < expected && p.err == nil; k++ {
+				var got []byte
+				got, _, p.err = c.Recv(mpi.AnySource, tag)
+				sum += trace.PayloadDigest(got)
 			}
-			idx := rd % len(st.V)
-			st.V[idx] = float64((math.Float64bits(st.V[idx]) + sum) % (1 << 40))
-			st.Iter++
-			if err := c.Checkpoint(); err != nil {
-				return err
-			}
-		}
-		c.SetResult(st.digest(rank))
-		return nil
+			idx := rd % len(p.st.V)
+			p.st.V[idx] = float64((math.Float64bits(p.st.V[idx]) + sum) % (1 << 40))
+		})
 	}
 }

@@ -52,8 +52,7 @@ type Config struct {
 	Recorder *trace.Recorder
 	// Observer, when non-nil, receives structured lifecycle events
 	// (checkpoints, failures, recovery rounds, completion). Use
-	// NewLogObserver for a debug stream comparable to the former
-	// Config.Log writer.
+	// NewLogObserver for a human-readable debug stream.
 	Observer Observer
 	// Watchdog aborts the run if the supervisor sees no event for this
 	// real duration (deadlock guard); 0 defaults to 60s.

@@ -115,10 +115,8 @@ func MultiObserver(obs ...Observer) Observer {
 	})
 }
 
-// NewLogObserver renders events as a human-readable debug log — the
-// successor of the removed Config.Log writer. It narrates the structured
-// lifecycle only; the old writer's per-rank "unwound (n left)" kill-phase
-// lines have no event equivalent.
+// NewLogObserver renders events as a human-readable debug log, one line
+// per lifecycle event.
 func NewLogObserver(w io.Writer) Observer {
 	return ObserverFunc(func(ev Event) {
 		switch ev.Kind {

@@ -9,8 +9,7 @@ import (
 
 // Run observation types. A run emits structured lifecycle events — one per
 // checkpoint, failure detection, recovery round boundary, rank completion
-// and run completion — to the Observer installed with WithObserver (or
-// Config.Observer on the legacy path).
+// and run completion — to the Observer installed with WithObserver.
 type (
 	// Observer receives lifecycle events; calls are serialized by the
 	// runtime but run on the critical path, so keep them fast.
@@ -35,8 +34,7 @@ const (
 	EvRunAbort      = mpi.EvRunAbort
 )
 
-// NewLogObserver renders lifecycle events as a human-readable debug log —
-// the successor of the removed Config.Log writer.
+// NewLogObserver renders lifecycle events as a human-readable debug log.
 func NewLogObserver(w io.Writer) Observer { return mpi.NewLogObserver(w) }
 
 // MultiObserver fans events out to several observers in order.

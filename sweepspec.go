@@ -223,6 +223,9 @@ func (s SweepSpec) Experiment() (ExperimentSpec, error) {
 	case iters < 0:
 		return spec, fmt.Errorf("hydee: sweep spec: iters must be positive (got %d)", iters)
 	}
+	if s.CheckpointEvery < 0 {
+		return spec, fmt.Errorf("hydee: sweep spec: ckpt must be >= 0 (got %d)", s.CheckpointEvery)
+	}
 	kernel, err := KernelByName(s.App)
 	if err != nil {
 		return spec, err

@@ -8,12 +8,14 @@ package hydee_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"strings"
 	"testing"
 
 	"hydee"
+	"hydee/internal/harness"
 )
 
 func TestSweepSpecResolves(t *testing.T) {
@@ -30,6 +32,10 @@ func TestSweepSpecResolves(t *testing.T) {
 	}
 	if spec.Kernel.Name != "cg" || spec.Proto != hydee.ProtoHydEE || spec.CheckpointEvery != 2 {
 		t.Errorf("resolved %s/%s ckpt=%d", spec.Kernel.Name, spec.Proto, spec.CheckpointEvery)
+	}
+	// A kernel name, like every other registry name, ignores letter case.
+	if up, err := (hydee.SweepSpec{App: "CG", NP: 4, Proto: "Native"}).Experiment(); err != nil || up.Kernel.Name != "cg" {
+		t.Errorf(`app "CG": kernel %q, %v`, up.Kernel.Name, err)
 	}
 	if len(spec.Assign) != 16 || spec.Assign[0] != 0 || spec.Assign[15] != 3 {
 		t.Errorf("clusters shorthand: assign %v", spec.Assign)
@@ -66,6 +72,7 @@ func TestSweepSpecRejects(t *testing.T) {
 		{"huge cluster id", hydee.SweepSpec{App: "cg", NP: 4, Assign: []int{0, 0, 1e9, 1}}, "cluster id 1000000000"},
 		{"gap in cluster ids", hydee.SweepSpec{App: "cg", NP: 4, Assign: []int{0, 2, 2, 2}}, "cluster 1 empty"},
 		{"too many clusters", hydee.SweepSpec{App: "cg", NP: 4, Clusters: 8}, "clusters"},
+		{"negative ckpt", hydee.SweepSpec{App: "cg", NP: 8, Proto: "native", CheckpointEvery: -1}, "ckpt"},
 		{"bad failure spec", hydee.SweepSpec{App: "cg", NP: 8, Proto: "native", FailAt: "moon:full"}, "moon"},
 		{"failure rank out of range", hydee.SweepSpec{App: "cg", NP: 8, Proto: "native", FailAt: "ckpts:1@99"}, "99"},
 		{"bad store", hydee.SweepSpec{App: "cg", NP: 8, Proto: "native",
@@ -86,6 +93,48 @@ func TestSweepSpecRejects(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "run 1") {
 		t.Errorf("batch error %v, want it to name run 1", err)
 	}
+}
+
+// FuzzSweepSpec holds the job decoder to two properties on any JSON
+// input: resolving never panics, and a spec Experiment accepts is one the
+// runtime accepts too. Each accepted spec with np <= 64, iters <= 64 and
+// no store directory (a run would create it) is run under an
+// already-canceled context, which ends the run at its first supervisor
+// step: it may fail as canceled, but never with a configuration error,
+// which hydee-serve would report only after queueing the job. The iters
+// bound keeps one-rank runs short: a single rank never waits on the
+// delivery plane, so cancellation does not cut its steps short.
+func FuzzSweepSpec(f *testing.F) {
+	for _, seed := range []string{
+		`{"app":"cg","np":16,"proto":"hydee","clusters":4,"ckpt":2,"fail_at":"ckpts:1@8","store":"sharded:2","store_bps":1e9}`,
+		`{"app":"mg","np":8,"proto":"native"}`,
+		`{"app":"ft","np":4,"proto":"mlog","net":"tcpgige","iters":2}`,
+		`{"app":"lu","np":6,"proto":"coord","ckpt":1,"stagger":true}`,
+		`{"app":"bt","np":4,"assign":[0,0,1,1],"store":"ec:2+1"}`,
+		`{"app":"sp","np":2,"proto":"native","ckpt":-1}`,
+		`{"app":"CG","np":1,"proto":"Native","store":"replica:2"}`,
+		`{"app":"cg","np":4,"proto":"native","fail_at":"vt:1ms@3"}`,
+		`{"np":-3}`, `[]`, `null`,
+	} {
+		f.Add(seed)
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	f.Fuzz(func(t *testing.T, raw string) {
+		var s hydee.SweepSpec
+		if json.Unmarshal([]byte(raw), &s) != nil {
+			return
+		}
+		spec, err := s.Experiment()
+		if err != nil || s.NP > 64 || s.Iters > 64 || s.Dir != "" {
+			return
+		}
+		_, err = harness.RunCtx(canceled, spec)
+		var re *hydee.RunError
+		if errors.As(err, &re) && re.Phase == hydee.PhaseConfig {
+			t.Fatalf("spec %s resolved but the run refused its configuration: %v", raw, err)
+		}
+	})
 }
 
 // TestSpecFlagBinding parses a flag line through the shared Bind helpers
