@@ -121,12 +121,9 @@ func WithModel(m Model) Option {
 }
 
 // WithCheckpointEvery fires a coordinated checkpoint every k-th cooperative
-// Comm.Checkpoint() call; 0 disables checkpointing.
+// Comm.Checkpoint() call; 0 disables checkpointing, and New refuses k < 0.
 func WithCheckpointEvery(k int) Option {
 	return func(e *Engine) error {
-		if k < 0 {
-			return fmt.Errorf("hydee: WithCheckpointEvery(%d): interval must be >= 0", k)
-		}
 		e.cfg.CheckpointEvery = k
 		return nil
 	}
@@ -212,14 +209,11 @@ func WithStoreSpec(s StoreSpec) Option {
 	}
 }
 
-// WithWatchdog sets the real-time deadlock guard; 0 keeps the 60s default.
-// Prefer context deadlines for external time budgets — the watchdog exists
-// to catch runs that stop making progress.
+// WithWatchdog sets the real-time deadlock guard; 0 keeps the 60s default,
+// and New refuses d < 0. Prefer context deadlines for external time
+// budgets — the watchdog exists to catch runs that stop making progress.
 func WithWatchdog(d time.Duration) Option {
 	return func(e *Engine) error {
-		if d < 0 {
-			return fmt.Errorf("hydee: WithWatchdog(%v): duration must be >= 0", d)
-		}
 		e.cfg.Watchdog = d
 		return nil
 	}

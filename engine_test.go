@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,17 +16,8 @@ import (
 	"hydee"
 )
 
-// protocolNamed and modelNamed select by name the way an embedder does:
-// resolve the name, then pass the value; a name that does not resolve
-// fails New.
-func protocolNamed(name string) hydee.Option {
-	p, err := hydee.ProtocolByName(name)
-	if err != nil {
-		return func(*hydee.Engine) error { return err }
-	}
-	return hydee.WithProtocol(p)
-}
-
+// modelNamed selects a model by name the way an embedder does: resolve
+// the name, then pass the value; a name that does not resolve fails New.
 func modelNamed(name string) hydee.Option {
 	m, err := hydee.ModelByName(name)
 	if err != nil {
@@ -42,7 +34,7 @@ func TestEngineOptionOrder(t *testing.T) {
 		hydee.WithCheckpointEvery(7),
 		modelNamed("ideal"),
 		hydee.WithModel(hydee.Myrinet10G()),
-		protocolNamed("coord"),
+		hydee.WithProtocol(hydee.Coordinated()),
 		hydee.WithProtocol(hydee.HydEE()),
 	)
 	if err != nil {
@@ -68,7 +60,6 @@ func TestEngineOptionErrors(t *testing.T) {
 		{"no ranks", nil},
 		{"bad ranks", []hydee.Option{hydee.WithRanks(-1)}},
 		{"nil topology", []hydee.Option{hydee.WithTopology(nil)}},
-		{"unknown protocol", []hydee.Option{hydee.WithRanks(2), protocolNamed("paxos")}},
 		{"unknown model", []hydee.Option{hydee.WithRanks(2), modelNamed("infiniband")}},
 		{"negative ckpt", []hydee.Option{hydee.WithRanks(2), hydee.WithCheckpointEvery(-1)}},
 		{"negative watchdog", []hydee.Option{hydee.WithRanks(2), hydee.WithWatchdog(-time.Second)}},
@@ -246,15 +237,6 @@ func TestEngineObserverLifecycle(t *testing.T) {
 }
 
 func TestRegistries(t *testing.T) {
-	for _, name := range []string{"hydee", "coord", "mlog", "native", "HydEE"} {
-		p, err := hydee.ProtocolByName(name)
-		if err != nil || p == nil {
-			t.Errorf("ProtocolByName(%q): %v", name, err)
-		}
-	}
-	if _, err := hydee.ProtocolByName("chandy-lamport"); err == nil {
-		t.Error("unknown protocol accepted")
-	}
 	for _, name := range []string{"myrinet10g", "myrinet", "tcpgige", "gige", "ideal", "Ideal"} {
 		m, err := hydee.ModelByName(name)
 		if err != nil || m == nil {
@@ -264,17 +246,17 @@ func TestRegistries(t *testing.T) {
 	if _, err := hydee.ModelByName("infiniband"); err == nil {
 		t.Error("unknown model accepted")
 	}
-	for _, name := range []string{"native", "coord", "mlog", "hydee"} {
+	for _, name := range []string{"native", "coord", "mlog", "hydee", "HydEE"} {
 		p, err := hydee.ExperimentProtoByName(name)
-		if err != nil || p.String() != name {
+		if err != nil || p.String() != strings.ToLower(name) {
 			t.Errorf("ExperimentProtoByName(%q) = %v, %v", name, p, err)
 		}
 	}
-	if _, err := hydee.ExperimentProtoByName("bogus"); err == nil {
+	if _, err := hydee.ExperimentProtoByName("chandy-lamport"); err == nil {
 		t.Error("unknown experiment proto accepted")
 	}
-	if len(hydee.ProtocolNames()) < 4 || len(hydee.ModelNames()) < 3 {
-		t.Errorf("registry listings too short: %v %v", hydee.ProtocolNames(), hydee.ModelNames())
+	if len(hydee.ExperimentProtoNames()) != 4 || len(hydee.ModelNames()) < 3 {
+		t.Errorf("registry listings: %v %v", hydee.ExperimentProtoNames(), hydee.ModelNames())
 	}
 }
 

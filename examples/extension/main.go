@@ -1,10 +1,11 @@
-// The extension example plugs third-party components into hydee's name
-// registries from outside the root package: a custom rollback protocol
-// (HydEE under instrumentation), a custom checkpoint-store backend (a
-// save-counting wrapper over the sharded store), and a custom event
-// exporter (a per-kind tally). Everything is then resolved by name —
-// exactly what an embedding application or the cmd binaries' flags do —
-// and driven through one failure-and-recovery run.
+// The extension example plugs third-party components into hydee from
+// outside the root package: a custom rollback protocol (HydEE under
+// instrumentation), passed to the engine by value, and a custom
+// checkpoint-store backend (a save-counting wrapper over the sharded
+// store) and event exporter (a per-kind tally), registered and then
+// resolved by name — exactly what an embedding application or the cmd
+// binaries' flags do. All three are driven through one
+// failure-and-recovery run.
 package main
 
 import (
@@ -70,15 +71,10 @@ func main() {
 	// can report it.
 	var lastStore *countingStore
 
-	// Register the extensions. Names are claimed once, case-insensitively;
-	// a collision would be an error.
-	if err := hydee.RegisterProtocol("traced-hydee", func() hydee.Protocol {
-		return tracedHydEE{hydee.HydEE()}
-	}); err != nil {
-		log.Fatal(err)
-	}
-	// The factory receives the options "counting:<n>" resolves to: the
-	// shard count, the bandwidth and the per-cluster placement.
+	// Register the store and the exporter. Names are claimed once,
+	// case-insensitively; a collision would be an error. The store's
+	// factory receives the options "counting:<n>" resolves to: the shard
+	// count, the bandwidth and the per-cluster placement.
 	if err := hydee.RegisterStore("counting", func(o hydee.StoreOptions) (hydee.Store, error) {
 		lastStore = &countingStore{Store: hydee.NewShardedStore(o.Shards, o.BPS, o.BPS, o.Placement)}
 		return lastStore, nil
@@ -89,16 +85,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Resolve everything by name, as a flag-driven binary would.
+	// Resolve the registered names, as a flag-driven binary would.
 	mkExporter, err := hydee.ExporterByName("tally")
 	if err != nil {
 		log.Fatal(err)
 	}
 	exporter := mkExporter(os.Stdout)
-	proto, err := hydee.ProtocolByName("traced-hydee")
-	if err != nil {
-		log.Fatal(err)
-	}
 	model, err := hydee.ModelByName("myrinet") // shorthand alias of myrinet10g
 	if err != nil {
 		log.Fatal(err)
@@ -106,7 +98,7 @@ func main() {
 
 	eng, err := hydee.New(
 		hydee.WithTopology(hydee.NewTopology([]int{0, 0, 1, 1, 2, 2})),
-		hydee.WithProtocol(proto),
+		hydee.WithProtocol(tracedHydEE{hydee.HydEE()}), // a protocol plugs in by value
 		hydee.WithModel(model),
 		hydee.WithStoreSpec(hydee.StoreSpec{Spec: "counting:3", BPS: 1e9}),
 		hydee.WithCheckpointEvery(2),
@@ -131,6 +123,6 @@ func main() {
 		"traced-hydee", res.Makespan, len(res.Rounds))
 	fmt.Printf("counting store saw %d checkpoint saves across 3 shards (store stats: %+v)\n",
 		lastStore.saves.Load(), res.StoreStats)
-	fmt.Printf("registries now list: protocols %v, stores %v, exporters %v\n",
-		hydee.ProtocolNames(), hydee.StoreNames(), hydee.ExporterNames())
+	fmt.Printf("registries now list: stores %v, exporters %v\n",
+		hydee.StoreNames(), hydee.ExporterNames())
 }

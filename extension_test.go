@@ -2,8 +2,9 @@ package hydee_test
 
 // End-to-end acceptance for the extension surface: a third-party
 // protocol, store and exporter — implemented outside the root package —
-// are registered once and then driven through a failure-and-recovery
-// run purely by name, the way an embedding application or a cmd
+// are driven through a failure-and-recovery run. The protocol plugs in
+// by value; the store and the exporter are registered once and then
+// selected purely by name, the way an embedding application or a cmd
 // binary's flags would.
 
 import (
@@ -20,12 +21,9 @@ import (
 
 // auditProtocol is a third-party protocol: HydEE under a different name
 // (delegation is the minimal protocol wrapper shape).
-type auditProtocol struct {
-	hydee.Protocol
-	name string
-}
+type auditProtocol struct{ hydee.Protocol }
 
-func (p auditProtocol) Name() string { return p.name }
+func (auditProtocol) Name() string { return "audit-hydee" }
 
 // countingExporter is a third-party exporter tallying events per kind.
 type countingExporter struct {
@@ -60,10 +58,7 @@ func TestThirdPartyExtensionsByName(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	proto, store, exporter := freshName("audit-hydee"), freshName("audit-sharded"), freshName("audit-count")
-	mustRegister(hydee.RegisterProtocol(proto, func() hydee.Protocol {
-		return auditProtocol{hydee.HydEE(), proto}
-	}))
+	store, exporter := freshName("audit-sharded"), freshName("audit-count")
 	mustRegister(hydee.RegisterStore(store, func(o hydee.StoreOptions) (hydee.Store, error) {
 		st := &trackingStore{Store: hydee.NewShardedStore(o.Shards, o.BPS, o.BPS, o.Placement)}
 		stores = append(stores, st)
@@ -75,19 +70,15 @@ func TestThirdPartyExtensionsByName(t *testing.T) {
 		return x
 	}))
 
-	// Everything below resolves by name only.
-	p, err := hydee.ProtocolByName(strings.ToUpper(proto)) // case-insensitive
-	if err != nil || p.Name() != proto {
-		t.Fatalf("ProtocolByName: %v (%v)", p, err)
-	}
-	mkExp, err := hydee.ExporterByName(exporter)
+	// The store and the exporter resolve by name only.
+	mkExp, err := hydee.ExporterByName(strings.ToUpper(exporter)) // case-insensitive
 	if err != nil {
 		t.Fatal(err)
 	}
 	exp := mkExp(&bytes.Buffer{})
 
 	eng, err := hydee.New(failingEngineOpts(
-		hydee.WithProtocol(p),
+		hydee.WithProtocol(auditProtocol{hydee.HydEE()}),
 		hydee.WithStoreSpec(hydee.StoreSpec{Spec: store + ":2", BPS: 1e9}),
 		hydee.WithObserver(exp),
 	)...)
@@ -119,11 +110,9 @@ func TestThirdPartyExtensionsByName(t *testing.T) {
 	}
 
 	// The registered names show up in the listings the flag help prints.
-	if !contains(hydee.ProtocolNames(), proto) ||
-		!contains(hydee.StoreNames(), store) ||
-		!contains(hydee.ExporterNames(), exporter) {
-		t.Errorf("registered names missing from listings: %v / %v / %v",
-			hydee.ProtocolNames(), hydee.StoreNames(), hydee.ExporterNames())
+	if !contains(hydee.StoreNames(), store) || !contains(hydee.ExporterNames(), exporter) {
+		t.Errorf("registered names missing from listings: %v / %v",
+			hydee.StoreNames(), hydee.ExporterNames())
 	}
 }
 

@@ -109,3 +109,39 @@ func TestRunContextCleanRunIgnoresContext(t *testing.T) {
 		t.Fatal("nil result")
 	}
 }
+
+// TestRunContextCanceledStopsLoneRank: a lone rank never waits on the
+// delivery plane, so it cannot learn of the abort from its dead endpoint.
+// Under an already-canceled context it must still return at its next Comm
+// operation, whether that is Compute or an unscheduled Checkpoint, instead
+// of running every step. The bound is a call count, not a wall-clock time.
+func TestRunContextCanceledStopsLoneRank(t *testing.T) {
+	const n = 2_000_000
+	for _, tc := range []struct {
+		name string
+		op   func(*mpi.Comm) error
+	}{
+		{"Compute", func(c *mpi.Comm) error { return c.Compute(1) }},
+		{"Checkpoint", (*mpi.Comm).Checkpoint},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			calls := 0
+			_, err := mpi.RunContext(ctx, mpi.Config{NP: 1}, func(c *mpi.Comm) error {
+				for ; calls < n; calls++ {
+					if err := tc.op(c); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if !errors.Is(err, mpi.ErrCanceled) {
+				t.Fatalf("want ErrCanceled, got %v", err)
+			}
+			if calls >= n {
+				t.Errorf("%s ran all %d calls under a canceled context", tc.name, calls)
+			}
+		})
+	}
+}

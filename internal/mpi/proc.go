@@ -259,7 +259,12 @@ func (p *Proc) waitCtl(pred func() bool) error {
 }
 
 // maybeFail consults the rank's failure plan at this interaction point.
+// Once the run aborts it reports ErrKilled instead: a rank whose operations
+// never reach the delivery plane would not see its endpoint die.
 func (p *Proc) maybeFail() error {
+	if p.rt.aborted.Load() {
+		return transport.ErrKilled
+	}
 	if p.rt.plan == nil {
 		return nil
 	}
@@ -395,6 +400,9 @@ func (p *Proc) deliver(m *transport.Msg) {
 // scope reach the same call index and flush their mutual channels with
 // in-band markers before capturing (blocking coordinated checkpointing).
 func (p *Proc) checkpointCall() error {
+	if p.rt.aborted.Load() { // an unscheduled call never reaches the plane; see maybeFail
+		return transport.ErrKilled
+	}
 	p.ckptCallIdx++
 	scope := p.engine.CheckpointScope()
 	if len(scope) == 0 || !p.rt.ckptScheduled(p.cluster(), p.ckptCallIdx) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hydee/internal/checkpoint"
@@ -56,6 +57,10 @@ type Runtime struct {
 	// time but was issued past the fence never enters the restart scope,
 	// so the restored sequence is a pure function of virtual time.
 	ckptDone [][]savePoint
+	// aborted is set once the run aborts (cancel, watchdog or a fatal
+	// error), before the endpoints die: a rank that never waits on the
+	// delivery plane reads it at its next Comm operation.
+	aborted atomic.Bool
 }
 
 // savePoint records one completed checkpoint write: the sequence saved and
@@ -371,6 +376,7 @@ func (rt *Runtime) launchRound(a action) error {
 
 // abort tears everything down after a fatal error.
 func (rt *Runtime) abort() {
+	rt.aborted.Store(true)
 	for r := 0; r <= rt.cfg.NP; r++ { // the ranks and the recovery endpoint
 		rt.net.Kill(r)
 	}

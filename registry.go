@@ -10,18 +10,21 @@ import (
 )
 
 // Name-based registries: the cmd binaries (and any embedding application)
-// select protocols, network models, checkpoint stores and event exporters
-// via flags instead of hard-coded switches. Lookups are case-insensitive.
-// Embedders plug third-party implementations in through the Register*
-// hooks; registration is safe under concurrency and a name can be claimed
-// exactly once.
+// select network models, checkpoint stores and event exporters via flags
+// instead of hard-coded switches. Lookups are case-insensitive. Embedders
+// plug third-party implementations in through the Register* hooks;
+// registration is safe under concurrency and a name can be claimed
+// exactly once. Protocols have no open registry: a protocol value reaches
+// a run through WithProtocol, and a protocol name (a flag's or a job's
+// proto) resolves through ExperimentProtoByName over the fixed harness
+// configurations.
 
 // registry is a concurrency-safe, case-insensitive name table of factory
 // values of type F. Canonical names and shorthand aliases resolve
 // identically; listings and error messages report canonical names first,
 // so an alias never masquerades as a distinct backend.
 type registry[F any] struct {
-	kind string // "protocol", "network model", ... for error messages
+	kind string // "network model", ... for error messages
 
 	mu      sync.RWMutex
 	entries map[string]F
@@ -112,23 +115,17 @@ func (r *registry[F]) have() string {
 }
 
 var (
-	protocolRegistry = newRegistry[func() Protocol]("protocol")
 	modelRegistry    = newRegistry[func() Model]("network model")
 	storeRegistry    = newRegistry[storeBackend]("checkpoint store")
 	exporterRegistry = newRegistry[ExporterFactory]("event exporter")
 )
 
 func init() {
-	protocolRegistry.mustRegister("hydee", "", HydEE)
-	protocolRegistry.mustRegister("coord", "", Coordinated)
-	protocolRegistry.mustRegister("mlog", "", MessageLogging)
-	protocolRegistry.mustRegister("native", "", Native)
-
-	modelRegistry.mustRegister("myrinet10g", "", func() Model { return Myrinet10G() })
-	modelRegistry.mustRegister("myrinet", "myrinet10g", func() Model { return Myrinet10G() })
-	modelRegistry.mustRegister("tcpgige", "", func() Model { return TCPGigE() })
-	modelRegistry.mustRegister("gige", "tcpgige", func() Model { return TCPGigE() })
-	modelRegistry.mustRegister("ideal", "", func() Model { return IdealNetwork() })
+	modelRegistry.mustRegister("myrinet10g", "", Myrinet10G)
+	modelRegistry.mustRegister("myrinet", "myrinet10g", Myrinet10G)
+	modelRegistry.mustRegister("tcpgige", "", TCPGigE)
+	modelRegistry.mustRegister("gige", "tcpgige", TCPGigE)
+	modelRegistry.mustRegister("ideal", "", IdealNetwork)
 
 	storeRegistry.mustRegister("mem", "", memBackend)
 	storeRegistry.mustRegister("memory", "mem", memBackend)
@@ -142,20 +139,11 @@ func init() {
 	exporterRegistry.mustRegister("metrics", "", NewMetricsExporter)
 }
 
-// RegisterProtocol adds a third-party rollback-recovery protocol to the
-// name registry, making it resolvable through ProtocolByName. mk must
-// return a fresh instance per call.
-// Registration is concurrency-safe; empty names and already-taken names
-// (canonical or alias, case-insensitive) are errors.
-func RegisterProtocol(name string, mk func() Protocol) error {
-	if mk == nil {
-		return fmt.Errorf("hydee: RegisterProtocol(%q): nil constructor", name)
-	}
-	return protocolRegistry.register(name, "", mk)
-}
-
 // RegisterModel adds a third-party network cost model to the name
-// registry (see RegisterProtocol for the registration rules).
+// registry, making it resolvable through ModelByName. mk must return a
+// fresh instance per call. Registration is concurrency-safe; empty names
+// and already-taken names (canonical or alias, case-insensitive) are
+// errors.
 func RegisterModel(name string, mk func() Model) error {
 	if mk == nil {
 		return fmt.Errorf("hydee: RegisterModel(%q): nil constructor", name)
@@ -165,7 +153,7 @@ func RegisterModel(name string, mk func() Model) error {
 
 // RegisterStore adds a third-party checkpoint-store backend to the name
 // registry, making it selectable by StoreSpec — WithStoreSpec, the cmd
-// binaries' -store flags and job submissions (see RegisterProtocol for
+// binaries' -store flags and job submissions (see RegisterModel for
 // the registration rules). mk receives the options the spec resolves
 // to. Custom stores carry determinism obligations — see the "Extension
 // points" section of DESIGN.md.
@@ -178,28 +166,13 @@ func RegisterStore(name string, mk StoreFactory) error {
 
 // RegisterExporter adds a third-party streaming event exporter to the
 // name registry, making it selectable through the cmd binaries' -events
-// flags (see RegisterProtocol for the registration rules).
+// flags (see RegisterModel for the registration rules).
 func RegisterExporter(name string, mk ExporterFactory) error {
 	if mk == nil {
 		return fmt.Errorf("hydee: RegisterExporter(%q): nil factory", name)
 	}
 	return exporterRegistry.register(name, "", mk)
 }
-
-// ProtocolByName returns a fresh instance of the named rollback-recovery
-// protocol: "hydee", "coord" (globally coordinated checkpointing), "mlog"
-// (full sender-based message logging), "native" (no fault tolerance), or
-// anything added through RegisterProtocol.
-func ProtocolByName(name string) (Protocol, error) {
-	mk, err := protocolRegistry.lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return mk(), nil
-}
-
-// ProtocolNames lists the registered protocol names, sorted.
-func ProtocolNames() []string { return protocolRegistry.names() }
 
 // ModelByName returns a fresh instance of the named network cost model:
 // "myrinet10g" (the paper's testbed), "tcpgige", "ideal", or anything
@@ -231,15 +204,16 @@ func ExporterByName(name string) (ExporterFactory, error) {
 func ExporterNames() []string { return exporterRegistry.names() }
 
 // ExperimentProtoByName resolves a name to the harness protocol selector
-// used by ExperimentSpec ("native", "coord", "mlog", "hydee").
+// used by ExperimentSpec: "native" (no fault tolerance), "coord" (globally
+// coordinated checkpointing), "mlog" (full sender-based message logging)
+// or "hydee".
 func ExperimentProtoByName(name string) (ExperimentProto, error) {
 	return harness.ProtoByName(strings.ToLower(name))
 }
 
 // ExperimentProtoNames lists the names ExperimentProtoByName accepts —
 // what a sweep's proto and the cmd binaries' -proto flags resolve
-// through. A protocol added with RegisterProtocol is not among them: the
-// harness configurations are fixed.
+// through. The harness configurations are fixed.
 func ExperimentProtoNames() []string {
 	names := make([]string, len(harness.Protos))
 	for i, p := range harness.Protos {

@@ -25,31 +25,31 @@ var registered atomic.Int64
 func freshName(base string) string { return fmt.Sprintf("%s-%d", base, registered.Add(1)) }
 
 func TestRegisterCollisionAndEmptyName(t *testing.T) {
-	if err := hydee.RegisterProtocol("", hydee.HydEE); err == nil {
-		t.Error("empty protocol name accepted")
+	if err := hydee.RegisterModel("", hydee.IdealNetwork); err == nil {
+		t.Error("empty model name accepted")
 	}
-	if err := hydee.RegisterProtocol("   ", hydee.HydEE); err == nil {
-		t.Error("blank protocol name accepted")
+	if err := hydee.RegisterModel("   ", hydee.IdealNetwork); err == nil {
+		t.Error("blank model name accepted")
 	}
 	collider := freshName("collider")
-	if err := hydee.RegisterProtocol(collider, hydee.HydEE); err != nil {
+	if err := hydee.RegisterModel(collider, hydee.IdealNetwork); err != nil {
 		t.Fatal(err)
 	}
 	// Same name again — and case-insensitively — must collide.
-	if err := hydee.RegisterProtocol(collider, hydee.Coordinated); err == nil {
-		t.Error("duplicate protocol name accepted")
+	if err := hydee.RegisterModel(collider, hydee.TCPGigE); err == nil {
+		t.Error("duplicate model name accepted")
 	}
-	if err := hydee.RegisterProtocol(strings.ToUpper(collider), hydee.Coordinated); err == nil {
+	if err := hydee.RegisterModel(strings.ToUpper(collider), hydee.TCPGigE); err == nil {
 		t.Error("case-variant duplicate accepted")
 	}
 	// Builtins and aliases are also protected.
-	if err := hydee.RegisterProtocol("hydee", hydee.HydEE); err == nil {
-		t.Error("builtin protocol name re-registered")
+	if err := hydee.RegisterModel("ideal", hydee.IdealNetwork); err == nil {
+		t.Error("builtin model name re-registered")
 	}
 	if err := hydee.RegisterModel("myrinet", hydee.Myrinet10G); err == nil {
 		t.Error("builtin model alias re-registered")
 	}
-	if err := hydee.RegisterProtocol("nilmk", nil); err == nil {
+	if err := hydee.RegisterModel("nilmk", nil); err == nil {
 		t.Error("nil constructor accepted")
 	}
 	if err := hydee.RegisterStore("nilmk", nil); err == nil {
@@ -119,7 +119,7 @@ func TestConcurrentRegistration(t *testing.T) {
 	// name may win, listings must stay snapshot-consistent, and every
 	// winner must be resolvable afterwards. Run with -race.
 	const names, racers = 16, 8
-	prefix := freshName("race-proto")
+	prefix := freshName("race-model")
 	var wg sync.WaitGroup
 	wins := make([][]bool, names)
 	for n := 0; n < names; n++ {
@@ -129,18 +129,18 @@ func TestConcurrentRegistration(t *testing.T) {
 			go func(n, g int) {
 				defer wg.Done()
 				name := fmt.Sprintf("%s-%d", prefix, n)
-				if err := hydee.RegisterProtocol(name, hydee.HydEE); err == nil {
+				if err := hydee.RegisterModel(name, hydee.IdealNetwork); err == nil {
 					wins[n][g] = true
 				}
 				// Interleave listings and lookups with registration.
-				_ = hydee.ProtocolNames()
-				_, _ = hydee.ProtocolByName("hydee")
+				_ = hydee.ModelNames()
+				_, _ = hydee.ModelByName("myrinet10g")
 			}(n, g)
 		}
 	}
 	wg.Wait()
 	listed := make(map[string]bool)
-	for _, n := range hydee.ProtocolNames() {
+	for _, n := range hydee.ModelNames() {
 		listed[n] = true
 	}
 	for n := 0; n < names; n++ {
@@ -155,9 +155,9 @@ func TestConcurrentRegistration(t *testing.T) {
 			t.Errorf("name %s: %d registrations succeeded, want exactly 1", name, won)
 		}
 		if !listed[name] {
-			t.Errorf("winner %q missing from ProtocolNames", name)
+			t.Errorf("winner %q missing from ModelNames", name)
 		}
-		if p, err := hydee.ProtocolByName(name); err != nil || p == nil {
+		if m, err := hydee.ModelByName(name); err != nil || m == nil {
 			t.Errorf("winner %q not resolvable: %v", name, err)
 		}
 	}

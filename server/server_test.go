@@ -589,14 +589,8 @@ func TestGracefulClose(t *testing.T) {
 }
 
 // TestRegistryEndpoint spot-checks the discoverable backend names, and
-// that every protocol it advertises is one a job's proto accepts — also
-// after an embedder registers a protocol of its own, which the engine's
-// registry lists but a sweep cannot run.
+// that every protocol it advertises is one a job's proto accepts.
 func TestRegistryEndpoint(t *testing.T) {
-	// Names are claimed once per process; -count=N runs this N times.
-	if err := hydee.RegisterProtocol(fmt.Sprintf("registry-test-%d", time.Now().UnixNano()), hydee.HydEE); err != nil {
-		t.Fatal(err)
-	}
 	srv := newTestServer(t, server.Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
