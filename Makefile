@@ -26,7 +26,10 @@ race:
 # Determinism gate: run the experiment-facing determinism regressions twice
 # under the race detector — every makespan, recovery stat and sweep output
 # must be byte-identical run-to-run (see DESIGN.md "Concurrency and
-# determinism"). Includes the virtual-time kill-fence configurations: one
+# determinism"). Includes the single-failure mailbox repro (ROADMAP item
+# 1(a)), thirty runs at each of GOMAXPROCS 1, 2 and 8 with one makespan,
+# and a one-failure run whose plane counters must not move with the core
+# count, both once real-time races. Includes the virtual-time kill-fence configurations: one
 # failure event landing mid-checkpoint-wave under a storage bandwidth
 # model, exact-tie kill stamps, two victims in one round, a failure during
 # an in-progress recovery round, the blocked-scope-peer drain (the naive
@@ -40,14 +43,15 @@ race:
 # during a recovery round, those scenarios with every coordinator's result
 # delayed in real time, and two checkpoint-triggered failures under all
 # three protocols) on one, two and eight cores. The third line holds the
-# delivery plane's hand-off queue to its promise under the race detector on
-# one, two and eight cores: 64 goroutines ping-pong through FlushRecv and 8
-# take turns with FlushAwaitTurn while the lock is contended from every
-# side, and every receive and every turn must return. The fourth runs it
-# with the staged checkpoint wave, whose marker flush and buffered App
-# messages are consumed by take callbacks that write the waiting process's
-# pending list, markers and clock from whichever goroutine serves the wait,
-# under the race detector on one, two and eight cores. One multi-failure
+# delivery plane's default goroutine driver to its promise under the race
+# detector on one, two and eight cores: 64 goroutines ping-pong through
+# FlushRecv and 8 take turns with FlushAwaitTurn while the lock is
+# contended from every side, and every receive and every turn must return.
+# The fourth runs it with the staged checkpoint wave, whose marker flush
+# and buffered App messages are consumed by take callbacks that write the
+# waiting process's pending list, markers and clock inside whichever
+# mutation serves the wait, while save stages run on goroutines of their
+# own, under the race detector on one, two and eight cores. One multi-failure
 # schedule still deadlocks (DESIGN.md "Remaining caveat"); `make
 # known-bugs` keeps it reproducible.
 determinism:
@@ -102,12 +106,13 @@ bench-check:
 # (building one at np = 1024 and 16384, Algorithm 1's send path, a
 # checkpoint's protocol state at np = 64, 1024 and 16384) and the runtime (an np = 64 checkpoint wave into ec:4+2,
 # staged and under the turn; the marker flush of an np = 1024 wave;
-# Proc.capture at 64 KiB and 512 KiB images; the supervisor event
-# channel; FT's pairwise all-to-all at np = 256, per message). CI runs the same set with -benchtime 1x so they cannot rot.
-# The all-to-all and the checkpoint wave, the turn-heavy layer, run once
-# more on one and on two cores: receive and turn requests batch on the
-# plane's hand-off stack only when a second core contends for the lock, so
-# each setting has its own cost per message or wave.
+# Proc.capture and the image encode at 64 KiB and 512 KiB images; FT's
+# pairwise all-to-all at np = 256, per message, in wall and CPU time). CI
+# runs the same set with -benchtime 1x so they cannot rot. The all-to-all
+# and the checkpoint wave, the turn-heavy layer, run once more on one and
+# on two cores: a run's ranks take turns on one goroutine, but the save
+# stages of a wave run on goroutines of their own, so a second core shows
+# in wave time and in CPU per message.
 BENCH_LAYERS = ./internal/erasure ./internal/checkpoint ./internal/transport ./internal/graph ./internal/core ./internal/mpi
 
 bench-layers:

@@ -23,7 +23,7 @@ import (
 //	res, err := eng.Run(ctx, program)
 //
 // Run honors ctx: cancellation or deadline expiry unwinds every rank
-// goroutine and returns a *RunError wrapping ErrCanceled. All run errors
+// and returns a *RunError wrapping ErrCanceled. All run errors
 // are *RunError values carrying rank, round and phase; match causes with
 // errors.Is against ErrCanceled, ErrDeadlock and ErrNotSendDeterministic.
 type Engine struct {
@@ -209,9 +209,10 @@ func WithStoreSpec(s StoreSpec) Option {
 	}
 }
 
-// WithWatchdog sets the real-time deadlock guard; 0 keeps the 60s default,
-// and New refuses d < 0. Prefer context deadlines for external time
-// budgets — the watchdog exists to catch runs that stop making progress.
+// WithWatchdog sets the real-time livelock guard: a run whose ranks keep
+// running with no supervisor event for d ends in ErrDeadlock (a deadlock
+// is reported at once, with no timer). 0 keeps the 60s default, and New
+// refuses d < 0. Prefer context deadlines for external time budgets.
 func WithWatchdog(d time.Duration) Option {
 	return func(e *Engine) error {
 		e.cfg.Watchdog = d

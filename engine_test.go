@@ -148,12 +148,25 @@ func TestEngineReuseSequentialRuns(t *testing.T) {
 }
 
 func TestEngineCancelReturnsFastAndReapsGoroutines(t *testing.T) {
-	// A deliberately deadlocked program: every rank waits for a message
-	// nobody sends. Cancellation must unwind all rank goroutines and
-	// return well within 100ms.
-	deadlocked := func(c *hydee.Comm) error {
-		_, _, err := c.Recv((c.Rank()+1)%c.Size(), 1)
-		return err
+	// A deliberately livelocked program: the ranks pass a token around
+	// the ring forever (a deadlocked one would end at once in
+	// ErrDeadlock). Cancellation must unwind every rank, reap every
+	// goroutine and return well within 100ms.
+	livelocked := func(c *hydee.Comm) error {
+		next, prev := (c.Rank()+1)%c.Size(), (c.Rank()+c.Size()-1)%c.Size()
+		if c.Rank() == 0 {
+			if err := c.Send(next, 1, nil); err != nil {
+				return err
+			}
+		}
+		for {
+			if _, _, err := c.Recv(prev, 1); err != nil {
+				return err
+			}
+			if err := c.Send(next, 1, nil); err != nil {
+				return err
+			}
+		}
 	}
 	eng, err := hydee.New(hydee.WithRanks(16), hydee.WithWatchdog(time.Minute))
 	if err != nil {
@@ -163,10 +176,10 @@ func TestEngineCancelReturnsFastAndReapsGoroutines(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := eng.Run(ctx, deadlocked)
+		_, err := eng.Run(ctx, livelocked)
 		errCh <- err
 	}()
-	time.Sleep(50 * time.Millisecond) // let every rank block
+	time.Sleep(50 * time.Millisecond) // let the token go round
 	start := time.Now()
 	cancel()
 	var runErr error

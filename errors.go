@@ -14,8 +14,9 @@ var (
 	// ErrCanceled reports that the run's context was canceled or its
 	// deadline expired.
 	ErrCanceled = mpi.ErrCanceled
-	// ErrDeadlock reports that the real-time watchdog saw no progress —
-	// the usual symptom of a deadlocked program.
+	// ErrDeadlock reports that no rank can run and the run is not over —
+	// a deadlocked program — or that the watchdog saw ranks keep running
+	// with no progress (livelock).
 	ErrDeadlock = mpi.ErrDeadlock
 	// ErrNotSendDeterministic reports an execution that violated the
 	// send-determinism assumption the protocol relies on.

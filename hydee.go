@@ -2,7 +2,7 @@
 // without Event Logging for Large Scale Send-Deterministic MPI
 // Applications" (Guermouche, Ropars, Snir, Cappello — IPDPS 2012).
 //
-// It bundles a simulated MPI runtime (goroutine-per-rank over reliable
+// It bundles a simulated MPI runtime (a coroutine per rank over reliable
 // FIFO channels with a virtual-time Myrinet-10G cost model), the HydEE
 // hybrid rollback-recovery protocol (coordinated checkpointing inside
 // process clusters + sender-based logging of inter-cluster payloads, no

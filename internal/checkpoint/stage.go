@@ -8,9 +8,9 @@ import "hydee/internal/vtime"
 // admission, the per-target contention queues, the hand-off to the
 // targets, pruning, spares and statistics. The runtime admits saves one
 // at a time in virtual-time order (Endpoint.FlushAwaitTurn), so only the
-// second kind has to run under that turn. Stage runs the first kind before it,
-// on the saving rank's goroutine and in parallel with every other rank's;
-// Commit runs the second under it. Every built-in store's Save is its own
+// second kind has to run under that turn. Stage runs the first kind while
+// the saving rank waits for it, on a goroutine of its own and in parallel
+// with every other rank's; Commit runs the second under it. Every built-in store's Save is its own
 // stage followed by its own commit, so the two paths cannot drift apart.
 
 // stager is a store whose Save is stage + commit: MemStore, the three

@@ -109,7 +109,7 @@ func (pr *Protocol) RestartScope(topo *rollback.Topology, failed []int) []int {
 func (pr *Protocol) Tolerates() bool { return true }
 
 // engine is the per-process HydEE instance. It runs on its process's
-// goroutine only.
+// coroutine only.
 type engine struct {
 	prot    *Protocol
 	px      rollback.Proc

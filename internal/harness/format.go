@@ -13,7 +13,7 @@ func hydeeProtocol() rollback.Protocol { return core.New() }
 // FormatTable1 renders Table I like the paper.
 func FormatTable1(rows []Table1Row) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-6s %10s %24s %26s\n", "App", "Nb Clusters", "Avg %% Ranks to Roll Back", "Log/Total Amount of Data")
+	fmt.Fprintf(&b, "%-6s %10s %24s %26s\n", "App", "Nb Clusters", "Avg % Ranks to Roll Back", "Log/Total Amount of Data")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-6s %10d %23.2f%% %12.0f/%.0f GB (%.2f%%)\n",
 			strings.ToUpper(r.App), r.K, r.RollbackPct, r.LoggedGB, r.TotalGB, r.LoggedPct)

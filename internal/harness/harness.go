@@ -93,7 +93,7 @@ type Spec struct {
 	NewStore func(topo *rollback.Topology) (checkpoint.Store, error)
 	// Recorder optionally records application-level events.
 	Recorder *trace.Recorder
-	// Watchdog overrides the deadlock guard.
+	// Watchdog overrides the livelock guard (mpi.Config.Watchdog).
 	Watchdog time.Duration
 }
 

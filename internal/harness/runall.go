@@ -11,8 +11,8 @@ import (
 )
 
 // DefaultParallelism is the worker count RunAll uses when the caller passes
-// parallelism <= 0. Each run is itself goroutine-heavy but CPU-bound in
-// aggregate, so one worker per CPU is the sweet spot.
+// parallelism <= 0. Each run executes on its worker's goroutine, one rank
+// at a time, so one worker per CPU is the sweet spot.
 func DefaultParallelism() int { return runtime.NumCPU() }
 
 // RunAll executes independent specs through a bounded worker pool and

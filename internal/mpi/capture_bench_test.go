@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"hydee/internal/checkpoint"
 	"hydee/internal/rollback"
 	"hydee/internal/vtime"
 )
@@ -29,12 +30,12 @@ func captureProc(n int) *Proc {
 	}
 }
 
-// BenchmarkCapture is Proc.capture alone, the part of a checkpoint that
-// precedes the store: the application state gob-encoded into AppState,
-// the protocol state and the mailbox scan, at 64 KiB and 512 KiB images
-// with an empty mailbox. Each capture's buffer goes back to its codec at
-// once, as the runtime gives it back once a copying store has staged it,
-// so the steady state encodes into warm memory.
+// BenchmarkCapture is what a checkpoint builds before the store sees it:
+// Proc.capture — the protocol state and the mailbox scan — and the save's
+// encode of the application state into AppState, at 64 KiB and 512 KiB
+// images with an empty mailbox. Each encode's buffer goes back to its
+// codec at once, as a save gives it back once a copying store has staged
+// it, so the steady state encodes into warm memory.
 func BenchmarkCapture(b *testing.B) {
 	for _, size := range []struct {
 		name string
@@ -45,20 +46,23 @@ func BenchmarkCapture(b *testing.B) {
 			b.SetBytes(int64(size.n))
 			b.ReportAllocs()
 			for b.Loop() {
-				_, release, err := p.capture(1, []int{0})
-				if err != nil {
+				sv := &save{snap: p.capture(1, []int{0})}
+				if err := sv.encode(p.stateTarget); err != nil {
 					b.Fatal(err)
 				}
-				release()
+				sv.release()
 			}
 		})
 	}
 }
 
-// TestCaptureSteadyStateAllocates bounds what steady-state captures of a
-// 512 KiB image allocate: each encodes into the buffer the previous one
-// released, so twenty of them cost bookkeeping, not images (encoding into
-// fresh buffers allocated about 21 MiB).
+// TestCaptureSteadyStateAllocates bounds what steady-state saves of a 512
+// KiB image allocate before their turn: the capture, then the save's own
+// goroutine — the image's encode and an ec:4+2 stage — with each staged
+// save discarded, as a save refused its turn is. Each encodes into the
+// buffer the previous one released and stages into the fragments the
+// previous discard gave back, so twenty of them cost bookkeeping, not
+// images (encoding into fresh buffers allocated about 21 MiB).
 func TestCaptureSteadyStateAllocates(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop buffers")
@@ -67,12 +71,19 @@ func TestCaptureSteadyStateAllocates(t *testing.T) {
 	// a goroutine that has moved to another P cannot take.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	p := captureProc(512 << 10)
+	st, err := checkpoint.NewECStore(4, 2, 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	capture := func() {
-		_, release, err := p.capture(1, []int{0})
-		if err != nil {
-			t.Fatal(err)
+		sv := &save{snap: p.capture(1, []int{0}), done: make(chan struct{})}
+		go sv.stage(st, p.stateTarget)
+		<-sv.done
+		if sv.err != nil {
+			t.Fatal(sv.err)
 		}
-		release()
+		sv.staged.Discard()
+		sv.release()
 	}
 	capture()
 	var before, after runtime.MemStats
@@ -82,6 +93,6 @@ func TestCaptureSteadyStateAllocates(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
-		t.Errorf("20 steady-state captures of a 512 KiB image allocated %d B, want under 1 MiB", n)
+		t.Errorf("20 steady-state saves of a 512 KiB image allocated %d B before their turn, want under 1 MiB", n)
 	}
 }

@@ -1,8 +1,9 @@
 // Package mpi is the message-passing runtime the HydEE protocol stack runs
 // on: an MPI-like communicator (ranks, tags, blocking and nonblocking
 // point-to-point, collectives built over point-to-point) bound to one
-// goroutine per simulated process, with cooperative checkpointing,
-// fail-stop failure injection, restart-from-checkpoint, and a per-failure
+// coroutine per simulated process, all of a run's driven by one loop on the
+// caller's goroutine, with cooperative checkpointing, fail-stop failure
+// injection, restart-from-checkpoint, and a per-failure
 // recovery-coordinator round, all accounted in virtual time.
 package mpi
 
@@ -22,7 +23,12 @@ import (
 
 // Program is the code of one simulated MPI process. It must propagate
 // errors from Comm operations: transport.ErrKilled unwinds the process when
-// its cluster is rolled back.
+// its cluster is rolled back. Every process of a run is a coroutine of the
+// goroutine running it, and only one runs at a time: a process runs until
+// a Comm operation waits, then the next one runs. So a Program that blocks
+// outside Comm — a channel, a lock, a sleep — stalls its whole run until it
+// returns, and one that waits on another process except through Comm
+// deadlocks it.
 type Program func(c *Comm) error
 
 // Config describes one run.
@@ -54,8 +60,9 @@ type Config struct {
 	// (checkpoints, failures, recovery rounds, completion). Use
 	// NewLogObserver for a human-readable debug stream.
 	Observer Observer
-	// Watchdog aborts the run if the supervisor sees no event for this
-	// real duration (deadlock guard); 0 defaults to 60s.
+	// Watchdog aborts the run with ErrDeadlock if its ranks keep running
+	// without a supervisor event for this real duration (livelock guard;
+	// a deadlock is reported at once); 0 defaults to 60s.
 	Watchdog time.Duration
 }
 
@@ -125,8 +132,10 @@ type Result struct {
 	// clustering tool builds its communication graph from it.
 	Traffic []transport.Traffic
 	// Plane holds the delivery plane's work counters: host-side numbers
-	// that depend on goroutine scheduling, unlike every field above. They
-	// are for profiling a run and stay out of JSON and of every
-	// byte-reproducible summary.
+	// about how the run's ranks interleaved, not about what they computed.
+	// The run's one driver fixes that interleaving, so they do not depend
+	// on the number of cores; they do depend on how the runtime batches
+	// and resumes ranks, which no field above does. They are for profiling
+	// a run and stay out of JSON and of every byte-reproducible summary.
 	Plane transport.Counters `json:"-"`
 }

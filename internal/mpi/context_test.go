@@ -1,7 +1,7 @@
 package mpi_test
 
 // Context plumbing tests: cancellation and deadlines unwind every rank
-// goroutine promptly and surface ErrCanceled.
+// promptly and surface ErrCanceled.
 
 import (
 	"context"
@@ -13,10 +13,29 @@ import (
 	"hydee/internal/mpi"
 )
 
-// deadlocked returns a program in which every rank waits forever.
+// deadlocked is a program in which every rank waits forever.
 func deadlocked(c *mpi.Comm) error {
 	_, _, err := c.Recv((c.Rank()+1)%c.Size(), 42)
 	return err
+}
+
+// livelocked is a program whose ranks pass a token around the ring
+// forever: it neither ends nor deadlocks, so only its context stops it.
+func livelocked(c *mpi.Comm) error {
+	next, prev := (c.Rank()+1)%c.Size(), (c.Rank()+c.Size()-1)%c.Size()
+	if c.Rank() == 0 {
+		if err := c.Send(next, 42, nil); err != nil {
+			return err
+		}
+	}
+	for {
+		if _, _, err := c.Recv(prev, 42); err != nil {
+			return err
+		}
+		if err := c.Send(next, 42, nil); err != nil {
+			return err
+		}
+	}
 }
 
 // waitGoroutines polls until the goroutine count drops back to at most
@@ -42,10 +61,10 @@ func TestRunContextCancelUnwindsDeadlock(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := mpi.RunContext(ctx, mpi.Config{NP: 8, Watchdog: time.Minute}, deadlocked)
+		_, err := mpi.RunContext(ctx, mpi.Config{NP: 8, Watchdog: time.Minute}, livelocked)
 		errCh <- err
 	}()
-	time.Sleep(50 * time.Millisecond) // let every rank block in Recv
+	time.Sleep(50 * time.Millisecond) // let the token go round
 	start := time.Now()
 	cancel()
 	select {
@@ -68,7 +87,7 @@ func TestRunContextCancelUnwindsDeadlock(t *testing.T) {
 func TestRunContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, err := mpi.RunContext(ctx, mpi.Config{NP: 2, Watchdog: time.Minute}, deadlocked)
+	_, err := mpi.RunContext(ctx, mpi.Config{NP: 2, Watchdog: time.Minute}, livelocked)
 	if !errors.Is(err, mpi.ErrCanceled) {
 		t.Fatalf("want ErrCanceled on deadline, got %v", err)
 	}

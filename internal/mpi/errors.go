@@ -12,9 +12,10 @@ var (
 	// ErrCanceled reports that the run's context was canceled or its
 	// deadline expired before the run completed.
 	ErrCanceled = errors.New("mpi: run canceled")
-	// ErrDeadlock reports that the real-time watchdog saw no supervisor
-	// event for the configured duration — the usual symptom of a
-	// deadlocked program or of overlapping unsupported failures.
+	// ErrDeadlock reports that no rank can run and the run is not over — a
+	// deadlocked program, or overlapping unsupported failures — or that
+	// ranks kept running with no supervisor event for the watchdog's
+	// duration (livelock).
 	ErrDeadlock = errors.New("mpi: deadlock suspected")
 	// ErrCheckpointLost reports that a checkpoint this run completed could
 	// not be loaded from the store during a restart. Restarting the
@@ -26,12 +27,12 @@ var (
 
 // Phase names for RunError.Phase.
 const (
-	// PhaseConfig is configuration validation, before any goroutine runs.
+	// PhaseConfig is configuration validation, before any rank runs.
 	PhaseConfig = "config"
 	// PhaseProgram is application code executing on a rank.
 	PhaseProgram = "program"
-	// PhaseSupervise is the supervisor loop (watchdog, cancellation,
-	// failure bookkeeping).
+	// PhaseSupervise is the run's driver loop (deadlock, watchdog,
+	// cancellation, failure bookkeeping).
 	PhaseSupervise = "supervise"
 	// PhaseRecovery is a protocol recovery round.
 	PhaseRecovery = "recovery"

@@ -24,7 +24,7 @@ import (
 // TestKnownBugSameClusterTwiceDeadlock fails cluster 5 twice (ranks 46 and
 // 45) after a failure in cluster 3: round 2 ends up recovering with an
 // empty drain set and nothing queued, so no input of the round machine is
-// left to come, and its coordinator waits until the watchdog fires.
+// left to come and no rank can run: the run ends in ErrDeadlock at once.
 //
 // Measured diagnosis: the rounds do not overlap. Round 0 runs 28–62µs,
 // round 1 runs 122–155µs, and round 2 opens at 270µs. All 64 Reports reach

@@ -3,7 +3,6 @@ package mpi
 import (
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 
 	"hydee/internal/rollback"
@@ -15,7 +14,7 @@ type EventKind int
 
 // The lifecycle events.
 const (
-	// EvRunStart fires once, before any process goroutine starts.
+	// EvRunStart fires once, before any process starts.
 	EvRunStart EventKind = iota
 	// EvCheckpoint fires when a rank completes a coordinated checkpoint.
 	EvCheckpoint
@@ -90,10 +89,10 @@ type Event struct {
 	Err error
 }
 
-// Observer receives lifecycle events. OnEvent may be called from the
-// supervisor and from rank goroutines; the runtime serializes calls, so an
-// implementation needs no locking of its own, but it must not block for
-// long — it runs on the run's critical path.
+// Observer receives lifecycle events. A run calls OnEvent from the
+// goroutine running it, one call at a time and in an order the run alone
+// fixes, so an implementation needs no locking of its own, but it must not
+// block for long — it runs on the run's critical path.
 type Observer interface {
 	OnEvent(Event)
 }
@@ -142,11 +141,8 @@ func NewLogObserver(w io.Writer) Observer {
 	})
 }
 
-// observerMux serializes concurrent emissions (rank goroutines emit
-// checkpoints while the supervisor emits round events) and stamps every
-// event with the owning run's id.
+// observerMux stamps every event with the owning run's id.
 type observerMux struct {
-	mu    sync.Mutex
 	obs   Observer
 	runID int64
 }
@@ -159,7 +155,5 @@ func (m *observerMux) emit(ev Event) {
 		return
 	}
 	ev.Run = m.runID
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.obs.OnEvent(ev)
 }

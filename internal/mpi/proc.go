@@ -31,8 +31,8 @@ var errShutdown = errors.New("mpi: shutdown during program execution")
 // markerWire is the modeled size of a checkpoint flush marker.
 const markerWire = 8
 
-// Proc is one simulated process: the runtime side of a Comm. All fields are
-// owned by the process goroutine except where noted.
+// Proc is one simulated process: the runtime side of a Comm, run as a task
+// of the run's driver.
 type Proc struct {
 	rt    *Runtime
 	rank  int
@@ -105,9 +105,9 @@ func (rt *Runtime) newProc(rank int, snap *checkpoint.Snapshot, round *rollback.
 	return p
 }
 
-// run executes the program (and the linger phase) on a fresh goroutine.
+// run executes the program and the linger phase: the task of one
+// incarnation.
 func (p *Proc) run() {
-	defer p.rt.wg.Done()
 	defer p.collect()
 
 	if p.round != nil {
@@ -177,8 +177,6 @@ func (p *Proc) turn(vt vtime.Time) error {
 
 // collect publishes the incarnation's metrics and result to the runtime.
 func (p *Proc) collect() {
-	p.rt.mu.Lock()
-	defer p.rt.mu.Unlock()
 	p.rt.metrics[p.rank].Add(&p.metrics)
 	if p.clock.Now() > p.rt.finalVT[p.rank] {
 		p.rt.finalVT[p.rank] = p.clock.Now()
@@ -205,8 +203,9 @@ func (p *Proc) linger() error {
 }
 
 // takeMsg is the take callback of every receive (the transport package's
-// take rule): it does under the plane lock what the process's own loop
-// would do with a message before receiving again. It records a marker and
+// take rule): it does, inside whichever mutation finds the message
+// deliverable, what the process's own loop would do with it before
+// receiving again. It records a marker and
 // merges the clock, or buffers an App message through Admit, and returns
 // Stop if until then holds; a Ctl message, and an App message recvMatch
 // delivers, go to the process.
@@ -429,49 +428,38 @@ func (p *Proc) checkpointCall() error {
 	}
 	delete(p.markers, seq)
 
-	snap, release, err := p.capture(seq, scope)
-	if err != nil {
-		return err
-	}
-	cost := snap.CostBytes()
-	// Everything of the save that does not depend on its issue time — the
-	// store's copy, encoding, parity, seals — is built now, off the turn
-	// and in parallel with the other ranks. The snapshot's AppState buffer
-	// goes back to its codec as soon as nothing references it: here when
-	// the stage copied the snapshot, else once Commit or Discard returns.
-	staged, err := checkpoint.Stage(p.rt.store, snap)
-	if err != nil || staged.Detached() {
-		release()
-		release = func() {}
-	}
-	if err != nil {
-		return err
-	}
+	sv := &save{snap: p.capture(seq, scope), done: make(chan struct{})}
+	go sv.stage(p.rt.store, p.stateTarget)
 	// Stable-storage admission is ordered in virtual time: the write is
 	// issued only once no other live process can still act earlier, so the
 	// store's shared-bandwidth queue builds up in a deterministic order. A
 	// doomed process is granted the turn only for writes issued at or
 	// below its death fence; later ones are cancelled with ErrKilled and
 	// their staged writes discarded, so the set of completed saves is a
-	// pure function of virtual time.
+	// pure function of virtual time. The turn waits while the save stages;
+	// the process resumes only once the stage is done, so when it finished
+	// decides nothing the run does next.
 	issueVT := p.clock.Now()
-	if err := p.turn(issueVT); err != nil {
-		staged.Discard()
-		release()
+	err := p.turn(issueVT)
+	<-sv.done
+	if sv.err != nil {
+		return sv.err
+	}
+	if err != nil {
+		sv.staged.Discard()
+		sv.release()
 		return err
 	}
-	endVT, err := staged.Commit(issueVT)
-	release()
+	endVT, err := sv.staged.Commit(issueVT)
+	sv.release()
 	if err != nil {
 		return err
 	}
-	p.rt.mu.Lock()
 	p.rt.ckptDone[p.rank] = append(p.rt.ckptDone[p.rank], savePoint{seq: seq, vt: issueVT})
-	p.rt.mu.Unlock()
 	p.clock.MergeAtLeast(endVT)
 	p.publish()
 	p.metrics.Checkpoints++
-	p.metrics.CkptBytes += cost
+	p.metrics.CkptBytes += sv.cost
 	p.ckptsDone++
 	round := -1
 	if p.round != nil {
@@ -481,24 +469,17 @@ func (p *Proc) checkpointCall() error {
 	return p.maybeFail()
 }
 
-// capture builds the snapshot: process image, protocol state, and the
-// in-transit messages the checkpoint must hold (DESIGN.md note 3). The
-// image is encoded into a buffer borrowed from its type's codec, and
-// release gives it back; the snapshot must not be used after it.
-func (p *Proc) capture(seq int, scope []int) (snap *checkpoint.Snapshot, release func(), err error) {
-	snap = &checkpoint.Snapshot{
+// capture builds the snapshot but for the process image (see save):
+// protocol state, and the in-transit messages the checkpoint must hold
+// (DESIGN.md note 3).
+func (p *Proc) capture(seq int, scope []int) *checkpoint.Snapshot {
+	snap := &checkpoint.Snapshot{
 		Rank:        p.rank,
 		Seq:         seq,
 		TakenVT:     p.clock.Now(),
 		CkptCallIdx: p.ckptCallIdx,
 		CollSeq:     p.collSeq,
 		ModelBytes:  p.stateBytes,
-	}
-	release = func() {}
-	if p.stateTarget != nil {
-		if snap.AppState, release, err = checkpoint.BorrowState(p.stateTarget); err != nil {
-			return nil, nil, err
-		}
 	}
 	p.engine.OnCheckpoint(snap)
 	for _, m := range p.pending {
@@ -518,7 +499,55 @@ func (p *Proc) capture(seq int, scope []int) (snap *checkpoint.Snapshot, release
 	for _, m := range snap.Mailbox {
 		snap.ModelBytes += checkpoint.MailboxCost(m)
 	}
-	return snap, release, nil
+	return snap
+}
+
+// save is the part of a checkpoint write that does not depend on the
+// virtual time it is issued at: the process image's encode and the
+// store's stage (copy, encoding, parity, seals). It runs on a goroutine of
+// its own while its process waits for the turn, in parallel with the run's
+// driver; done closes when it is over.
+type save struct {
+	snap   *checkpoint.Snapshot
+	staged checkpoint.Staged
+	// release gives the image's buffer back to its codec; it is a no-op
+	// once the stage no longer references it.
+	release func()
+	cost    int64
+	err     error
+	done    chan struct{}
+}
+
+// stage encodes state, the process image, into the snapshot, then stages
+// the save to st. The image's buffer goes back to its codec as soon as
+// nothing references it: here when the stage copied the snapshot, else
+// once Commit or Discard returns.
+func (s *save) stage(st checkpoint.Store, state any) {
+	defer close(s.done)
+	if s.err = s.encode(state); s.err != nil {
+		return
+	}
+	s.cost = s.snap.CostBytes()
+	s.staged, s.err = checkpoint.Stage(st, s.snap)
+	if s.err != nil || s.staged.Detached() {
+		s.release()
+		s.release = func() {}
+	}
+}
+
+// encode writes state into the snapshot's AppState, in a buffer borrowed
+// from its type's codec (release gives it back).
+func (s *save) encode(state any) error {
+	s.release = func() {}
+	if state == nil {
+		return nil
+	}
+	b, release, err := checkpoint.BorrowState(state)
+	if err != nil {
+		return err
+	}
+	s.snap.AppState, s.release = b, release
+	return nil
 }
 
 func (p *Proc) cluster() int { return p.rt.topo.ClusterOf[p.rank] }

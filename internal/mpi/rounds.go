@@ -15,7 +15,7 @@ type phase int
 
 const (
 	phIdle       phase = iota // no round; the recovery endpoint is the plane's latent failure source
-	phDraining                // scope doomed at its fences; doomed goroutines finish pre-fence work and unwind
+	phDraining                // scope doomed at its fences; doomed ranks finish pre-fence work and unwind
 	phRecovering              // scope killed, restored and restarted; the coordinator is running
 )
 
@@ -62,7 +62,7 @@ func (e *stepError) Error() string {
 
 // machine is the failure-round state machine: all supervisor state and one
 // mutator, step. It touches no network, store, observer, channel, timer or
-// goroutine — the driver (Runtime.supervise) feeds it the events of the
+// goroutine — the driver (Runtime.drive) feeds it the events of the
 // run and executes the actions it returns, in order.
 type machine struct {
 	np     int
@@ -192,7 +192,7 @@ func (m *machine) failed(ev procEvent) {
 	}
 }
 
-// died: the goroutine has unwound, so nothing at or below its fence remains
+// died: the rank has unwound, so nothing at or below its fence remains
 // in flight for it; quiescing its endpoint (not killed yet) stops the
 // delivery gate from waiting on its stale frontier.
 func (m *machine) died(ev procEvent) {
@@ -334,7 +334,7 @@ func (m *machine) open() {
 	}
 }
 
-// launchIfDrained triggers the kill step once every doomed goroutine has
+// launchIfDrained triggers the kill step once every doomed rank has
 // unwound and the recovery endpoint holds the turn at the round's start.
 // The turn is granted only when no process can still act at or below the
 // start, so every failure that could join the round has joined: no queued

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -17,8 +16,8 @@ import (
 	"hydee/internal/vtime"
 )
 
-// Runtime executes one run: it owns the network, supervises the process
-// goroutines, kills and restarts clusters on failures, and serializes
+// Runtime executes one run: it owns the network, drives the run's tasks
+// (driver.go), kills and restarts clusters on failures, and serializes
 // recovery rounds.
 type Runtime struct {
 	cfg     Config
@@ -32,24 +31,23 @@ type Runtime struct {
 	obs     *observerMux
 	program Program
 
-	evCh chan procEvent
+	// drv runs every task; events holds what tasks reported to the
+	// supervisor since the run's loop last looked.
+	drv    driver
+	events []procEvent
 	// plan[r] lists the failure events whose first victim is r, not yet
 	// fired, and sends[r] counts r's application sends across
-	// incarnations. Only r's current incarnation touches them, without a
-	// lock: launchRound starts a new incarnation only after the old one's
-	// evDied came through evCh, which orders every write before it.
+	// incarnations. Only r's current incarnation touches them.
 	plan  [][]failure.Event
 	sends []int64
 
-	mu      sync.Mutex
 	metrics []rollback.Metrics
 	results []any
 	finalVT []vtime.Time
 	rounds  []rollback.RecoveryStats
-	wg      sync.WaitGroup
 	// ckptDone[rank] lists the checkpoint writes THIS run completed for
-	// rank, with the virtual time each write was issued at (guarded by
-	// mu). It is the one record of restore points, since stores only
+	// rank, with the virtual time each write was issued at. It is the one
+	// record of restore points, since stores only
 	// store: a store pinned across several runs (engine WithStore) can
 	// never leak a previous run's sequences into this run's restart
 	// scope, and a failure round restores from the newest sequence issued
@@ -59,7 +57,8 @@ type Runtime struct {
 	ckptDone [][]savePoint
 	// aborted is set once the run aborts (cancel, watchdog or a fatal
 	// error), before the endpoints die: a rank that never waits on the
-	// delivery plane reads it at its next Comm operation.
+	// delivery plane reads it at its next Comm operation. A canceled
+	// context sets it from another goroutine.
 	aborted atomic.Bool
 }
 
@@ -95,7 +94,7 @@ type procEvent struct {
 	stats rollback.RecoveryStats
 }
 
-func (rt *Runtime) event(ev procEvent) { rt.evCh <- ev }
+func (rt *Runtime) event(ev procEvent) { rt.events = append(rt.events, ev) }
 
 // Run executes program under cfg and returns the aggregated result.
 func Run(cfg Config, program Program) (*Result, error) {
@@ -103,9 +102,10 @@ func Run(cfg Config, program Program) (*Result, error) {
 }
 
 // RunContext executes program under cfg, honoring ctx: when the context is
-// canceled or its deadline expires, the supervisor kills every process
-// endpoint, all rank goroutines unwind promptly, and the run returns a
-// *RunError wrapping ErrCanceled.
+// canceled or its deadline expires, every rank returns ErrKilled from its
+// next Comm operation, the supervisor kills every process endpoint, all
+// ranks unwind promptly, and the run returns a *RunError wrapping
+// ErrCanceled. The run executes on the calling goroutine (see Program).
 func RunContext(ctx context.Context, cfg Config, program Program) (*Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, runErr(-1, -1, PhaseConfig, err)
@@ -127,7 +127,7 @@ func RunContext(ctx context.Context, cfg Config, program Program) (*Result, erro
 		obs:      &observerMux{obs: cfg.Observer, runID: runIDs.Add(1)},
 		program:  program,
 		net:      transport.NewNetwork(cfg.NP, cfg.Model),
-		evCh:     make(chan procEvent, 4*cfg.NP+16),
+		drv:      driver{waiter: make([]*task, cfg.NP+1)},
 		plan:     failure.ByFirstVictim(cfg.Failures, cfg.NP),
 		sends:    make([]int64, cfg.NP),
 		metrics:  make([]rollback.Metrics, cfg.NP),
@@ -140,14 +140,13 @@ func RunContext(ctx context.Context, cfg Config, program Program) (*Result, erro
 	// source: the delivery gate then never admits a stamp a future
 	// recovery round could undercut.
 	rt.recEP = rt.net.DeclareRecovery(cfg.NP)
+	rt.net.SetDriver(&rt.drv)
 
 	rt.obs.emit(Event{Kind: EvRunStart, Rank: -1, Round: -1})
 	for r := 0; r < cfg.NP; r++ {
 		rt.startProc(r, nil, nil, 0)
 	}
-	err := rt.supervise(ctx)
-	rt.drainAndJoin()
-	if err != nil {
+	if err := rt.drive(ctx); err != nil {
 		rt.obs.emit(Event{Kind: EvRunAbort, Rank: -1, Round: -1, Err: err})
 		return nil, err
 	}
@@ -171,63 +170,107 @@ func RunContext(ctx context.Context, cfg Config, program Program) (*Result, erro
 }
 
 func (rt *Runtime) startProc(rank int, snap *checkpoint.Snapshot, round *rollback.RoundInfo, startVT vtime.Time) {
-	p := rt.newProc(rank, snap, round, startVT)
-	rt.wg.Add(1)
-	go p.run()
+	rt.drv.spawn(rt.newProc(rank, snap, round, startVT).run)
 }
 
-// supervise drives the failure-round machine (rounds.go): every channel
-// event is one step, and the actions each step returns run here. The
-// machine decides; this acts.
-func (rt *Runtime) supervise(ctx context.Context) error {
+// drive runs the run on the calling goroutine until every task has ended.
+// It feeds the failure-round machine (rounds.go) the events tasks report,
+// in the order they report them, and executes the actions each step
+// returns: the machine decides, this acts. Between events it resumes every
+// ready task, and once none is, enters every filed wait as one plane
+// mutation. When nothing is ready, filed or reported, nothing can happen
+// again: the run is complete once the machine is done and every task has
+// ended, and deadlocked otherwise — exactly, with no timer. The watchdog
+// only guards against livelock: ranks that keep running without a
+// supervisor event for its duration.
+func (rt *Runtime) drive(ctx context.Context) error {
+	d := &rt.drv
 	m := newMachine(rt.cfg.NP, rt.prot, rt.topo, rt.net.MinLatency(), len(rt.cfg.Failures))
-
-	watchdogDur := rt.cfg.watchdog()
-	//hydee:allow wallclock(watchdog is a liveness knob: it only aborts hung runs, never shapes virtual time)
-	watchdog := time.NewTimer(watchdogDur)
-	defer watchdog.Stop()
+	if ctx.Err() != nil {
+		rt.aborted.Store(true)
+	}
+	defer context.AfterFunc(ctx, func() { rt.aborted.Store(true) })()
+	wd := watchdog{d: rt.cfg.watchdog()}
 
 	var err error
-	for err == nil && !m.done() {
-		// The evCh case is the only one that shapes virtual time, and its
-		// events arrive in plane-determined order; the watchdog is a
-		// wall-clock liveness aid that only aborts.
-		//hydee:allow selectorder(only evCh affects virtual time; the watchdog and ctx cases only abort)
-		select {
-		case ev := <-rt.evCh:
-			// Since Go 1.23, Reset on an active timer needs no stop-and-
-			// drain; the old `if !watchdog.Stop() { <-watchdog.C }` idiom
-			// can block forever here, because under the new semantics a
-			// fired-but-unread timer's channel is emptied by Stop itself.
-			watchdog.Reset(watchdogDur)
-			err = rt.apply(m, ev)
-
-		case <-ctx.Done():
+	killed, shut := false, false
+	for {
+		if err == nil && rt.aborted.Load() {
 			err = runErr(-1, m.round(), PhaseSupervise, fmt.Errorf("%w: %w", ErrCanceled, context.Cause(ctx)))
-
-		case <-watchdog.C:
+		}
+		if len(rt.events) > 0 {
+			// Events after the end or an error are strays: discarded.
+			for i := 0; i < len(rt.events) && err == nil && !shut; i++ {
+				err = rt.apply(m, rt.events[i])
+			}
+			wd.events += len(rt.events)
+			clear(rt.events)
+			rt.events = rt.events[:0]
+		}
+		if err == nil && !shut && m.done() {
+			shut = true
+			rt.shutdown()
+		}
+		if err != nil && !killed {
+			killed = true
+			rt.abort()
+		}
+		switch {
+		case len(d.ready) > 0:
+			d.runReady()
+			if d.resumes >= 256 {
+				d.resumes = 0
+				if err == nil && wd.stalled() {
+					err = runErr(-1, m.round(), PhaseSupervise,
+						fmt.Errorf("%w: no supervisor event for %v while ranks kept running (livelock; %v)\ndelivery plane:\n%s",
+							ErrDeadlock, wd.d, m, rt.net.DebugState()))
+				}
+			}
+		case len(d.filed) > 0:
+			rt.net.Enter(d.filed) // one mutation for every wait filed
+			d.filed = d.filed[:0]
+		case err != nil || d.live == 0 && shut:
+			return err
+		default:
 			err = runErr(-1, m.round(), PhaseSupervise,
-				fmt.Errorf("%w: no supervisor event for %v (deadlock or overlapping failures; %v)\ndelivery plane:\n%s",
-					ErrDeadlock, watchdogDur, m, rt.net.DebugState()))
+				fmt.Errorf("%w: nothing can run and %d tasks have not ended (%v)\ndelivery plane:\n%s",
+					ErrDeadlock, d.live, m, rt.net.DebugState()))
 		}
 	}
-	if err != nil {
-		rt.abort()
-		return err
-	}
+}
 
-	// Shut lingering processes down. The shutdown is stamped at the far
-	// future so it sorts after every real message still queued: a lingering
-	// process drains its remaining control traffic (whose clock merges are
-	// part of the makespan) in virtual-time order before it exits, instead
-	// of racing the supervisor's send in real time.
+// watchdog is the livelock guard: the run's loop asks it every few hundred
+// resumes whether any event arrived within d.
+type watchdog struct {
+	d      time.Duration
+	events int // events the loop has applied so far
+	seen   int // events at the last look that found new ones
+	since  time.Time
+}
+
+// stalled reports whether no event arrived for d.
+func (w *watchdog) stalled() bool {
+	//hydee:allow wallclock(the watchdog is a liveness knob: it only aborts livelocked runs, never shapes virtual time)
+	now := time.Now()
+	if w.since.IsZero() || w.events != w.seen {
+		w.seen, w.since = w.events, now
+		return false
+	}
+	return now.Sub(w.since) > w.d
+}
+
+// shutdown ends lingering processes once the machine is done. The
+// shutdown is stamped at the far future so it sorts after every real
+// message still queued: a lingering process drains its remaining control
+// traffic (whose clock merges are part of the makespan) in virtual-time
+// order before it exits.
+func (rt *Runtime) shutdown() {
 	shutdown := make([]*transport.Msg, rt.cfg.NP)
 	for r := range shutdown {
 		shutdown[r] = &transport.Msg{Src: -1, Dst: r, Kind: transport.Ctl, CtlBody: shutdownBody{},
 			WireLen: 1, SendVT: shutdownSendVT}
 	}
 	_ = rt.net.SendBatch(shutdown)
-	return nil
 }
 
 // apply steps the machine and executes its actions in order; the first
@@ -242,14 +285,13 @@ func (rt *Runtime) apply(m *machine, ev procEvent) error {
 		case actQuiesce:
 			rt.net.Quiesce(a.id)
 		case actTurn:
-			rt.wg.Add(1)
-			go func(vt vtime.Time) {
-				defer rt.wg.Done()
+			vt := a.vt
+			rt.drv.spawn(func() {
 				// Refused only once the run aborts: nobody waits then.
 				if rt.recEP.FlushAwaitTurn(nil, vt) == nil {
 					rt.event(procEvent{kind: evTurn, vt: vt})
 				}
-			}(a.vt)
+			})
 		case actLaunch:
 			if err := rt.launchRound(a); err != nil {
 				return err
@@ -257,9 +299,7 @@ func (rt *Runtime) apply(m *machine, ev procEvent) error {
 		case actEmit:
 			rt.obs.emit(a.ev)
 		case actRecord:
-			rt.mu.Lock()
 			rt.rounds = append(rt.rounds, a.stats)
-			rt.mu.Unlock()
 		case actFail:
 			return a.err
 		}
@@ -288,7 +328,6 @@ func (rt *Runtime) launchRound(a action) error {
 	}
 	info.AllIncs = rt.net.Incs()
 	restoreSeq := make(map[int]int, len(info.RolledBack)) // rank -> its group's restore point
-	rt.mu.Lock()
 	for _, r := range info.RolledBack {
 		if _, ok := restoreSeq[r]; ok {
 			continue
@@ -321,7 +360,6 @@ func (rt *Runtime) launchRound(a action) error {
 		}
 		rt.ckptDone[r] = kept
 	}
-	rt.mu.Unlock()
 	// Restores are issued at the round's start time (one hop after its
 	// latest detection), never at the raw detection stamp: every stamp the
 	// restarted incarnations produce therefore sorts after everything the
@@ -358,9 +396,7 @@ func (rt *Runtime) launchRound(a action) error {
 		}})
 		return nil
 	}
-	rt.wg.Add(1)
-	go func() {
-		defer rt.wg.Done()
+	rt.drv.spawn(func() {
 		stats, err := rec.Run(info)
 		// The endpoint stays attached (bounded at the round's final
 		// frontier, or one hop past a queued failure's fence while
@@ -370,7 +406,7 @@ func (rt *Runtime) launchRound(a action) error {
 		// an unconstrained window in which deliveries could be admitted
 		// that the next round's stamps would undercut.
 		rt.event(procEvent{kind: evRecoveryDone, stats: stats, err: err})
-	}()
+	})
 	return nil
 }
 
@@ -379,23 +415,6 @@ func (rt *Runtime) abort() {
 	rt.aborted.Store(true)
 	for r := 0; r <= rt.cfg.NP; r++ { // the ranks and the recovery endpoint
 		rt.net.Kill(r)
-	}
-}
-
-// drainAndJoin waits for every goroutine while consuming stray events.
-func (rt *Runtime) drainAndJoin() {
-	done := make(chan struct{})
-	go func() {
-		rt.wg.Wait()
-		close(done)
-	}()
-	for {
-		//hydee:allow selectorder(drain loop: stray events are discarded either way, the outcome is join completion)
-		select {
-		case <-rt.evCh:
-		case <-done:
-			return
-		}
 	}
 }
 

@@ -89,6 +89,47 @@ func TestWatchdogDetectsDeadlock(t *testing.T) {
 	}
 }
 
+// TestWatchdogStopsLivelock: ranks that pass a token around the ring
+// forever never deadlock; the watchdog ends the run once it has seen no
+// supervisor event for its duration.
+func TestWatchdogStopsLivelock(t *testing.T) {
+	_, err := mpi.Run(mpi.Config{NP: 2, Watchdog: 100 * time.Millisecond}, func(c *mpi.Comm) error {
+		if c.Rank() == 0 {
+			if err := c.Send(1, 42, nil); err != nil {
+				return err
+			}
+		}
+		for {
+			if _, _, err := c.Recv(1-c.Rank(), 42); err != nil {
+				return err
+			}
+			if err := c.Send(1-c.Rank(), 42, nil); err != nil {
+				return err
+			}
+		}
+	})
+	if !errors.Is(err, mpi.ErrDeadlock) || !strings.Contains(err.Error(), "livelock") {
+		t.Fatalf("want the watchdog's livelock ErrDeadlock, got %v", err)
+	}
+}
+
+// TestDeadlockReportedWithoutWatchdog: a deadlock is exact — no rank can
+// run and the run is not over — so it is reported at once, not after the
+// watchdog's minute.
+func TestDeadlockReportedWithoutWatchdog(t *testing.T) {
+	start := time.Now()
+	_, err := mpi.Run(mpi.Config{NP: 4, Watchdog: time.Minute}, func(c *mpi.Comm) error {
+		_, _, err := c.Recv((c.Rank()+1)%c.Size(), 42)
+		return err
+	})
+	if !errors.Is(err, mpi.ErrDeadlock) {
+		t.Fatalf("want ErrDeadlock, got %v", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("deadlock reported after %v, want under 1s", took)
+	}
+}
+
 func TestSelfSendRejected(t *testing.T) {
 	_, err := mpi.Run(mpi.Config{NP: 1, Watchdog: 10 * time.Second}, func(c *mpi.Comm) error {
 		return c.Send(0, 1, nil)

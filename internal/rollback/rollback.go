@@ -6,7 +6,8 @@
 // The runtime (internal/mpi) calls the engine at the application-level
 // events of §II-C: PreSend at each Post, OnDeliver at each Delivery, plus
 // checkpoint/restore hooks and a control-message dispatch. Engines run
-// entirely on their process's goroutine; they never need internal locking.
+// entirely on their process's coroutine, one process of a run at a time;
+// they never need internal locking.
 package rollback
 
 import (
@@ -124,8 +125,8 @@ func (t *Topology) Validate() error {
 	return nil
 }
 
-// Metrics accumulates per-process protocol accounting. Owned by the process
-// goroutine; harness reads it after the run.
+// Metrics accumulates per-process protocol accounting. Owned by the
+// process; harness reads it after the run.
 type Metrics struct {
 	AppSends      int64
 	AppBytes      int64 // modeled payload bytes sent
@@ -219,8 +220,8 @@ type Proc interface {
 	SendAppRaw(m *transport.Msg)
 	// WaitCtl blocks the process, dispatching incoming control traffic to
 	// the engine and buffering application traffic, until pred reports
-	// true. pred may run on another goroutine while the process waits, so
-	// it only reads. It returns transport.ErrKilled if the process dies
+	// true. pred may run inside another process's plane mutation while
+	// the process waits, so it only reads. It returns transport.ErrKilled if the process dies
 	// meanwhile.
 	WaitCtl(pred func() bool) error
 	// RecoveryID is the endpoint id of the recovery process.
@@ -245,8 +246,8 @@ type Engine interface {
 	// duplicates that a log replay supersedes (the sender had not yet
 	// learned of this process's restart); such messages are dropped. It
 	// must not change the engine's state: a receive asks it under the
-	// delivery plane's lock, possibly on another goroutine while the
-	// process waits.
+	// delivery plane's lock, possibly inside another process's mutation
+	// while the process waits.
 	Admit(m *transport.Msg) bool
 	// OnDeliver runs at each application-level Delivery event.
 	OnDeliver(m *transport.Msg)
@@ -254,12 +255,13 @@ type Engine interface {
 	OnCtl(m *transport.Msg)
 	// OnCheckpoint contributes protocol state to the snapshot under
 	// construction (Algorithm 1 line 21: RPP, Logs, Phase, Date). s is
-	// the runtime's, its AppState a borrowed buffer: the engine must not
-	// keep s, or anything s points to, past the call.
+	// the runtime's, which encodes the application state into it after
+	// the call: the engine must not keep s, or anything s points to, past
+	// the call.
 	OnCheckpoint(s *checkpoint.Snapshot)
 	// OnRestore rehydrates protocol state from the snapshot and performs
 	// the restart protocol of Algorithm 2 (rollback notifications etc.).
-	// It runs on the restarted process's goroutine before the application
+	// It runs on the restarted process's coroutine before the application
 	// program resumes.
 	OnRestore(s *checkpoint.Snapshot, round *RoundInfo)
 	// CheckpointScope lists the ranks that coordinate checkpoints with

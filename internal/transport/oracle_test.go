@@ -7,28 +7,29 @@ package transport
 // it recomputes every bound, the three smallest, and the set of parked
 // waiters whose condition holds, from nothing but the endpoints' own state.
 // planeSim drives a Network through randomised mutation sequences without
-// goroutines — a "parked" waiter is an endpoint whose receive or turn the
-// driver entered through the locked step every wait takes, or pushed on the
-// hand-off stack as a wait that lost the lock does — and compares plane
-// and oracle at every serve round of every mutation (the plane's waveHook)
-// and after it: identical bounds, identical low3, tree and list invariants,
-// and a served set equal to the oracle's wake set of the round before (a
-// missed serve is a deadlock, an extra one a delivery the gate did not
-// admit). Every serve is held to the run the oracle pops for that waiter
-// under the round's bounds — its queue heads, as many as the receive's
-// verdict script keeps and one more, or a reap or ErrKilled — with exactly
-// one token once the run settles the wait and none while it leaves it
-// parked; every run to the take rule: the receiver's clock merges to the
-// arrival stamp of every message that is not App and of an App message a
-// take delivers, a Keep leaves it blocked at that clock and a Deliver or
-// Stop running there; every entry to the entry rule: a receiver blocks at
-// its clock, a turn's requester runs pinned at the turn unless dead or
-// asking past its fence. A mutation may be
-// a batch: several sends from one id, alone or fused with that endpoint's
-// block or turn, or several requests, receives and turns mixed, drained from
-// the stack by the next release of the lock; after every public call the
-// stack must be empty. The same check holds the traffic edge list to a
-// dense np×np PairStat matrix the simulation keeps from its own sends.
+// goroutines, as the plane's Driver — a "parked" waiter is an endpoint
+// whose request the simulation filed and entered through Enter, the one
+// path every wait takes — and compares plane and oracle at every serve
+// round of every mutation (the plane's waveHook) and after it: identical
+// bounds, identical low3, tree and list invariants, and a served set equal
+// to the oracle's wake set of the round before (a missed serve is a
+// deadlock, an extra one a delivery the gate did not admit). Every serve
+// is held to the run the oracle pops for that waiter under the round's
+// bounds — its queue heads, as many as the receive's verdict script keeps
+// and one more, or a reap or ErrKilled — with exactly one Ready once the
+// run settles the wait and none while it leaves it parked; every run to
+// the take rule: the receiver's clock merges to the arrival stamp of every
+// message that is not App and of an App message a take delivers, a Keep
+// leaves it blocked at that clock and a Deliver or Stop running there;
+// every entry to the entry rule: a receiver blocks at its clock, a turn's
+// requester runs pinned at the turn unless dead or asking past its fence.
+// A mutation may be a batch: several sends from one id, alone or fused
+// with that endpoint's block or turn, or an Enter of several filed
+// requests, receives and turns mixed. As under the runtime's driver, a
+// filed request may wait for its Enter while other calls mutate the plane
+// — its own endpoint included —, and is entered right after the next
+// public call. The same check holds the traffic edge list to a dense np×np
+// PairStat matrix the simulation keeps from its own sends.
 
 import (
 	"container/heap"
@@ -169,18 +170,21 @@ func oracleRun(n *Network, e *Endpoint, bounds []vtime.Time, a *simActor) (run [
 	}
 }
 
-// simActor is the driver's view of one endpoint's goroutine.
+// simActor is the simulation's view of one endpoint's owner.
 type simActor struct {
-	parked waitKind // what the driver parked it on (wNone: free to act)
-	// queued marks a request on the hand-off stack, out its sends,
-	// accounted once a drain takes the request. entered marks a request
+	parked waitKind // what the simulation parked it on (wNone: free to act)
+	// queued marks a request filed and not entered yet, out its sends,
+	// accounted once an Enter takes the request. entered marks a request
 	// the plane entered in the mutation in progress, before its first
 	// round; pre and preF are the endpoint's state and frontier when the
-	// driver made the request, and preOK says no call changed them since.
+	// simulation filed the request, and preOK says no call changed them
+	// since. readies counts the plane's Ready calls since the last serve
+	// round.
 	queued, entered, preOK bool
 	pre                    srcState
 	preF                   vtime.Time
 	out                    []*Msg
+	readies                int
 	// take is its pending receive's verdict script (nil: no take): Keep
 	// keeps more times, then final. took lists the messages the plane
 	// handed it since the last serve round.
@@ -206,14 +210,17 @@ type planeSim struct {
 	n      *Network
 	data   []byte
 	actors map[int]*simActor
-	ids    []int // every id the driver uses, endpoints or not
+	ids    []int // every id the simulation uses, endpoints or not
 	drift  vtime.Time
 	step   int
 	what   string // the call in progress, for messages
-	// tally counts what the run exercised: serves, requests a drain
-	// entered (turns among them), serve rounds past a mutation's first,
-	// and serve rounds that popped more than one message for one wait.
-	tally struct{ served, drained, drainedTurns, cascades, multiPops int }
+	// filed lists the requests filed and not entered yet.
+	filed []*Endpoint
+	// tally counts what the run exercised: serves, requests entered in a
+	// batch of several (turns among them), serve rounds past a mutation's
+	// first, and serve rounds that popped more than one message for one
+	// wait.
+	tally struct{ served, batched, batchedTurns, cascades, multiPops int }
 	first bool // the next round is its mutation's first
 	// traffic is the dense np×np accounting the accepted sends imply: App
 	// messages between application ranks, whatever the destination's
@@ -250,6 +257,12 @@ func (s *planeSim) actor(id int) *simActor {
 	}
 	return a
 }
+
+// Park is never called: the simulation enters its requests itself.
+func (s *planeSim) Park(e *Endpoint) { s.t.Fatalf("ep %d: Park called", e.id) }
+
+// Ready records the plane naming a settled wait.
+func (s *planeSim) Ready(e *Endpoint) { s.actor(e.id).readies++ }
 
 // round is the plane's waveHook: a serve round is about to run.
 func (s *planeSim) round() {
@@ -307,25 +320,14 @@ func (s *planeSim) checkLocked(what string, final bool) {
 	s.checkTrafficLocked(what)
 }
 
-// settleLocked checks e against what the driver and the oracle expect of
-// it: a parked waiter is served exactly when it was due, and a served one
-// carries exactly the result the oracle said, under one token.
+// settleLocked checks e against what the simulation and the oracle expect
+// of it: a parked waiter is served exactly when it was due, and a served
+// one carries exactly the result the oracle said, named to Ready once.
 func (s *planeSim) settleLocked(what string, e *Endpoint) {
 	s.t.Helper()
 	a := s.actor(e.id)
 	if a.queued {
-		for r := s.n.reqs.Load(); r != nil; r = r.reqNext {
-			if r == e {
-				return // still on the stack
-			}
-		}
-		a.queued = false
-		s.tally.drained++
-		if a.parked == wTurn {
-			s.tally.drainedTurns++
-		}
-		a.sendErr = s.account(a.out)
-		a.entered = true
+		return // not entered yet
 	}
 	if a.entered && !a.sendErr {
 		a.entered = false
@@ -335,8 +337,8 @@ func (s *planeSim) settleLocked(what string, e *Endpoint) {
 		return // entered, and not served before its first round
 	}
 	if a.parked == wNone {
-		if e.waiting != wNone {
-			s.t.Fatalf("step %d %s: ep %d waits on %d, the driver parked nothing", s.step, what, e.id, e.waiting)
+		if e.waiting != wNone || a.readies != 0 {
+			s.t.Fatalf("step %d %s: ep %d waits on %d with %d readies, the simulation parked nothing", s.step, what, e.id, e.waiting, a.readies)
 		}
 		return
 	}
@@ -347,8 +349,8 @@ func (s *planeSim) settleLocked(what string, e *Endpoint) {
 	case !served && (a.sendErr || a.due && a.done):
 		s.t.Fatalf("step %d %s: MISSED SERVE: ep %d was due and is still parked\n%s", s.step, what, e.id, s.dump())
 	case !served:
-		if e.waiting != a.parked {
-			s.t.Fatalf("step %d %s: ep %d waits on %d, the driver parked it on %d", s.step, what, e.id, e.waiting, a.parked)
+		if e.waiting != a.parked || a.readies != 0 {
+			s.t.Fatalf("step %d %s: ep %d waits on %d with %d readies, the simulation parked it on %d", s.step, what, e.id, e.waiting, a.readies, a.parked)
 		}
 		if a.due {
 			s.checkRunLocked(what, e, a, nil)
@@ -358,15 +360,8 @@ func (s *planeSim) settleLocked(what string, e *Endpoint) {
 		a.due, a.took = false, nil
 		return
 	}
-	select {
-	case <-e.wake:
-	default:
-		s.t.Fatalf("step %d %s: ep %d served without a token", s.step, what, e.id)
-	}
-	select {
-	case <-e.wake:
-		s.t.Fatalf("step %d %s: ep %d got two tokens", s.step, what, e.id)
-	default:
+	if a.readies != 1 {
+		s.t.Fatalf("step %d %s: ep %d served with %d readies, want one", s.step, what, e.id, a.readies)
 	}
 	m, err := e.got, e.err
 	e.got, e.err = nil, nil
@@ -565,26 +560,44 @@ func (s *planeSim) checkIndexLocked(what string, final bool) {
 
 func (s *planeSim) dump() string { return s.n.debugStateLocked() }
 
-// public runs one public call and checks the plane at every serve round
-// and after it. The call released the lock through unlock, which must have
-// drained the hand-off stack.
+// public runs one public call (none if f is nil), then enters the filed
+// requests, and checks the plane at every serve round of both and after
+// them.
 func (s *planeSim) public(what string, f func()) {
 	s.t.Helper()
 	s.what = what
-	if what != "drain" {
-		// The call may change a queued requester before its unlock drains
-		// the stack.
+	if f != nil {
+		// The call may change a filed requester before its Enter.
 		for _, a := range s.actors {
 			a.preOK = a.preOK && !a.queued
 		}
+		f()
 	}
-	f()
+	if len(s.filed) > 0 {
+		s.what = what + " enter"
+		s.enterFiled()
+	}
 	s.n.dmu.Lock()
 	defer s.n.dmu.Unlock()
-	s.checkLocked(what, true)
-	if s.n.reqs.Load() != nil {
-		s.t.Fatalf("step %d %s: LOST REQUEST: the call released the lock with receive requests on the stack", s.step, what)
+	s.checkLocked(s.what, true)
+}
+
+// enterFiled enters every filed request as one batch, accounting its sends
+// first.
+func (s *planeSim) enterFiled() {
+	for _, e := range s.filed {
+		a := s.actor(e.id)
+		a.queued, a.entered = false, true
+		a.sendErr = s.account(a.out)
+		if len(s.filed) > 1 {
+			s.tally.batched++
+			if a.parked == wTurn {
+				s.tally.batchedTurns++
+			}
+		}
 	}
+	s.n.Enter(s.filed)
+	s.filed = s.filed[:0]
 }
 
 // account adds what a send call enqueues to the driver's dense traffic
@@ -630,10 +643,10 @@ func (s *planeSim) msg(id int) *Msg {
 	return &Msg{Src: id, Dst: dst, Kind: kind, WireLen: wire, PiggyLen: piggy, SendVT: s.time()}
 }
 
-// request prepares e's request the way wait does — kind, out stamped, clock
-// or turn and, for a receive, no take or a seeded verdict script: Keep up to
-// three times, then Deliver or Stop — and parks its actor on it. A queued
-// request's sends are accounted when a drain takes it.
+// request files e's request the way wait does — kind, out, clock or turn
+// and, for a receive, no take or a seeded verdict script: Keep up to three
+// times, then Deliver or Stop — and parks its actor on it. A queued
+// request's sends are accounted when an Enter takes it.
 func (s *planeSim) request(e *Endpoint, kind waitKind, out []*Msg, at vtime.Time, queued bool) {
 	a := s.actor(e.id)
 	*a = simActor{parked: kind, queued: queued, entered: !queued, preOK: true, pre: e.state, preF: e.frontier, out: out}
@@ -650,28 +663,27 @@ func (s *planeSim) request(e *Endpoint, kind waitKind, out []*Msg, at vtime.Time
 			}
 		}
 	}
-	s.n.stampAll(out)
 	if !queued {
 		a.sendErr = s.account(out)
 	}
 	e.kind, e.out, e.at, e.take = kind, out, at, a.take
 }
 
-// enter is a wait — a FlushRecv or a FlushAwaitTurn — whose TryLock
-// succeeds: its request enters as a batch of one.
+// enter is a wait — a FlushRecv or a FlushAwaitTurn — entered at once, as
+// a batch of one.
 func (s *planeSim) enter(e *Endpoint, kind waitKind, out []*Msg, at vtime.Time) {
 	n := s.n
 	s.request(e, kind, out, at, false)
 	s.what = map[waitKind]string{wRecv: "recv", wTurn: "turn"}[kind]
+	n.Enter([]*Endpoint{e})
 	n.dmu.Lock()
 	defer n.dmu.Unlock()
-	n.receiveLocked([]*Endpoint{e})
 	s.checkLocked(s.what, true)
 }
 
-// requests are waits that lost the lock, receives and turns: each pushes
-// its request on the stack, where the next release of the lock — the next
-// public call, or a pusher's own drain — finds them all.
+// requests are waits filed for a batch, receives and turns: each files its
+// request, and an Enter takes them all, now or right after the next public
+// call.
 func (s *planeSim) requests() {
 	n := s.n
 	from := s.pick(len(n.epList))
@@ -690,11 +702,11 @@ func (s *planeSim) requests() {
 			kind = wTurn
 		}
 		s.request(e, kind, out, at, true)
-		n.pushRequest(e)
+		s.filed = append(s.filed, e)
 		k--
 	}
 	if s.pick(2) == 0 {
-		s.public("drain", n.drain)
+		s.public("batch", nil)
 	}
 }
 
@@ -722,6 +734,7 @@ func (s *planeSim) tryRecv(e *Endpoint, now vtime.Time) {
 func (s *planeSim) run() {
 	n := s.n
 	n.waveHook = s.round
+	n.SetDriver(s)
 	n.dmu.Lock()
 	s.checkLocked("initial", true)
 	n.dmu.Unlock()
@@ -841,28 +854,28 @@ func TestPlaneOracle(t *testing.T) {
 	if testing.Short() {
 		seeds = 40
 	}
-	var served, drained, drainedTurns, cascades, multiPops int
+	var served, batched, batchedTurns, cascades, multiPops int
 	for seed := 0; seed < seeds; seed++ {
 		data := make([]byte, steps)
 		rand.New(rand.NewSource(int64(seed))).Read(data)
 		s := runPlaneSim(t, data)
 		served += s.tally.served
-		drained += s.tally.drained
-		drainedTurns += s.tally.drainedTurns
+		batched += s.tally.batched
+		batchedTurns += s.tally.batchedTurns
 		cascades += s.tally.cascades
 		multiPops += s.tally.multiPops
 	}
-	t.Logf("%d serves, %d requests entered by a drain (%d turns), %d serve rounds past a mutation's first, %d steps popping more than one message",
-		served, drained, drainedTurns, cascades, multiPops)
-	if served == 0 || drainedTurns == 0 || drained == drainedTurns || cascades == 0 || multiPops == 0 {
-		t.Errorf("the seeds no longer exercise serves, drained receives and turns, serve cascades and multi-pop serves alike")
+	t.Logf("%d serves, %d requests entered in batches of several (%d turns), %d serve rounds past a mutation's first, %d steps popping more than one message",
+		served, batched, batchedTurns, cascades, multiPops)
+	if served == 0 || batchedTurns == 0 || batched == batchedTurns || cascades == 0 || multiPops == 0 {
+		t.Errorf("the seeds no longer exercise serves, batched receives and turns, serve cascades and multi-pop serves alike")
 	}
 }
 
 // FuzzPlaneOracle lets the fuzzer search for a mutation sequence on which
 // plane and oracle disagree. testdata/fuzz/FuzzPlaneOracle keeps inputs it
-// found that its four seeds never reach; batch-staleness (six bytes) is a
-// drained batch of receive requests in which only an endpoint entered after
+// found that its four seeds never reach; batch-staleness (six bytes) is an
+// Enter batch of receive requests in which only an endpoint entered after
 // the first two moves low3, so it fails if staleness is judged on fewer
 // than all the touched endpoints; keep-past-fence fails if a step pops on
 // past the death fence after a Keep, kept-marker-merge if a kept Marker

@@ -12,15 +12,20 @@ import (
 // comment ("Incremental bounds and change-driven wakeups") and DESIGN.md.
 
 // Counters are host-side work counters of one delivery plane, maintained
-// under the plane lock. All of them depend on goroutine scheduling — how far
-// a woken waiter got before the plane moved again, whether a message reached
-// a mailbox before or after the kill that wipes it — so they describe a run's
-// cost, never its outcome, and stay out of every byte-reproducible output.
+// under the plane lock. They count how the plane's callers interleaved —
+// which waits one Enter batch held, how far a served waiter got before the
+// plane moved again, whether a message reached a mailbox before or after
+// the kill that wipes it — so they describe a run's cost, never its
+// outcome, and stay out of every byte-reproducible output. They are as
+// reproducible as that interleaving: under the runtime's one driver per
+// run, which resumes ranks in an order fixed by the run alone, a run gives
+// the same counters on any number of cores; under the default Driver they
+// depend on goroutine scheduling.
 type Counters struct {
-	// Mutations counts plane mutations: sends, receive commits, deliveries,
+	// Mutations counts plane mutations: sends, wait entries, deliveries,
 	// publishes, quiesces, dooms, kills, restarts. A batch — the sends one
-	// call flushes, together with the block, publish or turn they precede —
-	// counts once.
+	// call flushes, together with the publish they precede, or every wait
+	// one Enter commits, with their sends — counts once.
 	Mutations int64
 	// Visited counts tree nodes touched plus waiters gate-checked: the
 	// plane's own work, O(log np) per mutation plus what it wakes.
@@ -41,7 +46,7 @@ type Counters struct {
 // Counters returns a snapshot of the plane's work counters.
 func (n *Network) Counters() Counters {
 	n.dmu.Lock()
-	defer n.unlock()
+	defer n.dmu.Unlock()
 	return n.ctr
 }
 
@@ -541,51 +546,10 @@ func (n *Network) wakeIfReadyLocked(e *Endpoint) {
 }
 
 // handOffLocked ends e's wait with the result in e.got and e.err: e leaves
-// the wake index and its owner gets the token. Nothing here touches e's
-// request after the token is sent: the owner may make the next at once.
-// The token goes out under the lock on purpose: the woken goroutine runs
-// on another core while the hold lasts, and the wait it makes next
-// joins the stack for this holder's next batch.
+// the wake index and is named to the Driver. Nothing here touches e's
+// request after Ready: its owner may make the next at once.
 func (n *Network) handOffLocked(e *Endpoint) {
 	e.waiting, e.parked, e.take = wNone, false, nil
 	n.indexWaiterLocked(e)
-	e.wake <- struct{}{}
-}
-
-// ---------------------------------------------------------------------------
-// The hand-off stack.
-
-// pushRequest puts e's request on the stack; the lock was taken.
-func (n *Network) pushRequest(e *Endpoint) {
-	for {
-		head := n.reqs.Load()
-		e.reqNext = head
-		if n.reqs.CompareAndSwap(head, e) {
-			return
-		}
-	}
-}
-
-// unlock releases the plane lock, then serves the request stack (drain).
-// Every release of dmu goes through it: a wait that found the lock taken
-// left its request on the stack, and the release of whoever held the lock
-// then is where it is picked up.
-func (n *Network) unlock() {
-	n.dmu.Unlock()
-	n.drain()
-}
-
-// drain enters the queued requests, one batch per lock hold, for as
-// long as there are any and the lock is free. It runs after every release
-// and after every push, so no request is left behind: a pusher whose TryLock
-// fails lost to a holder that has yet to release and to drain.
-func (n *Network) drain() {
-	for n.reqs.Load() != nil && n.dmu.TryLock() {
-		n.batch = n.batch[:0]
-		for e := n.reqs.Swap(nil); e != nil; e = e.reqNext {
-			n.batch = append(n.batch, e)
-		}
-		n.receiveLocked(n.batch)
-		n.dmu.Unlock()
-	}
+	n.drv.Ready(e)
 }

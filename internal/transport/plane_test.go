@@ -8,14 +8,15 @@ import (
 	"hydee/internal/vtime"
 )
 
-// parkInRecv parks rank's endpoint in Recv(0) through the locked step Recv
-// takes, without a goroutine; its head must not be deliverable.
+// parkInRecv parks rank's endpoint in Recv(0) through the Enter that
+// Recv's Park makes, without a goroutine; its head must not be
+// deliverable.
 func parkInRecv(tb testing.TB, n *Network, rank int) {
 	e := n.Endpoint(rank)
+	e.kind, e.at, e.wake = wRecv, 0, make(chan struct{}, 1)
+	n.Enter([]*Endpoint{e})
 	n.dmu.Lock()
-	defer n.unlock()
-	e.kind, e.at = wRecv, 0
-	n.receiveLocked([]*Endpoint{e})
+	defer n.dmu.Unlock()
 	if e.waiting == wNone {
 		tb.Fatalf("rank %d: Recv did not have to wait (err %v)", rank, e.err)
 	}

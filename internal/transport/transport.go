@@ -29,8 +29,8 @@
 // something itself, so its bound rises transitively), and when the
 // supervisor attaches, quiesces, kills or restarts them (Publish, Quiesce,
 // Kill, RestartAt). The chosen message is therefore a pure function of
-// virtual time, independent of goroutine scheduling: gating can delay a
-// delivery in real time, never reorder it.
+// virtual time, independent of the order the plane's callers run in: gating
+// can delay a delivery in real time, never reorder it.
 //
 // Because any source can send to any destination, the transitive bound has
 // a closed form: with m1 the smallest "self cap" over all sources (a
@@ -54,40 +54,37 @@
 // evaluated once per relevant change, not once per mutation — no broadcast
 // herds, and no hand-made wake-up edges to get wrong.
 //
-// Serve rule: whoever holds the plane lock finishes the waits its mutation
+// Serve rule: whoever mutates the plane finishes the waits its mutation
 // unblocks. A parked wait — receive or turn — whose condition holds is
-// served under the lock: a receive runs its step with the clock and take
-// it parked with (pops under the take rule, or is reaped, or gets
-// ErrKilled), a turn is granted or refused. A token on the wake channel,
-// of capacity 1 since an endpoint has at most one outstanding wait, hands
-// the result over. The holder settles the wait exactly as the owner would
-// have: a receive's gate and a turn's condition are both stable (bounds
-// only rise past a passed gate or a granted turn; rewinds are covered by
-// the latent recovery source). A serve changes the served endpoint, so
+// served inside the mutation: a receive runs its step with the clock and
+// take it parked with (pops under the take rule, or is reaped, or gets
+// ErrKilled), a turn is granted or refused, and the endpoint is named to
+// the network's Driver (Ready), whose Park hands the result to the waiter.
+// The mutation settles the wait exactly as the owner would have: a
+// receive's gate and a turn's condition are both stable (bounds only rise
+// past a passed gate or a granted turn; rewinds are covered by the latent
+// recovery source). A serve changes the served endpoint, so
 // planeChangedLocked repeats its round until one serves nobody.
 //
-// # One mutation per rank step
+// # One mutation per batch
 //
 // A mutation may be a batch: planeChangedLocked takes every endpoint a call
 // touched, re-keys them all, judges low3's staleness once against the
 // triple before the batch, recomputes it at most once and runs one wake
 // pass per serve round, and Counters count the batch as one mutation.
-// Send is the batch of one; there is no other mutation path.
-//
-// Hand-off queue: a wait — receive or turn — whose TryLock fails pushes its
-// request — kind, outbox, clock or turn, take — onto a lock-free stack and
-// waits for its token. Every release of the lock goes through unlock, which
-// drains the stack while it is non-empty and the lock free, so no request
-// is left behind: the holder the pusher lost to has yet to release. A
-// drained batch, receives and turns mixed, is one mutation; a wait whose
-// TryLock succeeds is a batch of one.
+// Send is the batch of one. Enter is the batch of waits: every filed
+// request's sends are enqueued and every requester committed to its wait,
+// receives and turns mixed, before one serve pass. The runtime's driver
+// files the waits of every rank it has run and enters them all at once;
+// the default Driver enters each wait alone.
 //
 // Outbox rule: a source may buffer its sends and hand them over with its
-// next wait — receive or turn — or its next FlushPublish, under that call's
-// lock hold and inside its mutation, or with SendBatch before it reports
-// anything to whoever supervises it. No buffered send can be undercut by
-// what the plane admits meanwhile: its SendVT is at or above the sender's
-// published frontier, so it arrives no earlier than that frontier plus the
+// next wait — receive or turn —, inside the Enter batch that commits it to
+// that wait, or with its next FlushPublish, or with SendBatch before it
+// reports anything to whoever supervises it. No buffered send can be
+// undercut by what the plane admits meanwhile, however many other
+// mutations come first: its SendVT is at or above the sender's published
+// frontier, so it arrives no earlier than that frontier plus the
 // lookahead, behind the sender's id on ties — exactly the keys the gate
 // already holds back for a running source. Its channel clamp and sequence
 // number depend only on the sender's own earlier sends.
@@ -134,7 +131,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"hydee/internal/netmodel"
 	"hydee/internal/vtime"
@@ -263,8 +259,8 @@ const (
 	stDead
 )
 
-// waitKind says what an endpoint's goroutine is parked on, so a mutation
-// can serve exactly the waiters whose condition now holds.
+// waitKind says what an endpoint's owner is parked on, so a mutation can
+// serve exactly the waiters whose condition now holds.
 type waitKind uint8
 
 const (
@@ -306,20 +302,18 @@ type Endpoint struct {
 	state    srcState
 	frontier vtime.Time
 
-	// A request (the package comment's hand-off queue) is what the owner
-	// asks for before it waits: kind, at — the clock its receive blocks
-	// with, merged as its take rule says, or the turn it asks for —, take,
-	// and out, the sends the plane enqueues first; reqNext links the request
-	// stack. waiting says what the endpoint's goroutine waits for once the
-	// plane entered the request (the serve rule), and parked marks a wait
-	// that outlasted the mutation entering it (Counters.Parks). got and err
-	// are the result the serving goroutine leaves; a token on wake hands
-	// them over.
+	// A request is what the owner files before it waits: kind, at — the
+	// clock its receive blocks with, merged as its take rule says, or the
+	// turn it asks for —, take, and out, the sends the plane enqueues
+	// first. waiting says what the owner waits for once Enter entered the
+	// request (the serve rule), and parked marks a wait that outlasted the
+	// mutation entering it (Counters.Parks). got and err are the result the
+	// serving mutation leaves. wake is the goroutine Driver's token channel,
+	// made at the endpoint's first wait under it.
 	kind    waitKind
 	at      vtime.Time
 	take    func(*Msg) Verdict
 	out     []*Msg
-	reqNext *Endpoint
 	waiting waitKind
 	parked  bool
 	got     *Msg
@@ -365,7 +359,6 @@ func newEndpoint(n *Network, id int, state srcState) *Endpoint {
 		n:      n,
 		state:  state,
 		doomVT: infTime,
-		wake:   make(chan struct{}, 1),
 	}
 }
 
@@ -398,10 +391,10 @@ func (e *Endpoint) Recv(now vtime.Time) (*Msg, error) { return e.FlushRecv(nil, 
 //
 // take, when not nil, says what the caller does with each popped message
 // (the take rule); a receive ends at the first Deliver, returning the
-// message, or Stop, returning none. It runs under the plane lock, possibly
-// on another goroutine — whichever holds the lock when the message becomes
-// deliverable — while the caller waits: it writes only state the caller
-// leaves frozen meanwhile and never calls into the network. Without take
+// message, or Stop, returning none. It runs under the plane lock, inside
+// whichever mutation finds the message deliverable, while the caller
+// waits: it writes only state the caller leaves frozen meanwhile and never
+// calls into the network. Without take
 // every message is delivered, an App message at the clock now.
 func (e *Endpoint) FlushRecv(out []*Msg, now vtime.Time, take func(*Msg) Verdict) (*Msg, error) {
 	return e.wait(wRecv, out, now, take)
@@ -440,30 +433,62 @@ func (e *Endpoint) FlushAwaitTurn(out []*Msg, vt vtime.Time) error {
 }
 
 // wait is every wait's one path into the plane: it files e's request and
-// enters it under the lock if TryLock succeeds, else hands it to the holder
-// through the request stack, then waits for the token.
+// parks it with the network's Driver, which enters it (Enter) and returns
+// once the plane has settled it.
 func (e *Endpoint) wait(kind waitKind, out []*Msg, at vtime.Time, take func(*Msg) Verdict) (*Msg, error) {
-	n := e.n
-	n.stampAll(out)
 	e.kind, e.out, e.at, e.take = kind, out, at, take
-	if n.dmu.TryLock() {
-		n.batch = append(n.batch[:0], e)
-		n.receiveLocked(n.batch)
-		n.unlock()
-	} else {
-		n.pushRequest(e)
-		n.drain()
-	}
-	<-e.wake
+	e.n.drv.Park(e)
 	m, err := e.got, e.err
 	e.got, e.err = nil, nil
 	return m, err
 }
 
-// receiveLocked enters the requests of batch, receives and turns alike, as
-// one mutation: every requester's sends are enqueued and every requester
-// committed to its wait, then planeChangedLocked serves whoever can pass
-// already; the rest park.
+// Driver is how the plane's waits wait. A wait files its request on its
+// endpoint and calls Park, which must get the request entered — Enter,
+// alone or in a batch with other filed requests — and return once the
+// plane has named the endpoint to Ready. Ready runs under the plane lock,
+// inside the mutation that settled the wait, so it must not call into the
+// network. An endpoint has at most one wait outstanding.
+type Driver interface {
+	Park(e *Endpoint)
+	Ready(e *Endpoint)
+}
+
+// goroutines is the default Driver, for callers that give every endpoint
+// its own goroutine: Park enters the wait alone and blocks on a token that
+// Ready sends. The channel has room for the one token an endpoint's one
+// outstanding wait can get, so Ready never blocks.
+type goroutines struct{}
+
+func (goroutines) Park(e *Endpoint) {
+	if e.wake == nil {
+		e.wake = make(chan struct{}, 1)
+	}
+	e.n.Enter([]*Endpoint{e})
+	<-e.wake
+}
+
+func (goroutines) Ready(e *Endpoint) { e.wake <- struct{}{} }
+
+// SetDriver makes d the Driver of every later wait. Call it before the
+// first one.
+func (n *Network) SetDriver(d Driver) { n.drv = d }
+
+// Enter enters the requests filed on batch, receives and turns alike, as
+// one plane mutation: every requester's sends are enqueued and every
+// requester committed to its wait, then the mutation serves whoever can
+// pass already — naming each to the Driver — and the rest park until a
+// later mutation serves them. batch is cleared.
+func (n *Network) Enter(batch []*Endpoint) {
+	for _, e := range batch {
+		n.stampAll(e.out)
+	}
+	n.dmu.Lock()
+	defer n.dmu.Unlock()
+	n.receiveLocked(batch)
+}
+
+// receiveLocked is Enter under the lock.
 func (n *Network) receiveLocked(batch []*Endpoint) {
 	for _, e := range batch {
 		e.requestLocked()
@@ -596,7 +621,7 @@ func (e *Endpoint) takeLocked(m *Msg) bool {
 func (e *Endpoint) TryRecv(now vtime.Time) (m *Msg, ok bool, err error) {
 	n := e.n
 	n.dmu.Lock()
-	defer n.unlock()
+	defer n.dmu.Unlock()
 	if e.state == stDead {
 		return nil, false, ErrKilled
 	}
@@ -647,12 +672,9 @@ type Network struct {
 	// the lookahead of the conservative delivery gate.
 	minLat vtime.Duration
 
-	// dmu is the plane lock; every release goes through unlock. reqs is
-	// the hand-off stack of receive requests that found it taken, linked
-	// through Endpoint.reqNext; batch is receiveLocked's reused buffer.
-	dmu   sync.Mutex
-	reqs  atomic.Pointer[Endpoint]
-	batch []*Endpoint
+	// dmu is the plane lock. drv is the Driver every wait parks with.
+	dmu sync.Mutex
+	drv Driver
 	// eps holds the application ranks' endpoints, by rank. epList holds
 	// every endpoint, service ones included, sorted by id; an endpoint's
 	// position in it is its leaf in the trees below.
@@ -706,6 +728,7 @@ func NewNetwork(np int, model netmodel.Model) *Network {
 		eps:    make([]*Endpoint, np),
 		inc:    make([]int32, np),
 		np:     np,
+		drv:    goroutines{},
 	}
 	for i := range n.eps {
 		n.eps[i] = newEndpoint(n, i, stRunning)
@@ -738,7 +761,7 @@ func (n *Network) Endpoint(id int) *Endpoint {
 		return n.eps[id]
 	}
 	n.dmu.Lock()
-	defer n.unlock()
+	defer n.dmu.Unlock()
 	return n.endpointLocked(id)
 }
 
@@ -777,7 +800,7 @@ func (n *Network) lookupLocked(id int) (*Endpoint, int) {
 // rounds' receives and turns.
 func (n *Network) DeclareRecovery(id int) *Endpoint {
 	n.dmu.Lock()
-	defer n.unlock()
+	defer n.dmu.Unlock()
 	was := n.latent
 	n.latent = n.endpointLocked(id)
 	n.planeChangedLocked(n.latent, was)
@@ -787,7 +810,7 @@ func (n *Network) DeclareRecovery(id int) *Endpoint {
 // Incs returns a copy of the current incarnation of every application rank.
 func (n *Network) Incs() []int32 {
 	n.dmu.Lock()
-	defer n.unlock()
+	defer n.dmu.Unlock()
 	return append([]int32(nil), n.inc...)
 }
 
@@ -798,7 +821,7 @@ func (n *Network) IncOf(rank int) int32 {
 		return 0
 	}
 	n.dmu.Lock()
-	defer n.unlock()
+	defer n.dmu.Unlock()
 	return n.inc[rank]
 }
 
@@ -816,7 +839,7 @@ func (n *Network) Send(m *Msg) error { return n.SendBatch([]*Msg{m}) }
 func (n *Network) SendBatch(out []*Msg) error {
 	n.stampAll(out)
 	n.dmu.Lock()
-	defer n.unlock()
+	defer n.dmu.Unlock()
 	err := n.enqueueAllLocked(out)
 	n.planeChangedLocked()
 	return err
@@ -923,7 +946,7 @@ func (e *Endpoint) FlushPublish(out []*Msg, vt vtime.Time) error {
 	n := e.n
 	n.stampAll(out)
 	n.dmu.Lock()
-	defer n.unlock()
+	defer n.dmu.Unlock()
 	err := n.enqueueAllLocked(out)
 	if err == nil && e.state != stDead && (e.state != stRunning || vt > e.frontier) {
 		e.state = stRunning
@@ -945,7 +968,7 @@ func (n *Network) Quiesce(id int) {
 		e.state = stIdle
 		n.planeChangedLocked(e)
 	}
-	n.unlock()
+	n.dmu.Unlock()
 }
 
 // AwaitTurn is FlushAwaitTurn on id's endpoint with nothing to flush.
@@ -1036,10 +1059,10 @@ func (n *Network) turnPassLocked(e *Endpoint, vt vtime.Time) bool {
 // DebugState renders the delivery plane (states, frontiers, bounds, queue
 // heads, and for each blocked endpoint whose head is held back the low3
 // entry pinning it) and the plane's work counters, for deadlock diagnostics;
-// the runtime includes it in watchdog errors.
+// the runtime includes it in its deadlock errors.
 func (n *Network) DebugState() string {
 	n.dmu.Lock()
-	defer n.unlock()
+	defer n.dmu.Unlock()
 	return n.debugStateLocked()
 }
 
@@ -1084,7 +1107,7 @@ func (n *Network) pinLocked(dst *Endpoint, m *Msg) boundRef {
 // per channel used, O(edges) rather than np².
 func (n *Network) Stats() []Traffic {
 	n.dmu.Lock()
-	defer n.unlock()
+	defer n.dmu.Unlock()
 	return n.statsLocked()
 }
 
@@ -1134,7 +1157,7 @@ func (n *Network) Doom(id int, d vtime.Time) {
 		e.doomVT = d
 		n.planeChangedLocked(e)
 	}
-	n.unlock()
+	n.dmu.Unlock()
 }
 
 // Kill marks id dead: wipes its mailbox and wakes any blocked receiver with
@@ -1155,7 +1178,7 @@ func (n *Network) Doom(id int, d vtime.Time) {
 // delivered just before the failure.
 func (n *Network) Kill(id int) int32 {
 	n.dmu.Lock()
-	defer n.unlock()
+	defer n.dmu.Unlock()
 	e, _ := n.lookupLocked(id)
 	if e == nil {
 		return 0
@@ -1193,7 +1216,7 @@ func (n *Network) RestartAt(rank int, vt vtime.Time) {
 	e.frontier = vt
 	e.q = nil
 	n.planeChangedLocked(e)
-	n.unlock()
+	n.dmu.Unlock()
 }
 
 // AttachAt marks id running with its send frontier at exactly vt,
@@ -1213,24 +1236,24 @@ func (n *Network) AttachAt(id int, vt vtime.Time) {
 		e.doomVT = infTime
 		n.planeChangedLocked(e)
 	}
-	n.unlock()
+	n.dmu.Unlock()
 }
 
 // Quiescent reports whether the plane is truly stuck: exactly expected
-// goroutines are parked (in a receive or a turn) and no request is waiting
-// to be entered. None of their conditions holds — a mutation serves a
-// waiter the moment its condition holds — so a true result is a stable
-// property: no parked goroutine can run again until the caller mutates the
-// plane. The runtime never asks; tests and the benchmark's transport probe
-// use it to wait until their goroutines have parked.
+// waits are parked (in a receive or a turn). None of their conditions
+// holds — a mutation serves a waiter the moment its condition holds — so a
+// true result is a stable property: no parked wait can end until the
+// caller mutates the plane. The runtime never asks; tests and the
+// benchmark's transport probe use it to wait until their goroutines have
+// parked.
 func (n *Network) Quiescent(expected int) bool {
 	n.dmu.Lock()
-	defer n.unlock()
+	defer n.dmu.Unlock()
 	parked := 0
 	for _, e := range n.epList {
 		if e.waiting != wNone {
 			parked++
 		}
 	}
-	return parked == expected && n.reqs.Load() == nil
+	return parked == expected
 }

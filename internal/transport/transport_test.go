@@ -223,7 +223,7 @@ func TestKillWipesMailboxAndUnblocks(t *testing.T) {
 	ep := n.Endpoint(1)
 	queued := func() int {
 		n.dmu.Lock()
-		defer n.unlock()
+		defer n.dmu.Unlock()
 		return len(ep.q)
 	}
 	done := make(chan error, 1)
@@ -433,19 +433,20 @@ func TestDeliverySequenceIsSchedulingIndependent(t *testing.T) {
 }
 
 // TestRecvAndTurnHandOffUnderContention: 64 goroutines ping-pong through
-// FlushRecv, a marker the take keeps ahead of every message, and 8 more take turns with FlushAwaitTurn, each turn flushing a
-// send, while another cycles Publish, Doom and TryRecv on a spare endpoint,
-// so the plane lock is contended from every side and receive and turn
-// requests keep landing on the hand-off stack together. Every wait must
-// return — a request left on the stack with the lock free hangs its
-// goroutine, and the deadline fails the test —, every receive with the
-// message it waited for, every turn granted in (vt, id) order across the
-// turn takers, and the plane must end quiescent, every park served once.
-// make determinism runs it under the race detector on one, two and eight
-// cores; the take each receive passes reads its goroutine's round and
-// counts what it is handed, so the detector also checks that the serving
-// goroutine sees what the owner wrote before it waited, and the owner what
-// the serving goroutine wrote.
+// FlushRecv, a marker the take keeps ahead of every message, and 8 more
+// take turns with FlushAwaitTurn, each turn flushing a send, while another
+// cycles Publish, Doom and TryRecv on a spare endpoint, so under the
+// default goroutine Driver the plane lock is contended from every side and
+// most waits are served by another goroutine's mutation. Every wait must
+// return — a serve whose token is lost hangs its goroutine, and the
+// deadline fails the test —, every receive with the message it waited
+// for, every turn granted in (vt, id) order across the turn takers, and
+// the plane must end quiescent, every park served once. make determinism
+// runs it under the race detector on one, two and eight cores; the take
+// each receive passes reads its goroutine's round and counts what it is
+// handed, so the detector also checks that the serving goroutine sees what
+// the owner wrote before it waited, and the owner what the serving
+// goroutine wrote.
 func TestRecvAndTurnHandOffUnderContention(t *testing.T) {
 	const ranks, takers, rounds, spare = 64, 8, 300, 64
 	n := NewNetwork(ranks+1+takers, netmodel.Myrinet10G())
@@ -538,8 +539,7 @@ func TestRecvAndTurnHandOffUnderContention(t *testing.T) {
 	select {
 	case <-cyclerDone:
 	case <-time.After(60 * time.Second):
-		lost := n.reqs.Load() != nil
-		t.Fatalf("waits still blocked after 60s (requests left on the stack: %v); plane:\n%s", lost, n.DebugState())
+		t.Fatalf("waits still blocked after 60s; plane:\n%s", n.DebugState())
 	}
 	close(errs)
 	for err := range errs {
