@@ -63,11 +63,16 @@ determinism:
 # The multi-failure bug ROADMAP item 1 has to fix (internal/mpi/
 # knownbugs_test.go, build tag knownbugs). The result is INVERTED: exit 0
 # while it still reproduces (naming it), non-zero once it does not — the
-# signal to delete the tag and fold the test into `determinism`.
+# signal to delete the tag and fold the test into `determinism`. A test
+# file that does not build is its own failure (exit 2), never a fixed bug.
 # Not part of `check`.
 known-bugs:
 	@out="$$($(GO) test -tags knownbugs -run KnownBug -count=1 ./internal/mpi 2>&1)"; \
-	if printf '%s\n' "$$out" | grep -q '^--- FAIL: TestKnownBug'; then \
+	if printf '%s\n' "$$out" | grep -q -e '\[build failed\]' -e '\[setup failed\]'; then \
+		printf '%s\n' "$$out"; \
+		echo "the knownbugs tests do not build"; \
+		exit 2; \
+	elif printf '%s\n' "$$out" | grep -q '^--- FAIL: TestKnownBug'; then \
 		echo "known bugs still reproducing:"; \
 		printf '%s\n' "$$out" | grep -A1 '^--- FAIL: TestKnownBug' | cut -c1-400; \
 	else \
@@ -149,8 +154,12 @@ smoke-cli:
 	done; \
 	ls "$$tmp"/run-*.jsonl "$$tmp"/ckpt/ckpt-*.hysn >/dev/null
 
+# Files behind build tags are vetted too, so they cannot stop compiling
+# unnoticed.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags knownbugs ./internal/mpi
+	$(GO) vet -tags smoke16k .
 
 # Static analysis beyond vet: hydee's own determinism analyzers first
 # (wallclock, maprange, lockdiscipline, selectorder — see DESIGN.md

@@ -3,7 +3,6 @@ package hydee
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"hydee/internal/mpi"
 )
@@ -205,17 +204,6 @@ func WithStoreSpec(s StoreSpec) Option {
 		}
 		e.store = s
 		e.cfg.Store = nil
-		return nil
-	}
-}
-
-// WithWatchdog sets the real-time livelock guard: a run whose ranks keep
-// running with no supervisor event for d ends in ErrDeadlock (a deadlock
-// is reported at once, with no timer). 0 keeps the 60s default, and New
-// refuses d < 0. Prefer context deadlines for external time budgets.
-func WithWatchdog(d time.Duration) Option {
-	return func(e *Engine) error {
-		e.cfg.Watchdog = d
 		return nil
 	}
 }

@@ -62,7 +62,6 @@ func TestEngineOptionErrors(t *testing.T) {
 		{"nil topology", []hydee.Option{hydee.WithTopology(nil)}},
 		{"unknown model", []hydee.Option{hydee.WithRanks(2), modelNamed("infiniband")}},
 		{"negative ckpt", []hydee.Option{hydee.WithRanks(2), hydee.WithCheckpointEvery(-1)}},
-		{"negative watchdog", []hydee.Option{hydee.WithRanks(2), hydee.WithWatchdog(-time.Second)}},
 		{"topology mismatch", []hydee.Option{hydee.WithRanks(3), hydee.WithTopology(hydee.SingleCluster(2))}},
 	}
 	for _, tc := range cases {
@@ -168,7 +167,7 @@ func TestEngineCancelReturnsFastAndReapsGoroutines(t *testing.T) {
 			}
 		}
 	}
-	eng, err := hydee.New(hydee.WithRanks(16), hydee.WithWatchdog(time.Minute))
+	eng, err := hydee.New(hydee.WithRanks(16))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,8 @@ var (
 	// deadline expired.
 	ErrCanceled = mpi.ErrCanceled
 	// ErrDeadlock reports that no rank can run and the run is not over —
-	// a deadlocked program — or that the watchdog saw ranks keep running
-	// with no progress (livelock).
+	// a deadlocked program. A run that never ends (a livelock) is bounded
+	// only by its context.
 	ErrDeadlock = mpi.ErrDeadlock
 	// ErrNotSendDeterministic reports an execution that violated the
 	// send-determinism assumption the protocol relies on.

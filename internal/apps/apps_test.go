@@ -2,7 +2,6 @@ package apps_test
 
 import (
 	"testing"
-	"time"
 
 	"hydee/internal/apps"
 	"hydee/internal/core"
@@ -28,7 +27,6 @@ func runKernel(t *testing.T, k apps.Kernel, np, iters int, prot rollback.Protoco
 		Failures:        sched,
 		CheckpointEvery: ckpt,
 		Recorder:        rec,
-		Watchdog:        60 * time.Second,
 	}, prog)
 	if err != nil {
 		t.Fatalf("%s: %v", k.Name, err)
@@ -173,7 +171,6 @@ func TestRingAndStencilProgramsRecover(t *testing.T) {
 			res, err := mpi.Run(mpi.Config{
 				NP: 6, Topo: topo, Protocol: core.New(),
 				CheckpointEvery: 3, Failures: sched,
-				Watchdog: 30 * time.Second,
 			}, prog)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)

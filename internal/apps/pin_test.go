@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"testing"
-	"time"
 
 	"hydee/internal/apps"
 	"hydee/internal/core"
@@ -57,7 +56,7 @@ func kernelPin(name string) func(np int) (mpi.Program, error) {
 // clusters (one at np 1) checkpointing every second step.
 func pinRun(t *testing.T, prog mpi.Program, np int, hydee bool) pinned {
 	t.Helper()
-	cfg := mpi.Config{NP: np, Model: netmodel.Myrinet10G(), Protocol: rollback.Native(), Watchdog: 60 * time.Second}
+	cfg := mpi.Config{NP: np, Model: netmodel.Myrinet10G(), Protocol: rollback.Native()}
 	if hydee {
 		assign := make([]int, np)
 		for r := range assign {

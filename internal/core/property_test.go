@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"hydee/internal/apps"
 	"hydee/internal/core"
@@ -34,7 +33,6 @@ func runDAG(t *testing.T, seed int64, rounds int, sched []failure.Event, ckptEve
 		Failures:        sched,
 		Recorder:        rec,
 		CheckpointEvery: ckptEvery,
-		Watchdog:        60 * time.Second,
 	}, apps.RandomDAG(seed, rounds, 3, 4096))
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
@@ -143,7 +141,6 @@ func TestMasterWorkerIsNotSendDeterministic(t *testing.T) {
 			NP:       5,
 			Protocol: rollback.Native(),
 			Model:    netmodel.Myrinet10G(),
-			Watchdog: 30 * time.Second,
 		}, apps.MasterWorker(60))
 		if err != nil {
 			t.Fatal(err)

@@ -6,7 +6,6 @@ package core_test
 
 import (
 	"testing"
-	"time"
 
 	"hydee/internal/apps"
 	"hydee/internal/core"
@@ -25,7 +24,6 @@ func runStencil(t *testing.T, prot rollback.Protocol, assign []int, iters, ckptE
 		Model:           netmodel.Myrinet10G(),
 		CheckpointEvery: ckptEvery,
 		Failures:        sched,
-		Watchdog:        60 * time.Second,
 	}, apps.Stencil2D(iters, 32*1024))
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ package core_test
 
 import (
 	"testing"
-	"time"
 
 	"hydee/internal/core"
 	"hydee/internal/failure"
@@ -96,7 +95,6 @@ func runFig(t *testing.T, sched []failure.Event) (*mpi.Result, map[int]int) {
 		Model:    netmodel.Myrinet10G(),
 		Failures: sched,
 		Recorder: rec,
-		Watchdog: 30 * time.Second,
 	}, figProgram)
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"time"
 
 	"hydee/internal/apps"
 	"hydee/internal/checkpoint"
@@ -93,8 +92,6 @@ type Spec struct {
 	NewStore func(topo *rollback.Topology) (checkpoint.Store, error)
 	// Recorder optionally records application-level events.
 	Recorder *trace.Recorder
-	// Watchdog overrides the livelock guard (mpi.Config.Watchdog).
-	Watchdog time.Duration
 }
 
 // Summary is the aggregated outcome of one run.
@@ -208,7 +205,6 @@ func RunCtx(ctx context.Context, s Spec) (*Summary, error) {
 		CheckpointStagger: s.Stagger,
 		Failures:          s.Failures,
 		Recorder:          s.Recorder,
-		Watchdog:          s.Watchdog,
 	}, prog)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s/%s: %w", s.Kernel.Name, s.Proto, err)

@@ -3,7 +3,6 @@ package mpi_test
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"hydee/internal/core"
 	"hydee/internal/failure"
@@ -27,7 +26,6 @@ func runColl(t *testing.T, np int, prog mpi.Program) *mpi.Result {
 		NP:       np,
 		Topo:     rollback.NewTopology(assign),
 		Protocol: core.New(),
-		Watchdog: 30 * time.Second,
 	}, prog)
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +229,7 @@ func TestCollectivesSurviveFailure(t *testing.T) {
 	run := func(failures []failure.Event) *mpi.Result {
 		res, err := mpi.Run(mpi.Config{
 			NP: np, Topo: rollback.NewTopology(assign), Protocol: core.New(),
-			CheckpointEvery: 3, Failures: failures, Watchdog: 30 * time.Second,
+			CheckpointEvery: 3, Failures: failures,
 		}, prog)
 		if err != nil {
 			t.Fatal(err)

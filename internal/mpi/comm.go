@@ -76,7 +76,6 @@ func (c *Comm) Recv(src, tag int) ([]byte, Status, error) {
 // Compute advances the process's virtual clock by d of local work.
 func (c *Comm) Compute(d vtime.Duration) error {
 	c.p.clock.Advance(d)
-	c.p.publish()
 	return c.p.maybeFail()
 }
 

@@ -10,7 +10,6 @@ package mpi
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"hydee/internal/checkpoint"
 	"hydee/internal/failure"
@@ -60,17 +59,6 @@ type Config struct {
 	// (checkpoints, failures, recovery rounds, completion). Use
 	// NewLogObserver for a human-readable debug stream.
 	Observer Observer
-	// Watchdog aborts the run with ErrDeadlock if its ranks keep running
-	// without a supervisor event for this real duration (livelock guard;
-	// a deadlock is reported at once); 0 defaults to 60s.
-	Watchdog time.Duration
-}
-
-func (cfg *Config) watchdog() time.Duration {
-	if cfg.Watchdog > 0 {
-		return cfg.Watchdog
-	}
-	return 60 * time.Second
 }
 
 // Validate reports whether the configuration is runnable without mutating
@@ -83,9 +71,6 @@ func (cfg *Config) normalize() error {
 	}
 	if cfg.CheckpointEvery < 0 {
 		return fmt.Errorf("mpi: CheckpointEvery must be >= 0, got %d", cfg.CheckpointEvery)
-	}
-	if cfg.Watchdog < 0 {
-		return fmt.Errorf("mpi: Watchdog must be >= 0, got %v", cfg.Watchdog)
 	}
 	if cfg.Model == nil {
 		cfg.Model = netmodel.Ideal()

@@ -5,7 +5,6 @@ package mpi
 
 import (
 	"testing"
-	"time"
 
 	"hydee/internal/rollback"
 )
@@ -18,7 +17,6 @@ func TestNormalizeRejectsBadConfigs(t *testing.T) {
 		{"zero NP", Config{NP: 0}},
 		{"negative NP", Config{NP: -4}},
 		{"negative CheckpointEvery", Config{NP: 2, CheckpointEvery: -1}},
-		{"negative Watchdog", Config{NP: 2, Watchdog: -time.Second}},
 		{"topology/NP mismatch", Config{NP: 3, Topo: rollback.SingleCluster(2)}},
 		{"invalid topology", Config{NP: 2, Topo: rollback.NewTopology([]int{0, 2})}},
 	}
@@ -52,9 +50,6 @@ func TestNormalizeAppliesDefaults(t *testing.T) {
 	}
 	if cfg.Store == nil {
 		t.Error("Store default missing")
-	}
-	if cfg.watchdog() != 60*time.Second {
-		t.Errorf("watchdog default: %v", cfg.watchdog())
 	}
 }
 

@@ -61,7 +61,7 @@ func TestRunContextCancelUnwindsDeadlock(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := mpi.RunContext(ctx, mpi.Config{NP: 8, Watchdog: time.Minute}, livelocked)
+		_, err := mpi.RunContext(ctx, mpi.Config{NP: 8}, livelocked)
 		errCh <- err
 	}()
 	time.Sleep(50 * time.Millisecond) // let the token go round
@@ -87,7 +87,7 @@ func TestRunContextCancelUnwindsDeadlock(t *testing.T) {
 func TestRunContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, err := mpi.RunContext(ctx, mpi.Config{NP: 2, Watchdog: time.Minute}, livelocked)
+	_, err := mpi.RunContext(ctx, mpi.Config{NP: 2}, livelocked)
 	if !errors.Is(err, mpi.ErrCanceled) {
 		t.Fatalf("want ErrCanceled on deadline, got %v", err)
 	}
@@ -98,7 +98,7 @@ func TestRunContextAlreadyCanceled(t *testing.T) {
 	cancel()
 	var events []mpi.EventKind
 	_, err := mpi.RunContext(ctx, mpi.Config{
-		NP: 2, Watchdog: time.Minute,
+		NP:       2,
 		Observer: mpi.ObserverFunc(func(ev mpi.Event) { events = append(events, ev.Kind) }),
 	}, deadlocked)
 	if !errors.Is(err, mpi.ErrCanceled) {
@@ -114,7 +114,7 @@ func TestRunContextAlreadyCanceled(t *testing.T) {
 func TestRunContextCleanRunIgnoresContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	res, err := mpi.RunContext(ctx, mpi.Config{NP: 2, Watchdog: 10 * time.Second}, func(c *mpi.Comm) error {
+	res, err := mpi.RunContext(ctx, mpi.Config{NP: 2}, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
 			return c.Send(1, 1, []byte{1})
 		}

@@ -3,7 +3,6 @@ package mpi_test
 import (
 	"os"
 	"testing"
-	"time"
 
 	"hydee/internal/core"
 	"hydee/internal/failure"
@@ -25,7 +24,6 @@ func TestDebugRecovery(t *testing.T) {
 			Ranks: []int{2},
 			When:  failure.Trigger{AfterCheckpoints: 2},
 		}},
-		Watchdog: 60 * time.Second,
 		Observer: mpi.NewLogObserver(os.Stderr),
 	}, ringProgram(12))
 	if err != nil {

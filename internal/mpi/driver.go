@@ -30,9 +30,8 @@ type driver struct {
 	// endpoint).
 	filed  []*transport.Endpoint
 	waiter []*task
-	// live counts the tasks not ended, resumes the resumes since the
-	// watchdog last looked.
-	live, resumes int
+	// live counts the tasks not ended.
+	live int
 }
 
 // spawn starts f as a task, ready to run.
@@ -70,7 +69,6 @@ func (d *driver) runReady() {
 				d.live--
 			}
 		}
-		d.resumes += len(batch)
 		clear(batch)
 		d.spare = batch
 	}

@@ -7,7 +7,6 @@ package mpi_test
 import (
 	"runtime"
 	"testing"
-	"time"
 
 	"hydee/internal/apps"
 	"hydee/internal/checkpoint"
@@ -38,7 +37,6 @@ func mailboxRaceRun(t *testing.T) *mpi.Result {
 		Store:           checkpoint.NewMemStore(2e9, 2e9),
 		CheckpointEvery: 1,
 		Failures:        []failure.Event{{Ranks: []int{3}, When: failure.Trigger{AfterSends: 5}}},
-		Watchdog:        time.Minute,
 	}, apps.Ring(8, 1024))
 	if err != nil {
 		t.Fatal(err)
@@ -77,5 +75,34 @@ func TestPlaneCountersSchedulingIndependent(t *testing.T) {
 				t.Errorf("GOMAXPROCS=%d run %d: plane counters %+v, want %+v", procs, i, got, want)
 			}
 		}
+	}
+}
+
+// TestComputeMovesNoFrontier: a rank's frontier reaches the plane only
+// with its next wait or event, so local compute costs no plane mutation.
+// Two ranks compute n times and then exchange one message; the run does
+// the same plane work for n = 1 and n = 100.
+func TestComputeMovesNoFrontier(t *testing.T) {
+	mutations := func(n int) int64 {
+		res, err := mpi.Run(mpi.Config{NP: 2, Model: netmodel.Myrinet10G()}, func(c *mpi.Comm) error {
+			for i := 0; i < n; i++ {
+				if err := c.Compute(1000); err != nil {
+					return err
+				}
+			}
+			peer := 1 - c.Rank()
+			if err := c.Send(peer, 1, []byte{byte(c.Rank())}); err != nil {
+				return err
+			}
+			_, _, err := c.Recv(peer, 1)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Plane.Mutations
+	}
+	if one, hundred := mutations(1), mutations(100); one != hundred {
+		t.Errorf("plane mutations: %d after 1 compute, %d after 100, want equal", one, hundred)
 	}
 }

@@ -13,9 +13,8 @@ var (
 	// deadline expired before the run completed.
 	ErrCanceled = errors.New("mpi: run canceled")
 	// ErrDeadlock reports that no rank can run and the run is not over — a
-	// deadlocked program, or overlapping unsupported failures — or that
-	// ranks kept running with no supervisor event for the watchdog's
-	// duration (livelock).
+	// deadlocked program, or overlapping unsupported failures. A run that
+	// never ends (a livelock) is bounded only by its context.
 	ErrDeadlock = errors.New("mpi: deadlock suspected")
 	// ErrCheckpointLost reports that a checkpoint this run completed could
 	// not be loaded from the store during a restart. Restarting the
@@ -31,8 +30,8 @@ const (
 	PhaseConfig = "config"
 	// PhaseProgram is application code executing on a rank.
 	PhaseProgram = "program"
-	// PhaseSupervise is the run's driver loop (deadlock, watchdog,
-	// cancellation, failure bookkeeping).
+	// PhaseSupervise is the run's driver loop (deadlock, cancellation,
+	// failure bookkeeping).
 	PhaseSupervise = "supervise"
 	// PhaseRecovery is a protocol recovery round.
 	PhaseRecovery = "recovery"

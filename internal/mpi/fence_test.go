@@ -85,7 +85,6 @@ func TestExactTieQueuedSaveKillReproducible(t *testing.T) {
 			Ranks: []int{2},
 			When:  failure.Trigger{AtVT: vtime.Time(101)},
 		}},
-		Watchdog: 30 * time.Second,
 	}
 	prog := func(c *mpi.Comm) error {
 		st := &struct{ Iter int }{}
@@ -140,7 +139,6 @@ func TestTwoVictimsOneRoundReproducible(t *testing.T) {
 			Ranks: []int{2, 4},
 			When:  failure.Trigger{AfterCheckpoints: 1},
 		}},
-		Watchdog: 30 * time.Second,
 	}
 	mkStore := func() checkpoint.Store { return checkpoint.NewMemStore(2e9, 2e9) }
 	clean := runStoreBacked(t, cfg, mkStore, apps.Stencil2D(8, 4096), false)
@@ -201,7 +199,6 @@ func duringRecoveryScenario(t *testing.T) (mpi.Config, mpi.Program, rollback.Rec
 		Protocol:        core.New(),
 		Model:           netmodel.Myrinet10G(),
 		CheckpointEvery: 3,
-		Watchdog:        30 * time.Second,
 	}
 	prog := apps.Stencil2D(10, 8192)
 	first := failure.Event{Ranks: []int{2}, When: failure.Trigger{AfterCheckpoints: 1}}
@@ -220,7 +217,7 @@ func duringRecoveryScenario(t *testing.T) (mpi.Config, mpi.Program, rollback.Rec
 // regression: the victim dies before sending the message its cluster peer
 // is blocked on. Draining the plane to the detection time must reap the
 // blocked peer (victim-aware bounds) instead of letting it pin the plane
-// until the watchdog fires.
+// until the run ends in ErrDeadlock.
 func TestBlockedScopePeerDrainReproducible(t *testing.T) {
 	cfg := mpi.Config{
 		NP:       3,
@@ -231,8 +228,6 @@ func TestBlockedScopePeerDrainReproducible(t *testing.T) {
 			Ranks: []int{0},
 			When:  failure.Trigger{AfterSends: 1},
 		}},
-		// Short watchdog: a deadlocked drain fails fast and loudly.
-		Watchdog: 10 * time.Second,
 	}
 	prog := func(c *mpi.Comm) error {
 		switch c.Rank() {
@@ -344,7 +339,6 @@ func reverseOrderScenario() (mpi.Config, mpi.Program) {
 			// failure was already emitted: reverse virtual-time order.
 			{Ranks: []int{0}, When: failure.Trigger{AfterSends: 3}},
 		},
-		Watchdog: 30 * time.Second,
 	}
 	prog := func(c *mpi.Comm) error {
 		switch c.Rank() {
@@ -408,7 +402,6 @@ func TestPostFenceTriggerDroppedReproducible(t *testing.T) {
 				failures = append(failures, ev.Ranks)
 			}
 		}),
-		Watchdog: 30 * time.Second,
 	}
 	prog := func(c *mpi.Comm) error {
 		for i := 0; i < 4; i++ {
@@ -429,7 +422,7 @@ func TestPostFenceTriggerDroppedReproducible(t *testing.T) {
 }
 
 // TestOverlappingScopeRefailureReproducible closes the overlapping-scope
-// watchdog caveat: the same cluster is hit again while its own recovery
+// deadlock caveat: the same cluster is hit again while its own recovery
 // round is mid-flight. Rank 0 logs inter-cluster sends, dies, and its
 // restarted incarnation dies again after notifying only the first of two
 // orphans — so round 0's coordinator would wait forever on the second
@@ -468,7 +461,6 @@ func overlappingScopeScenario() (mpi.Config, mpi.Program) {
 			// second — leaving one orphan notification outstanding.
 			{Ranks: []int{0}, When: failure.Trigger{AfterSends: 3}},
 		},
-		Watchdog: 30 * time.Second,
 	}
 	prog := func(c *mpi.Comm) error {
 		switch c.Rank() {
@@ -529,7 +521,6 @@ func windowScenario(chunk [4]vtime.Duration, pause time.Duration, victims ...int
 		Topo:     rollback.NewTopology([]int{0, 0, 1, 1}),
 		Protocol: core.New(),
 		Model:    netmodel.Ideal(),
-		Watchdog: 30 * time.Second,
 	}
 	for _, v := range victims {
 		cfg.Failures = append(cfg.Failures, failure.Event{Ranks: []int{v}, When: failure.Trigger{AtVT: 50}})
@@ -800,7 +791,6 @@ func TestTwoCheckpointFailuresAllProtocolsReproducible(t *testing.T) {
 				Protocol:        tc.prot,
 				Model:           netmodel.Myrinet10G(),
 				CheckpointEvery: 1,
-				Watchdog:        30 * time.Second,
 			}
 			run := func(cfg mpi.Config) *mpi.Result {
 				if tc.store != nil {

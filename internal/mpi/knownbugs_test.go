@@ -11,7 +11,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"hydee/internal/apps"
 	"hydee/internal/core"
@@ -54,7 +53,6 @@ func TestKnownBugSameClusterTwiceDeadlock(t *testing.T) {
 		Model:           netmodel.Myrinet10G(),
 		CheckpointEvery: 1,
 		Failures:        []failure.Event{after(2, 30), after(5, 46), after(8, 45)},
-		Watchdog:        3 * time.Second,
 	}, apps.Ring(24, 4096))
 	if errors.Is(err, mpi.ErrDeadlock) {
 		report, _, _ := strings.Cut(err.Error(), "\ndelivery plane:")

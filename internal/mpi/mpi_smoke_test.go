@@ -3,7 +3,6 @@ package mpi_test
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"hydee/internal/core"
 	"hydee/internal/failure"
@@ -75,7 +74,6 @@ func TestRingNativeFailureFree(t *testing.T) {
 		NP:       6,
 		Model:    netmodel.Myrinet10G(),
 		Protocol: rollback.Native(),
-		Watchdog: 30 * time.Second,
 	}, ringProgram(10))
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +92,7 @@ func TestRingNativeFailureFree(t *testing.T) {
 
 func TestRingHydEEFailureFreeMatchesNative(t *testing.T) {
 	native, err := mpi.Run(mpi.Config{
-		NP: 6, Protocol: rollback.Native(), Watchdog: 30 * time.Second,
+		NP: 6, Protocol: rollback.Native(),
 	}, ringProgram(10))
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +100,7 @@ func TestRingHydEEFailureFreeMatchesNative(t *testing.T) {
 	topo := rollback.NewTopology([]int{0, 0, 1, 1, 2, 2})
 	hydee, err := mpi.Run(mpi.Config{
 		NP: 6, Topo: topo, Protocol: core.New(),
-		CheckpointEvery: 3, Watchdog: 30 * time.Second,
+		CheckpointEvery: 3,
 	}, ringProgram(10))
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +128,6 @@ func TestRingHydEERecoversFromFailure(t *testing.T) {
 			NP: 6, Topo: topo, Protocol: core.New(),
 			CheckpointEvery: 3,
 			Failures:        sched,
-			Watchdog:        30 * time.Second,
 		}, ringProgram(12))
 		if err != nil {
 			t.Fatal(err)
@@ -160,7 +157,6 @@ func TestRingHydEEConcurrentClusterFailures(t *testing.T) {
 			NP: 6, Topo: topo, Protocol: core.New(),
 			CheckpointEvery: 4,
 			Failures:        sched,
-			Watchdog:        30 * time.Second,
 		}, ringProgram(12))
 		if err != nil {
 			t.Fatal(err)

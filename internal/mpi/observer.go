@@ -33,7 +33,7 @@ const (
 	// processes were shut down.
 	EvRunComplete
 	// EvRunAbort fires once instead of EvRunComplete when the run ends
-	// in an error (cancellation, watchdog, fatal rank error, failed
+	// in an error (cancellation, deadlock, fatal rank error, failed
 	// recovery); Err carries the cause. Every EvRunStart is therefore
 	// terminated by exactly one EvRunComplete or EvRunAbort.
 	EvRunAbort

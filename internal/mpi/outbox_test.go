@@ -1,8 +1,8 @@
 package mpi_test
 
 // A process's sends reach the delivery plane at its next plane operation
-// (a receive, a checkpoint turn, a publish) or, at the latest, just before
-// it reports to the supervisor. These tests put failures right after
+// (a receive or a turn) or, at the latest, just before it reports to the
+// supervisor. These tests put failures right after
 // bursts of sends and hold every virtual output to one value whatever the
 // scheduling.
 
@@ -11,7 +11,6 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-	"time"
 
 	"hydee/internal/core"
 	"hydee/internal/failure"
@@ -96,7 +95,7 @@ func TestOutboxFlushedBeforeFailureReproducible(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				cfg := mpi.Config{
 					NP: np, Topo: c.topo, Protocol: c.prot, Model: netmodel.Myrinet10G(),
-					CheckpointEvery: 1, Watchdog: 60 * time.Second,
+					CheckpointEvery: 1,
 				}
 				if fail {
 					cfg.Failures = []failure.Event{c.fail}

@@ -46,10 +46,10 @@ type Proc struct {
 	// yet matched by a receive.
 	pending []*transport.Msg
 	// outbox holds the sends made since the process's last plane
-	// operation; the next one (a receive, a checkpoint turn, a publish)
-	// enqueues them inside its own plane mutation, and event flushes them
-	// before the supervisor hears from the process (the transport
-	// package's outbox rule says why delaying them is safe).
+	// operation; the next one (a receive or a turn) enqueues them inside
+	// its own plane mutation, and event flushes them before the
+	// supervisor hears from the process (the transport package's outbox
+	// rule says why delaying them is safe).
 	outbox []*transport.Msg
 	// markers counts the flush markers received per checkpoint sequence;
 	// each scope peer sends one per sequence.
@@ -457,7 +457,6 @@ func (p *Proc) checkpointCall() error {
 	}
 	p.rt.ckptDone[p.rank] = append(p.rt.ckptDone[p.rank], savePoint{seq: seq, vt: issueVT})
 	p.clock.MergeAtLeast(endVT)
-	p.publish()
 	p.metrics.Checkpoints++
 	p.metrics.CkptBytes += sv.cost
 	p.ckptsDone++
@@ -551,16 +550,6 @@ func (s *save) encode(state any) error {
 }
 
 func (p *Proc) cluster() int { return p.rt.topo.ClusterOf[p.rank] }
-
-// publish flushes the outbox and advances the process's send frontier to its
-// clock, letting gated receivers elsewhere stop waiting on a stale lower
-// bound. Purely a real-time liveness aid: frontiers never reorder
-// deliveries.
-func (p *Proc) publish() {
-	// The batch cannot fail; see event.
-	_ = p.ep.FlushPublish(p.outbox, p.clock.Now())
-	p.sent()
-}
 
 // --- rollback.Proc interface ---
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
-	"time"
 
 	"hydee/internal/checkpoint"
 	"hydee/internal/failure"
@@ -55,7 +54,7 @@ type Runtime struct {
 	// time but was issued past the fence never enters the restart scope,
 	// so the restored sequence is a pure function of virtual time.
 	ckptDone [][]savePoint
-	// aborted is set once the run aborts (cancel, watchdog or a fatal
+	// aborted is set once the run aborts (cancel, deadlock or a fatal
 	// error), before the endpoints die: a rank that never waits on the
 	// delivery plane reads it at its next Comm operation. A canceled
 	// context sets it from another goroutine.
@@ -180,9 +179,8 @@ func (rt *Runtime) startProc(rank int, snap *checkpoint.Snapshot, round *rollbac
 // ready task, and once none is, enters every filed wait as one plane
 // mutation. When nothing is ready, filed or reported, nothing can happen
 // again: the run is complete once the machine is done and every task has
-// ended, and deadlocked otherwise — exactly, with no timer. The watchdog
-// only guards against livelock: ranks that keep running without a
-// supervisor event for its duration.
+// ended, and deadlocked otherwise — exactly, with no timer. A run that
+// never ends (a livelock) is bounded only by ctx.
 func (rt *Runtime) drive(ctx context.Context) error {
 	d := &rt.drv
 	m := newMachine(rt.cfg.NP, rt.prot, rt.topo, rt.net.MinLatency(), len(rt.cfg.Failures))
@@ -190,7 +188,6 @@ func (rt *Runtime) drive(ctx context.Context) error {
 		rt.aborted.Store(true)
 	}
 	defer context.AfterFunc(ctx, func() { rt.aborted.Store(true) })()
-	wd := watchdog{d: rt.cfg.watchdog()}
 
 	var err error
 	killed, shut := false, false
@@ -203,7 +200,6 @@ func (rt *Runtime) drive(ctx context.Context) error {
 			for i := 0; i < len(rt.events) && err == nil && !shut; i++ {
 				err = rt.apply(m, rt.events[i])
 			}
-			wd.events += len(rt.events)
 			clear(rt.events)
 			rt.events = rt.events[:0]
 		}
@@ -218,14 +214,6 @@ func (rt *Runtime) drive(ctx context.Context) error {
 		switch {
 		case len(d.ready) > 0:
 			d.runReady()
-			if d.resumes >= 256 {
-				d.resumes = 0
-				if err == nil && wd.stalled() {
-					err = runErr(-1, m.round(), PhaseSupervise,
-						fmt.Errorf("%w: no supervisor event for %v while ranks kept running (livelock; %v)\ndelivery plane:\n%s",
-							ErrDeadlock, wd.d, m, rt.net.DebugState()))
-				}
-			}
 		case len(d.filed) > 0:
 			rt.net.Enter(d.filed) // one mutation for every wait filed
 			d.filed = d.filed[:0]
@@ -237,26 +225,6 @@ func (rt *Runtime) drive(ctx context.Context) error {
 					ErrDeadlock, d.live, m, rt.net.DebugState()))
 		}
 	}
-}
-
-// watchdog is the livelock guard: the run's loop asks it every few hundred
-// resumes whether any event arrived within d.
-type watchdog struct {
-	d      time.Duration
-	events int // events the loop has applied so far
-	seen   int // events at the last look that found new ones
-	since  time.Time
-}
-
-// stalled reports whether no event arrived for d.
-func (w *watchdog) stalled() bool {
-	//hydee:allow wallclock(the watchdog is a liveness knob: it only aborts livelocked runs, never shapes virtual time)
-	now := time.Now()
-	if w.since.IsZero() || w.events != w.seen {
-		w.seen, w.since = w.events, now
-		return false
-	}
-	return now.Sub(w.since) > w.d
 }
 
 // shutdown ends lingering processes once the machine is done. The

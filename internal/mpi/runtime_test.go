@@ -29,7 +29,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestProgramErrorIsFatal(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := mpi.Run(mpi.Config{NP: 2, Watchdog: 10 * time.Second}, func(c *mpi.Comm) error {
+	_, err := mpi.Run(mpi.Config{NP: 2}, func(c *mpi.Comm) error {
 		if c.Rank() == 1 {
 			return boom
 		}
@@ -44,7 +44,6 @@ func TestProgramErrorIsFatal(t *testing.T) {
 func TestNativeCannotTolerateFailures(t *testing.T) {
 	_, err := mpi.Run(mpi.Config{
 		NP:       2,
-		Watchdog: 10 * time.Second,
 		Failures: []failure.Event{{Ranks: []int{0}, When: failure.Trigger{AfterSends: 1}}},
 	}, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
@@ -68,17 +67,21 @@ func TestNativeCannotTolerateFailures(t *testing.T) {
 	}
 }
 
-func TestWatchdogDetectsDeadlock(t *testing.T) {
-	_, err := mpi.Run(mpi.Config{
-		NP:       2,
-		Watchdog: 500 * time.Millisecond,
-	}, func(c *mpi.Comm) error {
-		// Both ranks wait for a message nobody sends.
-		_, _, err := c.Recv((c.Rank()+1)%2, 42)
+// TestDeadlockReportedAtOnce: a deadlock is exact — no rank can run and
+// the run is not over — so it is reported at once, with the plane's
+// counters, from the run's driver loop.
+func TestDeadlockReportedAtOnce(t *testing.T) {
+	start := time.Now()
+	_, err := mpi.Run(mpi.Config{NP: 4}, func(c *mpi.Comm) error {
+		// Every rank waits for a message nobody sends.
+		_, _, err := c.Recv((c.Rank()+1)%c.Size(), 42)
 		return err
 	})
 	if !errors.Is(err, mpi.ErrDeadlock) {
-		t.Fatalf("watchdog did not fire: %v", err)
+		t.Fatalf("want ErrDeadlock, got %v", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("deadlock reported after %v, want under 1s", took)
 	}
 	if !strings.Contains(err.Error(), "counters: {Mutations:") {
 		t.Errorf("deadlock report lacks the plane counters: %v", err)
@@ -89,49 +92,8 @@ func TestWatchdogDetectsDeadlock(t *testing.T) {
 	}
 }
 
-// TestWatchdogStopsLivelock: ranks that pass a token around the ring
-// forever never deadlock; the watchdog ends the run once it has seen no
-// supervisor event for its duration.
-func TestWatchdogStopsLivelock(t *testing.T) {
-	_, err := mpi.Run(mpi.Config{NP: 2, Watchdog: 100 * time.Millisecond}, func(c *mpi.Comm) error {
-		if c.Rank() == 0 {
-			if err := c.Send(1, 42, nil); err != nil {
-				return err
-			}
-		}
-		for {
-			if _, _, err := c.Recv(1-c.Rank(), 42); err != nil {
-				return err
-			}
-			if err := c.Send(1-c.Rank(), 42, nil); err != nil {
-				return err
-			}
-		}
-	})
-	if !errors.Is(err, mpi.ErrDeadlock) || !strings.Contains(err.Error(), "livelock") {
-		t.Fatalf("want the watchdog's livelock ErrDeadlock, got %v", err)
-	}
-}
-
-// TestDeadlockReportedWithoutWatchdog: a deadlock is exact — no rank can
-// run and the run is not over — so it is reported at once, not after the
-// watchdog's minute.
-func TestDeadlockReportedWithoutWatchdog(t *testing.T) {
-	start := time.Now()
-	_, err := mpi.Run(mpi.Config{NP: 4, Watchdog: time.Minute}, func(c *mpi.Comm) error {
-		_, _, err := c.Recv((c.Rank()+1)%c.Size(), 42)
-		return err
-	})
-	if !errors.Is(err, mpi.ErrDeadlock) {
-		t.Fatalf("want ErrDeadlock, got %v", err)
-	}
-	if took := time.Since(start); took > time.Second {
-		t.Errorf("deadlock reported after %v, want under 1s", took)
-	}
-}
-
 func TestSelfSendRejected(t *testing.T) {
-	_, err := mpi.Run(mpi.Config{NP: 1, Watchdog: 10 * time.Second}, func(c *mpi.Comm) error {
+	_, err := mpi.Run(mpi.Config{NP: 1}, func(c *mpi.Comm) error {
 		return c.Send(0, 1, nil)
 	})
 	if err == nil || !strings.Contains(err.Error(), "self-send") {
@@ -140,7 +102,7 @@ func TestSelfSendRejected(t *testing.T) {
 }
 
 func TestInvalidDestinationRejected(t *testing.T) {
-	_, err := mpi.Run(mpi.Config{NP: 1, Watchdog: 10 * time.Second}, func(c *mpi.Comm) error {
+	_, err := mpi.Run(mpi.Config{NP: 1}, func(c *mpi.Comm) error {
 		return c.Send(7, 1, nil)
 	})
 	if err == nil || !strings.Contains(err.Error(), "invalid rank") {
@@ -149,7 +111,7 @@ func TestInvalidDestinationRejected(t *testing.T) {
 }
 
 func TestWildcardReceive(t *testing.T) {
-	res, err := mpi.Run(mpi.Config{NP: 4, Watchdog: 10 * time.Second}, func(c *mpi.Comm) error {
+	res, err := mpi.Run(mpi.Config{NP: 4}, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
 			sum := 0
 			for i := 0; i < 3; i++ {
@@ -173,7 +135,7 @@ func TestWildcardReceive(t *testing.T) {
 }
 
 func TestIsendIrecvWaitAll(t *testing.T) {
-	res, err := mpi.Run(mpi.Config{NP: 2, Watchdog: 10 * time.Second}, func(c *mpi.Comm) error {
+	res, err := mpi.Run(mpi.Config{NP: 2}, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
 			r1 := c.Isend(1, 1, []byte("a"))
 			r2 := c.Isend(1, 2, []byte("b"))
@@ -278,7 +240,6 @@ func TestCheckpointScheduleStagger(t *testing.T) {
 		res, err := mpi.Run(mpi.Config{
 			NP: 4, Topo: rollback.NewTopology(assign), Protocol: core.New(),
 			CheckpointEvery: 2, CheckpointStagger: stagger,
-			Watchdog: 10 * time.Second,
 		}, func(c *mpi.Comm) error {
 			st := &struct{ Iter int }{}
 			if _, err := c.Restore(st); err != nil {
@@ -318,7 +279,7 @@ func TestCheckpointScheduleStagger(t *testing.T) {
 }
 
 func TestPairByteMatrix(t *testing.T) {
-	res, err := mpi.Run(mpi.Config{NP: 3, Watchdog: 10 * time.Second}, func(c *mpi.Comm) error {
+	res, err := mpi.Run(mpi.Config{NP: 3}, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
 			return c.SendW(2, 1, []byte{1}, 5000)
 		}
@@ -375,8 +336,7 @@ func TestFinishedProcessStillServesRecovery(t *testing.T) {
 			Ranks: []int{1},
 			When:  failure.Trigger{AtVT: vtime.Time(1)},
 		}},
-		Model:    netmodel.Myrinet10G(),
-		Watchdog: 15 * time.Second,
+		Model: netmodel.Myrinet10G(),
 	}, prog)
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,6 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-	"time"
 
 	"hydee/internal/checkpoint"
 	"hydee/internal/core"
@@ -104,7 +103,6 @@ func waveConfig(np int) mpi.Config {
 		Protocol:        core.New(),
 		Model:           netmodel.Myrinet10G(),
 		CheckpointEvery: 1,
-		Watchdog:        60 * time.Second,
 	}
 }
 

@@ -9,7 +9,6 @@ package netpipe
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"hydee/internal/mpi"
 	"hydee/internal/netmodel"
@@ -130,7 +129,6 @@ func RunCtx(ctx context.Context, cfg Config) ([]Point, error) {
 			Model:    cfg.Model,
 			Topo:     topo,
 			Protocol: prot,
-			Watchdog: 30 * time.Second,
 		}, pingpong(cfg.Reps, size))
 		if err != nil {
 			return nil, fmt.Errorf("netpipe: size %d: %w", size, err)

@@ -2,7 +2,6 @@ package coord_test
 
 import (
 	"testing"
-	"time"
 
 	"hydee/internal/apps"
 	"hydee/internal/failure"
@@ -36,7 +35,6 @@ func TestGlobalRestartRecovers(t *testing.T) {
 			Model:           netmodel.Myrinet10G(),
 			CheckpointEvery: 3,
 			Failures:        sched,
-			Watchdog:        30 * time.Second,
 		}, apps.Stencil2D(9, 8192))
 		if err != nil {
 			t.Fatal(err)
@@ -70,7 +68,6 @@ func TestGlobalRestartWithoutCheckpoint(t *testing.T) {
 			Ranks: []int{1},
 			When:  failure.Trigger{AfterSends: 3},
 		}},
-		Watchdog: 30 * time.Second,
 	}, apps.Ring(5, 512))
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +77,6 @@ func TestGlobalRestartWithoutCheckpoint(t *testing.T) {
 	}
 	clean, err := mpi.Run(mpi.Config{
 		NP: 4, Topo: rollback.SingleCluster(4), Protocol: coord.New(),
-		Watchdog: 30 * time.Second,
 	}, apps.Ring(5, 512))
 	if err != nil {
 		t.Fatal(err)

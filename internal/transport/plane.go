@@ -24,8 +24,8 @@ import (
 type Counters struct {
 	// Mutations counts plane mutations: sends, wait entries, deliveries,
 	// publishes, quiesces, dooms, kills, restarts. A batch — the sends one
-	// call flushes, together with the publish they precede, or every wait
-	// one Enter commits, with their sends — counts once.
+	// SendBatch enqueues, or every wait one Enter commits, with their
+	// sends — counts once.
 	Mutations int64
 	// Visited counts tree nodes touched plus waiters gate-checked: the
 	// plane's own work, O(log np) per mutation plus what it wakes.

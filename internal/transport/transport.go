@@ -80,8 +80,11 @@
 //
 // Outbox rule: a source may buffer its sends and hand them over with its
 // next wait — receive or turn —, inside the Enter batch that commits it to
-// that wait, or with its next FlushPublish, or with SendBatch before it
-// reports anything to whoever supervises it. No buffered send can be
+// that wait, or with SendBatch before it reports anything to whoever
+// supervises it. Its frontier need move only with those calls: a source
+// whose clock advanced since (local compute, checkpoint I/O) holds the gate
+// at its last frontier until its next wait, which holds deliveries back
+// but never reorders them. No buffered send can be
 // undercut by what the plane admits meanwhile, however many other
 // mutations come first: its SendVT is at or above the sender's published
 // frontier, so it arrives no earlier than that frontier plus the
@@ -932,35 +935,26 @@ func (n *Network) enqueueLocked(m *Msg) error {
 	return nil
 }
 
-// Publish is FlushPublish on id's endpoint with nothing to flush.
-func (n *Network) Publish(id int, vt vtime.Time) { _ = n.Endpoint(id).FlushPublish(nil, vt) }
-
-// FlushPublish raises e's send frontier to vt and marks it running, after
-// the caller's buffered sends, as one plane mutation (see SendBatch). Actors
-// call it when their clock advances without a transport operation (local
-// compute, checkpoint I/O) and the supervisor calls it to attach a service
-// actor; a stale frontier never reorders deliveries, it only delays them
-// in real time. A send to an unknown endpoint is dropped and its error
-// returned, without publishing.
-func (e *Endpoint) FlushPublish(out []*Msg, vt vtime.Time) error {
-	n := e.n
-	n.stampAll(out)
+// Publish raises id's send frontier to vt and marks it running, as one
+// plane mutation. A raw actor calls it when its clock advances without a
+// transport operation; a stale frontier never reorders deliveries, it only
+// holds them until the actor's next wait.
+func (n *Network) Publish(id int, vt vtime.Time) {
 	n.dmu.Lock()
 	defer n.dmu.Unlock()
-	err := n.enqueueAllLocked(out)
-	if err == nil && e.state != stDead && (e.state != stRunning || vt > e.frontier) {
+	e := n.endpointLocked(id)
+	if e.state != stDead && (e.state != stRunning || vt > e.frontier) {
 		e.state = stRunning
 		e.frontier = max(e.frontier, vt)
 		n.touchLocked(e)
 	}
 	n.planeChangedLocked()
-	return err
 }
 
-// Quiesce marks id as unable to send until reattached (Publish, Restart):
-// its queue keeps buffering, but the delivery gate stops waiting on it. The
-// supervisor quiesces the recovery endpoint between rounds and process
-// endpoints whose goroutine has exited.
+// Quiesce marks id as unable to send until reattached (Publish, AttachAt,
+// Restart): its queue keeps buffering, but the delivery gate stops waiting
+// on it. The supervisor quiesces the recovery endpoint between rounds and
+// process endpoints whose task has ended.
 func (n *Network) Quiesce(id int) {
 	n.dmu.Lock()
 	e := n.endpointLocked(id)
