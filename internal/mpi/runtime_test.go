@@ -67,13 +67,33 @@ func TestNativeCannotTolerateFailures(t *testing.T) {
 	}
 }
 
-// TestDeadlockReportedAtOnce: a deadlock is exact — no rank can run and
-// the run is not over — so it is reported at once, with the plane's
-// counters, from the run's driver loop.
-func TestDeadlockReportedAtOnce(t *testing.T) {
+// TestWatchdogDetectsDeadlock: the run's driver loop is the deadlock
+// watchdog — two ranks each waiting for a message nobody sends end the
+// run with ErrDeadlock, the plane's counters and the supervise phase.
+func TestWatchdogDetectsDeadlock(t *testing.T) {
+	_, err := mpi.Run(mpi.Config{NP: 2}, func(c *mpi.Comm) error {
+		// Both ranks wait for a message nobody sends.
+		_, _, err := c.Recv((c.Rank()+1)%2, 42)
+		return err
+	})
+	if !errors.Is(err, mpi.ErrDeadlock) {
+		t.Fatalf("deadlock not detected: %v", err)
+	}
+	if !strings.Contains(err.Error(), "counters: {Mutations:") {
+		t.Errorf("deadlock report lacks the plane counters: %v", err)
+	}
+	var re *mpi.RunError
+	if !errors.As(err, &re) || re.Phase != mpi.PhaseSupervise {
+		t.Fatalf("want *RunError in phase %q, got %#v", mpi.PhaseSupervise, err)
+	}
+}
+
+// TestDeadlockReportedWithoutWatchdog: a deadlock is exact — no rank can
+// run and the run is not over — so it is reported at once, with no
+// wall-clock timer involved.
+func TestDeadlockReportedWithoutWatchdog(t *testing.T) {
 	start := time.Now()
 	_, err := mpi.Run(mpi.Config{NP: 4}, func(c *mpi.Comm) error {
-		// Every rank waits for a message nobody sends.
 		_, _, err := c.Recv((c.Rank()+1)%c.Size(), 42)
 		return err
 	})
@@ -82,13 +102,6 @@ func TestDeadlockReportedAtOnce(t *testing.T) {
 	}
 	if took := time.Since(start); took > time.Second {
 		t.Errorf("deadlock reported after %v, want under 1s", took)
-	}
-	if !strings.Contains(err.Error(), "counters: {Mutations:") {
-		t.Errorf("deadlock report lacks the plane counters: %v", err)
-	}
-	var re *mpi.RunError
-	if !errors.As(err, &re) || re.Phase != mpi.PhaseSupervise {
-		t.Fatalf("want *RunError in phase %q, got %#v", mpi.PhaseSupervise, err)
 	}
 }
 
