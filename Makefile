@@ -137,18 +137,19 @@ smoke16k:
 # hydee-recover streams its events into a throwaway directory, which must
 # come back holding per-run files, and runs once more over a file store
 # in that directory, so snapshots go through the codec to disk and back.
-# The stdout of the sharded hydee-recover run and of hydee-nas must equal
-# cmd/testdata/*.golden byte for byte. A change meant to move them
-# refreshes both with
+# The stdout of the sharded hydee-recover run, of hydee-nas and of
+# hydee-netpipe must equal cmd/testdata/*.golden byte for byte. A change
+# meant to move them refreshes them with
 #   go run ./cmd/hydee-recover -np 16 -iters 4 -store sharded:4 -store-bps 4e9 > cmd/testdata/hydee-recover.golden
 #   go run ./cmd/hydee-nas -np 16 -iters 2 > cmd/testdata/hydee-nas.golden
+#   go run ./cmd/hydee-netpipe -reps 2 > cmd/testdata/hydee-netpipe.golden
 smoke-cli:
 	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
-	for golden in "hydee-recover -np 16 -iters 4 -store sharded:4 -store-bps 4e9 -events $$tmp/" "hydee-nas -np 16 -iters 2"; do \
+	for golden in "hydee-recover -np 16 -iters 4 -store sharded:4 -store-bps 4e9 -events $$tmp/" "hydee-nas -np 16 -iters 2" "hydee-netpipe -reps 2"; do \
 		echo "go run ./cmd/$$golden (golden)"; $(GO) run ./cmd/$$golden >"$$tmp/out"; \
 		diff -u "cmd/testdata/$${golden%% *}.golden" "$$tmp/out"; \
 	done; \
-	for cmd in "./cmd/hydee-cluster -np 16" "./cmd/hydee-netpipe -reps 2" \
+	for cmd in "./cmd/hydee-cluster -np 16" \
 		"./cmd/hydee-recover -np 16 -iters 4 -store file -store-dir $$tmp/ckpt" $(wildcard ./examples/*/); do \
 		echo "go run $$cmd"; $(GO) run $$cmd >/dev/null; \
 	done; \

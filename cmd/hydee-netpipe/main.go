@@ -7,8 +7,8 @@
 // and without logging (the log copy overlaps transmission).
 //
 // The network model is selected by name through the hydee registry, the
-// three sweep configurations run concurrently, and -events streams every
-// run's lifecycle to a JSONL file.
+// three configurations' runs of every size go through one worker pool,
+// and -events streams every run's lifecycle to a JSONL file.
 package main
 
 import (

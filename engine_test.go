@@ -296,3 +296,47 @@ func TestCheckSendDeterminism(t *testing.T) {
 		t.Errorf("want ErrNotSendDeterministic, got %v", err)
 	}
 }
+
+// TestStaggeredCheckpointsRelieveStore: WithStaggeredCheckpoints spreads
+// the clusters' checkpoints over the schedule, so a bandwidth-modelled
+// shared store sees a shorter worst backlog than when every cluster
+// checkpoints at once (E5's hydee-staggered row).
+func TestStaggeredCheckpointsRelieveStore(t *testing.T) {
+	k, err := hydee.KernelByName("bt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := k.Make(hydee.KernelParams{NP: 16, Iters: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign := make([]int, 16)
+	for r := range assign {
+		assign[r] = r / 4
+	}
+	run := func(opts ...hydee.Option) hydee.StoreStats {
+		t.Helper()
+		eng, err := hydee.New(append([]hydee.Option{
+			hydee.WithTopology(hydee.NewTopology(assign)),
+			hydee.WithProtocol(hydee.HydEE()),
+			hydee.WithCheckpointEvery(4),
+			hydee.WithStoreSpec(hydee.StoreSpec{Spec: "mem", BPS: 4e9}),
+		}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Run(context.Background(), prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.StoreStats
+	}
+	atOnce, staggered := run(), run(hydee.WithStaggeredCheckpoints())
+	t.Logf("max queue: at once %v, staggered %v", atOnce.MaxQueue, staggered.MaxQueue)
+	if staggered.Saves == 0 {
+		t.Fatal("the staggered run saved no checkpoint")
+	}
+	if staggered.MaxQueue >= atOnce.MaxQueue {
+		t.Errorf("staggering did not shorten the store's backlog: %v staggered vs %v at once", staggered.MaxQueue, atOnce.MaxQueue)
+	}
+}

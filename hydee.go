@@ -40,7 +40,6 @@ import (
 	"hydee/internal/harness"
 	"hydee/internal/mpi"
 	"hydee/internal/netmodel"
-	"hydee/internal/netpipe"
 	"hydee/internal/rollback"
 	"hydee/internal/rollback/coord"
 	"hydee/internal/trace"
@@ -279,8 +278,8 @@ func Table1(ctx context.Context, np, traceIters int, model Model, parallelism in
 }
 
 // Figure5 regenerates Figure 5 over the network model (nil = Myrinet10G,
-// nil sizes = the standard sweep); the three sweep configurations run
-// concurrently.
+// nil sizes = the standard sweep, reps <= 0 = 10); its runs go through
+// RunExperiments' pool.
 func Figure5(ctx context.Context, model Model, sizes []int, reps int) ([]Fig5Row, error) {
 	return harness.Figure5(ctx, model, sizes, reps)
 }
@@ -308,7 +307,7 @@ func CheckpointBurst(ctx context.Context, k Kernel, np, iters, ckptEvery int, as
 }
 
 // NetPIPEStandardSizes is the Figure 5 size sweep.
-func NetPIPEStandardSizes() []int { return netpipe.StandardSizes() }
+func NetPIPEStandardSizes() []int { return harness.StandardSizes() }
 
 // Experiment formatters.
 var (

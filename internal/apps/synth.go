@@ -26,6 +26,33 @@ func Ring(iters, msgBytes int) mpi.Program {
 	}
 }
 
+// PingPong builds the NetPIPE ping-pong of Figure 5 between ranks 0 and
+// 1: reps round trips of an 8-byte payload modelled at size bytes, rank 0
+// sending first.
+func PingPong(reps, size int) mpi.Program {
+	return func(c *mpi.Comm) error {
+		const tag = 51
+		payload := make([]byte, 8)
+		peer := 1 - c.Rank()
+		for i := 0; i < reps; i++ {
+			if c.Rank() == 1 {
+				if _, _, err := c.Recv(peer, tag); err != nil {
+					return err
+				}
+			}
+			if err := c.SendW(peer, tag, payload, size); err != nil {
+				return err
+			}
+			if c.Rank() == 0 {
+				if _, _, err := c.Recv(peer, tag); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+}
+
 // Stencil2D builds a 4-neighbor halo-exchange iteration on a 2D torus,
 // the generic pattern the paper's introduction motivates.
 func Stencil2D(iters, msgBytes int) mpi.Program {

@@ -18,9 +18,10 @@ import (
 
 // snapMagic/fragMagic version the two on-shard formats; bump on layout
 // changes so stale persisted fragments are rejected, not misdecoded
-// (HYFR1 was the varint-header, FNV-64a-sealed container).
+// (HYSN1 carried a per-message recovery round; HYFR1 was the
+// varint-header, FNV-64a-sealed container).
 const (
-	snapMagic = "HYSN1"
+	snapMagic = "HYSN2"
 	fragMagic = "HYFR2"
 )
 
@@ -82,7 +83,6 @@ func snapshotSegments(s *Snapshot) (segs [][]byte, total int, err error) {
 		b = binary.AppendVarint(b, int64(m.Inc))
 		b = binary.AppendVarint(b, int64(m.IncSeen))
 		b = binary.AppendVarint(b, int64(m.Epoch))
-		b = binary.AppendVarint(b, int64(m.Round))
 		b = binary.AppendVarint(b, int64(m.WireLen))
 		b = binary.AppendVarint(b, int64(m.PiggyLen))
 		byteString(m.Data)
@@ -144,7 +144,6 @@ func DecodeSnapshot(b []byte) (*Snapshot, error) {
 		m.Inc = int32(d.varint())
 		m.IncSeen = int32(d.varint())
 		m.Epoch = int(d.varint())
-		m.Round = int(d.varint())
 		m.WireLen = int(d.varint())
 		m.PiggyLen = int(d.varint())
 		m.Data = d.bytes()

@@ -25,7 +25,7 @@ func codecSnap(rank, seq int) *Snapshot {
 			{
 				Src: 3, Dst: rank, Kind: transport.App, Tag: 9,
 				Date: -5, Phase: 2, Inc: 1, IncSeen: 1,
-				Epoch: seq - 1, Round: 0, WireLen: 4096, PiggyLen: 16,
+				Epoch: seq - 1, WireLen: 4096, PiggyLen: 16,
 				Data: []byte("payload"), SendVT: 1000, ArriveVT: 2000,
 			},
 			{Src: 5, Dst: rank, Kind: transport.App, Data: nil, ArriveVT: 2500},

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"os"
 	"path/filepath"
@@ -131,5 +132,52 @@ func TestFileStoreHostileFiles(t *testing.T) {
 	}
 	if loads := reopened.Stats().Loads; loads != 1 {
 		t.Errorf("reopened store counted %d loads, want only the intact one", loads)
+	}
+}
+
+// hysn1 lays s out in the superseded HYSN1 format: today's layout under
+// the old magic, with a recovery-round varint (always 0) after each
+// mailbox message's Epoch.
+func hysn1(s *Snapshot) []byte {
+	b := []byte("HYSN1")
+	v := func(xs ...int64) {
+		for _, x := range xs {
+			b = binary.AppendVarint(b, x)
+		}
+	}
+	str := func(p []byte) {
+		b = binary.AppendUvarint(b, uint64(len(p)))
+		b = append(b, p...)
+	}
+	v(int64(s.Rank), int64(s.Seq), int64(s.TakenVT), int64(s.CkptCallIdx), s.CollSeq, s.ModelBytes)
+	str(s.AppState)
+	str(s.ProtState)
+	b = binary.AppendUvarint(b, uint64(len(s.Mailbox)))
+	for _, m := range s.Mailbox {
+		v(int64(m.Src), int64(m.Dst), int64(m.Kind), int64(m.Tag), m.Date, int64(m.Phase),
+			int64(m.Inc), int64(m.IncSeen), int64(m.Epoch), 0, int64(m.WireLen), int64(m.PiggyLen))
+		str(m.Data)
+		v(int64(m.SendVT), int64(m.ArriveVT))
+	}
+	return b
+}
+
+// TestFileStoreOldLayoutAbsent: a checkpoint file written in the HYSN1
+// layout, with and without mailbox messages, reads as a missing
+// checkpoint, not as a misdecoded snapshot.
+func TestFileStoreOldLayoutAbsent(t *testing.T) {
+	dir := t.TempDir()
+	st, err := NewFileStore(dir, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps := []*Snapshot{codecSnap(0, 1), {Rank: 1, Seq: 1, AppState: []byte{1, 2, 3}}}
+	for _, s := range snaps {
+		if err := os.WriteFile(st.path(s.Rank, s.Seq), hysn1(s), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, _, ok := st.Load(s.Rank, s.Seq, 0); ok {
+			t.Errorf("rank %d: HYSN1 blob loaded as %+v", s.Rank, got)
+		}
 	}
 }

@@ -3,14 +3,14 @@ package harness
 import (
 	"context"
 	"fmt"
-	"sync"
+	"slices"
 
 	"hydee/internal/apps"
 	"hydee/internal/checkpoint"
 	"hydee/internal/failure"
 	"hydee/internal/graph"
+	"hydee/internal/mpi"
 	"hydee/internal/netmodel"
-	"hydee/internal/netpipe"
 	"hydee/internal/rollback"
 	"hydee/internal/vtime"
 )
@@ -84,53 +84,90 @@ type Fig5Row struct {
 	BWRedNoLogPct, BWRedLogPct float64
 }
 
+// StandardSizes returns a NetPIPE-like size sweep: powers of two from 1 B
+// to 8 MiB with intermediate 3/4 points, plus the sizes straddling the
+// piggyback-relevant plateau boundaries.
+func StandardSizes() []int {
+	var sizes []int
+	add := func(n int) {
+		if n >= 1 && n <= 8<<20 && !slices.Contains(sizes, n) {
+			sizes = append(sizes, n)
+		}
+	}
+	for n := 1; n <= 8<<20; n <<= 1 {
+		add(n)
+		add(n * 3 / 2)
+	}
+	// Boundary straddles where a 16-byte piggyback changes the plateau.
+	for _, b := range []int{32, 128, 1024, 32 * 1024} {
+		add(b - netmodel.PiggybackBytes)
+		add(b - netmodel.PiggybackBytes + 1)
+		add(b)
+		add(b + 1)
+	}
+	slices.Sort(sizes)
+	return sizes
+}
+
+// pingPong is the Figure 5 kernel: Params.Iters round trips of a
+// size-byte message between two ranks (apps.PingPong).
+func pingPong(size int) apps.Kernel {
+	return apps.Kernel{Name: fmt.Sprintf("pingpong-%dB", size), Make: func(p apps.Params) (mpi.Program, error) {
+		return apps.PingPong(p.Iters, size), nil
+	}}
+}
+
+// pingPongPoint is the one-way latency (µs) and bandwidth (MB/s) of a
+// ping-pong run of reps round trips of size bytes.
+func pingPongPoint(sum *Summary, size, reps int) (latUs, mbps float64) {
+	latUs = sum.Makespan.Micros() / float64(2*reps)
+	if latUs > 0 {
+		mbps = float64(size) / latUs // bytes per µs == MB/s
+	}
+	return latUs, mbps
+}
+
 // Figure5 sweeps the ping-pong benchmark in the paper's three
 // configurations (native, same-cluster HydEE, cross-cluster HydEE) over
-// the network model (nil = Myrinet10G, nil sizes = the standard sweep).
-// The three sweeps run concurrently; the first to fail cancels the others.
+// the network model (nil = Myrinet10G, nil sizes = the standard sweep,
+// reps <= 0 = 10 round trips per size), all runs through RunAll.
 func Figure5(ctx context.Context, model netmodel.Model, sizes []int, reps int) ([]Fig5Row, error) {
 	if model == nil {
 		model = netmodel.Myrinet10G()
 	}
-	configs := []netpipe.Config{
-		{Model: model, Sizes: sizes, Reps: reps},
-		{Model: model, Sizes: sizes, Reps: reps, Protocol: hydeeProtocol(), SameCluster: true},
-		{Model: model, Sizes: sizes, Reps: reps, Protocol: hydeeProtocol(), SameCluster: false},
+	if reps <= 0 {
+		reps = 10
 	}
-	sweepCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	sweeps := make([][]netpipe.Point, len(configs))
-	errs := make([]error, len(configs))
-	var wg sync.WaitGroup
-	for i, cfg := range configs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sweeps[i], errs[i] = netpipe.RunCtx(sweepCtx, cfg)
-			if errs[i] != nil {
-				cancel() // don't let sibling sweeps run to completion
-			}
-		}()
+	if sizes == nil {
+		sizes = StandardSizes()
 	}
-	wg.Wait()
-	if err := firstFailure(errs); err != nil {
-		return nil, err
+	params := apps.Params{NP: 2, Iters: reps}
+	specs := make([]Spec, 0, 3*len(sizes))
+	for _, size := range sizes {
+		k := pingPong(size)
+		specs = append(specs,
+			Spec{Kernel: k, Params: params, Proto: ProtoNative, Model: model},
+			Spec{Kernel: k, Params: params, Proto: ProtoHydEE, Assign: []int{0, 0}, Model: model},
+			Spec{Kernel: k, Params: params, Proto: ProtoHydEE, Assign: []int{0, 1}, Model: model},
+		)
 	}
-	native, noLog, withLog := sweeps[0], sweeps[1], sweeps[2]
-	if len(noLog) != len(native) || len(withLog) != len(native) {
-		return nil, fmt.Errorf("figure5: sweep lengths differ")
+	sums, err := RunAll(ctx, specs, 0)
+	if err != nil {
+		return nil, fmt.Errorf("figure5: %w", err)
 	}
-	rows := make([]Fig5Row, len(native))
-	for i := range native {
-		n, a, b := native[i], noLog[i], withLog[i]
+	rows := make([]Fig5Row, len(sizes))
+	for i, size := range sizes {
+		nLat, nBW := pingPongPoint(sums[3*i], size, reps)
+		aLat, aBW := pingPongPoint(sums[3*i+1], size, reps)
+		bLat, bBW := pingPongPoint(sums[3*i+2], size, reps)
 		rows[i] = Fig5Row{
-			Bytes:          n.Bytes,
-			NativeLatUs:    n.LatencyUs,
-			NativeBW:       n.BandwidthMBps,
-			LatRedNoLogPct: -100 * (a.LatencyUs - n.LatencyUs) / a.LatencyUs,
-			LatRedLogPct:   -100 * (b.LatencyUs - n.LatencyUs) / b.LatencyUs,
-			BWRedNoLogPct:  -100 * (n.BandwidthMBps - a.BandwidthMBps) / n.BandwidthMBps,
-			BWRedLogPct:    -100 * (n.BandwidthMBps - b.BandwidthMBps) / n.BandwidthMBps,
+			Bytes:          size,
+			NativeLatUs:    nLat,
+			NativeBW:       nBW,
+			LatRedNoLogPct: -100 * (aLat - nLat) / aLat,
+			LatRedLogPct:   -100 * (bLat - nLat) / bLat,
+			BWRedNoLogPct:  -100 * (nBW - aBW) / nBW,
+			BWRedLogPct:    -100 * (nBW - bBW) / nBW,
 		}
 	}
 	return rows, nil

@@ -1,12 +1,36 @@
-package netpipe
+package harness
+
+// Tests for Figure 5's ping-pong runs: the size sweep, the native curve
+// against the network model, and HydEE's piggyback and logging costs.
 
 import (
 	"context"
 	"testing"
 
-	"hydee/internal/core"
+	"hydee/internal/apps"
 	"hydee/internal/netmodel"
 )
+
+type point struct{ LatencyUs, BandwidthMBps float64 }
+
+// sweep runs the ping-pong at each size under one Figure 5 configuration
+// (proto, with assign for ProtoHydEE) and returns one point per size.
+func sweep(t *testing.T, model netmodel.Model, proto Proto, assign []int, sizes []int, reps int) []point {
+	t.Helper()
+	specs := make([]Spec, len(sizes))
+	for i, size := range sizes {
+		specs[i] = Spec{Kernel: pingPong(size), Params: apps.Params{NP: 2, Iters: reps}, Proto: proto, Assign: assign, Model: model}
+	}
+	sums, err := RunAll(context.Background(), specs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := make([]point, len(sizes))
+	for i, size := range sizes {
+		pts[i].LatencyUs, pts[i].BandwidthMBps = pingPongPoint(sums[i], size, reps)
+	}
+	return pts
+}
 
 func TestStandardSizesSane(t *testing.T) {
 	sizes := StandardSizes()
@@ -25,10 +49,7 @@ func TestStandardSizesSane(t *testing.T) {
 
 func TestNativeSweepMatchesModel(t *testing.T) {
 	model := netmodel.Myrinet10G()
-	pts, err := RunCtx(context.Background(), Config{Model: model, Sizes: []int{1, 1024, 1 << 20}, Reps: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := sweep(t, model, ProtoNative, nil, []int{1, 1024, 1 << 20}, 5)
 	// One-way latency of a 1-byte ping must be close to the model's
 	// small-message cost (send overhead + latency + recv overhead).
 	want := (model.SendOverhead(1) + model.Latency(1) + model.RecvOverhead(1)).Micros()
@@ -45,14 +66,8 @@ func TestNativeSweepMatchesModel(t *testing.T) {
 func TestHydEENeverFasterThanNative(t *testing.T) {
 	model := netmodel.Myrinet10G()
 	sizes := []int{1, 17, 32, 33, 1024, 1025, 64 << 10, 1 << 20}
-	native, err := RunCtx(context.Background(), Config{Model: model, Sizes: sizes, Reps: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hyd, err := RunCtx(context.Background(), Config{Model: model, Sizes: sizes, Reps: 5, Protocol: core.New(), SameCluster: false})
-	if err != nil {
-		t.Fatal(err)
-	}
+	native := sweep(t, model, ProtoNative, nil, sizes, 5)
+	hyd := sweep(t, model, ProtoHydEE, []int{0, 1}, sizes, 5)
 	for i := range sizes {
 		if hyd[i].LatencyUs+1e-9 < native[i].LatencyUs {
 			t.Errorf("size %d: hydee %.3fµs faster than native %.3fµs", sizes[i], hyd[i].LatencyUs, native[i].LatencyUs)
@@ -65,24 +80,12 @@ func TestLoggingCostMatchesNoLogging(t *testing.T) {
 	// the sender-based copy overlaps the transmission.
 	model := netmodel.Myrinet10G()
 	sizes := []int{64, 4096, 1 << 20}
-	noLog, err := RunCtx(context.Background(), Config{Model: model, Sizes: sizes, Reps: 5, Protocol: core.New(), SameCluster: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	withLog, err := RunCtx(context.Background(), Config{Model: model, Sizes: sizes, Reps: 5, Protocol: core.New(), SameCluster: false})
-	if err != nil {
-		t.Fatal(err)
-	}
+	noLog := sweep(t, model, ProtoHydEE, []int{0, 0}, sizes, 5)
+	withLog := sweep(t, model, ProtoHydEE, []int{0, 1}, sizes, 5)
 	for i := range sizes {
 		rel := (withLog[i].LatencyUs - noLog[i].LatencyUs) / noLog[i].LatencyUs
 		if rel > 0.02 {
 			t.Errorf("size %d: logging adds %.1f%% latency (must be ~free)", sizes[i], rel*100)
 		}
-	}
-}
-
-func TestRunValidation(t *testing.T) {
-	if _, err := RunCtx(context.Background(), Config{}); err == nil {
-		t.Fatal("missing model accepted")
 	}
 }

@@ -3,12 +3,7 @@ package harness
 import (
 	"fmt"
 	"strings"
-
-	"hydee/internal/core"
-	"hydee/internal/rollback"
 )
-
-func hydeeProtocol() rollback.Protocol { return core.New() }
 
 // FormatTable1 renders Table I like the paper.
 func FormatTable1(rows []Table1Row) string {

@@ -18,7 +18,6 @@ import (
 	"hydee/internal/netmodel"
 	"hydee/internal/rollback"
 	"hydee/internal/rollback/coord"
-	"hydee/internal/trace"
 	"hydee/internal/transport"
 	"hydee/internal/vtime"
 )
@@ -90,8 +89,6 @@ type Spec struct {
 	// (rollback.ClusterPlacement), and an error fails the run. Every run
 	// must get a fresh store, or sequential runs bleed state.
 	NewStore func(topo *rollback.Topology) (checkpoint.Store, error)
-	// Recorder optionally records application-level events.
-	Recorder *trace.Recorder
 }
 
 // Summary is the aggregated outcome of one run.
@@ -204,7 +201,6 @@ func RunCtx(ctx context.Context, s Spec) (*Summary, error) {
 		CheckpointEvery:   s.CheckpointEvery,
 		CheckpointStagger: s.Stagger,
 		Failures:          s.Failures,
-		Recorder:          s.Recorder,
 	}, prog)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s/%s: %w", s.Kernel.Name, s.Proto, err)

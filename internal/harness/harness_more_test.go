@@ -145,8 +145,8 @@ func TestCoordLogsNothing(t *testing.T) {
 	}
 }
 
-// TestFirstFailurePrefersRealFailure pins the error rule RunAll and
-// Figure5 share: the first real failure wins over the cancellations it
+// TestFirstFailurePrefersRealFailure pins RunAll's error rule: the
+// first real failure wins over the cancellations it
 // caused, wherever it sits; a cancellation is reported only when nothing
 // else failed.
 func TestFirstFailurePrefersRealFailure(t *testing.T) {

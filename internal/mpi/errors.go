@@ -15,7 +15,7 @@ var (
 	// ErrDeadlock reports that no rank can run and the run is not over — a
 	// deadlocked program, or overlapping unsupported failures. A run that
 	// never ends (a livelock) is bounded only by its context.
-	ErrDeadlock = errors.New("mpi: deadlock suspected")
+	ErrDeadlock = errors.New("mpi: deadlock")
 	// ErrCheckpointLost reports that a checkpoint this run completed could
 	// not be loaded from the store during a restart. Restarting the
 	// rank from its initial state instead would silently diverge from the

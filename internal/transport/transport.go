@@ -194,9 +194,6 @@ type Msg struct {
 	// coordinated checkpoint uses it to classify in-transit intra-cluster
 	// messages as pre- or post-snapshot.
 	Epoch int
-	// Round is the last recovery round the sender had processed at send
-	// time (diagnostics).
-	Round int
 	// WireLen is the modeled payload size in bytes. If zero it defaults to
 	// len(Data) at send time.
 	WireLen int

@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -648,5 +649,153 @@ func TestOversizedSubmissionRejected(t *testing.T) {
 	}
 	if jobs := srv.Jobs(); len(jobs) != 0 {
 		t.Errorf("oversized submission queued %d jobs", len(jobs))
+	}
+}
+
+// TestChurnLeaksNothing drives the service the way a crowd of careless
+// clients would: submissions until the queue answers 503, an SSE stream
+// on every accepted job with every other client gone after its first
+// frame, one burst of DELETEs over queued and running jobs alike, then
+// Close. Every job ends canceled or done, every stream still read to
+// its end ends with the summary frame, and the goroutines return to the
+// baseline.
+func TestChurnLeaksNothing(t *testing.T) {
+	before := runtime.NumGoroutine()
+	srv, err := server.New(server.Config{Queue: 2, EventDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	transport := &http.Transport{}
+	client := &http.Client{Transport: transport}
+
+	runs := make([]hydee.SweepSpec, 64)
+	for i := range runs {
+		runs[i] = hydee.SweepSpec{App: "cg", NP: 16, Iters: 50, Proto: "native"}
+	}
+	body, err := json.Marshal(server.JobRequest{Runs: runs, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []int
+	for full := false; !full; {
+		if len(ids) == 8 {
+			t.Fatalf("%d submissions accepted into a queue of 2, no 503", len(ids))
+		}
+		resp, err := client.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch resp.StatusCode {
+		case http.StatusAccepted:
+			var view server.JobView
+			if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, view.ID)
+		case http.StatusServiceUnavailable:
+			full = true
+		default:
+			t.Fatalf("submit: status %d", resp.StatusCode)
+		}
+		resp.Body.Close()
+	}
+
+	// One SSE client per accepted job. The even-numbered ones hang up
+	// after their first frame; the others read to the end of the stream
+	// and report the last event name they saw.
+	first := make(chan struct{}, len(ids))
+	last := make([]string, len(ids))
+	var readers sync.WaitGroup
+	for i, id := range ids {
+		resp, err := client.Get(fmt.Sprintf("%s/v1/jobs/%d/events", ts.URL, id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			defer resp.Body.Close()
+			sc := bufio.NewScanner(resp.Body)
+			frames := 0
+			for sc.Scan() {
+				line := sc.Text()
+				if strings.HasPrefix(line, "event: ") {
+					last[i] = strings.TrimPrefix(line, "event: ")
+				}
+				if line != "" {
+					continue
+				}
+				if frames++; frames == 1 {
+					first <- struct{}{}
+					if i%2 == 0 {
+						return
+					}
+				}
+			}
+		}()
+	}
+	// The first job is running: its stream's first frame is a lifecycle
+	// event, and its client is one of those that hang up.
+	select {
+	case <-first:
+	case <-time.After(30 * time.Second):
+		t.Fatal("no SSE frame from the running job")
+	}
+
+	var cancels sync.WaitGroup
+	for _, id := range ids {
+		cancels.Add(1)
+		go func() {
+			defer cancels.Done()
+			req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/v1/jobs/%d", ts.URL, id), nil)
+			resp, err := client.Do(req)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("cancel %d: status %d", id, resp.StatusCode)
+			}
+		}()
+	}
+	cancels.Wait()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := srv.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		if v := waitDone(t, srv, id); v.State != server.StateCanceled && v.State != server.StateDone {
+			t.Errorf("job %d: state %s, want canceled or done", id, v.State)
+		}
+	}
+	readers.Wait()
+	for i := 1; i < len(ids); i += 2 {
+		if last[i] != "summary" {
+			t.Errorf("job %d: stream read to its end finished on %q, want the summary frame", ids[i], last[i])
+		}
+	}
+	// httptest's Close waits for every handler: a stream handler stuck
+	// on a client that hung up fails here rather than hanging the test.
+	closed := make(chan struct{})
+	go func() { ts.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("HTTP server did not close: a handler is still running")
+	}
+	transport.CloseIdleConnections()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if n := runtime.NumGoroutine(); n <= before+3 {
+			break
+		} else if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before, %d after close", before, n)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
