@@ -96,10 +96,11 @@ bench:
 	bash benchmark/run.sh
 
 # The benchmark driver is a nested module that `./...` above does not
-# reach; build, vet and short-test it (including its golden vt_digest
-# gate) so an API change in the root module cannot silently break it.
+# reach; build, vet and short-test it, then run its golden vt_digest gate
+# (TestTinyWorkloads, ≈3 s, which skips itself under -short), so an API
+# change in the root module cannot silently break it or move a digest.
 bench-check:
-	cd benchmark && $(GO) build . && $(GO) vet . && $(GO) test -short .
+	cd benchmark && $(GO) build . && $(GO) vet . && $(GO) test -short . && $(GO) test -run TestTinyWorkloads .
 
 # The in-tree benchmarks of the layers the repository benchmark attributes
 # time to: the erasure kernel (Encode under each of its bodies, Split,
@@ -127,8 +128,8 @@ bench-layers:
 # The TestHydEESmoke1024 shape (HydEE, 32-rank clusters, one checkpoint,
 # one failure, one recovery round) at np = 16384, the scale ROADMAP item 5
 # targets (scale16k_test.go, build tag smoke16k). Not part of `check`; the
-# test logs its wall time and the process's peak RSS, and fails above an
-# 800 MB peak RSS.
+# test logs its wall time and the process's peak RSS, and fails above a
+# 700 MB peak RSS.
 smoke16k:
 	$(GO) test -tags smoke16k -run 'TestHydEESmoke16384' -count=1 -v -timeout 30m .
 

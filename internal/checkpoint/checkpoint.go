@@ -37,7 +37,8 @@ type Snapshot struct {
 	CollSeq int64
 	// AppState is the gob-encoded application state.
 	AppState []byte
-	// ProtState is the engine-encoded protocol state (opaque here).
+	// ProtState is the engine-encoded protocol state (opaque here), set
+	// by the engine or encoded from its DeferProtState value.
 	ProtState []byte
 	// Mailbox holds the in-transit messages included in the checkpoint:
 	// intra-cluster messages of the previous epoch plus all buffered
@@ -46,6 +47,29 @@ type Snapshot struct {
 	// ModelBytes is the modeled size of the checkpoint for the storage
 	// cost model; when zero the encoded size is used.
 	ModelBytes int64
+
+	// protValue awaits BorrowProtState; stores, codecs, exporters and
+	// Clone never see it.
+	protValue any
+}
+
+// DeferProtState leaves v for the runtime to gob-encode into ProtState,
+// off the process's task and before the snapshot's size is taken. v is
+// read then, not copied now, so it must not change until the save is
+// staged.
+func (s *Snapshot) DeferProtState(v any) { s.protValue = v }
+
+// BorrowProtState encodes the DeferProtState value, if any, into
+// ProtState in a buffer borrowed with BorrowState and forgets the value;
+// release gives the buffer back.
+func (s *Snapshot) BorrowProtState() (release func(), err error) {
+	v := s.protValue
+	if v == nil {
+		return func() {}, nil
+	}
+	s.protValue = nil
+	s.ProtState, release, err = BorrowState(v)
+	return release, err
 }
 
 // EncodedSize reports the modeled encoded byte count of the snapshot:
@@ -78,6 +102,7 @@ func (s *Snapshot) CostBytes() int64 {
 // corrupt stable storage.
 func (s *Snapshot) Clone() *Snapshot {
 	c := *s
+	c.protValue = nil
 	c.AppState = append([]byte(nil), s.AppState...)
 	c.ProtState = append([]byte(nil), s.ProtState...)
 	c.Mailbox = make([]*transport.Msg, len(s.Mailbox))

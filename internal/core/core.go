@@ -22,8 +22,6 @@
 package core
 
 import (
-	"fmt"
-
 	"hydee/internal/checkpoint"
 	"hydee/internal/netmodel"
 	"hydee/internal/rollback"
@@ -263,7 +261,8 @@ func (e *engine) OnDeliver(m *transport.Msg) {
 
 // OnCheckpoint implements Algorithm 1 lines 19-21: the snapshot includes
 // RPP, the message log, phase and date (the image and mailbox are captured
-// by the runtime).
+// by the runtime). The save encodes the state uncopied: no engine method
+// runs until it is staged, and the next checkpoint replaces the GC maps.
 func (e *engine) OnCheckpoint(s *checkpoint.Snapshot) {
 	// Promote the previous checkpoint's watermarks to "safe": entering
 	// this checkpoint implies every cluster member completed the previous
@@ -285,20 +284,23 @@ func (e *engine) OnCheckpoint(s *checkpoint.Snapshot) {
 			e.gcPendingDeliv[m.Src] = m.Date
 		}
 	}
-	e.gcAcked = make(map[int]bool)
+	if e.gcAcked == nil { // not saved, so reused
+		e.gcAcked = make(map[int]bool)
+	}
+	clear(e.gcAcked)
+	s.DeferProtState(e.savedState())
+	// The logs are part of the checkpoint volume (Algorithm 1 line 21).
+	s.ModelBytes += e.logs.Bytes
+}
 
-	st := &engineState{
+// savedState is the protocol state a checkpoint saves. It shares the
+// engine's maps and log.
+func (e *engine) savedState() *engineState {
+	return &engineState{
 		Date: e.date, Phase: e.phase, RPP: e.rpp, Logs: e.logs,
 		GCSafeValid: e.gcSafeValid, GCSafeDate: e.gcSafeDate, GCSafeDeliv: e.gcSafeDeliv,
 		GCPendingValid: e.gcPendingValid, GCPendingDate: e.gcPendingDate, GCPendingDeliv: e.gcPendingDeliv,
 	}
-	b, err := encodeEngineState(st)
-	if err != nil {
-		panic(fmt.Sprintf("core: rank %d: %v", e.rank, err))
-	}
-	s.ProtState = b
-	// The logs are part of the checkpoint volume (Algorithm 1 line 21).
-	s.ModelBytes += e.logs.Bytes
 }
 
 // drainStall models staging n logged bytes for the asynchronous device

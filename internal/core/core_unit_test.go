@@ -284,27 +284,65 @@ func TestGCAckOnlyAfterSecondCheckpoint(t *testing.T) {
 		in.Date = date
 		e.OnDeliver(in)
 	}
+	acks := func() []capturedCtl {
+		return px.ctlOfType(func(b any) bool { _, ok := b.(GCAck); return ok })
+	}
+	// ckpt takes checkpoint seq and reads its state as the save
+	// encodes it, before the engine runs again.
+	ckpt := func(seq int) *engineState { return checkpointState(t, e, seq) }
 	deliver(1)
-	if len(px.ctlOfType(func(b any) bool { _, ok := b.(GCAck); return ok })) != 0 {
+	if len(acks()) != 0 {
 		t.Fatal("ack before any checkpoint")
 	}
-	e.OnCheckpoint(&checkpoint.Snapshot{Rank: 0, Seq: 1})
+	if st := ckpt(1); st.GCSafeValid || st.GCPendingDeliv[1] != 1 {
+		t.Fatalf("checkpoint 1 saved safe=%v pending=%v, want no safe watermark and pending 1", st.GCSafeValid, st.GCPendingDeliv)
+	}
 	deliver(2)
-	if len(px.ctlOfType(func(b any) bool { _, ok := b.(GCAck); return ok })) != 0 {
+	if len(acks()) != 0 {
 		t.Fatal("ack after only one checkpoint (unsafe for N-1 restore)")
 	}
-	e.OnCheckpoint(&checkpoint.Snapshot{Rank: 0, Seq: 2})
-	deliver(3)
-	acks := px.ctlOfType(func(b any) bool { _, ok := b.(GCAck); return ok })
-	if len(acks) != 1 {
-		t.Fatalf("expected one ack after the second checkpoint, got %d", len(acks))
+	if st := ckpt(2); !st.GCSafeValid || st.GCSafeDeliv[1] != 1 || st.GCPendingDeliv[1] != 2 {
+		t.Fatalf("checkpoint 2 saved safe=%v %v pending=%v, want safe 1 and pending 2", st.GCSafeValid, st.GCSafeDeliv, st.GCPendingDeliv)
 	}
-	got := acks[0].body.(GCAck)
+	deliver(3)
+	if len(acks()) != 1 {
+		t.Fatalf("expected one ack after the second checkpoint, got %d", len(acks()))
+	}
 	// The ack must carry checkpoint 1's watermarks (delivered date 1),
 	// not checkpoint 2's (delivered date 2).
-	if got.DeliveredFromYou != 1 {
+	if got := acks()[0].body.(GCAck); got.DeliveredFromYou != 1 {
 		t.Fatalf("ack watermark %d, want 1 (previous checkpoint)", got.DeliveredFromYou)
 	}
+	// Each checkpoint acks each sender again, once.
+	deliver(4)
+	ckpt(3)
+	deliver(5)
+	deliver(6)
+	if got := acks(); len(got) != 2 || got[1].body.(GCAck).DeliveredFromYou != 2 {
+		t.Fatalf("acks after the third checkpoint %+v, want a second one carrying 2", got)
+	}
+}
+
+// checkpointState runs e's checkpoint hook for checkpoint seq and returns
+// the protocol state it saves, encoded as the runtime's save encodes it
+// and decoded.
+func checkpointState(t *testing.T, e *engine, seq int) *engineState {
+	t.Helper()
+	snap := &checkpoint.Snapshot{Rank: e.rank, Seq: seq}
+	e.OnCheckpoint(snap)
+	release, err := snap.BorrowProtState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	if len(snap.ProtState) == 0 {
+		t.Fatal("no protocol state captured")
+	}
+	st, err := decodeEngineState(snap.ProtState)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 func TestEngineStateRoundTrip(t *testing.T) {
@@ -320,9 +358,14 @@ func TestEngineStateRoundTrip(t *testing.T) {
 
 	snap := &checkpoint.Snapshot{Rank: 0, Seq: 1}
 	e.OnCheckpoint(snap)
-	if len(snap.ProtState) == 0 {
-		t.Fatal("no protocol state captured")
+	if len(snap.ProtState) != 0 {
+		t.Fatal("protocol state encoded on the rank's task, not left to the save")
 	}
+	release, err := snap.BorrowProtState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
 	st, err := decodeEngineState(snap.ProtState)
 	if err != nil {
 		t.Fatal(err)

@@ -119,10 +119,6 @@ type engineState struct {
 	GCPendingDeliv map[int]int64
 }
 
-// encodeEngineState gob-encodes a checkpoint's protocol state through the
-// checkpoint package's shared codec: the bytes a fresh gob encoder writes.
-func encodeEngineState(s *engineState) ([]byte, error) { return checkpoint.EncodeState(s) }
-
 func decodeEngineState(b []byte) (*engineState, error) {
 	var s engineState
 	if err := checkpoint.DecodeState(b, &s); err != nil {

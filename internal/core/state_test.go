@@ -1,9 +1,10 @@
 package core
 
-// The protocol-state codec against gob itself: encodeEngineState writes
-// engineState's type descriptors from a cache and the value through a
-// pooled, primed encoder, and what it writes must be what a gob encoder of
-// its own would write.
+// The protocol-state codec against gob itself: a checkpoint's save
+// encodes engineState through the checkpoint package's codec, which writes
+// the type descriptors from a cache and the value through a pooled, primed
+// encoder, and what it writes must be what a gob encoder of its own would
+// write.
 
 import (
 	"bytes"
@@ -83,8 +84,8 @@ func randomEngineState(rng *rand.Rand, wide bool) *engineState {
 	return s
 }
 
-// TestEngineStateEncodingIsGob holds encodeEngineState to a fresh gob
-// encoder: byte for byte on states with a single encoding, and through
+// TestEngineStateEncodingIsGob holds the save's encode of a deferred
+// engineState to a fresh gob encoder: byte for byte on states with a single encoding, and through
 // decodeEngineState on any state, from several goroutines sharing the pool.
 func TestEngineStateEncodingIsGob(t *testing.T) {
 	decode := func(b []byte) *engineState {
@@ -97,11 +98,15 @@ func TestEngineStateEncodingIsGob(t *testing.T) {
 	}
 	check := func(s *engineState, wide bool) {
 		t.Helper()
-		got, err := encodeEngineState(s)
+		snap := &checkpoint.Snapshot{}
+		snap.DeferProtState(s)
+		release, err := snap.BorrowProtState()
 		if err != nil {
 			t.Error(err)
 			return
 		}
+		defer release()
+		got := snap.ProtState
 		want := freshEncoding(t, s)
 		if !wide && !bytes.Equal(got, want) {
 			t.Errorf("encoding of %+v differs from a fresh encoder's:\n got %x\nwant %x", s, got, want)
@@ -162,16 +167,32 @@ func BenchmarkEnginePreSend(b *testing.B) {
 }
 
 // BenchmarkEngineOnCheckpoint measures the protocol's share of a
-// checkpoint: garbage-collection watermarks and the encoded state, for an
-// engine holding a few messages per peer of one remote 32-rank cluster, at
-// np = 64, 1024 and 16384. The cost must not grow with np.
+// checkpoint, for an engine holding a few messages per peer of one remote
+// 32-rank cluster, at np = 64, 1024 and 16384, in its two halves: capture
+// is OnCheckpoint on the rank's task (garbage-collection watermarks, the
+// state handed to the save), encode is the save's encode of that state on
+// its own goroutine, its buffer released as a staged save releases it.
+// Neither may grow with np.
 func BenchmarkEngineOnCheckpoint(b *testing.B) {
 	for _, np := range []int{64, 1024, 16384} {
-		b.Run(fmt.Sprintf("np%d", np), func(b *testing.B) {
-			e := benchEngine(b, np, 4)
+		e := benchEngine(b, np, 4)
+		b.Run(fmt.Sprintf("capture/np%d", np), func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				e.OnCheckpoint(&checkpoint.Snapshot{Rank: 0, Seq: 1})
+			}
+		})
+		b.Run(fmt.Sprintf("encode/np%d", np), func(b *testing.B) {
+			st := e.savedState()
+			snap := &checkpoint.Snapshot{Rank: 0, Seq: 1}
+			b.ReportAllocs()
+			for b.Loop() {
+				snap.DeferProtState(st)
+				release, err := snap.BorrowProtState()
+				if err != nil {
+					b.Fatal(err)
+				}
+				release()
 			}
 		})
 	}

@@ -31,11 +31,13 @@ func captureProc(n int) *Proc {
 }
 
 // BenchmarkCapture is what a checkpoint builds before the store sees it:
-// Proc.capture — the protocol state and the mailbox scan — and the save's
-// encode of the application state into AppState, at 64 KiB and 512 KiB
-// images with an empty mailbox. Each encode's buffer goes back to its
-// codec at once, as a save gives it back once a copying store has staged
-// it, so the steady state encodes into warm memory.
+// Proc.capture — the engine's hook and the mailbox scan — and the save's
+// encodes, of the protocol state into ProtState (none for the native
+// engine here; BenchmarkEngineOnCheckpoint's encode half in internal/core
+// measures HydEE's) and of the application state into AppState, at 64 KiB
+// and 512 KiB images with an empty mailbox. Each encode's buffer goes back
+// to its codec at once, as a save gives it back once a copying store has
+// staged it, so the steady state encodes into warm memory.
 func BenchmarkCapture(b *testing.B) {
 	for _, size := range []struct {
 		name string

@@ -502,42 +502,53 @@ func (p *Proc) capture(seq int, scope []int) *checkpoint.Snapshot {
 }
 
 // save is the part of a checkpoint write that does not depend on the
-// virtual time it is issued at: the process image's encode and the
-// store's stage (copy, encoding, parity, seals). It runs on a goroutine of
-// its own while its process waits for the turn, in parallel with the run's
-// driver; done closes when it is over.
+// virtual time it is issued at: the protocol state's and the process
+// image's encodes and the store's stage (copy, encoding, parity, seals).
+// It runs on a goroutine of its own while its process waits for the turn,
+// in parallel with the run's driver; done closes when it is over.
+//
+// The encodes read the engine's deferred state and the application state
+// uncopied. Both stay frozen until done closes: meanwhile the process only
+// waits in FlushAwaitTurn, which has no take callback, so no engine method
+// and no application code of the process runs.
 type save struct {
 	snap   *checkpoint.Snapshot
 	staged checkpoint.Staged
-	// release gives the image's buffer back to its codec; it is a no-op
-	// once the stage no longer references it.
-	release func()
-	cost    int64
-	err     error
-	done    chan struct{}
+	cost   int64
+	err    error
+	done   chan struct{}
+
+	// releaseProt and releaseApp give the protocol state's and the
+	// image's buffers back to their codecs (see release).
+	releaseProt, releaseApp func()
 }
 
-// stage encodes state, the process image, into the snapshot, then stages
-// the save to st. The image's buffer goes back to its codec as soon as
-// nothing references it: here when the stage copied the snapshot, else
-// once Commit or Discard returns.
+// stage encodes the protocol state and state, the process image, then
+// stages the save to st. The buffers go back to their
+// codecs as soon as nothing references them: here when the stage copied
+// the snapshot or failed, else once Commit or Discard returns.
 func (s *save) stage(st checkpoint.Store, state any) {
 	defer close(s.done)
-	if s.err = s.encode(state); s.err != nil {
-		return
+	if s.err = s.encode(state); s.err == nil {
+		s.cost = s.snap.CostBytes()
+		s.staged, s.err = checkpoint.Stage(st, s.snap)
 	}
-	s.cost = s.snap.CostBytes()
-	s.staged, s.err = checkpoint.Stage(st, s.snap)
 	if s.err != nil || s.staged.Detached() {
 		s.release()
-		s.release = func() {}
 	}
 }
 
-// encode writes state into the snapshot's AppState, in a buffer borrowed
-// from its type's codec (release gives it back).
+// encode writes the deferred protocol state into ProtState, then state
+// into AppState, in buffers borrowed from their codecs. The protocol state
+// goes first: gob numbers types in the order it meets them, and the
+// numbers' widths are part of every snapshot's length.
 func (s *save) encode(state any) error {
-	s.release = func() {}
+	s.releaseProt, s.releaseApp = noRelease, noRelease
+	release, err := s.snap.BorrowProtState()
+	if err != nil {
+		return err
+	}
+	s.releaseProt = release
 	if state == nil {
 		return nil
 	}
@@ -545,9 +556,18 @@ func (s *save) encode(state any) error {
 	if err != nil {
 		return err
 	}
-	s.snap.AppState, s.release = b, release
+	s.snap.AppState, s.releaseApp = b, release
 	return nil
 }
+
+// release gives both buffers back; a second call does nothing.
+func (s *save) release() {
+	s.releaseProt()
+	s.releaseApp()
+	s.releaseProt, s.releaseApp = noRelease, noRelease
+}
+
+func noRelease() {}
 
 func (p *Proc) cluster() int { return p.rt.topo.ClusterOf[p.rank] }
 

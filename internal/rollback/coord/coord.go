@@ -84,9 +84,7 @@ func (e *engine) OnCtl(m *transport.Msg) {}
 
 // OnCheckpoint implements rollback.Engine.
 func (e *engine) OnCheckpoint(s *checkpoint.Snapshot) {
-	if b, err := checkpoint.EncodeState(engineState{Date: e.date}); err == nil {
-		s.ProtState = b
-	}
+	s.DeferProtState(engineState{Date: e.date})
 }
 
 // OnRestore implements rollback.Engine.

@@ -254,10 +254,12 @@ type Engine interface {
 	// OnCtl handles one protocol control message addressed to this rank.
 	OnCtl(m *transport.Msg)
 	// OnCheckpoint contributes protocol state to the snapshot under
-	// construction (Algorithm 1 line 21: RPP, Logs, Phase, Date). s is
-	// the runtime's, which encodes the application state into it after
-	// the call: the engine must not keep s, or anything s points to, past
-	// the call.
+	// construction (Algorithm 1 line 21: RPP, Logs, Phase, Date), on the
+	// process's task: it sets s.ProtState, or hands s.DeferProtState a
+	// value the save goroutine encodes, which may share the engine's maps
+	// since no engine method of the process runs until the save is
+	// staged. s is the runtime's: the engine must not keep s, or anything
+	// s points to, past the call.
 	OnCheckpoint(s *checkpoint.Snapshot)
 	// OnRestore rehydrates protocol state from the snapshot and performs
 	// the restart protocol of Algorithm 2 (rollback notifications etc.).

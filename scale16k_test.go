@@ -12,7 +12,9 @@ import (
 // smoke16kMaxRSSMB is the np=16384 run's peak-RSS ceiling. Per-rank
 // state sized by np, not by a rank's peers, is what breaks it first: with
 // an np-long incarnation vector per engine this run peaked near 1.2 GB.
-const smoke16kMaxRSSMB = 800
+// Four runs with the protocol state encoded off the driver peaked at
+// 533-546 MB.
+const smoke16kMaxRSSMB = 700
 
 // TestHydEESmoke16384 runs the np=1024 smoke workload's shape at np=16384,
 // logs what it cost and fails above the peak-RSS ceiling: `make smoke16k`.
