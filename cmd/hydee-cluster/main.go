@@ -3,7 +3,7 @@
 // six, printing Table-I rows — clusters, expected rollback and the share
 // of bytes HydEE logs — then the paper's values at 256 ranks, and, with
 // -assign, the full cluster assignment usable in HydEE configurations.
-// The network model is selected by name through the hydee registry, the
+// The network model is selected by name over hydee's name tables, the
 // six kernel traces run in parallel, and -events streams every trace's
 // lifecycle to a JSONL file.
 package main

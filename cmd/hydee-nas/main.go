@@ -6,7 +6,7 @@
 // at most 1.25% on 256 ranks).
 //
 // The comparator protocol and network model are selected by name through
-// the hydee registries, the independent runs of the sweep execute in
+// hydee's name tables, the independent runs of the sweep execute in
 // parallel, and -events streams every run's lifecycle to a JSONL file.
 // Ctrl-C cancels the sweep cleanly.
 package main

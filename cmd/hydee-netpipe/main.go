@@ -6,7 +6,7 @@
 // message across a native latency plateau, and near-identical curves with
 // and without logging (the log copy overlaps transmission).
 //
-// The network model is selected by name through the hydee registry, the
+// The network model is selected by name over hydee's name tables, the
 // three configurations' runs of every size go through one worker pool,
 // and -events streams every run's lifecycle to a JSONL file.
 package main

@@ -5,7 +5,7 @@
 // backing for the paper's introduction claims (less rolled-back
 // computation, faster recovery, freed resources). The kernel, network
 // model and checkpoint store are selected by name through the hydee
-// registries (-store sharded:4 places each cluster's checkpoints on its
+// name tables (-store sharded:4 places each cluster's checkpoints on its
 // own storage shard); with a sharded store and -store-bps it also prints
 // the E5-extension burst comparison. -events streams every run's
 // lifecycle to a JSONL file. Ctrl-C cancels.
@@ -74,7 +74,7 @@ func main() {
 	if err := failWhen.Validate(); err != nil {
 		log.Fatalf("hydee-recover: %v (valid -fail-at forms: %s)", err, hydee.FailureSpecForms)
 	}
-	// Probe the registry now so an unknown or misconfigured store fails
+	// Probe the spec now so an unknown or misconfigured store fails
 	// before any sweep work, not inside the first run.
 	geometry, err := store.Probe()
 	if err != nil {

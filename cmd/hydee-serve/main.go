@@ -1,7 +1,7 @@
 // Command hydee-serve exposes the experiment harness as an HTTP sweep
 // service: clients POST batches of runs as JSON (every backend — kernel,
 // protocol, network model, checkpoint store, failure schedule — selected
-// by registry name, the same compact forms the CLI flags take), poll or
+// by name, the same compact forms the CLI flags take), poll or
 // stream each job's lifecycle events live over SSE, and cancel jobs
 // mid-run. Runs execute on the same deterministic virtual-time engine as
 // the CLI, so a sweep submitted over HTTP produces summaries

@@ -190,13 +190,14 @@ func WithStore(st Store) Option {
 	}
 }
 
-// WithStoreSpec selects the store by spec — a registry name with its
-// geometry ("mem", "sharded:4", "ec:4+2", "replica:3", or anything added
-// via RegisterStore), a bandwidth and a directory, exactly as the -store
-// flags and job submissions spell it — and builds a fresh store from it
-// on every Run, so sequential runs never bleed state. The spec is probed
-// here, so a spec its store refuses fails New. A multi-target store
-// places each cluster of the engine's topology on its own target.
+// WithStoreSpec selects a built-in store by spec — a name from StoreNames
+// with its geometry ("mem", "sharded:4", "ec:4+2", "replica:3"), a
+// bandwidth and a directory, exactly as the -store flags and job
+// submissions spell it — and builds a fresh store from it on every Run,
+// so sequential runs never bleed state. A third-party store comes in by
+// value through WithStore. The spec is probed here, so a spec its store
+// refuses fails New. A multi-target store places each cluster of the
+// engine's topology on its own target.
 func WithStoreSpec(s StoreSpec) Option {
 	return func(e *Engine) error {
 		if _, err := s.Probe(); err != nil {

@@ -1,7 +1,7 @@
 package hydee_test
 
 // Tests for the Engine-based public API: option application, engine reuse,
-// context cancellation with goroutine reaping, registries, typed errors
+// context cancellation with goroutine reaping, name tables, typed errors
 // and lifecycle observation.
 
 import (
@@ -249,7 +249,7 @@ func TestEngineObserverLifecycle(t *testing.T) {
 }
 
 func TestRegistries(t *testing.T) {
-	for _, name := range []string{"myrinet10g", "myrinet", "tcpgige", "gige", "ideal", "Ideal"} {
+	for _, name := range []string{"myrinet10g", "myrinet", "tcpgige", "gige", "ideal", "Ideal", "MYRINET", "GigE"} {
 		m, err := hydee.ModelByName(name)
 		if err != nil || m == nil {
 			t.Errorf("ModelByName(%q): %v", name, err)
@@ -267,8 +267,17 @@ func TestRegistries(t *testing.T) {
 	if _, err := hydee.ExperimentProtoByName("chandy-lamport"); err == nil {
 		t.Error("unknown experiment proto accepted")
 	}
-	if len(hydee.ExperimentProtoNames()) != 4 || len(hydee.ModelNames()) < 3 {
-		t.Errorf("registry listings: %v %v", hydee.ExperimentProtoNames(), hydee.ModelNames())
+	// Store and exporter names resolve case-insensitively too, aliases
+	// included.
+	for _, spec := range []string{"MEM", "Memory", "Sharded:2", "EC:4+2", "REPLICATED:3"} {
+		if _, err := (hydee.StoreSpec{Spec: spec}).Probe(); err != nil {
+			t.Errorf("store spec %q: %v", spec, err)
+		}
+	}
+	for _, name := range []string{"JSONL", "Metrics"} {
+		if mk, err := hydee.ExporterByName(name); err != nil || mk == nil {
+			t.Errorf("ExporterByName(%q): %v", name, err)
+		}
 	}
 }
 

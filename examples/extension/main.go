@@ -1,10 +1,9 @@
 // The extension example plugs third-party components into hydee from
-// outside the root package: a custom rollback protocol (HydEE under
-// instrumentation), passed to the engine by value, and a custom
-// checkpoint-store backend (a save-counting wrapper over the sharded
-// store) and event exporter (a per-kind tally), registered and then
-// resolved by name — exactly what an embedding application or the cmd
-// binaries' flags do. All three are driven through one
+// outside the root package, each by value: a custom rollback protocol
+// (HydEE under instrumentation), a custom checkpoint store (a
+// save-counting wrapper over the sharded store) and a custom event
+// exporter (a per-kind tally). A built-in network model is resolved by
+// name, as the cmd binaries' flags do. All four are driven through one
 // failure-and-recovery run.
 package main
 
@@ -67,40 +66,22 @@ func (x *tallyExporter) Close() error {
 }
 
 func main() {
-	// One countingStore is built per run; the latest lands here so main
-	// can report it.
-	var lastStore *countingStore
-
-	// Register the store and the exporter. Names are claimed once,
-	// case-insensitively; a collision would be an error. The store's
-	// factory receives the options "counting:<n>" resolves to: the shard
-	// count, the bandwidth and the per-cluster placement.
-	if err := hydee.RegisterStore("counting", func(o hydee.StoreOptions) (hydee.Store, error) {
-		lastStore = &countingStore{Store: hydee.NewShardedStore(o.Shards, o.BPS, o.BPS, o.Placement)}
-		return lastStore, nil
-	}); err != nil {
-		log.Fatal(err)
-	}
-	if err := hydee.RegisterExporter("tally", newTallyExporter); err != nil {
-		log.Fatal(err)
-	}
-
-	// Resolve the registered names, as a flag-driven binary would.
-	mkExporter, err := hydee.ExporterByName("tally")
-	if err != nil {
-		log.Fatal(err)
-	}
-	exporter := mkExporter(os.Stdout)
+	// The store wraps three 1 GB/s shards, each cluster's checkpoints on
+	// its own shard: what the spec "sharded:3" with that bandwidth builds.
+	topo := hydee.NewTopology([]int{0, 0, 1, 1, 2, 2})
+	store := &countingStore{Store: hydee.NewShardedStore(3, 1e9, 1e9, hydee.ClusterPlacement(topo, 3))}
+	exporter := newTallyExporter(os.Stdout)
+	// A built-in model resolves by name, as a flag-driven binary would.
 	model, err := hydee.ModelByName("myrinet") // shorthand alias of myrinet10g
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	eng, err := hydee.New(
-		hydee.WithTopology(hydee.NewTopology([]int{0, 0, 1, 1, 2, 2})),
-		hydee.WithProtocol(tracedHydEE{hydee.HydEE()}), // a protocol plugs in by value
+		hydee.WithTopology(topo),
+		hydee.WithProtocol(tracedHydEE{hydee.HydEE()}),
 		hydee.WithModel(model),
-		hydee.WithStoreSpec(hydee.StoreSpec{Spec: "counting:3", BPS: 1e9}),
+		hydee.WithStore(store),
 		hydee.WithCheckpointEvery(2),
 		hydee.WithFailureEvents(hydee.FailureEvent{
 			Ranks: []int{3}, When: hydee.FailureTrigger{AfterCheckpoints: 1},
@@ -122,7 +103,7 @@ func main() {
 	fmt.Printf("protocol %q over 6 ranks: makespan %v, %d recovery round(s)\n",
 		"traced-hydee", res.Makespan, len(res.Rounds))
 	fmt.Printf("counting store saw %d checkpoint saves across 3 shards (store stats: %+v)\n",
-		lastStore.saves.Load(), res.StoreStats)
-	fmt.Printf("registries now list: stores %v, exporters %v\n",
+		store.saves.Load(), res.StoreStats)
+	fmt.Printf("built-in names: stores %v, exporters %v\n",
 		hydee.StoreNames(), hydee.ExporterNames())
 }

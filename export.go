@@ -18,8 +18,9 @@ import (
 // observer calls, but a parallel sweep drives many runs into one exporter
 // at once — and must be closed to flush.
 //
-// Built-ins ("jsonl", "metrics") are pre-registered; third parties plug
-// in through RegisterExporter and select by name via ExporterByName.
+// The built-ins ("jsonl", "metrics") are selectable by name through
+// ExporterByName; a third-party exporter plugs in by value, through
+// WithObserver or ContextWithObserver.
 
 // Exporter is an Observer bound to an output sink. Close flushes and
 // finalizes the sink (it does not close the underlying writer).
@@ -28,8 +29,8 @@ type Exporter interface {
 	Close() error
 }
 
-// ExporterFactory builds an Exporter streaming to w — the common
-// constructor signature RegisterExporter expects.
+// ExporterFactory builds an Exporter streaming to w — the constructor
+// ExporterByName resolves a name to.
 type ExporterFactory func(w io.Writer) Exporter
 
 // jsonlEvent is the wire form of one lifecycle event. Virtual times are

@@ -1,18 +1,15 @@
 package hydee_test
 
 // End-to-end acceptance for the extension surface: a third-party
-// protocol, store and exporter — implemented outside the root package —
-// are driven through a failure-and-recovery run. The protocol plugs in
-// by value; the store and the exporter are registered once and then
-// selected purely by name, the way an embedding application or a cmd
-// binary's flags would.
+// protocol, store and exporter — implemented outside the root package,
+// each passed to the engine by value — are driven through a
+// failure-and-recovery run.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
 	"io"
-	"strings"
 	"sync"
 	"testing"
 
@@ -49,37 +46,14 @@ func (x *countingExporter) Close() error {
 	return nil
 }
 
-func TestThirdPartyExtensionsByName(t *testing.T) {
-	var stores []*trackingStore
-	var exporters []*countingExporter
-	mustRegister := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	store, exporter := freshName("audit-sharded"), freshName("audit-count")
-	mustRegister(hydee.RegisterStore(store, func(o hydee.StoreOptions) (hydee.Store, error) {
-		st := &trackingStore{Store: hydee.NewShardedStore(o.Shards, o.BPS, o.BPS, o.Placement)}
-		stores = append(stores, st)
-		return st, nil
-	}))
-	mustRegister(hydee.RegisterExporter(exporter, func(w io.Writer) hydee.Exporter {
-		x := newCountingExporter(w)
-		exporters = append(exporters, x)
-		return x
-	}))
-
-	// The store and the exporter resolve by name only.
-	mkExp, err := hydee.ExporterByName(strings.ToUpper(exporter)) // case-insensitive
-	if err != nil {
-		t.Fatal(err)
-	}
-	exp := mkExp(&bytes.Buffer{})
+func TestThirdPartyExtensionsByValue(t *testing.T) {
+	topo := hydee.NewTopology([]int{0, 0, 1, 1})
+	store := &trackingStore{Store: hydee.NewShardedStore(2, 1e9, 1e9, hydee.ClusterPlacement(topo, 2))}
+	exp := newCountingExporter(&bytes.Buffer{})
 
 	eng, err := hydee.New(failingEngineOpts(
 		hydee.WithProtocol(auditProtocol{hydee.HydEE()}),
-		hydee.WithStoreSpec(hydee.StoreSpec{Spec: store + ":2", BPS: 1e9}),
+		hydee.WithStore(store),
 		hydee.WithObserver(exp),
 	)...)
 	if err != nil {
@@ -96,37 +70,21 @@ func TestThirdPartyExtensionsByName(t *testing.T) {
 	if len(res.Rounds) != 1 {
 		t.Errorf("rounds = %+v, want 1 (third-party protocol must still recover)", res.Rounds)
 	}
-	if len(stores) != 1 || stores[0].saves.Load() == 0 || stores[0].loads.Load() == 0 {
-		t.Errorf("third-party store not exercised: %d stores", len(stores))
+	if store.saves.Load() == 0 || store.loads.Load() == 0 {
+		t.Errorf("third-party store not exercised: %d saves, %d loads", store.saves.Load(), store.loads.Load())
 	}
-	if len(exporters) != 1 {
-		t.Fatalf("exporter factory called %d times, want 1", len(exporters))
+	if res.StoreStats.Saves != store.saves.Load() {
+		t.Errorf("run's store stats %+v, third-party store saw %d saves", res.StoreStats, store.saves.Load())
 	}
-	c := exporters[0]
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.closed || c.counts[hydee.EvRunComplete] != 1 || c.counts[hydee.EvRecoveryEnd] != 1 {
-		t.Errorf("third-party exporter lifecycle: closed=%v counts=%v", c.closed, c.counts)
+	exp.mu.Lock()
+	defer exp.mu.Unlock()
+	if !exp.closed || exp.counts[hydee.EvRunComplete] != 1 || exp.counts[hydee.EvRecoveryEnd] != 1 {
+		t.Errorf("third-party exporter lifecycle: closed=%v counts=%v", exp.closed, exp.counts)
 	}
-
-	// The registered names show up in the listings the flag help prints.
-	if !contains(hydee.StoreNames(), store) || !contains(hydee.ExporterNames(), exporter) {
-		t.Errorf("registered names missing from listings: %v / %v",
-			hydee.StoreNames(), hydee.ExporterNames())
-	}
-}
-
-func contains(names []string, want string) bool {
-	for _, n := range names {
-		if strings.EqualFold(n, want) {
-			return true
-		}
-	}
-	return false
 }
 
 // TestJSONLExporterSelectedByName closes the acceptance loop for the
-// JSONL exporter specifically: resolved via the registry, driven by a
+// JSONL exporter specifically: resolved by name, driven by a
 // run, and parseable line-by-line.
 func TestJSONLExporterSelectedByName(t *testing.T) {
 	mk, err := hydee.ExporterByName("jsonl")

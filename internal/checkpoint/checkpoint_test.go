@@ -15,10 +15,11 @@ type demoState struct {
 
 func TestEncodeDecodeState(t *testing.T) {
 	in := &demoState{Iter: 7, V: []float64{1.5, -2.25, 3}}
-	b, err := EncodeState(in)
+	b, release, err := BorrowState(in)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer release()
 	var out demoState
 	if err := DecodeState(b, &out); err != nil {
 		t.Fatal(err)

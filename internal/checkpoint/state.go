@@ -112,9 +112,10 @@ func (e *primedEncoder) release() {
 	e.c.encoders.Put(e)
 }
 
-// BorrowState gob-encodes v as EncodeState does, into a buffer of the
-// codec of v's type, and returns the encoding with the function that
-// gives the buffer back. release must be called exactly once, and the
+// BorrowState gob-encodes v (an application state, a protocol state)
+// into a buffer of the codec of v's type — the bytes
+// gob.NewEncoder(w).Encode(v) writes to w — and returns the encoding
+// with the function that gives the buffer back. release must be called exactly once, and the
 // encoding not used after it.
 func BorrowState(v any) (b []byte, release func(), err error) {
 	c := codecFor(reflect.TypeOf(v))
@@ -137,18 +138,6 @@ func BorrowState(v any) (b []byte, release func(), err error) {
 		return nil, nil, fmt.Errorf("checkpoint: encode state: %w", err)
 	}
 	return e.buf.Bytes(), e.release, nil
-}
-
-// EncodeState gob-encodes a value (an application state, a protocol
-// state) into a slice of its own: the bytes gob.NewEncoder(w).Encode(v)
-// writes to w.
-func EncodeState(v any) ([]byte, error) {
-	b, release, err := BorrowState(v)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return bytes.Clone(b), nil
 }
 
 // DecodeState gob-decodes into the application state pointer.

@@ -144,9 +144,6 @@ type engine struct {
 	drainBusyUntil vtime.Time
 }
 
-// Name implements rollback.Engine.
-func (e *engine) Name() string { return e.prot.opts.Name }
-
 // CurrentPhase implements rollback.PhaseReporter.
 func (e *engine) CurrentPhase() int { return e.phase }
 

@@ -60,6 +60,18 @@ func checkpointOnce(t *testing.T, prot rollback.Protocol) (*mpi.Result, *checkpo
 	return res, store
 }
 
+// encodedState is what a save stores for v: its BorrowState encoding,
+// copied out before the buffer goes back.
+func encodedState(t *testing.T, v any) []byte {
+	t.Helper()
+	b, release, err := checkpoint.BorrowState(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	return bytes.Clone(b)
+}
+
 // TestDeferredProtStateCounted holds a deferred protocol state to the
 // checkpoint's cost: with no modeled size the cost is the encoded size,
 // so Metrics.CkptBytes must include the state the save encodes, which it
@@ -67,14 +79,7 @@ func checkpointOnce(t *testing.T, prot rollback.Protocol) (*mpi.Result, *checkpo
 func TestDeferredProtStateCounted(t *testing.T) {
 	st := deferredState{Date: 3, Log: bytes.Repeat([]byte{5}, 4096)}
 	res, store := checkpointOnce(t, protStateProtocol{coord.New(), func(s *checkpoint.Snapshot) { s.DeferProtState(st) }})
-	want, err := checkpoint.EncodeState(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	img, err := checkpoint.EncodeState(&waveState{Acc: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, img := encodedState(t, st), encodedState(t, &waveState{Acc: 7})
 	for r := 0; r < 2; r++ {
 		snap, _, ok := store.Load(r, 1, 0)
 		if !ok {
@@ -95,10 +100,7 @@ func TestDeferredProtStateCounted(t *testing.T) {
 func TestDirectProtStateUntouched(t *testing.T) {
 	direct := []byte("protocol state set by the engine")
 	res, store := checkpointOnce(t, protStateProtocol{coord.New(), func(s *checkpoint.Snapshot) { s.ProtState = direct }})
-	img, err := checkpoint.EncodeState(&waveState{Acc: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	img := encodedState(t, &waveState{Acc: 7})
 	for r := 0; r < 2; r++ {
 		snap, _, ok := store.Load(r, 1, 0)
 		if !ok {

@@ -60,9 +60,6 @@ type engine struct {
 	all []int
 }
 
-// Name implements rollback.Engine.
-func (e *engine) Name() string { return "coord" }
-
 // PreSend implements rollback.Engine: no logging, no piggyback.
 func (e *engine) PreSend(m *transport.Msg) (rollback.SendVerdict, error) {
 	e.date++

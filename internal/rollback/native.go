@@ -15,7 +15,7 @@ type nativeProtocol struct{}
 func (nativeProtocol) Name() string { return "native" }
 
 func (nativeProtocol) NewEngine(rank int, px Proc) Engine {
-	return &nativeEngine{rank: rank}
+	return &nativeEngine{}
 }
 
 func (nativeProtocol) NewRecovery(rx RecoveryContext) Recovery { return nil }
@@ -30,11 +30,8 @@ func (nativeProtocol) Tolerates() bool { return false }
 // nativeEngine only maintains the logical date so that traces stay
 // comparable across protocols; it adds no protocol data to messages.
 type nativeEngine struct {
-	rank int
 	date int64
 }
-
-func (e *nativeEngine) Name() string { return "native" }
 
 func (e *nativeEngine) PreSend(m *transport.Msg) (SendVerdict, error) {
 	e.date++

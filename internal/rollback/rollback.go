@@ -235,7 +235,6 @@ type Proc interface {
 
 // Engine is the per-process protocol instance.
 type Engine interface {
-	Name() string
 	// PreSend runs at each application-level Post event: the engine
 	// assigns m.Date and m.Phase, decides logging/piggybacking, and during
 	// recovery may block (send gating) or suppress the send. It returns an

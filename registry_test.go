@@ -1,165 +1,58 @@
 package hydee_test
 
-// Tests for the open registries: Register* hooks, collision and
-// empty-name errors, case-insensitivity, alias deduplication in
-// listings, and snapshot-consistent behaviour under concurrent
-// registration (run with -race).
+// Tests for the fixed name tables: exact listings, case-insensitive
+// lookups of canonical names and aliases, and the unknown-name errors,
+// plus the -store spec grammar.
 
 import (
 	"errors"
-	"fmt"
+	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"hydee"
 )
 
-// registered numbers the names tests register. Registries have no
-// unregister, so a test registers fresh names on every run (go test
-// -count=N runs it N times in one process).
-var registered atomic.Int64
-
-// freshName returns base with a suffix no earlier call returned.
-func freshName(base string) string { return fmt.Sprintf("%s-%d", base, registered.Add(1)) }
-
-func TestRegisterCollisionAndEmptyName(t *testing.T) {
-	if err := hydee.RegisterModel("", hydee.IdealNetwork); err == nil {
-		t.Error("empty model name accepted")
-	}
-	if err := hydee.RegisterModel("   ", hydee.IdealNetwork); err == nil {
-		t.Error("blank model name accepted")
-	}
-	collider := freshName("collider")
-	if err := hydee.RegisterModel(collider, hydee.IdealNetwork); err != nil {
-		t.Fatal(err)
-	}
-	// Same name again — and case-insensitively — must collide.
-	if err := hydee.RegisterModel(collider, hydee.TCPGigE); err == nil {
-		t.Error("duplicate model name accepted")
-	}
-	if err := hydee.RegisterModel(strings.ToUpper(collider), hydee.TCPGigE); err == nil {
-		t.Error("case-variant duplicate accepted")
-	}
-	// Builtins and aliases are also protected.
-	if err := hydee.RegisterModel("ideal", hydee.IdealNetwork); err == nil {
-		t.Error("builtin model name re-registered")
-	}
-	if err := hydee.RegisterModel("myrinet", hydee.Myrinet10G); err == nil {
-		t.Error("builtin model alias re-registered")
-	}
-	if err := hydee.RegisterModel("nilmk", nil); err == nil {
-		t.Error("nil constructor accepted")
-	}
-	if err := hydee.RegisterStore("nilmk", nil); err == nil {
-		t.Error("nil store factory accepted")
-	}
-	if err := hydee.RegisterExporter("nilmk", nil); err == nil {
-		t.Error("nil exporter factory accepted")
-	}
-}
-
+// TestModelNamesDedupeAliases pins every listing: canonical names only,
+// sorted (the protocols in the harness's order), never an alias.
 func TestModelNamesDedupeAliases(t *testing.T) {
-	names := hydee.ModelNames()
-	seen := make(map[string]bool, len(names))
-	for _, n := range names {
-		seen[n] = true
-	}
-	// Shorthands resolve but are not listed as if they were distinct
-	// backends.
-	for _, alias := range []string{"myrinet", "gige"} {
-		if seen[alias] {
-			t.Errorf("ModelNames lists alias %q as a backend: %v", alias, names)
-		}
-		if _, err := hydee.ModelByName(alias); err != nil {
-			t.Errorf("alias %q stopped resolving: %v", alias, err)
-		}
-	}
-	for _, canonical := range []string{"myrinet10g", "tcpgige", "ideal"} {
-		if !seen[canonical] {
-			t.Errorf("ModelNames misses canonical %q: %v", canonical, names)
-		}
-	}
-	storeNames := hydee.StoreNames()
-	for _, n := range storeNames {
-		if n == "memory" {
-			t.Errorf("StoreNames lists alias %q: %v", n, storeNames)
+	for _, c := range []struct {
+		what      string
+		got, want []string
+	}{
+		{"ModelNames", hydee.ModelNames(), []string{"ideal", "myrinet10g", "tcpgige"}},
+		{"StoreNames", hydee.StoreNames(), []string{"ec", "file", "mem", "replica", "sharded"}},
+		{"ExporterNames", hydee.ExporterNames(), []string{"jsonl", "metrics"}},
+		{"ExperimentProtoNames", hydee.ExperimentProtoNames(), []string{"native", "coord", "mlog", "hydee"}},
+	} {
+		if !slices.Equal(c.got, c.want) {
+			t.Errorf("%s = %v, want %v", c.what, c.got, c.want)
 		}
 	}
 }
 
+// TestUnknownNameErrorsListCanonicalFirst pins the three unknown-name
+// errors byte for byte: canonical names first, aliases after.
 func TestUnknownNameErrorsListCanonicalFirst(t *testing.T) {
-	_, err := hydee.ModelByName("infiniband")
-	if err == nil {
-		t.Fatal("unknown model accepted")
-	}
-	msg := err.Error()
-	canon := strings.Index(msg, "myrinet10g")
-	alias := strings.Index(msg, "aliases:")
-	if canon < 0 {
-		t.Fatalf("error does not list canonical names: %q", msg)
-	}
-	if alias >= 0 && alias < canon {
-		t.Errorf("aliases listed before canonical names: %q", msg)
-	}
-	if !strings.Contains(msg, "myrinet") || !strings.Contains(msg, "gige") {
-		t.Errorf("shorthands dropped from inventory entirely: %q", msg)
-	}
-	if _, err := (hydee.StoreSpec{Spec: "s3"}).New(nil); err == nil {
-		t.Error("unknown store accepted")
-	}
-	if _, err := hydee.ExporterByName("otlp"); err == nil {
-		t.Error("unknown exporter accepted")
-	}
-}
-
-func TestConcurrentRegistration(t *testing.T) {
-	// Many goroutines race to register the same names; exactly one per
-	// name may win, listings must stay snapshot-consistent, and every
-	// winner must be resolvable afterwards. Run with -race.
-	const names, racers = 16, 8
-	prefix := freshName("race-model")
-	var wg sync.WaitGroup
-	wins := make([][]bool, names)
-	for n := 0; n < names; n++ {
-		wins[n] = make([]bool, racers)
-		for g := 0; g < racers; g++ {
-			wg.Add(1)
-			go func(n, g int) {
-				defer wg.Done()
-				name := fmt.Sprintf("%s-%d", prefix, n)
-				if err := hydee.RegisterModel(name, hydee.IdealNetwork); err == nil {
-					wins[n][g] = true
-				}
-				// Interleave listings and lookups with registration.
-				_ = hydee.ModelNames()
-				_, _ = hydee.ModelByName("myrinet10g")
-			}(n, g)
+	_, merr := hydee.ModelByName("infiniband")
+	_, xerr := hydee.ExporterByName("otlp")
+	_, serr := (hydee.StoreSpec{Spec: "s3"}).New(nil)
+	for _, c := range []struct {
+		err  error
+		want string
+	}{
+		{merr, `hydee: unknown network model "infiniband" (have ideal, myrinet10g, tcpgige; aliases: gige, myrinet)`},
+		{xerr, `hydee: unknown event exporter "otlp" (have jsonl, metrics)`},
+		{serr, `hydee: store spec "s3": unknown store "s3" (forms: "<name>", "<name>:<shards>" (sharded:6), ` +
+			`"ec:<k>+<m>" (ec:4+2), "replica:<r>" (replica:3); stores: ec, file, mem, replica, sharded; aliases: memory, replicated)`},
+	} {
+		if c.err == nil || c.err.Error() != c.want {
+			t.Errorf("error %v\nwant  %s", c.err, c.want)
 		}
 	}
-	wg.Wait()
-	listed := make(map[string]bool)
-	for _, n := range hydee.ModelNames() {
-		listed[n] = true
-	}
-	for n := 0; n < names; n++ {
-		won := 0
-		for _, w := range wins[n] {
-			if w {
-				won++
-			}
-		}
-		name := fmt.Sprintf("%s-%d", prefix, n)
-		if won != 1 {
-			t.Errorf("name %s: %d registrations succeeded, want exactly 1", name, won)
-		}
-		if !listed[name] {
-			t.Errorf("winner %q missing from ModelNames", name)
-		}
-		if m, err := hydee.ModelByName(name); err != nil || m == nil {
-			t.Errorf("winner %q not resolvable: %v", name, err)
-		}
+	var se *hydee.StoreSpecError
+	if !errors.As(serr, &se) {
+		t.Errorf("unknown store: %T, want a *StoreSpecError", serr)
 	}
 }
 
@@ -236,7 +129,7 @@ func TestParseStoreSpec(t *testing.T) {
 // resolves, through StoreSpec, to a store or to a *StoreSpecError, with
 // Probe refusing exactly what New refuses; and an engine configured with
 // WithStoreSpec refuses exactly what Probe refuses. The seeds cover every
-// registered store's forms, in and out of range.
+// store's forms, in and out of range, and its aliases.
 func FuzzParseStoreSpec(f *testing.F) {
 	for _, name := range hydee.StoreNames() {
 		f.Add(name)
@@ -247,6 +140,9 @@ func FuzzParseStoreSpec(f *testing.F) {
 		"sharded:99999999999999999999", "ec:4+2", "EC: 12 + 4", "ec:4", "ec:+", "ec:200+100",
 		"ec:1+255", "replica:3", "replicated:2", "replica:1", "replica:257", "replica:x",
 		"mem:1", "file", "file:3", "mem:: 2",
+		// Aliases, case-insensitive names and an unknown name with a
+		// geometry.
+		"memory", "Memory:2", "REPLICATED:3", "SHARDED:4", "Ec:2+1", "s3:4",
 	} {
 		f.Add(seed)
 	}

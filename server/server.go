@@ -39,7 +39,7 @@ type Config struct {
 	// EventDir is where each job's per-run event files land, one
 	// subdirectory per job id. "" creates a temp dir.
 	EventDir string
-	// Exporter names the registered exporter driving each job's per-run
+	// Exporter names the exporter driving each job's per-run
 	// files. "" means "jsonl".
 	Exporter string
 }
@@ -172,7 +172,7 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) EventDir() string { return s.cfg.EventDir }
 
 // Submit validates and enqueues a job, returning its view (StateQueued).
-// Every run spec is resolved through the registries now — a bad name or
+// Every run spec is resolved through the name tables now — a bad name or
 // failure grammar rejects the whole job before it takes a queue slot.
 // Validation builds nothing; a store_dir is created only when its run
 // starts, and always under the server's event directory — the wire does

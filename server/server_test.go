@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -589,8 +590,9 @@ func TestGracefulClose(t *testing.T) {
 	}
 }
 
-// TestRegistryEndpoint spot-checks the discoverable backend names, and
-// that every protocol it advertises is one a job's proto accepts.
+// TestRegistryEndpoint pins the whole body of the discoverable names,
+// and checks that every protocol it advertises is one a job's proto
+// accepts.
 func TestRegistryEndpoint(t *testing.T) {
 	srv := newTestServer(t, server.Config{})
 	ts := httptest.NewServer(srv.Handler())
@@ -600,28 +602,20 @@ func TestRegistryEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var reg map[string][]string
-	if err := json.NewDecoder(resp.Body).Decode(&reg); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]string{
-		"kernels":   "cg",
-		"protocols": "hydee",
-		"models":    "myrinet10g",
-		"stores":    "sharded",
-		"exporters": "jsonl",
+	const want = `{"exporters":["jsonl","metrics"],"kernels":["bt","cg","ft","lu","mg","sp"],` +
+		`"models":["ideal","myrinet10g","tcpgige"],"protocols":["native","coord","mlog","hydee"],` +
+		`"stores":["ec","file","mem","replica","sharded"]}` + "\n"
+	if string(body) != want {
+		t.Errorf("GET /v1/registry:\n got %s\nwant %s", body, want)
 	}
-	for section, name := range want {
-		found := false
-		for _, n := range reg[section] {
-			if n == name {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("registry %s misses %q: %v", section, name, reg[section])
-		}
+	var reg map[string][]string
+	if err := json.Unmarshal(body, &reg); err != nil {
+		t.Fatal(err)
 	}
 	for _, name := range reg["protocols"] {
 		spec := hydee.SweepSpec{App: "cg", NP: 4, Proto: name, Clusters: 2}

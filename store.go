@@ -11,8 +11,8 @@ import (
 )
 
 // Stable-storage extension surface. Store is the contract checkpoint
-// backends implement; third-party implementations plug in through
-// WithStore (one pinned instance) or RegisterStore + WithStoreSpec (a
+// backends implement; a third-party implementation plugs in by value,
+// through WithStore (one pinned instance) or ExperimentSpec.NewStore (a
 // fresh store per run). Custom stores carry determinism obligations —
 // the runtime admits saves in virtual-time order, and a store's reported
 // completion times must be a pure function of that admission order; see
@@ -45,12 +45,10 @@ type (
 	StoreStats = checkpoint.StoreStats
 )
 
-// StoreOptions is what a StoreFactory receives: the geometry a store
-// spec's "<name>[:<geometry>]" implies, the spec's bandwidth and
-// directory, and the placement the resolver derives from the run's
-// topology. Only the resolver fills it — StoreSpec is how a caller picks
-// a store — so a factory can trust the geometry to be one the -store
-// grammar (ParseStoreSpec) accepts.
+// StoreOptions is what a store spec resolves to: ParseStoreSpec returns
+// the geometry its "<name>[:<geometry>]" implies, and StoreSpec.Probe
+// adds the spec's bandwidth and directory. StoreSpec is how a caller
+// picks a store; these options only report what it picked.
 type StoreOptions struct {
 	// BPS models storage write and read bandwidth in bytes/second:
 	// aggregate for "mem" and "file", per shard for "sharded", "ec" and
@@ -68,38 +66,28 @@ type StoreOptions struct {
 	// Replicas is the copy count r of a "replica" store (r >= 2). Zero
 	// everywhere else.
 	Replicas int
-	// Placement maps a rank to its shard — reduced modulo the physical
-	// shard count (Shards, k+m, or r) — and for "ec" selects the base
-	// shard of the rank's fragment group. The resolver sets it to
-	// ClusterPlacement when the run has a topology and the geometry more
-	// than one target; nil means round-robin.
-	Placement func(rank int) int
 	// Dir is the snapshot directory of file-backed stores.
 	Dir string
 }
 
-// StoreFactory builds a Store from resolved options — the constructor
-// RegisterStore expects. Each call must return a fresh, independent
-// store.
-type StoreFactory func(StoreOptions) (Store, error)
-
-// storeBackend is one store-registry entry: its factory and what it
+// storeBackend is one store-table entry: its constructor and what it
 // accepts of a parsed spec. The rules are data, not code, so a spec is
 // checked without building anything (a directory-backed store creates
-// its directory when built). A third-party backend accepts any geometry
-// and directory; its own refusals surface when a run builds the store.
+// its directory when built). build's place maps a rank to its target —
+// reduced modulo the target count (Shards, k+m, or r) — and for "ec"
+// selects the base shard of the rank's fragment group; nil means
+// round-robin.
 type storeBackend struct {
 	name      string // canonical name, for refusals
 	unsharded bool   // refuses "<name>:<n>" with n > 1
 	needsDir  bool   // file-backed only
 	memOnly   bool   // refuses a directory
-	build     StoreFactory
+	build     func(o StoreOptions, place func(rank int) int) (Store, error)
 }
 
-// validate checks resolved options against the backend. The bandwidth is
-// checked for every backend, third-party ones included: a negative or
-// non-finite rate has no meaning, and none may silently stand for free
-// storage.
+// validate checks resolved options against the backend. A negative or
+// non-finite bandwidth has no meaning, and none may silently stand for
+// free storage.
 func (b storeBackend) validate(o StoreOptions) error {
 	switch {
 	case o.BPS < 0 || math.IsNaN(o.BPS) || math.IsInf(o.BPS, 0):
@@ -114,32 +102,40 @@ func (b storeBackend) validate(o StoreOptions) error {
 	return nil
 }
 
-var (
-	memBackend = storeBackend{name: "mem", unsharded: true,
-		build: func(o StoreOptions) (Store, error) { return checkpoint.NewMemStore(o.BPS, o.BPS), nil },
-	}
-	fileBackend = storeBackend{name: "file", unsharded: true, needsDir: true,
-		build: func(o StoreOptions) (Store, error) { return checkpoint.NewFileStore(o.Dir, o.BPS, o.BPS) },
-	}
-	shardedBackend = storeBackend{name: "sharded",
-		build: func(o StoreOptions) (Store, error) {
-			if o.Dir != "" {
-				return checkpoint.NewShardedFileStore(o.Dir, o.Shards, o.BPS, o.BPS, o.Placement)
-			}
-			return checkpoint.NewShardedStore(o.Shards, o.BPS, o.BPS, o.Placement), nil
+// stores is the store table StoreSpec selects over.
+var stores = nameTable[storeBackend]{kind: "checkpoint store",
+	entries: map[string]storeBackend{
+		"mem": {name: "mem", unsharded: true,
+			build: func(o StoreOptions, _ func(int) int) (Store, error) {
+				return checkpoint.NewMemStore(o.BPS, o.BPS), nil
+			},
 		},
-	}
-	ecBackend = storeBackend{name: "ec", memOnly: true,
-		build: func(o StoreOptions) (Store, error) {
-			return checkpoint.NewECStore(o.Shards, o.Parity, o.BPS, o.BPS, o.Placement)
+		"file": {name: "file", unsharded: true, needsDir: true,
+			build: func(o StoreOptions, _ func(int) int) (Store, error) {
+				return checkpoint.NewFileStore(o.Dir, o.BPS, o.BPS)
+			},
 		},
-	}
-	replicaBackend = storeBackend{name: "replica", memOnly: true,
-		build: func(o StoreOptions) (Store, error) {
-			return checkpoint.NewReplicatedStore(o.Replicas, o.BPS, o.BPS, o.Placement)
+		"sharded": {name: "sharded",
+			build: func(o StoreOptions, place func(int) int) (Store, error) {
+				if o.Dir != "" {
+					return checkpoint.NewShardedFileStore(o.Dir, o.Shards, o.BPS, o.BPS, place)
+				}
+				return checkpoint.NewShardedStore(o.Shards, o.BPS, o.BPS, place), nil
+			},
 		},
-	}
-)
+		"ec": {name: "ec", memOnly: true,
+			build: func(o StoreOptions, place func(int) int) (Store, error) {
+				return checkpoint.NewECStore(o.Shards, o.Parity, o.BPS, o.BPS, place)
+			},
+		},
+		"replica": {name: "replica", memOnly: true,
+			build: func(o StoreOptions, place func(int) int) (Store, error) {
+				return checkpoint.NewReplicatedStore(o.Replicas, o.BPS, o.BPS, place)
+			},
+		},
+	},
+	aliasOf: map[string]string{"memory": "mem", "replicated": "replica"},
+}
 
 // NewMemStore builds an in-memory store with a shared write/read
 // bandwidth model (zero disables timing) — the default backend.
@@ -233,9 +229,9 @@ const StoreSpecForms = `"<name>", "<name>:<shards>" (sharded:6), "ec:<k>+<m>" (e
 
 // StoreSpecError reports a -store spec that cannot select a store: one
 // ParseStoreSpec rejects as malformed or out of range, or one StoreSpec
-// cannot resolve, naming no registered store or options its store
-// refuses. Its message lists the accepted forms and the registered store
-// names, canonical first, aliases after.
+// cannot resolve, naming no known store or options its store refuses.
+// Its message lists the accepted forms and the store names, canonical
+// first, aliases after.
 type StoreSpecError struct {
 	Spec   string // the spec as given
 	Reason string // what is wrong with it
@@ -243,7 +239,7 @@ type StoreSpecError struct {
 
 func (e *StoreSpecError) Error() string {
 	return fmt.Sprintf("hydee: store spec %q: %s (forms: %s; stores: %s)",
-		e.Spec, e.Reason, StoreSpecForms, storeRegistry.have())
+		e.Spec, e.Reason, StoreSpecForms, stores.have())
 }
 
 // maxStoreShards bounds every geometry a spec can ask for: the shard
@@ -251,8 +247,8 @@ func (e *StoreSpecError) Error() string {
 // any run here places checkpoints on.
 const maxStoreShards = 256
 
-// ParseStoreSpec parses a -store flag value into the registry name and
-// the StoreOptions geometry it implies:
+// ParseStoreSpec parses a -store flag value into the store name and the
+// StoreOptions geometry it implies:
 //
 //	"mem"          → ("mem", {})
 //	"sharded:6"    → ("sharded", {Shards: 6})

@@ -109,34 +109,30 @@ func TestEngineReuseWithPinnedStore(t *testing.T) {
 	}
 }
 
-// TestWithStoreSpecFreshPerRun shows the registry path keeps sequential
-// runs isolated: each Run builds a fresh store, so a run never observes
-// the previous run's snapshots.
+// TestWithStoreSpecFreshPerRun shows a spec keeps sequential runs
+// isolated: each Run builds a fresh store, so a run never observes the
+// previous run's snapshots, and two runs report the same store stats
+// where a pinned store would accumulate the second run's saves onto the
+// first's.
 func TestWithStoreSpecFreshPerRun(t *testing.T) {
-	var built []*trackingStore
-	name := freshName("fresh-per-run-test")
-	if err := hydee.RegisterStore(name, func(o hydee.StoreOptions) (hydee.Store, error) {
-		st := &trackingStore{Store: hydee.NewMemStore(o.BPS, o.BPS)}
-		built = append(built, st)
-		return st, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	eng, err := hydee.New(failingEngineOpts(hydee.WithStoreSpec(hydee.StoreSpec{Spec: name}))...)
+	eng, err := hydee.New(failingEngineOpts(hydee.WithStoreSpec(hydee.StoreSpec{Spec: "sharded:2", BPS: 1e9}))...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prog := hydee.StencilProgram(8, 4096)
-	for i := 0; i < 2; i++ {
-		if _, err := eng.Run(context.Background(), prog); err != nil {
+	var stats [2]hydee.StoreStats
+	for i := range stats {
+		res, err := eng.Run(context.Background(), prog)
+		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
+		stats[i] = res.StoreStats
 	}
-	if len(built) != 2 {
-		t.Fatalf("factory built %d stores over 2 runs, want a fresh store per run", len(built))
+	if stats[0].Saves == 0 || stats[0].Loads == 0 {
+		t.Fatalf("first run's store unused: %+v", stats[0])
 	}
-	if built[0] == built[1] {
-		t.Fatal("same store instance reused across runs")
+	if stats[1] != stats[0] {
+		t.Errorf("second run's store stats %+v, first run's %+v: the store was not fresh", stats[1], stats[0])
 	}
 }
 
@@ -154,15 +150,9 @@ func TestWithStoreSpecUnknown(t *testing.T) {
 
 // TestStoreBandwidthRejected: a negative or non-finite storage bandwidth
 // is an error on every path that resolves a store — a StoreSpec probe, a
-// sweep spec, StoreSpec.New, a third-party backend and a WithStoreSpec
-// engine at New — and never silently stands for free storage.
+// sweep spec, StoreSpec.New and a WithStoreSpec engine at New — and never
+// silently stands for free storage.
 func TestStoreBandwidthRejected(t *testing.T) {
-	thirdParty := freshName("bandwidth-test")
-	if err := hydee.RegisterStore(thirdParty, func(o hydee.StoreOptions) (hydee.Store, error) {
-		return hydee.NewMemStore(o.BPS, o.BPS), nil
-	}); err != nil {
-		t.Fatal(err)
-	}
 	for _, bps := range []float64{-1, math.NaN(), math.Inf(1)} {
 		for _, spec := range []string{"mem", "sharded:4", "ec:4+2", "replica:3"} {
 			if _, err := (hydee.StoreSpec{Spec: spec, BPS: bps}).Probe(); err == nil || !strings.Contains(err.Error(), "bandwidth") {
@@ -175,9 +165,6 @@ func TestStoreBandwidthRejected(t *testing.T) {
 		}
 		if _, err := (hydee.StoreSpec{Spec: "mem", BPS: bps}).New(nil); err == nil || !strings.Contains(err.Error(), "bandwidth") {
 			t.Errorf("StoreSpec.New bandwidth %g: error %v, want a bandwidth error", bps, err)
-		}
-		if _, err := (hydee.StoreSpec{Spec: thirdParty, BPS: bps}).New(nil); err == nil || !strings.Contains(err.Error(), "bandwidth") {
-			t.Errorf("third-party store bandwidth %g: error %v, want a bandwidth error", bps, err)
 		}
 		if _, err := hydee.New(hydee.WithRanks(4),
 			hydee.WithStoreSpec(hydee.StoreSpec{Spec: "sharded:2", BPS: bps})); err == nil || !strings.Contains(err.Error(), "bandwidth") {

@@ -14,15 +14,15 @@ import (
 // -store-dir and -events/-exporter flags and the hydee-serve HTTP API
 // decode the exact same compact forms through the types below, so a spec
 // that works on a command line works verbatim in a job submission (and
-// vice versa), and a registry addition is selectable everywhere at once.
+// vice versa), and every name resolves over the same fixed tables.
 
 // StoreSpec is the flag/wire form of a checkpoint-store selection:
-// a registry name with an optional geometry ("mem", "sharded:4",
+// a store name with an optional geometry ("mem", "sharded:4",
 // "ec:4+2", "replica:3" — see StoreSpecForms), a per-link bandwidth
 // model and a directory for file-backed stores. The zero value selects
 // the free in-memory store.
 type StoreSpec struct {
-	// Spec selects the store over the registry in the ParseStoreSpec
+	// Spec selects the store over StoreNames in the ParseStoreSpec
 	// grammar (StoreSpecForms); "" means "mem".
 	Spec string `json:"store,omitempty"`
 	// BPS models stable-storage write and read bandwidth in bytes/second
@@ -46,34 +46,28 @@ func (s *StoreSpec) Bind(fs *flag.FlagSet) {
 		"snapshot directory for -store file (runs reuse it; same-sequence files are overwritten)")
 }
 
-// resolve is the one path from a spec to a store's factory and options:
+// resolve is the one path from a spec to a store's backend and options:
 // parse the geometry, look the backend up, layer the bandwidth and
-// directory on, check them against the backend, and place each cluster
-// of topo (nil for none) on its own target of a multi-target store.
-// Every error is a *StoreSpecError.
-func (s StoreSpec) resolve(topo *Topology) (StoreFactory, StoreOptions, error) {
+// directory on, and check them against the backend. Every error is a
+// *StoreSpecError.
+func (s StoreSpec) resolve() (storeBackend, StoreOptions, error) {
 	spec := s.Spec
 	if strings.TrimSpace(spec) == "" {
 		spec = "mem"
 	}
 	name, opts, err := ParseStoreSpec(spec)
 	if err != nil {
-		return nil, StoreOptions{}, err
+		return storeBackend{}, StoreOptions{}, err
 	}
-	b, err := storeRegistry.lookup(name)
+	b, err := stores.lookup(name)
 	if err != nil {
-		return nil, StoreOptions{}, &StoreSpecError{Spec: spec, Reason: fmt.Sprintf("unknown store %q", name)}
+		return storeBackend{}, StoreOptions{}, &StoreSpecError{Spec: spec, Reason: fmt.Sprintf("unknown store %q", name)}
 	}
 	opts.BPS, opts.Dir = s.BPS, s.Dir
 	if err := b.validate(opts); err != nil {
-		return nil, StoreOptions{}, &StoreSpecError{Spec: spec, Reason: err.Error()}
+		return storeBackend{}, StoreOptions{}, &StoreSpecError{Spec: spec, Reason: err.Error()}
 	}
-	// The parser sets one geometry field (k and m for ec), so their sum
-	// is the target count ClusterPlacement reduces modulo.
-	if n := opts.Shards + opts.Parity + opts.Replicas; n > 1 && topo != nil {
-		opts.Placement = ClusterPlacement(topo, n)
-	}
-	return b.build, opts, nil
+	return b, opts, nil
 }
 
 // Probe validates the spec eagerly — the geometry parses, the name
@@ -82,7 +76,7 @@ func (s StoreSpec) resolve(topo *Topology) (StoreFactory, StoreOptions, error) {
 // returns the options the spec resolves to and builds nothing: checking
 // a spec never touches the filesystem. Its errors are *StoreSpecError.
 func (s StoreSpec) Probe() (StoreOptions, error) {
-	_, opts, err := s.resolve(nil)
+	_, opts, err := s.resolve()
 	return opts, err
 }
 
@@ -93,22 +87,28 @@ func (s StoreSpec) Probe() (StoreOptions, error) {
 // refuses fails here with the same *StoreSpecError; what fails after it,
 // a file store's directory say, is the store's own error.
 func (s StoreSpec) New(topo *Topology) (Store, error) {
-	build, opts, err := s.resolve(topo)
+	b, opts, err := s.resolve()
 	if err != nil {
 		return nil, err
 	}
-	return build(opts)
+	// The parser sets one geometry field (k and m for ec), so their sum
+	// is the target count ClusterPlacement reduces modulo.
+	var place func(rank int) int
+	if n := opts.Shards + opts.Parity + opts.Replicas; n > 1 && topo != nil {
+		place = ClusterPlacement(topo, n)
+	}
+	return b.build(opts, place)
 }
 
 // EventStreamSpec is the flag/wire form of the -events/-exporter pair:
-// a destination path (a directory gets one file per run) and the registry
-// name of the exporter driving it. The zero value streams nothing.
+// a destination path (a directory gets one file per run) and the name of
+// the exporter driving it. The zero value streams nothing.
 type EventStreamSpec struct {
 	// Path receives the event stream: one fan-in file, or one file per
 	// run when it names a directory (trailing slash or existing dir).
 	// "" disables streaming.
 	Path string `json:"events,omitempty"`
-	// Exporter is the event-exporter registry name; "" means "jsonl".
+	// Exporter is the event-exporter name; "" means "jsonl".
 	Exporter string `json:"exporter,omitempty"`
 }
 
@@ -169,7 +169,7 @@ func (s EventStreamSpec) Wire(ctx context.Context) (context.Context, func() erro
 
 // SweepSpec is the wire form of one experiment run — what one element of
 // a hydee-serve job submission decodes to, with every backend selected by
-// registry name. The same resolution backs the cmd binaries' flags, so a
+// name. The same resolution backs the cmd binaries' flags, so a
 // JSON spec and a flag spelling of the same run are literally the same
 // configuration.
 type SweepSpec struct {
@@ -182,7 +182,7 @@ type SweepSpec struct {
 	// Proto is the protocol-configuration name ("native", "coord",
 	// "mlog", "hydee"); "" means "hydee".
 	Proto string `json:"proto,omitempty"`
-	// Net is the network-model registry name; "" means "myrinet10g".
+	// Net is the network-model name; "" means "myrinet10g".
 	Net string `json:"net,omitempty"`
 	// Assign is the per-rank cluster assignment (proto "hydee" only).
 	Assign []int `json:"assign,omitempty"`
@@ -209,7 +209,7 @@ type SweepSpec struct {
 // above it is refused before any run starts.
 const maxSweepNP = 16384
 
-// Experiment resolves the spec through the registries into a runnable
+// Experiment resolves the spec through the name tables into a runnable
 // ExperimentSpec, validating every name and the failure grammar eagerly.
 func (s SweepSpec) Experiment() (ExperimentSpec, error) {
 	var spec ExperimentSpec

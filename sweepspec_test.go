@@ -1,7 +1,7 @@
 package hydee_test
 
 // Tests for the shared flag/wire spec layer: SweepSpec resolution through
-// the registries, the contiguous clusters shorthand, store binding, and
+// the name tables, the contiguous clusters shorthand, store binding, and
 // eager rejection of bad names — the same decode path the cmd flags and
 // the hydee-serve HTTP API use.
 
@@ -33,7 +33,7 @@ func TestSweepSpecResolves(t *testing.T) {
 	if spec.Kernel.Name != "cg" || spec.Proto != hydee.ProtoHydEE || spec.CheckpointEvery != 2 {
 		t.Errorf("resolved %s/%s ckpt=%d", spec.Kernel.Name, spec.Proto, spec.CheckpointEvery)
 	}
-	// A kernel name, like every other registry name, ignores letter case.
+	// A kernel name, like every other table name, ignores letter case.
 	if up, err := (hydee.SweepSpec{App: "CG", NP: 4, Proto: "Native"}).Experiment(); err != nil || up.Kernel.Name != "cg" {
 		t.Errorf(`app "CG": kernel %q, %v`, up.Kernel.Name, err)
 	}
