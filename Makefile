@@ -58,7 +58,7 @@ determinism:
 	$(GO) test -race -count=2 -run 'Reproducible|ByteStable|SchedulingIndependent|AwaitTurn' ./internal/harness/ ./internal/transport/ ./internal/mpi/
 	$(GO) test -cpu 1,2,8 -count=50 -run 'ReverseOrderDetections|OverlappingScope|SameDetection|JoinAtStart|FailureDuringRecovery|SlowCoordinatorResult|TwoCheckpointFailuresAllProtocols' ./internal/mpi/
 	$(GO) test -race -cpu 1,2,8 -count=5 -run 'TestRecvAndTurnHandOffUnderContention' ./internal/transport/
-	$(GO) test -race -cpu 1,2,8 -count=3 -run 'StagedCheckpointWaveReproducible|HandOffUnderContention' ./internal/mpi ./internal/transport
+	$(GO) test -race -cpu 1,2,8 -count=3 -run 'StagedCheckpointWaveReproducible|HandOffUnderContention|EnvelopePoison' ./internal/mpi ./internal/transport
 
 # The multi-failure bug ROADMAP item 1 has to fix (internal/mpi/
 # knownbugs_test.go, build tag knownbugs). The result is INVERTED: exit 0
@@ -126,10 +126,10 @@ bench-layers:
 	$(GO) test -run '^$$' -bench 'Alltoall256|CheckpointWave' -benchtime 5x -cpu 1,2 ./internal/mpi
 
 # The TestHydEESmoke1024 shape (HydEE, 32-rank clusters, one checkpoint,
-# one failure, one recovery round) at np = 16384, the scale ROADMAP item 5
-# targets (scale16k_test.go, build tag smoke16k). Not part of `check`; the
-# test logs its wall time and the process's peak RSS, and fails above a
-# 700 MB peak RSS.
+# one failure, one recovery round) at np = 16384, the largest rank count
+# a sweep spec accepts (scale16k_test.go, build tag smoke16k). Not part
+# of `check`; the test logs its wall time, the process's peak RSS and its
+# peak live heap, and fails above a 700 MB peak RSS.
 smoke16k:
 	$(GO) test -tags smoke16k -run 'TestHydEESmoke16384' -count=1 -v -timeout 30m .
 

@@ -19,6 +19,7 @@
 package apps
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -100,13 +101,13 @@ func (s *State) fold(in []float64) {
 	}
 }
 
-// slice returns a small real payload derived from the state.
-func (s *State) slice(k, salt int) []float64 {
-	out := make([]float64, k)
-	for i := range out {
-		out[i] = s.V[(i+salt)%len(s.V)] + float64(salt)*1e-9
+// put writes a small real payload derived from the state into b: its
+// len(b)/8 floats salted by salt, little-endian.
+func (s *State) put(b []byte, salt int) {
+	for i := range len(b) / 8 {
+		x := s.V[(i+salt)%len(s.V)] + float64(salt)*1e-9
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
 	}
-	return out
 }
 
 func newState(rank, width int) *State {
@@ -157,13 +158,19 @@ type proc struct {
 	c   *mpi.Comm
 	st  *State
 	err error
+	// buf and in are the rank's own, rewritten every message: buf holds
+	// the payload a send encodes (SendW copies it), in the floats a fold
+	// decodes.
+	buf [8 * payloadFloats]byte
+	in  []float64
 }
 
 // send sends dst a payload of the state salted by salt, modeled at w
 // bytes.
 func (p *proc) send(dst, tag, salt, w int) {
 	if p.err == nil {
-		p.err = p.c.SendW(dst, tag, mpi.Float64sToBytes(p.st.slice(payloadFloats, salt)), w)
+		p.st.put(p.buf[:], salt)
+		p.err = p.c.SendW(dst, tag, p.buf[:], w)
 	}
 }
 
@@ -179,19 +186,19 @@ func (p *proc) recv(src, tag int) {
 // folds what it received.
 func (p *proc) swap(dst, src, tag, salt, w int) {
 	if p.err == nil {
-		got, err := p.c.SendRecvW(dst, tag, mpi.Float64sToBytes(p.st.slice(payloadFloats, salt)), w, src, tag)
+		p.st.put(p.buf[:], salt)
+		got, err := p.c.SendRecvW(dst, tag, p.buf[:], w, src, tag)
 		p.fold(got, err)
 	}
 }
 
 // fold decodes a received payload into the state.
 func (p *proc) fold(b []byte, err error) {
-	var in []float64
 	if err == nil {
-		in, err = mpi.BytesToFloat64s(b)
+		p.in, err = mpi.DecodeFloat64s(p.in, b)
 	}
 	if p.err = err; err == nil {
-		p.st.fold(in)
+		p.st.fold(p.in)
 	}
 }
 

@@ -28,14 +28,20 @@ func FT() Kernel {
 				np := c.Size()
 				rank := c.Rank()
 				blockWire := wire(slabBytes / float64(np))
+				// The transpose's blocks: one backing array, rewritten
+				// every step (Alltoall copies what it sends).
+				blocks := make([][]byte, np)
+				backing := make([]byte, np*8*payloadFloats)
+				for d := range blocks {
+					blocks[d] = backing[d*8*payloadFloats : (d+1)*8*payloadFloats]
+				}
 				return iterate(c, 8, kp.Iters, int64(slabBytes), func(p *proc) {
 					// Local 1D FFTs.
 					p.compute(kp.work(computeSec * 0.5))
 					// Distributed transpose: global all-to-all.
 					if p.err == nil {
-						blocks := make([][]byte, np)
-						for d := range blocks {
-							blocks[d] = mpi.Float64sToBytes(p.st.slice(payloadFloats, d))
+						for d, b := range blocks {
+							p.st.put(b, d)
 						}
 						var got [][]byte
 						got, p.err = c.Alltoall(blocks, blockWire)
@@ -46,10 +52,7 @@ func FT() Kernel {
 							// Commutative fold of the first float: the
 							// pairwise exchange defines the order
 							// deterministically anyway.
-							var in []float64
-							if in, p.err = mpi.BytesToFloat64s(b); p.err == nil {
-								p.st.fold(in[:1])
-							}
+							p.fold(b[:8], nil)
 						}
 					}
 					// Remaining FFT dimension.

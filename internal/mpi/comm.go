@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"hydee/internal/checkpoint"
 	"hydee/internal/vtime"
@@ -70,7 +71,9 @@ func (c *Comm) Recv(src, tag int) ([]byte, Status, error) {
 	if err != nil {
 		return nil, Status{}, err
 	}
-	return m.Data, Status{Source: m.Src, Tag: m.Tag, Bytes: m.WireLen}, nil
+	data, st := m.Data, Status{Source: m.Src, Tag: m.Tag, Bytes: m.WireLen}
+	c.p.rt.release(m)
+	return data, st, nil
 }
 
 // Compute advances the process's virtual clock by d of local work.
@@ -196,10 +199,16 @@ func Float64sToBytes(v []float64) []byte {
 
 // BytesToFloat64s decodes a little-endian float64 slice.
 func BytesToFloat64s(b []byte) ([]float64, error) {
+	return DecodeFloat64s(make([]float64, 0, len(b)/8), b)
+}
+
+// DecodeFloat64s is BytesToFloat64s into dst's storage: it decodes b over
+// dst[:0], growing it only when b holds more floats than cap(dst).
+func DecodeFloat64s(dst []float64, b []byte) ([]float64, error) {
 	if len(b)%8 != 0 {
 		return nil, fmt.Errorf("mpi: float payload length %d not a multiple of 8", len(b))
 	}
-	v := make([]float64, len(b)/8)
+	v := slices.Grow(dst[:0], len(b)/8)[:len(b)/8]
 	for i := range v {
 		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}

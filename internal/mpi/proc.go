@@ -216,8 +216,10 @@ func (p *Proc) takeMsg(m *transport.Msg) transport.Verdict {
 	case transport.Marker:
 		p.clock.MergeAtLeast(m.ArriveVT)
 		p.markers[m.Epoch]++
+		p.rt.release(m)
 	case transport.App:
 		if !p.engine.Admit(m) {
+			p.rt.release(m)
 			break
 		}
 		if p.matching && matches(m, p.src, p.tag) {
@@ -298,7 +300,8 @@ func (p *Proc) send(dst, tag int, data []byte, wire int) error {
 	if wire <= 0 {
 		wire = len(data)
 	}
-	m := &transport.Msg{
+	m := p.rt.newMsg()
+	*m = transport.Msg{
 		Src:     p.rank,
 		Dst:     dst,
 		Kind:    transport.App,
@@ -323,6 +326,7 @@ func (p *Proc) send(dst, tag int, data []byte, wire int) error {
 	}
 	if verdict.Suppress {
 		p.metrics.Suppressed++
+		p.rt.release(m)
 		return nil
 	}
 	m.PiggyLen = verdict.PiggyWire
@@ -416,10 +420,12 @@ func (p *Proc) checkpointCall() error {
 		}
 		peers++
 		p.clock.Advance(p.rt.model.SendOverhead(markerWire))
-		p.post(&transport.Msg{
+		m := p.rt.newMsg()
+		*m = transport.Msg{
 			Src: p.rank, Dst: r, Kind: transport.Marker,
 			Epoch: seq, WireLen: markerWire, SendVT: p.clock.Now(),
-		})
+		}
+		p.post(m)
 	}
 	// Scopes are symmetric: the peers just sent to are exactly those that
 	// send a marker for seq, one each.

@@ -54,6 +54,10 @@ type Runtime struct {
 	// time but was issued past the fence never enters the restart scope,
 	// so the restored sequence is a pure function of virtual time.
 	ckptDone [][]savePoint
+	// free holds the envelopes given back by release, at most NP of them,
+	// for newMsg to hand out again (DESIGN.md "Envelope ownership"). Only
+	// the run's goroutine touches it, so it needs no lock.
+	free []*transport.Msg
 	// aborted is set once the run aborts (cancel, deadlock or a fatal
 	// error), before the endpoints die: a rank that never waits on the
 	// delivery plane reads it at its next Comm operation. A canceled
@@ -94,6 +98,37 @@ type procEvent struct {
 }
 
 func (rt *Runtime) event(ev procEvent) { rt.events = append(rt.events, ev) }
+
+// newMsg returns an envelope for the caller to overwrite whole: a
+// released one if any is free, else a new one.
+func (rt *Runtime) newMsg() *transport.Msg {
+	n := len(rt.free)
+	if n == 0 {
+		return new(transport.Msg)
+	}
+	m := rt.free[n-1]
+	rt.free = rt.free[:n-1]
+	return m
+}
+
+// release gives back an envelope nothing reads any more: a delivered App
+// message once Comm.Recv has read it, a counted marker, a suppressed or
+// dropped send. It clears m, so the envelope keeps no payload alive; an
+// engine or log that kept m.Data still holds a valid slice. The list keeps
+// one spare per rank, what steady traffic reuses; a burst past that, such
+// as a checkpoint wave's markers, is left to the garbage collector rather
+// than kept live for the rest of the run.
+func (rt *Runtime) release(m *transport.Msg) {
+	*m = releasedMsg
+	if len(rt.free) < rt.cfg.NP {
+		rt.free = append(rt.free, m)
+	}
+}
+
+// releasedMsg is what release leaves in an envelope: the zero Msg, or
+// poison under the envelope-poison test, so that a read after release
+// shows in a run's result.
+var releasedMsg transport.Msg
 
 // Run executes program under cfg and returns the aggregated result.
 func Run(cfg Config, program Program) (*Result, error) {

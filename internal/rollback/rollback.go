@@ -216,7 +216,8 @@ type Proc interface {
 	// SendCtl sends a protocol control message; wireBytes models its size.
 	SendCtl(dst int, body any, wireBytes int)
 	// SendAppRaw re-injects a fully formed application message (log
-	// replay): no engine hooks run, the envelope's Date/Phase stand.
+	// replay): no engine hooks run, the envelope's Date/Phase stand. m is
+	// the runtime's from the call on; its Data may stay in the log.
 	SendAppRaw(m *transport.Msg)
 	// WaitCtl blocks the process, dispatching incoming control traffic to
 	// the engine and buffering application traffic, until pred reports
@@ -234,6 +235,12 @@ type Proc interface {
 }
 
 // Engine is the per-process protocol instance.
+//
+// The message m that PreSend, Admit and OnDeliver are handed is the
+// runtime's again once the call returns: it recycles the envelope for a
+// later message. An engine may keep m.Data — the payload is never
+// rewritten, so a sender-based log can hold it — but not m itself, nor
+// read it after the call (DESIGN.md "Envelope ownership").
 type Engine interface {
 	// PreSend runs at each application-level Post event: the engine
 	// assigns m.Date and m.Phase, decides logging/piggybacking, and during

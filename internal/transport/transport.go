@@ -102,7 +102,9 @@
 // it there, where its owner's next FlushRecv would, and the step pops on
 // under the same checks. A kept pop raises only the receiver's own keys,
 // so a passed gate stays passed and the kept pops are those its owner's
-// loop would make.
+// loop would make. A consumed message is the callback's from then on (the
+// runtime recycles its envelope), so the plane reads nothing of a popped
+// message after the callback returns.
 //
 // Progress requires strictly positive lookahead, so the network enforces a
 // minimum virtual latency of 1ns per hop (zero-cost models otherwise admit
@@ -594,12 +596,14 @@ func (e *Endpoint) takeLocked(m *Msg) bool {
 	n := e.n
 	n.ctr.Delivered++
 	n.touchLocked(e)
+	// A take that consumes m may recycle it: m is not read after the call.
+	kind, arrive := m.Kind, m.ArriveVT
 	v := Deliver
 	if e.take != nil {
 		v = e.take(m)
 	}
-	if m.Kind != App || (v == Deliver && e.take != nil) {
-		e.at = max(e.at, m.ArriveVT)
+	if kind != App || (v == Deliver && e.take != nil) {
+		e.at = max(e.at, arrive)
 	}
 	e.frontier = max(e.frontier, e.at)
 	switch v {
