@@ -196,7 +196,7 @@ loc:
 	@echo "test Go lines:      $$(find . -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l)"
 	@echo "benchmark/ lines:   $$(find ./benchmark -name '*.go' | xargs cat | wc -l)"
 	@echo "//hydee:allow:      $$(grep -rn '//hydee:allow' --include='*.go' . | grep -v -e '_test.go' -e 'internal/lint/' -e '^./benchmark/' | wc -l)"
-	@for d in internal/mpi internal/transport; do \
+	@for d in internal/mpi internal/transport internal/checkpoint; do \
 		echo "$$d non-test: $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l)"; \
 	done
 

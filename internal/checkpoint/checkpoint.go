@@ -133,7 +133,7 @@ func (s *Snapshot) Clone() *Snapshot {
 // layouts — are the exception in the other direction: the package owns
 // them, hands them to its in-memory targets without a further copy, and
 // takes back the buffers of generations those targets prune (see
-// fragmentTarget).
+// shardSet.write).
 //
 // Two phases (stage.go): the built-in in-memory stores copy what they
 // keep before admission. Their Save is Stage (the copy, encoding, parity
@@ -226,14 +226,7 @@ func (st *MemStore) Save(s *Snapshot, at vtime.Time) (vtime.Time, error) { retur
 
 // stage implements stager: the deep copy is taken before the turn, and
 // only keeping it is left to commit.
-func (st *MemStore) stage(s *Snapshot) (staged, error) { return keptCopy{st, s.Clone(), true}, nil }
-
-// saveOwned implements fragmentTarget: fs is kept as it is, and the
-// AppState buffer of a generation it displaces goes back to the caller.
-func (st *MemStore) saveOwned(fs *Snapshot, at vtime.Time) (vtime.Time, []byte, error) {
-	end, spare := st.keep(fs, at)
-	return end, spare, nil
-}
+func (st *MemStore) stage(s *Snapshot) (staged, error) { return keptCopy{st, s.Clone()}, nil }
 
 // keep stores cp, which the store owns from here on, and prunes. spare
 // is the AppState buffer of a generation that left the store — the one

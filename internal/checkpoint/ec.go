@@ -79,7 +79,7 @@ func (st *ECStore) Load(rank, seq int, at vtime.Time) (*Snapshot, vtime.Time, bo
 	valid, probed := 0, 0
 	end := at
 	for i := 0; i < n && valid < k; i++ {
-		fs, e, ok := st.targets[(base+i)%n].Load(rank, seq, at)
+		fs, e, ok := st.read((base+i)%n, rank, seq, at)
 		probed++
 		if e > end {
 			end = e

@@ -2,12 +2,11 @@ package checkpoint
 
 import (
 	"fmt"
-	"sync"
 
 	"hydee/internal/vtime"
 )
 
-// Storage fault injection: FaultyStore makes shards of a checkpoint
+// Storage fault injection: NewFaultyStore makes shards of a checkpoint
 // store fail at a scheduled virtual time, the storage-side counterpart
 // of rank kills. A fault is a pure predicate on the virtual time a store
 // operation is issued at — and the runtime already orders every save
@@ -80,32 +79,36 @@ type FaultStats struct {
 	CorruptReads int64
 }
 
-// FaultyStore wraps a store so scheduled ShardFaults apply to its
-// shards. For composite inners (ShardedStore, ECStore, ReplicatedStore)
-// each fault targets one shard/replica; any other store is treated as a
-// single shard 0. The wrapper must be installed before the store carries
-// traffic (it rewires the composite's shard slots at construction).
-type FaultyStore struct {
-	inner  Store
-	shards []*faultyShard
+// FaultyStore is a store carrying a shard-fault schedule: a shard-set
+// layout (sharded, ec, replica) whose targets apply their faults in the
+// layout's one write path and one read path (shardset.go).
+type FaultyStore interface {
+	Store
+	// FaultStats reports per-shard fault activity, indexed like the
+	// fault schedule's Shard field.
+	FaultStats() []FaultStats
 }
 
-// shardSwapper is implemented by composite stores whose shard backends
-// the fault plane can rewire.
-type shardSwapper interface {
-	NumShards() int
-	swapShard(i int, wrap func(Store) Store)
+// faultable is a shard-set layout, which carries its targets' faults.
+type faultable interface {
+	FaultyStore
+	shards() *shardSet
 }
 
-// NewFaultyStore wraps inner with the given fault schedule. Shard
-// indices are validated against the inner store's shard count, AtVT
-// must be positive, and FaultDegrade needs Factor > 1.
-func NewFaultyStore(inner Store, faults ...ShardFault) (*FaultyStore, error) {
-	n := 1
-	sw, composite := inner.(shardSwapper)
-	if composite {
-		n = sw.NumShards()
+// NewFaultyStore adds the fault schedule to inner's shards, in place, and
+// returns inner: shards of a sharded or ec store, replicas of a
+// replicated store. Any other store becomes the one shard 0 of a
+// NewShardedOver(nil, inner) layout, which is returned. Faults added by
+// several calls apply together. Shard indices are validated against the
+// shard count, AtVT must be positive, and FaultDegrade needs Factor > 1.
+// Add faults before the store carries traffic.
+func NewFaultyStore(inner Store, faults ...ShardFault) (FaultyStore, error) {
+	st, ok := inner.(faultable)
+	if !ok {
+		st = NewShardedOver(nil, inner)
 	}
+	ss := st.shards()
+	n := len(ss.targets)
 	for _, f := range faults {
 		if f.Shard < 0 || f.Shard >= n {
 			return nil, fmt.Errorf("checkpoint: shard fault targets shard %d of a %d-shard store", f.Shard, n)
@@ -123,169 +126,13 @@ func NewFaultyStore(inner Store, faults ...ShardFault) (*FaultyStore, error) {
 			return nil, fmt.Errorf("checkpoint: unknown fault kind %v", f.Kind)
 		}
 	}
-	st := &FaultyStore{shards: make([]*faultyShard, n)}
-	wrap := func(i int) func(Store) Store {
-		return func(s Store) Store {
-			sh := &faultyShard{inner: s}
-			for _, f := range faults {
-				if f.Shard == i {
-					sh.faults = append(sh.faults, f)
-				}
-			}
-			st.shards[i] = sh
-			return sh
-		}
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	if ss.faults == nil {
+		ss.faults, ss.fstats = make([][]ShardFault, n), make([]FaultStats, n)
 	}
-	if composite {
-		for i := 0; i < n; i++ {
-			sw.swapShard(i, wrap(i))
-		}
-		st.inner = inner
-	} else {
-		st.inner = wrap(0)(inner)
+	for _, f := range faults {
+		ss.faults[f.Shard] = append(ss.faults[f.Shard], f)
 	}
 	return st, nil
-}
-
-// Save implements Store.
-func (st *FaultyStore) Save(s *Snapshot, at vtime.Time) (vtime.Time, error) { return save(st, s, at) }
-
-// stage implements stager with the inner store's stage: the faults are
-// write admission, so they act in the shards' commits.
-func (st *FaultyStore) stage(s *Snapshot) (staged, error) { return stageOn(st.inner, s) }
-
-// Load implements Store.
-func (st *FaultyStore) Load(rank, seq int, at vtime.Time) (*Snapshot, vtime.Time, bool) {
-	return st.inner.Load(rank, seq, at)
-}
-
-// Stats implements Store, delegating to the wrapped store.
-func (st *FaultyStore) Stats() StoreStats { return st.inner.Stats() }
-
-// FaultStats reports per-shard fault activity, indexed like the fault
-// schedule's Shard field.
-func (st *FaultyStore) FaultStats() []FaultStats {
-	out := make([]FaultStats, len(st.shards))
-	for i, sh := range st.shards {
-		out[i] = sh.statsSnapshot()
-	}
-	return out
-}
-
-// faultyShard applies one shard's fault schedule around an inner store.
-type faultyShard struct {
-	inner  Store
-	faults []ShardFault
-
-	mu    sync.Mutex
-	stats FaultStats
-}
-
-// mode evaluates the fault schedule at the operation's issue time — a
-// pure function of `at`, which is what keeps injection deterministic.
-func (sh *faultyShard) mode(at vtime.Time) (killed, corrupt bool, slow float64) {
-	slow = 1
-	for _, f := range sh.faults {
-		if f.AtVT > at {
-			continue
-		}
-		switch f.Kind {
-		case FaultKill:
-			killed = true
-		case FaultCorrupt:
-			corrupt = true
-		case FaultDegrade:
-			slow *= f.Factor
-		}
-	}
-	return killed, corrupt, slow
-}
-
-// admit applies the write-side faults to a save issued at `at`: a killed
-// shard drops the write (counted, no error — a lost storage target
-// fails silently, it does not abort the writer), a degraded shard
-// charges Factor× the modeled cost through a shallow copy of s.
-func (sh *faultyShard) admit(s *Snapshot, at vtime.Time) (admitted *Snapshot, dropped bool) {
-	killed, _, slow := sh.mode(at)
-	if killed {
-		sh.mu.Lock()
-		sh.stats.LostWrites++
-		sh.mu.Unlock()
-		return s, true
-	}
-	if slow != 1 {
-		cp := *s
-		cp.ModelBytes = int64(float64(s.CostBytes()) * slow)
-		s = &cp
-	}
-	return s, false
-}
-
-// Save implements Store with the write-side faults of admit.
-func (sh *faultyShard) Save(s *Snapshot, at vtime.Time) (vtime.Time, error) { return save(sh, s, at) }
-
-// stage implements stager. Over an in-memory inner the copy it keeps is
-// taken here, before the turn, and commit hands it over through
-// saveOwned, faults first. An inner without the hand-off (a FileStore)
-// copies in its own Save, so s itself goes to commit: one copy, as
-// before staging.
-func (sh *faultyShard) stage(s *Snapshot) (staged, error) {
-	_, copied := sh.inner.(fragmentTarget)
-	if copied {
-		s = s.Clone()
-	}
-	return keptCopy{sh, s, copied}, nil
-}
-
-// saveOwned implements fragmentTarget with the same faults; a dropped
-// fragment's buffer is free again at once.
-func (sh *faultyShard) saveOwned(fs *Snapshot, at vtime.Time) (vtime.Time, []byte, error) {
-	fs, dropped := sh.admit(fs, at)
-	if dropped {
-		return at, fs.AppState, nil
-	}
-	return handOff(sh.inner, fs, at)
-}
-
-// Load implements Store: killed shards refuse the read, corrupt shards
-// damage the returned snapshot (detectable only by self-verifying
-// backends), degraded shards stretch the read duration. The damage lands
-// on the private copy the inner Load returned (the Store contract): the
-// copy precedes the flip, so what the shard holds stays clean for a read
-// issued before AtVT.
-func (sh *faultyShard) Load(rank, seq int, at vtime.Time) (*Snapshot, vtime.Time, bool) {
-	killed, corrupt, slow := sh.mode(at)
-	if killed {
-		sh.mu.Lock()
-		sh.stats.LostReads++
-		sh.mu.Unlock()
-		return nil, at, false
-	}
-	s, end, ok := sh.inner.Load(rank, seq, at)
-	if !ok {
-		return nil, end, false
-	}
-	if slow != 1 {
-		end = at.Add(vtime.Duration(float64(end.Sub(at)) * slow))
-	}
-	if corrupt {
-		if len(s.AppState) > 0 {
-			s.AppState[0] ^= 0xA5
-		} else {
-			s.AppState = []byte{0xA5}
-		}
-		sh.mu.Lock()
-		sh.stats.CorruptReads++
-		sh.mu.Unlock()
-	}
-	return s, end, true
-}
-
-// Stats implements Store.
-func (sh *faultyShard) Stats() StoreStats { return sh.inner.Stats() }
-
-func (sh *faultyShard) statsSnapshot() FaultStats {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.stats
 }

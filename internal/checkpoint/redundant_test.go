@@ -2,7 +2,7 @@ package checkpoint
 
 // Unit tests of the redundancy backends: erasure-coded and replicated
 // stores surviving shard loss and corruption up to their redundancy, the
-// fault-injection wrapper's kill/corrupt/degrade semantics, and the
+// shard faults' kill/corrupt/degrade semantics, and the
 // modeled-cost accounting E6 compares.
 
 import (
@@ -377,6 +377,9 @@ func TestFaultyStoreCorruptUndetectedOnPlainBackend(t *testing.T) {
 // expected time an integer. Ranks 0 and 3 each save a 4000-byte
 // snapshot at VT 10 (the second queues behind the first on every target
 // they share), faults activate at VT 5000, and rank 0 loads at VT 10000.
+// A MemStore given faults is the one shard of a sharded layout. In the
+// "late" scenario each layout carries one fault of every kind, activating
+// after the load, and must read exactly like its bare twin.
 func TestLayoutContract(t *testing.T) {
 	type target struct {
 		saves, bytes, loads int64
@@ -416,7 +419,8 @@ func TestLayoutContract(t *testing.T) {
 		loads    int64 // logical Stats().Loads
 		targets  []target
 	}
-	sharded := append([]target{{2, 8000, 0, 4000}}, same(2, target{})...)
+	mem := []target{{2, 8000, 0, 4000}}
+	sharded := append(mem, same(2, target{})...)
 	ec := same(6, target{2, 2128, 0, 1064})
 	replica := same(3, target{2, 8128, 0, 4064})
 	layouts := []struct {
@@ -428,6 +432,15 @@ func TestLayoutContract(t *testing.T) {
 		healthy, killed  scenario
 		corrupt, exhaust scenario
 	}{
+		{
+			name:    "mem",
+			mk:      func() (Store, error) { return NewMemStore(1e9, 2e9), nil },
+			saveEnd: [2]vtime.Time{4010, 8010}, savedBytes: 8000, maxQueue: 4000,
+			healthy: scenario{ok: true, intact: true, loadEnd: 12000, loads: 1, targets: loadsOn(mem, 0)},
+			killed:  scenario{faults: kill(0), loadEnd: 10000, targets: mem},
+			corrupt: scenario{faults: corrupt0, ok: true, loadEnd: 12000, loads: 1, targets: loadsOn(mem, 0)},
+			exhaust: scenario{faults: kill(0), loadEnd: 10000, targets: mem},
+		},
 		{
 			name:    "sharded:3",
 			mk:      func() (Store, error) { return NewShardedStore(3, 1e9, 2e9, nil), nil },
@@ -462,9 +475,31 @@ func TestLayoutContract(t *testing.T) {
 			exhaust: scenario{faults: kill(0, 1, 2), loadEnd: 10000, targets: replica},
 		},
 	}
+	late := []ShardFault{
+		{Shard: 0, AtVT: 20000, Kind: FaultKill},
+		{Shard: 0, AtVT: 20000, Kind: FaultCorrupt},
+		{Shard: 0, AtVT: 20000, Kind: FaultDegrade, Factor: 3},
+	}
+	// drive saves ranks 0 and 3 at VT 10 and loads rank 0 at VT 10000.
+	drive := func(t *testing.T, st Store) (ends [2]vtime.Time, got *Snapshot, end vtime.Time, ok bool) {
+		t.Helper()
+		for i, rank := range []int{0, 3} {
+			s := codecSnap(rank, 1)
+			s.ModelBytes = 4000
+			e, err := st.Save(s, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ends[i] = e
+		}
+		got, end, ok = st.Load(0, 1, 10000)
+		return ends, got, end, ok
+	}
 	for _, l := range layouts {
 		l.healthy.name, l.killed.name, l.corrupt.name, l.exhaust.name = "healthy", "killed", "corrupt", "exhausted"
-		for _, sc := range []scenario{l.healthy, l.killed, l.corrupt, l.exhaust} {
+		lateSc := l.healthy
+		lateSc.name, lateSc.faults = "late", late
+		for _, sc := range []scenario{l.healthy, l.killed, l.corrupt, l.exhaust, lateSc} {
 			t.Run(l.name+"/"+sc.name, func(t *testing.T) {
 				inner, err := l.mk()
 				if err != nil {
@@ -476,23 +511,28 @@ func TestLayoutContract(t *testing.T) {
 				}
 				saved := codecSnap(0, 1)
 				saved.ModelBytes = 4000
+				ends, got, end, ok := drive(t, st)
 				for i, rank := range []int{0, 3} {
-					s := codecSnap(rank, 1)
-					s.ModelBytes = 4000
-					end, err := st.Save(s, 10)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if end != l.saveEnd[i] {
-						t.Errorf("rank %d save completes at %d, want %d", rank, end, l.saveEnd[i])
+					if ends[i] != l.saveEnd[i] {
+						t.Errorf("rank %d save completes at %d, want %d", rank, ends[i], l.saveEnd[i])
 					}
 				}
-				got, end, ok := st.Load(0, 1, 10000)
 				if ok != sc.ok || end != sc.loadEnd {
 					t.Errorf("load: ok=%v end=%d, want ok=%v end=%d", ok, end, sc.ok, sc.loadEnd)
 				}
 				if ok && reflect.DeepEqual(got, saved) != sc.intact {
 					t.Errorf("loaded image intact=%v, want %v", !sc.intact, sc.intact)
+				}
+				if sc.name == "late" {
+					bare, err := l.mk()
+					if err != nil {
+						t.Fatal(err)
+					}
+					bEnds, bGot, bEnd, bOK := drive(t, bare)
+					if bEnds != ends || bEnd != end || bOK != ok || !reflect.DeepEqual(bGot, got) || bare.Stats() != st.Stats() {
+						t.Errorf("late faults changed what the store reads: saves %v load (%v, %v) %+v, bare saves %v load (%v, %v) %+v",
+							ends, ok, end, st.Stats(), bEnds, bOK, bEnd, bare.Stats())
+					}
 				}
 				var degraded int64
 				if dc, ok := inner.(interface{ DegradedLoads() int64 }); ok {
@@ -505,7 +545,7 @@ func TestLayoutContract(t *testing.T) {
 				if stats := st.Stats(); stats != want {
 					t.Errorf("Stats = %+v, want %+v", stats, want)
 				}
-				per := inner.(interface{ ShardStats() []StoreStats }).ShardStats()
+				per := st.(interface{ ShardStats() []StoreStats }).ShardStats()
 				if len(per) != len(sc.targets) {
 					t.Fatalf("ShardStats has %d targets, want %d", len(per), len(sc.targets))
 				}

@@ -68,7 +68,7 @@ func (st *ReplicatedStore) Load(rank, seq int, at vtime.Time) (*Snapshot, vtime.
 	cur := at
 	for i := 0; i < r; i++ {
 		idx := (base + i) % r
-		fs, e, ok := st.targets[idx].Load(rank, seq, cur)
+		fs, e, ok := st.read(idx, rank, seq, cur)
 		if ok {
 			if f, fok := parseFragment(fs.AppState); fok && f.Index == idx {
 				if snap, err := DecodeSnapshot(f.Payload); err == nil {

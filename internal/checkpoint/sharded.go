@@ -115,14 +115,39 @@ func shardDirs(dir string) ([]string, error) {
 // contends with that shard's writers.
 func (st *ShardedStore) Save(s *Snapshot, at vtime.Time) (vtime.Time, error) { return save(st, s, at) }
 
-// stage implements stager with the home shard's own stage.
+// stage implements stager. Over an in-memory shard the copy it keeps is
+// taken here, before the turn; any other shard (a FileStore) copies in
+// its own Save, so s itself goes to commit: one copy either way.
 func (st *ShardedStore) stage(s *Snapshot) (staged, error) {
-	return stageOn(st.targets[st.home(s.Rank)], s)
+	i := st.home(s.Rank)
+	_, mem := st.targets[i].(*MemStore)
+	if mem {
+		s = s.Clone()
+	}
+	return shardWrite{&st.shardSet, i, s, mem}, nil
 }
 
 // Load implements Store: one read from the rank's shard. A lost shard is
 // a lost checkpoint, and a corrupt one is served undetected (plain
 // shards carry no checksums).
 func (st *ShardedStore) Load(rank, seq int, at vtime.Time) (*Snapshot, vtime.Time, bool) {
-	return st.targets[st.home(rank)].Load(rank, seq, at)
+	return st.read(st.home(rank), rank, seq, at)
 }
+
+// shardWrite is a ShardedStore's staged save: fs goes to target i through
+// the shard set's write path under the turn. fs is the copy an in-memory
+// target keeps or, with copied false, the caller's snapshot.
+type shardWrite struct {
+	ss     *shardSet
+	i      int
+	fs     *Snapshot
+	copied bool
+}
+
+func (p shardWrite) commit(at vtime.Time) (vtime.Time, error) {
+	end, _, err := p.ss.write(p.i, p.fs, at)
+	return end, err
+}
+
+func (shardWrite) discard()         {}
+func (p shardWrite) detached() bool { return p.copied }

@@ -13,16 +13,18 @@ const fragmentEnvelope = 64
 // shardSet is the core the composite stores (ShardedStore, ECStore,
 // ReplicatedStore) are layouts over: a fixed slice of independent storage
 // targets, each with its own bandwidth-contention window, a static
-// rank-to-target placement, the fault-injection hook, and the statistics.
-// A layout adds only how a snapshot becomes target writes and the read
-// policy (the DESIGN.md failure-semantics table).
+// rank-to-target placement, each target's fault schedule (faulty.go), and
+// the statistics. Every target write goes through write and every target
+// read through read, which apply the faults. A layout adds only how a
+// snapshot becomes target writes and the read policy (the DESIGN.md
+// failure-semantics table).
 //
 // Determinism: every save is admitted in virtual-time order (the runtime
-// brackets commits with Endpoint.FlushAwaitTurn) and placement and
-// encoding are pure functions, so the per-target queues build up
-// identically on every run. Stages run in any order; they touch nothing
-// but the spare list, and which recycled buffer a stage gets never shows:
-// it is overwritten whole.
+// brackets commits with Endpoint.FlushAwaitTurn), placement and encoding
+// are pure functions, and a fault is a pure function of an operation's
+// issue time, so the per-target queues build up identically on every run.
+// Stages run in any order; they touch nothing but the spare list, and
+// which recycled buffer a stage gets never shows: it is overwritten whole.
 type shardSet struct {
 	// place maps a rank to its home target and may return any int (it is
 	// reduced modulo the target count); nil places ranks round-robin.
@@ -33,12 +35,16 @@ type shardSet struct {
 	// saves/loads count the redundant layouts' logical snapshot
 	// operations (each is several target operations).
 	saves, loads int64
-	// spare holds fragment buffers the targets gave back (see
-	// fragmentTarget), for the next save to build its fragments in.
+	// spare holds fragment buffers the targets gave back (see write), for
+	// the next save to build its fragments in.
 	spare [][]byte
 	// degraded counts what successful loads had to route around — the
 	// survived-shard-loss signal E6 reports.
 	degraded int64
+	// faults[i] is target i's fault schedule and fstats[i] what it
+	// absorbed; both nil until NewFaultyStore adds a schedule.
+	faults [][]ShardFault
+	fstats []FaultStats
 }
 
 // memTargets builds n fresh in-memory targets of writeBPS/readBPS bytes
@@ -66,13 +72,110 @@ func (ss *shardSet) home(rank int) int {
 }
 
 // NumShards reports the target count: shards, k+m fragment shards, or
-// replicas (the fault-injection plane addresses them all as shards).
+// replicas (a ShardFault addresses them all as shards).
 func (ss *shardSet) NumShards() int { return len(ss.targets) }
 
-// swapShard replaces target i through wrap — the fault-injection hook
-// (NewFaultyStore). Must be called before the store carries traffic.
-func (ss *shardSet) swapShard(i int, wrap func(Store) Store) {
-	ss.targets[i] = wrap(ss.targets[i])
+// shards implements faultable.
+func (ss *shardSet) shards() *shardSet { return ss }
+
+// FaultStats implements FaultyStore: what each target's faults absorbed,
+// indexed by target.
+func (ss *shardSet) FaultStats() []FaultStats {
+	out := make([]FaultStats, len(ss.targets))
+	ss.mu.Lock()
+	copy(out, ss.fstats)
+	ss.mu.Unlock()
+	return out
+}
+
+// fault evaluates target i's schedule at an operation issued at `at` — a
+// pure function of `at`, which is what keeps injection deterministic —
+// and counts a killed operation as a lost write or read.
+func (ss *shardSet) fault(i int, at vtime.Time, write bool) (killed, corrupt bool, slow float64) {
+	slow = 1
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	if ss.faults == nil {
+		return false, false, 1
+	}
+	for _, f := range ss.faults[i] {
+		if f.AtVT > at {
+			continue
+		}
+		switch f.Kind {
+		case FaultKill:
+			killed = true
+		case FaultCorrupt:
+			corrupt = true
+		case FaultDegrade:
+			slow *= f.Factor
+		}
+	}
+	switch {
+	case killed && write:
+		ss.fstats[i].LostWrites++
+	case killed:
+		ss.fstats[i].LostReads++
+	}
+	return killed, corrupt, slow
+}
+
+// write gives fs to target i at `at`, faults first. A killed target drops
+// the write (counted, no error: a lost storage target fails silently, it
+// does not abort the writer); a degraded one is charged Factor× the
+// modeled cost through a shallow copy of fs. An in-memory target keeps fs
+// as it is, no deep copy, so fs must be the package's own: a copy or a
+// fragment. Any other target copies in its Save. spare is an AppState
+// buffer the target no longer references — a generation fs overwrote or
+// pruned, or fs's own if the write was dropped — nil if it has none; only
+// a caller that built fs may reuse it.
+func (ss *shardSet) write(i int, fs *Snapshot, at vtime.Time) (end vtime.Time, spare []byte, err error) {
+	killed, _, slow := ss.fault(i, at, true)
+	if killed {
+		return at, fs.AppState, nil
+	}
+	if slow != 1 {
+		cp := *fs
+		cp.ModelBytes = int64(float64(fs.CostBytes()) * slow)
+		fs = &cp
+	}
+	if m, ok := ss.targets[i].(*MemStore); ok {
+		end, spare = m.keep(fs, at)
+		return end, spare, nil
+	}
+	end, err = ss.targets[i].Save(fs, at)
+	return end, nil, err
+}
+
+// read loads rank's snapshot seq from target i at `at`, faults applied: a
+// killed target refuses the read, a corrupt one damages the returned
+// snapshot (detectable only by the self-verifying layouts), a degraded
+// one stretches the read duration. The damage lands on the private copy
+// the target's Load returned (the Store contract), so what the target
+// holds stays clean for a read issued before AtVT.
+func (ss *shardSet) read(i, rank, seq int, at vtime.Time) (*Snapshot, vtime.Time, bool) {
+	killed, corrupt, slow := ss.fault(i, at, false)
+	if killed {
+		return nil, at, false
+	}
+	s, end, ok := ss.targets[i].Load(rank, seq, at)
+	if !ok {
+		return nil, end, false
+	}
+	if slow != 1 {
+		end = at.Add(vtime.Duration(float64(end.Sub(at)) * slow))
+	}
+	if corrupt {
+		if len(s.AppState) > 0 {
+			s.AppState[0] ^= 0xA5
+		} else {
+			s.AppState = []byte{0xA5}
+		}
+		ss.mu.Lock()
+		ss.fstats[i].CorruptReads++
+		ss.mu.Unlock()
+	}
+	return s, end, true
 }
 
 // ShardStats reports per-target physical activity, indexed by target.
@@ -129,30 +232,6 @@ func (ss *shardSet) countLoad(degraded int64) {
 	ss.mu.Unlock()
 }
 
-// fragmentTarget is the one hand-off between the redundant layouts and
-// their targets. A fragment snapshot is built by this package, so its
-// buffers are the package's to give away: the target keeps fs as it is —
-// no deep copy — and hands back, as spare, an AppState buffer it no
-// longer references (a generation fs overwrote or pruned, or fs's own if
-// the write was dropped), nil if it has none. MemStore and the fault
-// plane's shard wrapper implement it; handOff falls back to Save for any
-// other target.
-type fragmentTarget interface {
-	saveOwned(fs *Snapshot, at vtime.Time) (end vtime.Time, spare []byte, err error)
-}
-
-// handOff gives fs to target t (see fragmentTarget). A target without
-// the hand-off copies in its Save, which frees fs's buffer at once.
-func handOff(t Store, fs *Snapshot, at vtime.Time) (end vtime.Time, spare []byte, err error) {
-	if ft, ok := t.(fragmentTarget); ok {
-		return ft.saveOwned(fs, at)
-	}
-	if end, err = t.Save(fs, at); err != nil {
-		return end, nil, err
-	}
-	return end, fs.AppState, nil
-}
-
 // newGroup returns the buffers of an n-fragment group of a k-of-n code
 // over a blobLen-byte blob, headers written, and the payloadLen-byte
 // payload region of each for the layout to fill. Buffers come from the
@@ -206,15 +285,17 @@ type groupSave struct {
 	bufs      [][]byte
 }
 
-// commit writes the fragments through the hand-off. All writes are issued
-// at `at` in parallel, so the save completes when the slowest target does.
+// commit writes the fragments through write, which keeps them without a
+// further copy and hands back the buffers they displace. All writes are
+// issued at `at` in parallel, so the save completes when the slowest
+// target does.
 func (g *groupSave) commit(at vtime.Time) (vtime.Time, error) {
 	ss := g.ss
 	end := at
 	spares := make([][]byte, 0, len(g.bufs))
 	for i, b := range g.bufs {
 		fs := &Snapshot{Rank: g.rank, Seq: g.seq, TakenVT: g.taken, AppState: b, ModelBytes: g.cost}
-		e, spare, err := handOff(ss.targets[(g.base+i)%len(ss.targets)], fs, at)
+		e, spare, err := ss.write((g.base+i)%len(ss.targets), fs, at)
 		if err != nil {
 			return at, err
 		}

@@ -35,20 +35,39 @@ var stagedBackends = []struct {
 	{"replica:3", 3, func() (Store, error) { return NewReplicatedStore(3, 1e9, 2e9, nil) }},
 }
 
-// faulted wraps st in one fault of the named kind on shard, from at on;
+// faulted adds to st one fault of each kind named in kinds ("kill",
+// "corrupt" or "degrade", joined by "+") on shard, the j-th from
+// at+40·j on: all in one NewFaultyStore call or, apart, one call each.
 // "none" leaves st bare.
-func faulted(st Store, kind string, shard int, at vtime.Time) (Store, error) {
-	switch kind {
-	case "none":
+func faulted(st Store, kinds string, shard int, at vtime.Time, apart bool) (Store, error) {
+	if kinds == "none" {
 		return st, nil
-	case "kill":
-		return NewFaultyStore(st, ShardFault{Shard: shard, AtVT: at, Kind: FaultKill})
-	case "corrupt":
-		return NewFaultyStore(st, ShardFault{Shard: shard, AtVT: at, Kind: FaultCorrupt})
-	case "degrade":
-		return NewFaultyStore(st, ShardFault{Shard: shard, AtVT: at, Kind: FaultDegrade, Factor: 3})
 	}
-	return nil, fmt.Errorf("unknown fault %q", kind)
+	var faults []ShardFault
+	for j, kind := range strings.Split(kinds, "+") {
+		f := ShardFault{Shard: shard, AtVT: at + vtime.Time(40*j)}
+		switch kind {
+		case "kill":
+			f.Kind = FaultKill
+		case "corrupt":
+			f.Kind = FaultCorrupt
+		case "degrade":
+			f.Kind, f.Factor = FaultDegrade, 3
+		default:
+			return nil, fmt.Errorf("unknown fault %q", kind)
+		}
+		faults = append(faults, f)
+	}
+	if !apart {
+		return NewFaultyStore(st, faults...)
+	}
+	for _, f := range faults {
+		var err error
+		if st, err = NewFaultyStore(st, f); err != nil {
+			return nil, err
+		}
+	}
+	return st, nil
 }
 
 // storeState renders what a store reports — Stats, ShardStats,
@@ -58,9 +77,8 @@ func storeState(t testing.TB, st Store) string {
 	t.Helper()
 	var b strings.Builder
 	fmt.Fprintf(&b, "stats %+v\n", st.Stats())
-	if f, ok := st.(*FaultyStore); ok {
+	if f, ok := st.(FaultyStore); ok {
 		fmt.Fprintf(&b, "faults %+v\n", f.FaultStats())
-		st = f.inner
 	}
 	if l, ok := st.(interface{ ShardStats() []StoreStats }); ok {
 		fmt.Fprintf(&b, "shards %+v\n", l.ShardStats())
@@ -85,8 +103,6 @@ func held(t testing.TB, b *strings.Builder, st Store) {
 			}
 		}
 		return
-	case *faultyShard:
-		targets = []Store{s.inner}
 	case *ShardedStore:
 		targets = s.targets
 	case *ECStore:
@@ -107,27 +123,30 @@ func held(t testing.TB, b *strings.Builder, st Store) {
 // stores of one layout and fault — through Save on one, through Stage,
 // a scribble over the caller's snapshot, and Commit on the other, the
 // discards on the staged store alone. Every completion time and load must
-// agree, and so must the two stores' full state every 40 operations.
+// agree, and so must the two stores' full state every 40 operations. A
+// schedule of several faults is added to the saved store in one
+// NewFaultyStore call and to the staged one in one call per fault, so the
+// same run also holds repeated calls to one call with every fault.
 func TestStageCommitIsSave(t *testing.T) {
 	const ranks, ops = 4, 240
 	opVT := func(op int) vtime.Time { return vtime.Time(10 + 20*op) }
 	for bi, be := range stagedBackends {
-		for _, fault := range []string{"none", "kill", "corrupt", "degrade"} {
+		for _, fault := range []string{"none", "kill", "corrupt", "degrade", "degrade+corrupt+degrade", "degrade+kill"} {
 			for _, off := range []vtime.Time{-1, 0, 1} {
 				t.Run(fmt.Sprintf("%s/%s/%+d", be.name, fault, off), func(t *testing.T) {
 					seed := int64(bi*100) + int64(off) + 7
 					faultVT := opVT(ops/2) + off
-					mk := func() Store {
+					mk := func(apart bool) Store {
 						st, err := be.mk()
 						if err == nil {
-							st, err = faulted(st, fault, int(seed)%be.shards, faultVT)
+							st, err = faulted(st, fault, int(seed)%be.shards, faultVT, apart)
 						}
 						if err != nil {
 							t.Fatal(err)
 						}
 						return st
 					}
-					saved, staged := mk(), mk()
+					saved, staged := mk(false), mk(true)
 					rng := rand.New(rand.NewSource(seed))
 					cur := make([]int, ranks)
 					for op := 0; op < ops; op++ {
@@ -183,18 +202,18 @@ func TestStageCommitIsSave(t *testing.T) {
 	}
 }
 
-// TestStagedFileShardSavesOnce: over a file-backed sharded store, whose
-// files are written by FileStore.Save under the turn, the fault plane's
-// stage takes no copy of its own — the snapshot goes to commit as it is —
-// and the staged store ends as one fed by Save: same completion times,
-// same dropped writes past a kill, same loads.
+// TestStagedFileShardSavesOnce: over a faulted file-backed sharded store,
+// whose files are written by FileStore.Save under the turn, the stage
+// takes no copy of its own — the snapshot goes to commit as it is — and
+// the staged store ends as one fed by Save: same completion times, same
+// dropped writes past a kill, same loads.
 func TestStagedFileShardSavesOnce(t *testing.T) {
 	mk := func() Store {
 		sh, err := NewShardedFileStore(t.TempDir(), 2, 1e9, 2e9, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := faulted(sh, "kill", 1, 95)
+		st, err := faulted(sh, "kill", 1, 95, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +233,7 @@ func TestStagedFileShardSavesOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if kc, ok := p.p.(keptCopy); !ok || kc.fs != s {
+			if w, ok := p.p.(shardWrite); !ok || w.fs != s {
 				t.Fatalf("rank %d seq %d: staged %T, want the caller's snapshot handed to commit uncopied", r, seq, p.p)
 			}
 			if got, err := p.Commit(at); err != nil || got != want {
@@ -231,7 +250,7 @@ func TestStagedFileShardSavesOnce(t *testing.T) {
 			}
 		}
 	}
-	a, b := saved.(*FaultyStore), staged.(*FaultyStore)
+	a, b := saved.(FaultyStore), staged.(FaultyStore)
 	if a.Stats() != b.Stats() || !slices.Equal(a.FaultStats(), b.FaultStats()) {
 		t.Fatalf("stats differ: staged %+v %+v, saved %+v %+v", b.Stats(), b.FaultStats(), a.Stats(), a.FaultStats())
 	}
@@ -253,7 +272,7 @@ func TestConcurrentStagesCommitInOrder(t *testing.T) {
 			mk := func() Store {
 				st, err := be.mk()
 				if err == nil {
-					st, err = faulted(st, "kill", 1%be.shards, waveVT(waves/2, 0))
+					st, err = faulted(st, "kill", 1%be.shards, waveVT(waves/2, 0), false)
 				}
 				if err != nil {
 					t.Fatal(err)

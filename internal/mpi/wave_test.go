@@ -110,7 +110,7 @@ func waveConfig(np int) mpi.Config {
 // its observables are read through.
 type ecUnderFaults struct {
 	ec     *checkpoint.ECStore
-	faulty *checkpoint.FaultyStore
+	faulty checkpoint.FaultyStore
 }
 
 func newECUnderFaults(t testing.TB, faults ...checkpoint.ShardFault) ecUnderFaults {

@@ -187,8 +187,9 @@ type (
 	FaultKind = checkpoint.FaultKind
 	// FaultStats counts the operations one faulted shard absorbed.
 	FaultStats = checkpoint.FaultStats
-	// FaultyStore wraps a store with a shard-fault schedule; its
-	// FaultStats method reports per-shard fault activity.
+	// FaultyStore is an interface: a Store carrying a shard-fault
+	// schedule, whose FaultStats method reports per-shard fault
+	// activity.
 	FaultyStore = checkpoint.FaultyStore
 )
 
@@ -205,14 +206,15 @@ const (
 	FaultDegrade = checkpoint.FaultDegrade
 )
 
-// NewFaultyStore wraps inner so the scheduled ShardFaults apply to its
-// shards: shards of a sharded/ec store, replicas of a replicated store,
-// or the whole store as shard 0 otherwise. Install it before the store
-// carries traffic. Fault activation is a pure predicate on each
-// operation's virtual issue time, so injected failures are totally
-// ordered against all other store traffic and runs stay
-// byte-reproducible.
-func NewFaultyStore(inner Store, faults ...ShardFault) (*FaultyStore, error) {
+// NewFaultyStore adds the scheduled ShardFaults to inner's shards, in
+// place, and returns inner: shards of a sharded/ec store, replicas of a
+// replicated store. Any other store becomes shard 0 of a one-shard
+// sharded store, which is returned. Faults added by several calls apply
+// together. Add them before the store carries traffic. Fault activation
+// is a pure predicate on each operation's virtual issue time, so
+// injected failures are totally ordered against all other store traffic
+// and runs stay byte-reproducible.
+func NewFaultyStore(inner Store, faults ...ShardFault) (FaultyStore, error) {
 	return checkpoint.NewFaultyStore(inner, faults...)
 }
 
