@@ -110,7 +110,9 @@ bench-check:
 # delivery plane (one mutation at np 16 to 4096), the clustering tool
 # (torus and complete graphs at 256, a torus at 4096), the protocol engine
 # (building one at np = 1024 and 16384, Algorithm 1's send path, a
-# checkpoint's protocol state at np = 64, 1024 and 16384) and the runtime (an np = 64 checkpoint wave into ec:4+2,
+# checkpoint's protocol state at np = 64, 1024 and 16384, a GCAck's prune
+# at np = 1024 in singleton clusters beside 32 and 992 other logged
+# destinations) and the runtime (an np = 64 checkpoint wave into ec:4+2,
 # staged and under the turn; the marker flush of an np = 1024 wave;
 # Proc.capture and the image encode at 64 KiB and 512 KiB images; FT's
 # pairwise all-to-all at np = 256, per message, in wall and CPU time). CI

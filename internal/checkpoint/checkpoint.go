@@ -38,7 +38,7 @@ type Snapshot struct {
 	// AppState is the gob-encoded application state.
 	AppState []byte
 	// ProtState is the engine-encoded protocol state (opaque here), set
-	// by the engine or encoded from its DeferProtState value.
+	// by the engine or encoded from what its DeferProtState call returns.
 	ProtState []byte
 	// Mailbox holds the in-transit messages included in the checkpoint:
 	// intra-cluster messages of the previous epoch plus all buffered
@@ -48,27 +48,27 @@ type Snapshot struct {
 	// cost model; when zero the encoded size is used.
 	ModelBytes int64
 
-	// protValue awaits BorrowProtState; stores, codecs, exporters and
+	// protState awaits BorrowProtState; stores, codecs, exporters and
 	// Clone never see it.
-	protValue any
+	protState func() any
 }
 
-// DeferProtState leaves v for the runtime to gob-encode into ProtState,
-// off the process's task and before the snapshot's size is taken. v is
-// read then, not copied now, so it must not change until the save is
-// staged.
-func (s *Snapshot) DeferProtState(v any) { s.protValue = v }
+// DeferProtState leaves state for the runtime to call and gob-encode into
+// ProtState, off the process's task and before the snapshot's size is
+// taken. It runs then, and what it returns is read, not copied, so
+// neither may change until the save is staged.
+func (s *Snapshot) DeferProtState(state func() any) { s.protState = state }
 
 // BorrowProtState encodes the DeferProtState value, if any, into
 // ProtState in a buffer borrowed with BorrowState and forgets the value;
 // release gives the buffer back.
 func (s *Snapshot) BorrowProtState() (release func(), err error) {
-	v := s.protValue
-	if v == nil {
+	state := s.protState
+	if state == nil {
 		return func() {}, nil
 	}
-	s.protValue = nil
-	s.ProtState, release, err = BorrowState(v)
+	s.protState = nil
+	s.ProtState, release, err = BorrowState(state())
 	return release, err
 }
 
@@ -102,7 +102,7 @@ func (s *Snapshot) CostBytes() int64 {
 // corrupt stable storage.
 func (s *Snapshot) Clone() *Snapshot {
 	c := *s
-	c.protValue = nil
+	c.protState = nil
 	c.AppState = append([]byte(nil), s.AppState...)
 	c.ProtState = append([]byte(nil), s.ProtState...)
 	c.Mailbox = make([]*transport.Msg, len(s.Mailbox))

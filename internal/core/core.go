@@ -86,8 +86,6 @@ func (pr *Protocol) NewEngine(rank int, px rollback.Proc) rollback.Engine {
 		topo:    topo,
 		cluster: topo.ClusterOf[rank],
 		phase:   1, // all process phases are initialized to 1 (§III-B)
-		rpp:     make(map[int]*rppChannel),
-		logs:    newLogStore(),
 		rounds:  make(map[int]*roundState),
 	}
 }
@@ -117,8 +115,7 @@ type engine struct {
 
 	date  int64
 	phase int
-	rpp   map[int]*rppChannel
-	logs  *logStore
+	live  liveState
 
 	myInc int32
 	incs  incView
@@ -133,7 +130,6 @@ type engine struct {
 	gcPendingValid bool
 	gcPendingDate  int64
 	gcPendingDeliv map[int]int64
-	gcAcked        map[int]bool
 
 	// Recovery.
 	rounds map[int]*roundState
@@ -191,16 +187,14 @@ func (e *engine) PreSend(m *transport.Msg) (rollback.SendVerdict, error) {
 	inter := e.interCluster(m.Dst)
 	if inter {
 		// Sender-based payload logging, overlapped with transmission.
-		e.logs.add(logEntry{
+		e.live.add(logEntry{
 			Dst: m.Dst, Date: m.Date, Phase: m.Phase,
 			Tag: m.Tag, WireLen: m.WireLen, Data: m.Data,
 		})
 		mx := e.px.Metrics()
 		mx.LoggedMsgs++
 		mx.LoggedBytes += int64(m.WireLen)
-		if e.logs.Bytes > mx.LogPeakBytes {
-			mx.LogPeakBytes = e.logs.Bytes
-		}
+		mx.LogPeakBytes = max(mx.LogPeakBytes, e.live.bytes)
 		v.ExtraCPU += e.px.Model().CopyCost(m.WireLen, true)
 		if e.prot.opts.LogDrainBPS > 0 {
 			v.ExtraCPU += e.drainStall(m.WireLen)
@@ -238,16 +232,12 @@ func (e *engine) OnDeliver(m *transport.Msg) {
 		if m.Phase+1 > e.phase {
 			e.phase = m.Phase + 1
 		}
-		ch := e.rpp[src]
-		if ch == nil {
-			ch = newRPPChannel()
-			e.rpp[src] = ch
-		}
-		ch.record(m.Date, m.Phase)
+		p := e.live.peer(src)
+		p.record(m.Date, m.Phase)
 		// Garbage collection: acknowledge the first delivery from each
 		// inter-cluster sender after a checkpoint (§III-E).
-		if !e.prot.opts.DisableGC && e.gcSafeValid && !e.gcAcked[src] {
-			e.gcAcked[src] = true
+		if !e.prot.opts.DisableGC && e.gcSafeValid && !p.acked {
+			p.acked = true
 			e.px.SendCtl(src, GCAck{CkptDate: e.gcSafeDate, DeliveredFromYou: e.gcSafeDeliv[src]}, wireGCAck)
 		}
 	} else if m.Phase > e.phase {
@@ -258,8 +248,9 @@ func (e *engine) OnDeliver(m *transport.Msg) {
 
 // OnCheckpoint implements Algorithm 1 lines 19-21: the snapshot includes
 // RPP, the message log, phase and date (the image and mailbox are captured
-// by the runtime). The save encodes the state uncopied: no engine method
-// runs until it is staged, and the next checkpoint replaces the GC maps.
+// by the runtime). The save converts the live state to the checkpoint form
+// and encodes it on its own goroutine (savedState): no engine method runs
+// until it is staged, and the next checkpoint replaces the GC maps.
 func (e *engine) OnCheckpoint(s *checkpoint.Snapshot) {
 	// Promote the previous checkpoint's watermarks to "safe": entering
 	// this checkpoint implies every cluster member completed the previous
@@ -270,9 +261,13 @@ func (e *engine) OnCheckpoint(s *checkpoint.Snapshot) {
 
 	e.gcPendingValid = true
 	e.gcPendingDate = e.date
-	e.gcPendingDeliv = make(map[int]int64, len(e.rpp))
-	for src, ch := range e.rpp {
-		e.gcPendingDeliv[src] = ch.MaxDate
+	e.gcPendingDeliv = make(map[int]int64, e.live.peers.Len())
+	for i := range e.live.peers.Len() {
+		src, p := e.live.peers.At(i)
+		p.acked = false
+		if p.maxDate > 0 {
+			e.gcPendingDeliv[int(src)] = p.maxDate
+		}
 	}
 	// A buffered inter-cluster message counts as delivered, also from a
 	// sender with no RPP entry yet.
@@ -281,20 +276,17 @@ func (e *engine) OnCheckpoint(s *checkpoint.Snapshot) {
 			e.gcPendingDeliv[m.Src] = m.Date
 		}
 	}
-	if e.gcAcked == nil { // not saved, so reused
-		e.gcAcked = make(map[int]bool)
-	}
-	clear(e.gcAcked)
-	s.DeferProtState(e.savedState())
+	s.DeferProtState(e.savedState)
 	// The logs are part of the checkpoint volume (Algorithm 1 line 21).
-	s.ModelBytes += e.logs.Bytes
+	s.ModelBytes += e.live.bytes
 }
 
-// savedState is the protocol state a checkpoint saves. It shares the
-// engine's maps and log.
-func (e *engine) savedState() *engineState {
+// savedState is the protocol state a checkpoint saves, in the checkpoint
+// form. It shares the GC maps and the log entries.
+func (e *engine) savedState() any {
+	rpp, logs := e.live.saved()
 	return &engineState{
-		Date: e.date, Phase: e.phase, RPP: e.rpp, Logs: e.logs,
+		Date: e.date, Phase: e.phase, RPP: rpp, Logs: logs,
 		GCSafeValid: e.gcSafeValid, GCSafeDate: e.gcSafeDate, GCSafeDeliv: e.gcSafeDeliv,
 		GCPendingValid: e.gcPendingValid, GCPendingDate: e.gcPendingDate, GCPendingDeliv: e.gcPendingDeliv,
 	}

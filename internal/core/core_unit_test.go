@@ -156,7 +156,7 @@ func TestLoggingOnlyInterCluster(t *testing.T) {
 	if v.ExtraCPU <= 0 {
 		t.Fatal("logging copy of a large payload should cost visible CPU")
 	}
-	if got := e.logs.above(2, 0); len(got) != 1 || got[0].Date != inter.Date {
+	if got := e.live.above(nil, 2, 0); len(got) != 1 || got[0].Date != inter.Date {
 		t.Fatalf("log store content wrong: %v", got)
 	}
 }
@@ -195,7 +195,7 @@ func TestRPPRecording(t *testing.T) {
 	m.Date = 5
 	m.Phase = 2
 	e.OnDeliver(m)
-	ch := e.rpp[1]
+	ch := savedForm(e).RPP[1]
 	if ch == nil || ch.MaxDate != 5 || ch.Phases[5] != 2 {
 		t.Fatalf("RPP wrong: %+v", ch)
 	}
@@ -216,28 +216,33 @@ func TestAdmitDropsStaleIncSeen(t *testing.T) {
 }
 
 func TestLogStoreAboveAndPrune(t *testing.T) {
-	ls := newLogStore()
+	var ls liveState
 	for d := int64(1); d <= 10; d++ {
-		ls.add(logEntry{Dst: 7, Date: d * 10, WireLen: 5})
+		ls.add(logEntry{Dst: 7, Date: d * 10, WireLen: 5, Data: []byte{1}})
 	}
-	above := ls.above(7, 50)
+	above := ls.above(nil, 7, 50)
 	if len(above) != 5 || above[0].Date != 60 {
 		t.Fatalf("above: %v", above)
 	}
-	if ls.above(7, 1000) != nil && len(ls.above(7, 1000)) != 0 {
+	if len(ls.above(nil, 7, 1000)) != 0 {
 		t.Fatal("above past the end should be empty")
 	}
+	logged := ls.find(7).log
 	reclaimed := ls.pruneUpTo(7, 50)
-	if reclaimed != 25 || ls.Bytes != 25 {
-		t.Fatalf("prune reclaimed %d, bytes %d", reclaimed, ls.Bytes)
+	if reclaimed != 25 || ls.bytes != 25 {
+		t.Fatalf("prune reclaimed %d, bytes %d", reclaimed, ls.bytes)
 	}
-	if got := ls.above(7, 0); len(got) != 5 || got[0].Date != 60 {
+	if got := ls.above(nil, 7, 0); len(got) != 5 || got[0].Date != 60 {
 		t.Fatalf("post-prune content: %v", got)
 	}
-	// Pruning everything removes the channel.
+	// Pruned entries drop their payload.
+	if n := payloads(logged); n != 5 {
+		t.Fatalf("the log's array holds %d payloads, want 5", n)
+	}
+	// Pruning everything removes the destination from the saved log.
 	ls.pruneUpTo(7, 1000)
-	if len(ls.PerDst) != 0 || ls.Bytes != 0 {
-		t.Fatalf("full prune left %+v", ls)
+	if _, logs := ls.saved(); len(logs.PerDst) != 0 || logs.Bytes != 0 || len(ls.find(7).log) != 0 {
+		t.Fatalf("full prune left %+v, %d entries", logs, len(ls.find(7).log))
 	}
 }
 
@@ -262,10 +267,11 @@ func TestGCAckPrunesPeerState(t *testing.T) {
 	if px.metrics.GCReclaimed != 200 {
 		t.Fatalf("reclaimed %d, want 200", px.metrics.GCReclaimed)
 	}
-	if len(e.logs.PerDst[1]) != 1 {
-		t.Fatalf("log entries left: %d", len(e.logs.PerDst[1]))
+	saved := savedForm(e)
+	if len(saved.Logs.PerDst[1]) != 1 {
+		t.Fatalf("log entries left: %d", len(saved.Logs.PerDst[1]))
 	}
-	ch := e.rpp[1]
+	ch := saved.RPP[1]
 	if _, ok := ch.Phases[2]; ok {
 		t.Fatal("RPP entry <= ack CkptDate not pruned")
 	}
@@ -322,6 +328,9 @@ func TestGCAckOnlyAfterSecondCheckpoint(t *testing.T) {
 		t.Fatalf("acks after the third checkpoint %+v, want a second one carrying 2", got)
 	}
 }
+
+// savedForm is e's protocol state in the checkpoint form.
+func savedForm(e *engine) *engineState { return e.savedState().(*engineState) }
 
 // checkpointState runs e's checkpoint hook for checkpoint seq and returns
 // the protocol state it saves, encoded as the runtime's save encodes it
@@ -408,8 +417,8 @@ func TestSuppressionWatermark(t *testing.T) {
 		}
 	}
 	// They must still be (re-)logged for later failures of the receiver.
-	if len(e.logs.PerDst[1]) != 2 {
-		t.Fatalf("suppressed sends not re-logged: %d", len(e.logs.PerDst[1]))
+	if got := len(e.live.above(nil, 1, 0)); got != 2 {
+		t.Fatalf("suppressed sends not re-logged: %d", got)
 	}
 	// Orphan notifications went to the recovery process.
 	notes := px.ctlOfType(func(b any) bool { _, ok := b.(OrphanNotification); return ok })
@@ -477,7 +486,7 @@ func TestLogDrainKeepsRecoveryIntact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := len(e.logs.above(1, 0)); got != 3 {
+	if got := len(e.live.above(nil, 1, 0)); got != 3 {
 		t.Fatalf("log entries %d, want 3", got)
 	}
 }

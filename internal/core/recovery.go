@@ -83,24 +83,13 @@ func (e *engine) OnRestore(s *checkpoint.Snapshot, round *rollback.RoundInfo) {
 		}
 		e.date = st.Date
 		e.phase = st.Phase
-		e.rpp = st.RPP
-		if e.rpp == nil {
-			e.rpp = make(map[int]*rppChannel)
-		}
-		e.logs = st.Logs
-		if e.logs == nil {
-			e.logs = newLogStore()
-		}
-		if e.logs.PerDst == nil {
-			e.logs.PerDst = make(map[int][]logEntry)
-		}
+		e.live.restore(st.RPP, st.Logs)
 		e.gcSafeValid = st.GCSafeValid
 		e.gcSafeDate = st.GCSafeDate
 		e.gcSafeDeliv = st.GCSafeDeliv
 		e.gcPendingValid = st.GCPendingValid
 		e.gcPendingDate = st.GCPendingDate
 		e.gcPendingDeliv = st.GCPendingDeliv
-		e.gcAcked = make(map[int]bool)
 	}
 	e.myInc = round.AllIncs[e.rank]
 	e.incs.reset(round.Round, round.AllIncs)
@@ -123,8 +112,8 @@ func (e *engine) OnRestore(s *checkpoint.Snapshot, round *rollback.RoundInfo) {
 			continue
 		}
 		wm := held[dst]
-		if ch := e.rpp[dst]; ch != nil && ch.MaxDate > wm {
-			wm = ch.MaxDate
+		if p := e.live.find(dst); p != nil {
+			wm = max(wm, p.maxDate)
 		}
 		e.px.SendCtl(dst, RollbackNote{
 			Round:       round.Round,
@@ -166,9 +155,9 @@ func (e *engine) OnCtl(m *transport.Msg) {
 
 	case GCAck:
 		mx := e.px.Metrics()
-		mx.GCReclaimed += e.logs.pruneUpTo(m.Src, b.DeliveredFromYou)
-		if ch := e.rpp[m.Src]; ch != nil {
-			ch.pruneUpTo(b.CkptDate)
+		mx.GCReclaimed += e.live.pruneUpTo(m.Src, b.DeliveredFromYou)
+		if p := e.live.find(m.Src); p != nil {
+			p.rpp = p.rppAbove(b.CkptDate)
 		}
 	}
 }
@@ -186,13 +175,12 @@ func (e *engine) onRollbackNote(q int, b RollbackNote) {
 
 	// Orphan messages from q: delivered or buffered with a date later
 	// than q's restart point (Algorithm 3 lines 13-14).
-	// Sorted dates so the phases land in rs.orphanPhases — and from there
-	// in the wire-visible Report — in a reproducible order.
-	if ch := e.rpp[q]; ch != nil {
-		for _, date := range sortedKeys(ch.Phases) {
-			if date > b.RestartDate {
-				rs.orphanPhases = append(rs.orphanPhases, ch.Phases[date])
-			}
+	// Date order makes the phases land in rs.orphanPhases — and from
+	// there in the wire-visible Report — in a reproducible order.
+	p := e.live.find(q)
+	if p != nil {
+		for _, r := range p.rppAbove(b.RestartDate) {
+			rs.orphanPhases = append(rs.orphanPhases, r.phase)
 		}
 	}
 	var held int64
@@ -212,15 +200,15 @@ func (e *engine) onRollbackNote(q int, b RollbackNote) {
 	if rs.selfRolled {
 		rs.watermark(q, b.HeldFromYou)
 	} else {
-		if ch := e.rpp[q]; ch != nil && ch.MaxDate > held {
-			held = ch.MaxDate
+		if p != nil {
+			held = max(held, p.maxDate)
 		}
 		e.px.SendCtl(q, LastDate{Round: b.Round, Held: held}, wireLastDate)
 	}
 
 	// Logged messages to re-send: entries above what the restarted
 	// process still holds (Algorithm 3 lines 10-12).
-	rs.resent = append(rs.resent, e.logs.above(q, b.HeldFromYou)...)
+	rs.resent = e.live.above(rs.resent, q, b.HeldFromYou)
 	e.maybeReport(rs)
 }
 

@@ -5,102 +5,118 @@ package core
 // structures whose invariants the recovery machinery rests on.
 
 import (
+	"cmp"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
-// TestLogStoreProperties: for any sequence of monotone-dated entries and
-// any watermark w, above(w) and pruneUpTo(w) partition the entries exactly,
-// byte accounting matches, and above() results are date-sorted.
+// TestLogStoreProperties: for any sequence of monotone-dated entries to
+// several destinations and any per-destination watermarks, above(w) and
+// pruneUpTo(w) partition each destination's entries exactly, byte
+// accounting matches, above() results are date-sorted, other destinations
+// are untouched, pruned entries drop their payloads, and the saved form
+// matches a per-destination map.
 func TestLogStoreProperties(t *testing.T) {
-	f := func(gaps []uint8, wseed uint16) bool {
-		ls := newLogStore()
+	f := func(gaps []uint8, wseeds []uint16) bool {
+		var ls liveState
+		ref := newRefState()
 		date := int64(0)
-		var total int64
 		for i, g := range gaps {
 			date += int64(g%7) + 1 // strictly increasing dates
-			wire := (i % 13) + 1
-			ls.add(logEntry{Dst: 3, Date: date, Phase: i % 5, WireLen: wire})
-			total += int64(wire)
+			le := logEntry{Dst: int(g) % 4, Date: date, Phase: i % 5, WireLen: (i % 13) + 1, Data: []byte{g}}
+			ls.add(le)
+			ref.add(le)
 		}
-		if ls.Bytes != total {
+		if ls.bytes != ref.bytes {
 			return false
 		}
-		if date == 0 {
-			return true
-		}
-		w := int64(wseed) % (date + 2)
-		above := ls.above(3, w)
-		for i, e := range above {
-			if e.Date <= w {
+		for i, ws := range wseeds {
+			dst := i % 5 // 4 never logged to
+			w := int64(ws) % (date + 2)
+			above := ls.above(nil, dst, w)
+			if !slices.EqualFunc(above, ref.above(dst, w), sameEntry) {
 				return false
 			}
-			if i > 0 && above[i].Date < above[i-1].Date {
+			if !slices.IsSortedFunc(above, func(a, b logEntry) int { return cmp.Compare(a.Date, b.Date) }) {
 				return false
 			}
+			var before []logEntry
+			if p := ls.find(dst); p != nil {
+				before = p.log
+			}
+			if ls.pruneUpTo(dst, w) != ref.pruneUpTo(dst, w) || ls.bytes != ref.bytes {
+				return false
+			}
+			// After pruning, everything is above the watermark.
+			if !slices.EqualFunc(ls.above(nil, dst, 0), above, sameEntry) {
+				return false
+			}
+			if payloads(before) != len(above) {
+				return false // a pruned entry kept its payload
+			}
 		}
-		var aboveBytes int64
-		for _, e := range above {
-			aboveBytes += int64(e.WireLen)
-		}
-		reclaimed := ls.pruneUpTo(3, w)
-		if reclaimed != total-aboveBytes {
-			return false
-		}
-		if ls.Bytes != aboveBytes {
-			return false
-		}
-		// After pruning, everything is above the watermark.
-		rest := ls.above(3, 0)
-		if len(rest) != len(above) {
-			return false
-		}
-		return true
+		_, logs := ls.saved()
+		return reflect.DeepEqual(logs, ref.logStore())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+func sameEntry(a, b logEntry) bool { return reflect.DeepEqual(a, b) }
+
+// payloads counts the entries of a log's array that hold a payload.
+func payloads(log []logEntry) int {
+	n := 0
+	for _, le := range log {
+		if le.Data != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // TestRPPChannelProperties: MaxDate equals the maximum recorded date, every
-// record is retrievable with its phase, and pruneUpTo removes exactly the
+// record is retrievable with its phase, and pruning removes exactly the
 // entries at or below the bound while never lowering MaxDate (the watermark
 // must survive pruning — the sender can still suppress against it).
 func TestRPPChannelProperties(t *testing.T) {
 	f := func(raw []uint16, bound uint16) bool {
-		ch := newRPPChannel()
+		var p peer
 		seen := make(map[int64]int)
 		var max int64
 		for i, r := range raw {
 			d := int64(r%97) + 1
 			ph := i % 9
-			ch.record(d, ph)
+			p.record(d, ph)
 			seen[d] = ph
 			if d > max {
 				max = d
 			}
 		}
-		if ch.MaxDate != max {
+		if p.maxDate != max || len(p.rpp) != len(seen) {
 			return false
 		}
-		for d, ph := range seen {
-			if ch.Phases[d] != ph {
+		for i, r := range p.rpp {
+			if seen[r.date] != r.phase || i > 0 && p.rpp[i-1].date >= r.date {
 				return false
 			}
 		}
 		b := int64(bound % 120)
-		ch.pruneUpTo(b)
-		for d := range ch.Phases {
-			if d <= b {
+		p.rpp = p.rppAbove(b)
+		for _, r := range p.rpp {
+			if r.date <= b {
 				return false
 			}
 		}
 		for d, ph := range seen {
-			if d > b && ch.Phases[d] != ph {
+			if d > b && !slices.ContainsFunc(p.rpp, func(r rppRec) bool { return r.date == d && r.phase == ph }) {
 				return false
 			}
 		}
-		return ch.MaxDate == max
+		return p.maxDate == max
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -1,8 +1,8 @@
 package mpi_test
 
 // A checkpoint's protocol state reaches the store two ways: an engine
-// leaves a value to Snapshot.DeferProtState, which the save encodes off
-// the process's task, or it sets ProtState itself. Either way the stored
+// leaves a function to Snapshot.DeferProtState, whose result the save
+// encodes off the process's task, or it sets ProtState itself. Either way the stored
 // bytes and the checkpoint's cost are those of the encoded state.
 
 import (
@@ -78,7 +78,7 @@ func encodedState(t *testing.T, v any) []byte {
 // misses if the encode runs after the cost is taken.
 func TestDeferredProtStateCounted(t *testing.T) {
 	st := deferredState{Date: 3, Log: bytes.Repeat([]byte{5}, 4096)}
-	res, store := checkpointOnce(t, protStateProtocol{coord.New(), func(s *checkpoint.Snapshot) { s.DeferProtState(st) }})
+	res, store := checkpointOnce(t, protStateProtocol{coord.New(), func(s *checkpoint.Snapshot) { s.DeferProtState(func() any { return st }) }})
 	want, img := encodedState(t, st), encodedState(t, &waveState{Acc: 7})
 	for r := 0; r < 2; r++ {
 		snap, _, ok := store.Load(r, 1, 0)
@@ -119,7 +119,7 @@ func TestDirectProtStateUntouched(t *testing.T) {
 // a failed run, not a panic: the save reports the encode's error and
 // gives back nothing it did not borrow.
 func TestDeferredProtStateEncodeError(t *testing.T) {
-	prot := protStateProtocol{coord.New(), func(s *checkpoint.Snapshot) { s.DeferProtState(make(chan int)) }}
+	prot := protStateProtocol{coord.New(), func(s *checkpoint.Snapshot) { s.DeferProtState(func() any { return make(chan int) }) }}
 	_, err := mpi.Run(mpi.Config{NP: 2, Protocol: prot, CheckpointEvery: 1}, func(c *mpi.Comm) error {
 		if _, err := c.Restore(&waveState{Acc: 7}); err != nil {
 			return err

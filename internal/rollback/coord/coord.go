@@ -81,7 +81,8 @@ func (e *engine) OnCtl(m *transport.Msg) {}
 
 // OnCheckpoint implements rollback.Engine.
 func (e *engine) OnCheckpoint(s *checkpoint.Snapshot) {
-	s.DeferProtState(engineState{Date: e.date})
+	st := engineState{Date: e.date}
+	s.DeferProtState(func() any { return st })
 }
 
 // OnRestore implements rollback.Engine.

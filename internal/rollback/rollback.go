@@ -262,9 +262,9 @@ type Engine interface {
 	// OnCheckpoint contributes protocol state to the snapshot under
 	// construction (Algorithm 1 line 21: RPP, Logs, Phase, Date), on the
 	// process's task: it sets s.ProtState, or hands s.DeferProtState a
-	// value the save goroutine encodes, which may share the engine's maps
-	// since no engine method of the process runs until the save is
-	// staged. s is the runtime's: the engine must not keep s, or anything
+	// function whose result the save goroutine encodes; both may read or
+	// share the engine's state since no engine method of the process runs
+	// until the save is staged. s is the runtime's: the engine must not keep s, or anything
 	// s points to, past the call.
 	OnCheckpoint(s *checkpoint.Snapshot)
 	// OnRestore rehydrates protocol state from the snapshot and performs

@@ -137,6 +137,7 @@ import (
 	"slices"
 	"sync"
 
+	"hydee/internal/idtab"
 	"hydee/internal/netmodel"
 	"hydee/internal/vtime"
 )
@@ -332,15 +333,13 @@ type Endpoint struct {
 	// membership of such a list (see indexWaiterLocked).
 	srcWaiters, headSrc, srcPrev, srcNext *Endpoint
 
-	// chans holds one record per source that has sent here, sorted by
-	// source id; chSrc[i] is the source of chans[i]. The search every send
-	// makes runs over chSrc, four bytes a probe, not over the records.
+	// chans holds one record per source that has sent here, by source
+	// id; a channel's first send adds one without moving the others.
 	// stats holds the App accounting of the channels between application
 	// ranks, in first-App-send order, each reached through its channel's
 	// stat index: the control and marker sources most records belong to
 	// pay nothing for it.
-	chSrc []int32
-	chans []channel
+	chans idtab.Table[channel]
 	stats []PairStat
 }
 
@@ -362,17 +361,6 @@ func newEndpoint(n *Network, id int, state srcState) *Endpoint {
 		state:  state,
 		doomVT: infTime,
 	}
-}
-
-// channelLocked returns e's record of the channel from src, adding it on
-// the first send.
-func (e *Endpoint) channelLocked(src int32) *channel {
-	at, ok := slices.BinarySearch(e.chSrc, src)
-	if !ok {
-		e.chSrc = slices.Insert(e.chSrc, at, src)
-		e.chans = slices.Insert(e.chans, at, channel{})
-	}
-	return &e.chans[at]
 }
 
 // ID reports the endpoint's identifier.
@@ -902,7 +890,7 @@ func (n *Network) enqueueLocked(m *Msg) error {
 	}
 	n.touchLocked(src)
 
-	ch := dst.channelLocked(int32(m.Src))
+	ch := dst.chans.Get(int32(m.Src))
 	if m.Kind == App && rankSrc && m.Dst >= 0 && m.Dst < n.np {
 		if ch.stat == 0 {
 			dst.stats = append(dst.stats, PairStat{})
@@ -1112,9 +1100,9 @@ func (n *Network) Stats() []Traffic {
 func (n *Network) statsLocked() []Traffic {
 	next := make([]int, n.np+1)
 	for _, e := range n.eps {
-		for i, c := range e.chans {
-			if c.stat != 0 {
-				next[e.chSrc[i]+1]++
+		for i := range e.chans.Len() {
+			if src, c := e.chans.At(i); c.stat != 0 {
+				next[src+1]++
 			}
 		}
 	}
@@ -1123,8 +1111,8 @@ func (n *Network) statsLocked() []Traffic {
 	}
 	out := make([]Traffic, next[n.np])
 	for _, e := range n.eps {
-		for i, c := range e.chans {
-			if src := e.chSrc[i]; c.stat != 0 {
+		for i := range e.chans.Len() {
+			if src, c := e.chans.At(i); c.stat != 0 {
 				out[next[src]] = Traffic{Src: int(src), Dst: e.id, PairStat: e.stats[c.stat-1]}
 				next[src]++
 			}

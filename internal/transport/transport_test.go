@@ -48,7 +48,7 @@ func TestFIFOAcrossSequenceWrap(t *testing.T) {
 	if _, err := ep.Recv(0); err != nil {
 		t.Fatal(err)
 	}
-	ep.chans[0].seq = math.MaxUint32 - 2
+	ep.chans.Find(0).seq = math.MaxUint32 - 2
 	for i := 1; i <= 6; i++ {
 		send(t, n, 0, 1, i, 0)
 	}
