@@ -41,7 +41,6 @@ import (
 	"hydee/internal/mpi"
 	"hydee/internal/netmodel"
 	"hydee/internal/rollback"
-	"hydee/internal/rollback/coord"
 	"hydee/internal/trace"
 	"hydee/internal/transport"
 	"hydee/internal/vtime"
@@ -138,7 +137,7 @@ func Native() Protocol { return rollback.Native() }
 
 // Coordinated returns the globally coordinated checkpointing baseline
 // (global restart after any failure).
-func Coordinated() Protocol { return coord.New() }
+func Coordinated() Protocol { return rollback.Coordinated() }
 
 // MessageLogging returns the full sender-based message-logging comparator
 // of Figure 6 (use with Singletons clustering).

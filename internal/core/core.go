@@ -101,9 +101,6 @@ func (pr *Protocol) RestartScope(topo *rollback.Topology, failed []int) []int {
 	return topo.RanksOf(topo.ClustersOf(failed))
 }
 
-// Tolerates implements rollback.Protocol.
-func (pr *Protocol) Tolerates() bool { return true }
-
 // engine is the per-process HydEE instance. It runs on its process's
 // coroutine only.
 type engine struct {

@@ -17,7 +17,6 @@ import (
 	"hydee/internal/mpi"
 	"hydee/internal/netmodel"
 	"hydee/internal/rollback"
-	"hydee/internal/rollback/coord"
 	"hydee/internal/transport"
 	"hydee/internal/vtime"
 )
@@ -118,7 +117,7 @@ func (s *Spec) topoAndProtocol() (*rollback.Topology, rollback.Protocol, error) 
 	case ProtoNative:
 		return rollback.SingleCluster(np), rollback.Native(), nil
 	case ProtoCoord:
-		return rollback.SingleCluster(np), coord.New(), nil
+		return rollback.SingleCluster(np), rollback.Coordinated(), nil
 	case ProtoMLog:
 		return rollback.Singletons(np), core.NewMLog(), nil
 	case ProtoHydEE:

@@ -51,6 +51,9 @@ var deterministicPkgs = map[string]bool{
 	"hydee/internal/graph":      true, // workload generation: seeded rand only
 	"hydee/internal/apps":       true,
 	"hydee/internal/failure":    true, // decides at which interaction point a victim dies
+	"hydee/internal/rollback":   true, // protocol framework and both baselines' engines
+	"hydee/internal/idtab":      true, // peer tables behind HydEE's protocol state
+	"hydee/internal/trace":      true, // feeds the send-determinism checks
 }
 
 // deterministicPkg reports whether the pass's package is in the

@@ -21,7 +21,6 @@ import (
 	"hydee/internal/mpi"
 	"hydee/internal/netmodel"
 	"hydee/internal/rollback"
-	"hydee/internal/rollback/coord"
 	"hydee/internal/vtime"
 )
 
@@ -779,10 +778,10 @@ func TestTwoCheckpointFailuresAllProtocolsReproducible(t *testing.T) {
 	}{
 		{"1-and-5", oneAndFive, nil, core.New(), 1, 112_077},
 		{"1-and-5", oneAndFive, nil, core.NewMLog(), 1, 112_140},
-		{"1-and-5", oneAndFive, nil, coord.New(), 2, 131_076},
+		{"1-and-5", oneAndFive, nil, rollback.Coordinated(), 2, 131_076},
 		{"1-then-9", oneThenNine, memStore2e9, core.New(), 1, 0},
 		{"1-then-9", oneThenNine, memStore2e9, core.NewMLog(), 1, 0},
-		{"1-then-9", oneThenNine, memStore2e9, coord.New(), 2, 0},
+		{"1-then-9", oneThenNine, memStore2e9, rollback.Coordinated(), 2, 0},
 	} {
 		t.Run(tc.plan+"/"+tc.prot.Name(), func(t *testing.T) {
 			cfg := mpi.Config{

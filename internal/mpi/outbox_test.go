@@ -17,7 +17,6 @@ import (
 	"hydee/internal/mpi"
 	"hydee/internal/netmodel"
 	"hydee/internal/rollback"
-	"hydee/internal/rollback/coord"
 	"hydee/internal/vtime"
 )
 
@@ -86,7 +85,7 @@ func TestOutboxFlushedBeforeFailureReproducible(t *testing.T) {
 	}{
 		{"alltoall-aftersends", core.New(), rollback.NewTopology(assign),
 			failure.Event{Ranks: []int{21}, When: failure.Trigger{AfterSends: 100}}, 8},
-		{"marker-fanout", coord.New(), rollback.SingleCluster(np),
+		{"marker-fanout", rollback.Coordinated(), rollback.SingleCluster(np),
 			failure.Event{Ranks: []int{37}, When: failure.Trigger{AfterCheckpoints: 1}}, np},
 	}
 	for _, c := range cases {

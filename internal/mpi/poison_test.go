@@ -14,7 +14,6 @@ import (
 	"hydee/internal/mpi"
 	"hydee/internal/netmodel"
 	"hydee/internal/rollback"
-	"hydee/internal/rollback/coord"
 )
 
 // TestEnvelopePoison runs the reproducibility configurations — HydEE, mlog
@@ -50,13 +49,13 @@ func TestEnvelopePoison(t *testing.T) {
 		{"ring/hydee", core.New(), nil, nil, apps.Ring(8, 1024)},
 		{"1-and-5/hydee", core.New(), []failure.Event{after(1, 1), after(1, 5)}, nil, apps.Ring(8, 1024)},
 		{"1-and-5/mlog", core.NewMLog(), []failure.Event{after(1, 1), after(1, 5)}, nil, apps.Ring(8, 1024)},
-		{"1-and-5/coord", coord.New(), []failure.Event{after(1, 1), after(1, 5)}, nil, apps.Ring(8, 1024)},
+		{"1-and-5/coord", rollback.Coordinated(), []failure.Event{after(1, 1), after(1, 5)}, nil, apps.Ring(8, 1024)},
 		{"1-then-9/hydee", core.New(), []failure.Event{after(1, 1), after(2, 9)}, memStore2e9, apps.Ring(8, 1024)},
 		{"1-then-9/mlog", core.NewMLog(), []failure.Event{after(1, 1), after(2, 9)}, memStore2e9, apps.Ring(8, 1024)},
-		{"1-then-9/coord", coord.New(), []failure.Event{after(1, 1), after(2, 9)}, memStore2e9, apps.Ring(8, 1024)},
+		{"1-then-9/coord", rollback.Coordinated(), []failure.Event{after(1, 1), after(2, 9)}, memStore2e9, apps.Ring(8, 1024)},
 		{"stencil-ec42/hydee", core.New(), []failure.Event{after(2, 6)}, ec42, apps.Stencil2D(8, 8192)},
 		{"stencil-ec42/mlog", core.NewMLog(), []failure.Event{after(2, 6)}, ec42, apps.Stencil2D(8, 8192)},
-		{"stencil-ec42/coord", coord.New(), []failure.Event{after(2, 6)}, ec42, apps.Stencil2D(8, 8192)},
+		{"stencil-ec42/coord", rollback.Coordinated(), []failure.Event{after(2, 6)}, ec42, apps.Stencil2D(8, 8192)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := mpi.Config{

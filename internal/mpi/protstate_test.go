@@ -13,7 +13,6 @@ import (
 	"hydee/internal/checkpoint"
 	"hydee/internal/mpi"
 	"hydee/internal/rollback"
-	"hydee/internal/rollback/coord"
 )
 
 // protStateProtocol is coordinated checkpointing whose engines build
@@ -78,7 +77,7 @@ func encodedState(t *testing.T, v any) []byte {
 // misses if the encode runs after the cost is taken.
 func TestDeferredProtStateCounted(t *testing.T) {
 	st := deferredState{Date: 3, Log: bytes.Repeat([]byte{5}, 4096)}
-	res, store := checkpointOnce(t, protStateProtocol{coord.New(), func(s *checkpoint.Snapshot) { s.DeferProtState(func() any { return st }) }})
+	res, store := checkpointOnce(t, protStateProtocol{rollback.Coordinated(), func(s *checkpoint.Snapshot) { s.DeferProtState(func() any { return st }) }})
 	want, img := encodedState(t, st), encodedState(t, &waveState{Acc: 7})
 	for r := 0; r < 2; r++ {
 		snap, _, ok := store.Load(r, 1, 0)
@@ -99,7 +98,7 @@ func TestDeferredProtStateCounted(t *testing.T) {
 // stores those bytes as they are and counts them.
 func TestDirectProtStateUntouched(t *testing.T) {
 	direct := []byte("protocol state set by the engine")
-	res, store := checkpointOnce(t, protStateProtocol{coord.New(), func(s *checkpoint.Snapshot) { s.ProtState = direct }})
+	res, store := checkpointOnce(t, protStateProtocol{rollback.Coordinated(), func(s *checkpoint.Snapshot) { s.ProtState = direct }})
 	img := encodedState(t, &waveState{Acc: 7})
 	for r := 0; r < 2; r++ {
 		snap, _, ok := store.Load(r, 1, 0)
@@ -119,7 +118,7 @@ func TestDirectProtStateUntouched(t *testing.T) {
 // a failed run, not a panic: the save reports the encode's error and
 // gives back nothing it did not borrow.
 func TestDeferredProtStateEncodeError(t *testing.T) {
-	prot := protStateProtocol{coord.New(), func(s *checkpoint.Snapshot) { s.DeferProtState(func() any { return make(chan int) }) }}
+	prot := protStateProtocol{rollback.Coordinated(), func(s *checkpoint.Snapshot) { s.DeferProtState(func() any { return make(chan int) }) }}
 	_, err := mpi.Run(mpi.Config{NP: 2, Protocol: prot, CheckpointEvery: 1}, func(c *mpi.Comm) error {
 		if _, err := c.Restore(&waveState{Acc: 7}); err != nil {
 			return err

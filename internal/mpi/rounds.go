@@ -66,7 +66,7 @@ func (e *stepError) Error() string {
 // run and executes the actions it returns, in order.
 type machine struct {
 	np     int
-	prot   rollback.Protocol // pure queries only: RestartScope, Tolerates, Name
+	prot   rollback.Protocol // pure queries only: RestartScope, Name
 	topo   *rollback.Topology
 	minLat vtime.Duration
 
@@ -163,7 +163,8 @@ func (m *machine) step(ev procEvent) []action {
 
 func (m *machine) failed(ev procEvent) {
 	m.emit(Event{Kind: EvFailure, Rank: -1, Ranks: ev.ranks, Round: -1, VT: ev.vt})
-	if !m.prot.Tolerates() {
+	scope := m.prot.RestartScope(m.topo, ev.ranks)
+	if len(scope) == 0 { // the protocol cannot recover
 		m.fail(-1, -1, PhaseSupervise,
 			fmt.Errorf("protocol %q cannot tolerate the injected failure of ranks %v", m.prot.Name(), ev.ranks))
 		return
@@ -187,7 +188,7 @@ func (m *machine) failed(ev procEvent) {
 	if len(m.pending) == 1 {
 		m.act(action{kind: actDoom, id: m.np, vt: ev.vt})
 	}
-	for _, r := range m.prot.RestartScope(m.topo, ev.ranks) {
+	for _, r := range scope {
 		m.act(action{kind: actDoom, id: r, vt: ev.vt})
 	}
 }
@@ -386,7 +387,6 @@ func (m *machine) absorbPending() (added []int) {
 	m.pending = m.pending[:0]
 	m.info.RolledBack = slices.Concat(m.info.RolledBack, added)
 	slices.Sort(m.info.RolledBack)
-	m.info.FailedClusters = m.topo.ClustersOf(m.info.RolledBack)
 	return added
 }
 

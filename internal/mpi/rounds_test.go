@@ -16,10 +16,12 @@ import (
 	"hydee/internal/vtime"
 )
 
+var testTopo = rollback.NewTopology([]int{0, 0, 1, 1, 2, 2})
+
 // Six ranks in three clusters of two, one-nanosecond minimum latency, a
 // three-event plan (runaway cap 5).
 func newTestMachine(prot rollback.Protocol, events int) *machine {
-	return newMachine(6, prot, rollback.NewTopology([]int{0, 0, 1, 1, 2, 2}), vtime.Nanosecond, events)
+	return newMachine(6, prot, testTopo, vtime.Nanosecond, events)
 }
 
 func fmtAction(a action) string {
@@ -34,7 +36,7 @@ func fmtAction(a action) string {
 		return fmt.Sprintf("turn@%d", int64(a.vt))
 	case actLaunch:
 		return fmt.Sprintf("launch round %d scope %v clusters %v detect %d fences %v start %d",
-			a.info.Round, a.info.RolledBack, a.info.FailedClusters, int64(a.info.DetectVT), a.fences, int64(a.vt))
+			a.info.Round, a.info.RolledBack, testTopo.ClustersOf(a.info.RolledBack), int64(a.info.DetectVT), a.fences, int64(a.vt))
 	case actEmit:
 		s := fmt.Sprintf("emit %v round %d rank %d ranks %v vt %d", a.ev.Kind, a.ev.Round, a.ev.Rank, a.ev.Ranks, int64(a.ev.VT))
 		if a.ev.Stats != nil {

@@ -13,7 +13,6 @@ import (
 	"hydee/internal/mpi"
 	"hydee/internal/netmodel"
 	"hydee/internal/rollback"
-	"hydee/internal/rollback/coord"
 	"hydee/internal/vtime"
 )
 
@@ -221,7 +220,7 @@ func (p topoProc) Topo() *rollback.Topology { return p.topo }
 func TestCheckpointScopeAscending(t *testing.T) {
 	assign := []int{2, 0, 1, 2, 0, 1, 1, 0, 2, 2}
 	topo := rollback.NewTopology(assign)
-	for _, prot := range []rollback.Protocol{core.New(), core.NewMLog(), coord.New(), rollback.Native()} {
+	for _, prot := range []rollback.Protocol{core.New(), core.NewMLog(), rollback.Coordinated(), rollback.Native()} {
 		scopes := make([][]int, len(assign))
 		for r := range assign {
 			e := prot.NewEngine(r, topoProc{topo: topo})

@@ -1,4 +1,4 @@
-package coord_test
+package rollback_test
 
 import (
 	"testing"
@@ -8,12 +8,11 @@ import (
 	"hydee/internal/mpi"
 	"hydee/internal/netmodel"
 	"hydee/internal/rollback"
-	"hydee/internal/rollback/coord"
 )
 
-func TestProtocolShape(t *testing.T) {
-	p := coord.New()
-	if p.Name() != "coord" || !p.Tolerates() {
+func TestCoordinatedProtocol(t *testing.T) {
+	p := rollback.Coordinated()
+	if p.Name() != "coord" {
 		t.Fatal("misconfigured")
 	}
 	topo := rollback.NewTopology([]int{0, 0, 1, 1})
@@ -31,7 +30,7 @@ func TestGlobalRestartRecovers(t *testing.T) {
 		res, err := mpi.Run(mpi.Config{
 			NP:              8,
 			Topo:            rollback.SingleCluster(8),
-			Protocol:        coord.New(),
+			Protocol:        rollback.Coordinated(),
 			Model:           netmodel.Myrinet10G(),
 			CheckpointEvery: 3,
 			Failures:        sched,
@@ -63,7 +62,7 @@ func TestGlobalRestartWithoutCheckpoint(t *testing.T) {
 	res, err := mpi.Run(mpi.Config{
 		NP:       4,
 		Topo:     rollback.SingleCluster(4),
-		Protocol: coord.New(),
+		Protocol: rollback.Coordinated(),
 		Failures: []failure.Event{{
 			Ranks: []int{1},
 			When:  failure.Trigger{AfterSends: 3},
@@ -76,7 +75,7 @@ func TestGlobalRestartWithoutCheckpoint(t *testing.T) {
 		t.Fatalf("restarts %d", res.Totals.Restarts)
 	}
 	clean, err := mpi.Run(mpi.Config{
-		NP: 4, Topo: rollback.SingleCluster(4), Protocol: coord.New(),
+		NP: 4, Topo: rollback.SingleCluster(4), Protocol: rollback.Coordinated(),
 	}, apps.Ring(5, 512))
 	if err != nil {
 		t.Fatal(err)

@@ -169,8 +169,6 @@ func (m *Metrics) Add(other *Metrics) {
 // RoundInfo describes one recovery round.
 type RoundInfo struct {
 	Round int
-	// FailedClusters lists the clusters that roll back this round.
-	FailedClusters []int
 	// RolledBack lists the ranks that roll back this round.
 	RolledBack []int
 	// Incs[i] is the incarnation RolledBack[i] restarts with.
@@ -328,9 +326,7 @@ type Protocol interface {
 	// the protocol needs none.
 	NewRecovery(rx RecoveryContext) Recovery
 	// RestartScope maps failed ranks to the full set of ranks that must
-	// roll back.
+	// roll back. A protocol that cannot recover from failures (the native
+	// baseline) returns no ranks, and any failure then fails the run.
 	RestartScope(topo *Topology, failed []int) []int
-	// Tolerates reports whether the protocol can recover from failures at
-	// all (the native baseline cannot).
-	Tolerates() bool
 }

@@ -1,9 +1,11 @@
 package rollback
 
 import (
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 
+	"hydee/internal/checkpoint"
 	"hydee/internal/transport"
 )
 
@@ -82,8 +84,11 @@ func TestRoundInfoIncludes(t *testing.T) {
 
 func TestNativeProtocol(t *testing.T) {
 	p := Native()
-	if p.Name() != "native" || p.Tolerates() {
+	if p.Name() != "native" {
 		t.Fatal("native misconfigured")
+	}
+	if scope := p.RestartScope(NewTopology([]int{0, 0, 1, 1}), []int{2}); len(scope) != 0 {
+		t.Fatalf("native cannot recover, yet restarts %v", scope)
 	}
 	if p.NewRecovery(nil) != nil {
 		t.Fatal("native should have no recovery coordinator")
@@ -106,6 +111,64 @@ func TestNativeProtocol(t *testing.T) {
 	}
 	if len(e.CheckpointScope()) != 0 {
 		t.Fatal("native must not checkpoint")
+	}
+}
+
+// topoProc is the one Proc method a baseline engine calls.
+type topoProc struct {
+	Proc
+	topo *Topology
+}
+
+func (p topoProc) Topo() *Topology { return p.topo }
+
+// TestCoordinatedCheckpointWireForm pins the bytes of the coordinated
+// baseline's checkpoint ProtState at dates 0 and 7. Without ModelBytes a
+// checkpoint costs its encoded length in virtual time, so renaming
+// engineState or its field moves every coord makespan. gob numbers types
+// per process: this must stay the first test in this binary that encodes.
+func TestCoordinatedCheckpointWireForm(t *testing.T) {
+	encode := func(e Engine) string {
+		t.Helper()
+		snap := &checkpoint.Snapshot{}
+		e.OnCheckpoint(snap)
+		release, err := snap.BorrowProtState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer release()
+		return hex.EncodeToString(snap.ProtState)
+	}
+	e := Coordinated().NewEngine(0, topoProc{topo: SingleCluster(2)})
+	at0 := encode(e)
+	for i := range 4 {
+		if _, err := e.PreSend(&transport.Msg{Dst: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if i < 3 {
+			e.OnDeliver(&transport.Msg{Src: 1})
+		}
+	}
+	at7 := encode(e)
+	const wireType = "217f0301010b656e67696e65537461746501ff8000010101044461746501040000"
+	for _, c := range []struct{ name, got, want string }{
+		{"date 0", at0, wireType + "0003ff8000"},
+		{"date 7", at7, wireType + "0005ff80010e00"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: the coordinated checkpoint wire form changed:\n got %s\nwant %s", c.name, c.got, c.want)
+		}
+	}
+	// The state restores: the next send is dated 8.
+	b, err := hex.DecodeString(at7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := Coordinated().NewEngine(0, topoProc{topo: SingleCluster(2)})
+	r.OnRestore(&checkpoint.Snapshot{ProtState: b}, &RoundInfo{})
+	m := &transport.Msg{Dst: 1}
+	if _, err := r.PreSend(m); err != nil || m.Date != 8 {
+		t.Fatalf("restored engine sent date %d (%v), want 8", m.Date, err)
 	}
 }
 
