@@ -55,7 +55,7 @@ race:
 # schedule still deadlocks (DESIGN.md "Remaining caveat"); `make
 # known-bugs` keeps it reproducible.
 determinism:
-	$(GO) test -race -count=2 -run 'Reproducible|ByteStable|SchedulingIndependent|AwaitTurn' ./internal/harness/ ./internal/transport/ ./internal/mpi/
+	$(GO) test -race -count=2 -run 'Reproducible|ByteStable|SchedulingIndependent|AwaitTurn' . ./internal/transport/ ./internal/mpi/
 	$(GO) test -cpu 1,2,8 -count=50 -run 'ReverseOrderDetections|OverlappingScope|SameDetection|JoinAtStart|FailureDuringRecovery|SlowCoordinatorResult|TwoCheckpointFailuresAllProtocols' ./internal/mpi/
 	$(GO) test -race -cpu 1,2,8 -count=5 -run 'TestRecvAndTurnHandOffUnderContention' ./internal/transport/
 	$(GO) test -race -cpu 1,2,8 -count=3 -run 'StagedCheckpointWaveReproducible|HandOffUnderContention|EnvelopePoison' ./internal/mpi ./internal/transport

@@ -21,9 +21,6 @@ import (
 	"syscall"
 
 	"hydee"
-	"hydee/internal/apps"
-	"hydee/internal/graph"
-	"hydee/internal/harness"
 )
 
 func main() {
@@ -31,8 +28,7 @@ func main() {
 	iters := flag.Int("iters", 10, "timesteps")
 	app := flag.String("app", "cg", "kernel (bt,cg,ft,lu,mg,sp)")
 	ckpt := flag.Int("ckpt", 3, "checkpoint every k iterations")
-	failAfter := flag.Int("fail-after", 1, "inject the failure after this many checkpoints")
-	failAt := flag.String("fail-at", "", `inject the failure at a trigger spec instead of -fail-after: "vt:<duration>" (a virtual time — the kill is an ordered virtual-time event, so this one failure is byte-reproducible even landing mid-checkpoint-wave), "sends:<n>" or "ckpts:<n>"`)
+	failAt := flag.String("fail-at", "ckpts:1", `inject the failure at a trigger spec: "vt:<duration>" (a virtual time — the kill is an ordered virtual-time event, so this one failure is byte-reproducible even landing mid-checkpoint-wave), "sends:<n>" or "ckpts:<n>" (after n checkpoints)`)
 	net := flag.String("net", "myrinet10g", "network model: "+strings.Join(hydee.ModelNames(), ", "))
 	var store hydee.StoreSpec
 	store.Bind(flag.CommandLine)
@@ -43,7 +39,7 @@ func main() {
 	if *np <= 0 || *iters <= 0 || *ckpt <= 0 {
 		log.Fatalf("hydee-recover: -np, -iters and -ckpt must be positive (got %d, %d, %d)", *np, *iters, *ckpt)
 	}
-	k, err := apps.Get(*app)
+	k, err := hydee.KernelByName(*app)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,26 +47,21 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Failure flags are validated eagerly with a typed error listing the
-	// valid forms, like the -store probe below — a typo must fail at
-	// startup, not yield a silently failure-free sweep.
-	failWhen := hydee.FailureTrigger{AfterCheckpoints: *failAfter}
-	if *failAt != "" {
-		// The E4 experiment fixes its victim at rank np/2, so -fail-at
-		// takes only the trigger; a spec naming ranks would be silently
-		// ignored and is rejected instead.
-		if strings.Contains(*failAt, "@") {
-			log.Fatalf("hydee-recover: -fail-at %q: the E4 victim is fixed at rank np/2; give only the trigger (e.g. vt:1.5ms), without @ranks", *failAt)
-		}
-		events, err := hydee.ParseFailureSpec(*failAt + "@0")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if len(events) != 1 {
-			log.Fatalf("hydee-recover: -fail-at wants exactly one trigger, got %d events", len(events))
-		}
-		failWhen = events[0].When
+	// The failure flag is validated eagerly with a typed error listing
+	// the valid forms, like the -store probe below — a typo must fail at
+	// startup, not yield a silently failure-free sweep. The E4 experiment
+	// fixes its victim at rank np/2, so -fail-at takes only the trigger;
+	// a spec naming ranks would be silently ignored and is rejected
+	// instead.
+	if strings.Contains(*failAt, "@") {
+		log.Fatalf("hydee-recover: -fail-at %q: the E4 victim is fixed at rank np/2; give only the trigger (e.g. vt:1.5ms), without @ranks", *failAt)
 	}
+	// Without "@" in the flag, the spec parses to exactly one event.
+	events, err := hydee.ParseFailureSpec(*failAt + "@0")
+	if err != nil {
+		log.Fatal(err)
+	}
+	failWhen := events[0].When
 	if err := failWhen.Validate(); err != nil {
 		log.Fatalf("hydee-recover: %v (valid -fail-at forms: %s)", err, hydee.FailureSpecForms)
 	}
@@ -93,14 +84,15 @@ func main() {
 		}
 	}()
 
-	cl, err := harness.ClusterApp(k, apps.Params{NP: *np, Iters: 2}, graph.DefaultOptions())
+	trace, err := hydee.RunExperiment(hydee.ExperimentSpec{Kernel: k, Params: hydee.KernelParams{NP: *np, Iters: 2}})
 	if err != nil {
 		log.Fatal(err)
 	}
+	cl := hydee.Cluster(hydee.CommGraphFromPairBytes(*np, trace.PairBytes), hydee.DefaultClusterOptions())
 	fmt.Printf("%s on %d ranks: %d clusters, %.2f%% logged, %.2f%% expected rollback (store %s)\n\n",
 		k.Name, *np, cl.K, 100*cl.CutFrac, 100*cl.ExpRollback, store.Spec)
 
-	rows, err := harness.Containment(ctx, k, *np, *iters, *ckpt, cl.Assign, failWhen, model, store.New)
+	rows, err := hydee.Containment(ctx, k, *np, *iters, *ckpt, cl.Assign, failWhen, model, store)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -108,7 +100,7 @@ func main() {
 	fmt.Println("every recovered execution was validated against its failure-free digests ✓")
 
 	// The E5 burst comparison is about plain sharding; redundancy specs
-	// (ec, replica) have their own shard-loss sweep (harness E6).
+	// (ec, replica) have their own shard-loss sweep (E6).
 	if shards := geometry.Shards; shards > 1 && geometry.Parity == 0 && geometry.Replicas == 0 && store.BPS > 0 {
 		burst, err := hydee.CheckpointBurst(ctx, k, *np, *iters, *ckpt, cl.Assign, store.BPS, shards, model)
 		if err != nil {

@@ -1,4 +1,4 @@
-// Command hydee-serve exposes the experiment harness as an HTTP sweep
+// Command hydee-serve exposes the hydee experiments as an HTTP sweep
 // service: clients POST batches of runs as JSON (every backend — kernel,
 // protocol, network model, checkpoint store, failure schedule — selected
 // by name, the same compact forms the CLI flags take), poll or

@@ -1,4 +1,4 @@
-package harness
+package hydee
 
 // Determinism regression tests for the virtual-time delivery plane: every
 // makespan — not just every digest — must be reproducible run-to-run, for
@@ -11,22 +11,18 @@ import (
 	"context"
 	"reflect"
 	"testing"
-
-	"hydee/internal/apps"
-	"hydee/internal/failure"
-	"hydee/internal/graph"
 )
 
 // runTwice executes the spec twice and fails unless the summaries are
 // indistinguishable — makespan, recovery stats, store stats, digests,
 // traffic matrix.
-func runTwice(t *testing.T, s Spec) *Summary {
+func runTwice(t *testing.T, s ExperimentSpec) *ExperimentSummary {
 	t.Helper()
-	a, err := RunCtx(context.Background(), s)
+	a, err := runExperiment(context.Background(), s)
 	if err != nil {
 		t.Fatalf("%s/%s run 1: %v", s.Kernel.Name, s.Proto, err)
 	}
-	b, err := RunCtx(context.Background(), s)
+	b, err := runExperiment(context.Background(), s)
 	if err != nil {
 		t.Fatalf("%s/%s run 2: %v", s.Kernel.Name, s.Proto, err)
 	}
@@ -42,35 +38,42 @@ func runTwice(t *testing.T, s Spec) *Summary {
 	return a
 }
 
+// clusterKernel traces the kernel failure-free at np ranks and
+// partitions its communication graph.
+func clusterKernel(t *testing.T, k Kernel, np int) ClusterResult {
+	t.Helper()
+	sum, err := RunExperiment(ExperimentSpec{Kernel: k, Params: KernelParams{NP: np, Iters: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Cluster(CommGraphFromPairBytes(np, sum.PairBytes), DefaultClusterOptions())
+}
+
 func cgAssign(t *testing.T) []int {
 	t.Helper()
-	k, err := apps.Get("cg")
+	k, err := KernelByName("cg")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ClusterApp(k, apps.Params{NP: 16, Iters: 2}, graph.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res.Assign
+	return clusterKernel(t, k, 16).Assign
 }
 
 // TestE4MakespansReproducible runs each E4 containment scenario — one
 // failure under coord, mlog and hydee — twice and asserts byte-identical
 // makespans, recovery stats and digests.
 func TestE4MakespansReproducible(t *testing.T) {
-	k, err := apps.Get("cg")
+	k, err := KernelByName("cg")
 	if err != nil {
 		t.Fatal(err)
 	}
 	assign := cgAssign(t)
-	for _, proto := range []Proto{ProtoCoord, ProtoMLog, ProtoHydEE} {
-		sum := runTwice(t, Spec{
-			Kernel: k, Params: apps.Params{NP: 16, Iters: 8},
+	for _, proto := range []ExperimentProto{ProtoCoord, ProtoMLog, ProtoHydEE} {
+		sum := runTwice(t, ExperimentSpec{
+			Kernel: k, Params: KernelParams{NP: 16, Iters: 8},
 			Proto: proto, Assign: assign, CheckpointEvery: 3,
-			Failures: []failure.Event{{
+			Failures: []FailureEvent{{
 				Ranks: []int{8},
-				When:  failure.Trigger{AfterCheckpoints: 1},
+				When:  FailureTrigger{AfterCheckpoints: 1},
 			}},
 		})
 		if len(sum.Rounds) != 1 {
@@ -84,17 +87,14 @@ func TestE4MakespansReproducible(t *testing.T) {
 // out-of-band control flows that used to vary by scheduling) twice per
 // protocol and asserts identical summaries.
 func TestF6KernelMakespanReproducible(t *testing.T) {
-	k, err := apps.Get("mg")
+	k, err := KernelByName("mg")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ClusterApp(k, apps.Params{NP: 16, Iters: 2}, graph.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, proto := range []Proto{ProtoNative, ProtoMLog, ProtoHydEE} {
-		runTwice(t, Spec{
-			Kernel: k, Params: apps.Params{NP: 16, Iters: 6},
+	res := clusterKernel(t, k, 16)
+	for _, proto := range []ExperimentProto{ProtoNative, ProtoMLog, ProtoHydEE} {
+		runTwice(t, ExperimentSpec{
+			Kernel: k, Params: KernelParams{NP: 16, Iters: 6},
 			Proto: proto, Assign: res.Assign, CheckpointEvery: 2,
 		})
 	}
@@ -105,17 +105,17 @@ func TestF6KernelMakespanReproducible(t *testing.T) {
 // behind each other, and the queue build-up (MaxQueue, end-of-write times,
 // makespan) must not depend on which goroutine reached the store first.
 func TestE5StoreContentionReproducible(t *testing.T) {
-	k, err := apps.Get("cg")
+	k, err := KernelByName("cg")
 	if err != nil {
 		t.Fatal(err)
 	}
 	assign := cgAssign(t)
 	for _, stagger := range []bool{false, true} {
-		runTwice(t, Spec{
-			Kernel: k, Params: apps.Params{NP: 16, Iters: 6},
+		runTwice(t, ExperimentSpec{
+			Kernel: k, Params: KernelParams{NP: 16, Iters: 6},
 			Proto: ProtoHydEE, Assign: assign,
 			CheckpointEvery: 2, Stagger: stagger,
-			NewStore: memStore(2e9),
+			NewStore: StoreSpec{Spec: "mem", BPS: 2e9}.New,
 		})
 	}
 }
@@ -129,19 +129,19 @@ func TestE5StoreContentionReproducible(t *testing.T) {
 // fence, drain, then kill) every observable must be byte-identical
 // run-to-run for each protocol.
 func TestMidWaveFailureReproducible(t *testing.T) {
-	k, err := apps.Get("cg")
+	k, err := KernelByName("cg")
 	if err != nil {
 		t.Fatal(err)
 	}
 	assign := cgAssign(t)
-	for _, proto := range []Proto{ProtoCoord, ProtoMLog, ProtoHydEE} {
-		sum := runTwice(t, Spec{
-			Kernel: k, Params: apps.Params{NP: 16, Iters: 8},
+	for _, proto := range []ExperimentProto{ProtoCoord, ProtoMLog, ProtoHydEE} {
+		sum := runTwice(t, ExperimentSpec{
+			Kernel: k, Params: KernelParams{NP: 16, Iters: 8},
 			Proto: proto, Assign: assign, CheckpointEvery: 3,
-			NewStore: memStore(2e9),
-			Failures: []failure.Event{{
+			NewStore: StoreSpec{Spec: "mem", BPS: 2e9}.New,
+			Failures: []FailureEvent{{
 				Ranks: []int{8},
-				When:  failure.Trigger{AfterCheckpoints: 1},
+				When:  FailureTrigger{AfterCheckpoints: 1},
 			}},
 		})
 		if len(sum.Rounds) != 1 {
@@ -151,33 +151,33 @@ func TestMidWaveFailureReproducible(t *testing.T) {
 }
 
 // TestRunAllByteStableAcrossParallelism sweeps failure and checkpoint specs
-// — the runs whose makespans used to vary — through RunAll at different
+// — the runs whose makespans used to vary — through RunExperiments at different
 // parallelism levels and asserts the summaries are byte-identical.
 func TestRunAllByteStableAcrossParallelism(t *testing.T) {
-	k, err := apps.Get("cg")
+	k, err := KernelByName("cg")
 	if err != nil {
 		t.Fatal(err)
 	}
 	assign := cgAssign(t)
-	mkSpecs := func() []Spec {
-		var specs []Spec
-		for _, proto := range []Proto{ProtoCoord, ProtoMLog, ProtoHydEE} {
-			specs = append(specs, Spec{
-				Kernel: k, Params: apps.Params{NP: 16, Iters: 6},
+	mkSpecs := func() []ExperimentSpec {
+		var specs []ExperimentSpec
+		for _, proto := range []ExperimentProto{ProtoCoord, ProtoMLog, ProtoHydEE} {
+			specs = append(specs, ExperimentSpec{
+				Kernel: k, Params: KernelParams{NP: 16, Iters: 6},
 				Proto: proto, Assign: assign, CheckpointEvery: 2,
-				Failures: []failure.Event{{
+				Failures: []FailureEvent{{
 					Ranks: []int{8},
-					When:  failure.Trigger{AfterCheckpoints: 1},
+					When:  FailureTrigger{AfterCheckpoints: 1},
 				}},
 			})
 		}
 		return specs
 	}
-	serial, err := RunAll(context.Background(), mkSpecs(), 1)
+	serial, err := RunExperiments(context.Background(), mkSpecs(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunAll(context.Background(), mkSpecs(), 4)
+	parallel, err := RunExperiments(context.Background(), mkSpecs(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package harness
+package hydee
 
 import (
 	"context"
@@ -6,29 +6,27 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"hydee/internal/apps"
-	"hydee/internal/graph"
-	"hydee/internal/mpi"
-	"hydee/internal/vtime"
 )
 
+// RunExperimentContext runs one spec under ctx, for the external tests.
+var RunExperimentContext = runExperiment
+
 func TestSpecValidation(t *testing.T) {
-	k, _ := apps.Get("cg")
-	if _, err := RunCtx(context.Background(), Spec{Kernel: k, Params: apps.Params{NP: 0}}); err == nil {
+	k, _ := KernelByName("cg")
+	if _, err := runExperiment(context.Background(), ExperimentSpec{Kernel: k, Params: KernelParams{NP: 0}}); err == nil {
 		t.Fatal("accepted NP=0")
 	}
 	// HydEE without an assignment must fail loudly.
-	if _, err := RunCtx(context.Background(), Spec{Kernel: k, Params: apps.Params{NP: 4, Iters: 1}, Proto: ProtoHydEE}); err == nil {
+	if _, err := runExperiment(context.Background(), ExperimentSpec{Kernel: k, Params: KernelParams{NP: 4, Iters: 1}, Proto: ProtoHydEE}); err == nil {
 		t.Fatal("accepted hydee without clustering")
 	}
-	if _, err := RunCtx(context.Background(), Spec{Kernel: k, Params: apps.Params{NP: 4, Iters: 1}, Proto: Proto(99)}); err == nil {
+	if _, err := runExperiment(context.Background(), ExperimentSpec{Kernel: k, Params: KernelParams{NP: 4, Iters: 1}, Proto: ExperimentProto(99)}); err == nil {
 		t.Fatal("accepted unknown protocol")
 	}
 	// Cluster ids outside [0, np), or with an empty cluster below the
 	// largest, are an error, not a panic or a failed run later.
 	for _, assign := range [][]int{{0, 0, 4, 1}, {0, 0, -1, 1}, {0, 2, 2, 2}} {
-		_, err := RunCtx(context.Background(), Spec{Kernel: k, Params: apps.Params{NP: 4, Iters: 1}, Proto: ProtoHydEE, Assign: assign})
+		_, err := runExperiment(context.Background(), ExperimentSpec{Kernel: k, Params: KernelParams{NP: 4, Iters: 1}, Proto: ProtoHydEE, Assign: assign})
 		if err == nil || !strings.Contains(err.Error(), "cluster id") {
 			t.Errorf("assign %v: error %v, want a cluster id error", assign, err)
 		}
@@ -36,7 +34,7 @@ func TestSpecValidation(t *testing.T) {
 }
 
 func TestProtoString(t *testing.T) {
-	cases := map[Proto]string{
+	cases := map[ExperimentProto]string{
 		ProtoNative: "native", ProtoCoord: "coord", ProtoMLog: "mlog", ProtoHydEE: "hydee",
 	}
 	for p, want := range cases {
@@ -47,25 +45,26 @@ func TestProtoString(t *testing.T) {
 }
 
 func TestSameDigestsDetectsDivergence(t *testing.T) {
-	a := &Summary{Digests: []any{uint64(1), uint64(2)}}
-	b := &Summary{Digests: []any{uint64(1), uint64(3)}}
-	if err := SameDigests(a, a); err != nil {
+	a := &ExperimentSummary{Digests: []any{uint64(1), uint64(2)}}
+	b := &ExperimentSummary{Digests: []any{uint64(1), uint64(3)}}
+	if err := sameDigests(a, a); err != nil {
 		t.Fatal(err)
 	}
-	if err := SameDigests(a, b); err == nil {
+	if err := sameDigests(a, b); err == nil {
 		t.Fatal("missed divergence")
 	}
-	if err := SameDigests(a, &Summary{}); err == nil {
+	if err := sameDigests(a, &ExperimentSummary{}); err == nil {
 		t.Fatal("missed count mismatch")
 	}
 }
 
 func TestTraceGraphSymmetryAndVolume(t *testing.T) {
-	k, _ := apps.Get("mg")
-	g, sum, err := TraceGraph(k, apps.Params{NP: 8, Iters: 1})
+	k, _ := KernelByName("mg")
+	sum, err := RunExperiment(ExperimentSpec{Kernel: k, Params: KernelParams{NP: 8, Iters: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := CommGraphFromPairBytes(8, sum.PairBytes)
 	if g.N != 8 || g.Total <= 0 {
 		t.Fatalf("graph: N=%d total=%v", g.N, g.Total)
 	}
@@ -95,18 +94,18 @@ func TestFormatters(t *testing.T) {
 	if !strings.Contains(f6, "FT") || !strings.Contains(f6, "1.0027") {
 		t.Fatalf("fig6 format: %q", f6)
 	}
-	e4 := FormatE4([]E4Row{{App: "cg", Proto: "hydee", RolledBackPct: 25, RecoveryVT: vtime.Duration(21e6), MakespanVT: vtime.Time(1e9)}})
+	e4 := FormatE4([]E4Row{{App: "cg", Proto: "hydee", RolledBackPct: 25, RecoveryVT: Duration(21e6), MakespanVT: Time(1e9)}})
 	if !strings.Contains(e4, "hydee") || !strings.Contains(e4, "25.00%") {
 		t.Fatalf("e4 format: %q", e4)
 	}
-	e5 := FormatE5([]E5Row{{Config: "hydee-staggered", MaxQueue: vtime.Duration(68e6), Makespan: vtime.Time(6e8), CkptBytes: 42}})
+	e5 := FormatE5([]E5Row{{Config: "hydee-staggered", MaxQueue: Duration(68e6), Makespan: Time(6e8), CkptBytes: 42}})
 	if !strings.Contains(e5, "hydee-staggered") {
 		t.Fatalf("e5 format: %q", e5)
 	}
 }
 
 func TestClusteringsCoverAllKernels(t *testing.T) {
-	m, rows, err := Clusterings(16, 1, graph.DefaultOptions())
+	m, rows, err := Clusterings(16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +120,8 @@ func TestClusteringsCoverAllKernels(t *testing.T) {
 }
 
 func TestMLogLogsEverything(t *testing.T) {
-	k, _ := apps.Get("mg")
-	sum, err := RunCtx(context.Background(), Spec{Kernel: k, Params: apps.Params{NP: 8, Iters: 2}, Proto: ProtoMLog})
+	k, _ := KernelByName("mg")
+	sum, err := runExperiment(context.Background(), ExperimentSpec{Kernel: k, Params: KernelParams{NP: 8, Iters: 2}, Proto: ProtoMLog})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +134,8 @@ func TestMLogLogsEverything(t *testing.T) {
 }
 
 func TestCoordLogsNothing(t *testing.T) {
-	k, _ := apps.Get("mg")
-	sum, err := RunCtx(context.Background(), Spec{Kernel: k, Params: apps.Params{NP: 8, Iters: 2}, Proto: ProtoCoord})
+	k, _ := KernelByName("mg")
+	sum, err := runExperiment(context.Background(), ExperimentSpec{Kernel: k, Params: KernelParams{NP: 8, Iters: 2}, Proto: ProtoCoord})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,12 +144,12 @@ func TestCoordLogsNothing(t *testing.T) {
 	}
 }
 
-// TestFirstFailurePrefersRealFailure pins RunAll's error rule: the
+// TestFirstFailurePrefersRealFailure pins RunExperiments' error rule: the
 // first real failure wins over the cancellations it
 // caused, wherever it sits; a cancellation is reported only when nothing
 // else failed.
 func TestFirstFailurePrefersRealFailure(t *testing.T) {
-	canceled := fmt.Errorf("sweep: %w", mpi.ErrCanceled)
+	canceled := fmt.Errorf("sweep: %w", ErrCanceled)
 	boom, later := errors.New("boom"), errors.New("later")
 	cases := []struct {
 		errs []error

@@ -1,19 +1,15 @@
-package harness
+package hydee
 
 import (
 	"context"
 	"testing"
-
-	"hydee/internal/apps"
-	"hydee/internal/failure"
-	"hydee/internal/graph"
 )
 
 // TestTable1Quick runs the clustering pipeline at a reduced scale to keep
 // the unit suite fast; the full 256-rank reproduction lives in the root
 // experiment tests.
 func TestTable1Quick(t *testing.T) {
-	rows, err := Table1(context.Background(), 64, 2, graph.DefaultOptions(), nil, 0)
+	rows, err := Table1(context.Background(), 64, 2, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +29,7 @@ func TestTable1Quick(t *testing.T) {
 }
 
 func TestFigure6Quick(t *testing.T) {
-	clusterings, _, err := Clusterings(16, 2, graph.DefaultOptions())
+	clusterings, _, err := Clusterings(16, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,15 +49,11 @@ func TestFigure6Quick(t *testing.T) {
 }
 
 func TestContainmentQuick(t *testing.T) {
-	k, err := apps.Get("cg")
+	k, err := KernelByName("cg")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ClusterApp(k, apps.Params{NP: 16, Iters: 2}, graph.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := Containment(context.Background(), k, 16, 8, 3, res.Assign, failure.Trigger{AfterCheckpoints: 1}, nil, nil)
+	rows, err := Containment(context.Background(), k, 16, 8, 3, clusterKernel(t, k, 16).Assign, FailureTrigger{AfterCheckpoints: 1}, nil, StoreSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}

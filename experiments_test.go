@@ -10,10 +10,18 @@ import (
 	"testing"
 
 	"hydee"
-	"hydee/internal/apps"
-	"hydee/internal/graph"
-	"hydee/internal/harness"
 )
+
+// clusterKernel traces the kernel failure-free at np ranks and
+// partitions its communication graph, as hydee-recover does.
+func clusterKernel(t *testing.T, k hydee.Kernel, np int) hydee.ClusterResult {
+	t.Helper()
+	sum, err := hydee.RunExperiment(hydee.ExperimentSpec{Kernel: k, Params: hydee.KernelParams{NP: np, Iters: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hydee.Cluster(hydee.CommGraphFromPairBytes(np, sum.PairBytes), hydee.DefaultClusterOptions())
+}
 
 // TestTable1Reproduction clusters the six kernels at 256 ranks and checks
 // each row against the paper's Table I.
@@ -138,15 +146,12 @@ func TestFigure6Reproduction(t *testing.T) {
 // back one cluster, coordinated checkpointing everything, message logging
 // one process; all recover to the failure-free digests.
 func TestE4ContainmentReproduction(t *testing.T) {
-	k, err := apps.Get("cg")
+	k, err := hydee.KernelByName("cg")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := harness.ClusterApp(k, apps.Params{NP: 64, Iters: 2}, graph.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := harness.Containment(context.Background(), k, 64, 10, 3, cl.Assign, hydee.FailureTrigger{AfterCheckpoints: 1}, nil, nil)
+	cl := clusterKernel(t, k, 64)
+	rows, err := hydee.Containment(context.Background(), k, 64, 10, 3, cl.Assign, hydee.FailureTrigger{AfterCheckpoints: 1}, nil, hydee.StoreSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,14 +175,11 @@ func TestE4ContainmentReproduction(t *testing.T) {
 // store, staggered per-cluster checkpoints queue less than simultaneous
 // global ones.
 func TestE5CheckpointBurst(t *testing.T) {
-	k, err := apps.Get("bt")
+	k, err := hydee.KernelByName("bt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := harness.ClusterApp(k, apps.Params{NP: 16, Iters: 2}, graph.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := clusterKernel(t, k, 16)
 	rows, err := hydee.CheckpointBurst(context.Background(), k, 16, 8, 4, cl.Assign, 4e9, 0, nil)
 	if err != nil {
 		t.Fatal(err)

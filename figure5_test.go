@@ -1,4 +1,4 @@
-package harness
+package hydee
 
 // Tests for Figure 5's ping-pong runs: the size sweep, the native curve
 // against the network model, and HydEE's piggyback and logging costs.
@@ -7,7 +7,6 @@ import (
 	"context"
 	"testing"
 
-	"hydee/internal/apps"
 	"hydee/internal/netmodel"
 )
 
@@ -15,13 +14,13 @@ type point struct{ LatencyUs, BandwidthMBps float64 }
 
 // sweep runs the ping-pong at each size under one Figure 5 configuration
 // (proto, with assign for ProtoHydEE) and returns one point per size.
-func sweep(t *testing.T, model netmodel.Model, proto Proto, assign []int, sizes []int, reps int) []point {
+func sweep(t *testing.T, model Model, proto ExperimentProto, assign []int, sizes []int, reps int) []point {
 	t.Helper()
-	specs := make([]Spec, len(sizes))
+	specs := make([]ExperimentSpec, len(sizes))
 	for i, size := range sizes {
-		specs[i] = Spec{Kernel: pingPong(size), Params: apps.Params{NP: 2, Iters: reps}, Proto: proto, Assign: assign, Model: model}
+		specs[i] = ExperimentSpec{Kernel: pingPong(size), Params: KernelParams{NP: 2, Iters: reps}, Proto: proto, Assign: assign, Model: model}
 	}
-	sums, err := RunAll(context.Background(), specs, 0)
+	sums, err := RunExperiments(context.Background(), specs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +32,7 @@ func sweep(t *testing.T, model netmodel.Model, proto Proto, assign []int, sizes 
 }
 
 func TestStandardSizesSane(t *testing.T) {
-	sizes := StandardSizes()
+	sizes := NetPIPEStandardSizes()
 	if len(sizes) < 30 {
 		t.Fatalf("only %d sizes", len(sizes))
 	}

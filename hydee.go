@@ -9,7 +9,7 @@
 // event logging), two baselines (globally coordinated checkpointing and
 // full message logging), the communication-graph clustering tool, the six
 // NAS-like send-deterministic kernels of the paper's evaluation, and the
-// experiment harness that regenerates Table I and Figures 5–6.
+// experiments that regenerate Table I and Figures 5–6.
 //
 // Quick start:
 //
@@ -31,13 +31,10 @@
 package hydee
 
 import (
-	"context"
-
 	"hydee/internal/apps"
 	"hydee/internal/core"
 	"hydee/internal/failure"
 	"hydee/internal/graph"
-	"hydee/internal/harness"
 	"hydee/internal/mpi"
 	"hydee/internal/netmodel"
 	"hydee/internal/rollback"
@@ -227,92 +224,4 @@ var (
 	MasterWorkerProgram = apps.MasterWorker
 	// RandomDAGProgram is a seeded random send-deterministic workload.
 	RandomDAGProgram = apps.RandomDAG
-)
-
-// Experiment harness re-exports (see internal/harness for details).
-type (
-	// ExperimentSpec describes one harness run: Kernel, Params, Proto and
-	// (for ProtoHydEE) Assign pick the program and protocol; Model,
-	// CheckpointEvery/Stagger and Failures are optional; NewStore is the
-	// one checkpoint-store hook — func(*Topology) (Store, error), e.g.
-	// StoreSpec.New — and nil means a fresh free in-memory store.
-	ExperimentSpec = harness.Spec
-	// ExperimentSummary is its aggregated outcome.
-	ExperimentSummary = harness.Summary
-	// ExperimentProto selects the protocol configuration of a spec.
-	ExperimentProto = harness.Proto
-	// Table1Row / Fig5Row / Fig6Row / E4Row / E5Row are experiment rows.
-	Table1Row = harness.Table1Row
-	Fig5Row   = harness.Fig5Row
-	Fig6Row   = harness.Fig6Row
-	E4Row     = harness.E4Row
-	E5Row     = harness.E5Row
-)
-
-// Experiment protocol selectors.
-const (
-	ProtoNative = harness.ProtoNative
-	ProtoCoord  = harness.ProtoCoord
-	ProtoMLog   = harness.ProtoMLog
-	ProtoHydEE  = harness.ProtoHydEE
-)
-
-// RunExperiment executes one harness spec.
-func RunExperiment(s ExperimentSpec) (*ExperimentSummary, error) {
-	return harness.RunCtx(context.Background(), s)
-}
-
-// RunExperiments executes independent specs through a bounded worker pool
-// (parallelism <= 0 uses one worker per CPU) and returns summaries in spec
-// order; runs are isolated, so results are identical to the serial path.
-func RunExperiments(ctx context.Context, specs []ExperimentSpec, parallelism int) ([]*ExperimentSummary, error) {
-	return harness.RunAll(ctx, specs, parallelism)
-}
-
-// Table1 regenerates Table I at np ranks over the network model (nil =
-// Myrinet10G), tracing the six kernels at the given sweep parallelism
-// (<= 0 = one worker per CPU).
-func Table1(ctx context.Context, np, traceIters int, model Model, parallelism int) ([]Table1Row, error) {
-	return harness.Table1(ctx, np, traceIters, graph.DefaultOptions(), model, parallelism)
-}
-
-// Figure5 regenerates Figure 5 over the network model (nil = Myrinet10G,
-// nil sizes = the standard sweep, reps <= 0 = 10); its runs go through
-// RunExperiments' pool.
-func Figure5(ctx context.Context, model Model, sizes []int, reps int) ([]Fig5Row, error) {
-	return harness.Figure5(ctx, model, sizes, reps)
-}
-
-// Figure6 regenerates Figure 6 at np ranks with the given clusterings
-// over the network model (nil = Myrinet10G), with a configurable
-// comparator protocol for the middle bar (ProtoMLog reproduces the paper)
-// and a sweep parallelism (<= 0 = one worker per CPU).
-func Figure6(ctx context.Context, np, iters int, clusterings map[string][]int, model Model, comparator ExperimentProto, parallelism int) ([]Fig6Row, error) {
-	return harness.Figure6(ctx, np, iters, clusterings, model, comparator, parallelism)
-}
-
-// Clusterings runs the clustering tool for every kernel.
-func Clusterings(np, traceIters int) (map[string][]int, []Table1Row, error) {
-	return harness.Clusterings(np, traceIters, graph.DefaultOptions())
-}
-
-// CheckpointBurst regenerates E5: the kernel checkpoints into one shared
-// store of storeBPS bytes/second, all clusters at once under the
-// coordinated baseline and HydEE, then staggered under HydEE; shards >= 2
-// adds HydEE checkpointing at once into that many cluster-placed shards
-// of storeBPS each (nil model = Myrinet10G).
-func CheckpointBurst(ctx context.Context, k Kernel, np, iters, ckptEvery int, assign []int, storeBPS float64, shards int, model Model) ([]E5Row, error) {
-	return harness.CheckpointBurst(ctx, k, np, iters, ckptEvery, assign, storeBPS, shards, model)
-}
-
-// NetPIPEStandardSizes is the Figure 5 size sweep.
-func NetPIPEStandardSizes() []int { return harness.StandardSizes() }
-
-// Experiment formatters.
-var (
-	FormatTable1  = harness.FormatTable1
-	FormatFigure5 = harness.FormatFigure5
-	FormatFigure6 = harness.FormatFigure6
-	FormatE4      = harness.FormatE4
-	FormatE5      = harness.FormatE5
 )

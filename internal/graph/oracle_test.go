@@ -7,16 +7,15 @@ package graph_test
 // — on the kernels' traced graphs and on seeded and fuzzed random graphs.
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
 
+	"hydee"
 	"hydee/internal/apps"
 	"hydee/internal/graph"
-	"hydee/internal/harness"
 )
 
 // denseGraph is an undirected weighted communication graph: W[i][j] is the
@@ -395,7 +394,7 @@ func TestClusterMatchesDenseOracle(t *testing.T) {
 		}
 		for _, np := range nps {
 			for _, k := range apps.Registry() {
-				sum, err := harness.RunCtx(context.Background(), harness.Spec{Kernel: k, Params: apps.Params{NP: np, Iters: 2}, Proto: harness.ProtoNative})
+				sum, err := hydee.RunExperiment(hydee.ExperimentSpec{Kernel: k, Params: apps.Params{NP: np, Iters: 2}, Proto: hydee.ProtoNative})
 				if err != nil {
 					t.Fatal(err)
 				}

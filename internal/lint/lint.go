@@ -38,9 +38,9 @@ func Analyzers() []*analysis.Analyzer {
 // deterministicPkgs is the virtual-time plane: packages whose outputs
 // must be byte-reproducible run to run. The wallclock, maprange and
 // selectorder analyzers only fire here; host-plane code (cmd binaries,
-// the HTTP server, the harness worker pool) keeps its wall clock.
+// the HTTP server) keeps its wall clock.
 var deterministicPkgs = map[string]bool{
-	"hydee":                     true, // engine root: Run, exporters, failure specs
+	"hydee":                     true, // engine root: Run, experiments, exporters, failure specs
 	"hydee/internal/transport":  true,
 	"hydee/internal/mpi":        true,
 	"hydee/internal/core":       true,

@@ -115,7 +115,7 @@ func (c *Comm) Restore(state any) (bool, error) {
 func (c *Comm) SetStateBytes(n int64) { c.p.stateBytes = n }
 
 // SetResult stores the rank's final result (e.g. a state digest); the
-// harness compares results across runs to validate recovery.
+// experiments compare results across runs to validate recovery.
 func (c *Comm) SetResult(v any) {
 	c.p.result = v
 	c.p.resultSet = true

@@ -2,7 +2,7 @@ package mpi
 
 import "context"
 
-// Context-carried observers: sweep helpers (the harness) launch runs
+// Context-carried observers: sweep helpers (hydee.RunExperiments) launch runs
 // several calls away from the code that owns an event sink, so the sink
 // rides the context instead of threading an Observer parameter through
 // every signature — the same pattern tracing libraries use. RunContext

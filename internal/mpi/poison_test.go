@@ -5,12 +5,12 @@ import (
 	"encoding/json"
 	"testing"
 
+	"hydee"
+
 	"hydee/internal/apps"
 	"hydee/internal/checkpoint"
 	"hydee/internal/core"
 	"hydee/internal/failure"
-	"hydee/internal/graph"
-	"hydee/internal/harness"
 	"hydee/internal/mpi"
 	"hydee/internal/netmodel"
 	"hydee/internal/rollback"
@@ -82,14 +82,14 @@ func TestEnvelopePoison(t *testing.T) {
 			})
 		})
 	}
-	clusterings, _, err := harness.Clusterings(16, 2, graph.DefaultOptions())
+	clusterings, _, err := hydee.Clusterings(16, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fig6, e4 []harness.Spec
+	var fig6, e4 []hydee.ExperimentSpec
 	for _, k := range apps.Registry() {
-		for _, proto := range []harness.Proto{harness.ProtoNative, harness.ProtoMLog, harness.ProtoHydEE} {
-			fig6 = append(fig6, harness.Spec{Kernel: k, Params: apps.Params{NP: 16, Iters: 2}, Proto: proto, Assign: clusterings[k.Name]})
+		for _, proto := range []hydee.ExperimentProto{hydee.ProtoNative, hydee.ProtoMLog, hydee.ProtoHydEE} {
+			fig6 = append(fig6, hydee.ExperimentSpec{Kernel: k, Params: apps.Params{NP: 16, Iters: 2}, Proto: proto, Assign: clusterings[k.Name]})
 		}
 	}
 	// E4's containment runs: a restarted receiver drops the stale copies
@@ -98,20 +98,20 @@ func TestEnvelopePoison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, proto := range []harness.Proto{harness.ProtoCoord, harness.ProtoMLog, harness.ProtoHydEE} {
-		e4 = append(e4, harness.Spec{
+	for _, proto := range []hydee.ExperimentProto{hydee.ProtoCoord, hydee.ProtoMLog, hydee.ProtoHydEE} {
+		e4 = append(e4, hydee.ExperimentSpec{
 			Kernel: cg, Params: apps.Params{NP: 16, Iters: 8}, Proto: proto, Assign: clusterings["cg"], CheckpointEvery: 3,
 			Failures: []failure.Event{{Ranks: []int{8}, When: failure.Trigger{AfterCheckpoints: 1}}},
 		})
 	}
 	for _, sweep := range []struct {
 		name  string
-		specs []harness.Spec
+		specs []hydee.ExperimentSpec
 	}{{"fig6-tiny", fig6}, {"e4-cg", e4}} {
 		specs := sweep.specs
 		t.Run(sweep.name, func(t *testing.T) {
 			samePoisoned(t, func() any {
-				sums, err := harness.RunAll(context.Background(), specs, 2)
+				sums, err := hydee.RunExperiments(context.Background(), specs, 2)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -126,7 +126,7 @@ func (t *Topology) Validate() error {
 }
 
 // Metrics accumulates per-process protocol accounting. Owned by the
-// process; harness reads it after the run.
+// process; the runtime sums it into the run's Result.
 type Metrics struct {
 	AppSends      int64
 	AppBytes      int64 // modeled payload bytes sent

@@ -5,8 +5,6 @@ import (
 	"maps"
 	"slices"
 	"strings"
-
-	"hydee/internal/harness"
 )
 
 // Name tables: the cmd binaries, job submissions and any embedding
@@ -17,7 +15,7 @@ import (
 // WithStore, WithObserver or ContextWithObserver, ExperimentSpec.NewStore),
 // as a protocol does through WithProtocol. A protocol name (a flag's or a
 // job's proto) resolves through ExperimentProtoByName over the fixed
-// harness configurations.
+// experiment configurations.
 
 // nameTable is a fixed, case-insensitive table of values of type V.
 // Canonical names and shorthand aliases resolve identically; listings and
@@ -94,22 +92,3 @@ func ExporterByName(name string) (ExporterFactory, error) {
 
 // ExporterNames lists the exporter names, sorted.
 func ExporterNames() []string { return exporters.names() }
-
-// ExperimentProtoByName resolves a name to the harness protocol selector
-// used by ExperimentSpec: "native" (no fault tolerance), "coord" (globally
-// coordinated checkpointing), "mlog" (full sender-based message logging)
-// or "hydee".
-func ExperimentProtoByName(name string) (ExperimentProto, error) {
-	return harness.ProtoByName(strings.ToLower(name))
-}
-
-// ExperimentProtoNames lists the names ExperimentProtoByName accepts —
-// what a sweep's proto and the cmd binaries' -proto flags resolve
-// through. The harness configurations are fixed.
-func ExperimentProtoNames() []string {
-	names := make([]string, len(harness.Protos))
-	for i, p := range harness.Protos {
-		names[i] = p.String()
-	}
-	return names
-}

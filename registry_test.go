@@ -14,7 +14,7 @@ import (
 )
 
 // TestModelNamesDedupeAliases pins every listing: canonical names only,
-// sorted (the protocols in the harness's order), never an alias.
+// sorted (the protocols in the table's order), never an alias.
 func TestModelNamesDedupeAliases(t *testing.T) {
 	for _, c := range []struct {
 		what      string

@@ -1,4 +1,4 @@
-package harness_test
+package hydee_test
 
 import (
 	"context"
@@ -6,28 +6,31 @@ import (
 	"fmt"
 	"testing"
 
-	"hydee/internal/apps"
-	"hydee/internal/graph"
-	"hydee/internal/harness"
-	"hydee/internal/mpi"
+	"hydee"
 )
+
+// traceSpec is the failure-free native run of k at np ranks the
+// clustering tool traces.
+func traceSpec(k hydee.Kernel, np int) hydee.ExperimentSpec {
+	return hydee.ExperimentSpec{Kernel: k, Params: hydee.KernelParams{NP: np, Iters: 2}, Proto: hydee.ProtoNative}
+}
 
 // TestRunAllMatchesSerial checks the acceptance criterion: a parallel sweep
 // produces exactly the summaries the serial path does, in spec order.
 func TestRunAllMatchesSerial(t *testing.T) {
-	var specs []harness.Spec
-	for _, k := range apps.Registry()[:3] {
-		specs = append(specs, harness.TraceSpec(k, apps.Params{NP: 16, Iters: 2}, nil))
+	var specs []hydee.ExperimentSpec
+	for _, k := range hydee.Kernels()[:3] {
+		specs = append(specs, traceSpec(k, 16))
 	}
-	serial := make([]*harness.Summary, len(specs))
+	serial := make([]*hydee.ExperimentSummary, len(specs))
 	for i, s := range specs {
-		sum, err := harness.RunCtx(context.Background(), s)
+		sum, err := hydee.RunExperiment(s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		serial[i] = sum
 	}
-	par, err := harness.RunAll(context.Background(), specs, 4)
+	par, err := hydee.RunExperiments(context.Background(), specs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,16 +48,15 @@ func TestRunAllMatchesSerial(t *testing.T) {
 // TestTable1ParallelByteIdentical renders Table1 rows computed serially
 // (parallelism 1) and with parallelism 4 and requires byte-identical text.
 func TestTable1ParallelByteIdentical(t *testing.T) {
-	opt := graph.DefaultOptions()
-	serial, err := harness.Table1(context.Background(), 32, 2, opt, nil, 1)
+	serial, err := hydee.Table1(context.Background(), 32, 2, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := harness.Table1(context.Background(), 32, 2, opt, nil, 4)
+	par, err := hydee.Table1(context.Background(), 32, 2, nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := harness.FormatTable1(serial), harness.FormatTable1(par)
+	a, b := hydee.FormatTable1(serial), hydee.FormatTable1(par)
 	if a != b {
 		t.Fatalf("Table1 rows differ between serial and parallel sweeps:\n--- serial\n%s\n--- parallel\n%s", a, b)
 	}
@@ -63,15 +65,15 @@ func TestTable1ParallelByteIdentical(t *testing.T) {
 // TestRunAllPropagatesFirstError checks that a failing spec is reported and
 // the sibling cancellations do not mask it.
 func TestRunAllPropagatesFirstError(t *testing.T) {
-	k := apps.Registry()[0]
-	good := harness.TraceSpec(k, apps.Params{NP: 8, Iters: 2}, nil)
+	k := hydee.Kernels()[0]
+	good := traceSpec(k, 8)
 	bad := good
-	bad.Proto = harness.Proto(99)
-	sums, err := harness.RunAll(context.Background(), []harness.Spec{good, bad, good}, 3)
+	bad.Proto = hydee.ExperimentProto(99)
+	sums, err := hydee.RunExperiments(context.Background(), []hydee.ExperimentSpec{good, bad, good}, 3)
 	if err == nil || sums != nil {
 		t.Fatalf("want error, got sums=%v err=%v", sums, err)
 	}
-	if errors.Is(err, mpi.ErrCanceled) {
+	if errors.Is(err, hydee.ErrCanceled) {
 		t.Fatalf("cancellation masked the real failure: %v", err)
 	}
 }
@@ -81,18 +83,18 @@ func TestRunAllPropagatesFirstError(t *testing.T) {
 func TestRunAllHonorsCallerContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	var specs []harness.Spec
-	for _, k := range apps.Registry() {
-		specs = append(specs, harness.TraceSpec(k, apps.Params{NP: 16, Iters: 2}, nil))
+	var specs []hydee.ExperimentSpec
+	for _, k := range hydee.Kernels() {
+		specs = append(specs, traceSpec(k, 16))
 	}
-	if _, err := harness.RunAll(ctx, specs, 2); err == nil {
+	if _, err := hydee.RunExperiments(ctx, specs, 2); err == nil {
 		t.Fatal("want error from canceled sweep")
 	}
 }
 
 // TestRunAllEmpty checks the degenerate inputs.
 func TestRunAllEmpty(t *testing.T) {
-	sums, err := harness.RunAll(context.Background(), nil, 4)
+	sums, err := hydee.RunExperiments(context.Background(), nil, 4)
 	if sums != nil || err != nil {
 		t.Fatalf("empty sweep: %v %v", sums, err)
 	}

@@ -1,4 +1,4 @@
-// Package server turns the hydee experiment harness into a long-lived
+// Package server turns the hydee experiments into a long-lived
 // sweep service: jobs of SweepSpec runs are queued, executed over
 // hydee.RunExperiments with bounded concurrency, cancelable per job, and
 // observable live through a replaying event stream. Command hydee-serve
@@ -33,7 +33,7 @@ type Config struct {
 	// Concurrency is the number of jobs running at once. 0 means 1 —
 	// the byte-reproducibility default: jobs never contend on CPU.
 	Concurrency int
-	// Parallelism is the per-job RunAll worker count (0 = one per CPU).
+	// Parallelism is the per-job RunExperiments worker count (0 = one per CPU).
 	// A submission may override it per job.
 	Parallelism int
 	// EventDir is where each job's per-run event files land, one
@@ -74,7 +74,7 @@ type JobRequest struct {
 	Label string `json:"label,omitempty"`
 	// Runs are the sweep's experiment specs; at least one.
 	Runs []hydee.SweepSpec `json:"runs"`
-	// Parallelism overrides the server's per-job RunAll worker count
+	// Parallelism overrides the server's per-job RunExperiments worker count
 	// for this job (0 = server default).
 	Parallelism int `json:"parallelism,omitempty"`
 }
@@ -358,19 +358,13 @@ func (s *Server) run(j *job) {
 	j.cancel = cancel
 	j.mu.Unlock()
 
-	var (
-		summaries []*hydee.ExperimentSummary
-		runErr    error
-	)
-	mk, runErr := hydee.ExporterByName(s.cfg.Exporter) // validated in New
+	// The run-dir files see each event first, the replay hub second.
+	var summaries []*hydee.ExperimentSummary
+	ctx, closeEvents, runErr := hydee.EventStreamSpec{Path: j.eventDir + "/", Exporter: s.cfg.Exporter}.Wire(ctx)
 	if runErr == nil {
-		var dirExp hydee.Exporter
-		if dirExp, runErr = hydee.NewRunDirExporter(j.eventDir, mk); runErr == nil {
-			obs := hydee.MultiObserver(dirExp, j.fanout)
-			summaries, runErr = hydee.RunExperiments(hydee.ContextWithObserver(ctx, obs), j.specs, j.par)
-			if cerr := dirExp.Close(); runErr == nil {
-				runErr = cerr
-			}
+		summaries, runErr = hydee.RunExperiments(hydee.ContextWithObserver(ctx, j.fanout), j.specs, j.par)
+		if cerr := closeEvents(); runErr == nil {
+			runErr = cerr
 		}
 	}
 	j.mu.Lock()

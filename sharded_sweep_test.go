@@ -1,4 +1,4 @@
-package harness
+package hydee
 
 // Determinism and behaviour of the E5-extension sharded-store sweep:
 // the sweep output must be byte-reproducible run-to-run (the make
@@ -9,16 +9,13 @@ import (
 	"context"
 	"reflect"
 	"testing"
-
-	"hydee/internal/apps"
-	"hydee/internal/failure"
 )
 
 // TestE5ShardedSweepReproducible runs the sharded burst sweep twice and
 // requires byte-identical formatted output — makespans, queue backlogs
 // and volumes included.
 func TestE5ShardedSweepReproducible(t *testing.T) {
-	k, err := apps.Get("cg")
+	k, err := KernelByName("cg")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +38,7 @@ func TestE5ShardedSweepReproducible(t *testing.T) {
 // per-cluster shard placement cuts the worst write backlog versus one
 // shared store, without the staggered schedule's skew.
 func TestE5ShardedRelievesBurst(t *testing.T) {
-	k, err := apps.Get("cg")
+	k, err := KernelByName("cg")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,27 +83,27 @@ func TestE5ShardedRelievesBurst(t *testing.T) {
 //     not compared: a rolled-back peer may meter a send or two more or
 //     fewer depending on when the kill lands on its goroutine.
 func TestShardedStoreRunReproducible(t *testing.T) {
-	k, err := apps.Get("cg")
+	k, err := KernelByName("cg")
 	if err != nil {
 		t.Fatal(err)
 	}
 	assign := cgAssign(t)
-	mkSpec := func() Spec {
-		return Spec{
-			Kernel: k, Params: apps.Params{NP: 16, Iters: 8},
+	mkSpec := func() ExperimentSpec {
+		return ExperimentSpec{
+			Kernel: k, Params: KernelParams{NP: 16, Iters: 8},
 			Proto: ProtoHydEE, Assign: assign, CheckpointEvery: 3,
-			NewStore: shardedStore(4, 4e9),
-			Failures: []failure.Event{{
+			NewStore: StoreSpec{Spec: "sharded:4", BPS: 4e9}.New,
+			Failures: []FailureEvent{{
 				Ranks: []int{8},
-				When:  failure.Trigger{AfterSends: 44},
+				When:  FailureTrigger{AfterSends: 44},
 			}},
 		}
 	}
-	a, err := RunCtx(context.Background(), mkSpec())
+	a, err := runExperiment(context.Background(), mkSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCtx(context.Background(), mkSpec())
+	b, err := runExperiment(context.Background(), mkSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

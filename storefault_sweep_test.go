@@ -1,4 +1,4 @@
-package harness
+package hydee
 
 // Determinism and behaviour of the E6 shard-loss redundancy sweep: the
 // formatted output must be byte-reproducible run-to-run (the make
@@ -10,36 +10,49 @@ package harness
 import (
 	"context"
 	"testing"
-
-	"hydee/internal/apps"
 )
 
 // e6Rows runs the sweep in the standard test scenario (cg/16, the same
 // clustering the other determinism tests use, two shards killed inside
 // the recovery round).
-func e6Rows(t *testing.T) []E6Row {
+func e6Rows(t *testing.T) []e6Row {
 	t.Helper()
-	k, err := apps.Get("cg")
+	k, err := KernelByName("cg")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := StoreFaultSweep(context.Background(), k, 16, 8, 3, cgAssign(t), 4e9)
+	rows, err := storeFaultSweep(context.Background(), k, 16, 8, 3, cgAssign(t), 4e9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return rows
 }
 
+// e6Pinned is the sweep's formatted output for e6Rows' scenario (cg,
+// np 16, 8 iterations, a checkpoint every 3, 4e9 B/s per target): the
+// shared and plain-sharded layouts lose their checkpoints, ec:4+2 and
+// replica:3 recover through degraded loads.
+const e6Pinned = `Config        Shards  Lost   Outcome        CleanVT        FaultVT   Overhead      PhysBytes  DegLoads
+shared             1     1      lost       146.96ms              -          -      208800864         -
+sharded:6          6     2      lost       107.83ms              -          -      208800864         -
+ec:4+2             6     2 recovered       107.81ms       113.06ms      4.87%      313213584         4
+replica:3          3     2 recovered       146.96ms       146.97ms      0.01%      626408736         8
+`
+
 // TestE6StoreFaultSweepReproducible runs the shard-loss sweep twice and
 // requires byte-identical formatted output — makespans, physical
-// volumes, degraded-load counts and survival outcomes included. The
-// shard kills are scheduled at a virtual time learned from a probe run,
-// so reproducibility here is evidence the whole chain (probe, fault
-// schedule, degraded restore) is on the virtual-time event plane.
+// volumes, degraded-load counts and survival outcomes included — equal
+// to e6Pinned. The shard kills are scheduled at a virtual time learned
+// from a probe run, so reproducibility here is evidence the whole chain
+// (probe, fault schedule, degraded restore) is on the virtual-time event
+// plane.
 func TestE6StoreFaultSweepReproducible(t *testing.T) {
-	a, b := FormatE6(e6Rows(t)), FormatE6(e6Rows(t))
+	a, b := formatE6(e6Rows(t)), formatE6(e6Rows(t))
 	if a != b {
 		t.Errorf("store-fault sweep output not byte-reproducible:\n--- run 1\n%s\n--- run 2\n%s", a, b)
+	}
+	if a != e6Pinned {
+		t.Errorf("store-fault sweep output moved:\n--- got\n%s\n--- want\n%s", a, e6Pinned)
 	}
 	t.Logf("\n%s", a)
 }
@@ -49,7 +62,7 @@ func TestE6StoreFaultSweepReproducible(t *testing.T) {
 // redundant ones, at their respective storage price.
 func TestE6RedundancyOutcomes(t *testing.T) {
 	rows := e6Rows(t)
-	byName := map[string]E6Row{}
+	byName := map[string]e6Row{}
 	for _, r := range rows {
 		byName[r.Config] = r
 	}

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-
-	"hydee/internal/harness"
 )
 
 // Shared run-selection specs. The cmd binaries' -store/-store-bps/
@@ -248,7 +246,7 @@ func (s SweepSpec) Experiment() (ExperimentSpec, error) {
 	if proto == ProtoHydEE {
 		switch {
 		case len(s.Assign) > 0:
-			if err := harness.CheckAssign(s.Assign, s.NP); err != nil {
+			if err := checkAssign(s.Assign, s.NP); err != nil {
 				return spec, fmt.Errorf("hydee: sweep spec: %w", err)
 			}
 			spec.Assign = append([]int(nil), s.Assign...)

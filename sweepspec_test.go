@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"hydee"
-	"hydee/internal/harness"
 )
 
 func TestSweepSpecResolves(t *testing.T) {
@@ -101,8 +100,9 @@ func TestSweepSpecRejects(t *testing.T) {
 // directory (a run would create it) is run under an already-canceled
 // context, which ends the run at its first supervisor step and every
 // rank at its next Comm operation, whatever the iteration count: it may
-// fail as canceled, but never with a configuration error, which
-// hydee-serve would report only after queueing the job.
+// fail as canceled, but never otherwise — not with a configuration error,
+// from the spec's Engine or its run, which hydee-serve would report only
+// after queueing the job.
 func FuzzSweepSpec(f *testing.F) {
 	for _, seed := range []string{
 		`{"app":"cg","np":16,"proto":"hydee","clusters":4,"ckpt":2,"fail_at":"ckpts:1@8","store":"sharded:2","store_bps":1e9}`,
@@ -129,10 +129,8 @@ func FuzzSweepSpec(f *testing.F) {
 		if err != nil || s.NP > 64 || s.Dir != "" {
 			return
 		}
-		_, err = harness.RunCtx(canceled, spec)
-		var re *hydee.RunError
-		if errors.As(err, &re) && re.Phase == hydee.PhaseConfig {
-			t.Fatalf("spec %s resolved but the run refused its configuration: %v", raw, err)
+		if _, err := hydee.RunExperimentContext(canceled, spec); err != nil && !errors.Is(err, hydee.ErrCanceled) {
+			t.Fatalf("spec %s resolved but the run failed other than canceled: %v", raw, err)
 		}
 	})
 }
