@@ -140,6 +140,10 @@ smoke16k:
 # hydee-recover streams its events into a throwaway directory, which must
 # come back holding per-run files, and runs once more over a file store
 # in that directory, so snapshots go through the codec to disk and back.
+# Two inputs must be refused with a non-zero exit: hydee-recover over a
+# store directory under a regular file, whose metrics -events file must
+# still hold its one summary line (the stream is closed on error), and
+# hydee-cluster with an unknown -app.
 # The stdout of the sharded hydee-recover run, of hydee-nas and of
 # hydee-netpipe must equal cmd/testdata/*.golden byte for byte. A change
 # meant to move them refreshes them with
@@ -156,7 +160,20 @@ smoke-cli:
 		"./cmd/hydee-recover -np 16 -iters 4 -store file -store-dir $$tmp/ckpt" $(wildcard ./examples/*/); do \
 		echo "go run $$cmd"; $(GO) run $$cmd >/dev/null; \
 	done; \
-	ls "$$tmp"/run-*.jsonl "$$tmp"/ckpt/ckpt-*.hysn >/dev/null
+	ls "$$tmp"/run-*.jsonl "$$tmp"/ckpt/ckpt-*.hysn >/dev/null; \
+	touch "$$tmp/file"; \
+	echo "go run ./cmd/hydee-recover -store-dir <under a file> -exporter metrics (refused)"; \
+	if $(GO) run ./cmd/hydee-recover -np 16 -iters 4 -store file -store-dir "$$tmp/file/ckpt" \
+		-events "$$tmp/metrics.json" -exporter metrics >/dev/null 2>&1; then \
+		echo "hydee-recover exited 0 over a store directory it cannot create"; exit 1; \
+	fi; \
+	if [ "$$(wc -l <"$$tmp/metrics.json")" -ne 1 ] || ! grep -q '^{.*}$$' "$$tmp/metrics.json"; then \
+		echo "a failed hydee-recover left no summary line in its -events file:"; cat "$$tmp/metrics.json"; exit 1; \
+	fi; \
+	echo "go run ./cmd/hydee-cluster -np 16 -app xx (refused)"; \
+	if $(GO) run ./cmd/hydee-cluster -np 16 -app xx >/dev/null 2>&1; then \
+		echo "hydee-cluster exited 0 for an unknown kernel"; exit 1; \
+	fi
 
 # Files behind build tags are vetted too, so they cannot stop compiling
 # unnoticed.

@@ -15,12 +15,10 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log"
-	"os/signal"
 	"strings"
-	"syscall"
 
 	"hydee"
+	"hydee/cmd/internal/cli"
 )
 
 func main() {
@@ -30,57 +28,45 @@ func main() {
 	proto := flag.String("proto", "mlog", "comparator protocol: "+strings.Join(hydee.ExperimentProtoNames(), ", "))
 	net := flag.String("net", "myrinet10g", "network model: "+strings.Join(hydee.ModelNames(), ", "))
 	par := flag.Int("par", 0, "parallel runs in the sweep (0 = one per CPU)")
-	var stream hydee.EventStreamSpec
-	stream.Bind(flag.CommandLine)
-	flag.Parse()
-
-	if *np <= 0 || *iters <= 0 || *traceIters <= 0 {
-		log.Fatalf("hydee-nas: -np, -iters and -trace-iters must be positive (got %d, %d, %d)", *np, *iters, *traceIters)
-	}
-	comparator, err := hydee.ExperimentProtoByName(*proto)
-	if err != nil {
-		log.Fatal(err)
-	}
-	model, err := hydee.ModelByName(*net)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	ctx, closeEvents, err := stream.Wire(ctx)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer func() {
-		if err := closeEvents(); err != nil {
-			log.Print(err)
+	cli.Main(func(ctx context.Context) error {
+		if *np <= 0 || *iters <= 0 || *traceIters <= 0 {
+			return fmt.Errorf("hydee-nas: -np, -iters and -trace-iters must be positive (got %d, %d, %d)", *np, *iters, *traceIters)
 		}
-	}()
-
-	t1, err := hydee.Table1(ctx, *np, *traceIters, model, *par)
-	if err != nil {
-		log.Fatal(err)
-	}
-	clusterings := make(map[string][]int, len(t1))
-	for _, r := range t1 {
-		clusterings[r.App] = r.Assign
-	}
-	fmt.Printf("Table I — application clustering on %d processes (%s):\n", *np, model.Name())
-	fmt.Println(hydee.FormatTable1(t1))
-
-	rows, err := hydee.Figure6(ctx, *np, *iters, clusterings, model, comparator, *par)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("Figure 6 — NAS failure-free performance on %d processes (normalized to native, comparator %s):\n",
-		*np, comparator)
-	fmt.Println(hydee.FormatFigure6(rows))
-
-	worst := 0.0
-	for _, r := range rows {
-		if r.HydEEPct > worst {
-			worst = r.HydEEPct
+		comparator, err := hydee.ExperimentProtoByName(*proto)
+		if err != nil {
+			return err
 		}
-	}
-	fmt.Printf("maximum HydEE overhead: %.2f%% (paper: at most 1.25%% / 2%%)\n", worst)
+		model, err := hydee.ModelByName(*net)
+		if err != nil {
+			return err
+		}
+
+		t1, err := hydee.Table1(ctx, *np, *traceIters, model, *par)
+		if err != nil {
+			return err
+		}
+		clusterings := make(map[string][]int, len(t1))
+		for _, r := range t1 {
+			clusterings[r.App] = r.Assign
+		}
+		fmt.Printf("Table I — application clustering on %d processes (%s):\n", *np, model.Name())
+		fmt.Println(hydee.FormatTable1(t1))
+
+		rows, err := hydee.Figure6(ctx, *np, *iters, clusterings, model, comparator, *par)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("Figure 6 — NAS failure-free performance on %d processes (normalized to native, comparator %s):\n",
+			*np, comparator)
+		fmt.Println(hydee.FormatFigure6(rows))
+
+		worst := 0.0
+		for _, r := range rows {
+			if r.HydEEPct > worst {
+				worst = r.HydEEPct
+			}
+		}
+		fmt.Printf("maximum HydEE overhead: %.2f%% (paper: at most 1.25%% / 2%%)\n", worst)
+		return nil
+	})
 }

@@ -15,60 +15,46 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log"
-	"os/signal"
 	"strings"
-	"syscall"
 
 	"hydee"
+	"hydee/cmd/internal/cli"
 )
 
 func main() {
 	reps := flag.Int("reps", 10, "round trips per message size")
 	net := flag.String("net", "myrinet10g", "network model: "+strings.Join(hydee.ModelNames(), ", "))
-	var stream hydee.EventStreamSpec
-	stream.Bind(flag.CommandLine)
-	flag.Parse()
-
-	if *reps <= 0 {
-		log.Fatalf("hydee-netpipe: -reps must be positive (got %d)", *reps)
-	}
-	model, err := hydee.ModelByName(*net)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	ctx, closeEvents, err := stream.Wire(ctx)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer func() {
-		if err := closeEvents(); err != nil {
-			log.Print(err)
+	cli.Main(func(ctx context.Context) error {
+		if *reps <= 0 {
+			return fmt.Errorf("hydee-netpipe: -reps must be positive (got %d)", *reps)
 		}
-	}()
-
-	rows, err := hydee.Figure5(ctx, model, nil, *reps)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("Figure 5 — %s ping-pong performance (reduction vs native MPICH2, %%):\n", model.Name())
-	fmt.Println(hydee.FormatFigure5(rows))
-
-	// Headline observations.
-	var worstLat hydee.Fig5Row
-	var large hydee.Fig5Row
-	for _, r := range rows {
-		if r.LatRedNoLogPct < worstLat.LatRedNoLogPct {
-			worstLat = r
+		model, err := hydee.ModelByName(*net)
+		if err != nil {
+			return err
 		}
-		if r.Bytes >= 1<<20 && large.Bytes == 0 {
-			large = r
+
+		rows, err := hydee.Figure5(ctx, model, nil, *reps)
+		if err != nil {
+			return err
 		}
-	}
-	fmt.Printf("worst small-message latency degradation: %.1f%% at %d bytes (piggyback crosses a plateau)\n",
-		worstLat.LatRedNoLogPct, worstLat.Bytes)
-	fmt.Printf("at %d bytes: no-logging %.2f%%, with-logging %.2f%% (logging is free — overlapped memcpy)\n",
-		large.Bytes, large.LatRedNoLogPct, large.LatRedLogPct)
+		fmt.Printf("Figure 5 — %s ping-pong performance (reduction vs native MPICH2, %%):\n", model.Name())
+		fmt.Println(hydee.FormatFigure5(rows))
+
+		// Headline observations.
+		var worstLat hydee.Fig5Row
+		var large hydee.Fig5Row
+		for _, r := range rows {
+			if r.LatRedNoLogPct < worstLat.LatRedNoLogPct {
+				worstLat = r
+			}
+			if r.Bytes >= 1<<20 && large.Bytes == 0 {
+				large = r
+			}
+		}
+		fmt.Printf("worst small-message latency degradation: %.1f%% at %d bytes (piggyback crosses a plateau)\n",
+			worstLat.LatRedNoLogPct, worstLat.Bytes)
+		fmt.Printf("at %d bytes: no-logging %.2f%%, with-logging %.2f%% (logging is free — overlapped memcpy)\n",
+			large.Bytes, large.LatRedNoLogPct, large.LatRedLogPct)
+		return nil
+	})
 }

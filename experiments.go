@@ -273,41 +273,28 @@ type E4Row struct {
 	LoggedFrac float64
 }
 
-// Containment regenerates E4: it injects one failure into the kernel
-// under each fault-tolerant protocol and measures how far it spreads.
-// Results are also validated against the failure-free digests. failWhen
-// triggers the victim (rank np/2) — an AtVT trigger injects at a virtual
-// time, including mid-checkpoint-wave; model is the network (nil =
-// Myrinet10G) and store builds each run's fresh checkpoint store (the
-// zero StoreSpec is the free in-memory store; a multi-target store
-// places clusters). The runs stay serial: a file store may share one
-// directory across all of them.
-func Containment(ctx context.Context, k Kernel, np, iters, ckptEvery int, assign []int, failWhen FailureTrigger, model Model, store StoreSpec) ([]E4Row, error) {
+// Containment regenerates E4: it runs base under each fault-tolerant
+// protocol, failure-free and then with base.Failures, and measures how
+// far the failure spreads; every recovered run is validated against its
+// failure-free digests. base.Proto is ignored and base.Assign is HydEE's
+// clustering. base.Failures must open exactly one recovery round; an
+// AtVT trigger injects at a virtual time, including mid-checkpoint-wave.
+// base.NewStore builds each run's fresh checkpoint store. The runs stay
+// serial: a file store may share one directory across all of them.
+func Containment(ctx context.Context, base ExperimentSpec) ([]E4Row, error) {
 	var rows []E4Row
 	for _, proto := range []ExperimentProto{ProtoCoord, ProtoMLog, ProtoHydEE} {
-		params := KernelParams{NP: np, Iters: iters}
-		base := ExperimentSpec{Kernel: k, Params: params, Proto: proto, Assign: assign, CheckpointEvery: ckptEvery, Model: model, NewStore: store.New}
-		clean, err := runExperiment(ctx, base)
+		spec := base
+		spec.Proto = proto
+		clean, failed, err := recoverOnce(ctx, spec)
 		if err != nil {
-			return nil, fmt.Errorf("e4: %s/%s clean: %w", k.Name, proto, err)
-		}
-		withFail := base
-		withFail.Failures = []FailureEvent{{Ranks: []int{np / 2}, When: failWhen}}
-		failed, err := runExperiment(ctx, withFail)
-		if err != nil {
-			return nil, fmt.Errorf("e4: %s/%s failed: %w", k.Name, proto, err)
-		}
-		if err := sameDigests(clean, failed); err != nil {
-			return nil, fmt.Errorf("e4: %s/%s: recovered run diverged: %w", k.Name, proto, err)
-		}
-		if len(failed.Rounds) != 1 {
-			return nil, fmt.Errorf("e4: %s/%s: expected 1 recovery round, got %d", k.Name, proto, len(failed.Rounds))
+			return nil, fmt.Errorf("e4: %s/%s: %w", base.Kernel.Name, proto, err)
 		}
 		rd := failed.Rounds[0]
 		rows = append(rows, E4Row{
-			App:           k.Name,
+			App:           base.Kernel.Name,
 			Proto:         proto.String(),
-			RolledBackPct: 100 * float64(rd.RolledBack) / float64(np),
+			RolledBackPct: 100 * float64(rd.RolledBack) / float64(base.Params.NP),
 			RecoveryVT:    rd.EndVT.Sub(rd.StartVT),
 			MakespanVT:    failed.Makespan,
 			OverheadPct:   (float64(failed.Makespan)/float64(clean.Makespan) - 1) * 100,
@@ -315,6 +302,28 @@ func Containment(ctx context.Context, k Kernel, np, iters, ckptEvery int, assign
 		})
 	}
 	return rows, nil
+}
+
+// recoverOnce runs spec failure-free and then with its failure plan, and
+// checks that the plan opened exactly one recovery round and that
+// recovery ended in the failure-free digests.
+func recoverOnce(ctx context.Context, spec ExperimentSpec) (clean, failed *ExperimentSummary, err error) {
+	plan := spec.Failures
+	spec.Failures = nil
+	if clean, err = runExperiment(ctx, spec); err != nil {
+		return nil, nil, fmt.Errorf("clean: %w", err)
+	}
+	spec.Failures = plan
+	if failed, err = runExperiment(ctx, spec); err != nil {
+		return nil, nil, fmt.Errorf("failed: %w", err)
+	}
+	if err := sameDigests(clean, failed); err != nil {
+		return nil, nil, fmt.Errorf("recovered run diverged: %w", err)
+	}
+	if len(failed.Rounds) != 1 {
+		return nil, nil, fmt.Errorf("expected 1 recovery round, got %d", len(failed.Rounds))
+	}
+	return clean, failed, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -332,17 +341,17 @@ type E5Row struct {
 	CkptBytes int64
 }
 
-// CheckpointBurst regenerates E5: the kernel checkpoints simultaneously
-// into one shared "mem" store of storeBPS bytes/second under the
-// coordinated baseline and under HydEE, then under HydEE's per-cluster
+// CheckpointBurst regenerates E5: base checkpoints simultaneously into
+// one shared "mem" store of storeBPS bytes/second under the coordinated
+// baseline and under HydEE (base.Assign), then under HydEE's per-cluster
 // staggered schedule; with shards >= 2 it adds HydEE checkpointing
 // simultaneously into a "sharded:<shards>" store of cluster-placed
 // shards of storeBPS each. Sharding attacks the I/O burst spatially
 // (independent storage targets) where staggering attacks it temporally
 // (skewed schedules); the sharded MaxQueue backlog should drop toward the
-// staggered one with no schedule skew at all. model selects the network
-// (nil = Myrinet10G).
-func CheckpointBurst(ctx context.Context, k Kernel, np, iters, ckptEvery int, assign []int, storeBPS float64, shards int, model Model) ([]E5Row, error) {
+// staggered one with no schedule skew at all. Every run is failure-free:
+// base's Proto, Stagger, NewStore and Failures are ignored.
+func CheckpointBurst(ctx context.Context, base ExperimentSpec, storeBPS float64, shards int) ([]E5Row, error) {
 	type burstCase struct {
 		name    string
 		proto   ExperimentProto
@@ -361,12 +370,9 @@ func CheckpointBurst(ctx context.Context, k Kernel, np, iters, ckptEvery int, as
 	}
 	rows := make([]E5Row, 0, len(cases))
 	for _, cs := range cases {
-		sum, err := runExperiment(ctx, ExperimentSpec{
-			Kernel: k, Params: KernelParams{NP: np, Iters: iters},
-			Proto: cs.proto, Assign: assign, Model: model,
-			CheckpointEvery: ckptEvery, Stagger: cs.stagger,
-			NewStore: cs.store.New,
-		})
+		spec := base
+		spec.Proto, spec.Stagger, spec.NewStore, spec.Failures = cs.proto, cs.stagger, cs.store.New, nil
+		sum, err := runExperiment(ctx, spec)
 		if err != nil {
 			return nil, fmt.Errorf("e5: %s: %w", cs.name, err)
 		}
@@ -429,51 +435,36 @@ type shardSetStore interface {
 	DegradedLoads() int64
 }
 
-// storeFaultSweep runs the E6 shard-loss comparison: the kernel under
-// HydEE with a checkpoint schedule, one rank failure (rank np/2 after
-// its second checkpoint), and per storage layout a kill of the victim
-// cluster's storage targets scheduled inside the recovery round. The
-// four layouts have equal per-target bandwidth and are all
+// storeFaultSweep runs the E6 shard-loss comparison: base under HydEE
+// (base.Assign) with its checkpoint schedule and its failure plan, which
+// must open one recovery round, and per storage layout a kill of the
+// victim cluster's storage targets scheduled inside that round; the
+// victim is base.Failures[0].Ranks[0], and base's Proto and NewStore are
+// ignored. The four layouts have equal per-target bandwidth and are all
 // cluster-placed: one shared store, six plain shards, a 4+2 erasure code
 // (six targets, any two expendable) and three full replicas. The
 // redundant layouts lose two targets; the shared store has only one to
 // lose. Every surviving run is digest-checked against the layout's
 // failure-free run; every aborting run must fail with ErrCheckpointLost.
-func storeFaultSweep(ctx context.Context, k Kernel, np, iters, ckptEvery int, assign []int, storeBPS float64) ([]e6Row, error) {
-	victim := np / 2
-	fail := []FailureEvent{{Ranks: []int{victim}, When: FailureTrigger{AfterCheckpoints: 2}}}
+func storeFaultSweep(ctx context.Context, base ExperimentSpec, storeBPS float64) ([]e6Row, error) {
+	victim := base.Failures[0].Ranks[0]
 	var rows []e6Row
 	for _, layout := range []struct {
 		name, spec string
 		lose       int // how many targets the faulted run kills
 	}{{"shared", "mem", 1}, {"sharded:6", "sharded:6", 2}, {"ec:4+2", "ec:4+2", 2}, {"replica:3", "replica:3", 2}} {
 		store := StoreSpec{Spec: layout.spec, BPS: storeBPS}
-		spec := ExperimentSpec{
-			Kernel: k, Params: KernelParams{NP: np, Iters: iters},
-			Proto: ProtoHydEE, Assign: assign, Model: netmodel.Myrinet10G(),
-			CheckpointEvery: ckptEvery, NewStore: store.New,
-		}
+		spec := base
+		spec.Proto, spec.NewStore = ProtoHydEE, store.New
 
-		// 1. Failure-free baseline: clean makespan, digests, and the
-		// layout's physical storage bill.
-		clean, err := runExperiment(ctx, spec)
+		// 1–2. The failure-free baseline (clean makespan, digests and the
+		// layout's physical storage bill), then a probe: the same rank
+		// failure on healthy storage pins down the recovery round's
+		// start in virtual time (deterministic, so it transfers to the
+		// faulted run below).
+		clean, probe, err := recoverOnce(ctx, spec)
 		if err != nil {
-			return nil, fmt.Errorf("e6: %s clean: %w", layout.name, err)
-		}
-
-		// 2. Probe: the same rank failure on healthy storage pins down
-		// the recovery round's start in virtual time (deterministic, so
-		// it transfers to the faulted run below).
-		spec.Failures = fail
-		probe, err := runExperiment(ctx, spec)
-		if err != nil {
-			return nil, fmt.Errorf("e6: %s probe: %w", layout.name, err)
-		}
-		if err := sameDigests(clean, probe); err != nil {
-			return nil, fmt.Errorf("e6: %s probe diverged: %w", layout.name, err)
-		}
-		if len(probe.Rounds) != 1 {
-			return nil, fmt.Errorf("e6: %s probe: expected 1 recovery round, got %d", layout.name, len(probe.Rounds))
+			return nil, fmt.Errorf("e6: %s: %w", layout.name, err)
 		}
 		// One VT unit into the round: after every pre-failure
 		// checkpoint write was issued, before the restore reads (which
@@ -482,7 +473,7 @@ func storeFaultSweep(ctx context.Context, k Kernel, np, iters, ckptEvery int, as
 
 		// 3. The same run with the victim cluster's storage targets
 		// killed mid-recovery.
-		topo := NewTopology(assign)
+		topo := NewTopology(base.Assign)
 		st, err := store.New(topo)
 		if err != nil {
 			return nil, fmt.Errorf("e6: %s: %w", layout.name, err)

@@ -2,6 +2,7 @@ package hydee
 
 import (
 	"context"
+	"strings"
 	"testing"
 )
 
@@ -53,7 +54,11 @@ func TestContainmentQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Containment(context.Background(), k, 16, 8, 3, clusterKernel(t, k, 16).Assign, FailureTrigger{AfterCheckpoints: 1}, nil, StoreSpec{})
+	base := ExperimentSpec{
+		Kernel: k, Params: KernelParams{NP: 16, Iters: 8}, Assign: clusterKernel(t, k, 16).Assign, CheckpointEvery: 3,
+		Failures: []FailureEvent{{Ranks: []int{8}, When: FailureTrigger{AfterCheckpoints: 1}}},
+	}
+	rows, err := Containment(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,5 +77,22 @@ func TestContainmentQuick(t *testing.T) {
 	}
 	if hydeePct >= coordPct {
 		t.Errorf("hydee (%.1f%%) did not contain the failure better than coord (%.1f%%)", hydeePct, coordPct)
+	}
+}
+
+// TestContainmentNeedsOneRound holds Containment to its contract: a plan
+// that opens no recovery round is an error, not a row of zeros.
+func TestContainmentNeedsOneRound(t *testing.T) {
+	k, err := KernelByName("cg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := ExperimentSpec{
+		Kernel: k, Params: KernelParams{NP: 16, Iters: 4}, Assign: cgAssign(t), CheckpointEvery: 3,
+		Failures: []FailureEvent{{Ranks: []int{8}, When: FailureTrigger{AfterCheckpoints: 100}}},
+	}
+	_, err = Containment(context.Background(), base)
+	if err == nil || !strings.Contains(err.Error(), "expected 1 recovery round, got 0") {
+		t.Fatalf("Containment with a plan that never fires: got %v, want the one-round error", err)
 	}
 }

@@ -151,7 +151,10 @@ func TestE4ContainmentReproduction(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := clusterKernel(t, k, 64)
-	rows, err := hydee.Containment(context.Background(), k, 64, 10, 3, cl.Assign, hydee.FailureTrigger{AfterCheckpoints: 1}, nil, hydee.StoreSpec{})
+	rows, err := hydee.Containment(context.Background(), hydee.ExperimentSpec{
+		Kernel: k, Params: hydee.KernelParams{NP: 64, Iters: 10}, Assign: cl.Assign, CheckpointEvery: 3,
+		Failures: []hydee.FailureEvent{{Ranks: []int{32}, When: hydee.FailureTrigger{AfterCheckpoints: 1}}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +183,8 @@ func TestE5CheckpointBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := clusterKernel(t, k, 16)
-	rows, err := hydee.CheckpointBurst(context.Background(), k, 16, 8, 4, cl.Assign, 4e9, 0, nil)
+	base := hydee.ExperimentSpec{Kernel: k, Params: hydee.KernelParams{NP: 16, Iters: 8}, Assign: cl.Assign, CheckpointEvery: 4}
+	rows, err := hydee.CheckpointBurst(context.Background(), base, 4e9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"hydee/internal/failure"
 	"hydee/internal/vtime"
 )
 
@@ -97,10 +96,4 @@ func ParseFailureSpec(spec string) ([]FailureEvent, error) {
 		events = append(events, FailureEvent{Ranks: ranks, When: when})
 	}
 	return events, nil
-}
-
-// ValidateFailureEvents checks parsed events against a run size, so
-// binaries can reject a bad spec before any sweep work starts.
-func ValidateFailureEvents(events []FailureEvent, np int) error {
-	return failure.Validate(events, np)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hydee"
+	"hydee/internal/failure"
 )
 
 func TestParseFailureSpec(t *testing.T) {
@@ -83,26 +84,28 @@ func FuzzParseFailureSpec(f *testing.F) {
 		}
 		if maxRank == math.MaxInt {
 			// No run has MaxInt+1 ranks: every size must refuse the victim.
-			if hydee.ValidateFailureEvents(events, math.MaxInt) == nil {
+			if failure.Validate(events, math.MaxInt) == nil {
 				t.Fatalf("spec %q: rank MaxInt validated", spec)
 			}
 			return
 		}
-		if err := hydee.ValidateFailureEvents(events, maxRank+1); err != nil {
+		if err := failure.Validate(events, maxRank+1); err != nil {
 			t.Fatalf("spec %q parsed to %+v, which does not validate at np %d: %v", spec, events, maxRank+1, err)
 		}
 	})
 }
 
+// TestValidateFailureEventsRange holds a parsed plan to the run size
+// through failure.Validate, the check SweepSpec.Experiment and New make.
 func TestValidateFailureEventsRange(t *testing.T) {
 	events, err := hydee.ParseFailureSpec("vt:1ms@7")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := hydee.ValidateFailureEvents(events, 8); err != nil {
+	if err := failure.Validate(events, 8); err != nil {
 		t.Errorf("rank 7 of 8 rejected: %v", err)
 	}
-	if err := hydee.ValidateFailureEvents(events, 4); err == nil {
+	if err := failure.Validate(events, 4); err == nil {
 		t.Error("rank 7 of 4 accepted")
 	}
 }

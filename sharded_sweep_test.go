@@ -11,25 +11,36 @@ import (
 	"testing"
 )
 
-// TestE5ShardedSweepReproducible runs the sharded burst sweep twice and
-// requires byte-identical formatted output — makespans, queue backlogs
-// and volumes included.
-func TestE5ShardedSweepReproducible(t *testing.T) {
+// burstBase is the E5 scenario of the tests below: cg on 16 ranks, 8
+// iterations, a checkpoint every 4.
+func burstBase(t *testing.T) ExperimentSpec {
+	t.Helper()
 	k, err := KernelByName("cg")
 	if err != nil {
 		t.Fatal(err)
 	}
-	assign := cgAssign(t)
-	runOnce := func() string {
-		rows, err := CheckpointBurst(context.Background(), k, 16, 8, 4, assign, 4e9, 4, nil)
+	return ExperimentSpec{Kernel: k, Params: KernelParams{NP: 16, Iters: 8}, Assign: cgAssign(t), CheckpointEvery: 4}
+}
+
+// TestE5ShardedSweepReproducible runs the sharded burst sweep twice and
+// requires byte-identical formatted output — makespans, queue backlogs
+// and volumes included. The second run's base carries a failure plan,
+// which CheckpointBurst ignores: E5 measures failure-free bursts, so the
+// rows must not move.
+func TestE5ShardedSweepReproducible(t *testing.T) {
+	runOnce := func(base ExperimentSpec) string {
+		rows, err := CheckpointBurst(context.Background(), base, 4e9, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return FormatE5(rows)
 	}
-	a, b := runOnce(), runOnce()
+	base := burstBase(t)
+	withPlan := base
+	withPlan.Failures = []FailureEvent{{Ranks: []int{8}, When: FailureTrigger{AfterCheckpoints: 1}}}
+	a, b := runOnce(base), runOnce(withPlan)
 	if a != b {
-		t.Errorf("sharded sweep output not byte-reproducible:\n--- run 1\n%s\n--- run 2\n%s", a, b)
+		t.Errorf("sharded sweep output not byte-reproducible, or moved by base.Failures:\n--- run 1\n%s\n--- run 2 (with a failure plan)\n%s", a, b)
 	}
 	t.Logf("\n%s", a)
 }
@@ -38,12 +49,7 @@ func TestE5ShardedSweepReproducible(t *testing.T) {
 // per-cluster shard placement cuts the worst write backlog versus one
 // shared store, without the staggered schedule's skew.
 func TestE5ShardedRelievesBurst(t *testing.T) {
-	k, err := KernelByName("cg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	assign := cgAssign(t)
-	rows, err := CheckpointBurst(context.Background(), k, 16, 8, 4, assign, 4e9, 4, nil)
+	rows, err := CheckpointBurst(context.Background(), burstBase(t), 4e9, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,15 +13,19 @@ import (
 )
 
 // e6Rows runs the sweep in the standard test scenario (cg/16, the same
-// clustering the other determinism tests use, two shards killed inside
-// the recovery round).
+// clustering the other determinism tests use, rank 8 failing after its
+// second checkpoint, two shards killed inside the recovery round).
 func e6Rows(t *testing.T) []e6Row {
 	t.Helper()
 	k, err := KernelByName("cg")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := storeFaultSweep(context.Background(), k, 16, 8, 3, cgAssign(t), 4e9)
+	base := ExperimentSpec{
+		Kernel: k, Params: KernelParams{NP: 16, Iters: 8}, Assign: cgAssign(t), CheckpointEvery: 3,
+		Failures: []FailureEvent{{Ranks: []int{8}, When: FailureTrigger{AfterCheckpoints: 2}}},
+	}
+	rows, err := storeFaultSweep(context.Background(), base, 4e9)
 	if err != nil {
 		t.Fatal(err)
 	}

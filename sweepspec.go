@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"strings"
+
+	"hydee/internal/failure"
 )
 
 // Shared run-selection specs. The cmd binaries' -store/-store-bps/
@@ -271,7 +273,7 @@ func (s SweepSpec) Experiment() (ExperimentSpec, error) {
 	if spec.Failures, err = ParseFailureSpec(s.FailAt); err != nil {
 		return spec, err
 	}
-	if err := ValidateFailureEvents(spec.Failures, s.NP); err != nil {
+	if err := failure.Validate(spec.Failures, s.NP); err != nil {
 		return spec, err
 	}
 	if s.StoreSpec == (StoreSpec{}) {
